@@ -1,8 +1,9 @@
-"""Every catalog potential two ways: closed minors formula vs module action.
+"""Every catalog potential two ways: direct evaluation vs module action.
 
-The closed forms (minor sums, the isotropic quadric section, the trace
-form of the Segre product) must agree with the norm of the big-cell
-unipotent action on the highest weight vector, exactly on rational input.
+The direct forms (leading Gram minors of big-cell frames, the isotropic
+quadric section, the trace form of the Segre product) must agree with the
+norm of the big-cell unipotent action on the highest weight vector,
+exactly on rational input.
 """
 from fractions import Fraction as Q
 

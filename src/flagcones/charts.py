@@ -1,11 +1,15 @@
 """Big-cell coordinate charts and the catalog of Kahler potentials.
 
-Every catalog geometry carries closed-form evaluators for the fundamental
+Every catalog geometry carries direct evaluators for the fundamental
 potentials ``h_alpha(z) = |n(z) v_alpha|^2`` on the opposite big cell
 (normalised so ``h_alpha(0) = 1``), plus a representation-theoretic path
-that evaluates the same quantity through the module machinery.  A
-``PotentialSpec`` combines a chart with bundle exponents and an outer cone
-exponent ``b``:
+that evaluates the same quantity through the module machinery.  On the
+wedge charts (projective spaces, Grassmannians, full flags of type A) the
+frame ``F`` is the first columns of the big-cell unipotent ``n(z)``, and by
+Cauchy-Binet ``h_alpha`` is a leading principal minor of the Gram matrix
+``F* F``; quadrics and products keep their closed norms of a single
+section.  A ``PotentialSpec`` combines a chart with bundle exponents and an
+outer cone exponent ``b``:
 
     K_1(z, w) = prod_alpha h_alpha(z)^(e_alpha) * |w|^2,
     K_b(z, w) = K_1(z, w)^b.
@@ -34,47 +38,81 @@ class DomainError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# closed-form potential building blocks
+# potential building blocks: big-cell frames and their Gram minors
 # ---------------------------------------------------------------------------
 
-def _exact_det(rows) -> QC:
-    """Laplace-expansion determinant over Gaussian rationals (small k)."""
-    k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    if k == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = QC(0)
-    for j in range(k):
-        if not rows[0][j]:
-            continue
-        minor = [[row[c] for c in range(k) if c != j] for row in rows[1:]]
-        term = rows[0][j] * _exact_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+def _big_cell(n: int, slots, z, exact: bool = False):
+    """The unipotent n(z) = 1 + sum_a z_a E_(slot_a) in GL(n+1).
+
+    ``slots`` gives the (row, col) position of each coordinate below the
+    diagonal.  Exact (a tuple of QC rows) with ``exact``; otherwise batched
+    over the leading axes of ``z``.
+    """
+    if exact:
+        M = [[QC(1 if i == j else 0) for j in range(n + 1)] for i in range(n + 1)]
+        for (i, j), val in zip(slots, z):
+            M[i][j] = QC.of(val)
+        return tuple(tuple(row) for row in M)
+    z = np.asarray(z, dtype=complex)
+    M = np.zeros(z.shape[:-1] + (n + 1, n + 1), dtype=complex)
+    M[..., range(n + 1), range(n + 1)] = 1.0
+    rows, cols = zip(*slots)
+    M[..., rows, cols] = z
+    return M
+
+
+def _grassmann_slots(n: int, k: int):
+    """Row-major positions of the (n+1-k) x k block below the k x k identity."""
+    return [(k + r, c) for r in range(n + 1 - k) for c in range(k)]
+
+
+def _fullflag_slots(n: int):
+    """Strictly lower positions of GL(n+1), row by row."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i)]
+
+
+def gram_minors(F, unit_top: bool = False):
+    """Leading principal minors ``det G[:k, :k]``, k = 1..r, of ``G = F* F``.
+
+    ``F`` is an m x r frame; with ``unit_top`` it is the block below an
+    r x r identity, so ``G = 1 + F* F``.  By Cauchy-Binet the k-th minor is
+    the sum of squared k x k minors of the first k columns.  ``G`` is
+    Hermitian positive definite, so elimination needs no pivoting: exact
+    (a tuple of Fractions, products of the pivots) when ``F`` holds QC rows,
+    otherwise batched float over leading axes from the Cholesky diagonal.
+    """
+    if _is_exact_block(F):
+        r = len(F[0])
+        G = [[sum((row[a].conj() * row[b] for row in F), QC(1 if unit_top and a == b else 0))
+              for b in range(r)] for a in range(r)]
+        out, det = [], Fraction(1)
+        for c in range(r):
+            pivot = G[c][c].re
+            det *= pivot
+            out.append(det)
+            for i in range(c + 1, r):
+                f = G[i][c] / pivot
+                G[i][c + 1:] = [x - f * y for x, y in zip(G[i][c + 1:], G[c][c + 1:])]
+        return tuple(out)
+    F = np.asarray(F, dtype=complex)
+    G = np.einsum("...ji,...jk->...ik", F.conj(), F)
+    if unit_top:
+        G += np.eye(F.shape[-1])
+    return np.cumprod(np.diagonal(np.linalg.cholesky(G), axis1=-2, axis2=-1).real ** 2, axis=-1)
 
 
 def grassmann_h(n: int, k: int, Z) -> float:
-    """Sum of squared k x k minors of the (n+1) x k frame [1_k; Z].
+    """Gram determinant of the (n+1) x k frame [1_k; Z].
 
-    ``Z`` is the (n+1-k) x k block of big-cell coordinates; batching over
-    leading axes is supported.  Exact (Fraction) when Z has QC entries.
+    Equals the sum of squared k x k minors of the frame.  ``Z`` is the
+    (n+1-k) x k block of big-cell coordinates; batching over leading axes
+    is supported.  Exact (Fraction) when Z has QC entries.
     """
-    if _is_exact_block(Z):
-        frame = _exact_frame(n, k, Z)
-        total = Fraction(0)
-        for I in combinations(range(n + 1), k):
-            total += _exact_det([frame[i] for i in I]).abs2()
-        return total
-    Z = np.asarray(Z, dtype=complex)
-    if Z.shape[-2:] != (n + 1 - k, k):
-        raise DomainError(f"expected trailing shape {(n + 1 - k, k)}, got {Z.shape}")
-    eye = np.broadcast_to(np.eye(k, dtype=complex), Z.shape[:-2] + (k, k))
-    frame = np.concatenate([eye, Z], axis=-2)
-    total = np.zeros(Z.shape[:-2])
-    for I in combinations(range(n + 1), k):
-        total = total + np.abs(np.linalg.det(frame[..., I, :])) ** 2
-    return total
+    shape = (len(Z), len(Z[0])) if _is_exact_block(Z) else np.shape(Z)[-2:]
+    if tuple(shape) != (n + 1 - k, k):
+        raise DomainError(f"expected trailing shape {(n + 1 - k, k)}, got {tuple(shape)}")
+    h = gram_minors(Z, unit_top=True)
+    return h[-1] if isinstance(h, tuple) else h[..., -1]
 
 
 def _is_exact_block(Z) -> bool:
@@ -82,75 +120,23 @@ def _is_exact_block(Z) -> bool:
         and all(isinstance(x, QC) for row in Z for x in row)
 
 
-def _exact_frame(n: int, k: int, Z):
-    frame = [[QC(1 if c == r else 0) for c in range(k)] for r in range(k)]
-    frame += [[x for x in row] for row in Z]
-    if len(frame) != n + 1:
-        raise DomainError("exact frame has wrong number of rows")
-    return frame
+def fullflag_h(n: int, Z):
+    """Fundamental potentials ``(h_1, ..., h_n)`` of the full flag of GL(n+1).
 
-
-def fullflag_h(n: int, Z, ells=None) -> np.ndarray:
-    """Fundamental minor sums of the unipotent matrix 1 + strictlower(Z).
-
-    Returns the stack ``(h_1, ..., h_n)`` where ``h_k`` is the sum of the
-    squared k x k minors built from the first k columns; with ``ells``
-    given, the weighted product ``prod h_k^(l_k)`` instead.  ``Z`` holds
-    the strictly lower entries row by row (length n(n+1)/2).
+    ``h_k`` is the Gram determinant of the first k columns of the unipotent
+    1 + strictlower(Z), i.e. the k-th leading Gram minor of its first n
+    columns.  ``Z`` holds the strictly lower entries row by row (length
+    n(n+1)/2).  Exact (a tuple of Fractions) when Z has QC entries.
     """
-    if ells is not None:
-        hs = fullflag_h(n, Z)
-        if isinstance(hs, tuple):
-            out = Fraction(1)
-            for h, l in zip(hs, ells):
-                out *= h ** int(l)
-            return out
-        out = np.ones(np.asarray(hs).shape[:-1])
-        for i, l in enumerate(ells):
-            out = out * np.asarray(hs)[..., i] ** float(l)
-        return out
-    if _is_exact_vecz(Z):
-        M = _exact_unipotent(n, Z)
-        out = []
-        for k in range(1, n + 1):
-            total = Fraction(0)
-            for I in combinations(range(n + 1), k):
-                total += _exact_det([[M[i][c] for c in range(k)] for i in I]).abs2()
-            out.append(total)
-        return tuple(out)
-    Z = np.asarray(Z, dtype=complex)
-    M = _float_unipotent(n, Z)
-    out = []
-    for k in range(1, n + 1):
-        total = np.zeros(Z.shape[:-1])
-        for I in combinations(range(n + 1), k):
-            total = total + np.abs(np.linalg.det(M[..., I, :k])) ** 2
-        out.append(total)
-    return np.stack(out, axis=-1)
+    exact = _is_exact_vecz(Z)
+    M = _big_cell(n, _fullflag_slots(n), Z, exact=exact)
+    if exact:
+        return gram_minors([row[:n] for row in M])
+    return gram_minors(M[..., :n])
 
 
 def _is_exact_vecz(z) -> bool:
     return isinstance(z, (list, tuple)) and all(isinstance(x, QC) for x in z)
-
-
-def _lower_index_pairs(n: int):
-    return [(i, j) for i in range(1, n + 1) for j in range(i)]   # 0-based (row > col)
-
-
-def _exact_unipotent(n: int, Z):
-    M = [[QC(1 if i == j else 0) for j in range(n + 1)] for i in range(n + 1)]
-    for (i, j), val in zip(_lower_index_pairs(n), Z):
-        M[i][j] = val
-    return M
-
-
-def _float_unipotent(n: int, Z: np.ndarray) -> np.ndarray:
-    shape = Z.shape[:-1]
-    M = np.zeros(shape + (n + 1, n + 1), dtype=complex)
-    M[..., range(n + 1), range(n + 1)] = 1.0
-    for a, (i, j) in enumerate(_lower_index_pairs(n)):
-        M[..., i, j] = Z[..., a]
-    return M
 
 
 def quadric_h(N: int, zeta) -> float:
@@ -233,12 +219,9 @@ class Chart:
         if self.kind == "wedge":
             n = self.params["n"]
             if self.params.get("full"):
-                out = fullflag_h(n, z)
-                return out if isinstance(out, tuple) else np.atleast_1d(out)
-            k = self.params["k"]
-            Z = self._reshape_block(z)
-            return np.asarray(grassmann_h(n, k, Z))[..., None] if not _is_exact_block(Z) \
-                else (grassmann_h(n, k, Z),)
+                return fullflag_h(n, z)
+            h = grassmann_h(n, self.params["k"], self._reshape_block(z))
+            return (h,) if isinstance(h, Fraction) else h[..., None]
         if self.kind == "quadric":
             val = quadric_h(self.params["N"], z)
             return (val,) if isinstance(val, Fraction) else np.asarray(val)[..., None]
@@ -287,27 +270,26 @@ class Chart:
         """Algebra element X(z) whose exponential is the big-cell section."""
         if self.kind == "wedge":
             n = self.params["n"]
-            k = gen + 1 if self.params.get("full") else self.params["k"]
-            if exact:
-                M = _exact_unipotent(n, z) if self.params.get("full") else _exact_frame_to_matrix(n, self.params["k"], self._reshape_block(z))
-                L = nilpotent_log(qc_mat(M), n + 1)
-                return derivation_matrix(n, k, L)
-            Z = np.asarray(z, dtype=complex)
-            M = _float_unipotent(n, Z) if self.params.get("full") else _float_frame_to_matrix(n, self.params["k"], Z)
+            if self.params.get("full"):
+                k, slots = gen + 1, _fullflag_slots(n)
+            else:
+                k = self.params["k"]
+                slots = _grassmann_slots(n, k)
+            M = _big_cell(n, slots, z, exact=exact)
             L = nilpotent_log(M, n + 1)
-            return _derivation_float(n, k, L)
+            return derivation_matrix(n, k, L) if exact else _derivation_float(n, k, L)
         if self.kind == "quadric":
             N = self.params["N"]
-            Ys = so_radical_basis(N)
             if exact:
                 from .exact import mat_add
 
                 M = tuple(tuple(QC(0) for _ in range(N)) for _ in range(N))
-                for zj, Y in zip(z, Ys):
+                for zj, Y in zip(z, so_radical_basis(N)):
                     M = mat_add(M, mat_scale(zj, Y))
                 return M
-            stack = self.params.setdefault("Ynp", np.stack([to_complex_matrix(Y) for Y in Ys]))
-            return np.tensordot(np.asarray(z, dtype=complex), stack, axes=(0, 0))
+            if "Ynp" not in self.params:
+                self.params["Ynp"] = np.stack([to_complex_matrix(Y) for Y in so_radical_basis(N)])
+            return np.tensordot(np.asarray(z, dtype=complex), self.params["Ynp"], axes=(0, 0))
         # product: the z_gen-th factor lowering operator
         y = qc_mat([[0, 0], [1, 0]])
         if exact:
@@ -369,22 +351,6 @@ class Chart:
 
             return rep, word
         raise ConfigurationError(f"no embedding module implemented for {self.name} with exponents {ell}")
-
-
-def _exact_frame_to_matrix(n: int, k: int, Z):
-    """(n+1)x(n+1) unipotent with the big-cell block below the k x k identity."""
-    M = [[QC(1 if i == j else 0) for j in range(n + 1)] for i in range(n + 1)]
-    for r, row in enumerate(Z):
-        for c, val in enumerate(row):
-            M[k + r][c] = val
-    return M
-
-
-def _float_frame_to_matrix(n: int, k: int, Z: np.ndarray) -> np.ndarray:
-    Zb = Z.reshape(Z.shape[:-1] + (n + 1 - k, k)) if Z.ndim == 1 else Z
-    M = np.eye(n + 1, dtype=complex)
-    M[k:, :k] = Zb
-    return M
 
 
 def _derivation_float(n: int, k: int, L: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Command-line frontend: catalog browsing, potentials, suites, embeddings.
 
 Exit codes: 0 on success (and passing verification), 1 when a verification
-suite fails, 2 on configuration errors.  All machine output is UTF-8 JSON
-with snake_case keys; rationals are serialised as "p/q" strings.  With
-``--deterministic`` the report omits the timestamp so repeated runs are
-byte-identical.
+suite fails or a sample point hits a chart degeneracy, 2 on configuration
+errors.  All machine output is UTF-8 JSON with snake_case keys; rationals
+are serialised as "p/q" strings.  With ``--deterministic`` the report omits
+the timestamp so repeated runs are byte-identical.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .charts import (DomainError, canonical_exponents, dhomothetic_constant,
                      make_spec, resolve_case, ricci_flat_exponent)
-from .diffgeo import FDConfig
+from .diffgeo import ChartDegeneracyError, FDConfig
 from .hvcone import GammaGroup, algebraic_residual, kodaira_embedding, remmert
 from .roots import ConfigurationError, build_root_system, flag
 from .verify import SUITES, run_suite
@@ -257,6 +257,9 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.func(args)
+    except ChartDegeneracyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ConfigurationError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -220,19 +220,6 @@ def frac_solve(a: Sequence[Sequence[Fraction]], rhs: Sequence[Sequence[Fraction]
     return [row[n:n + m] for row in aug]
 
 
-def frac_sqrt(x: Fraction) -> Fraction:
-    """Exact square root of a rational, or raise if it is not a perfect square."""
-    if x < 0:
-        raise ValueError("negative rational has no real square root")
-    from math import isqrt
-
-    p, q = x.numerator, x.denominator
-    rp, rq = isqrt(p), isqrt(q)
-    if rp * rp != p or rq * rq != q:
-        raise ValueError(f"{x} is not the square of a rational")
-    return Fraction(rp, rq)
-
-
 def to_complex_matrix(a: Mat):
     import numpy as np
 

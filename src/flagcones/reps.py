@@ -358,6 +358,7 @@ def so_vector_module(N: int) -> RepSpace:
     )
 
 
+@lru_cache(maxsize=None)
 def so_radical_basis(N: int) -> Tuple[Mat, ...]:
     """Lowering operators Y_j matching the isotropic big-cell parameterisation.
 

@@ -421,7 +421,10 @@ def run_suite(suite: str, case: str, seed: int = 7, count: Optional[int] = None,
     if suite not in SUITES:
         raise ConfigurationError(f"unknown suite {suite!r}; expected one of {SUITES}")
     cfg = cfg or FDConfig()
-    count = count or _DEFAULT_COUNTS[suite]
+    if count is None:
+        count = _DEFAULT_COUNTS[suite]
+    elif count < 1:
+        raise ConfigurationError(f"sample count must be at least 1, got {count}")
     chart = resolve_case(case)
     if b is None and suite in ("ricci-flat", "einstein-weyl"):
         b = ricci_flat_exponent(chart, ell)

@@ -4,15 +4,16 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+from flagcones import charts
 from flagcones.charts import (DomainError, canonical_exponents,
                               dhomothetic_constant, fullflag_h, generic_h,
                               grassmann_h, log_potential_eval, make_spec,
                               potential_eval, product_h, quadric_h,
                               resolve_case, ricci_flat_exponent)
-from flagcones.exact import QC
+from flagcones.exact import QC, to_complex_matrix
 from flagcones.roots import ConfigurationError
 
-CASES = ["cp:1", "cp:2", "gr24", "grassmann:4:2", "wallach", "fullflag:A:3",
+CASES = ["cp:1", "cp:2", "gr24", "grassmann:4:2", "grassmann:5:3", "wallach", "fullflag:A:3",
          "quadric:5", "quadric:6", "quadric:8", "conifold"]
 
 
@@ -111,7 +112,8 @@ def test_generic_matches_closed_float(case):
         assert np.allclose(hc, hg, rtol=1e-12), case
 
 
-@pytest.mark.parametrize("case", ["cp:2", "gr24", "wallach", "quadric:5", "quadric:6", "conifold"])
+@pytest.mark.parametrize("case", ["cp:2", "gr24", "grassmann:4:2", "grassmann:5:3", "wallach",
+                                  "fullflag:A:3", "quadric:5", "quadric:6", "conifold"])
 def test_generic_matches_closed_exact(case):
     chart = resolve_case(case)
     rng = np.random.default_rng(13)
@@ -119,6 +121,22 @@ def test_generic_matches_closed_exact(case):
         z = _rand_qc(rng, chart.n_z)
         assert chart.h_closed_exact(z) == tuple(chart.generic_h(g, z, exact=True)
                                                 for g in range(chart.n_gen))
+
+
+def test_quadric_word_element_converts_basis_once(monkeypatch):
+    chart = resolve_case("quadric:8")
+    converted = []
+
+    def counting(Y):
+        converted.append(Y)
+        return to_complex_matrix(Y)
+
+    monkeypatch.setattr(charts, "to_complex_matrix", counting)
+    z = np.arange(1, 7) * (0.1 + 0.2j)
+    X1 = chart.word_element(0, z)
+    X2 = chart.word_element(0, 2 * z)
+    assert len(converted) == chart.n_z
+    assert np.allclose(X2, 2 * X1)
 
 
 def test_generic_at_origin():
@@ -205,16 +223,6 @@ def test_chart_metadata():
     assert (co.m, co.fano, co.delta_pairings) == (2, 2, (2, 2))
     wal = resolve_case("wallach")
     assert (wal.m, wal.fano, wal.delta_pairings) == (3, 2, (2, 2))
-
-
-def test_fullflag_h_weighted_product():
-    z = np.zeros(3, dtype=complex)
-    z[0] = 1.0
-    assert np.allclose(fullflag_h(2, z, ells=(1, 1)), 2.0)
-    rng = np.random.default_rng(7)
-    zz = _rand_z(rng, 3)
-    stack = fullflag_h(2, zz)
-    assert np.allclose(fullflag_h(2, zz, ells=(2, 3)), stack[0] ** 2 * stack[1] ** 3)
 
 
 def test_catalog_h_at_least_one_on_samples():

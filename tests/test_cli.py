@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from flagcones import cli
 from flagcones.cli import main
+from flagcones.diffgeo import ChartDegeneracyError
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +71,23 @@ def test_verify_fail_exit_one(capsys):
 def test_verify_unknown_case_exit_two(capsys):
     code, _, _ = run_cli(capsys, "verify", "--case", "mystery:3", "--suite", "vaisman")
     assert code == 2
+
+
+def test_verify_zero_samples_exit_two(capsys):
+    code, _, err = run_cli(capsys, "verify", "--case", "hopf:cp1", "--suite", "vaisman",
+                           "--samples", "0")
+    assert code == 2
+    assert "sample count" in err
+
+
+def test_verify_chart_degeneracy_exit_one(capsys, monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise ChartDegeneracyError("sample too close to the w = 0 fiber")
+
+    monkeypatch.setattr(cli, "run_suite", degenerate)
+    code, _, err = run_cli(capsys, "verify", "--case", "hopf:cp1", "--suite", "vaisman")
+    assert code == 1
+    assert err.startswith("error: sample too close")
 
 
 def test_verify_deterministic_bytes(capsys, tmp_path):

@@ -115,6 +115,12 @@ def test_run_suite_dispatch_and_unknown():
         run_suite("vaisman", "mystery:7")
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_run_suite_rejects_nonpositive_count(count):
+    with pytest.raises(ConfigurationError):
+        run_suite("vaisman", "hopf:cp1", count=count)
+
+
 def test_run_suite_defaults_ricci_flat_exponent():
     rep = run_suite("ricci-flat", "conifold", seed=3, count=4)
     assert rep.verdict
