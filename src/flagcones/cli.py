@@ -66,7 +66,7 @@ def _emit(payload: dict, path: str | None) -> None:
 
 def _fd_config(args) -> FDConfig:
     kwargs = {}
-    if getattr(args, "fd_step", None):
+    if getattr(args, "fd_step", None) is not None:
         scale = args.fd_step / 1e-4
         kwargs = {
             "base_step": args.fd_step,
@@ -74,7 +74,7 @@ def _fd_config(args) -> FDConfig:
             "nested_step": 2e-2 * scale,
             "jet_step": 4e-2 * scale,
         }
-    if getattr(args, "richardson", None):
+    if getattr(args, "richardson", None) is not None:
         kwargs["richardson"] = args.richardson
     return FDConfig(**kwargs)
 

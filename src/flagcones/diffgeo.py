@@ -1,9 +1,16 @@
 """Pointwise numerical tensor calculus over real chart coordinates.
 
 Points are real vectors ``(Re z_1, Im z_1, ..., Re z_n, Im z_n, Re w, Im w)``.
-All derivatives are nested central differences with per-axis scaling and
-Richardson extrapolation; scalar fields must accept batched point arrays
-``(m, d) -> (m,)`` so that whole stencils evaluate in one call.
+Fields must accept batched point arrays ``(m, d) -> (m, *shape)`` so that
+whole stencils evaluate in one call.
+
+Every derivative comes from one stencil primitive: a unit stencil cached
+per dimension (centre, ``+-e_i``, then the four corners of each
+``(e_i, e_j)`` square), evaluated at ``P + unit * h`` with per-axis steps;
+first and second central differences as index arithmetic on those values;
+and one Richardson loop over halved steps.  Nested pipelines (Ricci of a
+metric field, Ricci form of a potential) apply the same primitive to
+fields that are themselves stencil results.
 
 Conventions (with ``d^c = i (dbar - d)`` and real potentials F):
 
@@ -21,9 +28,12 @@ potential has squared norm 4 for the associated Vaisman metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import lru_cache
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
+
+from .roots import ConfigurationError
 
 
 class ChartDegeneracyError(ValueError):
@@ -47,6 +57,13 @@ class FDConfig:
     jet_step: float = 4e-2
     richardson: int = 2
     w_floor: float = 1e-6
+
+    def __post_init__(self):
+        for name in ("base_step", "hessian_step", "nested_step", "jet_step", "w_floor"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(f"FDConfig.{name} must be positive, got {getattr(self, name)!r}")
+        if self.richardson < 1:
+            raise ConfigurationError(f"FDConfig.richardson must be at least 1, got {self.richardson!r}")
 
     def echo(self) -> dict:
         return {
@@ -74,37 +91,102 @@ def apply_J(v: np.ndarray) -> np.ndarray:
 
 
 def _axis_steps(p: np.ndarray, step) -> np.ndarray:
-    """Per-axis steps; an array is taken verbatim as absolute step sizes."""
+    """Per-axis steps; an array is taken verbatim as absolute step sizes.
+
+    A scalar step is scaled by ``max(1, |x|)`` of the single point ``p``,
+    and callers pass the batch's first point, so every point of a batch
+    shares one step.  That is deliberate: in ``ricci_form_batch`` the
+    inner complex Hessians are evaluated at the outer stencil's points and
+    must keep the centre's step, because per-point scaling has a kink at
+    ``|x| = 1`` that the outer difference would pick up.
+    """
     if isinstance(step, np.ndarray):
         return step
     return step * np.maximum(1.0, np.abs(p))
 
 
 # ---------------------------------------------------------------------------
-# batched stencils
+# the stencil: unit offsets, evaluation, differences, extrapolation
 # ---------------------------------------------------------------------------
 
-def _grad_single(F, P: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Central-difference gradients for a batch of points, one step size."""
+@lru_cache(maxsize=None)
+def _unit_stencil(d: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit offsets of the central second-order stencil in R^d.
+
+    Rows: the centre, then ``+e_i, -e_i`` for each i, then the corners
+    ``(++, +-, -+, --)`` of the (e_i, e_j) square for each i < j.  Also
+    returns the pair indices (I, J) in corner order.
+    """
+    I, J = np.triu_indices(d, 1)
+    unit = np.zeros((1 + 2 * d + 4 * len(I), d))
+    axes = np.arange(d)
+    unit[1 + 2 * axes, axes] = 1.0
+    unit[2 + 2 * axes, axes] = -1.0
+    corners = 1 + 2 * d + 4 * np.arange(len(I))[:, None] + np.arange(4)
+    unit[corners, I[:, None]] = (1.0, 1.0, -1.0, -1.0)
+    unit[corners, J[:, None]] = (1.0, -1.0, 1.0, -1.0)
+    for a in (unit, I, J):
+        a.flags.writeable = False
+    return unit, I, J
+
+
+def _stencil_values(field, P: np.ndarray, h: np.ndarray, second: bool = True) -> np.ndarray:
+    """A batched field at ``P + unit * h``: (m, S, *shape).
+
+    With ``second`` false only the ``+-e_i`` rows are evaluated.
+    """
     m, d = P.shape
-    pts = np.empty((m, 2 * d, d))
-    for i in range(d):
-        pts[:, 2 * i, :] = P
-        pts[:, 2 * i, i] += h[i]
-        pts[:, 2 * i + 1, :] = P
-        pts[:, 2 * i + 1, i] -= h[i]
-    vals = np.asarray(F(pts.reshape(-1, d))).reshape(m, 2 * d)
-    return (vals[:, 0::2] - vals[:, 1::2]) / (2.0 * h)
+    unit = _unit_stencil(d)[0] if second else _unit_stencil(d)[0][1:2 * d + 1]
+    vals = np.asarray(field((P[:, None, :] + unit * h).reshape(-1, d)))
+    return vals.reshape(m, len(unit), *vals.shape[1:])
+
+
+def _first_differences(v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """d_a f from the ``+-e_i`` rows (m, 2d, *shape): (m, d, *shape)."""
+    return (v[:, 0::2] - v[:, 1::2]) / (2.0 * h.reshape(-1, *(1,) * (v.ndim - 2)))
+
+
+def _second_differences(v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """d_a d_b f from the full stencil (m, S, *shape): (m, d, d, *shape)."""
+    d = len(h)
+    _, I, J = _unit_stencil(d)
+    h = h.reshape(-1, *(1,) * (v.ndim - 2))
+    c = v[:, :1]
+    H = np.empty((v.shape[0], d, d) + v.shape[2:])
+    axes = np.arange(d)
+    H[:, axes, axes] = (v[:, 1:2 * d + 1:2] - 2 * c + v[:, 2:2 * d + 1:2]) / h ** 2
+    k = 2 * d + 1
+    off = (v[:, k::4] - v[:, k + 1::4] - v[:, k + 2::4] + v[:, k + 3::4]) / (4 * h[I] * h[J])
+    H[:, I, J] = off
+    H[:, J, I] = off
+    return H
+
+
+def _halvings(h0, levels: int) -> list:
+    return [h0 / 2 ** level for level in range(levels)]
+
+
+def _richardson(estimates: Iterable[np.ndarray]) -> np.ndarray:
+    """Extrapolate estimates at steps h, h/2, h/4, ... with even error expansions."""
+    est = None
+    for level, new in enumerate(estimates):
+        est = new if est is None else (4.0 ** level * new - est) / (4.0 ** level - 1.0)
+    return est
+
+
+# ---------------------------------------------------------------------------
+# derivatives of batched fields
+# ---------------------------------------------------------------------------
+
+def _jacobian_of_field(field, P: np.ndarray, cfg: FDConfig, step) -> np.ndarray:
+    """d/dx_a of a scalar or array-valued batched field: (m, d, *shape)."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    return _richardson(_first_differences(_stencil_values(field, P, h, second=False), h)
+                       for h in _halvings(_axis_steps(P[0], step), cfg.richardson))
 
 
 def grad_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    h0 = _axis_steps(P[0], cfg.base_step if step is None else step)
-    est = _grad_single(F, P, h0)
-    for level in range(1, cfg.richardson):
-        est2 = _grad_single(F, P, h0 / 2 ** level)
-        est = (4.0 ** level * est2 - est) / (4.0 ** level - 1.0)
-    return est
+    return _jacobian_of_field(F, P, cfg, cfg.base_step if step is None else step)
 
 
 def d_scalar(F, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
@@ -118,74 +200,20 @@ def dc_scalar(F, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
     return complex_structure(d) @ d_scalar(F, p, cfg, step)
 
 
-class _HessStencil:
-    """Precomputed second-derivative stencil with weights, batched assembly."""
-
-    def __init__(self, h: np.ndarray):
-        d = len(h)
-        offsets = [np.zeros(d)]
-        entries = []  # (slot, i, j, weight)
-        entries.append(("center", None))
-        for i in range(d):
-            for s in (+1, -1):
-                off = np.zeros(d)
-                off[i] = s * h[i]
-                offsets.append(off)
-        for i in range(d):
-            for j in range(i + 1, d):
-                for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                    off = np.zeros(d)
-                    off[i] = si * h[i]
-                    off[j] = sj * h[j]
-                    offsets.append(off)
-        self.offsets = np.array(offsets)
-        self.h = h
-        self.d = d
-
-    def assemble(self, vals: np.ndarray) -> np.ndarray:
-        """vals: (m, S) field values at p + offsets -> (m, d, d) Hessians."""
-        d, h = self.d, self.h
-        m = vals.shape[0]
-        H = np.zeros((m, d, d))
-        c = vals[:, 0]
-        pos = 1
-        for i in range(d):
-            plus, minus = vals[:, pos], vals[:, pos + 1]
-            H[:, i, i] = (plus - 2 * c + minus) / h[i] ** 2
-            pos += 2
-        for i in range(d):
-            for j in range(i + 1, d):
-                pp, pm, mp, mm = (vals[:, pos], vals[:, pos + 1], vals[:, pos + 2], vals[:, pos + 3])
-                val = (pp - pm - mp + mm) / (4 * h[i] * h[j])
-                H[:, i, j] = val
-                H[:, j, i] = val
-                pos += 4
-        return H
-
-
 def hessian_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None,
                   richardson: Optional[int] = None) -> np.ndarray:
-    """Real Hessians of a batched scalar field, (m, d) -> (m, d, d)."""
+    """Second derivatives of a scalar or array-valued batched field: (m, d, d, *shape)."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    m, d = P.shape
-    levels = cfg.richardson if richardson is None else richardson
     h0 = _axis_steps(P[0], cfg.hessian_step if step is None else step)
-    est = None
-    for level in range(levels):
-        st = _HessStencil(h0 / 2 ** level)
-        pts = (P[:, None, :] + st.offsets[None, :, :]).reshape(-1, d)
-        vals = np.asarray(F(pts)).reshape(m, -1)
-        H = st.assemble(vals)
-        est = H if est is None else (4.0 ** level * H - est) / (4.0 ** level - 1.0)
-    return est
+    return _richardson(_second_differences(_stencil_values(F, P, h), h)
+                       for h in _halvings(h0, cfg.richardson if richardson is None else richardson))
 
 
-def kahler_form_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None,
-                      richardson: Optional[int] = None) -> np.ndarray:
+def kahler_form_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
     """(i/2) ddbar F as real 2-form matrices: -(HJ + JH)/4."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
     J = complex_structure(P.shape[1])
-    H = hessian_batch(F, P, cfg, step, richardson)
+    H = hessian_batch(F, P, cfg, step)
     return -(H @ J + J @ H) / 4.0
 
 
@@ -204,9 +232,8 @@ def metric_from_form(omega: np.ndarray) -> np.ndarray:
     return omega @ J
 
 
-def metric_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None,
-                 richardson: Optional[int] = None) -> np.ndarray:
-    return kahler_form_batch(F, P, cfg, step, richardson) @ complex_structure(np.atleast_2d(P).shape[1])
+def metric_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
+    return kahler_form_batch(F, P, cfg, step) @ complex_structure(np.atleast_2d(P).shape[1])
 
 
 def complex_hessian_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None,
@@ -215,7 +242,6 @@ def complex_hessian_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float]
     P = np.atleast_2d(np.asarray(P, dtype=float))
     H = hessian_batch(F, P, cfg, step, richardson)
     d = P.shape[1]
-    nc = d // 2
     xx = H[:, 0:d:2, 0:d:2]
     yy = H[:, 1:d:2, 1:d:2]
     xy = H[:, 0:d:2, 1:d:2]
@@ -231,11 +257,9 @@ def ricci_form_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = No
     controls the truncation error.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    m, d = P.shape
-    J = complex_structure(d)
-    h0 = cfg.nested_step if step is None else step
+    J = complex_structure(P.shape[1])
 
-    def rho_at(h: float) -> np.ndarray:
+    def rho_at(h) -> np.ndarray:
         def logdet(Q: np.ndarray) -> np.ndarray:
             Hc = complex_hessian_batch(F, Q, cfg, step=h, richardson=1)
             sign, logabs = np.linalg.slogdet(Hc)
@@ -244,11 +268,8 @@ def ricci_form_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = No
         HG = hessian_batch(logdet, P, cfg, step=h, richardson=1)
         return (HG @ J + J @ HG) / 2.0
 
-    est = rho_at(h0)
-    for level in range(1, cfg.richardson):
-        est2 = rho_at(h0 / 2 ** level)
-        est = (4.0 ** level * est2 - est) / (4.0 ** level - 1.0)
-    return est
+    return _richardson(rho_at(h) for h in _halvings(cfg.nested_step if step is None else step,
+                                                     cfg.richardson))
 
 
 def ricci_form(F, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
@@ -258,30 +279,6 @@ def ricci_form(F, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # one-forms, two-forms
 # ---------------------------------------------------------------------------
-
-def _jacobian_of_field(field, P: np.ndarray, cfg: FDConfig, step: float,
-                       richardson: Optional[int] = None) -> np.ndarray:
-    """d/dx_a of an array-valued batched field: (m, d, *shape)."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    m, d = P.shape
-    levels = cfg.richardson if richardson is None else richardson
-    h0 = _axis_steps(P[0], step)
-    est = None
-    for level in range(levels):
-        h = h0 / 2 ** level
-        pts = np.empty((m, 2 * d, d))
-        for i in range(d):
-            pts[:, 2 * i, :] = P
-            pts[:, 2 * i, i] += h[i]
-            pts[:, 2 * i + 1, :] = P
-            pts[:, 2 * i + 1, i] -= h[i]
-        vals = np.asarray(field(pts.reshape(-1, d)))
-        shape = vals.shape[1:]
-        vals = vals.reshape(m, 2 * d, *shape)
-        D = (vals[:, 0::2] - vals[:, 1::2]) / (2.0 * h.reshape(1, d, *([1] * len(shape))))
-        est = D if est is None else (4.0 ** level * D - est) / (4.0 ** level - 1.0)
-    return est
-
 
 def d_oneform(omega_field, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
     """(d omega)_ij = d_i omega_j - d_j omega_i for a batched covector field."""
@@ -340,38 +337,21 @@ def _ricci_from_symbols(G: np.ndarray, dG: np.ndarray) -> np.ndarray:
     return t1 - t2 + t3 - t4
 
 
-def _field_hessian(field, p, cfg: FDConfig, step: float, richardson: Optional[int] = None) -> np.ndarray:
-    """Second derivatives of an array-valued batched field: (a, b, *shape)."""
-    p = np.asarray(p, dtype=float)
-    d = len(p)
-    levels = cfg.richardson if richardson is None else richardson
-    h0 = _axis_steps(p, step)
-    est = None
-    for level in range(levels):
-        st = _HessStencil(h0 / 2 ** level)
-        pts = p[None, :] + st.offsets
-        vals = np.asarray(field(pts))
-        shape = vals.shape[1:]
-        flat = vals.reshape(len(pts), -1).T[:, None, :]          # (K, 1, S)
-        H = np.stack([st.assemble(flat[k]) for k in range(flat.shape[0])])  # (K, 1, d, d)
-        H = H[:, 0].reshape(*shape, d, d)
-        H = np.moveaxis(H, (-2, -1), (0, 1))                     # (a, b, *shape)
-        est = H if est is None else (4.0 ** level * H - est) / (4.0 ** level - 1.0)
-    return est
-
-
 def _metric_jets(g_field, p, cfg: FDConfig, step: Optional[float] = None):
     """Metric, first and second derivatives at a point.
 
     Returns (g, dg, ddg) with dg[a, i, j] = d_a g_ij and
-    ddg[a, b, i, j] = d_a d_b g_ij.
+    ddg[a, b, i, j] = d_a d_b g_ij, all read from one full stencil
+    evaluation per Richardson level.
     """
-    p = np.asarray(p, dtype=float)
-    h1 = cfg.jet_step if step is None else step
-    g = g_field(p[None, :])[0]
-    dg = _jacobian_of_field(g_field, p[None, :], cfg, h1)[0]
-    ddg = _field_hessian(g_field, p, cfg, h1)
-    return g, dg, ddg
+    P = np.asarray(p, dtype=float)[None, :]
+    d = P.shape[1]
+    h0 = _axis_steps(P[0], cfg.jet_step if step is None else step)
+    levels = [(_stencil_values(g_field, P, h), h) for h in _halvings(h0, cfg.richardson)]
+    g = levels[0][0][0, 0]
+    dg = _richardson(_first_differences(v[:, 1:2 * d + 1], h) for v, h in levels)
+    ddg = _richardson(_second_differences(v, h) for v, h in levels)
+    return g, dg[0], ddg[0]
 
 
 def _symbol_jets(g, dg, ddg):
@@ -418,7 +398,7 @@ def weyl_connection(g_field, theta_field, p, cfg: FDConfig, step: Optional[float
 
 
 def weyl_ricci(g_field, theta_field, p, cfg: FDConfig,
-               step: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
+               step: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ricci of the Weyl connection, from curvature and from the identity.
 
     The curvature path assembles the derivative of the Weyl symbols from
@@ -430,7 +410,8 @@ def weyl_ricci(g_field, theta_field, p, cfg: FDConfig,
     with ``t = theta/2``: the Weyl connection attached to a Higgs field
     ``theta`` (our ``D g = theta (x) g`` convention) is the one the
     half-field conformal bookkeeping describes.  Both are returned so
-    callers can report the cross-validation residual.
+    callers can report the cross-validation residual, followed by the
+    Levi-Civita Ricci tensor ``Ric`` of the same metric jets.
     """
     p = np.asarray(p, dtype=float)
     n = len(p)
@@ -455,4 +436,4 @@ def weyl_ricci(g_field, theta_field, p, cfg: FDConfig,
     div = np.einsum("ij,ij->", ginv, nab)
     norm2 = t @ ginv @ t
     ric_formula = ric_g + div * g + (n - 2) * (nab - norm2 * g + np.outer(t, t))
-    return ric_curv, ric_formula
+    return ric_curv, ric_formula, ric_g

@@ -336,9 +336,8 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
         t = th / 2.0
         target = (n - 2) * ((t @ ginv @ t) * g - np.outer(t, t))
         scale = max(np.max(np.abs(target)), 1e-30)
-        ric = diffgeo.ricci(g_tilde, p, cfg, step=jet_step)
+        rc, rf, ric = diffgeo.weyl_ricci(g_tilde, theta, p, cfg, step=jet_step)
         r_ric.append(np.max(np.abs(ric - target)) / scale)
-        rc, rf = diffgeo.weyl_ricci(g_tilde, theta, p, cfg, step=jet_step)
         r_dcurv.append(np.max(np.abs(rc)) / scale)
         r_dform.append(np.max(np.abs(rf)) / scale)
         r_agree.append(np.max(np.abs(rc - rf)) / scale)

@@ -80,6 +80,16 @@ def test_verify_zero_samples_exit_two(capsys):
     assert "sample count" in err
 
 
+@pytest.mark.parametrize("flag, value, field", [("--richardson", "-1", "richardson"),
+                                                ("--richardson", "0", "richardson"),
+                                                ("--fd-step", "0", "base_step")])
+def test_verify_invalid_fd_config_exit_two(capsys, flag, value, field):
+    code, _, err = run_cli(capsys, "verify", "--case", "hopf:cp1", "--suite", "lck",
+                           "--samples", "2", f"{flag}={value}")
+    assert code == 2
+    assert err.startswith("error: ") and field in err
+
+
 def test_verify_chart_degeneracy_exit_one(capsys, monkeypatch):
     def degenerate(*args, **kwargs):
         raise ChartDegeneracyError("sample too close to the w = 0 fiber")

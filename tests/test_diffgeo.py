@@ -4,6 +4,7 @@ import pytest
 
 from flagcones import diffgeo
 from flagcones.charts import make_spec
+from flagcones.roots import ConfigurationError
 from flagcones.diffgeo import (FDConfig, apply_J, complex_structure, d_oneform,
                                d_scalar, d_twoform, dc_scalar, hessian_batch,
                                i_del_delbar, kahler_form, metric_batch,
@@ -189,7 +190,7 @@ def test_weyl_ricci_paths_agree_off_shell():
     gfield = lambda P: metric_batch(F, P, CFG)        # unrescaled cone metric
     theta = lambda P: -grad_batch(logF, P, CFG)
     p = np.array([0.4, -0.1, 1.05, 0.3])
-    rc, rf = weyl_ricci(gfield, theta, p, CFG)
+    rc, rf, _ = weyl_ricci(gfield, theta, p, CFG)
     scale = max(np.max(np.abs(rc)), 1.0)
     assert np.max(np.abs(rc)) > 0.1          # genuinely off-shell probe
     assert np.max(np.abs(rc - rf)) / scale < 1e-4
@@ -256,3 +257,85 @@ def test_fd_audit_on_catalog_potentials():
         errs = [np.max(np.abs(grad_batch(logF, p[None, :], FDConfig(richardson=2), step=h)[0] - ref))
                 for h in (8e-2, 4e-2)]
         assert errs[0] / max(errs[1], 1e-15) >= 4.0, case
+
+
+@pytest.mark.parametrize("kwargs", [{"richardson": 0}, {"richardson": -1}, {"base_step": 0.0},
+                                    {"jet_step": -1e-2}, {"w_floor": 0.0}])
+def test_fd_config_rejects_invalid_values(kwargs):
+    with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+        FDConfig(**kwargs)
+
+
+def _poly(P):
+    x = P.T
+    return x[0] ** 3 * x[1] - 2.0 * x[1] * x[2] ** 2 + x[0] * x[2] + 0.5 * x[1] ** 4
+
+
+def _poly_vector(P):
+    x = P.T
+    return np.stack([x[0] * x[1], x[2] ** 3 - x[0], x[1] ** 2 * x[2]], axis=-1)
+
+
+def test_multi_point_batches_match_single_points():
+    """With array steps an m-point call equals m one-point calls row by row."""
+    P = np.array([[0.3, -0.2, 1.1], [-0.7, 0.4, 0.05], [1.8, 2.5, -0.9], [0.0, 0.6, 0.2]])
+    step = np.array([1e-2, 2e-2, 5e-3])
+    calls = [lambda Q: grad_batch(_poly, Q, CFG, step=step),
+             lambda Q: hessian_batch(_poly, Q, CFG, step=step),
+             lambda Q: diffgeo._jacobian_of_field(_poly_vector, Q, CFG, step)]
+    for call in calls:
+        batch = call(P)
+        assert len(batch) == len(P)
+        for row, p in zip(batch, P):
+            assert np.array_equal(row, call(p[None, :])[0])
+
+
+def test_hessian_of_matrix_valued_field():
+    """Quadratic matrix fields: exact second derivatives in (a, b, *shape) order."""
+    rng = np.random.default_rng(5)
+    d, shape = 3, (2, 4)
+    A = rng.normal(size=shape + (d, d))
+    A = A + np.swapaxes(A, -1, -2)                     # d_a d_b f_ij = A[i, j, a, b]
+    B = rng.normal(size=shape + (d,))
+    field = lambda P: 0.5 * np.einsum("ijab,ma,mb->mij", A, P, P) + np.einsum("ija,ma->mij", B, P)
+    expected = np.moveaxis(A, (-2, -1), (0, 1))        # (a, b, i, j)
+    P = np.array([[0.4, -0.3, 1.2], [0.1, 0.9, -0.5]])
+    H = hessian_batch(field, P, CFG)
+    assert H.shape == (2, d, d) + shape
+    assert np.allclose(H, expected, atol=1e-8)
+    p = P[0]
+    g, dg, ddg = diffgeo._metric_jets(field, p, CFG)
+    assert np.array_equal(g, field(p[None, :])[0])
+    assert ddg.shape == (d, d) + shape
+    assert np.allclose(ddg, expected, atol=1e-8)
+    assert np.allclose(dg, np.einsum("ijab,b->aij", A, p) + np.moveaxis(B, -1, 0), atol=1e-8)
+
+
+def _loop_hessian(F, p, h):
+    """Reference: central second differences one entry at a time."""
+    d = len(p)
+
+    def at(*moves):
+        off = np.zeros(d)
+        for k, s in moves:
+            off[k] = s * h[k]
+        return F((p + off)[None, :])[0]
+
+    c = at()
+    H = np.empty((d, d) + np.shape(c))
+    for i in range(d):
+        H[i, i] = (at((i, 1)) - 2 * c + at((i, -1))) / (h[i] * h[i])
+        for j in range(i + 1, d):
+            H[i, j] = H[j, i] = (at((i, 1), (j, 1)) - at((i, 1), (j, -1))
+                                 - at((i, -1), (j, 1)) + at((i, -1), (j, -1))) / (4 * h[i] * h[j])
+    return H
+
+
+def test_vectorised_hessian_equals_loop_reference():
+    """Index arithmetic keeps the loop's operation order: results are bit-equal."""
+    P = np.array([[0.3, -0.2, 1.1], [-0.7, 0.4, 0.05]])
+    step = np.array([1e-2, 2e-2, 5e-3])
+    for field in (_poly, _poly_vector, lambda Q: np.einsum("mi,mj->mij", Q, np.sin(Q))):
+        H = hessian_batch(field, P, FDConfig(richardson=1), step=step)
+        for row, p in zip(H, P):
+            assert np.array_equal(row, _loop_hessian(field, p, step))
