@@ -7,9 +7,10 @@ that evaluates the same quantity through the module machinery.  On the
 wedge charts (projective spaces, Grassmannians, full flags of type A) the
 frame ``F`` is the first columns of the big-cell unipotent ``n(z)``, and by
 Cauchy-Binet ``h_alpha`` is a leading principal minor of the Gram matrix
-``F* F``; quadrics and products keep their closed norms of a single
-section.  A ``PotentialSpec`` combines a chart with bundle exponents and an
-outer cone exponent ``b``:
+``F* F``, a running product of the pivots of one Hermitian elimination on
+both the exact and the float path (no Cholesky); quadrics and products
+keep their closed norms of a single section.  A ``PotentialSpec`` combines
+a chart with bundle exponents and an outer cone exponent ``b``:
 
     K_1(z, w) = prod_alpha h_alpha(z)^(e_alpha) * |w|^2,
     K_b(z, w) = K_1(z, w)^b.
@@ -77,28 +78,26 @@ def gram_minors(F, unit_top: bool = False):
     ``F`` is an m x r frame; with ``unit_top`` it is the block below an
     r x r identity, so ``G = 1 + F* F``.  By Cauchy-Binet the k-th minor is
     the sum of squared k x k minors of the first k columns.  ``G`` is
-    Hermitian positive definite, so elimination needs no pivoting: exact
-    (a tuple of Fractions, products of the pivots) when ``F`` holds QC rows,
-    otherwise batched float over leading axes from the Cholesky diagonal.
+    Hermitian positive definite, so unpivoted elimination on its upper
+    triangle gives the minors as running products of the pivots.  One loop
+    for both paths: exact (Fractions) when ``F`` holds QC rows, otherwise
+    float with each Gram entry a batch array over the leading axes of ``F``.
     """
-    if _is_exact_block(F):
-        r = len(F[0])
-        G = [[sum((row[a].conj() * row[b] for row in F), QC(1 if unit_top and a == b else 0))
-              for b in range(r)] for a in range(r)]
-        out, det = [], Fraction(1)
-        for c in range(r):
-            pivot = G[c][c].re
-            det *= pivot
-            out.append(det)
-            for i in range(c + 1, r):
-                f = G[i][c] / pivot
-                G[i][c + 1:] = [x - f * y for x, y in zip(G[i][c + 1:], G[c][c + 1:])]
-        return tuple(out)
-    F = np.asarray(F, dtype=complex)
-    G = np.einsum("...ji,...jk->...ik", F.conj(), F)
-    if unit_top:
-        G += np.eye(F.shape[-1])
-    return np.cumprod(np.diagonal(np.linalg.cholesky(G), axis1=-2, axis2=-1).real ** 2, axis=-1)
+    exact = _is_exact_block(F)
+    cols = list(zip(*F)) if exact else np.moveaxis(np.asarray(F, dtype=complex), (-1, -2), (0, 1))
+    r = len(cols)
+    conj = [[x.conj() for x in col] for col in cols]
+    G = [[sum((x * y for x, y in zip(conj[a], cols[b])), int(unit_top and a == b)) if b >= a else None
+          for b in range(r)] for a in range(r)]
+    out, det = [], 1
+    for c in range(r):
+        pivot = G[c][c].real
+        det = det * pivot
+        out.append(det)
+        for i in range(c + 1, r):
+            f = G[c][i].conj() / pivot
+            G[i][i:] = [x - f * y for x, y in zip(G[i][i:], G[c][i:])]
+    return tuple(out) if exact else np.stack(out, axis=-1)
 
 
 def grassmann_h(n: int, k: int, Z) -> float:

@@ -61,6 +61,8 @@ class QC:
     def __neg__(self):
         return QC(-self.re, -self.im)
 
+    real = property(lambda self: self.re)   # numpy-style name: code reads QC and numpy pivots alike
+
     def conj(self) -> "QC":
         return QC(self.re, -self.im)
 

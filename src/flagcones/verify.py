@@ -172,8 +172,7 @@ def conformal_fields(spec: PotentialSpec, cfg: FDConfig, ref=None):
         return F0(P) / scale
 
     def check_w(P):
-        _, w = decode_points(P, spec.chart.n_z)
-        if np.any(np.abs(w) < cfg.w_floor):
+        if np.any(np.hypot(P[..., 2 * spec.chart.n_z], P[..., 2 * spec.chart.n_z + 1]) < cfg.w_floor):
             raise diffgeo.ChartDegeneracyError("sample too close to the w = 0 fiber")
 
     def g_tilde(P):

@@ -55,6 +55,33 @@ def test_grassmann_klein_closed_form():
     assert np.allclose(grassmann_h(3, 2, Z), expect)
 
 
+@pytest.mark.parametrize("shape, unit_top", [((2, 2), True), ((3, 2), True), ((3, 2), False),
+                                             ((4, 3), False), ((5, 4), False)])
+def test_gram_minors_float_matches_exact(shape, unit_top):
+    """Float minors equal the exact ones for one frame and batched over (m,) and (m, S)."""
+    rng = np.random.default_rng(11 * shape[0] + shape[1])
+    m, r = shape
+    frames = []
+    for _ in range(6):
+        F = [list(_rand_qc(rng, r)) for _ in range(m)]
+        if not unit_top:        # first columns of a big-cell unipotent, as in fullflag_h
+            for i in range(r):
+                F[i][i:] = [QC(1)] + [QC(0)] * (r - 1 - i)
+        frames.append(F)
+    exact = np.array([[float(x) for x in charts.gram_minors(F, unit_top=unit_top)] for F in frames])
+    F = np.array([to_complex_matrix(Fq) for Fq in frames])
+    # plain reference: determinants of the leading blocks of F* F
+    G = np.conj(np.swapaxes(F, -1, -2)) @ F + (np.eye(r) if unit_top else 0)
+    ref = np.stack([np.linalg.det(G[:, :k, :k]).real for k in range(1, r + 1)], axis=-1)
+    assert np.allclose(ref, exact, rtol=1e-12, atol=0)
+    single = np.array([charts.gram_minors(Fi, unit_top=unit_top) for Fi in F])
+    batched = charts.gram_minors(F, unit_top=unit_top)
+    stencil = charts.gram_minors(F.reshape((3, 2) + shape), unit_top=unit_top).reshape(6, r)
+    for got in (single, batched, stencil):
+        assert got.shape == exact.shape
+        assert np.allclose(got, exact, rtol=1e-13, atol=0)
+
+
 def test_fullflag_h_origin_and_point():
     assert np.allclose(fullflag_h(2, np.zeros(3, dtype=complex)), [1.0, 1.0])
     z = np.zeros(3, dtype=complex)

@@ -240,9 +240,15 @@ def test_chart_degeneracy_guard():
     from flagcones.verify import conformal_fields
 
     spec = make_spec("hopf:cp1")
-    _, g_tilde, _, _, _ = conformal_fields(spec, CFG)
+    _, g_tilde, theta, Omega, cone_metric = conformal_fields(spec, CFG)
     with pytest.raises(diffgeo.ChartDegeneracyError):
         g_tilde(np.array([[0.1, 0.0, 1e-9, 0.0]]))
+    good = np.array([[0.1, 0.0, 1.0, 0.3], [0.2, -0.1, 0.0, 0.8]])
+    bad = np.array([good[0], [0.2, -0.1, 1e-9, -1e-9], good[1]])   # only the second point
+    for field in (g_tilde, theta, Omega, cone_metric):
+        assert np.all(np.isfinite(field(good)))
+        with pytest.raises(diffgeo.ChartDegeneracyError):
+            field(bad)
 
 
 def test_fd_audit_on_catalog_potentials():
