@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import QC, mat_scale, qc_mat, to_complex_matrix
+from .exact import QC, mat_kron, mat_scale, qc_mat, to_complex_matrix
 from .reps import (RepSpace, act, derivation_matrix, outer_tensor, sl2_module,
                    so_radical_basis, so_vector_module, wedge_module)
 from .roots import ConfigurationError, build_root_system, flag
@@ -311,45 +311,48 @@ class Chart:
         Supported: all exponents equal to 1 (fundamental weights and their
         Deligne products), plus arbitrary integer powers on a projective
         line.  Returns ``(rep, word(z))`` with ``word(z)`` a list of
-        ``(matrix, parameter)`` pairs.
+        ``(matrix, parameter)`` pairs.  The pair is built once per chart and
+        exponents and kept in ``params``; its float matrices are read-only.
         """
-        ell = exponents
+        key = ("embedding", tuple(exponents))
+        if key not in self.params:
+            self.params[key] = self._build_embedding(key[1])
+        return self.params[key]
+
+    def _build_embedding(self, ell: Tuple[Fraction, ...]):
         if self.kind == "product":
             if any(e != 1 for e in ell):
                 raise ConfigurationError("product embeddings are implemented for exponent 1 on each factor")
-            rep = outer_tensor(self.rep(0), self.rep(1))
+            y, i2 = qc_mat([[0, 0], [1, 0]]), qc_mat([[1, 0], [0, 1]])
+            lowering = (mat_kron(y, i2), mat_kron(i2, y))
+            lowering_np = tuple(_read_only(to_complex_matrix(M)) for M in lowering)
 
             def word(z, exact=False):
-                from .exact import mat_kron
-
-                y = qc_mat([[0, 0], [1, 0]])
-                i2 = qc_mat([[1, 0], [0, 1]])
                 if exact:
-                    return [(mat_kron(y, i2), QC.of(z[0])), (mat_kron(i2, y), QC.of(z[1]))]
-                a = np.kron(np.array([[0, 0], [1, 0]], dtype=complex), np.eye(2))
-                b = np.kron(np.eye(2), np.array([[0, 0], [1, 0]], dtype=complex))
-                return [(a, complex(z[0])), (b, complex(z[1]))]
+                    return [(M, QC.of(zj)) for M, zj in zip(lowering, z)]
+                return [(M, complex(zj)) for M, zj in zip(lowering_np, z)]
 
-            return rep, word
+            return outer_tensor(self.rep(0), self.rep(1)), word
         if self.n_gen == 1 and ell[0] == 1:
-            rep = self.rep(0)
-
             def word(z, exact=False):
                 return [(self.word_element(0, z, exact=exact), 1 if exact else 1.0)]
 
-            return rep, word
+            return self.rep(0), word
         if self.kind == "wedge" and self.params.get("n") == 1 and self.n_gen == 1:
-            l = int(ell[0])
-            rep = sl2_module(l)
+            rep = sl2_module(int(ell[0]))
+            F = rep.simple[1][1]
+            F_np = _read_only(to_complex_matrix(F))
 
             def word(z, exact=False):
-                F = rep.simple[1][1]
-                if exact:
-                    return [(F, QC.of(z[0]))]
-                return [(to_complex_matrix(F), complex(z[0]))]
+                return [(F, QC.of(z[0]))] if exact else [(F_np, complex(z[0]))]
 
             return rep, word
         raise ConfigurationError(f"no embedding module implemented for {self.name} with exponents {ell}")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _derivation_float(n: int, k: int, L: np.ndarray) -> np.ndarray:
@@ -580,15 +583,13 @@ class PotentialSpec:
 
 
 def decode_points(points: np.ndarray, n_z: int):
-    points = np.asarray(points, dtype=float)
-    z = points[..., 0:2 * n_z:2] + 1j * points[..., 1:2 * n_z:2]
-    w = points[..., 2 * n_z] + 1j * points[..., 2 * n_z + 1]
-    return z, w
+    """Complex ``z`` and ``w`` read as views of the interleaved real columns; do not write into them."""
+    c = np.ascontiguousarray(points, dtype=float)[..., :2 * n_z + 2].view(complex)
+    return c[..., :n_z], c[..., n_z]
 
 
 def decode_base_points(points: np.ndarray, n_z: int):
-    points = np.asarray(points, dtype=float)
-    return points[..., 0:2 * n_z:2] + 1j * points[..., 1:2 * n_z:2]
+    return np.ascontiguousarray(points, dtype=float)[..., :2 * n_z].view(complex)
 
 
 def encode_point(z: Sequence[complex], w: Optional[complex] = None) -> np.ndarray:

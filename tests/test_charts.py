@@ -11,6 +11,8 @@ from flagcones.charts import (DomainError, canonical_exponents,
                               potential_eval, product_h, quadric_h,
                               resolve_case, ricci_flat_exponent)
 from flagcones.exact import QC, to_complex_matrix
+from flagcones.hvcone import GammaGroup, kodaira_embedding, remmert, remmert_norm_sq
+from flagcones.reps import outer_tensor
 from flagcones.roots import ConfigurationError
 
 CASES = ["cp:1", "cp:2", "gr24", "grassmann:4:2", "grassmann:5:3", "wallach", "fullflag:A:3",
@@ -164,6 +166,76 @@ def test_quadric_word_element_converts_basis_once(monkeypatch):
     X2 = chart.word_element(0, 2 * z)
     assert len(converted) == chart.n_z
     assert np.allclose(X2, 2 * X1)
+
+
+def test_embedding_module_built_once(monkeypatch):
+    built = []
+
+    def counting(r1, r2):
+        built.append((r1, r2))
+        return outer_tensor(r1, r2)
+
+    monkeypatch.setattr(charts, "outer_tensor", counting)
+    spec = make_spec("conifold")
+    z, w = np.array([0.3 - 0.1j, -0.2 + 0.4j]), 1.1 - 0.2j
+    zq, wq = (QC(Q(1, 3), Q(-1, 7)), QC(Q(2, 5), Q(1, 2))), QC(Q(6, 5), Q(-1, 3))
+    for _ in range(3):
+        spec.chart.embedding_rep(spec.exponents)
+    remmert(spec, z, w)
+    kodaira_embedding(spec, GammaGroup(0.5), z, w)
+    assert remmert_norm_sq(spec, zq, wq, exact=True) == spec.K1(zq, wq)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("case, ell", [("gr24", 1), ("quadric:6", 1), ("conifold", 1), ("cp:1", 2)])
+def test_embedding_rep_returns_cached_pair(case, ell):
+    spec = make_spec(case, ell=ell)
+    rep, word = spec.chart.embedding_rep(spec.exponents)
+    again = spec.chart.embedding_rep(spec.exponents)
+    assert again[0] is rep and again[1] is word
+    if case in ("conifold", "cp:1"):      # constant word matrices, built with the module
+        z = np.full(spec.n_z, 0.2 + 0.1j)
+        for (M, _), (M2, _) in zip(word(z), word(2 * z)):
+            assert M2 is M and not M.flags.writeable
+
+
+def test_embedding_rep_keyed_by_exponents():
+    chart = resolve_case("cp:1")
+    rep1, _ = chart.embedding_rep(canonical_exponents(chart, 1))
+    rep2, _ = chart.embedding_rep(canonical_exponents(chart, 2))
+    assert (rep1.dim, rep2.dim) == (2, 3)
+    assert chart.embedding_rep(canonical_exponents(chart, 1))[0] is rep1
+
+
+@pytest.mark.parametrize("case, ell", [("wallach", 1), ("fullflag:A:3", 1), ("conifold", 2)])
+def test_unsupported_embedding_raises_on_every_call(case, ell):
+    spec = make_spec(case, ell=ell)
+    for _ in range(2):
+        with pytest.raises(ConfigurationError):
+            spec.chart.embedding_rep(spec.exponents)
+    assert not any(isinstance(key, tuple) and key[0] == "embedding" for key in spec.chart.params)
+
+
+def _decode_reference(points, n_z):
+    points = np.asarray(points, dtype=float)
+    z = points[..., 0:2 * n_z:2] + 1j * points[..., 1:2 * n_z:2]
+    return z, points[..., 2 * n_z] + 1j * points[..., 2 * n_z + 1]
+
+
+def test_decode_points_matches_arithmetic_form():
+    rng = np.random.default_rng(5)
+    n_z = 3
+    wide = rng.normal(size=(7, 2 * (2 * n_z + 2)))
+    inputs = [rng.normal(size=2 * n_z + 2), rng.normal(size=(4, 2 * n_z + 2)),
+              wide[:, ::2], wide[::3, :2 * n_z + 2], rng.normal(size=(3, 5, 2 * n_z + 2))]
+    for points in inputs:
+        before = points.copy()
+        z, w = charts.decode_points(points, n_z)
+        z_ref, w_ref = _decode_reference(points, n_z)
+        assert np.array_equal(z, z_ref) and np.array_equal(w, w_ref)
+        assert np.array_equal(charts.decode_base_points(points[..., :2 * n_z], n_z), z_ref)
+        assert np.array_equal(charts.decode_base_points(points, n_z), z_ref)
+        assert np.array_equal(points, before)
 
 
 def test_generic_at_origin():
