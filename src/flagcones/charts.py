@@ -3,14 +3,18 @@
 Every catalog geometry carries direct evaluators for the fundamental
 potentials ``h_alpha(z) = |n(z) v_alpha|^2`` on the opposite big cell
 (normalised so ``h_alpha(0) = 1``), plus a representation-theoretic path
-that evaluates the same quantity through the module machinery.  On the
-wedge charts (projective spaces, Grassmannians, full flags of type A) the
-frame ``F`` is the first columns of the big-cell unipotent ``n(z)``, and by
-Cauchy-Binet ``h_alpha`` is a leading principal minor of the Gram matrix
-``F* F``, a running product of the pivots of one Hermitian elimination on
-both the exact and the float path (no Cholesky); quadrics and products
-keep their closed norms of a single section.  A ``PotentialSpec`` combines
-a chart with bundle exponents and an outer cone exponent ``b``:
+that evaluates the same quantity through the module machinery.  Each
+``h_alpha = det(F_alpha* F_alpha)`` is the Gram determinant of a holomorphic
+frame with rank-one Jacobians ``d_a F = u_a v_a^T`` (``Chart.frames``): the
+first columns of the big-cell unipotent ``n(z)`` on wedge charts (projective
+spaces, Grassmannians, full flags of type A), constant unit ``d_a F``, where
+``h_closed`` takes the leading Gram minors by one Hermitian elimination on
+both the exact and the float path; the section ``(1, zeta/sqrt2, q/4)`` on
+quadrics, ``d_a F`` linear in ``zeta``; ``[1; z_j]`` per product factor.
+``log_gram_jets`` turns ``(F, U, V)`` into closed-form ``d log h`` and
+``ddbar log h``, the analytic Kahler layer under the verification suites.
+A ``PotentialSpec`` combines a chart with bundle exponents and an outer
+cone exponent ``b``:
 
     K_1(z, w) = prod_alpha h_alpha(z)^(e_alpha) * |w|^2,
     K_b(z, w) = K_1(z, w)^b.
@@ -42,23 +46,24 @@ class DomainError(ValueError):
 # potential building blocks: big-cell frames and their Gram minors
 # ---------------------------------------------------------------------------
 
-def _big_cell(n: int, slots, z, exact: bool = False):
-    """The unipotent n(z) = 1 + sum_a z_a E_(slot_a) in GL(n+1).
+def _big_cell(n: int, slots, z, exact: bool = False, cols: Optional[int] = None):
+    """The first ``cols`` (default all) columns of n(z) = 1 + sum_a z_a E_(slot_a) in GL(n+1).
 
     ``slots`` gives the (row, col) position of each coordinate below the
-    diagonal.  Exact (a tuple of QC rows) with ``exact``; otherwise batched
-    over the leading axes of ``z``.
+    diagonal, every col below ``cols``.  Exact (a tuple of QC rows) with
+    ``exact``; otherwise batched over the leading axes of ``z``.
     """
+    r = n + 1 if cols is None else cols
     if exact:
-        M = [[QC(1 if i == j else 0) for j in range(n + 1)] for i in range(n + 1)]
+        M = [[QC(1 if i == j else 0) for j in range(r)] for i in range(n + 1)]
         for (i, j), val in zip(slots, z):
             M[i][j] = QC.of(val)
         return tuple(tuple(row) for row in M)
     z = np.asarray(z, dtype=complex)
-    M = np.zeros(z.shape[:-1] + (n + 1, n + 1), dtype=complex)
-    M[..., range(n + 1), range(n + 1)] = 1.0
-    rows, cols = zip(*slots)
-    M[..., rows, cols] = z
+    M = np.zeros(z.shape[:-1] + (n + 1, r), dtype=complex)
+    M[..., range(r), range(r)] = 1.0
+    rows, cs = zip(*slots)
+    M[..., rows, cs] = z
     return M
 
 
@@ -70,6 +75,21 @@ def _grassmann_slots(n: int, k: int):
 def _fullflag_slots(n: int):
     """Strictly lower positions of GL(n+1), row by row."""
     return [(i, j) for i in range(1, n + 1) for j in range(i)]
+
+
+def log_gram_jets(F, U, V):
+    """``(d_a log h, d_a dbar_b log h)`` of ``h = det G``, ``G = F* F``, batched over leading axes.
+
+    ``F`` is a holomorphic frame (..., N, r) with Jacobian ``E_a = d_a F = u_a v_a^T``
+    (columns of U (..., N, n_z) and V (r, n_z)).  With ``P = 1 - F G^-1 F*``:
+    ``d_a log h = tr(G^-1 F* E_a) = v_a^T G^-1 F* u_a`` and
+    ``d_a dbar_b log h = tr(G^-1 E_b* P E_a) = (u_b* P u_a)(v_a^T G^-1 conj(v_b))``.
+    """
+    Fh = np.conj(np.swapaxes(F, -1, -2))
+    Ginv = np.linalg.inv(Fh @ F)
+    AU = Ginv @ (Fh @ U)                                         # G^-1 F* u_a
+    X = np.conj(np.swapaxes(U, -1, -2)) @ (U - F @ AU)           # u_b* P u_a at [b, a]
+    return np.sum(V * AU, axis=-2), np.swapaxes(X, -1, -2) * (V.T @ Ginv @ np.conj(V))
 
 
 def gram_minors(F, unit_top: bool = False):
@@ -127,11 +147,7 @@ def fullflag_h(n: int, Z):
     columns.  ``Z`` holds the strictly lower entries row by row (length
     n(n+1)/2).  Exact (a tuple of Fractions) when Z has QC entries.
     """
-    exact = _is_exact_vecz(Z)
-    M = _big_cell(n, _fullflag_slots(n), Z, exact=exact)
-    if exact:
-        return gram_minors([row[:n] for row in M])
-    return gram_minors(M[..., :n])
+    return gram_minors(_big_cell(n, _fullflag_slots(n), Z, exact=_is_exact_vecz(Z), cols=n))
 
 
 def _is_exact_vecz(z) -> bool:
@@ -213,14 +229,19 @@ class Chart:
     flag_info: dict
     params: dict
 
+    def _wedge(self):
+        """``(n, r, slots)``: n(z) in GL(n+1), frame width r; generator alpha uses r - n_gen + 1 + alpha columns."""
+        n = self.params["n"]
+        if self.params.get("full"):
+            return n, n, _fullflag_slots(n)
+        return n, self.params["k"], _grassmann_slots(n, self.params["k"])
+
     def h_closed(self, z) -> np.ndarray:
         """Closed-form fundamental potentials, shape (..., n_gen)."""
         if self.kind == "wedge":
-            n = self.params["n"]
-            if self.params.get("full"):
-                return fullflag_h(n, z)
-            h = grassmann_h(n, self.params["k"], self._reshape_block(z))
-            return (h,) if isinstance(h, Fraction) else h[..., None]
+            n, r, slots = self._wedge()
+            h = gram_minors(_big_cell(n, slots, z, exact=_is_exact_vecz(z), cols=r))
+            return h[r - self.n_gen:] if isinstance(h, tuple) else h[..., r - self.n_gen:]
         if self.kind == "quadric":
             val = quadric_h(self.params["N"], z)
             return (val,) if isinstance(val, Fraction) else np.asarray(val)[..., None]
@@ -234,19 +255,36 @@ class Chart:
         z = np.asarray(z, dtype=complex)
         return 1.0 + np.abs(z) ** 2
 
+    def frames(self, z) -> list:
+        """Holomorphic frames ``(F_alpha, U, V)``: ``h_alpha = det(F_alpha* F_alpha)`` and ``d_a F_alpha = u_a v_a^T``.
+
+        Each coordinate enters one column of a frame, so its Jacobian has
+        rank one: the columns of U (..., N, n_z), constant except on quadrics,
+        and of V (r, n_z).  Batched over the leading axes of complex ``z``.
+        """
+        z = np.asarray(z, dtype=complex)
+        m, ones = self.n_z, np.ones((1, self.n_z))
+        if self.kind == "wedge":        # d_a F = the unit matrix at slot a
+            n, r, slots = self._wedge()
+            rows, cols = zip(*slots)
+            F, U, V = _big_cell(n, slots, z, cols=r), np.eye(n + 1)[:, rows], np.eye(r)[:, cols]
+            return [(F[..., :k], U, V[:k]) for k in range(r - self.n_gen + 1, r + 1)]
+        if self.kind == "quadric":      # s = (1, zeta/sqrt2, q(zeta)/4), d_a s = (0, e_a/sqrt2, zeta_a/2)
+            s = np.concatenate([np.ones(z.shape[:-1] + (1,)), z / np.sqrt(2.0),
+                                np.sum(z * z, axis=-1, keepdims=True) / 4.0], axis=-1)
+            U = np.zeros(z.shape[:-1] + (m + 2, m), dtype=complex)
+            U[..., range(1, m + 1), range(m)] = 1.0 / np.sqrt(2.0)
+            U[..., m + 1, :] = z / 2.0
+            return [(s[..., None], U, ones)]
+        # product of projective lines: [1; z_j], d_a = delta_aj (0; 1)
+        return [(_big_cell(1, ((1, 0),), z[..., j:j + 1], cols=1), np.outer([0.0, 1.0], np.eye(m)[j]), ones)
+                for j in range(self.n_gen)]
+
     def h_closed_exact(self, z) -> Tuple[Fraction, ...]:
         out = self.h_closed(z)
         if isinstance(out, tuple):
             return out
         raise DomainError("exact evaluation needs QC coordinates")
-
-    def _reshape_block(self, z):
-        n, k = self.params["n"], self.params["k"]
-        rows, cols = n + 1 - k, k
-        if _is_exact_vecz(z):
-            return [list(z[r * cols:(r + 1) * cols]) for r in range(rows)]
-        z = np.asarray(z, dtype=complex)
-        return z.reshape(z.shape[:-1] + (rows, cols))
 
     # -- representation path ------------------------------------------------
 
@@ -268,14 +306,9 @@ class Chart:
     def word_element(self, gen: int, z, exact: bool = False):
         """Algebra element X(z) whose exponential is the big-cell section."""
         if self.kind == "wedge":
-            n = self.params["n"]
-            if self.params.get("full"):
-                k, slots = gen + 1, _fullflag_slots(n)
-            else:
-                k = self.params["k"]
-                slots = _grassmann_slots(n, k)
-            M = _big_cell(n, slots, z, exact=exact)
-            L = nilpotent_log(M, n + 1)
+            n, r, slots = self._wedge()
+            k = r - self.n_gen + 1 + gen
+            L = nilpotent_log(_big_cell(n, slots, z, exact=exact), n + 1)
             return derivation_matrix(n, k, L) if exact else _derivation_float(n, k, L)
         if self.kind == "quadric":
             N = self.params["N"]
@@ -569,6 +602,34 @@ class PotentialSpec:
             return b * (np.log(self.h_L(z)) + 2.0 * np.log(np.abs(w)))
 
         return F
+
+    def _log_jets(self, z, weights):
+        """Weighted sums over generators of ``log_gram_jets`` of the chart frames."""
+        jets = [log_gram_jets(*frame) for frame in self.chart.frames(z)]
+        return tuple(sum(wt * jet[i] for wt, jet in zip(weights, jets)) for i in (0, 1))
+
+    def cone_jet(self) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+        """Batched ``(phi_a, ddbar K / K)`` over real points, from the chart frames.
+
+        ``phi = log K_1`` with ``phi_w = 1/w`` on the fiber and no mixed
+        terms; ``ddbar K / K = b (phi_ab + b phi_a conj(phi_b))``.
+        """
+        b, e = float(self.b), [float(x) for x in self.exponents]
+
+        def jet(points: np.ndarray):
+            z, w = decode_points(points, self.chart.n_z)
+            grad, hess = self._log_jets(z, e)
+            phi = np.concatenate([grad, 1.0 / w[..., None]], axis=-1)
+            H = b * b * phi[..., :, None] * np.conj(phi[..., None, :])
+            H[..., :-1, :-1] += b * hess
+            return phi, H
+
+        return jet
+
+    def base_hessian(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Batched complex Hessian of ``log h_delta``, ``sum_alpha delta_alpha ddbar log h_alpha``, over base points."""
+        pair = [float(p) for p in self.chart.delta_pairings]
+        return lambda points: self._log_jets(decode_base_points(points, self.chart.n_z), pair)[1]
 
     def base_log_anticanonical(self) -> Callable[[np.ndarray], np.ndarray]:
         """log h_delta over base points (no fiber coordinate)."""

@@ -8,9 +8,9 @@ Every derivative comes from one stencil primitive: a unit stencil cached
 per dimension (centre, ``+-e_i``, then the four corners of each
 ``(e_i, e_j)`` square), evaluated at ``P + unit * h`` with per-axis steps;
 first and second central differences as index arithmetic on those values;
-and one Richardson loop over halved steps.  Nested pipelines (Ricci of a
-metric field, Ricci form of a potential) apply the same primitive to
-fields that are themselves stencil results.
+and one Richardson tableau over halved steps.  Nested pipelines (Ricci
+form of a potential) apply it to stencil results; ``ricci_form_of_metric``
+applies it once to an exact complex Hessian field.
 
 Conventions (with ``d^c = i (dbar - d)`` and real potentials F):
 
@@ -167,11 +167,18 @@ def _halvings(h0, levels: int) -> list:
 
 
 def _richardson(estimates: Iterable[np.ndarray]) -> np.ndarray:
-    """Extrapolate estimates at steps h, h/2, h/4, ... with even error expansions."""
-    est = None
-    for level, new in enumerate(estimates):
-        est = new if est is None else (4.0 ** level * new - est) / (4.0 ** level - 1.0)
-    return est
+    """Extrapolate estimates at steps h, h/2, h/4, ... with even error expansions.
+
+    A Neville tableau: each new estimate starts a row whose j-th entry
+    cancels the h^(2j) term against the previous row.
+    """
+    prev = []
+    for new in estimates:
+        row = [new]
+        for j in range(1, len(prev) + 1):
+            row.append((4.0 ** j * row[j - 1] - prev[j - 1]) / (4.0 ** j - 1.0))
+        prev = row
+    return prev[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +216,15 @@ def hessian_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None,
                        for h in _halvings(h0, cfg.richardson if richardson is None else richardson))
 
 
+def kahler_form_of_hessian(H: np.ndarray) -> np.ndarray:
+    """(i/2) ddbar F from real Hessians (..., d, d): -(HJ + JH)/4."""
+    J = complex_structure(H.shape[-1])
+    return -(H @ J + J @ H) / 4.0
+
+
 def kahler_form_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
     """(i/2) ddbar F as real 2-form matrices: -(HJ + JH)/4."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    J = complex_structure(P.shape[1])
-    H = hessian_batch(F, P, cfg, step)
-    return -(H @ J + J @ H) / 4.0
+    return kahler_form_of_hessian(hessian_batch(F, P, cfg, step))
 
 
 def kahler_form(F, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
@@ -236,17 +246,31 @@ def metric_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None) 
     return kahler_form_batch(F, P, cfg, step) @ complex_structure(np.atleast_2d(P).shape[1])
 
 
+def complex_hessian(H: np.ndarray) -> np.ndarray:
+    """d^2 F / dz_a dzbar_b from real Hessians (..., d, d): (..., d/2, d/2) complex."""
+    xx, yy = H[..., 0::2, 0::2], H[..., 1::2, 1::2]
+    xy, yx = H[..., 0::2, 1::2], H[..., 1::2, 0::2]
+    return 0.25 * ((xx + yy) + 1j * (xy - yx))
+
+
+def metric_of_complex_hessian(Hc: np.ndarray) -> np.ndarray:
+    """The metric ``omega J`` of the quarter-normalised Kahler form of complex Hessians ``Hc``.
+
+    ``g[2a, 2b] = g[2a+1, 2b+1] = Re Hc_ab`` and ``g[2a, 2b+1] = -g[2a+1, 2b] = Im Hc_ab``.
+    """
+    g = np.stack([np.stack([Hc.real, Hc.imag], -1), np.stack([-Hc.imag, Hc.real], -1)], -3)
+    return g.reshape(Hc.shape[:-2] + (2 * Hc.shape[-2], 2 * Hc.shape[-1]))
+
+
 def complex_hessian_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None,
                           richardson: Optional[int] = None) -> np.ndarray:
     """Mixed holomorphic Hessians d^2 F / dz_a dzbar_b, (m, nc, nc) complex."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    H = hessian_batch(F, P, cfg, step, richardson)
-    d = P.shape[1]
-    xx = H[:, 0:d:2, 0:d:2]
-    yy = H[:, 1:d:2, 1:d:2]
-    xy = H[:, 0:d:2, 1:d:2]
-    yx = H[:, 1:d:2, 0:d:2]
-    return 0.25 * ((xx + yy) + 1j * (xy - yx))
+    return complex_hessian(hessian_batch(F, P, cfg, step, richardson))
+
+
+def _ricci_level(logdet, P: np.ndarray, cfg: FDConfig, step, richardson: Optional[int] = None) -> np.ndarray:
+    """-i ddbar of a batched log det field, as real 2-forms (m, d, d)."""
+    return -2.0 * kahler_form_of_hessian(hessian_batch(logdet, P, cfg, step=step, richardson=richardson))
 
 
 def ricci_form_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
@@ -257,19 +281,22 @@ def ricci_form_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = No
     controls the truncation error.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    J = complex_structure(P.shape[1])
 
-    def rho_at(h) -> np.ndarray:
-        def logdet(Q: np.ndarray) -> np.ndarray:
-            Hc = complex_hessian_batch(F, Q, cfg, step=h, richardson=1)
-            sign, logabs = np.linalg.slogdet(Hc)
-            return logabs
+    def logdet(h):
+        return lambda Q: np.linalg.slogdet(complex_hessian_batch(F, Q, cfg, step=h, richardson=1))[1]
 
-        HG = hessian_batch(logdet, P, cfg, step=h, richardson=1)
-        return (HG @ J + J @ HG) / 2.0
+    return _richardson(_ricci_level(logdet(h), P, cfg, h, richardson=1)
+                       for h in _halvings(cfg.nested_step if step is None else step, cfg.richardson))
 
-    return _richardson(rho_at(h) for h in _halvings(cfg.nested_step if step is None else step,
-                                                     cfg.richardson))
+
+def ricci_form_of_metric(H_field, P: np.ndarray, cfg: FDConfig, step=None) -> np.ndarray:
+    """Ricci form -i ddbar log det H, (m, d, d), of an exact batched complex Hessian field H.
+
+    One finite-difference Hessian of log det H, at ``hessian_step`` by default.
+    """
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    return _ricci_level(lambda Q: np.linalg.slogdet(H_field(Q))[1], P, cfg,
+                        cfg.hessian_step if step is None else step)
 
 
 def ricci_form(F, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:

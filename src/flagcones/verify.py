@@ -7,6 +7,15 @@ returns a ``VerificationReport`` with per-residual max/mean, tolerances
 and verdicts.  Reports are deterministic functions of (case, seed, FD
 configuration).
 
+The inner fields are analytic: ``g_tilde``, ``theta``, ``Omega`` and the
+complex Hessians under the Ricci forms come in closed form from the chart
+frames (``PotentialSpec.cone_jet``, ``base_hessian``), so one finite-difference
+level is left above them.  Finite differences of the potential stay as an
+independent route: each finite-difference suite ends with a
+``metric_agreement`` residual, the relative gap per sample between the
+analytic complex Hessian (``kahler-einstein``, ``ricci-flat``) or
+``g_tilde`` (the others) and its finite-difference counterpart.
+
 Einstein-Weyl conventions: the suite metric is the conformal gauge
 ``g = e^(-2 psi) . (cone metric of K_1^b)`` with Lee form
 ``theta = -2 d psi = -d log K_1^b``.  The Weyl connection uses the Lee
@@ -16,14 +25,13 @@ gauge: ``Ric = (n-2)(|t|^2 g - t (x) t)`` and ``Ric^D = 0``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import diffgeo
-from .charts import (PotentialSpec, decode_points, make_spec, resolve_case,
-                     ricci_flat_exponent)
+from .charts import PotentialSpec, decode_points, make_spec, ricci_flat_exponent
 from .diffgeo import FDConfig
 from .hvcone import (GammaGroup, algebraic_residual, hopf_distance,
                      kodaira_embedding, remmert)
@@ -38,6 +46,7 @@ DEFAULT_TOLERANCES = {
     "embedding_algebraic": 1e-10,
     "equivariance": 1e-9,
     "separation": 1e-8,
+    "metric_agreement": 1e-8,
 }
 
 
@@ -151,51 +160,52 @@ def conformal_fields(spec: PotentialSpec, cfg: FDConfig, ref=None):
 
     Returns (K, g_tilde, theta, Omega_tilde, cone_metric): the Vaisman
     gauge ``e^(-2 psi) omega_C(., J.)`` with ``psi = log K / 2`` and the
-    Lee form ``theta = -d log K``.  When a reference point is supplied the
-    potential is divided by its value there; every returned conformal
-    quantity is invariant under that constant rescaling, which keeps the
-    finite differences well conditioned when K is large.
+    Lee form ``theta = -d log K``, from the cone jet ``(phi_a, ddbar K / K)``:
+    ``g_tilde`` is the real form of ``ddbar K / K``, ``theta`` has
+    components ``(-2b Re phi_a, 2b Im phi_a)``, ``Omega_tilde = -g_tilde J``
+    and ``cone_metric = g_tilde K``.  When a reference point is supplied
+    ``K`` is divided by its value there, which keeps finite differences of
+    it well conditioned when K is large; the conformal quantities do not
+    depend on that constant.
     """
     F0 = spec.field()
-    logF = spec.log_field()
-    scale = 1.0
-    h2 = cfg.hessian_step
-    h1 = cfg.base_step
-    if ref is not None:
-        ref = np.asarray(ref, dtype=float)
-        scale = float(F0(ref[None, :])[0])
-        s = coordinate_scales(spec, ref)
-        h2 = cfg.hessian_step * s
-        h1 = cfg.base_step * s
+    jet = spec.cone_jet()
+    b = float(spec.b)
+    scale = 1.0 if ref is None else float(F0(np.asarray(ref, dtype=float)[None, :])[0])
 
     def F(P):
         return F0(P) / scale
 
-    def check_w(P):
+    def checked_jet(P):
+        P = np.atleast_2d(P)
         if np.any(np.hypot(P[..., 2 * spec.chart.n_z], P[..., 2 * spec.chart.n_z + 1]) < cfg.w_floor):
             raise diffgeo.ChartDegeneracyError("sample too close to the w = 0 fiber")
+        return jet(P)
 
     def g_tilde(P):
-        P = np.atleast_2d(P)
-        check_w(P)
-        return diffgeo.metric_batch(F, P, cfg, step=h2) / np.asarray(F(P))[:, None, None]
+        return diffgeo.metric_of_complex_hessian(checked_jet(P)[1])
 
-    def theta(P):
-        P = np.atleast_2d(P)
-        check_w(P)
-        return -diffgeo.grad_batch(logF, P, cfg, step=h1)
+    def theta(P):        # interleaved (Re, -Im) of conj(phi_a), times -2b
+        return -2.0 * b * np.ascontiguousarray(np.conj(checked_jet(P)[0])).view(float)
 
     def Omega(P):
-        P = np.atleast_2d(P)
-        check_w(P)
-        return diffgeo.kahler_form_batch(F, P, cfg, step=h2) / np.asarray(F(P))[:, None, None]
+        return -g_tilde(P) @ diffgeo.complex_structure(spec.real_dim)
 
     def cone_metric(P):
-        P = np.atleast_2d(P)
-        check_w(P)
-        return diffgeo.metric_batch(F, P, cfg, step=h2)
+        return g_tilde(P) * F(np.atleast_2d(P))[:, None, None]
 
     return F, g_tilde, theta, Omega, cone_metric
+
+
+def _gap(ref: np.ndarray, other: np.ndarray) -> float:
+    """max |ref - other| relative to max |ref|."""
+    return np.max(np.abs(ref - other)) / max(np.max(np.abs(ref)), 1e-30)
+
+
+def _metric_agreement(spec: PotentialSpec, cfg: FDConfig, F, p: np.ndarray, g: np.ndarray) -> float:
+    """Gap between the analytic ``g_tilde`` at p and the finite-difference ``metric_batch(F) / F``."""
+    fd = diffgeo.metric_batch(F, p[None, :], cfg, step=cfg.hessian_step * coordinate_scales(spec, p))[0]
+    return _gap(g, fd / F(p[None, :])[0])
 
 
 def lck_data(spec: PotentialSpec, p, cfg: Optional[FDConfig] = None):
@@ -220,7 +230,8 @@ def lck_data(spec: PotentialSpec, p, cfg: Optional[FDConfig] = None):
 
 def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] = None,
               tolerance: float = DEFAULT_TOLERANCES["lck"], case: str = "",
-              corrupt_theta: float = 1.0) -> VerificationReport:
+              corrupt_theta: float = 1.0,
+              agreement_tolerance: float = DEFAULT_TOLERANCES["metric_agreement"]) -> VerificationReport:
     """d Omega = theta ^ Omega, d theta = 0 and constancy of |theta|.
 
     ``corrupt_theta`` rescales the Lee form to provide a negative control.
@@ -228,9 +239,9 @@ def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] =
     cfg = cfg or FDConfig()
     rep = VerificationReport(case=case or spec.chart.name, suite="lck", seed=samples.seed,
                              count=samples.count, fd=cfg.echo())
-    r_lck, r_dth, norms = [], [], []
+    r_lck, r_dth, norms, r_agree = [], [], [], []
     for p in samples.points:
-        _, g_tilde, theta, Omega, _ = conformal_fields(spec, cfg, ref=p)
+        F, g_tilde, theta, Omega, _ = conformal_fields(spec, cfg, ref=p)
         th = corrupt_theta * theta(p[None, :])[0]
         Om = Omega(p[None, :])[0]
         dOm = diffgeo.d_twoform(Omega, p, cfg)
@@ -241,72 +252,98 @@ def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] =
         r_dth.append(np.max(np.abs(dth)) / max(np.max(np.abs(th)), 1e-30))
         g = g_tilde(p[None, :])[0]
         norms.append(float(th @ np.linalg.solve(g, th)))
+        r_agree.append(_metric_agreement(spec, cfg, F, p, g))
     rep.add("lck_two_form", r_lck, tolerance)
     rep.add("lee_closed", r_dth, tolerance)
     norms = np.asarray(norms)
     rep.add("lee_norm_constant", np.abs(norms - norms.mean()) / norms.mean(), tolerance)
+    rep.add("metric_agreement", r_agree, agreement_tolerance)
     return rep
 
 
 def check_vaisman(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] = None,
                   tolerance: float = DEFAULT_TOLERANCES["vaisman"], case: str = "",
-                  metric: str = "vaisman") -> VerificationReport:
+                  metric: str = "vaisman",
+                  agreement_tolerance: float = DEFAULT_TOLERANCES["metric_agreement"]) -> VerificationReport:
     """Parallelism of the Lee form; ``metric='cone'`` is a negative control."""
     cfg = cfg or FDConfig()
     rep = VerificationReport(case=case or spec.chart.name, suite="vaisman", seed=samples.seed,
                              count=samples.count, fd=cfg.echo())
-    vals = []
+    vals, r_agree = [], []
     for p in samples.points:
-        _, g_tilde, theta, _, cone_metric = conformal_fields(spec, cfg, ref=p)
+        F, g_tilde, theta, _, cone_metric = conformal_fields(spec, cfg, ref=p)
         gfield = g_tilde if metric == "vaisman" else cone_metric
         nab = diffgeo.nabla_oneform(theta, gfield, p, cfg)
         th = theta(p[None, :])[0]
         vals.append(np.max(np.abs(nab)) / max(np.max(np.abs(th)), 1e-30))
+        r_agree.append(_metric_agreement(spec, cfg, F, p, g_tilde(p[None, :])[0]))
     rep.add("lee_parallel", vals, tolerance)
+    rep.add("metric_agreement", r_agree, agreement_tolerance)
     if metric != "vaisman":
         rep.notes.append("negative control: Lee form differentiated with the unrescaled cone metric")
     return rep
 
 
-def check_kahler_einstein_base(case: str, samples: SampleSet, cfg: Optional[FDConfig] = None,
-                               tolerance: float = DEFAULT_TOLERANCES["curvature"]) -> VerificationReport:
-    """Ricci form of the anticanonical potential equals i ddbar log h_delta."""
+def check_kahler_einstein_base(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] = None,
+                               tolerance: float = DEFAULT_TOLERANCES["curvature"],
+                               case: str = "",
+                               agreement_tolerance: float = DEFAULT_TOLERANCES["metric_agreement"]) -> VerificationReport:
+    """Ricci form of the anticanonical potential equals i ddbar log h_delta.
+
+    The Ricci form is one finite-difference Hessian of log det of the
+    analytic base Hessian; ``i ddbar log h_delta`` is finite differences of
+    ``log h_delta`` itself.
+    """
     cfg = cfg or FDConfig()
-    spec = make_spec(case)
-    rep = VerificationReport(case=case, suite="kahler-einstein", seed=samples.seed,
+    rep = VerificationReport(case=case or spec.chart.name, suite="kahler-einstein", seed=samples.seed,
                              count=samples.count, fd=cfg.echo())
     Fb = spec.base_log_anticanonical()
-    vals = []
+    Hb = spec.base_hessian()
+    vals, r_agree = [], []
     for p in samples.points:
-        rho = diffgeo.ricci_form(Fb, p, cfg)
-        comp = diffgeo.i_del_delbar(Fb, p, cfg)
-        vals.append(np.max(np.abs(rho - comp)) / max(np.max(np.abs(comp)), 1e-30))
+        rho = diffgeo.ricci_form_of_metric(Hb, p[None, :], cfg)[0]
+        H = diffgeo.hessian_batch(Fb, p[None, :], cfg)[0]     # i ddbar and ddbar, one FD Hessian
+        comp = 2.0 * diffgeo.kahler_form_of_hessian(H)
+        vals.append(_gap(comp, rho))
+        r_agree.append(_gap(Hb(p[None, :])[0], diffgeo.complex_hessian(H)))
     rep.add("kahler_einstein", vals, tolerance)
+    rep.add("metric_agreement", r_agree, agreement_tolerance)
     return rep
 
 
 def check_cone_ricci_flat(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] = None,
-                          tolerance: float = DEFAULT_TOLERANCES["curvature"], case: str = "") -> VerificationReport:
-    """Vanishing Ricci form of the rescaled cone potential K_1^b."""
+                          tolerance: float = DEFAULT_TOLERANCES["curvature"], case: str = "",
+                          agreement_tolerance: float = DEFAULT_TOLERANCES["metric_agreement"]) -> VerificationReport:
+    """Vanishing Ricci form of the rescaled cone potential K_1^b.
+
+    The Ricci form is one finite-difference Hessian of log det of the
+    analytic ``ddbar K = K (ddbar K / K)``.
+    """
     cfg = cfg or FDConfig()
     rep = VerificationReport(case=case or spec.chart.name, suite="ricci-flat", seed=samples.seed,
                              count=samples.count, fd=cfg.echo())
     rep.notes.append(f"outer exponent b = {spec.b}")
     F0 = spec.field()
-    vals = []
+    jet = spec.cone_jet()
+    vals, r_agree = [], []
     for p in samples.points:
         scale = float(F0(p[None, :])[0])
         F = lambda P, s=scale: F0(P) / s
-        nest = cfg.nested_step * coordinate_scales(spec, p)
-        rho = diffgeo.ricci_form(F, p, cfg, step=nest)
-        om = diffgeo.i_del_delbar(F, p, cfg)
+        H = lambda P, F=F: jet(P)[1] * F(P)[:, None, None]
+        step = cfg.hessian_step * coordinate_scales(spec, p)
+        rho = diffgeo.ricci_form_of_metric(H, p[None, :], cfg, step=step)[0]
+        fd = diffgeo.hessian_batch(F, p[None, :], cfg)[0]     # i ddbar and ddbar, one FD Hessian
+        om = 2.0 * diffgeo.kahler_form_of_hessian(fd)
         vals.append(np.max(np.abs(rho)) / max(np.max(np.abs(om)), 1e-30))
+        r_agree.append(_gap(H(p[None, :])[0], diffgeo.complex_hessian(fd)))
     rep.add("ricci_flat", vals, tolerance)
+    rep.add("metric_agreement", r_agree, agreement_tolerance)
     return rep
 
 
 def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] = None,
-                        tolerance: float = DEFAULT_TOLERANCES["curvature"], case: str = "") -> VerificationReport:
+                        tolerance: float = DEFAULT_TOLERANCES["curvature"], case: str = "",
+                        agreement_tolerance: float = DEFAULT_TOLERANCES["metric_agreement"]) -> VerificationReport:
     """Einstein-Weyl residuals of the conformal gauge of K_1^b.
 
     Reports, with t = theta/2 (unit in this gauge):
@@ -315,6 +352,7 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
       * ``weyl_ricci_identity``:   Ric^D from the conformal identity
       * ``weyl_ricci_agreement``:  cross-validation of the two paths
       * ``higgs_compatibility``:   D g - theta (x) g
+      * ``metric_agreement``:      analytic g_tilde against metric_batch(F) / F
     Below six real dimensions the records are advisory only.
     """
     cfg = cfg or FDConfig()
@@ -325,9 +363,9 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
     advisory = n < 6
     if advisory:
         rep.notes.append("real dimension below 6: residuals reported informationally")
-    r_ric, r_dcurv, r_dform, r_agree, r_higgs = [], [], [], [], []
+    r_ric, r_dcurv, r_dform, r_agree, r_higgs, r_metric = [], [], [], [], [], []
     for p in samples.points:
-        _, g_tilde, theta, _, _ = conformal_fields(spec, cfg, ref=p)
+        F, g_tilde, theta, _, _ = conformal_fields(spec, cfg, ref=p)
         jet_step = cfg.jet_step * coordinate_scales(spec, p)
         g = g_tilde(p[None, :])[0]
         ginv = np.linalg.inv(g)
@@ -348,11 +386,13 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
         cov = dg - np.einsum("kai,kj->aij", GD, g) - np.einsum("kaj,ik->aij", GD, g)
         tgt = np.einsum("a,ij->aij", th, g)
         r_higgs.append(np.max(np.abs(cov - tgt)) / max(np.max(np.abs(tgt)), 1e-30))
+        r_metric.append(_metric_agreement(spec, cfg, F, p, g))
     rep.add("einstein_weyl_ricci", r_ric, tolerance, advisory)
     rep.add("weyl_ricci_curvature", r_dcurv, tolerance, advisory)
     rep.add("weyl_ricci_identity", r_dform, tolerance, advisory)
     rep.add("weyl_ricci_agreement", r_agree, tolerance, advisory)
     rep.add("higgs_compatibility", r_higgs, tolerance, advisory)
+    rep.add("metric_agreement", r_metric, agreement_tolerance, advisory)
     return rep
 
 
@@ -423,24 +463,16 @@ def run_suite(suite: str, case: str, seed: int = 7, count: Optional[int] = None,
         count = _DEFAULT_COUNTS[suite]
     elif count < 1:
         raise ConfigurationError(f"sample count must be at least 1, got {count}")
-    chart = resolve_case(case)
-    if b is None and suite in ("ricci-flat", "einstein-weyl"):
-        b = ricci_flat_exponent(chart, ell)
     spec = make_spec(case, exponents=exponents, b=b, ell=ell)
+    if b is None and suite in ("ricci-flat", "einstein-weyl"):
+        spec = replace(spec, b=ricci_flat_exponent(spec.chart, ell))
     base_only = suite == "kahler-einstein"
     samples = sample_points(spec, seed, count, base_only=base_only)
-    kwargs = {} if tolerance is None else {"tolerance": tolerance}
-    if suite == "lck":
-        return check_lck(spec, samples, cfg, case=case, **kwargs)
-    if suite == "vaisman":
-        return check_vaisman(spec, samples, cfg, case=case, **kwargs)
-    if suite == "kahler-einstein":
-        return check_kahler_einstein_base(case, samples, cfg, **kwargs)
-    if suite == "ricci-flat":
-        return check_cone_ricci_flat(spec, samples, cfg, case=case, **kwargs)
-    if suite == "einstein-weyl":
-        return check_einstein_weyl(spec, samples, cfg, case=case, **kwargs)
-    if tolerance is not None:
-        return check_embedding_consistency(spec, samples, lam=lam, cfg=cfg, case=case,
-                                           tol_algebraic=tolerance)
-    return check_embedding_consistency(spec, samples, lam=lam, cfg=cfg, case=case)
+    if suite == "embedding":
+        kwargs = {} if tolerance is None else {"tol_algebraic": tolerance}
+        return check_embedding_consistency(spec, samples, lam=lam, cfg=cfg, case=case, **kwargs)
+    check = {"lck": check_lck, "vaisman": check_vaisman, "kahler-einstein": check_kahler_einstein_base,
+             "ricci-flat": check_cone_ricci_flat, "einstein-weyl": check_einstein_weyl}[suite]
+    # an explicit tolerance gates every residual of the report, metric_agreement included
+    kwargs = {} if tolerance is None else {"tolerance": tolerance, "agreement_tolerance": tolerance}
+    return check(spec, samples, cfg, case=case, **kwargs)

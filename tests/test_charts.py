@@ -152,6 +152,33 @@ def test_generic_matches_closed_exact(case):
                                                 for g in range(chart.n_gen))
 
 
+# -- holomorphic frames ------------------------------------------------------------
+
+@pytest.mark.parametrize("case", CASES)
+def test_frame_gram_determinants_match_closed_forms(case):
+    chart = resolve_case(case)
+    rng = np.random.default_rng(19)
+    z = rng.normal(size=(6, chart.n_z)) + 1j * rng.normal(size=(6, chart.n_z))
+    frames = chart.frames(z)
+    assert len(frames) == chart.n_gen
+    dets = np.stack([np.linalg.det(np.conj(np.swapaxes(F, -1, -2)) @ F).real for F, _, _ in frames], axis=-1)
+    assert np.allclose(dets, chart.h_closed(z), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_frame_jacobian_factors_match_differences(case):
+    """d_a F = u_a v_a^T; frames are at most quadratic, so central differences are exact up to rounding."""
+    chart = resolve_case(case)
+    rng = np.random.default_rng(23)
+    z = rng.normal(size=chart.n_z) + 1j * rng.normal(size=chart.n_z)
+    t = 1e-3
+    for alpha, (F, U, V) in enumerate(chart.frames(z)):
+        for a in range(chart.n_z):
+            dz = t * np.eye(chart.n_z)[a]
+            fd = (chart.frames(z + dz)[alpha][0] - chart.frames(z - dz)[alpha][0]) / (2 * t)
+            assert np.allclose(np.outer(U[:, a], V[:, a]), fd, rtol=0, atol=1e-10), (alpha, a)
+
+
 def test_quadric_word_element_converts_basis_once(monkeypatch):
     chart = resolve_case("quadric:8")
     converted = []

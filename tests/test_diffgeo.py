@@ -345,3 +345,40 @@ def test_vectorised_hessian_equals_loop_reference():
         H = hessian_batch(field, P, FDConfig(richardson=1), step=step)
         for row, p in zip(H, P):
             assert np.array_equal(row, _loop_hessian(field, p, step))
+
+
+def _running_richardson(estimates):
+    """The running-estimate update used before the Neville tableau: the depth-2 reference."""
+    est = None
+    for level, new in enumerate(estimates):
+        est = new if est is None else (4.0 ** level * new - est) / (4.0 ** level - 1.0)
+    return est
+
+
+def _sin_exp(P):
+    return np.sin(P[..., 0]) * np.exp(P[..., 1])
+
+
+def test_richardson_error_shrinks_with_each_level():
+    """Depths 1-4 on the Hessian of sin(x) e^y at (0.3, 0.2)."""
+    s, c, e = np.sin(0.3), np.cos(0.3), np.exp(0.2)
+    exact = np.array([[-s * e, c * e], [c * e, s * e]])
+    p = np.array([[0.3, 0.2]])
+    errs = {step: [np.max(np.abs(hessian_batch(_sin_exp, p, FDConfig(richardson=k), step=step)[0] - exact))
+                   for k in (1, 2, 3, 4)] for step in (0.1, 0.2)}
+    wide = errs[0.2]                        # truncation-dominated: every level gains 100x or more
+    assert all(wide[k + 1] < wide[k] / 100 for k in range(3)), wide
+    # at step 0.1 depths 3 and 4 reach the rounding floor; the running update gave 2.0e-5 and 4.5e-6
+    assert errs[0.1][1] < errs[0.1][0] / 100 and max(errs[0.1][2:]) < 1e-12, errs[0.1]
+
+
+def test_richardson_depth_two_matches_running_update():
+    rng = np.random.default_rng(3)
+    for shape in [(2,), (3, 4, 4)]:
+        a, b = rng.normal(size=shape), rng.normal(size=shape)
+        assert np.array_equal(diffgeo._richardson([a, b]), _running_richardson([a, b]))
+    P = np.array([[0.3, -0.2, 1.1], [-0.7, 0.4, 0.05]])
+    step = np.array([1e-2, 2e-2, 5e-3])
+    levels = [diffgeo._second_differences(diffgeo._stencil_values(_poly_vector, P, h), h)
+              for h in diffgeo._halvings(step, 2)]
+    assert np.array_equal(hessian_batch(_poly_vector, P, FDConfig(), step=step), _running_richardson(levels))

@@ -4,12 +4,14 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from flagcones.charts import make_spec
+from flagcones import diffgeo
+from flagcones.charts import Chart, make_spec, resolve_case, ricci_flat_exponent
 from flagcones.diffgeo import FDConfig
 from flagcones.roots import ConfigurationError
 from flagcones.verify import (check_cone_ricci_flat, check_einstein_weyl,
                               check_kahler_einstein_base, check_lck,
-                              check_vaisman, run_suite, sample_points)
+                              check_vaisman, conformal_fields,
+                              coordinate_scales, run_suite, sample_points)
 
 CFG = FDConfig()
 
@@ -72,7 +74,7 @@ def test_kahler_einstein_base_cases():
     for case in ["cp:1", "wallach"]:
         spec = make_spec(case)
         samples = sample_points(spec, 7, 8, base_only=True)
-        rep = check_kahler_einstein_base(case, samples, CFG)
+        rep = check_kahler_einstein_base(make_spec(case), samples, CFG)
         assert rep.verdict, case
 
 
@@ -179,3 +181,106 @@ def test_embedding_cells_pass_with_margin_over_seeds(case, ell):
         rep = run_suite("embedding", case, seed=seed, ell=ell)
         margin = max(r.max / r.tolerance for r in rep.residuals if not r.advisory)
         assert rep.verdict and margin <= 0.5, (seed, margin)
+
+
+# -- the analytic Kahler layer against finite differences of the potential --------
+
+FIELD_CASES = ["cp:1", "cp:2", "gr24", "grassmann:4:2", "grassmann:5:3", "wallach", "fullflag:A:3",
+               "quadric:5", "quadric:6", "quadric:8", "conifold"]
+
+
+def _gap(ref, other):
+    return np.max(np.abs(ref - other)) / np.max(np.abs(ref))
+
+
+def _fd_fields(spec, p):
+    """Reference: complex Hessian / K, g_tilde, theta and Omega by finite differences of the potential."""
+    F0, logF = spec.field(), spec.log_field()
+    scale = float(F0(p[None, :])[0])
+    F = lambda P: F0(P) / scale
+    P, s = p[None, :], coordinate_scales(spec, p)
+    K = F(P)[0]
+    return (diffgeo.complex_hessian_batch(F, P, CFG, step=CFG.hessian_step * s)[0] / K,
+            diffgeo.metric_batch(F, P, CFG, step=CFG.hessian_step * s)[0] / K,
+            -diffgeo.grad_batch(logF, P, CFG, step=CFG.base_step * s)[0],
+            diffgeo.kahler_form_batch(F, P, CFG, step=CFG.hessian_step * s)[0] / K)
+
+
+@pytest.mark.parametrize("case", FIELD_CASES)
+def test_analytic_fields_match_finite_differences(case):
+    spec = make_spec(case, b=Q(4, 5))
+    base = spec.base_log_anticanonical()
+    for p in sample_points(spec, 11, 3).points:
+        _, g_tilde, theta, Omega, _ = conformal_fields(spec, CFG, ref=p)
+        P = p[None, :]
+        analytic = (spec.cone_jet()(P)[1][0], g_tilde(P)[0], theta(P)[0], Omega(P)[0])
+        for name, a, fd in zip(("ddbar K / K", "g_tilde", "theta", "Omega"), analytic, _fd_fields(spec, p)):
+            assert _gap(a, fd) <= 1e-8, (name, _gap(a, fd))
+        Hb = spec.base_hessian()(P[:, :-2])[0]
+        assert _gap(Hb, diffgeo.complex_hessian_batch(base, P[:, :-2], CFG)[0]) <= 1e-8
+
+
+FD_SUITES = ("lck", "vaisman", "kahler-einstein", "ricci-flat", "einstein-weyl")
+
+
+@pytest.mark.parametrize("case", ["gr24", "fullflag:A:3"])
+def test_ricci_flat_wrong_exponent_fails_by_margin(case):
+    spec = make_spec(case, b=ricci_flat_exponent(resolve_case(case)) * Q(11, 10))
+    rep = check_cone_ricci_flat(spec, sample_points(spec, 7, 4), CFG, case=case)
+    bad = rep.residuals[0]
+    assert not rep.verdict and bad.max >= 100 * bad.tolerance
+
+
+def test_metric_agreement_closes_every_fd_suite():
+    for suite in FD_SUITES:
+        rep = run_suite(suite, "wallach", seed=3, count=2)
+        last = rep.residuals[-1]
+        assert rep.verdict and last.name == "metric_agreement" and last.tolerance == 1e-8, suite
+    spec = make_spec("hopf:cp1")
+    rep = check_lck(spec, sample_points(spec, 7, 4), CFG, tolerance=1e-6)
+    assert rep.residuals[-1].tolerance == 1e-8         # the suite tolerance leaves it alone
+
+
+def test_metric_agreement_catches_a_wrong_jacobian(monkeypatch):
+    frames = Chart.frames
+    monkeypatch.setattr(Chart, "frames", lambda self, z: [(F, 1.01 * U, V) for F, U, V in frames(self, z)])
+    for suite in FD_SUITES:
+        rep = run_suite(suite, "gr24", seed=3, count=2)
+        last = rep.residuals[-1]
+        assert last.name == "metric_agreement" and not last.passed, suite
+
+
+@pytest.mark.parametrize("suite", ["kahler-einstein", "ricci-flat"])
+def test_full_flag_curvature_suites_pass(suite):
+    """fullflag:A:3 failed these at seed 7 by 2.05x and 7.82x under nested finite differences."""
+    rep = run_suite(suite, "fullflag:A:3", seed=7)
+    assert rep.verdict
+
+
+def _worst_margin(rep):
+    return max(r.max / r.tolerance for r in rep.residuals if not r.advisory)
+
+
+# The positive cells of the benchmark's `jets` workload, and the curvature
+# cells whose inner Hessians are analytic on the largest charts.
+ANALYTIC_CELLS = [("einstein-weyl", "quadric:5"), ("einstein-weyl", "quadric:6"), ("einstein-weyl", "conifold"),
+                  ("vaisman", "quadric:6"), ("ricci-flat", "conifold"),
+                  ("kahler-einstein", "fullflag:A:3"), ("ricci-flat", "fullflag:A:3"),
+                  ("ricci-flat", "grassmann:4:2"), ("ricci-flat", "quadric:8")]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("suite, case", ANALYTIC_CELLS)
+def test_analytic_cells_pass_with_margin_over_seeds(suite, case):
+    """Seeds 0-7 all pass with the worst residual, metric_agreement included, at most half its tolerance."""
+    for seed in range(8):
+        rep = run_suite(suite, case, seed=seed)
+        assert rep.verdict and _worst_margin(rep) <= 0.5, (seed, _worst_margin(rep))
+
+
+@pytest.mark.slow
+def test_einstein_weyl_conifold_control_fails_over_seeds():
+    """The `jets` control: b = 1 on the conifold fails by at least 100x at seeds 0-7."""
+    for seed in range(8):
+        rep = run_suite("einstein-weyl", "conifold", seed=seed, b=Q(1))
+        assert not rep.verdict and _worst_margin(rep) >= 100, (seed, _worst_margin(rep))
