@@ -8,7 +8,8 @@ that evaluates the same quantity through the module machinery.  Each
 frame with rank-one Jacobians ``d_a F = u_a v_a^T`` (``Chart.frames``): the
 first columns of the big-cell unipotent ``n(z)`` on wedge charts (projective
 spaces, Grassmannians, full flags of type A), constant unit ``d_a F``, where
-``h_closed`` takes the leading Gram minors by one Hermitian elimination on
+``h_closed`` takes the leading Gram minors (``fullflag_h``, or
+``grassmann_h`` on the block below ``1_k``) by one Hermitian elimination on
 both the exact and the float path; the section ``(1, zeta/sqrt2, q/4)`` on
 quadrics, ``d_a F`` linear in ``zeta``; ``[1; z_j]`` per product factor.
 ``log_gram_jets`` turns ``(F, U, V)`` into closed-form ``d log h`` and
@@ -240,8 +241,11 @@ class Chart:
         """Closed-form fundamental potentials, shape (..., n_gen)."""
         if self.kind == "wedge":
             n, r, slots = self._wedge()
-            h = gram_minors(_big_cell(n, slots, z, exact=_is_exact_vecz(z), cols=r))
-            return h[r - self.n_gen:] if isinstance(h, tuple) else h[..., r - self.n_gen:]
+            if self.params.get("full"):
+                return fullflag_h(n, z)
+            F = _big_cell(n, slots, z, exact=_is_exact_vecz(z), cols=r)     # [1_k; Z]
+            h = grassmann_h(n, r, F[r:] if isinstance(F, tuple) else F[..., r:, :])
+            return (h,) if isinstance(h, Fraction) else h[..., None]
         if self.kind == "quadric":
             val = quadric_h(self.params["N"], z)
             return (val,) if isinstance(val, Fraction) else np.asarray(val)[..., None]

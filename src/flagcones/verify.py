@@ -197,6 +197,18 @@ def conformal_fields(spec: PotentialSpec, cfg: FDConfig, ref=None):
     return F, g_tilde, theta, Omega, cone_metric
 
 
+def _open_report(suite: str, spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig],
+                 tolerance: Optional[float], case: str):
+    """``(cfg, report, suite gate, metric_agreement gate)``: the defaults, or ``tolerance`` for every residual."""
+    cfg = cfg or FDConfig()
+    rep = VerificationReport(case=case or spec.chart.name, suite=suite, seed=samples.seed,
+                             count=samples.count, fd=cfg.echo())
+    if tolerance is None:
+        return (cfg, rep, DEFAULT_TOLERANCES.get(suite, DEFAULT_TOLERANCES["curvature"]),
+                DEFAULT_TOLERANCES["metric_agreement"])
+    return cfg, rep, tolerance, tolerance
+
+
 def _gap(ref: np.ndarray, other: np.ndarray) -> float:
     """max |ref - other| relative to max |ref|."""
     return np.max(np.abs(ref - other)) / max(np.max(np.abs(ref)), 1e-30)
@@ -229,16 +241,13 @@ def lck_data(spec: PotentialSpec, p, cfg: Optional[FDConfig] = None):
 # ---------------------------------------------------------------------------
 
 def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] = None,
-              tolerance: float = DEFAULT_TOLERANCES["lck"], case: str = "",
-              corrupt_theta: float = 1.0,
-              agreement_tolerance: float = DEFAULT_TOLERANCES["metric_agreement"]) -> VerificationReport:
+              tolerance: Optional[float] = None, case: str = "",
+              corrupt_theta: float = 1.0) -> VerificationReport:
     """d Omega = theta ^ Omega, d theta = 0 and constancy of |theta|.
 
     ``corrupt_theta`` rescales the Lee form to provide a negative control.
     """
-    cfg = cfg or FDConfig()
-    rep = VerificationReport(case=case or spec.chart.name, suite="lck", seed=samples.seed,
-                             count=samples.count, fd=cfg.echo())
+    cfg, rep, tolerance, tol_agree = _open_report("lck", spec, samples, cfg, tolerance, case)
     r_lck, r_dth, norms, r_agree = [], [], [], []
     for p in samples.points:
         F, g_tilde, theta, Omega, _ = conformal_fields(spec, cfg, ref=p)
@@ -257,18 +266,15 @@ def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] =
     rep.add("lee_closed", r_dth, tolerance)
     norms = np.asarray(norms)
     rep.add("lee_norm_constant", np.abs(norms - norms.mean()) / norms.mean(), tolerance)
-    rep.add("metric_agreement", r_agree, agreement_tolerance)
+    rep.add("metric_agreement", r_agree, tol_agree)
     return rep
 
 
 def check_vaisman(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] = None,
-                  tolerance: float = DEFAULT_TOLERANCES["vaisman"], case: str = "",
-                  metric: str = "vaisman",
-                  agreement_tolerance: float = DEFAULT_TOLERANCES["metric_agreement"]) -> VerificationReport:
+                  tolerance: Optional[float] = None, case: str = "",
+                  metric: str = "vaisman") -> VerificationReport:
     """Parallelism of the Lee form; ``metric='cone'`` is a negative control."""
-    cfg = cfg or FDConfig()
-    rep = VerificationReport(case=case or spec.chart.name, suite="vaisman", seed=samples.seed,
-                             count=samples.count, fd=cfg.echo())
+    cfg, rep, tolerance, tol_agree = _open_report("vaisman", spec, samples, cfg, tolerance, case)
     vals, r_agree = [], []
     for p in samples.points:
         F, g_tilde, theta, _, cone_metric = conformal_fields(spec, cfg, ref=p)
@@ -278,25 +284,21 @@ def check_vaisman(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfi
         vals.append(np.max(np.abs(nab)) / max(np.max(np.abs(th)), 1e-30))
         r_agree.append(_metric_agreement(spec, cfg, F, p, g_tilde(p[None, :])[0]))
     rep.add("lee_parallel", vals, tolerance)
-    rep.add("metric_agreement", r_agree, agreement_tolerance)
+    rep.add("metric_agreement", r_agree, tol_agree)
     if metric != "vaisman":
         rep.notes.append("negative control: Lee form differentiated with the unrescaled cone metric")
     return rep
 
 
 def check_kahler_einstein_base(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] = None,
-                               tolerance: float = DEFAULT_TOLERANCES["curvature"],
-                               case: str = "",
-                               agreement_tolerance: float = DEFAULT_TOLERANCES["metric_agreement"]) -> VerificationReport:
+                               tolerance: Optional[float] = None, case: str = "") -> VerificationReport:
     """Ricci form of the anticanonical potential equals i ddbar log h_delta.
 
     The Ricci form is one finite-difference Hessian of log det of the
     analytic base Hessian; ``i ddbar log h_delta`` is finite differences of
     ``log h_delta`` itself.
     """
-    cfg = cfg or FDConfig()
-    rep = VerificationReport(case=case or spec.chart.name, suite="kahler-einstein", seed=samples.seed,
-                             count=samples.count, fd=cfg.echo())
+    cfg, rep, tolerance, tol_agree = _open_report("kahler-einstein", spec, samples, cfg, tolerance, case)
     Fb = spec.base_log_anticanonical()
     Hb = spec.base_hessian()
     vals, r_agree = [], []
@@ -307,21 +309,18 @@ def check_kahler_einstein_base(spec: PotentialSpec, samples: SampleSet, cfg: Opt
         vals.append(_gap(comp, rho))
         r_agree.append(_gap(Hb(p[None, :])[0], diffgeo.complex_hessian(H)))
     rep.add("kahler_einstein", vals, tolerance)
-    rep.add("metric_agreement", r_agree, agreement_tolerance)
+    rep.add("metric_agreement", r_agree, tol_agree)
     return rep
 
 
 def check_cone_ricci_flat(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] = None,
-                          tolerance: float = DEFAULT_TOLERANCES["curvature"], case: str = "",
-                          agreement_tolerance: float = DEFAULT_TOLERANCES["metric_agreement"]) -> VerificationReport:
+                          tolerance: Optional[float] = None, case: str = "") -> VerificationReport:
     """Vanishing Ricci form of the rescaled cone potential K_1^b.
 
     The Ricci form is one finite-difference Hessian of log det of the
     analytic ``ddbar K = K (ddbar K / K)``.
     """
-    cfg = cfg or FDConfig()
-    rep = VerificationReport(case=case or spec.chart.name, suite="ricci-flat", seed=samples.seed,
-                             count=samples.count, fd=cfg.echo())
+    cfg, rep, tolerance, tol_agree = _open_report("ricci-flat", spec, samples, cfg, tolerance, case)
     rep.notes.append(f"outer exponent b = {spec.b}")
     F0 = spec.field()
     jet = spec.cone_jet()
@@ -337,13 +336,12 @@ def check_cone_ricci_flat(spec: PotentialSpec, samples: SampleSet, cfg: Optional
         vals.append(np.max(np.abs(rho)) / max(np.max(np.abs(om)), 1e-30))
         r_agree.append(_gap(H(p[None, :])[0], diffgeo.complex_hessian(fd)))
     rep.add("ricci_flat", vals, tolerance)
-    rep.add("metric_agreement", r_agree, agreement_tolerance)
+    rep.add("metric_agreement", r_agree, tol_agree)
     return rep
 
 
 def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] = None,
-                        tolerance: float = DEFAULT_TOLERANCES["curvature"], case: str = "",
-                        agreement_tolerance: float = DEFAULT_TOLERANCES["metric_agreement"]) -> VerificationReport:
+                        tolerance: Optional[float] = None, case: str = "") -> VerificationReport:
     """Einstein-Weyl residuals of the conformal gauge of K_1^b.
 
     Reports, with t = theta/2 (unit in this gauge):
@@ -355,9 +353,7 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
       * ``metric_agreement``:      analytic g_tilde against metric_batch(F) / F
     Below six real dimensions the records are advisory only.
     """
-    cfg = cfg or FDConfig()
-    rep = VerificationReport(case=case or spec.chart.name, suite="einstein-weyl", seed=samples.seed,
-                             count=samples.count, fd=cfg.echo())
+    cfg, rep, tolerance, tol_agree = _open_report("einstein-weyl", spec, samples, cfg, tolerance, case)
     rep.notes.append(f"outer exponent b = {spec.b}")
     n = spec.real_dim
     advisory = n < 6
@@ -392,7 +388,7 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
     rep.add("weyl_ricci_identity", r_dform, tolerance, advisory)
     rep.add("weyl_ricci_agreement", r_agree, tolerance, advisory)
     rep.add("higgs_compatibility", r_higgs, tolerance, advisory)
-    rep.add("metric_agreement", r_metric, agreement_tolerance, advisory)
+    rep.add("metric_agreement", r_metric, tol_agree, advisory)
     return rep
 
 
@@ -473,6 +469,4 @@ def run_suite(suite: str, case: str, seed: int = 7, count: Optional[int] = None,
         return check_embedding_consistency(spec, samples, lam=lam, cfg=cfg, case=case, **kwargs)
     check = {"lck": check_lck, "vaisman": check_vaisman, "kahler-einstein": check_kahler_einstein_base,
              "ricci-flat": check_cone_ricci_flat, "einstein-weyl": check_einstein_weyl}[suite]
-    # an explicit tolerance gates every residual of the report, metric_agreement included
-    kwargs = {} if tolerance is None else {"tolerance": tolerance, "agreement_tolerance": tolerance}
-    return check(spec, samples, cfg, case=case, **kwargs)
+    return check(spec, samples, cfg, tolerance=tolerance, case=case)

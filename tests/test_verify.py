@@ -237,8 +237,10 @@ def test_metric_agreement_closes_every_fd_suite():
         last = rep.residuals[-1]
         assert rep.verdict and last.name == "metric_agreement" and last.tolerance == 1e-8, suite
     spec = make_spec("hopf:cp1")
+    rep = check_lck(spec, sample_points(spec, 7, 4), CFG)
+    assert [r.tolerance for r in rep.residuals] == [1e-5, 1e-5, 1e-5, 1e-8]
     rep = check_lck(spec, sample_points(spec, 7, 4), CFG, tolerance=1e-6)
-    assert rep.residuals[-1].tolerance == 1e-8         # the suite tolerance leaves it alone
+    assert all(r.tolerance == 1e-6 for r in rep.residuals)     # an explicit tolerance gates every residual
 
 
 def test_metric_agreement_catches_a_wrong_jacobian(monkeypatch):
