@@ -12,6 +12,16 @@ and one Richardson tableau over halved steps.  Nested pipelines (Ricci
 form of a potential) apply it to stencil results; ``ricci_form_of_metric``
 applies it once to an exact complex Hessian field.
 
+``_metric_jets`` (value, first and second derivatives from one full
+stencil) and ``_jacobian_of_field`` serve any array-valued field.  The
+connection and curvature algebra (``weyl_ricci_of_jets``,
+``nabla_of_jets``, ``weyl_symbols_of_jets``, ``weyl_metric_derivative``)
+runs on the jets they return, so one joint field -- metric rows and a
+Lee-form row, ``(m, d+1, d)``, separated by ``split_joint`` -- feeds it from
+a single stencil; the field-pair functions (``weyl_ricci``,
+``nabla_oneform``, ``weyl_christoffel_batch``) are adapters over the same
+algebra.
+
 Conventions (with ``d^c = i (dbar - d)`` and real potentials F):
 
     d^c F        =  J grad F            (as covector components)
@@ -328,31 +338,39 @@ def wedge_one_two(theta: np.ndarray, Omega: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# connections and curvature
+# connections and curvature: algebra on jets
 # ---------------------------------------------------------------------------
+#
+# Jets: a metric g, dg[a, i, j] = d_a g_ij, ddg[a, b, i, j] = d_a d_b g_ij,
+# a Lee form theta and dtheta[a, i] = d_a theta_i.
 
-def christoffel_batch(g_field, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    """Levi-Civita symbols Gamma[k, i, j] for a batched metric field."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    dg = _jacobian_of_field(g_field, P, cfg, cfg.hessian_step if step is None else step)   # dg[m, a, i, j] = d_a g_ij
-    g = g_field(P)
-    ginv = np.linalg.inv(g)
-    # S[m, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    S = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
-    return 0.5 * np.einsum("mkl,mijl->mkij", ginv, S)
+def split_joint(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Metric rows and Lee-form row of joint values or jets (..., d+1, d)."""
+    return np.ascontiguousarray(v[..., :-1, :]), np.ascontiguousarray(v[..., -1, :])
 
 
-def christoffel(g_field, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    return christoffel_batch(g_field, np.asarray(p)[None, :], cfg, step)[0]
+def _first_kind(dg: np.ndarray) -> np.ndarray:
+    """S[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij from dg[..., a, i, j]."""
+    return dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
 
 
-def nabla_oneform(theta_field, g_field, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
+def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Levi-Civita symbols Gamma[..., k, i, j] from the inverse metric and dg."""
+    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, _first_kind(dg))
+
+
+def _weyl_shift(g: np.ndarray, ginv: np.ndarray, theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(W, A)``: D = nabla + W with W^k_ij = -(theta_i delta^k_j + theta_j delta^k_i - g_ij A^k)/2, A = g^-1 theta."""
+    A = (ginv @ theta[..., None])[..., 0]
+    eye = np.eye(theta.shape[-1])
+    W = -0.5 * (np.einsum("...i,kj->...kij", theta, eye) + np.einsum("...j,ki->...kij", theta, eye)
+                - np.einsum("...ij,...k->...kij", g, A))
+    return W, A
+
+
+def _nabla(G: np.ndarray, theta: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
     """(nabla theta)_ij = d_i theta_j - Gamma^k_ij theta_k."""
-    p = np.asarray(p, dtype=float)
-    D = _jacobian_of_field(theta_field, p[None, :], cfg, cfg.hessian_step if step is None else step)[0]
-    G = christoffel(g_field, p, cfg, step)
-    th = theta_field(p[None, :])[0]
-    return D - np.einsum("kij,k->ij", G, th)
+    return dtheta - np.einsum("...kij,...k->...ij", G, theta)
 
 
 def _ricci_from_symbols(G: np.ndarray, dG: np.ndarray) -> np.ndarray:
@@ -364,69 +382,35 @@ def _ricci_from_symbols(G: np.ndarray, dG: np.ndarray) -> np.ndarray:
     return t1 - t2 + t3 - t4
 
 
-def _metric_jets(g_field, p, cfg: FDConfig, step: Optional[float] = None):
-    """Metric, first and second derivatives at a point.
-
-    Returns (g, dg, ddg) with dg[a, i, j] = d_a g_ij and
-    ddg[a, b, i, j] = d_a d_b g_ij, all read from one full stencil
-    evaluation per Richardson level.
-    """
-    P = np.asarray(p, dtype=float)[None, :]
-    d = P.shape[1]
-    h0 = _axis_steps(P[0], cfg.jet_step if step is None else step)
-    levels = [(_stencil_values(g_field, P, h), h) for h in _halvings(h0, cfg.richardson)]
-    g = levels[0][0][0, 0]
-    dg = _richardson(_first_differences(v[:, 1:2 * d + 1], h) for v, h in levels)
-    ddg = _richardson(_second_differences(v, h) for v, h in levels)
-    return g, dg[0], ddg[0]
-
-
 def _symbol_jets(g, dg, ddg):
-    """Levi-Civita symbols and their first derivatives from metric jets."""
+    """``(g^-1, d g^-1, Gamma, d Gamma)`` at a point from metric jets."""
     ginv = np.linalg.inv(g)
-    S = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)               # S[i,j,l]
-    G = 0.5 * np.einsum("kl,ijl->kij", ginv, S)
     dginv = -np.einsum("km,amn,nl->akl", ginv, dg, ginv)
-    # dS[a,i,j,l] = d_a S_ijl from the symmetric second derivatives
-    dS = ddg + ddg.transpose(0, 2, 1, 3) - ddg.transpose(0, 2, 3, 1)
-    dG = 0.5 * (np.einsum("akl,ijl->akij", dginv, S) + np.einsum("kl,aijl->akij", ginv, dS))
-    return ginv, G, dG
+    # d_a S from the symmetric second derivatives
+    dS = _first_kind(ddg)
+    dG = 0.5 * (np.einsum("akl,ijl->akij", dginv, _first_kind(dg)) + np.einsum("kl,aijl->akij", ginv, dS))
+    return ginv, dginv, _christoffel(ginv, dg), dG
 
 
-def ricci(g_field, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    """Ricci tensor of a batched metric field.
-
-    The Christoffel derivatives are assembled algebraically from first and
-    second finite differences of the metric itself, so no finite
-    difference is ever nested inside another.
-    """
-    g, dg, ddg = _metric_jets(g_field, p, cfg, step)
-    _, G, dG = _symbol_jets(g, dg, ddg)
-    return _ricci_from_symbols(G, dG)
+def nabla_of_jets(g, dg, theta, dtheta) -> np.ndarray:
+    """Levi-Civita derivative of a one-form, batched over leading axes."""
+    return _nabla(_christoffel(np.linalg.inv(g), dg), theta, dtheta)
 
 
-def weyl_christoffel_batch(g_field, theta_field, P: np.ndarray, cfg: FDConfig,
-                           step: Optional[float] = None) -> np.ndarray:
-    """Symbols of D = nabla - (theta . id + id . theta - g tensor A)/2."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    G = christoffel_batch(g_field, P, cfg, step)
-    g = g_field(P)
-    th = theta_field(P)
-    A = np.einsum("mkl,ml->mk", np.linalg.inv(g), th)
-    d = P.shape[1]
-    eye = np.eye(d)
-    corr = (np.einsum("mi,kj->mkij", th, eye) + np.einsum("mj,ki->mkij", th, eye)
-            - np.einsum("mij,mk->mkij", g, A))
-    return G - 0.5 * corr
+def weyl_symbols_of_jets(g, dg, theta) -> np.ndarray:
+    """Symbols of D = nabla - (theta . id + id . theta - g tensor A)/2, batched over leading axes."""
+    ginv = np.linalg.inv(g)
+    return _christoffel(ginv, dg) + _weyl_shift(g, ginv, theta)[0]
 
 
-def weyl_connection(g_field, theta_field, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    return weyl_christoffel_batch(g_field, theta_field, np.asarray(p)[None, :], cfg, step)[0]
+def weyl_metric_derivative(g, dg, theta) -> np.ndarray:
+    """(D g)[..., a, i, j] for the Weyl connection D of (g, theta), which equals theta_a g_ij."""
+    GD = weyl_symbols_of_jets(g, dg, theta)
+    return dg - np.einsum("...kai,...kj->...aij", GD, g) - np.einsum("...kaj,...ik->...aij", GD, g)
 
 
-def weyl_ricci(g_field, theta_field, p, cfg: FDConfig,
-               step: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ricci of the Weyl connection, from curvature and from the identity.
+def weyl_ricci_of_jets(g, dg, ddg, theta, dtheta) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ricci of the Weyl connection at a point, from curvature and from the identity.
 
     The curvature path assembles the derivative of the Weyl symbols from
     metric and Lee-form jets and contracts the curvature directly.  The
@@ -440,27 +424,93 @@ def weyl_ricci(g_field, theta_field, p, cfg: FDConfig,
     callers can report the cross-validation residual, followed by the
     Levi-Civita Ricci tensor ``Ric`` of the same metric jets.
     """
-    p = np.asarray(p, dtype=float)
-    n = len(p)
-    g, dg, ddg = _metric_jets(g_field, p, cfg, step)
-    ginv, G, dG = _symbol_jets(g, dg, ddg)
-    th = theta_field(p[None, :])[0]
-    dth = _jacobian_of_field(theta_field, p[None, :], cfg, cfg.jet_step if step is None else step)[0]
-    A = ginv @ th
+    n = len(theta)
+    ginv, dginv, G, dG = _symbol_jets(g, dg, ddg)
+    W, A = _weyl_shift(g, ginv, theta)
     eye = np.eye(n)
-    W = -0.5 * (np.einsum("i,kj->kij", th, eye) + np.einsum("j,ki->kij", th, eye)
-                - np.einsum("ij,k->kij", g, A))
-    dginv = -np.einsum("km,amn,nl->akl", ginv, dg, ginv)
-    dA = np.einsum("akl,l->ak", dginv, th) + np.einsum("kl,al->ak", ginv, dth)
-    dW = -0.5 * (np.einsum("ai,kj->akij", dth, eye) + np.einsum("aj,ki->akij", dth, eye)
+    dA = np.einsum("akl,l->ak", dginv, theta) + np.einsum("kl,al->ak", ginv, dtheta)
+    dW = -0.5 * (np.einsum("ai,kj->akij", dtheta, eye) + np.einsum("aj,ki->akij", dtheta, eye)
                  - np.einsum("aij,k->akij", dg, A) - np.einsum("ij,ak->akij", g, dA))
     ric_curv = _ricci_from_symbols(G + W, dG + dW)
 
-    t = th / 2.0
-    dt = dth / 2.0
+    t = theta / 2.0
     ric_g = _ricci_from_symbols(G, dG)
-    nab = dt - np.einsum("kij,k->ij", G, t)
+    nab = _nabla(G, t, dtheta / 2.0)
     div = np.einsum("ij,ij->", ginv, nab)
     norm2 = t @ ginv @ t
     ric_formula = ric_g + div * g + (n - 2) * (nab - norm2 * g + np.outer(t, t))
     return ric_curv, ric_formula, ric_g
+
+
+# ---------------------------------------------------------------------------
+# connections and curvature of batched fields
+# ---------------------------------------------------------------------------
+
+def _metric_jets(g_field, p, cfg: FDConfig, step: Optional[float] = None):
+    """A field's value, first and second derivatives at a point.
+
+    Returns (g, dg, ddg) with dg[a, ...] = d_a g and ddg[a, b, ...] =
+    d_a d_b g, all read from one full stencil evaluation per Richardson
+    level; any array-valued field works, a joint metric and Lee-form field
+    included.
+    """
+    P = np.asarray(p, dtype=float)[None, :]
+    d = P.shape[1]
+    h0 = _axis_steps(P[0], cfg.jet_step if step is None else step)
+    levels = [(_stencil_values(g_field, P, h), h) for h in _halvings(h0, cfg.richardson)]
+    g = levels[0][0][0, 0]
+    dg = _richardson(_first_differences(v[:, 1:2 * d + 1], h) for v, h in levels)
+    ddg = _richardson(_second_differences(v, h) for v, h in levels)
+    return g, dg[0], ddg[0]
+
+
+def christoffel_batch(g_field, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
+    """Levi-Civita symbols Gamma[k, i, j] for a batched metric field."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    dg = _jacobian_of_field(g_field, P, cfg, cfg.hessian_step if step is None else step)
+    return _christoffel(np.linalg.inv(g_field(P)), dg)
+
+
+def christoffel(g_field, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
+    return christoffel_batch(g_field, np.asarray(p)[None, :], cfg, step)[0]
+
+
+def nabla_oneform(theta_field, g_field, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
+    """(nabla theta)_ij = d_i theta_j - Gamma^k_ij theta_k."""
+    P = np.asarray(p, dtype=float)[None, :]
+    step = cfg.hessian_step if step is None else step
+    dth = _jacobian_of_field(theta_field, P, cfg, step)[0]
+    dg = _jacobian_of_field(g_field, P, cfg, step)[0]
+    return nabla_of_jets(g_field(P)[0], dg, theta_field(P)[0], dth)
+
+
+def ricci(g_field, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
+    """Ricci tensor of a batched metric field.
+
+    The Christoffel derivatives are assembled algebraically from first and
+    second finite differences of the metric itself, so no finite
+    difference is ever nested inside another.
+    """
+    _, _, G, dG = _symbol_jets(*_metric_jets(g_field, p, cfg, step))
+    return _ricci_from_symbols(G, dG)
+
+
+def weyl_christoffel_batch(g_field, theta_field, P: np.ndarray, cfg: FDConfig,
+                           step: Optional[float] = None) -> np.ndarray:
+    """Symbols of D = nabla - (theta . id + id . theta - g tensor A)/2."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    dg = _jacobian_of_field(g_field, P, cfg, cfg.hessian_step if step is None else step)
+    return weyl_symbols_of_jets(g_field(P), dg, theta_field(P))
+
+
+def weyl_connection(g_field, theta_field, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
+    return weyl_christoffel_batch(g_field, theta_field, np.asarray(p)[None, :], cfg, step)[0]
+
+
+def weyl_ricci(g_field, theta_field, p, cfg: FDConfig,
+               step: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``weyl_ricci_of_jets`` of a metric field and a Lee-form field, both differentiated at ``jet_step``."""
+    P = np.asarray(p, dtype=float)[None, :]
+    g, dg, ddg = _metric_jets(g_field, p, cfg, step)
+    dth = _jacobian_of_field(theta_field, P, cfg, cfg.jet_step if step is None else step)[0]
+    return weyl_ricci_of_jets(g, dg, ddg, theta_field(P)[0], dth)

@@ -20,7 +20,7 @@ Simple-root indices are 1-based throughout the public interface.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -62,6 +62,8 @@ class RootSystem:
     cartan_matrix: Tuple[Tuple[int, ...], ...]   # entry [i][j] = <alpha_i, coroot_j>
     fundamental_weights: Tuple[Eps, ...]
     killing_eps_scale: Fraction                  # kappa* = (dot of traceless reps) / scale
+    # simple-root coefficients of each positive root, in positive_roots order
+    positive_coefficients: Tuple[Tuple[Fraction, ...], ...] = field(compare=False, repr=False)
 
     def coroot_pairing(self, v: Eps, j: int) -> Fraction:
         """<v, h_{alpha_j}^vee> = 2 (v, alpha_j) / (alpha_j, alpha_j), j 1-based."""
@@ -211,6 +213,10 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         "D": Fraction(4 * (rank - 1)),
     }[series]
 
+    # Gram system: sum_k c_k (alpha_k, alpha_j) = (root, alpha_j), every positive root at once
+    gram = [[_dot(a, b) for b in simple] for a in simple]
+    coeffs = frac_solve(gram, [[_dot(root, a) for root in positive] for a in simple])
+
     return RootSystem(
         series=series,
         rank=rank,
@@ -220,6 +226,7 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         cartan_matrix=cartan,
         fundamental_weights=tuple(fundamental),
         killing_eps_scale=scale,
+        positive_coefficients=tuple(zip(*coeffs)),
     )
 
 
@@ -227,14 +234,12 @@ def pairing(w: Weight, alpha_index: int) -> Fraction:
     return w.pairing(alpha_index)
 
 
-@lru_cache(maxsize=None)
 def simple_root_expansion(rs: RootSystem, root: Eps) -> Tuple[Fraction, ...]:
-    """Coefficients of a root in the simple-root basis (exact solve)."""
-    # Gram system: sum_k c_k (alpha_k, alpha_j) = (root, alpha_j)
-    gram = [[_dot(a, b) for b in rs.simple_roots] for a in rs.simple_roots]
-    rhs = [[_dot(root, a)] for a in rs.simple_roots]
-    sol = frac_solve(gram, rhs)
-    return tuple(row[0] for row in sol)
+    """Coefficients of a positive root in the simple-root basis."""
+    try:
+        return rs.positive_coefficients[rs.positive_roots.index(tuple(root))]
+    except ValueError:
+        raise ConfigurationError(f"{root} is not a positive root of {rs.series}{rs.rank}") from None
 
 
 @dataclass(frozen=True)
@@ -270,8 +275,7 @@ def flag(rs: RootSystem, theta: Iterable[int]) -> FlagDescriptor:
         raise ConfigurationError("theta must be a proper subset of the simple roots")
 
     radical = []
-    for root in rs.positive_roots:
-        coeffs = simple_root_expansion(rs, root)
+    for root, coeffs in zip(rs.positive_roots, rs.positive_coefficients):
         support = {k + 1 for k, c in enumerate(coeffs) if c != 0}
         if not support <= theta:
             radical.append(root)

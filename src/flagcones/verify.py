@@ -10,7 +10,9 @@ configuration).
 The inner fields are analytic: ``g_tilde``, ``theta``, ``Omega`` and the
 complex Hessians under the Ricci forms come in closed form from the chart
 frames (``PotentialSpec.cone_jet``, ``base_hessian``), so one finite-difference
-level is left above them.  Finite differences of the potential stay as an
+level is left above them.  ``g_tilde`` and ``theta`` travel as one joint
+field (``conformal_fields``): each stencil evaluates the cone jet once and
+reads the metric, the Lee form and ``Omega = -g_tilde J`` from it.  Finite differences of the potential stay as an
 independent route: each finite-difference suite ends with a
 ``metric_agreement`` residual, the relative gap per sample between the
 analytic complex Hessian (``kahler-einstein``, ``ricci-flat``) or
@@ -156,17 +158,18 @@ def coordinate_scales(spec: PotentialSpec, ref: np.ndarray) -> np.ndarray:
 
 
 def conformal_fields(spec: PotentialSpec, cfg: FDConfig, ref=None):
-    """Batched fields of the conformal cone geometry of K = K_1^b.
+    """The potential and the joint conformal field of the cone geometry of K = K_1^b.
 
-    Returns (K, g_tilde, theta, Omega_tilde, cone_metric): the Vaisman
-    gauge ``e^(-2 psi) omega_C(., J.)`` with ``psi = log K / 2`` and the
-    Lee form ``theta = -d log K``, from the cone jet ``(phi_a, ddbar K / K)``:
-    ``g_tilde`` is the real form of ``ddbar K / K``, ``theta`` has
-    components ``(-2b Re phi_a, 2b Im phi_a)``, ``Omega_tilde = -g_tilde J``
-    and ``cone_metric = g_tilde K``.  When a reference point is supplied
-    ``K`` is divided by its value there, which keeps finite differences of
-    it well conditioned when K is large; the conformal quantities do not
-    depend on that constant.
+    Returns ``(K, cone)``.  ``cone(P)`` is one batched field (m, d+1, d)
+    read from a single cone-jet ``(phi_a, ddbar K / K)`` evaluation: rows
+    0..d-1 hold the Vaisman gauge ``g_tilde = e^(-2 psi) omega_C(., J.)``
+    with ``psi = log K / 2`` (the real form of ``ddbar K / K``) and row d the
+    Lee form ``theta = -d log K``, with components ``(-2b Re phi_a, 2b Im phi_a)``.
+    ``diffgeo.split_joint`` separates the two; ``Omega_tilde = -g_tilde J``
+    and the cone metric ``g_tilde K`` are read from the metric rows.  When a
+    reference point is supplied ``K`` is divided by its value there, which
+    keeps finite differences of it well conditioned when K is large; the
+    conformal quantities do not depend on that constant.
     """
     F0 = spec.field()
     jet = spec.cone_jet()
@@ -176,25 +179,15 @@ def conformal_fields(spec: PotentialSpec, cfg: FDConfig, ref=None):
     def F(P):
         return F0(P) / scale
 
-    def checked_jet(P):
+    def cone(P):
         P = np.atleast_2d(P)
         if np.any(np.hypot(P[..., 2 * spec.chart.n_z], P[..., 2 * spec.chart.n_z + 1]) < cfg.w_floor):
             raise diffgeo.ChartDegeneracyError("sample too close to the w = 0 fiber")
-        return jet(P)
+        phi, H = jet(P)
+        theta = -2.0 * b * np.ascontiguousarray(np.conj(phi)).view(float)   # interleaved (Re, -Im) of conj(phi_a)
+        return np.concatenate([diffgeo.metric_of_complex_hessian(H), theta[:, None, :]], axis=1)
 
-    def g_tilde(P):
-        return diffgeo.metric_of_complex_hessian(checked_jet(P)[1])
-
-    def theta(P):        # interleaved (Re, -Im) of conj(phi_a), times -2b
-        return -2.0 * b * np.ascontiguousarray(np.conj(checked_jet(P)[0])).view(float)
-
-    def Omega(P):
-        return -g_tilde(P) @ diffgeo.complex_structure(spec.real_dim)
-
-    def cone_metric(P):
-        return g_tilde(P) * F(np.atleast_2d(P))[:, None, None]
-
-    return F, g_tilde, theta, Omega, cone_metric
+    return F, cone
 
 
 def _open_report(suite: str, spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig],
@@ -224,14 +217,14 @@ def lck_data(spec: PotentialSpec, p, cfg: Optional[FDConfig] = None):
     """Pointwise Lee form, anti-Lee form, conformal 2-form and metric."""
     cfg = cfg or FDConfig()
     p = np.asarray(p, dtype=float)
-    _, g_tilde, theta, Omega, _ = conformal_fields(spec, cfg, ref=p)
-    th = theta(p[None, :])[0]
+    _, cone = conformal_fields(spec, cfg, ref=p)
+    g, th = diffgeo.split_joint(cone(p[None, :])[0])
     J = diffgeo.complex_structure(len(p))
     return {
         "theta": th,
         "anti_lee": J @ th,
-        "omega": Omega(p[None, :])[0],
-        "metric": g_tilde(p[None, :])[0],
+        "omega": -g @ J,
+        "metric": g,
         "psi": 0.5 * float(spec.log_field()(p[None, :])[0]),
     }
 
@@ -248,18 +241,19 @@ def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] =
     ``corrupt_theta`` rescales the Lee form to provide a negative control.
     """
     cfg, rep, tolerance, tol_agree = _open_report("lck", spec, samples, cfg, tolerance, case)
+    J = diffgeo.complex_structure(spec.real_dim)
     r_lck, r_dth, norms, r_agree = [], [], [], []
     for p in samples.points:
-        F, g_tilde, theta, Omega, _ = conformal_fields(spec, cfg, ref=p)
-        th = corrupt_theta * theta(p[None, :])[0]
-        Om = Omega(p[None, :])[0]
-        dOm = diffgeo.d_twoform(Omega, p, cfg)
+        F, cone = conformal_fields(spec, cfg, ref=p)
+        g, th = diffgeo.split_joint(cone(p[None, :])[0])
+        th = corrupt_theta * th
+        Om = -g @ J
+        dOm = diffgeo.d_twoform(lambda P: -diffgeo.split_joint(cone(P))[0] @ J, p, cfg)
         wedge = diffgeo.wedge_one_two(th, Om)
         scale = max(np.max(np.abs(wedge)), 1e-30)
         r_lck.append(np.max(np.abs(dOm - wedge)) / scale)
-        dth = diffgeo.d_oneform(theta, p, cfg)
+        dth = diffgeo.d_oneform(lambda P: cone(P)[:, -1], p, cfg)
         r_dth.append(np.max(np.abs(dth)) / max(np.max(np.abs(th)), 1e-30))
-        g = g_tilde(p[None, :])[0]
         norms.append(float(th @ np.linalg.solve(g, th)))
         r_agree.append(_metric_agreement(spec, cfg, F, p, g))
     rep.add("lck_two_form", r_lck, tolerance)
@@ -270,6 +264,16 @@ def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] =
     return rep
 
 
+def _with_cone_metric(cone, F):
+    """The joint field with the unrescaled cone metric ``g_tilde K`` in its metric rows."""
+    def field(P):
+        v = cone(P)
+        v[:, :-1] *= F(P)[:, None, None]
+        return v
+
+    return field
+
+
 def check_vaisman(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] = None,
                   tolerance: Optional[float] = None, case: str = "",
                   metric: str = "vaisman") -> VerificationReport:
@@ -277,12 +281,15 @@ def check_vaisman(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfi
     cfg, rep, tolerance, tol_agree = _open_report("vaisman", spec, samples, cfg, tolerance, case)
     vals, r_agree = [], []
     for p in samples.points:
-        F, g_tilde, theta, _, cone_metric = conformal_fields(spec, cfg, ref=p)
-        gfield = g_tilde if metric == "vaisman" else cone_metric
-        nab = diffgeo.nabla_oneform(theta, gfield, p, cfg)
-        th = theta(p[None, :])[0]
+        F, cone = conformal_fields(spec, cfg, ref=p)
+        g, th = diffgeo.split_joint(cone(p[None, :])[0])
+        field, gp = cone, g
+        if metric != "vaisman":
+            field, gp = _with_cone_metric(cone, F), g * F(p[None, :])[0]
+        dg, dth = diffgeo.split_joint(diffgeo._jacobian_of_field(field, p[None, :], cfg, cfg.hessian_step)[0])
+        nab = diffgeo.nabla_of_jets(gp, dg, th, dth)
         vals.append(np.max(np.abs(nab)) / max(np.max(np.abs(th)), 1e-30))
-        r_agree.append(_metric_agreement(spec, cfg, F, p, g_tilde(p[None, :])[0]))
+        r_agree.append(_metric_agreement(spec, cfg, F, p, g))
     rep.add("lee_parallel", vals, tolerance)
     rep.add("metric_agreement", r_agree, tol_agree)
     if metric != "vaisman":
@@ -361,25 +368,23 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
         rep.notes.append("real dimension below 6: residuals reported informationally")
     r_ric, r_dcurv, r_dform, r_agree, r_higgs, r_metric = [], [], [], [], [], []
     for p in samples.points:
-        F, g_tilde, theta, _, _ = conformal_fields(spec, cfg, ref=p)
-        jet_step = cfg.jet_step * coordinate_scales(spec, p)
-        g = g_tilde(p[None, :])[0]
+        F, cone = conformal_fields(spec, cfg, ref=p)
+        # one joint stencil gives g and theta at p and their jets
+        jets = diffgeo._metric_jets(cone, p, cfg, step=cfg.jet_step * coordinate_scales(spec, p))
+        (g, th), (dg, dth), (ddg, _) = map(diffgeo.split_joint, jets)
         ginv = np.linalg.inv(g)
-        th = theta(p[None, :])[0]
         t = th / 2.0
         target = (n - 2) * ((t @ ginv @ t) * g - np.outer(t, t))
         scale = max(np.max(np.abs(target)), 1e-30)
-        rc, rf, ric = diffgeo.weyl_ricci(g_tilde, theta, p, cfg, step=jet_step)
+        rc, rf, ric = diffgeo.weyl_ricci_of_jets(g, dg, ddg, th, dth)
         r_ric.append(np.max(np.abs(ric - target)) / scale)
         r_dcurv.append(np.max(np.abs(rc)) / scale)
         r_dform.append(np.max(np.abs(rf)) / scale)
         r_agree.append(np.max(np.abs(rc - rf)) / scale)
-        # D g = theta (x) g
+        # D g = theta (x) g, with dg at the nested step
         nest = cfg.nested_step * coordinate_scales(spec, p)
-        GD_field = lambda P: diffgeo.weyl_christoffel_batch(g_tilde, theta, P, cfg, step=nest)
-        dg = diffgeo._jacobian_of_field(g_tilde, p[None, :], cfg, nest)[0]
-        GD = GD_field(p[None, :])[0]
-        cov = dg - np.einsum("kai,kj->aij", GD, g) - np.einsum("kaj,ik->aij", GD, g)
+        dg, _ = diffgeo.split_joint(diffgeo._jacobian_of_field(cone, p[None, :], cfg, nest)[0])
+        cov = diffgeo.weyl_metric_derivative(g, dg, th)
         tgt = np.einsum("a,ij->aij", th, g)
         r_higgs.append(np.max(np.abs(cov - tgt)) / max(np.max(np.abs(tgt)), 1e-30))
         r_metric.append(_metric_agreement(spec, cfg, F, p, g))

@@ -24,6 +24,7 @@ from flagcones.hvcone import (GammaGroup, casimir_quadric_residual,
 from flagcones.reps import casimir_matrix, sl2_module
 from flagcones.roots import build_root_system, casimir_eigenvalue, flag
 from flagcones.verify import run_suite, sample_points
+from test_roots import oracle_fano
 
 CFG = FDConfig()
 
@@ -59,8 +60,6 @@ def test_criterion_01_fano_index_table():
         for m in (1, 2, 3, 5):
             assert flag(build_root_system("A", m), set(range(2, m + 1))).fano_index == m + 1
         # independent gcd oracle for the rank-four even quadric
-        from test_roots import oracle_fano
-
         assert flag(build_root_system("D", 4), {2, 3, 4}).fano_index == 6 == oracle_fano("D", 4, (2, 3, 4))
 
 

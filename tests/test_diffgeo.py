@@ -215,6 +215,24 @@ def test_weyl_higgs_identity():
     assert np.max(np.abs(cov - np.einsum("a,ij->aij", th, g))) < 1e-5
 
 
+def test_joint_field_route_equals_two_field_route():
+    """The jet algebra fed by one joint (metric, Lee form) field matches the field-pair adapters bit for bit."""
+    spec = make_spec("hopf:cp1")
+    F = spec.field()
+    logF = spec.log_field()
+    gfield = lambda P: metric_batch(F, P, CFG)
+    theta = lambda P: -grad_batch(logF, P, CFG)
+    joint = lambda P: np.concatenate([gfield(P), theta(P)[:, None, :]], axis=1)
+    p = np.array([0.4, -0.1, 1.05, 0.3])
+    (g, th), (dg, dth), (ddg, _) = map(diffgeo.split_joint, diffgeo._metric_jets(joint, p, CFG))
+    joint_route = diffgeo.weyl_ricci_of_jets(g, dg, ddg, th, dth)
+    for a, b in zip(joint_route, weyl_ricci(gfield, theta, p, CFG)):
+        assert np.array_equal(a, b)
+    dg, dth = diffgeo.split_joint(diffgeo._jacobian_of_field(joint, p[None, :], CFG, CFG.hessian_step)[0])
+    assert np.array_equal(diffgeo.nabla_of_jets(g, dg, th, dth), nabla_oneform(theta, gfield, p, CFG))
+    assert np.array_equal(diffgeo.weyl_symbols_of_jets(g, dg, th), weyl_connection(gfield, theta, p, CFG))
+
+
 def test_lee_form_norm_is_two():
     from flagcones.verify import lck_data
 
@@ -240,15 +258,14 @@ def test_chart_degeneracy_guard():
     from flagcones.verify import conformal_fields
 
     spec = make_spec("hopf:cp1")
-    _, g_tilde, theta, Omega, cone_metric = conformal_fields(spec, CFG)
+    _, cone = conformal_fields(spec, CFG)
     with pytest.raises(diffgeo.ChartDegeneracyError):
-        g_tilde(np.array([[0.1, 0.0, 1e-9, 0.0]]))
+        cone(np.array([[0.1, 0.0, 1e-9, 0.0]]))
     good = np.array([[0.1, 0.0, 1.0, 0.3], [0.2, -0.1, 0.0, 0.8]])
     bad = np.array([good[0], [0.2, -0.1, 1e-9, -1e-9], good[1]])   # only the second point
-    for field in (g_tilde, theta, Omega, cone_metric):
-        assert np.all(np.isfinite(field(good)))
-        with pytest.raises(diffgeo.ChartDegeneracyError):
-            field(bad)
+    assert cone(good).shape == (2, 5, 4) and np.all(np.isfinite(cone(good)))
+    with pytest.raises(diffgeo.ChartDegeneracyError):
+        cone(bad)
 
 
 def test_fd_audit_on_catalog_potentials():

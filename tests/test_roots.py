@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flagcones.exact import frac_solve
 from flagcones.roots import (ConfigurationError, build_root_system,
                              casimir_eigenvalue, flag, killing_dual_pairing,
                              mu_of_bundle, simple_root_expansion)
@@ -212,6 +213,18 @@ def test_casimir_sl2():
     assert casimir_eigenvalue(rs.fundamental_weight(1)) == Q(3, 8)
     assert casimir_eigenvalue(rs.weight([2])) == 1
     assert casimir_eigenvalue(rs.weight([0])) == 0
+
+
+@pytest.mark.parametrize("series,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4)])
+def test_simple_root_expansion_matches_one_solve_per_root(series, rank):
+    """The shared solve gives each positive root the coefficients of its own Gram solve."""
+    rs = build_root_system(series, rank)
+    gram = [[sum(x * y for x, y in zip(a, b)) for b in rs.simple_roots] for a in rs.simple_roots]
+    for root in rs.positive_roots:
+        rhs = [[sum(x * y for x, y in zip(root, a))] for a in rs.simple_roots]
+        assert simple_root_expansion(rs, root) == tuple(row[0] for row in frac_solve(gram, rhs))
+    with pytest.raises(ConfigurationError):
+        simple_root_expansion(rs, tuple(-x for x in rs.positive_roots[0]))
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("D", 4)])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from flagcones import diffgeo
-from flagcones.charts import Chart, make_spec, resolve_case, ricci_flat_exponent
+from flagcones.charts import Chart, PotentialSpec, make_spec, resolve_case, ricci_flat_exponent
 from flagcones.diffgeo import FDConfig
 from flagcones.roots import ConfigurationError
 from flagcones.verify import (check_cone_ricci_flat, check_einstein_weyl,
@@ -211,9 +211,11 @@ def test_analytic_fields_match_finite_differences(case):
     spec = make_spec(case, b=Q(4, 5))
     base = spec.base_log_anticanonical()
     for p in sample_points(spec, 11, 3).points:
-        _, g_tilde, theta, Omega, _ = conformal_fields(spec, CFG, ref=p)
+        _, cone = conformal_fields(spec, CFG, ref=p)
         P = p[None, :]
-        analytic = (spec.cone_jet()(P)[1][0], g_tilde(P)[0], theta(P)[0], Omega(P)[0])
+        g, th = diffgeo.split_joint(cone(P)[0])
+        J = diffgeo.complex_structure(len(p))
+        analytic = (spec.cone_jet()(P)[1][0], g, th, -g @ J)
         for name, a, fd in zip(("ddbar K / K", "g_tilde", "theta", "Omega"), analytic, _fd_fields(spec, p)):
             assert _gap(a, fd) <= 1e-8, (name, _gap(a, fd))
         Hb = spec.base_hessian()(P[:, :-2])[0]
@@ -252,6 +254,30 @@ def test_metric_agreement_catches_a_wrong_jacobian(monkeypatch):
         assert last.name == "metric_agreement" and not last.passed, suite
 
 
+def test_cone_jet_evaluations_per_sample(monkeypatch):
+    """One joint field carries g_tilde and theta, so each stencil evaluates the cone jet once."""
+    calls = []
+    cone_jet = PotentialSpec.cone_jet
+
+    def counted(self):
+        jet = cone_jet(self)
+
+        def counting_jet(points):
+            calls.append(len(points))
+            return jet(points)
+
+        return counting_jet
+
+    monkeypatch.setattr(PotentialSpec, "cone_jet", counted)
+    for suite, case, at_most in [("einstein-weyl", "quadric:6", 4), ("vaisman", "quadric:6", 3),
+                                 ("lck", "gr24", 5), ("ricci-flat", "gr24", 3)]:
+        calls.clear()
+        run_suite(suite, case, seed=3, count=4)
+        assert len(calls) <= 4 * at_most, (suite, len(calls) / 4)
+        if suite == "ricci-flat":
+            assert len(calls) == 4 * at_most
+
+
 @pytest.mark.parametrize("suite", ["kahler-einstein", "ricci-flat"])
 def test_full_flag_curvature_suites_pass(suite):
     """fullflag:A:3 failed these at seed 7 by 2.05x and 7.82x under nested finite differences."""
@@ -263,10 +289,11 @@ def _worst_margin(rep):
     return max(r.max / r.tolerance for r in rep.residuals if not r.advisory)
 
 
-# The positive cells of the benchmark's `jets` workload, and the curvature
-# cells whose inner Hessians are analytic on the largest charts.
+# The positive cells of the benchmark's `jets` workload, gr24 `einstein-weyl`
+# (a wedge chart), and the curvature cells whose inner Hessians are analytic
+# on the largest charts.
 ANALYTIC_CELLS = [("einstein-weyl", "quadric:5"), ("einstein-weyl", "quadric:6"), ("einstein-weyl", "conifold"),
-                  ("vaisman", "quadric:6"), ("ricci-flat", "conifold"),
+                  ("einstein-weyl", "gr24"), ("vaisman", "quadric:6"), ("ricci-flat", "conifold"),
                   ("kahler-einstein", "fullflag:A:3"), ("ricci-flat", "fullflag:A:3"),
                   ("ricci-flat", "grassmann:4:2"), ("ricci-flat", "quadric:8")]
 
