@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -187,11 +186,9 @@ def product_h(h1: Callable, h2: Callable, z1, z2):
 def nilpotent_log(M, dim: int):
     """log(1 + X) for strictly triangular X = M - 1, as a terminating series."""
     if isinstance(M, tuple) or _is_exact_block(M):
-        n = len(M)
-        X = [[M[i][j] - QC(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        X = qc_mat(X)
-        from .exact import mat_add, mat_mul
+        from .exact import eye, mat_add, mat_mul, mat_sub
 
+        X = mat_sub(M, eye(len(M)))
         out = X
         power = X
         for k in range(2, dim + 2):
@@ -313,7 +310,7 @@ class Chart:
             n, r, slots = self._wedge()
             k = r - self.n_gen + 1 + gen
             L = nilpotent_log(_big_cell(n, slots, z, exact=exact), n + 1)
-            return derivation_matrix(n, k, L) if exact else _derivation_float(n, k, L)
+            return derivation_matrix(n, k, L)
         if self.kind == "quadric":
             N = self.params["N"]
             if exact:
@@ -390,30 +387,6 @@ class Chart:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _derivation_float(n: int, k: int, L: np.ndarray) -> np.ndarray:
-    from math import comb
-
-    basis = list(combinations(range(1, n + 2), k))
-    index = {b: i for i, b in enumerate(basis)}
-    d = comb(n + 1, k)
-    out = np.zeros((d, d), dtype=complex)
-    for col, subset in enumerate(basis):
-        for pos, i in enumerate(subset):
-            for j in range(1, n + 2):
-                coef = L[j - 1, i - 1]
-                if coef == 0:
-                    continue
-                if j in subset and j != i:
-                    continue
-                new = list(subset)
-                new[pos] = j
-                arranged = sorted(new)
-                inversions = sum(1 for a in range(len(new)) for b in range(a + 1, len(new)) if new[a] > new[b])
-                sign = -1 if inversions % 2 else 1
-                out[index[tuple(arranged)], col] += sign * coef
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,42 @@
 """Exact scalar arithmetic for the combinatorial layers.
 
 Root systems, weights and representation matrices are kept over the
-Gaussian rationals (complex numbers with ``fractions.Fraction`` parts);
-the numerical layers convert to ``complex128`` only at the boundary.
+Gaussian rationals.  A ``QC`` stores three Python ints ``(a + b i) / d``
+in canonical form (``d > 0``, ``gcd(a, b, d) == 1``), so one operation
+costs a few int products and a single gcd; ``fractions.Fraction`` appears
+only where a real part or squared modulus leaves the class.  The
+numerical layers convert to ``complex128`` only at the boundary.
 Matrices here are plain tuples of tuples, sized at most a few dozen, so
 hand-rolled Gaussian elimination is entirely adequate.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
 
 
 class QC:
-    """Gaussian rational: ``re + im*i`` with exact rational parts."""
+    """Gaussian rational ``(a + b i) / d`` over three Python ints.
 
-    __slots__ = ("re", "im")
+    The stored form is canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so
+    equal values have equal fields.  Each operation works on the ints and
+    reduces once with a single three-way ``gcd``; ``re``, ``im`` and
+    ``abs2`` hand out ``Fraction``s at the boundary.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re: Rational = 0, im: Rational = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.denominator, im.denominator
+        d = p // gcd(p, q) * q          # lcm of two reduced denominators: already canonical
+        self.a, self.b, self.d = re.numerator * (d // p), im.numerator * (d // q), d
 
     @staticmethod
     def of(x) -> "QC":
@@ -32,45 +47,62 @@ class QC:
         raise TypeError(f"cannot coerce {type(x).__name__} to QC")
 
     def __add__(self, other):
-        o = QC.of(other)
-        return QC(self.re + o.re, self.im + o.im)
+        o = other if type(other) is QC else QC.of(other)
+        if self.d == o.d:
+            return _reduced(self.a + o.a, self.b + o.b, self.d)
+        return _reduced(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = QC.of(other)
-        return QC(self.re - o.re, self.im - o.im)
+        o = other if type(other) is QC else QC.of(other)
+        if self.d == o.d:
+            return _reduced(self.a - o.a, self.b - o.b, self.d)
+        return _reduced(self.a * o.d - o.a * self.d, self.b * o.d - o.b * self.d, self.d * o.d)
 
     def __rsub__(self, other):
         o = QC.of(other)
-        return QC(o.re - self.re, o.im - self.im)
+        if self.d == o.d:
+            return _reduced(o.a - self.a, o.b - self.b, self.d)
+        return _reduced(o.a * self.d - self.a * o.d, o.b * self.d - self.b * o.d, self.d * o.d)
 
     def __mul__(self, other):
-        o = QC.of(other)
-        return QC(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        o = other if type(other) is QC else QC.of(other)
+        a, b, c, e = self.a, self.b, o.a, o.b
+        return _reduced(a * c - b * e, a * e + b * c, self.d * o.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = QC.of(other)
-        d = o.abs2()
-        if d == 0:
+        o = other if type(other) is QC else QC.of(other)
+        a, b, c, e = self.a, self.b, o.a, o.b
+        n = c * c + e * e
+        if n == 0:
             raise ZeroDivisionError("QC division by zero")
-        return QC((self.re * o.re + self.im * o.im) / d, (self.im * o.re - self.re * o.im) / d)
+        # ((a + b i) / d) / ((c + e i) / f) = f (a + b i)(c - e i) / (d (c^2 + e^2))
+        return _reduced(o.d * (a * c + b * e), o.d * (b * c - a * e), self.d * n)
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return _reduced(-self.a, -self.b, self.d)
 
-    real = property(lambda self: self.re)   # numpy-style name: code reads QC and numpy pivots alike
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
+    real = re   # numpy-style name: code reads QC and numpy pivots alike
 
     def conj(self) -> "QC":
-        return QC(self.re, -self.im)
+        return _reduced(self.a, -self.b, self.d)
 
     def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self.a == 0 and self.b == 0
 
     def __bool__(self):
         return not self.is_zero()
@@ -80,19 +112,34 @@ class QC:
             o = QC.of(other)
         except TypeError:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self):
         return f"QC({self.re!s}, {self.im!s})"
 
 
+_new = object.__new__
+
+
+def _reduced(a: int, b: int, d: int) -> QC:
+    """A QC from fields with ``d > 0``, divided by their common gcd."""
+    g = gcd(a, b, d)
+    z = _new(QC)
+    if g == 1:
+        z.a, z.b, z.d = a, b, d
+    else:
+        z.a, z.b, z.d = a // g, b // g, d // g
+    return z
+
+
 QI = QC(0, 1)
+ZERO = QC(0)        # shared start of the accumulating loops; QC values are never mutated
 
 Mat = tuple  # tuple of tuples of QC
 
@@ -102,7 +149,7 @@ def qc_mat(rows: Sequence[Sequence]) -> Mat:
 
 
 def zeros(n: int, m: int) -> list:
-    return [[QC(0) for _ in range(m)] for _ in range(n)]
+    return [[ZERO] * m for _ in range(n)]
 
 
 def eye(n: int) -> Mat:
@@ -128,7 +175,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     for i in range(n):
         row = []
         for j in range(m):
-            s = QC(0)
+            s = ZERO
             ai = a[i]
             bj = bt[j]
             for l in range(k):
@@ -143,7 +190,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 def mat_vec(a: Mat, v: Sequence[QC]) -> tuple:
     out = []
     for row in a:
-        s = QC(0)
+        s = ZERO
         for x, y in zip(row, v):
             if x and y:
                 s = s + x * y
@@ -161,7 +208,7 @@ def mat_dagger(a: Mat) -> Mat:
 
 
 def mat_trace(a: Mat) -> QC:
-    s = QC(0)
+    s = ZERO
     for i in range(len(a)):
         s = s + a[i][i]
     return s

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import ceil, comb, log
-from typing import Optional, Sequence, Tuple
+from math import ceil, comb, log, sqrt
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .charts import DomainError, PotentialSpec
-from .exact import QC
+from .exact import QC, ZERO
 from .reps import RepSpace, act, casimir_tensor_matrix
 from .roots import Weight, casimir_eigenvalue
 
@@ -87,52 +88,77 @@ def remmert_norm_sq(spec: PotentialSpec, z, w, exact: bool = False):
 # algebraic residuals
 # ---------------------------------------------------------------------------
 
-class _PlueckerCoord:
-    """Antisymmetric access to wedge coordinates indexed by sorted tuples."""
-
-    def __init__(self, n: int, k: int, v):
-        self.index = {b: i for i, b in enumerate(combinations(range(1, n + 2), k))}
-        if len(v) != comb(n + 1, k):
-            raise DomainError("coordinate vector has the wrong dimension")
-        self.v = v
-        self.exact = _all_qc(v)
-
-    def __call__(self, idx: Sequence[int]):
-        idx = list(idx)
-        if len(set(idx)) != len(idx):
-            return QC(0) if self.exact else 0j
-        arranged = tuple(sorted(idx))
-        inversions = sum(1 for a in range(len(idx)) for b in range(a + 1, len(idx)) if idx[a] > idx[b])
-        val = self.v[self.index[arranged]]
-        return -val if inversions % 2 else val
-
-
 def _all_qc(v) -> bool:
     return isinstance(v, (tuple, list)) and all(isinstance(x, QC) for x in v)
+
+
+@lru_cache(maxsize=None)
+def _plucker_table(n: int, k: int) -> tuple:
+    """The Grassmannian quadric relations as ``(sign, i, j)`` index pairs.
+
+    One relation per (k-1)-tuple a and (k+1)-tuple b, in lexicographic
+    order: ``sum_l (-1)^(l+1) Z[a, b_l] Z[b \\ b_l]``, with ``Z[a, b_l]``
+    read at the sorted index ``i`` of ``a + (b_l,)`` times its inversion
+    sign and ``Z[b \\ b_l]`` at ``j``.  Terms with a repeated index vanish
+    and are left out.
+    """
+    index = {b: i for i, b in enumerate(combinations(range(1, n + 2), k))}
+    relations = []
+    for a in combinations(range(1, n + 2), k - 1):
+        for b in combinations(range(1, n + 2), k + 1):
+            terms = []
+            for l, bl in enumerate(b):
+                if bl in a:
+                    continue
+                idx = a + (bl,)
+                inversions = sum(1 for x in a if x > bl)
+                sign = (-1) ** (l + 1 + inversions)
+                terms.append((sign, index[tuple(sorted(idx))], index[b[:l] + b[l + 1:]]))
+            relations.append(tuple(terms))
+    return tuple(relations)
+
+
+@lru_cache(maxsize=None)
+def _plucker_arrays(n: int, k: int) -> tuple:
+    """``_plucker_table`` by term position: ``(sign, i, j)``, each (k+1, relations), sign 0 padding."""
+    table = _plucker_table(n, k)
+    sign, i, j = (np.zeros((k + 1, len(table)), dtype=dt) for dt in (float, int, int))
+    for r, terms in enumerate(table):
+        for p, term in enumerate(terms):
+            sign[p, r], i[p, r], j[p, r] = term
+    return sign, i, j
 
 
 def plucker_residual(n: int, k: int, v):
     """Largest violation of the Grassmannian quadric relations.
 
     The relations run over (k-1)-tuples a and (k+1)-tuples b:
-    ``sum_l (-1)^l Z[a, b_l] Z[b \\ b_l] = 0``.  Exact for QC input.
+    ``sum_l (-1)^l Z[a, b_l] Z[b \\ b_l] = 0``.  Exact (the squared
+    violation) for QC input; otherwise its modulus.
     """
-    Z = _PlueckerCoord(n, k, v)
-    exact = Z.exact
-    worst = Fraction(0) if exact else 0.0
-    for a in combinations(range(1, n + 2), k - 1):
-        for b in combinations(range(1, n + 2), k + 1):
-            total = QC(0) if exact else 0j
-            for l, bl in enumerate(b):
-                rest = b[:l] + b[l + 1:]
-                term = Z(a + (bl,)) * Z(rest)
-                total = total - term if l % 2 == 0 else total + term
-            mag = total.abs2() if exact else abs(total) ** 2
+    if len(v) != comb(n + 1, k):
+        raise DomainError("coordinate vector has the wrong dimension")
+    if _all_qc(v):
+        worst = Fraction(0)
+        for terms in _plucker_table(n, k):
+            total = ZERO
+            for sign, i, j in terms:
+                term = v[i] * v[j]
+                total = total + term if sign > 0 else total - term
+            mag = total.abs2()
             if mag > worst:
                 worst = mag
-    import math
-
-    return worst if exact else math.sqrt(worst)
+        return worst
+    v = np.asarray(v, dtype=complex)
+    # Real and imaginary parts are kept apart so every product and sum rounds
+    # as scalar complex arithmetic does (numpy's complex array loops differ
+    # in the last bit); a sign of +-1 or 0 changes no bit of a nonzero sum.
+    re = im = 0.0
+    for sign, i, j in zip(*_plucker_arrays(n, k)):      # term by term, in the order of the relation
+        xr, xi, yr, yi = v.real[i], v.imag[i], v.real[j], v.imag[j]
+        re = re + sign * (xr * yr - xi * yi)
+        im = im + sign * (xr * yi + xi * yr)
+    return sqrt(max(m ** 2 for m in np.hypot(re, im).tolist()))
 
 
 def quadric_residual(N: int, v):

@@ -59,9 +59,12 @@ class RepSpace:
         raise ValueError("zero highest weight vector")
 
     def hw_unit(self) -> np.ndarray:
-        """Unit-norm highest weight vector (complex)."""
-        v = to_complex_vector(self.hw_raw)
-        return v / np.sqrt(float(self.hw_norm_sq))
+        """Unit-norm highest weight vector (complex, read-only)."""
+        if "hw_unit" not in self._np_cache:
+            v = to_complex_vector(self.hw_raw) / np.sqrt(float(self.hw_norm_sq))
+            v.flags.writeable = False
+            self._np_cache["hw_unit"] = v
+        return self._np_cache["hw_unit"]
 
     def gram_np(self) -> np.ndarray:
         if "gram" not in self._np_cache:
@@ -174,42 +177,53 @@ def wedge_basis(n: int, k: int):
     return list(combinations(range(1, n + 2), k))
 
 
-def derivation_matrix(n: int, k: int, X: Mat) -> Mat:
-    """Action of ``X`` in gl(n+1) on the k-th wedge power, as a derivation."""
+@lru_cache(maxsize=None)
+def _derivation_table(n: int, k: int) -> tuple:
+    """``(row, col, j, i, sign)`` per term of a derivation on the k-th wedge power.
+
+    Column ``col`` is the basis wedge ``e_S``; replacing its factor ``e_i``
+    by ``e_j`` (``j`` not elsewhere in ``S``) and sorting gives ``sign``
+    times basis wedge ``row``, weighted by the matrix entry ``X[j][i]``
+    (0-based indices).  Terms are listed in column, position, ``j`` order.
+    """
     basis = wedge_basis(n, k)
-    index = {b: i for i, b in enumerate(basis)}
-    d = len(basis)
-    out = zeros(d, d)
+    index = {b: r for r, b in enumerate(basis)}
+    out = []
     for col, subset in enumerate(basis):
         for pos, i in enumerate(subset):
             for j in range(1, n + 2):
-                coef = X[j - 1][i - 1]
-                if not coef:
-                    continue
                 if j in subset and j != i:
                     continue
-                new = list(subset)
-                new[pos] = j
-                sign = 1
-                # bubble into sorted position
-                arranged = sorted(new)
-                perm = [new.index(x) for x in arranged]
-                # parity of the permutation taking new -> arranged
-                seen = [False] * len(perm)
-                parity = 0
-                for s in range(len(perm)):
-                    if seen[s]:
-                        continue
-                    cycle = 0
-                    t = s
-                    while not seen[t]:
-                        seen[t] = True
-                        t = perm[t]
-                        cycle += 1
-                    parity += cycle - 1
-                sign = -1 if parity % 2 else 1
-                row = index[tuple(arranged)]
-                out[row][col] = out[row][col] + coef * sign
+                new = subset[:pos] + (j,) + subset[pos + 1:]
+                inversions = sum(1 for a in range(k) for b in range(a + 1, k) if new[a] > new[b])
+                out.append((index[tuple(sorted(new))], col, j - 1, i - 1, -1 if inversions % 2 else 1))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _derivation_arrays(n: int, k: int) -> tuple:
+    """The columns of ``_derivation_table`` as int arrays, for the float path."""
+    return tuple(np.array(c) for c in zip(*_derivation_table(n, k)))
+
+
+def derivation_matrix(n: int, k: int, X):
+    """Action of ``X`` in gl(n+1) on the k-th wedge power, as a derivation.
+
+    Exact (a QC matrix) for a QC matrix ``X``; complex for an ndarray.
+    """
+    d = comb(n + 1, k)
+    if isinstance(X, np.ndarray):
+        rows, cols, js, is_, signs = _derivation_arrays(n, k)
+        coef = X[js, is_]
+        keep = coef != 0
+        out = np.zeros((d, d), dtype=complex)
+        np.add.at(out, (rows[keep], cols[keep]), signs[keep] * coef[keep])
+        return out
+    out = zeros(d, d)
+    for row, col, j, i, sign in _derivation_table(n, k):
+        coef = X[j][i]
+        if coef:
+            out[row][col] = out[row][col] + coef * sign
     return tuple(tuple(r) for r in out)
 
 
@@ -440,7 +454,8 @@ def exp_nilpotent_vec(M: Mat, t, v: tuple, max_order: Optional[int] = None):
     acc = list(v)
     term = list(v)
     for k in range(1, limit + 1):
-        term = [x * (t / k) for x in mat_vec(M, term)]
+        tk = t / k
+        term = [x * tk for x in mat_vec(M, term)]
         if all(x.is_zero() for x in term):
             return tuple(acc)
         acc = [a + b for a, b in zip(acc, term)]

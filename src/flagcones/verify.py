@@ -432,12 +432,10 @@ def check_embedding_consistency(spec: PotentialSpec, samples: SampleSet, lam: co
     rep.add("gamma_equivariance", r_equi, tol_equivariance)
     canon = np.asarray(canon)
     if len(canon) > 1:
-        dists = []
-        for i in range(len(canon)):
-            for j in range(i + 1, len(canon)):
-                dists.append(np.max(np.abs(canon[i] - canon[j])))
-        rep.add("injectivity_separation", [min_separation / max(min(dists), 1e-300)], 1.0)
-        rep.notes.append(f"minimum pairwise separation {min(dists):.3e}")
+        dists = np.max(np.abs(canon[:, None] - canon[None]), axis=-1)
+        sep = float(np.min(dists[np.triu_indices(len(canon), 1)]))
+        rep.add("injectivity_separation", [min_separation / max(sep, 1e-300)], 1.0)
+        rep.notes.append(f"minimum pairwise separation {sep:.3e}")
     return rep
 
 

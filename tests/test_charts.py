@@ -1,5 +1,7 @@
 """Potential catalog: closed forms, the module path, exponents, constants."""
 from fractions import Fraction as Q
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from flagcones.charts import (DomainError, canonical_exponents,
                               resolve_case, ricci_flat_exponent)
 from flagcones.exact import QC, to_complex_matrix
 from flagcones.hvcone import GammaGroup, kodaira_embedding, remmert, remmert_norm_sq
-from flagcones.reps import outer_tensor
+from flagcones.reps import derivation_matrix, outer_tensor
 from flagcones.roots import ConfigurationError
 
 CASES = ["cp:1", "cp:2", "gr24", "grassmann:4:2", "grassmann:5:3", "wallach", "fullflag:A:3",
@@ -361,3 +363,66 @@ def test_catalog_h_at_least_one_on_samples():
             z = r * np.exp(1j * rng.uniform(0, 2 * np.pi, size=chart.n_z))
             hs = np.ravel(np.asarray(chart.h_closed(z)))
             assert np.all(hs >= 1.0 - 1e-12), case
+
+
+# -- derivations on wedge powers ---------------------------------------------------
+
+def _derivation_loop_float(n, k, L):
+    """The float loop the cached derivation table replaced (inversion-count signs)."""
+    basis = list(combinations(range(1, n + 2), k))
+    index = {b: i for i, b in enumerate(basis)}
+    out = np.zeros((comb(n + 1, k), comb(n + 1, k)), dtype=complex)
+    for col, subset in enumerate(basis):
+        for pos, i in enumerate(subset):
+            for j in range(1, n + 2):
+                coef = L[j - 1, i - 1]
+                if coef == 0 or (j in subset and j != i):
+                    continue
+                new = list(subset)
+                new[pos] = j
+                inversions = sum(1 for a in range(k) for b in range(a + 1, k) if new[a] > new[b])
+                out[index[tuple(sorted(new))], col] += (-1 if inversions % 2 else 1) * coef
+    return out
+
+
+def _derivation_loop_exact(n, k, X):
+    """The exact loop the cached derivation table replaced (cycle-parity signs)."""
+    basis = list(combinations(range(1, n + 2), k))
+    index = {b: i for i, b in enumerate(basis)}
+    out = [[QC(0)] * len(basis) for _ in basis]
+    for col, subset in enumerate(basis):
+        for pos, i in enumerate(subset):
+            for j in range(1, n + 2):
+                coef = X[j - 1][i - 1]
+                if not coef or (j in subset and j != i):
+                    continue
+                new = list(subset)
+                new[pos] = j
+                arranged = sorted(new)
+                perm = [new.index(x) for x in arranged]
+                seen, parity = [False] * k, 0
+                for s in range(k):
+                    if seen[s]:
+                        continue
+                    cycle, t = 0, s
+                    while not seen[t]:
+                        seen[t], t, cycle = True, perm[t], cycle + 1
+                    parity += cycle - 1
+                row = index[tuple(arranged)]
+                out[row][col] = out[row][col] + coef * (-1 if parity % 2 else 1)
+    return tuple(tuple(r) for r in out)
+
+
+@pytest.mark.parametrize("case", ["gr24", "grassmann:4:2", "cp:2", "fullflag:A:3"])
+def test_derivation_table_matches_reference_loops(case):
+    """One cached table serves both paths: bit-identical floats, equal Gaussian rationals."""
+    chart = resolve_case(case)
+    n, r, slots = chart._wedge()
+    rng = np.random.default_rng(11)
+    for gen in range(chart.n_gen):
+        k = r - chart.n_gen + 1 + gen
+        for _ in range(3):
+            L = charts.nilpotent_log(charts._big_cell(n, slots, _rand_z(rng, chart.n_z)), n + 1)
+            assert np.array_equal(derivation_matrix(n, k, L), _derivation_loop_float(n, k, L))
+            Lq = charts.nilpotent_log(charts._big_cell(n, slots, _rand_qc(rng, chart.n_z), exact=True), n + 1)
+            assert derivation_matrix(n, k, Lq) == _derivation_loop_exact(n, k, Lq)

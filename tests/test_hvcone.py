@@ -1,5 +1,7 @@
 """Cone algebra: reduction maps, quadric residuals, Hopf quotients, Stenzel."""
 from fractions import Fraction as Q
+from itertools import combinations
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -102,6 +104,51 @@ def test_plucker_exact_on_exact_images():
     z = _rand_qc(rng, 4)
     u, _ = remmert(spec, z, QC(2), exact=True)
     assert plucker_residual(3, 2, list(u)) == 0
+
+
+def _plucker_reference(n, k, v):
+    """The coordinate formula the cached relation table replaced: sort and count inversions per term."""
+    index = {b: i for i, b in enumerate(combinations(range(1, n + 2), k))}
+    exact = all(isinstance(x, QC) for x in v)
+
+    def Z(idx):
+        if len(set(idx)) != len(idx):
+            return QC(0) if exact else 0j
+        inversions = sum(1 for a in range(len(idx)) for b in range(a + 1, len(idx)) if idx[a] > idx[b])
+        val = v[index[tuple(sorted(idx))]]
+        return -val if inversions % 2 else val
+
+    worst = Q(0) if exact else 0.0
+    for a in combinations(range(1, n + 2), k - 1):
+        for b in combinations(range(1, n + 2), k + 1):
+            total = QC(0) if exact else 0j
+            for l, bl in enumerate(b):
+                term = Z(a + (bl,)) * Z(b[:l] + b[l + 1:])
+                total = total - term if l % 2 == 0 else total + term
+            mag = total.abs2() if exact else abs(total) ** 2
+            if mag > worst:
+                worst = mag
+    return worst if exact else sqrt(worst)
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (3, 2)])
+def test_plucker_table_matches_coordinate_formula(n, k):
+    """Exact residuals are equal and float residuals bit-identical to the per-term formula."""
+    rng = np.random.default_rng(n * 10 + k)
+    d = comb(n + 1, k)
+    for trial in range(12):
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        if trial % 3 == 0:
+            v[rng.random(d) < 0.4] = 0.0        # exact zeros exercise signed-zero rounding
+        v /= np.linalg.norm(v)
+        assert plucker_residual(n, k, v) == _plucker_reference(n, k, v)
+        assert plucker_residual(n, k, v.tolist()) == _plucker_reference(n, k, v.tolist())
+    for _ in range(2):
+        u = list(_rand_qc(rng, d))
+        assert plucker_residual(n, k, u) == _plucker_reference(n, k, u) > 0
+    spec = make_spec(f"grassmann:{n}:{k}")
+    u, _ = remmert(spec, _rand_qc(rng, spec.chart.n_z), QC(2, 1), exact=True)
+    assert plucker_residual(n, k, list(u)) == _plucker_reference(n, k, list(u)) == 0
 
 
 def test_plucker_generic_nonmembership():
