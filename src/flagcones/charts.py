@@ -77,19 +77,48 @@ def _fullflag_slots(n: int):
     return [(i, j) for i in range(1, n + 1) for j in range(i)]
 
 
-def log_gram_jets(F, U, V):
+class Frame(tuple):
+    """A holomorphic frame ``(F, U, V)`` (see ``log_gram_jets``), unpacked as a triple.
+
+    ``units = (rows, cols, on)`` is set when every Jacobian is one matrix
+    unit: ``d_a F = on_a E(rows_a, cols_a)``, where the 0/1 weights ``on``
+    (None when all are 1) switch off the coordinates that do not enter the
+    frame.  The chart builds it from its slots; ``U`` and ``V`` are never
+    inspected for it.
+    """
+
+    def __new__(cls, F, U, V, units=None):
+        frame = super().__new__(cls, (F, U, V))
+        frame.units = units
+        return frame
+
+
+def log_gram_jets(F, U, V, units=None):
     """``(d_a log h, d_a dbar_b log h)`` of ``h = det G``, ``G = F* F``, batched over leading axes.
 
     ``F`` is a holomorphic frame (..., N, r) with Jacobian ``E_a = d_a F = u_a v_a^T``
     (columns of U (..., N, n_z) and V (r, n_z)).  With ``P = 1 - F G^-1 F*``:
     ``d_a log h = tr(G^-1 F* E_a) = v_a^T G^-1 F* u_a`` and
     ``d_a dbar_b log h = tr(G^-1 E_b* P E_a) = (u_b* P u_a)(v_a^T G^-1 conj(v_b))``.
+    With unit factors (``Frame.units``) both are index gathers:
+    ``(G^-1 F*)[col_a, row_a]`` and ``P[row_b, row_a] G^-1[col_a, col_b]``.
     """
     Fh = np.conj(np.swapaxes(F, -1, -2))
     Ginv = np.linalg.inv(Fh @ F)
-    AU = Ginv @ (Fh @ U)                                         # G^-1 F* u_a
-    X = np.conj(np.swapaxes(U, -1, -2)) @ (U - F @ AU)           # u_b* P u_a at [b, a]
-    return np.sum(V * AU, axis=-2), np.swapaxes(X, -1, -2) * (V.T @ Ginv @ np.conj(V))
+    if units is None:
+        AU = Ginv @ (Fh @ U)                                         # G^-1 F* u_a
+        X = np.conj(np.swapaxes(U, -1, -2)) @ (U - F @ AU)           # u_b* P u_a at [b, a]
+        return np.sum(V * AU, axis=-2), np.swapaxes(X, -1, -2) * (V.T @ Ginv @ np.conj(V))
+    rows, cols, on = units
+    A = Ginv @ Fh                                                    # G^-1 F*
+    hess = (F @ A)[..., rows, rows[:, None]]                         # (F G^-1 F*)[row_b, row_a] at [a, b]
+    np.subtract(np.equal.outer(rows, rows), hess, out=hess)          # P[row_b, row_a]
+    hess *= Ginv[..., cols[:, None], cols]
+    grad = A[..., cols, rows]
+    if on is not None:
+        grad *= on
+        hess *= np.outer(on, on)
+    return grad, hess
 
 
 def gram_minors(F, unit_top: bool = False):
@@ -262,14 +291,20 @@ class Chart:
         Each coordinate enters one column of a frame, so its Jacobian has
         rank one: the columns of U (..., N, n_z), constant except on quadrics,
         and of V (r, n_z).  Batched over the leading axes of complex ``z``.
+        Wedge and product frames are ``Frame``s with unit factors.
         """
         z = np.asarray(z, dtype=complex)
         m, ones = self.n_z, np.ones((1, self.n_z))
         if self.kind == "wedge":        # d_a F = the unit matrix at slot a
             n, r, slots = self._wedge()
-            rows, cols = zip(*slots)
+            rows, cols = map(np.array, zip(*slots))
             F, U, V = _big_cell(n, slots, z, cols=r), np.eye(n + 1)[:, rows], np.eye(r)[:, cols]
-            return [(F[..., :k], U, V[:k]) for k in range(r - self.n_gen + 1, r + 1)]
+            frames = []
+            for k in range(r - self.n_gen + 1, r + 1):
+                on = cols < k               # coordinates in the first k columns; the others read column 0, weight 0
+                units = (rows, np.where(on, cols, 0), None if on.all() else on.astype(float))
+                frames.append(Frame(F[..., :k], U, V[:k], units))
+            return frames
         if self.kind == "quadric":      # s = (1, zeta/sqrt2, q(zeta)/4), d_a s = (0, e_a/sqrt2, zeta_a/2)
             s = np.concatenate([np.ones(z.shape[:-1] + (1,)), z / np.sqrt(2.0),
                                 np.sum(z * z, axis=-1, keepdims=True) / 4.0], axis=-1)
@@ -278,7 +313,9 @@ class Chart:
             U[..., m + 1, :] = z / 2.0
             return [(s[..., None], U, ones)]
         # product of projective lines: [1; z_j], d_a = delta_aj (0; 1)
-        return [(_big_cell(1, ((1, 0),), z[..., j:j + 1], cols=1), np.outer([0.0, 1.0], np.eye(m)[j]), ones)
+        unit_rows, zero_cols = np.ones(m, dtype=int), np.zeros(m, dtype=int)
+        return [Frame(_big_cell(1, ((1, 0),), z[..., j:j + 1], cols=1), np.outer([0.0, 1.0], np.eye(m)[j]), ones,
+                      (unit_rows, zero_cols, np.eye(m)[j]))
                 for j in range(self.n_gen)]
 
     def h_closed_exact(self, z) -> Tuple[Fraction, ...]:
@@ -582,7 +619,7 @@ class PotentialSpec:
 
     def _log_jets(self, z, weights):
         """Weighted sums over generators of ``log_gram_jets`` of the chart frames."""
-        jets = [log_gram_jets(*frame) for frame in self.chart.frames(z)]
+        jets = [log_gram_jets(*frame, units=getattr(frame, "units", None)) for frame in self.chart.frames(z)]
         return tuple(sum(wt * jet[i] for wt, jet in zip(weights, jets)) for i in (0, 1))
 
     def cone_jet(self) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:

@@ -8,7 +8,10 @@ Every derivative comes from one stencil primitive: a unit stencil cached
 per dimension (centre, ``+-e_i``, then the four corners of each
 ``(e_i, e_j)`` square), evaluated at ``P + unit * h`` with per-axis steps;
 first and second central differences as index arithmetic on those values;
-and one Richardson tableau over halved steps.  Nested pipelines (Ricci
+and one Richardson tableau over halved steps.  Steps ``h`` of shape
+``(d,)`` are shared by every point of a batch; an ``(m, d)`` array gives
+each of the m points its own steps, which is how a batch of samples keeps
+the steps each sample would get alone.  Nested pipelines (Ricci
 form of a potential) apply it to stencil results; ``ricci_form_of_metric``
 applies it once to an exact complex Hessian field.
 
@@ -108,7 +111,9 @@ def _axis_steps(p: np.ndarray, step) -> np.ndarray:
     shares one step.  That is deliberate: in ``ricci_form_batch`` the
     inner complex Hessians are evaluated at the outer stencil's points and
     must keep the centre's step, because per-point scaling has a kink at
-    ``|x| = 1`` that the outer difference would pick up.
+    ``|x| = 1`` that the outer difference would pick up.  A batch of
+    independent samples gets per-sample steps as an ``(m, d)`` array, for
+    instance this function applied to the whole batch ``P``.
     """
     if isinstance(step, np.ndarray):
         return step
@@ -141,32 +146,39 @@ def _unit_stencil(d: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _stencil_values(field, P: np.ndarray, h: np.ndarray, second: bool = True) -> np.ndarray:
-    """A batched field at ``P + unit * h``: (m, S, *shape).
+    """A batched field at ``P + unit * h``: (m, S, *shape); ``h`` is (d,) or per point (m, d).
 
     With ``second`` false only the ``+-e_i`` rows are evaluated.
     """
     m, d = P.shape
     unit = _unit_stencil(d)[0] if second else _unit_stencil(d)[0][1:2 * d + 1]
-    vals = np.asarray(field((P[:, None, :] + unit * h).reshape(-1, d)))
+    vals = np.asarray(field((P[:, None, :] + unit * h[..., None, :]).reshape(-1, d)))
     return vals.reshape(m, len(unit), *vals.shape[1:])
+
+
+def _step_axes(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Steps (d,) or (m, d) broadcast against differences (m, d, *shape)."""
+    return h.reshape(h.shape + (1,) * (v.ndim - 2))
 
 
 def _first_differences(v: np.ndarray, h: np.ndarray) -> np.ndarray:
     """d_a f from the ``+-e_i`` rows (m, 2d, *shape): (m, d, *shape)."""
-    return (v[:, 0::2] - v[:, 1::2]) / (2.0 * h.reshape(-1, *(1,) * (v.ndim - 2)))
+    D = v[:, 0::2] - v[:, 1::2]
+    D /= 2.0 * _step_axes(h, v)
+    return D
 
 
 def _second_differences(v: np.ndarray, h: np.ndarray) -> np.ndarray:
     """d_a d_b f from the full stencil (m, S, *shape): (m, d, d, *shape)."""
-    d = len(h)
+    d, axis = h.shape[-1], h.ndim - 1
     _, I, J = _unit_stencil(d)
-    h = h.reshape(-1, *(1,) * (v.ndim - 2))
+    h = _step_axes(h, v)
     c = v[:, :1]
     H = np.empty((v.shape[0], d, d) + v.shape[2:])
     axes = np.arange(d)
     H[:, axes, axes] = (v[:, 1:2 * d + 1:2] - 2 * c + v[:, 2:2 * d + 1:2]) / h ** 2
     k = 2 * d + 1
-    off = (v[:, k::4] - v[:, k + 1::4] - v[:, k + 2::4] + v[:, k + 3::4]) / (4 * h[I] * h[J])
+    off = (v[:, k::4] - v[:, k + 1::4] - v[:, k + 2::4] + v[:, k + 3::4]) / (4 * h.take(I, axis) * h.take(J, axis))
     H[:, I, J] = off
     H[:, J, I] = off
     return H
@@ -186,7 +198,10 @@ def _richardson(estimates: Iterable[np.ndarray]) -> np.ndarray:
     for new in estimates:
         row = [new]
         for j in range(1, len(prev) + 1):
-            row.append((4.0 ** j * row[j - 1] - prev[j - 1]) / (4.0 ** j - 1.0))
+            est = 4.0 ** j * row[j - 1]
+            est -= prev[j - 1]
+            est /= 4.0 ** j - 1.0
+            row.append(est)
         prev = row
     return prev[-1]
 
@@ -263,13 +278,18 @@ def complex_hessian(H: np.ndarray) -> np.ndarray:
     return 0.25 * ((xx + yy) + 1j * (xy - yx))
 
 
-def metric_of_complex_hessian(Hc: np.ndarray) -> np.ndarray:
+def metric_of_complex_hessian(Hc: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The metric ``omega J`` of the quarter-normalised Kahler form of complex Hessians ``Hc``.
 
-    ``g[2a, 2b] = g[2a+1, 2b+1] = Re Hc_ab`` and ``g[2a, 2b+1] = -g[2a+1, 2b] = Im Hc_ab``.
+    ``g[2a, 2b] = g[2a+1, 2b+1] = Re Hc_ab`` and ``g[2a, 2b+1] = -g[2a+1, 2b] = Im Hc_ab``;
+    written into ``out`` when it is given.
     """
-    g = np.stack([np.stack([Hc.real, Hc.imag], -1), np.stack([-Hc.imag, Hc.real], -1)], -3)
-    return g.reshape(Hc.shape[:-2] + (2 * Hc.shape[-2], 2 * Hc.shape[-1]))
+    n = Hc.shape[-1]
+    g = np.empty(Hc.shape[:-2] + (2 * n, 2 * n)) if out is None else out
+    g[..., 0::2, 0::2] = g[..., 1::2, 1::2] = Hc.real
+    g[..., 0::2, 1::2] = Hc.imag
+    np.negative(Hc.imag, out=g[..., 1::2, 0::2])
+    return g
 
 
 def complex_hessian_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None,
@@ -317,24 +337,35 @@ def ricci_form(F, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
 # one-forms, two-forms
 # ---------------------------------------------------------------------------
 
+def d_oneform_batch(omega_field, P: np.ndarray, cfg: FDConfig, step=None) -> np.ndarray:
+    """(d omega)_ij = d_i omega_j - d_j omega_i for a batched covector field: (m, d, d)."""
+    D = _jacobian_of_field(omega_field, P, cfg, cfg.base_step if step is None else step)
+    return D - np.swapaxes(D, -1, -2)
+
+
 def d_oneform(omega_field, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    """(d omega)_ij = d_i omega_j - d_j omega_i for a batched covector field."""
-    D = _jacobian_of_field(omega_field, np.asarray(p)[None, :], cfg, cfg.base_step if step is None else step)[0]
-    return D - D.T
+    return d_oneform_batch(omega_field, np.asarray(p)[None, :], cfg, step)[0]
+
+
+def d_twoform_of_jets(dOmega: np.ndarray) -> np.ndarray:
+    """(d Omega)_ijk from ``dOmega[..., a, i, j] = d_a Omega_ij``, batched over leading axes."""
+    out = dOmega - np.swapaxes(dOmega, -3, -2)
+    out += np.moveaxis(dOmega, -3, -1)
+    return out
 
 
 def d_twoform(Omega_field, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
     """(d Omega)_ijk for an antisymmetric-matrix-valued field."""
-    D = _jacobian_of_field(Omega_field, np.asarray(p)[None, :], cfg, cfg.nested_step / 2 if step is None else step)[0]
-    return D - np.transpose(D, (1, 0, 2)) + np.transpose(D, (1, 2, 0))
+    P = np.asarray(p)[None, :]
+    return d_twoform_of_jets(_jacobian_of_field(Omega_field, P, cfg, cfg.nested_step / 2 if step is None else step)[0])
 
 
 def wedge_one_two(theta: np.ndarray, Omega: np.ndarray) -> np.ndarray:
-    """(theta ^ Omega)_ijk with the same component convention as d_twoform."""
-    t1 = theta[:, None, None] * Omega[None, :, :]
-    t2 = theta[None, :, None] * Omega[:, None, :]
-    t3 = theta[None, None, :] * Omega[:, :, None]
-    return t1 - t2 + t3
+    """(theta ^ Omega)_ijk with the same component convention as d_twoform, batched over leading axes."""
+    out = theta[..., :, None, None] * Omega[..., None, :, :]
+    out -= theta[..., None, :, None] * Omega[..., :, None, :]
+    out += theta[..., None, None, :] * Omega[..., :, :, None]
+    return out
 
 
 # ---------------------------------------------------------------------------

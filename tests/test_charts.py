@@ -181,6 +181,31 @@ def test_frame_jacobian_factors_match_differences(case):
             assert np.allclose(np.outer(U[:, a], V[:, a]), fd, rtol=0, atol=1e-10), (alpha, a)
 
 
+def _dense_log_gram_jets(F, U, V):
+    """Reference: the dense formula of ``log_gram_jets`` for any rank-one Jacobians ``u_a v_a^T``."""
+    Fh = np.conj(np.swapaxes(F, -1, -2))
+    Ginv = np.linalg.inv(Fh @ F)
+    AU = Ginv @ (Fh @ U)
+    X = np.conj(np.swapaxes(U, -1, -2)) @ (U - F @ AU)
+    return np.sum(V * AU, axis=-2), np.swapaxes(X, -1, -2) * (V.T @ Ginv @ np.conj(V))
+
+
+@pytest.mark.parametrize("case", ["cp:2", "gr24", "grassmann:4:2", "wallach", "fullflag:A:3", "conifold"])
+def test_unit_frames_gather_the_dense_jets(case):
+    """Wedge and product frames carry their unit-Jacobian indices; the gathers equal the dense formula."""
+    chart = resolve_case(case)
+    rng = np.random.default_rng(29)
+    for m in (1, 500):
+        z = rng.normal(size=(m, chart.n_z)) + 1j * rng.normal(size=(m, chart.n_z))
+        for frame in chart.frames(z):
+            assert frame.units is not None
+            F, U, V = frame
+            for gathered, dense in zip(charts.log_gram_jets(F, U, V, units=frame.units),
+                                       _dense_log_gram_jets(F, U, V)):
+                # entries left by cancellation get an absolute floor at 1e-15 of the largest one
+                np.testing.assert_allclose(gathered, dense, rtol=1e-13, atol=1e-15 * np.max(np.abs(dense)))
+
+
 def test_quadric_word_element_converts_basis_once(monkeypatch):
     chart = resolve_case("quadric:8")
     converted = []

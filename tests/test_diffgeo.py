@@ -399,3 +399,22 @@ def test_richardson_depth_two_matches_running_update():
     levels = [diffgeo._second_differences(diffgeo._stencil_values(_poly_vector, P, h), h)
               for h in diffgeo._halvings(step, 2)]
     assert np.array_equal(hessian_batch(_poly_vector, P, FDConfig(), step=step), _running_richardson(levels))
+
+
+def test_per_sample_steps_match_single_sample_calls():
+    """(m, d) steps: one batched call equals the stacked one-sample calls at each sample's own steps, bit for bit."""
+    rng = np.random.default_rng(17)
+    for field, d in ((_poly_vector, 3), (_sin_exp, 2)):
+        P = rng.uniform(-1.0, 1.0, size=(5, d))
+        steps = rng.uniform(2e-3, 4e-2, size=(5, d))
+        calls = [lambda Q, h: hessian_batch(field, Q, CFG, step=h),
+                 lambda Q, h: diffgeo._jacobian_of_field(field, Q, CFG, h)]
+        for call in calls:
+            single = np.stack([call(p[None, :], h)[0] for p, h in zip(P, steps)])
+            assert np.array_equal(call(P, steps), single)
+    # a positive 1 x 1 complex Hessian field in one complex dimension
+    H = lambda Q: (np.exp(_sin_exp(Q)) + 0j)[:, None, None]
+    P, steps = rng.uniform(-1.0, 1.0, size=(4, 2)), rng.uniform(2e-3, 4e-2, size=(4, 2))
+    single = np.stack([diffgeo.ricci_form_of_metric(H, p[None, :], CFG, step=h)[0] for p, h in zip(P, steps)])
+    assert np.array_equal(diffgeo.ricci_form_of_metric(H, P, CFG, step=steps), single)
+    assert len({float(np.max(np.abs(r))) for r in single}) == len(single)      # distinct samples, distinct forms

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from flagcones import diffgeo
+from flagcones import diffgeo, verify
 from flagcones.charts import Chart, PotentialSpec, make_spec, resolve_case, ricci_flat_exponent
 from flagcones.diffgeo import FDConfig
 from flagcones.roots import ConfigurationError
@@ -255,7 +255,8 @@ def test_metric_agreement_catches_a_wrong_jacobian(monkeypatch):
 
 
 def test_cone_jet_evaluations_per_sample(monkeypatch):
-    """One joint field carries g_tilde and theta, so each stencil evaluates the cone jet once."""
+    """One joint field carries g_tilde and theta, and every suite but einstein-weyl evaluates
+    each stencil once per block of samples, at most ``_CHUNK_ROWS`` rows a call."""
     calls = []
     cone_jet = PotentialSpec.cone_jet
 
@@ -269,13 +270,35 @@ def test_cone_jet_evaluations_per_sample(monkeypatch):
         return counting_jet
 
     monkeypatch.setattr(PotentialSpec, "cone_jet", counted)
-    for suite, case, at_most in [("einstein-weyl", "quadric:6", 4), ("vaisman", "quadric:6", 3),
-                                 ("lck", "gr24", 5), ("ricci-flat", "gr24", 3)]:
+
+    def jet_calls(suite, case, count):
         calls.clear()
-        run_suite(suite, case, seed=3, count=4)
-        assert len(calls) <= 4 * at_most, (suite, len(calls) / 4)
-        if suite == "ricci-flat":
-            assert len(calls) == 4 * at_most
+        run_suite(suite, case, seed=3, count=count)
+        assert max(calls) <= verify._CHUNK_ROWS, (suite, max(calls))
+        return len(calls)
+
+    assert jet_calls("einstein-weyl", "quadric:6", 4) <= 4 * 4
+    # 20 first-difference rows a sample: 4 and 8 samples both fit one block
+    assert jet_calls("lck", "gr24", 4) == jet_calls("lck", "gr24", 8) == 5
+    assert jet_calls("vaisman", "quadric:6", 4) == jet_calls("vaisman", "quadric:6", 8) == 3
+    # 201 full-stencil rows a sample: 5 samples fit one block, 8 take two
+    assert jet_calls("ricci-flat", "gr24", 4) == jet_calls("ricci-flat", "gr24", 5) == 3
+    assert jet_calls("ricci-flat", "gr24", 8) == 2 * 3
+
+
+@pytest.mark.parametrize("suite, case", [("lck", "grassmann:4:2"), ("ricci-flat", "gr24")])
+def test_blocks_of_one_sample_give_the_same_report(monkeypatch, suite, case):
+    """The block size is not visible in a report: one sample per block matches the default blocks."""
+    default = run_suite(suite, case, seed=5)
+    monkeypatch.setattr(verify, "_CHUNK_ROWS", 1)
+    single = run_suite(suite, case, seed=5)
+    assert single.verdict == default.verdict and _worst_margin(single) == _worst_margin(default)
+    for a, b in zip(default.residuals, single.residuals):
+        assert a.name == b.name
+        both_small = max(a.max, b.max) < 1e-3 * a.tolerance
+        assert both_small or abs(a.max - b.max) <= 1e-6 * abs(a.max), (a.name, a.max, b.max)
+    one = run_suite(suite, case, seed=5, count=1)
+    assert one.count == 1 and len(one.residuals) == len(default.residuals)
 
 
 @pytest.mark.parametrize("suite", ["kahler-einstein", "ricci-flat"])
