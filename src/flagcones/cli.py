@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .charts import (DomainError, canonical_exponents, dhomothetic_constant,
-                     make_spec, resolve_case, ricci_flat_exponent)
+                     make_spec, potential_eval, resolve_case, ricci_flat_exponent)
 from .diffgeo import ChartDegeneracyError, FDConfig
 from .hvcone import GammaGroup, algebraic_residual, kodaira_embedding, remmert
 from .roots import ConfigurationError, build_root_system, flag
@@ -67,12 +67,13 @@ def _emit(payload: dict, path: str | None) -> None:
 def _fd_config(args) -> FDConfig:
     kwargs = {}
     if getattr(args, "fd_step", None) is not None:
-        scale = args.fd_step / 1e-4
+        default = FDConfig()
+        scale = args.fd_step / default.base_step
         kwargs = {
             "base_step": args.fd_step,
-            "hessian_step": 4e-3 * scale,
-            "nested_step": 2e-2 * scale,
-            "jet_step": 4e-2 * scale,
+            "hessian_step": default.hessian_step * scale,
+            "nested_step": default.nested_step * scale,
+            "jet_step": default.jet_step * scale,
         }
     if getattr(args, "richardson", None) is not None:
         kwargs["richardson"] = args.richardson
@@ -125,7 +126,7 @@ def cmd_potential(args) -> int:
     if len(z) != spec.chart.n_z:
         raise ConfigurationError(f"{spec.chart.name} needs {spec.chart.n_z} chart coordinates")
     w = complex(args.w.replace("i", "j")) if isinstance(args.w, str) else complex(args.w)
-    value = float(spec.K(np.asarray(z, dtype=complex), w))
+    value = potential_eval(spec, z, w)
     payload = {
         "case": args.case,
         "exponents": [_frac(e) for e in spec.exponents],

@@ -15,15 +15,13 @@ the steps each sample would get alone.  Nested pipelines (Ricci
 form of a potential) apply it to stencil results; ``ricci_form_of_metric``
 applies it once to an exact complex Hessian field.
 
-``_metric_jets`` (value, first and second derivatives from one full
-stencil) and ``_jacobian_of_field`` serve any array-valued field.  The
-connection and curvature algebra (``weyl_ricci_of_jets``,
+``_metric_jets`` (values, first and second derivatives from one full
+stencil) and ``_jacobian_of_field`` serve any array-valued field on a batch
+of points.  The connection and curvature algebra (``weyl_ricci_of_jets``,
 ``nabla_of_jets``, ``weyl_symbols_of_jets``, ``weyl_metric_derivative``)
-runs on the jets they return, so one joint field -- metric rows and a
-Lee-form row, ``(m, d+1, d)``, separated by ``split_joint`` -- feeds it from
-a single stencil; the field-pair functions (``weyl_ricci``,
-``nabla_oneform``, ``weyl_christoffel_batch``) are adapters over the same
-algebra.
+runs on the jets they return, batched over leading axes, so one joint
+field -- metric rows and a Lee-form row, ``(m, d+1, d)``, separated by
+``split_joint`` -- feeds it from a single stencil for a whole batch.
 
 Conventions (with ``d^c = i (dbar - d)`` and real potentials F):
 
@@ -97,10 +95,6 @@ def complex_structure(dim: int) -> np.ndarray:
         J[2 * a + 1, 2 * a] = 1.0
         J[2 * a, 2 * a + 1] = -1.0
     return J
-
-
-def apply_J(v: np.ndarray) -> np.ndarray:
-    return complex_structure(len(v)) @ v
 
 
 def _axis_steps(p: np.ndarray, step) -> np.ndarray:
@@ -217,19 +211,26 @@ def _jacobian_of_field(field, P: np.ndarray, cfg: FDConfig, step) -> np.ndarray:
                        for h in _halvings(_axis_steps(P[0], step), cfg.richardson))
 
 
+def _metric_jets(field, P: np.ndarray, cfg: FDConfig, step=None):
+    """Values, first and second derivatives of a batched field at the points P (m, d).
+
+    Returns (g, dg, ddg) with g (m, *shape), dg[:, a] = d_a g and
+    ddg[:, a, b] = d_a d_b g, all read from one full stencil evaluation per
+    Richardson level; any array-valued field works, a joint metric and
+    Lee-form field included.
+    """
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    d = P.shape[1]
+    h0 = _axis_steps(P[0], cfg.jet_step if step is None else step)
+    levels = [(_stencil_values(field, P, h), h) for h in _halvings(h0, cfg.richardson)]
+    g = levels[0][0][:, 0]
+    dg = _richardson(_first_differences(v[:, 1:2 * d + 1], h) for v, h in levels)
+    ddg = _richardson(_second_differences(v, h) for v, h in levels)
+    return g, dg, ddg
+
+
 def grad_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
     return _jacobian_of_field(F, P, cfg, cfg.base_step if step is None else step)
-
-
-def d_scalar(F, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    """Exterior derivative of a scalar field at a point (a covector)."""
-    return grad_batch(F, np.asarray(p)[None, :], cfg, step)[0]
-
-
-def dc_scalar(F, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    """d^c F = -dF o J = J grad F."""
-    d = len(p)
-    return complex_structure(d) @ d_scalar(F, p, cfg, step)
 
 
 def hessian_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None,
@@ -259,12 +260,6 @@ def kahler_form(F, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray
 def i_del_delbar(F, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
     """i ddbar F (twice the quarter-normalised Kahler form)."""
     return 2.0 * kahler_form(F, p, cfg, step)
-
-
-def metric_from_form(omega: np.ndarray) -> np.ndarray:
-    """g(X, Y) = omega(X, JY)."""
-    J = complex_structure(omega.shape[-1])
-    return omega @ J
 
 
 def metric_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
@@ -343,10 +338,6 @@ def d_oneform_batch(omega_field, P: np.ndarray, cfg: FDConfig, step=None) -> np.
     return D - np.swapaxes(D, -1, -2)
 
 
-def d_oneform(omega_field, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    return d_oneform_batch(omega_field, np.asarray(p)[None, :], cfg, step)[0]
-
-
 def d_twoform_of_jets(dOmega: np.ndarray) -> np.ndarray:
     """(d Omega)_ijk from ``dOmega[..., a, i, j] = d_a Omega_ij``, batched over leading axes."""
     out = dOmega - np.swapaxes(dOmega, -3, -2)
@@ -354,14 +345,8 @@ def d_twoform_of_jets(dOmega: np.ndarray) -> np.ndarray:
     return out
 
 
-def d_twoform(Omega_field, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    """(d Omega)_ijk for an antisymmetric-matrix-valued field."""
-    P = np.asarray(p)[None, :]
-    return d_twoform_of_jets(_jacobian_of_field(Omega_field, P, cfg, cfg.nested_step / 2 if step is None else step)[0])
-
-
 def wedge_one_two(theta: np.ndarray, Omega: np.ndarray) -> np.ndarray:
-    """(theta ^ Omega)_ijk with the same component convention as d_twoform, batched over leading axes."""
+    """(theta ^ Omega)_ijk with the same component convention as d_twoform_of_jets, batched over leading axes."""
     out = theta[..., :, None, None] * Omega[..., None, :, :]
     out -= theta[..., None, :, None] * Omega[..., :, None, :]
     out += theta[..., None, None, :] * Omega[..., :, :, None]
@@ -372,8 +357,9 @@ def wedge_one_two(theta: np.ndarray, Omega: np.ndarray) -> np.ndarray:
 # connections and curvature: algebra on jets
 # ---------------------------------------------------------------------------
 #
-# Jets: a metric g, dg[a, i, j] = d_a g_ij, ddg[a, b, i, j] = d_a d_b g_ij,
-# a Lee form theta and dtheta[a, i] = d_a theta_i.
+# Jets, each with the same leading batch axes: a metric g, dg[..., a, i, j] =
+# d_a g_ij, ddg[..., a, b, i, j] = d_a d_b g_ij, a Lee form theta and
+# dtheta[..., a, i] = d_a theta_i.
 
 def split_joint(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Metric rows and Lee-form row of joint values or jets (..., d+1, d)."""
@@ -405,21 +391,22 @@ def _nabla(G: np.ndarray, theta: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
 
 
 def _ricci_from_symbols(G: np.ndarray, dG: np.ndarray) -> np.ndarray:
-    """Ric_jk from connection coefficients and their derivatives dG[a,k,i,j]."""
-    t1 = np.einsum("iijk->jk", dG)
-    t2 = np.einsum("jiik->jk", dG)
-    t3 = np.einsum("iim,mjk->jk", G, G)
-    t4 = np.einsum("ijm,mik->jk", G, G)
+    """Ric_jk from connection coefficients and their derivatives dG[..., a, k, i, j]."""
+    t1 = np.einsum("...iijk->...jk", dG)
+    t2 = np.einsum("...jiik->...jk", dG)
+    t3 = np.einsum("...iim,...mjk->...jk", G, G)
+    t4 = np.einsum("...ijm,...mik->...jk", G, G)
     return t1 - t2 + t3 - t4
 
 
 def _symbol_jets(g, dg, ddg):
-    """``(g^-1, d g^-1, Gamma, d Gamma)`` at a point from metric jets."""
+    """``(g^-1, d g^-1, Gamma, d Gamma)`` from metric jets."""
     ginv = np.linalg.inv(g)
-    dginv = -np.einsum("km,amn,nl->akl", ginv, dg, ginv)
+    dginv = -np.einsum("...km,...amn,...nl->...akl", ginv, dg, ginv)
     # d_a S from the symmetric second derivatives
     dS = _first_kind(ddg)
-    dG = 0.5 * (np.einsum("akl,ijl->akij", dginv, _first_kind(dg)) + np.einsum("kl,aijl->akij", ginv, dS))
+    dG = 0.5 * (np.einsum("...akl,...ijl->...akij", dginv, _first_kind(dg))
+                + np.einsum("...kl,...aijl->...akij", ginv, dS))
     return ginv, dginv, _christoffel(ginv, dg), dG
 
 
@@ -441,7 +428,7 @@ def weyl_metric_derivative(g, dg, theta) -> np.ndarray:
 
 
 def weyl_ricci_of_jets(g, dg, ddg, theta, dtheta) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ricci of the Weyl connection at a point, from curvature and from the identity.
+    """Ricci of the Weyl connection, from curvature and from the identity, batched over leading axes.
 
     The curvature path assembles the derivative of the Weyl symbols from
     metric and Lee-form jets and contracts the curvature directly.  The
@@ -455,93 +442,19 @@ def weyl_ricci_of_jets(g, dg, ddg, theta, dtheta) -> Tuple[np.ndarray, np.ndarra
     callers can report the cross-validation residual, followed by the
     Levi-Civita Ricci tensor ``Ric`` of the same metric jets.
     """
-    n = len(theta)
+    n = theta.shape[-1]
     ginv, dginv, G, dG = _symbol_jets(g, dg, ddg)
     W, A = _weyl_shift(g, ginv, theta)
     eye = np.eye(n)
-    dA = np.einsum("akl,l->ak", dginv, theta) + np.einsum("kl,al->ak", ginv, dtheta)
-    dW = -0.5 * (np.einsum("ai,kj->akij", dtheta, eye) + np.einsum("aj,ki->akij", dtheta, eye)
-                 - np.einsum("aij,k->akij", dg, A) - np.einsum("ij,ak->akij", g, dA))
+    dA = np.einsum("...akl,...l->...ak", dginv, theta) + np.einsum("...kl,...al->...ak", ginv, dtheta)
+    dW = -0.5 * (np.einsum("...ai,kj->...akij", dtheta, eye) + np.einsum("...aj,ki->...akij", dtheta, eye)
+                 - np.einsum("...aij,...k->...akij", dg, A) - np.einsum("...ij,...ak->...akij", g, dA))
     ric_curv = _ricci_from_symbols(G + W, dG + dW)
 
     t = theta / 2.0
     ric_g = _ricci_from_symbols(G, dG)
     nab = _nabla(G, t, dtheta / 2.0)
-    div = np.einsum("ij,ij->", ginv, nab)
-    norm2 = t @ ginv @ t
-    ric_formula = ric_g + div * g + (n - 2) * (nab - norm2 * g + np.outer(t, t))
+    div = np.einsum("...ij,...ij->...", ginv, nab)[..., None, None]
+    norm2 = t[..., None, :] @ ginv @ t[..., :, None]
+    ric_formula = ric_g + div * g + (n - 2) * (nab - norm2 * g + t[..., :, None] * t[..., None, :])
     return ric_curv, ric_formula, ric_g
-
-
-# ---------------------------------------------------------------------------
-# connections and curvature of batched fields
-# ---------------------------------------------------------------------------
-
-def _metric_jets(g_field, p, cfg: FDConfig, step: Optional[float] = None):
-    """A field's value, first and second derivatives at a point.
-
-    Returns (g, dg, ddg) with dg[a, ...] = d_a g and ddg[a, b, ...] =
-    d_a d_b g, all read from one full stencil evaluation per Richardson
-    level; any array-valued field works, a joint metric and Lee-form field
-    included.
-    """
-    P = np.asarray(p, dtype=float)[None, :]
-    d = P.shape[1]
-    h0 = _axis_steps(P[0], cfg.jet_step if step is None else step)
-    levels = [(_stencil_values(g_field, P, h), h) for h in _halvings(h0, cfg.richardson)]
-    g = levels[0][0][0, 0]
-    dg = _richardson(_first_differences(v[:, 1:2 * d + 1], h) for v, h in levels)
-    ddg = _richardson(_second_differences(v, h) for v, h in levels)
-    return g, dg[0], ddg[0]
-
-
-def christoffel_batch(g_field, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    """Levi-Civita symbols Gamma[k, i, j] for a batched metric field."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    dg = _jacobian_of_field(g_field, P, cfg, cfg.hessian_step if step is None else step)
-    return _christoffel(np.linalg.inv(g_field(P)), dg)
-
-
-def christoffel(g_field, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    return christoffel_batch(g_field, np.asarray(p)[None, :], cfg, step)[0]
-
-
-def nabla_oneform(theta_field, g_field, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    """(nabla theta)_ij = d_i theta_j - Gamma^k_ij theta_k."""
-    P = np.asarray(p, dtype=float)[None, :]
-    step = cfg.hessian_step if step is None else step
-    dth = _jacobian_of_field(theta_field, P, cfg, step)[0]
-    dg = _jacobian_of_field(g_field, P, cfg, step)[0]
-    return nabla_of_jets(g_field(P)[0], dg, theta_field(P)[0], dth)
-
-
-def ricci(g_field, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    """Ricci tensor of a batched metric field.
-
-    The Christoffel derivatives are assembled algebraically from first and
-    second finite differences of the metric itself, so no finite
-    difference is ever nested inside another.
-    """
-    _, _, G, dG = _symbol_jets(*_metric_jets(g_field, p, cfg, step))
-    return _ricci_from_symbols(G, dG)
-
-
-def weyl_christoffel_batch(g_field, theta_field, P: np.ndarray, cfg: FDConfig,
-                           step: Optional[float] = None) -> np.ndarray:
-    """Symbols of D = nabla - (theta . id + id . theta - g tensor A)/2."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    dg = _jacobian_of_field(g_field, P, cfg, cfg.hessian_step if step is None else step)
-    return weyl_symbols_of_jets(g_field(P), dg, theta_field(P))
-
-
-def weyl_connection(g_field, theta_field, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    return weyl_christoffel_batch(g_field, theta_field, np.asarray(p)[None, :], cfg, step)[0]
-
-
-def weyl_ricci(g_field, theta_field, p, cfg: FDConfig,
-               step: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``weyl_ricci_of_jets`` of a metric field and a Lee-form field, both differentiated at ``jet_step``."""
-    P = np.asarray(p, dtype=float)[None, :]
-    g, dg, ddg = _metric_jets(g_field, p, cfg, step)
-    dth = _jacobian_of_field(theta_field, P, cfg, cfg.jet_step if step is None else step)[0]
-    return weyl_ricci_of_jets(g, dg, ddg, theta_field(P)[0], dth)

@@ -19,11 +19,9 @@ relative gap per sample between the analytic complex Hessian
 (``kahler-einstein``, ``ricci-flat``) or ``g_tilde`` (the others) and its
 finite-difference counterpart.
 
-The suites other than ``einstein-weyl`` run on blocks of samples: each
-stencil is evaluated once per block, at per-sample steps, in calls of at
-most ``_CHUNK_ROWS`` field rows, and every residual is a reduction per
-sample.  ``einstein-weyl`` runs its single-point jet algebra sample by
-sample and batches only its ``metric_agreement``.
+Every finite-difference suite runs on blocks of samples: each stencil is
+evaluated once per block, at per-sample steps, in calls of at most
+``_CHUNK_ROWS`` field rows, and every residual is a reduction per sample.
 
 Einstein-Weyl conventions: the suite metric is the conformal gauge
 ``g = e^(-2 psi) . (cone metric of K_1^b)`` with Lee form
@@ -275,10 +273,9 @@ def lck_data(spec: PotentialSpec, p, cfg: Optional[FDConfig] = None):
 # suites
 # ---------------------------------------------------------------------------
 #
-# Each finite-difference suite but einstein-weyl runs on blocks of samples
-# (``_chunked``): every Richardson level makes one field call per block,
-# with per-sample steps as (m, d) arrays, and per-sample residuals are
-# reductions over axes.
+# Each finite-difference suite runs on blocks of samples (``_chunked``):
+# every Richardson level makes one field call per block, with per-sample
+# steps as (m, d) arrays, and per-sample residuals are reductions over axes.
 
 def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] = None,
               tolerance: Optional[float] = None, case: str = "",
@@ -419,34 +416,28 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
     if advisory:
         rep.notes.append("real dimension below 6: residuals reported informationally")
     _, cone = conformal_fields(spec, cfg)
-    r_ric, r_dcurv, r_dform, r_agree, r_higgs = [], [], [], [], []
-    metrics = np.empty((samples.count, n, n))
-    for i, p in enumerate(samples.points):      # the jet algebra works on one point
-        # one joint stencil gives g and theta at p and their jets
-        jets = diffgeo._metric_jets(cone, p, cfg, step=cfg.jet_step * coordinate_scales(spec, p))
+
+    def block(P):
+        # one joint stencil gives g and theta at P and their jets
+        jets = diffgeo._metric_jets(cone, P, cfg, step=cfg.jet_step * coordinate_scales(spec, P))
         (g, th), (dg, dth), (ddg, _) = map(diffgeo.split_joint, jets)
-        ginv = np.linalg.inv(g)
         t = th / 2.0
-        target = (n - 2) * ((t @ ginv @ t) * g - np.outer(t, t))
-        scale = max(np.max(np.abs(target)), 1e-30)
+        norm2 = t[:, None, :] @ np.linalg.inv(g) @ t[:, :, None]
+        target = (n - 2) * (norm2 * g - t[:, :, None] * t[:, None, :])
         rc, rf, ric = diffgeo.weyl_ricci_of_jets(g, dg, ddg, th, dth)
-        r_ric.append(np.max(np.abs(ric - target)) / scale)
-        r_dcurv.append(np.max(np.abs(rc)) / scale)
-        r_dform.append(np.max(np.abs(rf)) / scale)
-        r_agree.append(np.max(np.abs(rc - rf)) / scale)
         # D g = theta (x) g, with dg at the nested step
-        nest = cfg.nested_step * coordinate_scales(spec, p)
-        dg, _ = diffgeo.split_joint(diffgeo._jacobian_of_field(cone, p[None, :], cfg, nest)[0])
+        nest = cfg.nested_step * coordinate_scales(spec, P)
+        dg, _ = diffgeo.split_joint(diffgeo._jacobian_of_field(cone, P, cfg, nest))
         cov = diffgeo.weyl_metric_derivative(g, dg, th)
-        tgt = np.einsum("a,ij->aij", th, g)
-        r_higgs.append(np.max(np.abs(cov - tgt)) / max(np.max(np.abs(tgt)), 1e-30))
-        metrics[i] = g            # a copy: g is a view into the stencil values
-    rep.add("einstein_weyl_ricci", r_ric, tolerance, advisory)
-    rep.add("weyl_ricci_curvature", r_dcurv, tolerance, advisory)
-    rep.add("weyl_ricci_identity", r_dform, tolerance, advisory)
-    rep.add("weyl_ricci_agreement", r_agree, tolerance, advisory)
-    rep.add("higgs_compatibility", r_higgs, tolerance, advisory)
-    rep.add("metric_agreement", _metric_agreement(spec, cfg, samples.points, metrics), tol_agree, advisory)
+        tgt = th[:, :, None, None] * g[:, None]
+        return (_relative(ric - target, target), _relative(rc, target), _relative(rf, target),
+                _relative(rc - rf, target), _relative(cov - tgt, tgt), g)
+
+    *residuals, g = _chunked(block, _rows(n), samples.points)
+    for name, vals in zip(("einstein_weyl_ricci", "weyl_ricci_curvature", "weyl_ricci_identity",
+                           "weyl_ricci_agreement", "higgs_compatibility"), residuals):
+        rep.add(name, vals, tolerance, advisory)
+    rep.add("metric_agreement", _metric_agreement(spec, cfg, samples.points, g), tol_agree, advisory)
     return rep
 
 

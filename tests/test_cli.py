@@ -5,7 +5,7 @@ import pytest
 
 from flagcones import cli
 from flagcones.cli import main
-from flagcones.diffgeo import ChartDegeneracyError
+from flagcones.diffgeo import ChartDegeneracyError, FDConfig
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +52,13 @@ def test_potential_eval(capsys):
 def test_potential_wrong_arity(capsys):
     code, _, err = run_cli(capsys, "potential", "--case", "gr24", "--z", "1,2", "--w", "1")
     assert code == 2
+
+
+def test_potential_zero_fiber_exits_two(capsys):
+    """w = 0 is off the chart: no -Infinity log value, the same exit code as ``embed``."""
+    code, out, err = run_cli(capsys, "potential", "--case", "cp:1", "--w", "0")
+    assert code == 2 and out == ""
+    assert "fiber coordinate" in err
 
 
 def test_verify_pass_exit_zero(capsys):
@@ -143,3 +150,11 @@ def test_verify_fd_flags_and_tol(capsys):
     doc = json.loads(out)
     assert doc["config"]["fd"]["base_step"] == 2e-4
     assert all(r["tolerance"] == 1e-4 for r in doc["report"]["residuals"])
+
+
+def test_fd_step_at_default_echoes_default_config(capsys):
+    """``--fd-step`` scales the ``FDConfig`` defaults, so the default base step gives the default config."""
+    code, out, _ = run_cli(capsys, "verify", "--case", "hopf:cp1", "--suite", "lck",
+                           "--samples", "2", "--fd-step", "1e-4", "--deterministic")
+    assert code == 0
+    assert json.loads(out)["config"]["fd"] == FDConfig().echo()

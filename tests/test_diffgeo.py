@@ -5,19 +5,32 @@ import pytest
 from flagcones import diffgeo
 from flagcones.charts import make_spec
 from flagcones.roots import ConfigurationError
-from flagcones.diffgeo import (FDConfig, apply_J, complex_structure, d_oneform,
-                               d_scalar, d_twoform, dc_scalar, hessian_batch,
-                               i_del_delbar, kahler_form, metric_batch,
-                               metric_from_form, nabla_oneform, ricci,
-                               ricci_form, wedge_one_two, weyl_connection,
-                               weyl_ricci, christoffel, grad_batch)
+from flagcones.diffgeo import (FDConfig, complex_structure, d_oneform_batch,
+                               hessian_batch, i_del_delbar, kahler_form,
+                               metric_batch, ricci_form, wedge_one_two, grad_batch)
 
 CFG = FDConfig()
 
 
+def _christoffel(gfield, P, step=CFG.hessian_step):
+    """Levi-Civita symbols of a batched metric field at the points P, from one Jacobian."""
+    return diffgeo._christoffel(np.linalg.inv(gfield(P)), diffgeo._jacobian_of_field(gfield, P, CFG, step))
+
+
+def _ricci(gfield, P):
+    """Ricci tensors of a batched metric field at the points P, from its jets at ``jet_step``."""
+    _, _, G, dG = diffgeo._symbol_jets(*diffgeo._metric_jets(gfield, P, CFG))
+    return diffgeo._ricci_from_symbols(G, dG)
+
+
+def _joint(gfield, theta):
+    """One field (m, d+1, d) carrying a metric field's rows and a one-form field's row."""
+    return lambda P: np.concatenate([gfield(P), theta(P)[:, None, :]], axis=1)
+
+
 def test_d_scalar_linear_exact():
     F = lambda P: 3.0 * P[..., 0] - 2.0 * P[..., 1] + 0.5 * P[..., 2] + 7.0
-    g = d_scalar(F, np.array([0.3, -0.2, 1.0, 0.5]), CFG)
+    g = grad_batch(F, np.array([[0.3, -0.2, 1.0, 0.5]]), CFG)[0]
     assert np.allclose(g, [3.0, -2.0, 0.5, 0.0], atol=1e-12)
 
 
@@ -27,7 +40,7 @@ def test_closure_d_of_d():
     logF = spec.log_field()
     p = np.array([0.3, -0.2, 0.1, 0.4, -0.3, 0.2, 0.5, 0.1, 1.1, 0.4])
     omega = lambda P: grad_batch(logF, P, CFG)
-    ddF = d_oneform(omega, p, CFG)
+    ddF = d_oneform_batch(omega, p[None, :], CFG)[0]
     assert np.max(np.abs(ddF)) < 1e-8
 
 
@@ -62,17 +75,18 @@ def test_complex_structure_squares_to_minus_one():
     J = complex_structure(8)
     assert np.allclose(J @ J, -np.eye(8))
     v = np.arange(4.0)
-    assert np.allclose(apply_J(apply_J(v)), -v)
+    assert np.allclose(complex_structure(4) @ (complex_structure(4) @ v), -v)
 
 
 def test_dc_of_fiber_modulus():
     """d^c |w|^2 at w = 1 is twice the angular covector."""
     F = lambda P: P[..., 0] ** 2 + P[..., 1] ** 2
-    dc = dc_scalar(F, np.array([1.0, 0.0]), CFG)
+    dc_scalar = lambda p: complex_structure(2) @ grad_batch(F, p[None, :], CFG)[0]    # d^c F = J grad F
+    dc = dc_scalar(np.array([1.0, 0.0]))
     assert np.allclose(dc, [0.0, 2.0], atol=1e-10)
     # at general w it equals 2(x dy - y dx)
     p = np.array([0.8, -0.5])
-    dc = dc_scalar(F, p, CFG)
+    dc = dc_scalar(p)
     assert np.allclose(dc, [2 * p[1] * -1, 2 * p[0]], atol=1e-10)
 
 
@@ -88,9 +102,10 @@ def test_ddc_is_type_one_one():
 
 def test_flat_form_and_metric():
     F = lambda P: P[..., 0] ** 2 + P[..., 1] ** 2
-    om = kahler_form(F, np.array([0.7, -0.3]), CFG)
+    p = np.array([0.7, -0.3])
+    om = kahler_form(F, p, CFG)
     assert np.allclose(om, [[0, 1], [-1, 0]], atol=1e-11)
-    assert np.allclose(metric_from_form(om), np.eye(2), atol=1e-11)
+    assert np.allclose(metric_batch(F, p[None, :], CFG)[0], np.eye(2), atol=1e-11)    # g(X, Y) = omega(X, JY)
 
 
 def test_kahler_form_closed_and_positive():
@@ -98,15 +113,15 @@ def test_kahler_form_closed_and_positive():
     F = spec.field()
     p = np.array([0.5, -0.2, 0.1, 0.3, 1.2, -0.4])
     Om = lambda P: diffgeo.kahler_form_batch(F, P, CFG)
-    dOm = d_twoform(Om, p, CFG)
+    dOm = diffgeo.d_twoform_of_jets(diffgeo._jacobian_of_field(Om, p[None, :], CFG, CFG.nested_step / 2)[0])
     assert np.max(np.abs(dOm)) < 1e-7
-    g = metric_from_form(Om(p[None, :])[0])
+    g = metric_batch(F, p[None, :], CFG)[0]
     assert np.min(np.linalg.eigvalsh((g + g.T) / 2)) > 0
 
 
 def test_christoffel_flat_zero():
     gfield = lambda P: np.broadcast_to(np.eye(4), (len(np.atleast_2d(P)), 4, 4)).copy()
-    G = christoffel(gfield, np.array([0.3, 0.1, -0.2, 0.5]), CFG)
+    G = _christoffel(gfield, np.array([[0.3, 0.1, -0.2, 0.5]]))
     assert np.max(np.abs(G)) < 1e-12
 
 
@@ -116,7 +131,7 @@ def test_metric_compatibility():
     F = spec.field()
     gfield = lambda P: metric_batch(F, P, CFG)
     p = np.array([0.4, -0.1, 1.05, 0.3])
-    G = christoffel(gfield, p, CFG)
+    G = _christoffel(gfield, p[None, :])[0]
     dg = diffgeo._jacobian_of_field(gfield, p[None, :], CFG, CFG.hessian_step)[0]
     g = gfield(p[None, :])[0]
     cov = dg - np.einsum("kai,kj->aij", G, g) - np.einsum("kaj,ik->aij", G, g)
@@ -130,14 +145,16 @@ def test_nabla_antisymmetric_part_is_half_dtheta():
     gfield = lambda P: metric_batch(F, P, CFG)
     theta = lambda P: np.stack([np.sin(P[..., 0]), P[..., 1] ** 2, P[..., 2] * P[..., 0], P[..., 3]], axis=-1)
     p = np.array([0.4, -0.1, 1.05, 0.3])
-    nab = nabla_oneform(theta, gfield, p, CFG)
-    dth = d_oneform(theta, p, CFG)
+    P = p[None, :]
+    dg, dtheta = diffgeo.split_joint(diffgeo._jacobian_of_field(_joint(gfield, theta), P, CFG, CFG.hessian_step))
+    nab = diffgeo.nabla_of_jets(gfield(P), dg, theta(P), dtheta)[0]
+    dth = d_oneform_batch(theta, P, CFG)[0]
     assert np.max(np.abs((nab - nab.T) - 0.5 * (dth - dth.T))) < 1e-6
 
 
 def test_ricci_flat_metric_zero():
     gfield = lambda P: np.broadcast_to(np.eye(4), (len(np.atleast_2d(P)), 4, 4)).copy()
-    R = ricci(gfield, np.array([0.3, 0.1, -0.2, 0.5]), CFG)
+    R = _ricci(gfield, np.array([[0.3, 0.1, -0.2, 0.5]]))
     assert np.max(np.abs(R)) < 1e-12
 
 
@@ -146,7 +163,7 @@ def test_ricci_fubini_study():
     F = lambda P: 2.0 * np.log(1.0 + P[..., 0] ** 2 + P[..., 1] ** 2)
     gfield = lambda P: metric_batch(F, P, CFG)
     for p in [np.array([0.3, -0.4]), np.array([0.9, 0.6])]:
-        R = ricci(gfield, p, CFG)
+        R = _ricci(gfield, p[None, :])[0]
         g = gfield(p[None, :])[0]
         assert np.max(np.abs(R - 2 * g)) < 1e-5
         assert np.max(np.abs(R - R.T)) < 1e-7
@@ -166,7 +183,7 @@ def test_ricci_form_matches_ricci_tensor_on_kahler_probe():
     p = np.array([0.3, -0.4])
     rho = ricci_form(F, p, CFG)
     gfield = lambda P: metric_batch(F, P, CFG)
-    R = ricci(gfield, p, CFG)
+    R = _ricci(gfield, p[None, :])[0]
     J = complex_structure(2)
     assert np.max(np.abs(rho @ J - R)) < 1e-4
 
@@ -175,10 +192,10 @@ def test_weyl_connection_zero_theta_is_levi_civita():
     spec = make_spec("hopf:cp1")
     F = spec.field()
     gfield = lambda P: metric_batch(F, P, CFG)
-    zero = lambda P: np.zeros((len(np.atleast_2d(P)), 4))
-    p = np.array([0.4, -0.1, 1.05, 0.3])
-    GD = weyl_connection(gfield, zero, p, CFG)
-    G = christoffel(gfield, p, CFG)
+    P = np.array([[0.4, -0.1, 1.05, 0.3]])
+    dg = diffgeo._jacobian_of_field(gfield, P, CFG, CFG.hessian_step)
+    GD = diffgeo.weyl_symbols_of_jets(gfield(P), dg, np.zeros((1, 4)))
+    G = _christoffel(gfield, P)
     assert np.max(np.abs(GD - G)) < 1e-12
 
 
@@ -189,8 +206,9 @@ def test_weyl_ricci_paths_agree_off_shell():
     logF = spec.log_field()
     gfield = lambda P: metric_batch(F, P, CFG)        # unrescaled cone metric
     theta = lambda P: -grad_batch(logF, P, CFG)
-    p = np.array([0.4, -0.1, 1.05, 0.3])
-    rc, rf, _ = weyl_ricci(gfield, theta, p, CFG)
+    P = np.array([[0.4, -0.1, 1.05, 0.3]])
+    (g, th), (dg, dth), (ddg, _) = map(diffgeo.split_joint, diffgeo._metric_jets(_joint(gfield, theta), P, CFG))
+    rc, rf, _ = diffgeo.weyl_ricci_of_jets(g, dg, ddg, th, dth)
     scale = max(np.max(np.abs(rc)), 1.0)
     assert np.max(np.abs(rc)) > 0.1          # genuinely off-shell probe
     assert np.max(np.abs(rc - rf)) / scale < 1e-4
@@ -206,31 +224,34 @@ def test_weyl_higgs_identity():
 
     theta = lambda P: -grad_batch(logF, P, CFG)
     p = np.array([0.4, -0.1, 1.05, 0.3])
-    GD_field = lambda P: diffgeo.weyl_christoffel_batch(gfield, theta, P, CFG)
-    dg = diffgeo._jacobian_of_field(gfield, p[None, :], CFG, CFG.jet_step)[0]
-    GD = GD_field(p[None, :])[0]
-    g = gfield(p[None, :])[0]
-    th = theta(p[None, :])[0]
+    P = p[None, :]
+    GD = diffgeo.weyl_symbols_of_jets(gfield(P), diffgeo._jacobian_of_field(gfield, P, CFG, CFG.hessian_step),
+                                      theta(P))[0]
+    dg = diffgeo._jacobian_of_field(gfield, P, CFG, CFG.jet_step)[0]
+    g = gfield(P)[0]
+    th = theta(P)[0]
     cov = dg - np.einsum("kai,kj->aij", GD, g) - np.einsum("kaj,ik->aij", GD, g)
     assert np.max(np.abs(cov - np.einsum("a,ij->aij", th, g))) < 1e-5
 
 
-def test_joint_field_route_equals_two_field_route():
-    """The jet algebra fed by one joint (metric, Lee form) field matches the field-pair adapters bit for bit."""
-    spec = make_spec("hopf:cp1")
-    F = spec.field()
-    logF = spec.log_field()
-    gfield = lambda P: metric_batch(F, P, CFG)
-    theta = lambda P: -grad_batch(logF, P, CFG)
-    joint = lambda P: np.concatenate([gfield(P), theta(P)[:, None, :]], axis=1)
-    p = np.array([0.4, -0.1, 1.05, 0.3])
-    (g, th), (dg, dth), (ddg, _) = map(diffgeo.split_joint, diffgeo._metric_jets(joint, p, CFG))
-    joint_route = diffgeo.weyl_ricci_of_jets(g, dg, ddg, th, dth)
-    for a, b in zip(joint_route, weyl_ricci(gfield, theta, p, CFG)):
-        assert np.array_equal(a, b)
-    dg, dth = diffgeo.split_joint(diffgeo._jacobian_of_field(joint, p[None, :], CFG, CFG.hessian_step)[0])
-    assert np.array_equal(diffgeo.nabla_of_jets(g, dg, th, dth), nabla_oneform(theta, gfield, p, CFG))
-    assert np.array_equal(diffgeo.weyl_symbols_of_jets(g, dg, th), weyl_connection(gfield, theta, p, CFG))
+def test_weyl_ricci_of_jets_on_a_stack_matches_points():
+    """The jet algebra batched over a leading axis equals one call per point."""
+    rng = np.random.default_rng(11)
+    m, n = 4, 6
+    a = rng.normal(size=(m, n, n))
+    g = a @ np.swapaxes(a, -1, -2) + n * np.eye(n)
+    dg = rng.normal(size=(m, n, n, n))
+    dg += np.swapaxes(dg, -1, -2)
+    ddg = rng.normal(size=(m, n, n, n, n))
+    ddg += np.swapaxes(ddg, -1, -2)
+    ddg += np.swapaxes(ddg, 1, 2)
+    theta, dtheta = rng.normal(size=(m, n)), rng.normal(size=(m, n, n))
+    stacked = diffgeo.weyl_ricci_of_jets(g, dg, ddg, theta, dtheta)
+    for i in range(m):
+        single = diffgeo.weyl_ricci_of_jets(g[i], dg[i], ddg[i], theta[i], dtheta[i])
+        for batch, one in zip(stacked, single):
+            assert batch.shape == (m, n, n)
+            np.testing.assert_allclose(batch[i], one, rtol=1e-12)
 
 
 def test_lee_form_norm_is_two():
@@ -299,13 +320,19 @@ def _poly_vector(P):
     return np.stack([x[0] * x[1], x[2] ** 3 - x[0], x[1] ** 2 * x[2]], axis=-1)
 
 
+def _flat_jets(jets):
+    """The jets ``(g, dg, ddg)`` of m points as one (m, *) array, a row per point."""
+    return np.concatenate([a.reshape(len(a), -1) for a in jets], axis=1)
+
+
 def test_multi_point_batches_match_single_points():
     """With array steps an m-point call equals m one-point calls row by row."""
     P = np.array([[0.3, -0.2, 1.1], [-0.7, 0.4, 0.05], [1.8, 2.5, -0.9], [0.0, 0.6, 0.2]])
     step = np.array([1e-2, 2e-2, 5e-3])
     calls = [lambda Q: grad_batch(_poly, Q, CFG, step=step),
              lambda Q: hessian_batch(_poly, Q, CFG, step=step),
-             lambda Q: diffgeo._jacobian_of_field(_poly_vector, Q, CFG, step)]
+             lambda Q: diffgeo._jacobian_of_field(_poly_vector, Q, CFG, step),
+             lambda Q: _flat_jets(diffgeo._metric_jets(_poly_vector, Q, CFG, step))]
     for call in calls:
         batch = call(P)
         assert len(batch) == len(P)
@@ -326,12 +353,11 @@ def test_hessian_of_matrix_valued_field():
     H = hessian_batch(field, P, CFG)
     assert H.shape == (2, d, d) + shape
     assert np.allclose(H, expected, atol=1e-8)
-    p = P[0]
-    g, dg, ddg = diffgeo._metric_jets(field, p, CFG)
-    assert np.array_equal(g, field(p[None, :])[0])
-    assert ddg.shape == (d, d) + shape
+    g, dg, ddg = diffgeo._metric_jets(field, P, CFG)
+    assert np.array_equal(g, field(P))
+    assert ddg.shape == (2, d, d) + shape
     assert np.allclose(ddg, expected, atol=1e-8)
-    assert np.allclose(dg, np.einsum("ijab,b->aij", A, p) + np.moveaxis(B, -1, 0), atol=1e-8)
+    assert np.allclose(dg, np.einsum("ijab,mb->maij", A, P) + np.moveaxis(B, -1, 0), atol=1e-8)
 
 
 def _loop_hessian(F, p, h):
@@ -408,7 +434,8 @@ def test_per_sample_steps_match_single_sample_calls():
         P = rng.uniform(-1.0, 1.0, size=(5, d))
         steps = rng.uniform(2e-3, 4e-2, size=(5, d))
         calls = [lambda Q, h: hessian_batch(field, Q, CFG, step=h),
-                 lambda Q, h: diffgeo._jacobian_of_field(field, Q, CFG, h)]
+                 lambda Q, h: diffgeo._jacobian_of_field(field, Q, CFG, h),
+                 lambda Q, h: _flat_jets(diffgeo._metric_jets(field, Q, CFG, h))]
         for call in calls:
             single = np.stack([call(p[None, :], h)[0] for p, h in zip(P, steps)])
             assert np.array_equal(call(P, steps), single)

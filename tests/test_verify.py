@@ -255,7 +255,7 @@ def test_metric_agreement_catches_a_wrong_jacobian(monkeypatch):
 
 
 def test_cone_jet_evaluations_per_sample(monkeypatch):
-    """One joint field carries g_tilde and theta, and every suite but einstein-weyl evaluates
+    """One joint field carries g_tilde and theta, and every finite-difference suite evaluates
     each stencil once per block of samples, at most ``_CHUNK_ROWS`` rows a call."""
     calls = []
     cone_jet = PotentialSpec.cone_jet
@@ -277,7 +277,10 @@ def test_cone_jet_evaluations_per_sample(monkeypatch):
         assert max(calls) <= verify._CHUNK_ROWS, (suite, max(calls))
         return len(calls)
 
-    assert jet_calls("einstein-weyl", "quadric:6", 4) <= 4 * 4
+    # 201 full-stencil rows a sample: 5 samples fit one block, 8 take two; a block
+    # makes one jet stencil and one nested Jacobian per Richardson level
+    assert jet_calls("einstein-weyl", "quadric:6", 4) == jet_calls("einstein-weyl", "quadric:6", 5) == 4
+    assert jet_calls("einstein-weyl", "quadric:6", 8) == 2 * 4
     # 20 first-difference rows a sample: 4 and 8 samples both fit one block
     assert jet_calls("lck", "gr24", 4) == jet_calls("lck", "gr24", 8) == 5
     assert jet_calls("vaisman", "quadric:6", 4) == jet_calls("vaisman", "quadric:6", 8) == 3
@@ -286,7 +289,8 @@ def test_cone_jet_evaluations_per_sample(monkeypatch):
     assert jet_calls("ricci-flat", "gr24", 8) == 2 * 3
 
 
-@pytest.mark.parametrize("suite, case", [("lck", "grassmann:4:2"), ("ricci-flat", "gr24")])
+@pytest.mark.parametrize("suite, case", [("lck", "grassmann:4:2"), ("ricci-flat", "gr24"),
+                                         ("einstein-weyl", "quadric:6")])
 def test_blocks_of_one_sample_give_the_same_report(monkeypatch, suite, case):
     """The block size is not visible in a report: one sample per block matches the default blocks."""
     default = run_suite(suite, case, seed=5)
