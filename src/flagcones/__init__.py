@@ -16,9 +16,8 @@ from .roots import (ConfigurationError, FlagDescriptor, RootSystem, Weight,
 from .reps import (RepSpace, act, casimir_matrix, casimir_tensor_matrix,
                    outer_tensor, sl2_module, so_vector_module, wedge_module)
 from .charts import (Chart, DomainError, PotentialSpec, canonical_exponents,
-                     dhomothetic_constant, fullflag_h, generic_h, grassmann_h,
-                     log_potential_eval, make_spec, potential_eval, product_h,
-                     quadric_h, resolve_case, ricci_flat_exponent)
+                     dhomothetic_constant, generic_h, log_potential_eval,
+                     make_spec, potential_eval, resolve_case, ricci_flat_exponent)
 from .diffgeo import FDConfig, ChartDegeneracyError
 from .hvcone import (GammaGroup, HopfPoint, casimir_quadric_residual,
                      determinant_residual, eguchi_hanson_Upsilon,

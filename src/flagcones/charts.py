@@ -1,34 +1,43 @@
 """Big-cell coordinate charts and the catalog of Kahler potentials.
 
-Every catalog geometry carries direct evaluators for the fundamental
-potentials ``h_alpha(z) = |n(z) v_alpha|^2`` on the opposite big cell
-(normalised so ``h_alpha(0) = 1``), plus a representation-theoretic path
-that evaluates the same quantity through the module machinery.  Each
-``h_alpha = det(F_alpha* F_alpha)`` is the Gram determinant of a holomorphic
-frame with rank-one Jacobians ``d_a F = u_a v_a^T`` (``Chart.frames``): the
-first columns of the big-cell unipotent ``n(z)`` on wedge charts (projective
-spaces, Grassmannians, full flags of type A), constant unit ``d_a F``, where
-``h_closed`` takes the leading Gram minors (``fullflag_h``, or
-``grassmann_h`` on the block below ``1_k``) by one Hermitian elimination on
-both the exact and the float path; the section ``(1, zeta/sqrt2, q/4)`` on
-quadrics, ``d_a F`` linear in ``zeta``; ``[1; z_j]`` per product factor.
-``log_gram_jets`` turns ``(F, U, V)`` into closed-form ``d log h`` and
-``ddbar log h``, the analytic Kahler layer under the verification suites.
-A ``PotentialSpec`` combines a chart with bundle exponents and an outer
-cone exponent ``b``:
+Every catalog geometry carries its fundamental potentials
+``h_alpha(z) = |n(z) v_alpha|^2`` on the opposite big cell (normalised so
+``h_alpha(0) = 1``), plus a representation-theoretic path that evaluates
+the same quantity through the module machinery.  Each ``h_alpha`` is a
+Gram determinant of a holomorphic frame, and one frame builder serves both
+the exact path (QC rows when ``z`` holds ``QC``) and the float path
+(complex arrays batched over the leading axes of ``z``):
+
+* type-A flag manifolds ``GL(n+1)/P`` (projective spaces, Grassmannians,
+  partial and full flags) share one block big cell: the blocks
+  ``(k1, k2 - k1, ..., n + 1 - kr)`` for the simple roots ``k1 < ... < kr``
+  outside Theta, one coordinate at every position left of its row's block.
+  ``h_s`` is the ``k_s``-th leading Gram minor of the first ``kr`` columns
+  of ``n(z)``, and ``gram_minors`` gives all of them in one elimination;
+* quadrics take the isotropic section ``(1, c zeta, q(zeta)/4)`` with
+  ``|c|^2 = 1/2`` (``c = (1+i)/2`` on the exact path);
+* products take ``[1; z_j]`` per factor.
+
+``Chart.frames`` adds the rank-one Jacobians ``d_a F = u_a v_a^T`` of the
+same frames, and ``log_gram_jets`` turns them into closed-form ``d log h``
+and ``ddbar log h``, the analytic Kahler layer under the verification
+suites.  A ``PotentialSpec`` combines a chart with bundle exponents and an
+outer cone exponent ``b``:
 
     K_1(z, w) = prod_alpha h_alpha(z)^(e_alpha) * |w|^2,
     K_b(z, w) = K_1(z, w)^b.
 
 Catalog identifiers: ``cp:m``, ``grassmann:n:k``, ``fullflag:A:n``,
-``quadric:N``, ``conifold``, and the aliases ``gr24`` (= grassmann:3:2),
-``wallach`` (= fullflag:A:2), ``hopf:cpM`` (= cp:M).
+``flag:A:n:k1,...,kr``, ``quadric:N``, ``conifold``, and the aliases
+``gr24`` (= grassmann:3:2), ``wallach`` (= fullflag:A:2), ``hopf:cpM``
+(= cp:M).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -67,14 +76,16 @@ def _big_cell(n: int, slots, z, exact: bool = False, cols: Optional[int] = None)
     return M
 
 
-def _grassmann_slots(n: int, k: int):
-    """Row-major positions of the (n+1-k) x k block below the k x k identity."""
-    return [(k + r, c) for r in range(n + 1 - k) for c in range(k)]
+@lru_cache(maxsize=None)
+def _block_slots(n: int, ks: Tuple[int, ...]) -> tuple:
+    """Row by row, every position (i, j) with j left of the first column of row i's block.
 
-
-def _fullflag_slots(n: int):
-    """Strictly lower positions of GL(n+1), row by row."""
-    return [(i, j) for i in range(1, n + 1) for j in range(i)]
+    The diagonal blocks of GL(n+1) are ``(k1, k2 - k1, ..., n + 1 - kr)``;
+    ``ks = (k,)`` gives the row-major block below ``1_k``, ``ks = (1, ..., n)``
+    the strictly lower triangle.
+    """
+    starts = (0,) + ks
+    return tuple((i, j) for i in range(n + 1) for j in range(max(s for s in starts if s <= i)))
 
 
 class Frame(tuple):
@@ -121,23 +132,22 @@ def log_gram_jets(F, U, V, units=None):
     return grad, hess
 
 
-def gram_minors(F, unit_top: bool = False):
+def gram_minors(F):
     """Leading principal minors ``det G[:k, :k]``, k = 1..r, of ``G = F* F``.
 
-    ``F`` is an m x r frame; with ``unit_top`` it is the block below an
-    r x r identity, so ``G = 1 + F* F``.  By Cauchy-Binet the k-th minor is
-    the sum of squared k x k minors of the first k columns.  ``G`` is
-    Hermitian positive definite, so unpivoted elimination on its upper
-    triangle gives the minors as running products of the pivots.  One loop
-    for both paths: exact (Fractions) when ``F`` holds QC rows, otherwise
-    float with each Gram entry a batch array over the leading axes of ``F``.
+    ``F`` is an N x r frame.  By Cauchy-Binet the k-th minor is the sum of
+    squared k x k minors of the first k columns.  ``G`` is Hermitian
+    positive definite, so unpivoted elimination on its upper triangle gives
+    the minors as running products of the pivots.  One loop for both paths:
+    exact (Fractions) when ``F`` is a tuple of QC rows (an ``exact.Mat``),
+    otherwise float with each Gram entry a batch array over the leading
+    axes of ``F``.
     """
-    exact = _is_exact_block(F)
+    exact = isinstance(F, tuple)
     cols = list(zip(*F)) if exact else np.moveaxis(np.asarray(F, dtype=complex), (-1, -2), (0, 1))
     r = len(cols)
     conj = [[x.conj() for x in col] for col in cols]
-    G = [[sum((x * y for x, y in zip(conj[a], cols[b])), int(unit_top and a == b)) if b >= a else None
-          for b in range(r)] for a in range(r)]
+    G = [[sum(x * y for x, y in zip(conj[a], cols[b])) if b >= a else None for b in range(r)] for a in range(r)]
     out, det = [], 1
     for c in range(r):
         pivot = G[c][c].real
@@ -149,72 +159,9 @@ def gram_minors(F, unit_top: bool = False):
     return tuple(out) if exact else np.stack(out, axis=-1)
 
 
-def grassmann_h(n: int, k: int, Z) -> float:
-    """Gram determinant of the (n+1) x k frame [1_k; Z].
-
-    Equals the sum of squared k x k minors of the frame.  ``Z`` is the
-    (n+1-k) x k block of big-cell coordinates; batching over leading axes
-    is supported.  Exact (Fraction) when Z has QC entries.
-    """
-    shape = (len(Z), len(Z[0])) if _is_exact_block(Z) else np.shape(Z)[-2:]
-    if tuple(shape) != (n + 1 - k, k):
-        raise DomainError(f"expected trailing shape {(n + 1 - k, k)}, got {tuple(shape)}")
-    h = gram_minors(Z, unit_top=True)
-    return h[-1] if isinstance(h, tuple) else h[..., -1]
-
-
-def _is_exact_block(Z) -> bool:
-    return isinstance(Z, (list, tuple)) and len(Z) > 0 and isinstance(Z[0], (list, tuple)) \
-        and all(isinstance(x, QC) for row in Z for x in row)
-
-
-def fullflag_h(n: int, Z):
-    """Fundamental potentials ``(h_1, ..., h_n)`` of the full flag of GL(n+1).
-
-    ``h_k`` is the Gram determinant of the first k columns of the unipotent
-    1 + strictlower(Z), i.e. the k-th leading Gram minor of its first n
-    columns.  ``Z`` holds the strictly lower entries row by row (length
-    n(n+1)/2).  Exact (a tuple of Fractions) when Z has QC entries.
-    """
-    return gram_minors(_big_cell(n, _fullflag_slots(n), Z, exact=_is_exact_vecz(Z), cols=n))
-
-
-def _is_exact_vecz(z) -> bool:
-    return isinstance(z, (list, tuple)) and all(isinstance(x, QC) for x in z)
-
-
-def quadric_h(N: int, zeta) -> float:
-    """h = 1 + |zeta|^2/2 + |q(zeta)|^2/16 with q(zeta) = sum zeta_j^2.
-
-    This is the squared norm of the isotropic big-cell section through
-    ``e_1 - i e_2`` (unit-normalised).
-    """
-    if N < 5:
-        raise DomainError("quadric chart requires N >= 5")
-    if _is_exact_vecz(zeta):
-        if len(zeta) != N - 2:
-            raise DomainError(f"expected {N - 2} coordinates")
-        q = QC(0)
-        a2 = Fraction(0)
-        for z in zeta:
-            q = q + z * z
-            a2 += z.abs2()
-        return 1 + Fraction(1, 2) * a2 + Fraction(1, 16) * q.abs2()
-    zeta = np.asarray(zeta, dtype=complex)
-    if zeta.shape[-1] != N - 2:
-        raise DomainError(f"expected {N - 2} coordinates, got {zeta.shape[-1]}")
-    q = np.sum(zeta * zeta, axis=-1)
-    return 1.0 + 0.5 * np.sum(np.abs(zeta) ** 2, axis=-1) + np.abs(q) ** 2 / 16.0
-
-
-def product_h(h1: Callable, h2: Callable, z1, z2):
-    """Potential of a product geometry: h(z1, z2) = h1(z1) * h2(z2)."""
-    return h1(z1) * h2(z2)
-
-
 def nilpotent_log(M, dim: int):
     """log(1 + X) for strictly triangular X = M - 1, as a terminating series."""
-    if isinstance(M, tuple) or _is_exact_block(M):
+    if isinstance(M, tuple):
         from .exact import eye, mat_add, mat_mul, mat_sub
 
         X = mat_sub(M, eye(len(M)))
@@ -257,33 +204,52 @@ class Chart:
     params: dict
 
     def _wedge(self):
-        """``(n, r, slots)``: n(z) in GL(n+1), frame width r; generator alpha uses r - n_gen + 1 + alpha columns."""
-        n = self.params["n"]
-        if self.params.get("full"):
-            return n, n, _fullflag_slots(n)
-        return n, self.params["k"], _grassmann_slots(n, self.params["k"])
+        """``(n, ks, slots)``: n(z) in GL(n+1) on the block slots; generator s reads the first ``ks[s]`` columns."""
+        n, ks = self.params["n"], self.params["ks"]
+        return n, ks, _block_slots(n, ks)
 
-    def h_closed(self, z) -> np.ndarray:
-        """Closed-form fundamental potentials, shape (..., n_gen)."""
+    def _frame(self, z, exact: bool):
+        """The one frame builder: ``(F, ks)``, a QC-row tuple with ``exact``, else complex (..., N, r).
+
+        A wedge chart's ``h_s`` is the ``ks[s]``-th leading Gram minor of its
+        widest frame, the first ``kr`` columns of n(z).  Otherwise ``ks`` is
+        None and each column is its own frame with ``h`` its squared norm: the
+        quadric section ``(1, c zeta, q(zeta)/4)``, ``|c|^2 = 1/2`` (``c = (1+i)/2``
+        exactly, ``1/sqrt2`` in floats), or ``[1; z_j]`` per product factor.
+        """
         if self.kind == "wedge":
-            n, r, slots = self._wedge()
-            if self.params.get("full"):
-                return fullflag_h(n, z)
-            F = _big_cell(n, slots, z, exact=_is_exact_vecz(z), cols=r)     # [1_k; Z]
-            h = grassmann_h(n, r, F[r:] if isinstance(F, tuple) else F[..., r:, :])
-            return (h,) if isinstance(h, Fraction) else h[..., None]
+            n, ks, slots = self._wedge()
+            return _big_cell(n, slots, z, exact=exact, cols=ks[-1]), ks
         if self.kind == "quadric":
-            val = quadric_h(self.params["N"], z)
-            return (val,) if isinstance(val, Fraction) else np.asarray(val)[..., None]
-        # product of projective lines / general product
-        if _is_exact_vecz(z):
-            out = []
-            for j in range(self.n_gen):
-                zz = z[j]
-                out.append(1 + zz.abs2())
-            return tuple(out)
-        z = np.asarray(z, dtype=complex)
-        return 1.0 + np.abs(z) ** 2
+            if exact:
+                c = QC(Fraction(1, 2), Fraction(1, 2))
+                return ((QC(1),),) + tuple((c * x,) for x in z) + ((sum(x * x for x in z) / 4,),), None
+            s = np.concatenate([np.ones(z.shape[:-1] + (1,)), z / np.sqrt(2.0),
+                                np.sum(z * z, axis=-1, keepdims=True) / 4.0], axis=-1)
+            return s[..., None], None
+        if exact:
+            return ((QC(1),) * len(z), tuple(z)), None
+        F = np.empty(z.shape[:-1] + (2, self.n_z), dtype=complex)
+        F[..., 0, :], F[..., 1, :] = 1.0, z
+        return F, None
+
+    def h_closed(self, z):
+        """Fundamental potentials, the Gram determinants of the chart frames: shape (..., n_gen).
+
+        Exact (a tuple of Fractions) when ``z`` holds QC.
+        """
+        exact = isinstance(z, (list, tuple)) and isinstance(z[0], QC)
+        if not exact:
+            z = np.asarray(z, dtype=complex)
+        if (len(z) if exact else z.shape[-1]) != self.n_z:
+            raise DomainError(f"{self.name} needs {self.n_z} coordinates")
+        F, ks = self._frame(z, exact)
+        if ks is None:                  # squared column norms, row by row
+            if exact:
+                return tuple(sum(x.abs2() for x in col) for col in zip(*F))
+            return sum(np.abs(F[..., i, :]) ** 2 for i in range(F.shape[-2]))
+        minors = gram_minors(F)
+        return tuple(minors[k - 1] for k in ks) if exact else minors[..., [k - 1 for k in ks]]
 
     def frames(self, z) -> list:
         """Holomorphic frames ``(F_alpha, U, V)``: ``h_alpha = det(F_alpha* F_alpha)`` and ``d_a F_alpha = u_a v_a^T``.
@@ -295,27 +261,25 @@ class Chart:
         """
         z = np.asarray(z, dtype=complex)
         m, ones = self.n_z, np.ones((1, self.n_z))
+        F, ks = self._frame(z, exact=False)
         if self.kind == "wedge":        # d_a F = the unit matrix at slot a
-            n, r, slots = self._wedge()
+            n, _, slots = self._wedge()
             rows, cols = map(np.array, zip(*slots))
-            F, U, V = _big_cell(n, slots, z, cols=r), np.eye(n + 1)[:, rows], np.eye(r)[:, cols]
+            U, V = np.eye(n + 1)[:, rows], np.eye(ks[-1])[:, cols]
             frames = []
-            for k in range(r - self.n_gen + 1, r + 1):
+            for k in ks:
                 on = cols < k               # coordinates in the first k columns; the others read column 0, weight 0
                 units = (rows, np.where(on, cols, 0), None if on.all() else on.astype(float))
                 frames.append(Frame(F[..., :k], U, V[:k], units))
             return frames
-        if self.kind == "quadric":      # s = (1, zeta/sqrt2, q(zeta)/4), d_a s = (0, e_a/sqrt2, zeta_a/2)
-            s = np.concatenate([np.ones(z.shape[:-1] + (1,)), z / np.sqrt(2.0),
-                                np.sum(z * z, axis=-1, keepdims=True) / 4.0], axis=-1)
+        if self.kind == "quadric":      # d_a s = (0, e_a/sqrt2, zeta_a/2)
             U = np.zeros(z.shape[:-1] + (m + 2, m), dtype=complex)
             U[..., range(1, m + 1), range(m)] = 1.0 / np.sqrt(2.0)
             U[..., m + 1, :] = z / 2.0
-            return [(s[..., None], U, ones)]
+            return [(F, U, ones)]
         # product of projective lines: [1; z_j], d_a = delta_aj (0; 1)
         unit_rows, zero_cols = np.ones(m, dtype=int), np.zeros(m, dtype=int)
-        return [Frame(_big_cell(1, ((1, 0),), z[..., j:j + 1], cols=1), np.outer([0.0, 1.0], np.eye(m)[j]), ones,
-                      (unit_rows, zero_cols, np.eye(m)[j]))
+        return [Frame(F[..., j:j + 1], np.outer([0.0, 1.0], np.eye(m)[j]), ones, (unit_rows, zero_cols, np.eye(m)[j]))
                 for j in range(self.n_gen)]
 
     def h_closed_exact(self, z) -> Tuple[Fraction, ...]:
@@ -334,9 +298,7 @@ class Chart:
 
     def _build_rep(self, gen: int) -> RepSpace:
         if self.kind == "wedge":
-            n = self.params["n"]
-            k = gen + 1 if self.params.get("full") else self.params["k"]
-            return wedge_module(n, k)
+            return wedge_module(self.params["n"], self.params["ks"][gen])
         if self.kind == "quadric":
             return so_vector_module(self.params["N"])
         return wedge_module(1, 1)     # product factors are projective lines
@@ -344,10 +306,9 @@ class Chart:
     def word_element(self, gen: int, z, exact: bool = False):
         """Algebra element X(z) whose exponential is the big-cell section."""
         if self.kind == "wedge":
-            n, r, slots = self._wedge()
-            k = r - self.n_gen + 1 + gen
+            n, ks, slots = self._wedge()
             L = nilpotent_log(_big_cell(n, slots, z, exact=exact), n + 1)
-            return derivation_matrix(n, k, L)
+            return derivation_matrix(n, ks[gen], L)
         if self.kind == "quadric":
             N = self.params["N"]
             if exact:
@@ -430,51 +391,21 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # catalog
 # ---------------------------------------------------------------------------
 
-def _chart_cp(m: int) -> Chart:
-    rs = build_root_system("A", m) if m >= 1 else None
-    fd = flag(rs, set(range(2, m + 1)))
+def _chart_flag(n: int, ks: Tuple[int, ...], name: str) -> Chart:
+    """GL(n+1)/P on the block big cell: ``ks = (k1 < ... < kr)`` are the simple roots outside Theta."""
+    if not 1 <= ks[0] or not all(a < b for a, b in zip(ks, ks[1:])) or ks[-1] > n:
+        raise ConfigurationError(f"need 1 <= k1 < ... < kr <= {n}, got {ks}")
+    fd = flag(build_root_system("A", n), set(range(1, n + 1)) - set(ks))
     return Chart(
-        name=f"cp:{m}",
+        name=name,
         kind="wedge",
-        n_z=m,
-        n_gen=1,
-        m=fd.dim_complex,
-        fano=fd.fano_index,
-        delta_pairings=tuple(int(p) for p in fd.delta_pairings),
-        flag_info={"series": "A", "rank": m, "theta": sorted(fd.theta)},
-        params={"n": m, "k": 1},
-    )
-
-
-def _chart_grassmann(n: int, k: int) -> Chart:
-    rs = build_root_system("A", n)
-    fd = flag(rs, set(range(1, n + 1)) - {k})
-    return Chart(
-        name=f"grassmann:{n}:{k}",
-        kind="wedge",
-        n_z=(n + 1 - k) * k,
-        n_gen=1,
+        n_z=len(_block_slots(n, ks)),
+        n_gen=len(ks),
         m=fd.dim_complex,
         fano=fd.fano_index,
         delta_pairings=tuple(int(p) for p in fd.delta_pairings),
         flag_info={"series": "A", "rank": n, "theta": sorted(fd.theta)},
-        params={"n": n, "k": k},
-    )
-
-
-def _chart_fullflag(n: int) -> Chart:
-    rs = build_root_system("A", n)
-    fd = flag(rs, set())
-    return Chart(
-        name=f"fullflag:A:{n}",
-        kind="wedge",
-        n_z=n * (n + 1) // 2,
-        n_gen=n,
-        m=fd.dim_complex,
-        fano=fd.fano_index,
-        delta_pairings=tuple(int(p) for p in fd.delta_pairings),
-        flag_info={"series": "A", "rank": n, "theta": []},
-        params={"n": n, "full": True},
+        params={"n": n, "ks": ks},
     )
 
 
@@ -516,7 +447,8 @@ _ALIASES = {"gr24": "grassmann:3:2", "wallach": "fullflag:a:2"}
 
 
 def catalog_ids() -> list:
-    return ["cp:m", "grassmann:n:k", "fullflag:A:n", "quadric:N", "conifold", "gr24", "wallach", "hopf:cpM"]
+    return ["cp:m", "grassmann:n:k", "fullflag:A:n", "flag:A:n:k1,...,kr", "quadric:N", "conifold",
+            "gr24", "wallach", "hopf:cpM"]
 
 
 def resolve_case(case: str) -> Chart:
@@ -528,11 +460,17 @@ def resolve_case(case: str) -> Chart:
     parts = case.split(":")
     try:
         if parts[0] == "cp" and len(parts) == 2:
-            return _chart_cp(int(parts[1]))
+            m = int(parts[1])
+            return _chart_flag(m, (1,), f"cp:{m}")
         if parts[0] == "grassmann" and len(parts) == 3:
-            return _chart_grassmann(int(parts[1]), int(parts[2]))
+            n, k = int(parts[1]), int(parts[2])
+            return _chart_flag(n, (k,), f"grassmann:{n}:{k}")
         if parts[0] == "fullflag" and len(parts) == 3 and parts[1] == "a":
-            return _chart_fullflag(int(parts[2]))
+            n = int(parts[2])
+            return _chart_flag(n, tuple(range(1, n + 1)), f"fullflag:A:{n}")
+        if parts[0] == "flag" and len(parts) == 4 and parts[1] == "a":
+            n, ks = int(parts[2]), tuple(int(k) for k in parts[3].split(","))
+            return _chart_flag(n, ks, f"flag:A:{n}:{','.join(map(str, ks))}")
         if parts[0] == "quadric" and len(parts) == 2:
             return _chart_quadric(int(parts[1]))
         if parts[0] == "conifold":
@@ -586,9 +524,8 @@ class PotentialSpec:
         return out
 
     def K1(self, z, w):
-        if _is_exact_vecz(z) and isinstance(w, QC):
-            return self.h_L(z) * w.abs2()
-        return self.h_L(z) * np.abs(np.asarray(w)) ** 2
+        h = self.h_L(z)
+        return h * w.abs2() if isinstance(h, Fraction) and isinstance(w, QC) else h * np.abs(np.asarray(w)) ** 2
 
     def K(self, z, w):
         k1 = self.K1(z, w)
@@ -665,17 +602,6 @@ def decode_points(points: np.ndarray, n_z: int):
 
 def decode_base_points(points: np.ndarray, n_z: int):
     return np.ascontiguousarray(points, dtype=float)[..., :2 * n_z].view(complex)
-
-
-def encode_point(z: Sequence[complex], w: Optional[complex] = None) -> np.ndarray:
-    out = []
-    for zi in z:
-        zi = complex(zi)
-        out.extend([zi.real, zi.imag])
-    if w is not None:
-        w = complex(w)
-        out.extend([w.real, w.imag])
-    return np.array(out, dtype=float)
 
 
 def canonical_exponents(chart: Chart, ell: int = 1) -> Tuple[Fraction, ...]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .charts import (DomainError, canonical_exponents, dhomothetic_constant,
+from .charts import (DomainError, canonical_exponents, catalog_ids, dhomothetic_constant,
                      make_spec, potential_eval, resolve_case, ricci_flat_exponent)
 from .diffgeo import ChartDegeneracyError, FDConfig
 from .hvcone import GammaGroup, algebraic_residual, kodaira_embedding, remmert
@@ -100,8 +100,8 @@ def cmd_lie(args) -> int:
 
 def cmd_catalog(args) -> int:
     rows = []
-    for case in ["cp:1", "cp:2", "cp:3", "gr24", "grassmann:4:2", "wallach",
-                 "fullflag:A:3", "quadric:5", "quadric:6", "quadric:7", "quadric:8", "conifold"]:
+    for case in ["cp:1", "cp:2", "cp:3", "gr24", "grassmann:4:2", "wallach", "fullflag:A:3", "flag:A:3:1,2",
+                 "flag:A:3:1,3", "quadric:5", "quadric:6", "quadric:7", "quadric:8", "conifold"]:
         chart = resolve_case(case)
         rows.append({
             "case": case,
@@ -115,8 +115,7 @@ def cmd_catalog(args) -> int:
             "ricci_flat_exponent": _frac(ricci_flat_exponent(chart)),
             "sasaki_rescale_constant": _frac(dhomothetic_constant(chart)),
         })
-    _emit({"catalog": rows, "patterns": ["cp:m", "grassmann:n:k", "fullflag:A:n", "quadric:N", "conifold"]},
-          args.json)
+    _emit({"catalog": rows, "patterns": catalog_ids()}, args.json)
     return 0
 
 

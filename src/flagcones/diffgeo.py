@@ -65,7 +65,7 @@ class FDConfig:
     base_step: float = 1e-4
     hessian_step: float = 4e-3
     nested_step: float = 2e-2
-    jet_step: float = 4e-2
+    jet_step: float = 1e-2
     richardson: int = 2
     w_floor: float = 1e-6
 
@@ -217,16 +217,21 @@ def _metric_jets(field, P: np.ndarray, cfg: FDConfig, step=None):
     Returns (g, dg, ddg) with g (m, *shape), dg[:, a] = d_a g and
     ddg[:, a, b] = d_a d_b g, all read from one full stencil evaluation per
     Richardson level; any array-valued field works, a joint metric and
-    Lee-form field included.
+    Lee-form field included.  Each level's stencil values are dropped once
+    its differences are taken.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     d = P.shape[1]
     h0 = _axis_steps(P[0], cfg.jet_step if step is None else step)
-    levels = [(_stencil_values(field, P, h), h) for h in _halvings(h0, cfg.richardson)]
-    g = levels[0][0][:, 0]
-    dg = _richardson(_first_differences(v[:, 1:2 * d + 1], h) for v, h in levels)
-    ddg = _richardson(_second_differences(v, h) for v, h in levels)
-    return g, dg, ddg
+    firsts, seconds = [], []
+    for h in _halvings(h0, cfg.richardson):
+        v = _stencil_values(field, P, h)
+        if not firsts:
+            g = v[:, 0].copy()
+        firsts.append(_first_differences(v[:, 1:2 * d + 1], h))
+        seconds.append(_second_differences(v, h))
+        del v
+    return g, _richardson(firsts), _richardson(seconds)
 
 
 def grad_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:

@@ -226,10 +226,10 @@ def algebraic_residual(spec: PotentialSpec, v) -> Tuple[str, float]:
         return "determinant", float(determinant_residual(v))
     if chart.kind == "quadric":
         return "quadric", float(quadric_residual(chart.params["N"], v))
-    n = chart.params["n"]
-    if chart.params.get("full"):
-        raise DomainError("full flag cones need the Casimir residual; no single quadric family applies")
-    k = chart.params["k"]
+    if chart.n_gen > 1:
+        raise DomainError("flag cones with several generators need the Casimir residual; "
+                          "no single quadric family applies")
+    n, (k,) = chart.params["n"], chart.params["ks"]
     if k == 1 and all(e == 1 for e in spec.exponents):
         return "trivial", 0.0
     if n == 1:

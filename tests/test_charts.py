@@ -8,9 +8,8 @@ import pytest
 
 from flagcones import charts
 from flagcones.charts import (DomainError, canonical_exponents,
-                              dhomothetic_constant, fullflag_h, generic_h,
-                              grassmann_h, log_potential_eval, make_spec,
-                              potential_eval, product_h, quadric_h,
+                              dhomothetic_constant, generic_h,
+                              log_potential_eval, make_spec, potential_eval,
                               resolve_case, ricci_flat_exponent)
 from flagcones.exact import QC, to_complex_matrix
 from flagcones.hvcone import GammaGroup, kodaira_embedding, remmert, remmert_norm_sq
@@ -18,7 +17,7 @@ from flagcones.reps import derivation_matrix, outer_tensor
 from flagcones.roots import ConfigurationError
 
 CASES = ["cp:1", "cp:2", "gr24", "grassmann:4:2", "grassmann:5:3", "wallach", "fullflag:A:3",
-         "quadric:5", "quadric:6", "quadric:8", "conifold"]
+         "flag:A:3:1,2", "flag:A:3:1,3", "quadric:5", "quadric:6", "quadric:8", "conifold"]
 
 
 def _rand_z(rng, n):
@@ -32,20 +31,20 @@ def _rand_qc(rng, n):
 # -- closed forms ---------------------------------------------------------------
 
 def test_grassmann_h_origin():
-    assert np.allclose(grassmann_h(3, 2, np.zeros((2, 2), dtype=complex)), 1.0)
+    assert np.allclose(resolve_case("gr24").h_closed(np.zeros(4, dtype=complex)), 1.0)
 
 
 def test_grassmann_h_klein_point():
     # one unit entry in the lower block: 1 + sum|z|^2 + |det|^2 = 2
     Z = np.zeros((2, 2), dtype=complex)
     Z[0, 0] = 1.0
-    assert np.allclose(grassmann_h(3, 2, Z), 2.0)
+    assert np.allclose(resolve_case("gr24").h_closed(Z.ravel()), 2.0)
 
 
 def test_grassmann_h_projective_space():
     rng = np.random.default_rng(0)
     z = _rand_z(rng, 4)
-    val = grassmann_h(4, 1, z.reshape(4, 1))
+    val = resolve_case("cp:4").h_closed(z)
     assert np.allclose(val, 1.0 + np.sum(np.abs(z) ** 2))
 
 
@@ -53,71 +52,75 @@ def test_grassmann_klein_closed_form():
     """1 + sum |z_k|^2 + |z1 z4 - z2 z3|^2 in the published coordinate order."""
     rng = np.random.default_rng(1)
     z = _rand_z(rng, 4)
-    # chart layout: row-major block [[z1, z3], [z2, z4]]
+    # the block below 1_2 is [[z1, z3], [z2, z4]]; the chart reads it row by row
     Z = np.array([[z[0], z[2]], [z[1], z[3]]])
     expect = 1.0 + np.sum(np.abs(z) ** 2) + np.abs(z[0] * z[3] - z[1] * z[2]) ** 2
-    assert np.allclose(grassmann_h(3, 2, Z), expect)
+    assert np.allclose(resolve_case("gr24").h_closed(Z.ravel()), expect)
 
 
-@pytest.mark.parametrize("shape, unit_top", [((2, 2), True), ((3, 2), True), ((3, 2), False),
-                                             ((4, 3), False), ((5, 4), False)])
-def test_gram_minors_float_matches_exact(shape, unit_top):
+@pytest.mark.parametrize("shape, identity_top", [((2, 2), True), ((3, 2), True), ((3, 2), False),
+                                                 ((4, 3), False), ((5, 4), False)])
+def test_gram_minors_float_matches_exact(shape, identity_top):
     """Float minors equal the exact ones for one frame and batched over (m,) and (m, S)."""
     rng = np.random.default_rng(11 * shape[0] + shape[1])
     m, r = shape
     frames = []
     for _ in range(6):
         F = [list(_rand_qc(rng, r)) for _ in range(m)]
-        if not unit_top:        # first columns of a big-cell unipotent, as in fullflag_h
+        if identity_top:        # the Grassmannian frame [1_r; Z]
+            F = [[QC(int(i == j)) for j in range(r)] for i in range(r)] + F
+        else:                   # first columns of a big-cell unipotent, as on full flags
             for i in range(r):
                 F[i][i:] = [QC(1)] + [QC(0)] * (r - 1 - i)
-        frames.append(F)
-    exact = np.array([[float(x) for x in charts.gram_minors(F, unit_top=unit_top)] for F in frames])
+        frames.append(tuple(map(tuple, F)))
+    exact = np.array([[float(x) for x in charts.gram_minors(F)] for F in frames])
     F = np.array([to_complex_matrix(Fq) for Fq in frames])
     # plain reference: determinants of the leading blocks of F* F
-    G = np.conj(np.swapaxes(F, -1, -2)) @ F + (np.eye(r) if unit_top else 0)
+    G = np.conj(np.swapaxes(F, -1, -2)) @ F
     ref = np.stack([np.linalg.det(G[:, :k, :k]).real for k in range(1, r + 1)], axis=-1)
     assert np.allclose(ref, exact, rtol=1e-12, atol=0)
-    single = np.array([charts.gram_minors(Fi, unit_top=unit_top) for Fi in F])
-    batched = charts.gram_minors(F, unit_top=unit_top)
-    stencil = charts.gram_minors(F.reshape((3, 2) + shape), unit_top=unit_top).reshape(6, r)
+    single = np.array([charts.gram_minors(Fi) for Fi in F])
+    batched = charts.gram_minors(F)
+    stencil = charts.gram_minors(F.reshape((3, 2) + F.shape[1:])).reshape(6, r)
     for got in (single, batched, stencil):
         assert got.shape == exact.shape
         assert np.allclose(got, exact, rtol=1e-13, atol=0)
 
 
 def test_fullflag_h_origin_and_point():
-    assert np.allclose(fullflag_h(2, np.zeros(3, dtype=complex)), [1.0, 1.0])
+    wallach = resolve_case("wallach")
+    assert np.allclose(wallach.h_closed(np.zeros(3, dtype=complex)), [1.0, 1.0])
     z = np.zeros(3, dtype=complex)
     z[0] = 1.0   # z21 = 1
-    assert np.allclose(fullflag_h(2, z), [2.0, 1.0])
+    assert np.allclose(wallach.h_closed(z), [2.0, 1.0])
 
 
 def test_fullflag_wallach_closed_form():
     rng = np.random.default_rng(2)
     z = _rand_z(rng, 3)   # (z21, z31, z32)
-    h = fullflag_h(2, z)
+    h = resolve_case("wallach").h_closed(z)
     h1 = 1 + abs(z[0]) ** 2 + abs(z[1]) ** 2
     h2 = 1 + abs(z[2]) ** 2 + abs(z[0] * z[2] - z[1]) ** 2
     assert np.allclose(h, [h1, h2])
 
 
 def test_quadric_h_values():
-    assert quadric_h(6, np.zeros(4, dtype=complex)) == 1.0
+    q6 = resolve_case("quadric:6")
+    assert np.array_equal(q6.h_closed(np.zeros(4, dtype=complex)), [1.0])
     z = np.zeros(4, dtype=complex)
     z[0] = 1.0
-    assert np.allclose(quadric_h(6, z), 25.0 / 16.0)
+    assert np.allclose(q6.h_closed(z), 25.0 / 16.0)
 
 
 def test_quadric_h_exact_value():
     z = (QC(1), QC(0), QC(0), QC(0))
-    assert quadric_h(6, z) == Q(25, 16)
+    assert resolve_case("quadric:6").h_closed_exact(z) == (Q(25, 16),)
 
 
 def test_product_h_conifold():
-    h = lambda z: 1.0 + abs(z) ** 2
-    assert product_h(h, h, 0.0, 0.0) == 1.0
-    assert product_h(h, h, 1.0, 1.0) == 4.0
+    conifold = resolve_case("conifold")
+    assert np.prod(conifold.h_closed(np.zeros(2, dtype=complex))) == 1.0
+    assert np.prod(conifold.h_closed(np.ones(2, dtype=complex))) == 4.0
 
 
 def test_conifold_trace_form():
@@ -144,7 +147,8 @@ def test_generic_matches_closed_float(case):
 
 
 @pytest.mark.parametrize("case", ["cp:2", "gr24", "grassmann:4:2", "grassmann:5:3", "wallach",
-                                  "fullflag:A:3", "quadric:5", "quadric:6", "conifold"])
+                                  "fullflag:A:3", "flag:A:3:1,2", "flag:A:3:1,3", "quadric:5", "quadric:6",
+                                  "conifold"])
 def test_generic_matches_closed_exact(case):
     chart = resolve_case(case)
     rng = np.random.default_rng(13)
@@ -363,7 +367,9 @@ def test_ricci_flat_exponents():
 def test_canonical_exponents_catalog():
     for case in CASES:
         chart = resolve_case(case)
-        assert all(e == 1 for e in canonical_exponents(chart, 1))
+        # Fl(1,2;4) has anticanonical pairings (2, 3), so Fano index 1; every other case has exponents 1
+        expect = (Q(2), Q(3)) if case == "flag:A:3:1,2" else (Q(1),) * chart.n_gen
+        assert canonical_exponents(chart, 1) == expect, case
     assert canonical_exponents(resolve_case("cp:1"), 3) == (Q(3),)
 
 
@@ -376,6 +382,42 @@ def test_chart_metadata():
     assert (co.m, co.fano, co.delta_pairings) == (2, 2, (2, 2))
     wal = resolve_case("wallach")
     assert (wal.m, wal.fano, wal.delta_pairings) == (3, 2, (2, 2))
+    f12, f13 = resolve_case("flag:A:3:1,2"), resolve_case("flag:A:3:1,3")
+    assert (f12.n_z, f12.n_gen, f12.m, f12.fano, f12.delta_pairings) == (5, 2, 5, 1, (2, 3))
+    assert (f13.n_z, f13.n_gen, f13.m, f13.fano, f13.delta_pairings) == (5, 2, 5, 3, (3, 3))
+
+
+@pytest.mark.parametrize("block, named", [("flag:A:2:1,2", "wallach"), ("flag:A:3:2", "gr24"),
+                                          ("flag:A:3:1,2,3", "fullflag:A:3"), ("flag:A:4:1", "cp:4")])
+def test_block_flag_ids_match_named_charts(block, named):
+    """The block chart of a named case has its slots, metadata and exact potentials."""
+    a, b = resolve_case(block), resolve_case(named)
+    assert a._wedge()[2] == b._wedge()[2]
+    assert (a.n_z, a.n_gen, a.m, a.fano, a.delta_pairings) == (b.n_z, b.n_gen, b.m, b.fano, b.delta_pairings)
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        z = _rand_qc(rng, a.n_z)
+        assert a.h_closed_exact(z) == b.h_closed_exact(z)
+
+
+def test_block_slots_of_a_partial_flag():
+    """Blocks (1, 2, 1) of flag:A:3:1,3: one coordinate left of each row's block, row by row."""
+    assert charts._block_slots(3, (1, 3)) == ((1, 0), (2, 0), (3, 0), (3, 1), (3, 2))
+
+
+@pytest.mark.parametrize("case", ["flag:A:3:0", "flag:A:3:4", "flag:A:3:2,2", "flag:A:3:", "flag:B:3:1"])
+def test_malformed_flag_ids_raise(case):
+    with pytest.raises(ConfigurationError):
+        resolve_case(case)
+
+
+@pytest.mark.parametrize("case", ["gr24", "quadric:6", "conifold"])
+def test_h_closed_rejects_a_wrong_coordinate_count(case):
+    chart = resolve_case(case)
+    with pytest.raises(DomainError):
+        chart.h_closed(np.zeros(chart.n_z + 1, dtype=complex))
+    with pytest.raises(DomainError):
+        chart.h_closed_exact((QC(0),) * (chart.n_z - 1))
 
 
 def test_catalog_h_at_least_one_on_samples():
@@ -442,10 +484,10 @@ def _derivation_loop_exact(n, k, X):
 def test_derivation_table_matches_reference_loops(case):
     """One cached table serves both paths: bit-identical floats, equal Gaussian rationals."""
     chart = resolve_case(case)
-    n, r, slots = chart._wedge()
+    n, ks, slots = chart._wedge()
     rng = np.random.default_rng(11)
     for gen in range(chart.n_gen):
-        k = r - chart.n_gen + 1 + gen
+        k = ks[gen]
         for _ in range(3):
             L = charts.nilpotent_log(charts._big_cell(n, slots, _rand_z(rng, chart.n_z)), n + 1)
             assert np.array_equal(derivation_matrix(n, k, L), _derivation_loop_float(n, k, L))

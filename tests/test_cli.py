@@ -4,6 +4,7 @@ import json
 import pytest
 
 from flagcones import cli
+from flagcones.charts import catalog_ids
 from flagcones.cli import main
 from flagcones.diffgeo import ChartDegeneracyError, FDConfig
 
@@ -41,6 +42,14 @@ def test_catalog(capsys):
     rows = {r["case"]: r for r in doc["catalog"]}
     assert rows["conifold"]["ricci_flat_exponent"] == "2/3"
     assert rows["gr24"]["fano_index"] == 4
+    assert doc["patterns"] == catalog_ids() and "flag:A:n:k1,...,kr" in doc["patterns"]
+
+
+@pytest.mark.parametrize("case", ["flag:A:3:0", "flag:A:3:4", "flag:A:3:2,2", "flag:A:3:", "flag:B:3:1"])
+def test_malformed_flag_case_exits_two(capsys, case):
+    code, _, err = run_cli(capsys, "potential", "--case", case, "--w", "1")
+    assert code == 2
+    assert "case id" in err
 
 
 def test_potential_eval(capsys):

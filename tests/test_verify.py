@@ -317,12 +317,16 @@ def _worst_margin(rep):
 
 
 # The positive cells of the benchmark's `jets` workload, gr24 `einstein-weyl`
-# (a wedge chart), and the curvature cells whose inner Hessians are analytic
-# on the largest charts.
+# (a wedge chart), the curvature cells whose inner Hessians are analytic on
+# the largest charts, the full-flag `einstein-weyl` cells and the partial
+# flags of the block chart.
 ANALYTIC_CELLS = [("einstein-weyl", "quadric:5"), ("einstein-weyl", "quadric:6"), ("einstein-weyl", "conifold"),
                   ("einstein-weyl", "gr24"), ("vaisman", "quadric:6"), ("ricci-flat", "conifold"),
                   ("kahler-einstein", "fullflag:A:3"), ("ricci-flat", "fullflag:A:3"),
-                  ("ricci-flat", "grassmann:4:2"), ("ricci-flat", "quadric:8")]
+                  ("ricci-flat", "grassmann:4:2"), ("ricci-flat", "quadric:8"),
+                  ("einstein-weyl", "fullflag:A:3"), ("einstein-weyl", "wallach")]
+ANALYTIC_CELLS += [(suite, case) for case in ("flag:A:3:1,2", "flag:A:3:1,3")
+                   for suite in ("einstein-weyl", "ricci-flat", "kahler-einstein")]
 
 
 @pytest.mark.slow
