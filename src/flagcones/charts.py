@@ -160,7 +160,7 @@ def gram_minors(F):
 
 
 def nilpotent_log(M, dim: int):
-    """log(1 + X) for strictly triangular X = M - 1, as a terminating series."""
+    """log(1 + X) for strictly triangular X = M - 1, as a terminating series; floats over leading axes."""
     if isinstance(M, tuple):
         from .exact import eye, mat_add, mat_mul, mat_sub
 
@@ -174,7 +174,7 @@ def nilpotent_log(M, dim: int):
             out = mat_add(out, mat_scale(QC(Fraction((-1) ** (k + 1), k)), power))
         raise DomainError("matrix is not unipotent")
     M = np.asarray(M, dtype=complex)
-    X = M - np.eye(M.shape[0])
+    X = M - np.eye(M.shape[-1])
     out = X.copy()
     power = X.copy()
     for k in range(2, dim + 2):
@@ -304,7 +304,10 @@ class Chart:
         return wedge_module(1, 1)     # product factors are projective lines
 
     def word_element(self, gen: int, z, exact: bool = False):
-        """Algebra element X(z) whose exponential is the big-cell section."""
+        """Algebra element X(z) whose exponential is the big-cell section.
+
+        Wedge and quadric floats are batched over the leading axes of ``z``.
+        """
         if self.kind == "wedge":
             n, ks, slots = self._wedge()
             L = nilpotent_log(_big_cell(n, slots, z, exact=exact), n + 1)
@@ -320,7 +323,10 @@ class Chart:
                 return M
             if "Ynp" not in self.params:
                 self.params["Ynp"] = np.stack([to_complex_matrix(Y) for Y in so_radical_basis(N)])
-            return np.tensordot(np.asarray(z, dtype=complex), self.params["Ynp"], axes=(0, 0))
+            # tensordot over the last axis of z, one row at a time (a row rounds as a single point)
+            z = np.asarray(z, dtype=complex)
+            Y = self.params["Ynp"].reshape(len(self.params["Ynp"]), N * N)
+            return np.matmul(z[..., None, :], Y)[..., 0, :].reshape(z.shape[:-1] + (N, N))
         # product: the z_gen-th factor lowering operator
         y = qc_mat([[0, 0], [1, 0]])
         if exact:
@@ -343,8 +349,10 @@ class Chart:
         Supported: all exponents equal to 1 (fundamental weights and their
         Deligne products), plus arbitrary integer powers on a projective
         line.  Returns ``(rep, word(z))`` with ``word(z)`` a list of
-        ``(matrix, parameter)`` pairs.  The pair is built once per chart and
-        exponents and kept in ``params``; its float matrices are read-only.
+        ``(matrix, parameter)`` pairs; for float ``z`` (..., n_z) the matrices
+        or parameters carry its leading axes.  The pair is built once per
+        chart and exponents and kept in ``params``; its float matrices are
+        read-only.
         """
         key = ("embedding", tuple(exponents))
         if key not in self.params:
@@ -362,7 +370,8 @@ class Chart:
             def word(z, exact=False):
                 if exact:
                     return [(M, QC.of(zj)) for M, zj in zip(lowering, z)]
-                return [(M, complex(zj)) for M, zj in zip(lowering_np, z)]
+                z = np.asarray(z, dtype=complex)
+                return [(M, z[..., j]) for j, M in enumerate(lowering_np)]
 
             return outer_tensor(self.rep(0), self.rep(1)), word
         if self.n_gen == 1 and ell[0] == 1:
@@ -376,7 +385,7 @@ class Chart:
             F_np = _read_only(to_complex_matrix(F))
 
             def word(z, exact=False):
-                return [(F, QC.of(z[0]))] if exact else [(F_np, complex(z[0]))]
+                return [(F, QC.of(z[0]))] if exact else [(F_np, np.asarray(z, dtype=complex)[..., 0])]
 
             return rep, word
         raise ConfigurationError(f"no embedding module implemented for {self.name} with exponents {ell}")

@@ -9,6 +9,15 @@ and its squared norm reproduces the Kahler potential exactly.
 The cyclic group generated by ``lambda . Id`` (0 < |lambda| < 1) acts by
 scaling; ``gamma_canonicalize`` picks the representative whose norm lies
 in the half-open annulus (|lambda|, 1], recording the integer branch.
+
+The float paths work over leading axes: ``remmert`` takes ``z`` (..., n_z)
+and ``w`` (...), and the residuals, ``gamma_canonicalize`` and
+``hopf_distance`` reduce over the last axis of (..., d) vectors and return
+one value per row.  A single vector (d,) keeps scalar results: a float
+residual, and a ``HopfPoint`` with an int branch and a float norm.  The
+group action under ``remmert`` is a truncated nilpotent series; rows left
+with rounding residue take a dense exponential, row by row
+(``reps._exp_apply_float``).
 """
 from __future__ import annotations
 
@@ -16,13 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import ceil, comb, log, sqrt
+from math import comb, log
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .charts import DomainError, PotentialSpec
-from .exact import QC, ZERO
+from .exact import QC, ZERO, to_complex_vector
 from .reps import RepSpace, act, casimir_tensor_matrix
 from .roots import Weight, casimir_eigenvalue
 
@@ -40,7 +49,10 @@ class GammaGroup:
 
 @dataclass
 class HopfPoint:
-    """Canonical representative in the annulus (|lambda|, 1], plus its branch."""
+    """Canonical representative in the annulus (|lambda|, 1], plus its branch.
+
+    For a batch of vectors (..., d) the branch and norm are arrays (...).
+    """
 
     representative: np.ndarray
     branch: int
@@ -55,7 +67,8 @@ def remmert(spec: PotentialSpec, z, w, exact: bool = False):
     """w . n(z) . v+ in the module of the bundle.
 
     Float mode returns the complex coordinate vector with the unit-norm
-    highest weight vector.  Exact mode returns ``(u, s2)`` where the
+    highest weight vector, (..., d) for ``z`` (..., n_z) and ``w`` (...).
+    Exact mode returns ``(u, s2)`` where the
     physical vector is ``sqrt(s2) . u`` with ``u`` Gaussian rational and
     ``s2`` rational, so every quadratic quantity of the image is exact.
     """
@@ -68,11 +81,11 @@ def remmert(spec: PotentialSpec, z, w, exact: bool = False):
         u = act(rep, word(z, exact=True), rep.hw_raw, exact=True)
         u = tuple(w * x for x in u)
         return u, Fraction(1) / rep.hw_norm_sq
-    wv = complex(w)
-    if wv == 0:
+    w = np.asarray(w, dtype=complex)
+    if np.any(w == 0):
         raise DomainError("the fiber coordinate must be nonzero")
     v = act(rep, word(np.asarray(z, dtype=complex)), rep.hw_unit(), exact=False)
-    return wv * v
+    return w[..., None] * v
 
 
 def remmert_norm_sq(spec: PotentialSpec, z, w, exact: bool = False):
@@ -129,14 +142,29 @@ def _plucker_arrays(n: int, k: int) -> tuple:
     return sign, i, j
 
 
+def _product(x: np.ndarray, y: np.ndarray):
+    """``(Re, Im)`` of ``x * y`` from the real parts.
+
+    Every product and sum rounds as scalar complex arithmetic does; numpy's
+    complex array loops differ in the last bit, which would make a row of a
+    batch differ from the same vector alone.
+    """
+    return x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+
+
+def _per_row(out: np.ndarray, v: np.ndarray):
+    """A float for a single vector (d,), else the per-row array."""
+    return float(out) if v.ndim == 1 else out
+
+
 def plucker_residual(n: int, k: int, v):
     """Largest violation of the Grassmannian quadric relations.
 
     The relations run over (k-1)-tuples a and (k+1)-tuples b:
     ``sum_l (-1)^l Z[a, b_l] Z[b \\ b_l] = 0``.  Exact (the squared
-    violation) for QC input; otherwise its modulus.
+    violation) for QC input; otherwise its modulus, per row of (..., d).
     """
-    if len(v) != comb(n + 1, k):
+    if np.shape(v)[-1] != comb(n + 1, k):
         raise DomainError("coordinate vector has the wrong dimension")
     if _all_qc(v):
         worst = Fraction(0)
@@ -150,127 +178,138 @@ def plucker_residual(n: int, k: int, v):
                 worst = mag
         return worst
     v = np.asarray(v, dtype=complex)
-    # Real and imaginary parts are kept apart so every product and sum rounds
-    # as scalar complex arithmetic does (numpy's complex array loops differ
-    # in the last bit); a sign of +-1 or 0 changes no bit of a nonzero sum.
+    # A sign of +-1 or 0 changes no bit of a nonzero sum.
     re = im = 0.0
     for sign, i, j in zip(*_plucker_arrays(n, k)):      # term by term, in the order of the relation
-        xr, xi, yr, yi = v.real[i], v.imag[i], v.real[j], v.imag[j]
-        re = re + sign * (xr * yr - xi * yi)
-        im = im + sign * (xr * yi + xi * yr)
-    return sqrt(max(m ** 2 for m in np.hypot(re, im).tolist()))
+        xr, xi = _product(v[..., i], v[..., j])
+        re = re + sign * xr
+        im = im + sign * xi
+    return _per_row(np.max(np.hypot(re, im), axis=-1), v)
 
 
 def quadric_residual(N: int, v):
-    """|q(v, v)| with q the symmetric form cutting out the quadric cone.
+    """|q(v, v)| with q the symmetric form cutting out the quadric cone, per row of (..., d).
 
     For N >= 5 this is ``|sum v_k^2|`` in the standard coordinates; N = 3
     goes through the degree-2 polynomial dictionary where the cone is the
     discriminant locus ``c_1^2/4 - c_0 c_2 = 0``.
     """
-    if N == 3:
-        if _all_qc(v):
-            c0, c1, c2 = v
-            q = c1 * c1 * QC(Fraction(1, 4)) - c0 * c2
-            return q.abs2()
-        c0, c1, c2 = (complex(x) for x in v)
-        return abs(c1 * c1 / 4 - c0 * c2)
     if _all_qc(v):
+        if N == 3:
+            c0, c1, c2 = v
+            return (c1 * c1 * QC(Fraction(1, 4)) - c0 * c2).abs2()
         q = QC(0)
         for x in v:
             q = q + x * x
         return q.abs2()
     v = np.asarray(v, dtype=complex)
-    return abs(np.sum(v * v))
+    q = v[..., 1] * v[..., 1] / 4 - v[..., 0] * v[..., 2] if N == 3 else np.sum(v * v, axis=-1)
+    return _per_row(np.hypot(q.real, q.imag), v)       # hypot: the modulus as a complex scalar's abs rounds it
 
 
 def determinant_residual(v):
-    """|det W| for a vector in the 2x2 Segre product (conifold ambient)."""
+    """|det W| for a vector in the 2x2 Segre product (conifold ambient), per row of (..., 4)."""
     if _all_qc(v):
         return (v[0] * v[3] - v[1] * v[2]).abs2()
     v = np.asarray(v, dtype=complex)
-    return abs(v[0] * v[3] - v[1] * v[2])
+    (ar, ai), (br, bi) = _product(v[..., 0], v[..., 3]), _product(v[..., 1], v[..., 2])
+    return _per_row(np.hypot(ar - br, ai - bi), v)
+
+
+def _casimir_shifted(rep: RepSpace, mu: Optional[Weight], constant: Optional[Fraction]):
+    """``(Delta(C) - c(2 mu) Id, kron(gram, gram))``, kept in ``rep._np_cache`` per ``(mu, constant)``."""
+    key = ("casimir_shifted", mu, constant)
+    if key not in rep._np_cache:
+        if constant is None:
+            mu = rep.highest_weight if mu is None else mu
+            if mu is None:
+                raise DomainError("need a highest weight or an explicit Casimir constant")
+            constant = casimir_eigenvalue(2 * mu)
+        if "casimir_tensor" not in rep._np_cache:
+            rep._np_cache["casimir_tensor"] = casimir_tensor_matrix(rep)
+        D = rep._np_cache["casimir_tensor"]
+        rep._np_cache[key] = (D - float(constant) * np.eye(D.shape[0]), np.kron(rep.gram_np(), rep.gram_np()))
+    return rep._np_cache[key]
 
 
 def casimir_quadric_residual(rep: RepSpace, v, mu: Optional[Weight] = None,
-                             constant: Optional[Fraction] = None) -> float:
-    """|(Delta(C) - c(2 mu) Id)(v (x) v)| for the unit-normalised v.
+                             constant: Optional[Fraction] = None):
+    """|(Delta(C) - c(2 mu) Id)(v (x) v)| for the unit-normalised v, per row of (..., d).
 
     ``c(2 mu)`` comes from the weight formula; for modules over product
     algebras pass the constant directly.
     """
-    if constant is None:
-        if mu is None:
-            mu = rep.highest_weight
-        if mu is None:
-            raise DomainError("need a highest weight or an explicit Casimir constant")
-        constant = casimir_eigenvalue(2 * mu)
-    key = "casimir_tensor"
-    if key not in rep._np_cache:
-        rep._np_cache[key] = casimir_tensor_matrix(rep)
-    D = rep._np_cache[key]
-    v = np.asarray([x.to_complex() if isinstance(x, QC) else complex(x) for x in v])
-    gs = np.sqrt(rep.gram_np())
-    nv = v / np.sqrt(rep.norm_sq(v))
-    vv = np.kron(nv, nv)
-    resid = (D - float(constant) * np.eye(D.shape[0])) @ vv
+    shifted, weights = _casimir_shifted(rep, mu, constant)
+    v = to_complex_vector(v) if _all_qc(v) else np.asarray(v, dtype=complex)
+    nv = v / np.sqrt(rep.norm_sq(v))[..., None]
+    vv = (nv[..., :, None] * nv[..., None, :]).reshape(v.shape[:-1] + (-1,))     # kron(nv, nv)
+    resid = np.matmul(shifted, vv[..., None])[..., 0]
     # measure in the invariant norm of V (x) V
-    gg = np.kron(rep.gram_np(), rep.gram_np())
-    return float(np.sqrt(np.sum(gg * np.abs(resid) ** 2)))
+    return _per_row(np.sqrt(np.sum(weights * np.abs(resid) ** 2, axis=-1)), v)
 
 
 def algebraic_residual(spec: PotentialSpec, v) -> Tuple[str, float]:
-    """The case-appropriate cone membership residual for an ambient vector."""
+    """The case-appropriate cone membership residual: ``(name, value)``, one value per row of (..., d)."""
     chart = spec.chart
     if chart.kind == "product":
-        return "determinant", float(determinant_residual(v))
-    if chart.kind == "quadric":
-        return "quadric", float(quadric_residual(chart.params["N"], v))
-    if chart.n_gen > 1:
+        name, value = "determinant", determinant_residual(v)
+    elif chart.kind == "quadric":
+        name, value = "quadric", quadric_residual(chart.params["N"], v)
+    elif chart.n_gen > 1:
         raise DomainError("flag cones with several generators need the Casimir residual; "
                           "no single quadric family applies")
-    n, (k,) = chart.params["n"], chart.params["ks"]
-    if k == 1 and all(e == 1 for e in spec.exponents):
-        return "trivial", 0.0
-    if n == 1:
+    elif chart.params["ks"] == (1,) and all(e == 1 for e in spec.exponents):
+        name, value = "trivial", np.zeros(np.shape(v)[:-1])
+    elif chart.params["n"] == 1:
         rep, _ = chart.embedding_rep(spec.exponents)
-        return "casimir", casimir_quadric_residual(rep, v)
-    return "plucker", float(plucker_residual(n, k, v))
+        name, value = "casimir", casimir_quadric_residual(rep, v)
+    else:
+        name, value = "plucker", plucker_residual(chart.params["n"], chart.params["ks"][0], v)
+    return name, float(value) if np.ndim(value) == 0 else value
 
 
 # ---------------------------------------------------------------------------
 # Hopf quotient
 # ---------------------------------------------------------------------------
 
-def gamma_canonicalize(gamma: GammaGroup, v: np.ndarray, norm: Optional[float] = None) -> HopfPoint:
-    """Scale by a power of lambda into the norm annulus (|lambda|, 1].
+def gamma_canonicalize(gamma: GammaGroup, v: np.ndarray, norm=None) -> HopfPoint:
+    """Scale by a power of lambda into the norm annulus (|lambda|, 1], per row of (..., d).
 
     A representative landing exactly on the inner boundary is pushed once
     more so the annulus is genuinely half open; ties resolve upward.
     """
     v = np.asarray(v, dtype=complex)
-    nv = float(norm) if norm is not None else float(np.linalg.norm(v))
-    if nv == 0:
+    nv = np.asarray(np.linalg.norm(v, axis=-1) if norm is None else norm, dtype=float)
+    if np.any(nv == 0):
         raise DomainError("cannot canonicalise the apex")
     L = -log(abs(gamma.lam))
-    n = ceil(log(nv) / L - 1e-12)
-    rep = gamma.lam ** n * v
-    return HopfPoint(representative=rep, branch=n, norm=nv * abs(gamma.lam) ** n)
+    n = np.ceil(np.log(nv) / L - 1e-12).astype(int)
+    # lambda^n by Python's power over the few distinct branches, so each row
+    # rounds as a single point does
+    branches, at = np.unique(n, return_inverse=True)
+    scale = np.array([gamma.lam ** k for k in branches.tolist()])[at].reshape(n.shape)
+    shrink = np.array([abs(gamma.lam) ** k for k in branches.tolist()])[at].reshape(n.shape)
+    rep = scale[..., None] * v
+    if v.ndim == 1:
+        return HopfPoint(representative=rep, branch=int(n), norm=float(nv * shrink))
+    return HopfPoint(representative=rep, branch=n, norm=nv * shrink)
 
 
 def kodaira_embedding(spec: PotentialSpec, gamma: GammaGroup, z, w) -> HopfPoint:
-    """Canonical Hopf-manifold representative of the reduction image.
+    """Canonical Hopf-manifold representative of the reduction image, per row of ``z`` (..., n_z), ``w`` (...).
 
     Equivariance: the input ``(z, lambda w)`` yields the same HopfPoint
     with the branch shifted by one.
     """
     rep, _ = spec.chart.embedding_rep(spec.exponents)
     v = remmert(spec, z, w)
-    return gamma_canonicalize(gamma, v, norm=float(np.sqrt(rep.norm_sq(v))))
+    return gamma_canonicalize(gamma, v, norm=np.sqrt(rep.norm_sq(v)))
 
 
-def hopf_distance(a: HopfPoint, b: HopfPoint) -> float:
-    return float(np.max(np.abs(a.representative - b.representative)))
+def hopf_distance(a: HopfPoint, b: HopfPoint):
+    """max |a - b| over the coordinates of the representatives, per row."""
+    diff = np.abs(a.representative - b.representative)
+    return _per_row(np.max(diff, axis=-1), diff)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,12 @@ Every catalog module carries:
   with exact dual bases.
 
 Unipotent group elements are evaluated by truncating the exponential
-series of a nilpotent matrix, which is exact over the rationals; other
-exponentials fall back to a dense ``scipy.linalg.expm``.
+series of a nilpotent matrix, which is exact over the rationals.  The
+float path works over leading axes: a word step ``(M, t)`` may carry one
+matrix ``(d, d)`` or one per row ``(..., d, d)``, and a scalar or per-row
+parameter.  Rows whose series still has a nonzero term after ``d + 1``
+steps (a non-nilpotent step, or rounding residue) fall back to a dense
+``scipy.linalg.expm`` of those rows only.
 """
 from __future__ import annotations
 
@@ -83,11 +87,12 @@ class RepSpace:
         return self._np_cache["alg"]
 
     def norm_sq(self, v):
-        """Squared norm in the invariant product; exact for QC vectors."""
+        """Squared norm in the invariant product; exact for QC vectors, per row over the last axis of arrays."""
         if _is_exact_vector(v):
             return sum((g * x.abs2() for g, x in zip(self.gram, v)), Fraction(0))
         v = np.asarray(v)
-        return float(np.sum(self.gram_np() * np.abs(v) ** 2))
+        out = np.sum(self.gram_np() * np.abs(v) ** 2, axis=-1)
+        return float(out) if v.ndim == 1 else out
 
     def inner(self, u, v):
         u = np.asarray(u, dtype=complex)
@@ -209,15 +214,14 @@ def _derivation_arrays(n: int, k: int) -> tuple:
 def derivation_matrix(n: int, k: int, X):
     """Action of ``X`` in gl(n+1) on the k-th wedge power, as a derivation.
 
-    Exact (a QC matrix) for a QC matrix ``X``; complex for an ndarray.
+    Exact (a QC matrix) for a QC matrix ``X``; complex for an ndarray,
+    batched over its leading axes.
     """
     d = comb(n + 1, k)
     if isinstance(X, np.ndarray):
         rows, cols, js, is_, signs = _derivation_arrays(n, k)
-        coef = X[js, is_]
-        keep = coef != 0
-        out = np.zeros((d, d), dtype=complex)
-        np.add.at(out, (rows[keep], cols[keep]), signs[keep] * coef[keep])
+        out = np.zeros(X.shape[:-2] + (d, d), dtype=complex)
+        np.add.at(out, (Ellipsis, rows, cols), signs * X[..., js, is_])
         return out
     out = zeros(d, d)
     for row, col, j, i, sign in _derivation_table(n, k):
@@ -462,19 +466,29 @@ def exp_nilpotent_vec(M: Mat, t, v: tuple, max_order: Optional[int] = None):
     raise ExactModeError("matrix is not nilpotent within the dimension bound")
 
 
-def _exp_apply_float(M: np.ndarray, t: complex, v: np.ndarray) -> np.ndarray:
-    d = M.shape[0]
-    acc = v.astype(complex).copy()
-    term = v.astype(complex).copy()
+def _exp_apply_float(M: np.ndarray, t, v: np.ndarray) -> np.ndarray:
+    """exp(t M) v per row: ``M`` (d, d) or (..., d, d), ``t`` scalar or (...), ``v`` (..., d).
+
+    The series stops once every row's term is exactly zero; the rows whose
+    term is still nonzero after d + 1 steps take a dense exponential.
+    """
+    d = M.shape[-1]
+    shape = np.broadcast_shapes(M.shape[:-2], np.shape(t), v.shape[:-1])
+    acc = np.array(np.broadcast_to(v, shape + (d,)), dtype=complex)
+    term = acc.copy()
     for k in range(1, d + 2):
-        term = (t / k) * (M @ term)
+        term = (t / k)[..., None] * np.matmul(M, term[..., None])[..., 0]
         if not np.any(term):
             return acc
         acc = acc + term
-    # not nilpotent: dense exponential
+    # not nilpotent (or rounding residue) on these rows: dense exponential
     from scipy.linalg import expm
 
-    return expm(t * M) @ v.astype(complex)
+    rows = np.any(term != 0, axis=-1)
+    Ms, ts = np.broadcast_to(M, shape + (d, d))[rows], np.broadcast_to(t, shape)[rows]
+    vs = np.broadcast_to(v, shape + (d,))[rows]
+    acc[rows] = np.matmul(expm(ts[:, None, None] * Ms), vs[..., None])[..., 0]
+    return acc
 
 
 def act(rep: RepSpace, word, v, exact: Optional[bool] = None):
@@ -483,8 +497,8 @@ def act(rep: RepSpace, word, v, exact: Optional[bool] = None):
     ``word`` is a sequence of ``(M, t)`` pairs applied left to right, i.e.
     the first pair acts first.  The evaluation is exact when the matrices,
     parameters and vector are all Gaussian rational and every step is
-    nilpotent; otherwise it proceeds in complex128 (with a dense matrix
-    exponential for non-nilpotent steps).
+    nilpotent; otherwise it proceeds in complex128 over the leading axes of
+    the matrices, parameters and vector (see ``_exp_apply_float``).
     """
     if exact is None:
         exact = _is_exact_vector(tuple(v)) and all(
@@ -501,7 +515,7 @@ def act(rep: RepSpace, word, v, exact: Optional[bool] = None):
         out = np.asarray([x.to_complex() if isinstance(x, QC) else complex(x) for x in v], dtype=complex)
     for M, t in word:
         Mc = to_complex_matrix(M) if isinstance(M, tuple) else np.asarray(M, dtype=complex)
-        tc = t.to_complex() if isinstance(t, QC) else complex(t)
+        tc = t.to_complex() if isinstance(t, QC) else np.asarray(t, dtype=complex)
         out = _exp_apply_float(Mc, tc, out)
     return out
 

@@ -19,9 +19,12 @@ relative gap per sample between the analytic complex Hessian
 (``kahler-einstein``, ``ricci-flat``) or ``g_tilde`` (the others) and its
 finite-difference counterpart.
 
-Every finite-difference suite runs on blocks of samples: each stencil is
-evaluated once per block, at per-sample steps, in calls of at most
-``_CHUNK_ROWS`` field rows, and every residual is a reduction per sample.
+Every suite runs on blocks of samples, in calls of at most ``_CHUNK_ROWS``
+field rows, and every residual is a reduction per sample.  A
+finite-difference suite evaluates each stencil once per block, at
+per-sample steps.  The embedding suite takes one row per sample: each block
+makes one reduction image, one ``K_1``, one algebraic residual and two
+Hopf canonicalisations.
 
 Einstein-Weyl conventions: the suite metric is the conformal gauge
 ``g = e^(-2 psi) . (cone metric of K_1^b)`` with Lee form
@@ -447,35 +450,37 @@ def check_embedding_consistency(spec: PotentialSpec, samples: SampleSet, lam: co
                                 tol_norm: float = 1e-12,
                                 tol_equivariance: float = DEFAULT_TOLERANCES["equivariance"],
                                 min_separation: float = DEFAULT_TOLERANCES["separation"]) -> VerificationReport:
-    """Reduction-map consistency: norms, quadric membership, Hopf quotient."""
+    """Reduction-map consistency: norms, quadric membership, Hopf quotient.
+
+    Runs on blocks of samples: the reduction image ``v`` of a block gives its
+    norms, its cone residuals and its Kodaira embedding at ``w`` and at
+    ``lam * w`` (the image is linear in ``w``).
+    """
     cfg = cfg or FDConfig()
     rep = VerificationReport(case=case or spec.chart.name, suite="embedding", seed=samples.seed,
                              count=samples.count, fd=cfg.echo())
     gamma = GammaGroup(lam)
     module, _ = spec.chart.embedding_rep(spec.exponents)
-    r_norm, r_alg, r_equi = [], [], []
-    canon = []
     name = "algebraic"
-    for p in samples.points:
-        z, w = decode_points(p, spec.chart.n_z)
-        v = remmert(spec, z, complex(w))
+
+    def block(P):
+        nonlocal name
+        z, w = decode_points(P, spec.chart.n_z)
+        v = remmert(spec, z, w)
         nsq = module.norm_sq(v)
-        K1 = float(spec.K1(z, complex(w)))
-        r_norm.append(abs(nsq - K1) / K1)
-        unit = v / np.sqrt(nsq)
-        name, resid = algebraic_residual(spec, unit)
-        r_alg.append(resid)
+        K1 = spec.K1(z, w)
+        name, resid = algebraic_residual(spec, v / np.sqrt(nsq)[:, None])
         # the Kodaira embedding at w and at lam * w, from the one reduction image
-        h1 = gamma_canonicalize(gamma, v, norm=float(np.sqrt(nsq)))
-        h2 = gamma_canonicalize(gamma, lam * v, norm=float(np.sqrt(module.norm_sq(lam * v))))
-        r_equi.append(hopf_distance(h1, h2))
-        if not (abs(gamma.lam) - 1e-12 < h1.norm <= 1.0 + 1e-12):
-            rep.notes.append("canonical representative escaped the annulus")
-        canon.append(h1.representative)
+        h1 = gamma_canonicalize(gamma, v, norm=np.sqrt(nsq))
+        h2 = gamma_canonicalize(gamma, lam * v, norm=np.sqrt(module.norm_sq(lam * v)))
+        return np.abs(nsq - K1) / K1, resid, hopf_distance(h1, h2), h1.norm, h1.representative
+
+    r_norm, r_alg, r_equi, norms, canon = _chunked(block, 1, samples.points)
     rep.add("norm_matches_potential", r_norm, tol_norm)
     rep.add(f"{name}_residual", r_alg, tol_algebraic)
     rep.add("gamma_equivariance", r_equi, tol_equivariance)
-    canon = np.asarray(canon)
+    inside = (abs(gamma.lam) - 1e-12 < norms) & (norms <= 1.0 + 1e-12)
+    rep.notes += ["canonical representative escaped the annulus"] * int(np.count_nonzero(~inside))
     if len(canon) > 1:
         dists = np.max(np.abs(canon[:, None] - canon[None]), axis=-1)
         sep = float(np.min(dists[np.triu_indices(len(canon), 1)]))

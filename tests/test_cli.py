@@ -142,6 +142,7 @@ def test_embed_gr24(capsys):
     assert doc["residual"] < 1e-12
     assert len(doc["representative"]) == 6
     assert 0.5 - 1e-12 < doc["norm"] <= 1.0 + 1e-12
+    assert type(doc["branch"]) is int
 
 
 def test_embed_complex_lambda(capsys):

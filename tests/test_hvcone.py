@@ -295,6 +295,77 @@ def test_embedding_image_on_quadric():
     assert plucker_residual(3, 2, list(hp.representative / np.linalg.norm(hp.representative))) < 1e-12
 
 
+# -- batches of points ---------------------------------------------------------------
+
+# The cases of the benchmark's embedding suite, one per residual kind or module.
+EMBEDDING_CASES = [("quadric:8", 1), ("quadric:6", 1), ("conifold", 1), ("gr24", 1),
+                   ("grassmann:4:2", 1), ("cp:2", 1), ("cp:1", 2)]
+
+
+def _close(batch, rows, scale=None):
+    """Each row within 1e-14 of its single-point value, relative to that value (or to ``scale``)."""
+    for a, b in zip(batch, rows):
+        ref = np.max(np.abs(b)) if scale is None else scale
+        assert np.max(np.abs(a - b)) <= 1e-14 * ref, (a, b)
+
+
+@pytest.mark.parametrize("case, ell", EMBEDDING_CASES)
+def test_batched_cone_maps_match_single_points(case, ell):
+    """remmert, algebraic_residual, gamma_canonicalize and hopf_distance over a (16, .) block."""
+    spec = make_spec(case, ell=ell)
+    rng = np.random.default_rng(21)
+    z = rng.normal(size=(16, spec.n_z)) + 1j * rng.normal(size=(16, spec.n_z))
+    w = 10.0 ** rng.uniform(-3, 3, size=16) * np.exp(2j * np.pi * rng.uniform(size=16))    # branches of both signs
+    gamma = GammaGroup(0.3 + 0.2j)
+
+    V = remmert(spec, z, w)
+    _close(V, [remmert(spec, z[i], w[i]) for i in range(16)])
+
+    unit = V / np.linalg.norm(V, axis=-1, keepdims=True)
+    name, resid = algebraic_residual(spec, unit)
+    single = [algebraic_residual(spec, u) for u in unit]
+    assert resid.shape == (16,) and {n for n, _ in single} == {name}
+    assert all(type(r) is float for _, r in single)
+    _close(resid, [r for _, r in single], scale=1.0)      # rounding-level values of unit vectors
+
+    h1, h2 = gamma_canonicalize(gamma, V), gamma_canonicalize(gamma, gamma.lam * V)
+    rows1, rows2 = [gamma_canonicalize(gamma, v) for v in V], [gamma_canonicalize(gamma, gamma.lam * v) for v in V]
+    assert h1.branch.tolist() == [h.branch for h in rows1] and h2.branch.tolist() == [h.branch for h in rows2]
+    assert all(type(h.branch) is int and type(h.norm) is float for h in rows1)
+    # a single point scales by Python's complex power, as the scalar definition reads
+    assert all(np.array_equal(h.representative, gamma.lam ** h.branch * v) for h, v in zip(rows1, V))
+    _close(h1.norm, [h.norm for h in rows1])
+    _close(h1.representative, [h.representative for h in rows1])
+    dist = hopf_distance(h1, h2)
+    single = [hopf_distance(a, b) for a, b in zip(rows1, rows2)]
+    assert all(type(d) is float for d in single)
+    _close(dist, single, scale=1.0)
+
+    k = kodaira_embedding(spec, gamma, z, w)
+    assert k.branch.tolist() == [kodaira_embedding(spec, gamma, z[i], w[i]).branch for i in range(16)]
+
+
+def test_casimir_residual_keeps_its_operator_and_rounding(monkeypatch):
+    """The shifted Casimir and the weights are built once per module; a single vector rounds as the dense formula."""
+    import flagcones.hvcone as hv
+    from flagcones.reps import casimir_tensor_matrix
+    from flagcones.roots import casimir_eigenvalue
+
+    rep = sl2_module.__wrapped__(2)                     # a fresh module, with an empty cache
+    calls = []
+    monkeypatch.setattr(hv, "casimir_eigenvalue", lambda mu: calls.append(mu) or casimir_eigenvalue(mu))
+    rng = np.random.default_rng(22)
+    V = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+    D = casimir_tensor_matrix(rep) - float(casimir_eigenvalue(2 * rep.highest_weight)) * np.eye(9)
+    gg = np.kron(rep.gram_np(), rep.gram_np())
+    for v in V:
+        nv = v / np.sqrt(rep.norm_sq(v))
+        dense = float(np.sqrt(np.sum(gg * np.abs(D @ np.kron(nv, nv)) ** 2)))
+        assert casimir_quadric_residual(rep, v) == dense
+    assert len(calls) == 1
+    _close(casimir_quadric_residual(rep, V), [casimir_quadric_residual(rep, v) for v in V])
+
+
 # -- special cone potentials ----------------------------------------------------------
 
 def test_stenzel_limit_value():

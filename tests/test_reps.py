@@ -191,6 +191,30 @@ def test_exp_nilpotent_rejects_semisimple():
     assert np.allclose(out, [np.e, 0])
 
 
+def test_act_batch_mixes_nilpotent_and_semisimple_steps(monkeypatch):
+    """A block whose rows take a nilpotent step or a non-nilpotent (H, t) step equals per-row ``act``.
+
+    Only the rows whose series does not terminate go to the dense exponential.
+    """
+    import scipy.linalg
+
+    expm, dense = scipy.linalg.expm, []
+    monkeypatch.setattr(scipy.linalg, "expm", lambda A: dense.append(len(A)) or expm(A))
+    rep = sl2_module(3)
+    E, F, H = (to_complex_matrix(M) for M in rep.simple[1])
+    rng = np.random.default_rng(12)
+    t = rng.normal(size=6) + 1j * rng.normal(size=6)
+    s = rng.normal(size=6) + 1j * rng.normal(size=6)
+    second = np.stack([H, F, H, E, F, H])                # rows 0, 2, 5 are not nilpotent
+    word = [(F, t), (second, s)]
+    batch = act(rep, word, rep.hw_unit())
+    assert batch.shape == (6, rep.dim) and dense == [3]
+    for i in range(6):
+        row = act(rep, [(F, t[i]), (second[i], s[i])], rep.hw_unit())
+        assert np.max(np.abs(batch[i] - row)) <= 1e-14 * np.max(np.abs(row)), i
+    assert rep.norm_sq(batch).tolist() == [rep.norm_sq(row) for row in batch]
+
+
 # -- Casimir operators ----------------------------------------------------------
 
 def test_casimir_sl2_fundamental():
