@@ -4,9 +4,12 @@ Every catalog geometry carries its fundamental potentials
 ``h_alpha(z) = |n(z) v_alpha|^2`` on the opposite big cell (normalised so
 ``h_alpha(0) = 1``), plus a representation-theoretic path that evaluates
 the same quantity through the module machinery.  Each ``h_alpha`` is a
-Gram determinant of a holomorphic frame, and one frame builder serves both
-the exact path (QC rows when ``z`` holds ``QC``) and the float path
-(complex arrays batched over the leading axes of ``z``):
+Gram determinant of a holomorphic frame.  Both paths run the same code
+over arrays batched over the leading axes of ``z``, and the dtype of ``z``
+picks the arithmetic (see ``exact``): an object array of ``QC`` gives exact
+potentials (``Fraction``s), anything else complex frames and float
+potentials.  A single float point runs as a batch of one, so it rounds
+exactly as the same point inside a batch.
 
 * type-A flag manifolds ``GL(n+1)/P`` (projective spaces, Grassmannians,
   partial and full flags) share one block big cell: the blocks
@@ -14,8 +17,8 @@ the exact path (QC rows when ``z`` holds ``QC``) and the float path
   outside Theta, one coordinate at every position left of its row's block.
   ``h_s`` is the ``k_s``-th leading Gram minor of the first ``kr`` columns
   of ``n(z)``, and ``gram_minors`` gives all of them in one elimination;
-* quadrics take the isotropic section ``(1, c zeta, q(zeta)/4)`` with
-  ``|c|^2 = 1/2`` (``c = (1+i)/2`` on the exact path);
+* quadrics take the isotropic section ``(1, zeta / s, q(zeta)/4)`` with
+  ``|s|^2 = 2`` (``s = 1 + i`` on the exact path, ``sqrt 2`` in floats);
 * products take ``[1; z_j]`` per factor.
 
 ``Chart.frames`` adds the rank-one Jacobians ``d_a F = u_a v_a^T`` of the
@@ -34,6 +37,7 @@ Catalog identifiers: ``cp:m``, ``grassmann:n:k``, ``fullflag:A:n``,
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -41,7 +45,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .exact import QC, mat_kron, mat_scale, qc_mat, to_complex_matrix
+from .exact import ONE, QC, ZERO, abs2, like, real, to_field
 from .reps import (RepSpace, act, derivation_matrix, outer_tensor, sl2_module,
                    so_radical_basis, so_vector_module, wedge_module)
 from .roots import ConfigurationError, build_root_system, flag
@@ -55,22 +59,16 @@ class DomainError(ValueError):
 # potential building blocks: big-cell frames and their Gram minors
 # ---------------------------------------------------------------------------
 
-def _big_cell(n: int, slots, z, exact: bool = False, cols: Optional[int] = None):
+def _big_cell(n: int, slots, z, cols: Optional[int] = None) -> np.ndarray:
     """The first ``cols`` (default all) columns of n(z) = 1 + sum_a z_a E_(slot_a) in GL(n+1).
 
     ``slots`` gives the (row, col) position of each coordinate below the
-    diagonal, every col below ``cols``.  Exact (a tuple of QC rows) with
-    ``exact``; otherwise batched over the leading axes of ``z``.
+    diagonal, every col below ``cols``.  Batched over the leading axes of
+    ``z``, in its dtype.
     """
     r = n + 1 if cols is None else cols
-    if exact:
-        M = [[QC(1 if i == j else 0) for j in range(r)] for i in range(n + 1)]
-        for (i, j), val in zip(slots, z):
-            M[i][j] = QC.of(val)
-        return tuple(tuple(row) for row in M)
-    z = np.asarray(z, dtype=complex)
-    M = np.zeros(z.shape[:-1] + (n + 1, r), dtype=complex)
-    M[..., range(r), range(r)] = 1.0
+    M = np.full(z.shape[:-1] + (n + 1, r), ZERO, dtype=z.dtype)
+    M[..., range(r), range(r)] = ONE
     rows, cs = zip(*slots)
     M[..., rows, cs] = z
     return M
@@ -133,56 +131,59 @@ def log_gram_jets(F, U, V, units=None):
 
 
 def gram_minors(F):
-    """Leading principal minors ``det G[:k, :k]``, k = 1..r, of ``G = F* F``.
+    """Leading principal minors ``det G[:k, :k]``, k = 1..r, of ``G = F* F``: shape (..., r).
 
-    ``F`` is an N x r frame.  By Cauchy-Binet the k-th minor is the sum of
-    squared k x k minors of the first k columns.  ``G`` is Hermitian
+    ``F`` is an (..., N, r) frame.  By Cauchy-Binet the k-th minor is the
+    sum of squared k x k minors of the first k columns.  ``G`` is Hermitian
     positive definite, so unpivoted elimination on its upper triangle gives
-    the minors as running products of the pivots.  One loop for both paths:
-    exact (Fractions) when ``F`` is a tuple of QC rows (an ``exact.Mat``),
-    otherwise float with each Gram entry a batch array over the leading
-    axes of ``F``.
+    the minors as running products of the pivots.  Each Gram entry is an
+    array over the leading axes of ``F`` (a scalar for an (N, r) frame);
+    exact frames give ``Fraction`` minors.
     """
-    exact = isinstance(F, tuple)
-    cols = list(zip(*F)) if exact else np.moveaxis(np.asarray(F, dtype=complex), (-1, -2), (0, 1))
+    cols = np.moveaxis(np.asarray(F), (-1, -2), (0, 1))
     r = len(cols)
-    conj = [[x.conj() for x in col] for col in cols]
+    conj = [np.conj(col) for col in cols]
     G = [[sum(x * y for x, y in zip(conj[a], cols[b])) if b >= a else None for b in range(r)] for a in range(r)]
     out, det = [], 1
     for c in range(r):
-        pivot = G[c][c].real
+        pivot = real(G[c][c])
         det = det * pivot
         out.append(det)
         for i in range(c + 1, r):
-            f = G[c][i].conj() / pivot
+            f = np.conj(G[c][i]) / pivot
             G[i][i:] = [x - f * y for x, y in zip(G[i][i:], G[c][i:])]
-    return tuple(out) if exact else np.stack(out, axis=-1)
+    return np.stack(out, axis=-1)
 
 
 def nilpotent_log(M, dim: int):
-    """log(1 + X) for strictly triangular X = M - 1, as a terminating series; floats over leading axes."""
-    if isinstance(M, tuple):
-        from .exact import eye, mat_add, mat_mul, mat_sub
-
-        X = mat_sub(M, eye(len(M)))
-        out = X
-        power = X
-        for k in range(2, dim + 2):
-            power = mat_mul(power, X)
-            if all(all(x.is_zero() for x in row) for row in power):
-                return out
-            out = mat_add(out, mat_scale(QC(Fraction((-1) ** (k + 1), k)), power))
-        raise DomainError("matrix is not unipotent")
-    M = np.asarray(M, dtype=complex)
-    X = M - np.eye(M.shape[-1])
-    out = X.copy()
-    power = X.copy()
+    """log(1 + X) for strictly triangular X = M - 1, as a terminating series, batched over leading axes."""
+    X = M - np.eye(M.shape[-1], dtype=int)
+    out = power = X
     for k in range(2, dim + 2):
         power = power @ X
         if not np.any(power):
             return out
-        out = out + ((-1) ** (k + 1) / k) * power
+        out = out + to_field(Fraction((-1) ** (k + 1), k), power.dtype) * power
     raise DomainError("matrix is not unipotent")
+
+
+def _single_point_as_a_row(method):
+    """Evaluate ``method(self, z, *w)`` at a single float point as a batch of one.
+
+    numpy scalars round some operations (the complex products of the Gram
+    entries, complex ``abs``, ``**``) differently from array loops, so a
+    lone point would differ in the last bit from the same point inside a
+    batch.  ``z`` arrives through ``exact.to_field``; exact points hold
+    Python numbers either way and pass through.
+    """
+    @functools.wraps(method)
+    def wrapped(self, z, *w):
+        z = to_field(z)
+        if z.ndim != 1 or z.dtype == object:
+            return method(self, z, *w)
+        return method(self, z[None], *(np.asarray(x)[None] for x in w))[0]
+
+    return wrapped
 
 
 # ---------------------------------------------------------------------------
@@ -208,48 +209,38 @@ class Chart:
         n, ks = self.params["n"], self.params["ks"]
         return n, ks, _block_slots(n, ks)
 
-    def _frame(self, z, exact: bool):
-        """The one frame builder: ``(F, ks)``, a QC-row tuple with ``exact``, else complex (..., N, r).
+    def _frame(self, z):
+        """The one frame builder: ``(F, ks)``, F (..., N, r) in the dtype of ``z``.
 
         A wedge chart's ``h_s`` is the ``ks[s]``-th leading Gram minor of its
         widest frame, the first ``kr`` columns of n(z).  Otherwise ``ks`` is
         None and each column is its own frame with ``h`` its squared norm: the
-        quadric section ``(1, c zeta, q(zeta)/4)``, ``|c|^2 = 1/2`` (``c = (1+i)/2``
-        exactly, ``1/sqrt2`` in floats), or ``[1; z_j]`` per product factor.
+        quadric section ``(1, zeta / s, q(zeta)/4)``, ``|s|^2 = 2``, or
+        ``[1; z_j]`` per product factor.
         """
         if self.kind == "wedge":
             n, ks, slots = self._wedge()
-            return _big_cell(n, slots, z, exact=exact, cols=ks[-1]), ks
+            return _big_cell(n, slots, z, cols=ks[-1]), ks
         if self.kind == "quadric":
-            if exact:
-                c = QC(Fraction(1, 2), Fraction(1, 2))
-                return ((QC(1),),) + tuple((c * x,) for x in z) + ((sum(x * x for x in z) / 4,),), None
-            s = np.concatenate([np.ones(z.shape[:-1] + (1,)), z / np.sqrt(2.0),
-                                np.sum(z * z, axis=-1, keepdims=True) / 4.0], axis=-1)
+            s = np.concatenate([np.full(z.shape[:-1] + (1,), ONE, dtype=z.dtype), z / _ROOT_TWO[z.dtype],
+                                np.sum(z * z, axis=-1, keepdims=True) / 4], axis=-1)
             return s[..., None], None
-        if exact:
-            return ((QC(1),) * len(z), tuple(z)), None
-        F = np.empty(z.shape[:-1] + (2, self.n_z), dtype=complex)
-        F[..., 0, :], F[..., 1, :] = 1.0, z
+        F = np.empty(z.shape[:-1] + (2, self.n_z), dtype=z.dtype)
+        F[..., 0, :], F[..., 1, :] = ONE, z
         return F, None
 
+    @_single_point_as_a_row
     def h_closed(self, z):
         """Fundamental potentials, the Gram determinants of the chart frames: shape (..., n_gen).
 
-        Exact (a tuple of Fractions) when ``z`` holds QC.
+        ``Fraction``s in an object array when ``z`` is exact (see ``exact.to_field``).
         """
-        exact = isinstance(z, (list, tuple)) and isinstance(z[0], QC)
-        if not exact:
-            z = np.asarray(z, dtype=complex)
-        if (len(z) if exact else z.shape[-1]) != self.n_z:
+        if z.shape[-1] != self.n_z:
             raise DomainError(f"{self.name} needs {self.n_z} coordinates")
-        F, ks = self._frame(z, exact)
+        F, ks = self._frame(z)
         if ks is None:                  # squared column norms, row by row
-            if exact:
-                return tuple(sum(x.abs2() for x in col) for col in zip(*F))
-            return sum(np.abs(F[..., i, :]) ** 2 for i in range(F.shape[-2]))
-        minors = gram_minors(F)
-        return tuple(minors[k - 1] for k in ks) if exact else minors[..., [k - 1 for k in ks]]
+            return sum(abs2(F[..., i, :]) for i in range(F.shape[-2]))
+        return gram_minors(F)[..., [k - 1 for k in ks]]
 
     def frames(self, z) -> list:
         """Holomorphic frames ``(F_alpha, U, V)``: ``h_alpha = det(F_alpha* F_alpha)`` and ``d_a F_alpha = u_a v_a^T``.
@@ -261,7 +252,7 @@ class Chart:
         """
         z = np.asarray(z, dtype=complex)
         m, ones = self.n_z, np.ones((1, self.n_z))
-        F, ks = self._frame(z, exact=False)
+        F, ks = self._frame(z)
         if self.kind == "wedge":        # d_a F = the unit matrix at slot a
             n, _, slots = self._wedge()
             rows, cols = map(np.array, zip(*slots))
@@ -283,10 +274,8 @@ class Chart:
                 for j in range(self.n_gen)]
 
     def h_closed_exact(self, z) -> Tuple[Fraction, ...]:
-        out = self.h_closed(z)
-        if isinstance(out, tuple):
-            return out
-        raise DomainError("exact evaluation needs QC coordinates")
+        """``h_closed`` at a Gaussian-rational point (a list of ``QC``): a tuple of ``Fraction``s."""
+        return tuple(self.h_closed(to_field(z, object)))
 
     # -- representation path ------------------------------------------------
 
@@ -303,45 +292,27 @@ class Chart:
             return so_vector_module(self.params["N"])
         return wedge_module(1, 1)     # product factors are projective lines
 
-    def word_element(self, gen: int, z, exact: bool = False):
-        """Algebra element X(z) whose exponential is the big-cell section.
-
-        Wedge and quadric floats are batched over the leading axes of ``z``.
-        """
+    def word_element(self, gen: int, z):
+        """Algebra element X(z) whose exponential is the big-cell section, batched over the leading axes of ``z``."""
+        z = to_field(z)
         if self.kind == "wedge":
             n, ks, slots = self._wedge()
-            L = nilpotent_log(_big_cell(n, slots, z, exact=exact), n + 1)
-            return derivation_matrix(n, ks[gen], L)
+            return derivation_matrix(n, ks[gen], nilpotent_log(_big_cell(n, slots, z), n + 1))
         if self.kind == "quadric":
             N = self.params["N"]
-            if exact:
-                from .exact import mat_add
-
-                M = tuple(tuple(QC(0) for _ in range(N)) for _ in range(N))
-                for zj, Y in zip(z, so_radical_basis(N)):
-                    M = mat_add(M, mat_scale(zj, Y))
-                return M
-            if "Ynp" not in self.params:
-                self.params["Ynp"] = np.stack([to_complex_matrix(Y) for Y in so_radical_basis(N)])
-            # tensordot over the last axis of z, one row at a time (a row rounds as a single point)
-            z = np.asarray(z, dtype=complex)
-            Y = self.params["Ynp"].reshape(len(self.params["Ynp"]), N * N)
-            return np.matmul(z[..., None, :], Y)[..., 0, :].reshape(z.shape[:-1] + (N, N))
+            if "Y" not in self.params:
+                self.params["Y"] = _both_fields(np.stack(so_radical_basis(N)).reshape(N - 2, N * N))
+            # sum_j z_j Y_j as a product over the last axis of z, one row at a time (a row rounds as a single point)
+            return np.matmul(z[..., None, :], self.params["Y"][z.dtype])[..., 0, :].reshape(z.shape[:-1] + (N, N))
         # product: the z_gen-th factor lowering operator
-        y = qc_mat([[0, 0], [1, 0]])
-        if exact:
-            return mat_scale(z[gen], y)
-        return complex(z[gen]) * np.array([[0, 0], [1, 0]], dtype=complex)
+        return z[..., gen, None, None] * to_field([[0, 0], [1, 0]], z.dtype)
 
     def generic_h(self, gen: int, z, exact: bool = False):
-        """|exp(X(z)) v+|^2 / |v+|^2 through the module machinery."""
+        """|exp(X(z)) v+|^2 / |v+|^2 through the module machinery; ``exact`` reads ``z`` as Gaussian rationals."""
         rep = self.rep(gen)
-        X = self.word_element(gen, z, exact=exact)
-        if exact and not isinstance(X, tuple):
-            X = qc_mat(X)
-        v = act(rep, [(X, 1 if exact else 1.0)], rep.hw_raw, exact=exact)
-        ns = rep.norm_sq(v)
-        return ns / (rep.hw_norm_sq if exact else float(rep.hw_norm_sq))
+        X = self.word_element(gen, to_field(z, object if exact else complex))
+        ns = rep.norm_sq(act(rep, [(X, 1)], to_field(rep.hw_raw, X.dtype)))
+        return ns / like(rep.hw_norm_sq, ns)
 
     def embedding_rep(self, exponents: Tuple[Fraction, ...]):
         """Module and word builder for the cone embedding of this bundle.
@@ -349,10 +320,10 @@ class Chart:
         Supported: all exponents equal to 1 (fundamental weights and their
         Deligne products), plus arbitrary integer powers on a projective
         line.  Returns ``(rep, word(z))`` with ``word(z)`` a list of
-        ``(matrix, parameter)`` pairs; for float ``z`` (..., n_z) the matrices
-        or parameters carry its leading axes.  The pair is built once per
-        chart and exponents and kept in ``params``; its float matrices are
-        read-only.
+        ``(matrix, parameter)`` pairs in the dtype of ``z``; for ``z``
+        (..., n_z) the matrices or parameters carry its leading axes.  The
+        pair is built once per chart and exponents and kept in ``params``;
+        its constant complex matrices are read-only.
         """
         key = ("embedding", tuple(exponents))
         if key not in self.params:
@@ -363,32 +334,38 @@ class Chart:
         if self.kind == "product":
             if any(e != 1 for e in ell):
                 raise ConfigurationError("product embeddings are implemented for exponent 1 on each factor")
-            y, i2 = qc_mat([[0, 0], [1, 0]]), qc_mat([[1, 0], [0, 1]])
-            lowering = (mat_kron(y, i2), mat_kron(i2, y))
-            lowering_np = tuple(_read_only(to_complex_matrix(M)) for M in lowering)
+            y, i2 = to_field([[0, 0], [1, 0]], object), np.eye(2, dtype=int)
+            lowering = [_both_fields(np.kron(y, i2)), _both_fields(np.kron(i2, y))]
 
-            def word(z, exact=False):
-                if exact:
-                    return [(M, QC.of(zj)) for M, zj in zip(lowering, z)]
-                z = np.asarray(z, dtype=complex)
-                return [(M, z[..., j]) for j, M in enumerate(lowering_np)]
+            def word(z):
+                z = to_field(z)
+                return [(M[z.dtype], z[..., j]) for j, M in enumerate(lowering)]
 
             return outer_tensor(self.rep(0), self.rep(1)), word
         if self.n_gen == 1 and ell[0] == 1:
-            def word(z, exact=False):
-                return [(self.word_element(0, z, exact=exact), 1 if exact else 1.0)]
+            def word(z):
+                return [(self.word_element(0, z), 1)]
 
             return self.rep(0), word
         if self.kind == "wedge" and self.params.get("n") == 1 and self.n_gen == 1:
             rep = sl2_module(int(ell[0]))
-            F = rep.simple[1][1]
-            F_np = _read_only(to_complex_matrix(F))
+            F = _both_fields(rep.simple[1][1])
 
-            def word(z, exact=False):
-                return [(F, QC.of(z[0]))] if exact else [(F_np, np.asarray(z, dtype=complex)[..., 0])]
+            def word(z):
+                z = to_field(z)
+                return [(F[z.dtype], z[..., 0])]
 
             return rep, word
         raise ConfigurationError(f"no embedding module implemented for {self.name} with exponents {ell}")
+
+
+# |s|^2 = 2 for the quadric section; 1 + i keeps the exact path rational
+_ROOT_TWO = {np.dtype(object): QC(1, 1), np.dtype(complex): np.sqrt(2.0)}
+
+
+def _both_fields(M: np.ndarray) -> dict:
+    """An exact constant matrix and its read-only complex copy, keyed by dtype."""
+    return {np.dtype(object): M, np.dtype(complex): _read_only(np.asarray(M, dtype=complex))}
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -518,31 +495,23 @@ class PotentialSpec:
     def real_dim(self) -> int:
         return 2 * self.chart.n_z + 2
 
-    def h_L(self, z) -> np.ndarray:
+    @_single_point_as_a_row
+    def h_L(self, z):
+        """prod_alpha h_alpha^(e_alpha); exact (a ``Fraction``) at an exact ``z`` with integer exponents."""
         hs = self.chart.h_closed(z)
-        if isinstance(hs, tuple):
-            out = Fraction(1)
-            for h, e in zip(hs, self.exponents):
-                if e.denominator != 1:
-                    raise DomainError("exact evaluation needs integer exponents")
-                out *= h ** int(e)
-            return out
-        out = np.ones(np.asarray(hs).shape[:-1])
+        out = 1
         for i, e in enumerate(self.exponents):
-            out = out * np.asarray(hs)[..., i] ** float(e)
+            out = out * hs[..., i] ** like(e, hs)
         return out
 
+    @_single_point_as_a_row
     def K1(self, z, w):
-        h = self.h_L(z)
-        return h * w.abs2() if isinstance(h, Fraction) and isinstance(w, QC) else h * np.abs(np.asarray(w)) ** 2
+        return self.h_L(z) * abs2(w)
 
+    @_single_point_as_a_row
     def K(self, z, w):
         k1 = self.K1(z, w)
-        if isinstance(k1, Fraction):
-            if self.b == 1:
-                return k1
-            return float(k1) ** float(self.b)
-        return k1 ** float(self.b)
+        return k1 ** like(self.b, k1)
 
     def field(self) -> Callable[[np.ndarray], np.ndarray]:
         """Batched potential over real points (Re z_1, Im z_1, ..., Re w, Im w)."""

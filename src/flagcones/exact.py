@@ -4,16 +4,27 @@ Root systems, weights and representation matrices are kept over the
 Gaussian rationals.  A ``QC`` stores three Python ints ``(a + b i) / d``
 in canonical form (``d > 0``, ``gcd(a, b, d) == 1``), so one operation
 costs a few int products and a single gcd; ``fractions.Fraction`` appears
-only where a real part or squared modulus leaves the class.  The
-numerical layers convert to ``complex128`` only at the boundary.
-Matrices here are plain tuples of tuples, sized at most a few dozen, so
-hand-rolled Gaussian elimination is entirely adequate.
+only where a real part or squared modulus leaves the class.  An operation
+with a zero operand returns the canonical ``ZERO`` or the other operand
+without arithmetic, which keeps sparse products cheap.
+
+Vectors and matrices are numpy arrays, and their dtype picks the
+arithmetic: an ``object`` array holds exact numbers (``QC``; ints and
+``Fraction``s mix in) and every ``+ - * / @`` on it is exact; any other
+array is complex128.  One function body therefore serves both paths.  The
+few operations whose float rounding or whose exact value type differs
+between the two live here, as array functions that dispatch on the dtype:
+``to_field`` and ``like`` (conversion), ``real``, ``abs2``, ``modulus``
+and ``product``.  ``QC`` converts to ``complex`` through ``__complex__``,
+so ``np.asarray(a, dtype=complex)`` takes an exact array to floats.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
 from typing import Sequence, Union
+
+import numpy as np
 
 Rational = Union[int, Fraction]
 
@@ -40,14 +51,25 @@ class QC:
 
     @staticmethod
     def of(x) -> "QC":
+        if type(x) is int:              # the ints exact arrays hold: no Fraction, no gcd
+            z = _new(QC)
+            z.a, z.b, z.d = x, 0, 1
+            return z
         if isinstance(x, QC):
             return x
         if isinstance(x, (int, Fraction)):
             return QC(x, 0)
         raise TypeError(f"cannot coerce {type(x).__name__} to QC")
 
+    # An operand equal to zero short-cuts every operation: the result is the
+    # canonical ZERO or the other operand, with no int arithmetic and no gcd.
+
     def __add__(self, other):
         o = other if type(other) is QC else QC.of(other)
+        if not (o.a or o.b):
+            return self
+        if not (self.a or self.b):
+            return o
         if self.d == o.d:
             return _reduced(self.a + o.a, self.b + o.b, self.d)
         return _reduced(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
@@ -56,18 +78,21 @@ class QC:
 
     def __sub__(self, other):
         o = other if type(other) is QC else QC.of(other)
+        if not (o.a or o.b):
+            return self
+        if not (self.a or self.b):
+            return -o
         if self.d == o.d:
             return _reduced(self.a - o.a, self.b - o.b, self.d)
         return _reduced(self.a * o.d - o.a * self.d, self.b * o.d - o.b * self.d, self.d * o.d)
 
     def __rsub__(self, other):
-        o = QC.of(other)
-        if self.d == o.d:
-            return _reduced(o.a - self.a, o.b - self.b, self.d)
-        return _reduced(o.a * self.d - self.a * o.d, o.b * self.d - self.b * o.d, self.d * o.d)
+        return QC.of(other) - self
 
     def __mul__(self, other):
         o = other if type(other) is QC else QC.of(other)
+        if not (self.a or self.b) or not (o.a or o.b):
+            return ZERO
         a, b, c, e = self.a, self.b, o.a, o.b
         return _reduced(a * c - b * e, a * e + b * c, self.d * o.d)
 
@@ -79,8 +104,13 @@ class QC:
         n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("QC division by zero")
+        if not (a or b):
+            return ZERO
         # ((a + b i) / d) / ((c + e i) / f) = f (a + b i)(c - e i) / (d (c^2 + e^2))
         return _reduced(o.d * (a * c + b * e), o.d * (b * c - a * e), self.d * n)
+
+    def __rtruediv__(self, other):
+        return QC.of(other) / self
 
     def __neg__(self):
         return _reduced(-self.a, -self.b, self.d)
@@ -96,7 +126,11 @@ class QC:
     real = re   # numpy-style name: code reads QC and numpy pivots alike
 
     def conj(self) -> "QC":
-        return _reduced(self.a, -self.b, self.d)
+        z = _new(QC)                    # canonical fields stay canonical
+        z.a, z.b, z.d = self.a, -self.b, self.d
+        return z
+
+    conjugate = conj    # the name np.conj calls on object arrays
 
     def abs2(self) -> Fraction:
         return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
@@ -120,6 +154,8 @@ class QC:
     def to_complex(self) -> complex:
         return complex(self.a / self.d, self.b / self.d)
 
+    __complex__ = to_complex    # np.asarray(..., dtype=complex) of an exact array
+
     def __repr__(self):
         return f"QC({self.re!s}, {self.im!s})"
 
@@ -138,144 +174,94 @@ def _reduced(a: int, b: int, d: int) -> QC:
     return z
 
 
-QI = QC(0, 1)
-ZERO = QC(0)        # shared start of the accumulating loops; QC values are never mutated
-
-Mat = tuple  # tuple of tuples of QC
+ZERO, ONE, QI = QC(0), QC(1), QC(0, 1)     # shared constants: QC values are never mutated
 
 
-def qc_mat(rows: Sequence[Sequence]) -> Mat:
-    return tuple(tuple(QC.of(x) if not isinstance(x, QC) else x for x in row) for row in rows)
+def solve(a: Sequence[Sequence], rhs: Sequence[Sequence]) -> list:
+    """Solve ``a . x = rhs`` by Gauss-Jordan elimination; the rows of ``x``.
 
-
-def zeros(n: int, m: int) -> list:
-    return [[ZERO] * m for _ in range(n)]
-
-
-def eye(n: int) -> Mat:
-    return tuple(tuple(QC(1 if i == j else 0) for j in range(n)) for i in range(n))
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a: Mat) -> Mat:
-    c = QC.of(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    n, k, m = len(a), len(b), len(b[0])
-    bt = list(zip(*b))
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = ZERO
-            ai = a[i]
-            bj = bt[j]
-            for l in range(k):
-                x = ai[l]
-                if x:
-                    s = s + x * bj[l]
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_vec(a: Mat, v: Sequence[QC]) -> tuple:
-    out = []
-    for row in a:
-        s = ZERO
-        for x, y in zip(row, v):
-            if x and y:
-                s = s + x * y
-        out.append(s)
-    return tuple(out)
-
-
-def mat_comm(a: Mat, b: Mat) -> Mat:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def mat_dagger(a: Mat) -> Mat:
-    """Conjugate transpose."""
-    return tuple(tuple(a[j][i].conj() for j in range(len(a))) for i in range(len(a[0])))
-
-
-def mat_trace(a: Mat) -> QC:
-    s = ZERO
-    for i in range(len(a)):
-        s = s + a[i][i]
-    return s
-
-
-def mat_kron(a: Mat, b: Mat) -> Mat:
-    na, nb = len(a), len(b)
-    ma, mb = len(a[0]), len(b[0])
-    out = []
-    for i in range(na * nb):
-        row = []
-        for j in range(ma * mb):
-            row.append(a[i // nb][j // mb] * b[i % nb][j % mb])
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def solve(a: Mat, rhs: Sequence[Sequence]) -> list:
-    """Solve a . x = rhs by Gaussian elimination over QC (a square, invertible)."""
+    Field-generic: it uses only ``+ - * /`` and truthiness, so it runs
+    over ``Fraction`` or ``QC`` entries alike (``a`` square and
+    invertible; ints are no field, so pass them as ``Fraction`` or ``QC``).
+    """
     n = len(a)
-    m = len(rhs[0])
-    aug = [[QC.of(x) for x in row] + [QC.of(y) for y in rrow] for row, rrow in zip(a, rhs)]
+    aug = [list(row) + list(rrow) for row, rrow in zip(a, rhs)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix in exact solve")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = QC(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:n + m] for row in aug]
-
-
-def mat_inv(a: Mat) -> Mat:
-    n = len(a)
-    return tuple(tuple(row) for row in solve(a, eye(n)))
-
-
-def frac_solve(a: Sequence[Sequence[Fraction]], rhs: Sequence[Sequence[Fraction]]) -> list:
-    """Gaussian elimination over Fraction; returns list of rows of the solution."""
-    n = len(a)
-    m = len(rhs[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(y) for y in rrow] for row, rrow in zip(a, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
             raise ValueError("singular matrix in exact solve")
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = 1 / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
+            if r != col and aug[r][col]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:n + m] for row in aug]
+    return [row[n:] for row in aug]
 
 
-def to_complex_matrix(a: Mat):
-    import numpy as np
+# ---------------------------------------------------------------------------
+# arrays: the dtype picks the arithmetic
+# ---------------------------------------------------------------------------
 
-    return np.array([[x.to_complex() for x in row] for row in a], dtype=complex)
+_to_qc = np.frompyfunc(QC.of, 1, 1)
+_real = np.frompyfunc(lambda x: x.real, 1, 1)
+_abs2 = np.frompyfunc(lambda x: QC.of(x).abs2(), 1, 1)
 
 
-def to_complex_vector(v: Sequence[QC]):
-    import numpy as np
+def to_field(a, dtype=None) -> np.ndarray:
+    """``a`` as an array over the exact or the complex field.
 
-    return np.array([x.to_complex() for x in v], dtype=complex)
+    With ``dtype`` object every entry becomes a ``QC`` (a float raises
+    ``TypeError``); any other ``dtype`` converts as numpy does, ``QC``
+    entries through ``__complex__``.  Without ``dtype`` an object array is
+    exact and anything else complex.
+    """
+    a = np.asarray(a)
+    if dtype is None:
+        dtype = object if a.dtype == object else complex
+    if np.dtype(dtype) != object:
+        return a.astype(dtype, copy=False)
+    return np.asarray(_to_qc(a), dtype=object)
+
+
+def like(c: Fraction, x):
+    """The exact constant ``c`` in the arithmetic of ``x``: unchanged beside exact values, else a float."""
+    return c if np.asarray(x).dtype == object else float(c)
+
+
+def real(a):
+    """Real parts: ``Fraction``s (or ints) for an exact array, floats otherwise."""
+    a = np.asarray(a)
+    return _real(a) if a.dtype == object else a.real
+
+
+def abs2(a):
+    """Squared moduli: ``Fraction``s for an exact array, ``np.abs(a) ** 2`` otherwise."""
+    a = np.asarray(a)
+    return _abs2(a) if a.dtype == object else np.abs(a) ** 2
+
+
+def modulus(a):
+    """The size of a residual: ``|a|`` in floats, ``|a|^2`` (rational, unlike ``|a|``) when exact.
+
+    Floats take ``np.hypot`` of the parts, which rounds as a complex
+    scalar's ``abs`` does.
+    """
+    a = np.asarray(a)
+    return _abs2(a) if a.dtype == object else np.hypot(a.real, a.imag)
+
+
+def product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x * y`` elementwise; floats round each part as Python's complex scalars do.
+
+    numpy's complex array loop fuses the products of a part into one
+    multiply-add, so it differs in the last bit from the scalar formula
+    ``(xr yr - xi yi) + (xr yi + xi yr) i``.
+    """
+    if x.dtype == object:
+        return x * y
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out

@@ -10,14 +10,17 @@ The cyclic group generated by ``lambda . Id`` (0 < |lambda| < 1) acts by
 scaling; ``gamma_canonicalize`` picks the representative whose norm lies
 in the half-open annulus (|lambda|, 1], recording the integer branch.
 
-The float paths work over leading axes: ``remmert`` takes ``z`` (..., n_z)
+Everything works over leading axes: ``remmert`` takes ``z`` (..., n_z)
 and ``w`` (...), and the residuals, ``gamma_canonicalize`` and
 ``hopf_distance`` reduce over the last axis of (..., d) vectors and return
 one value per row.  A single vector (d,) keeps scalar results: a float
 residual, and a ``HopfPoint`` with an int branch and a float norm.  The
-group action under ``remmert`` is a truncated nilpotent series; rows left
-with rounding residue take a dense exponential, row by row
-(``reps._exp_apply_float``).
+quadric residuals are written once for both arithmetics: an exact vector
+(an object array or a list of ``QC``) gives the squared violation as a
+``Fraction``, anything else its float modulus (see ``exact.modulus``).
+The group action under ``remmert`` is a truncated nilpotent series; float
+rows left with rounding residue take a dense exponential
+(``reps._exp_apply``).
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .charts import DomainError, PotentialSpec
-from .exact import QC, ZERO, to_complex_vector
+from .exact import modulus, product, to_field
 from .reps import RepSpace, act, casimir_tensor_matrix
 from .roots import Weight, casimir_eigenvalue
 
@@ -68,24 +71,19 @@ def remmert(spec: PotentialSpec, z, w, exact: bool = False):
 
     Float mode returns the complex coordinate vector with the unit-norm
     highest weight vector, (..., d) for ``z`` (..., n_z) and ``w`` (...).
-    Exact mode returns ``(u, s2)`` where the
-    physical vector is ``sqrt(s2) . u`` with ``u`` Gaussian rational and
-    ``s2`` rational, so every quadratic quantity of the image is exact.
+    Exact mode reads ``z`` and ``w`` as Gaussian rationals and returns
+    ``(u, s2)`` where the physical vector is ``sqrt(s2) . u`` with ``u`` an
+    exact array and ``s2`` rational, so every quadratic quantity of the
+    image is exact.
     """
     rep, word = spec.chart.embedding_rep(spec.exponents)
-    if exact:
-        if not isinstance(w, QC):
-            raise DomainError("exact mode needs Gaussian rational inputs")
-        if w.is_zero():
-            raise DomainError("the fiber coordinate must be nonzero")
-        u = act(rep, word(z, exact=True), rep.hw_raw, exact=True)
-        u = tuple(w * x for x in u)
-        return u, Fraction(1) / rep.hw_norm_sq
-    w = np.asarray(w, dtype=complex)
-    if np.any(w == 0):
+    dtype = object if exact else complex
+    z, w = to_field(z, dtype), to_field(w, dtype)
+    if not np.all(w):
         raise DomainError("the fiber coordinate must be nonzero")
-    v = act(rep, word(np.asarray(z, dtype=complex)), rep.hw_unit(), exact=False)
-    return w[..., None] * v
+    if exact:
+        return w[..., None] * act(rep, word(z), rep.hw_raw), 1 / rep.hw_norm_sq
+    return w[..., None] * act(rep, word(z), rep.hw_unit())
 
 
 def remmert_norm_sq(spec: PotentialSpec, z, w, exact: bool = False):
@@ -93,17 +91,12 @@ def remmert_norm_sq(spec: PotentialSpec, z, w, exact: bool = False):
     if exact:
         u, s2 = remmert(spec, z, w, exact=True)
         return rep.norm_sq(u) * s2
-    v = remmert(spec, z, w)
-    return rep.norm_sq(v)
+    return rep.norm_sq(remmert(spec, z, w))
 
 
 # ---------------------------------------------------------------------------
 # algebraic residuals
 # ---------------------------------------------------------------------------
-
-def _all_qc(v) -> bool:
-    return isinstance(v, (tuple, list)) and all(isinstance(x, QC) for x in v)
-
 
 @lru_cache(maxsize=None)
 def _plucker_table(n: int, k: int) -> tuple:
@@ -133,58 +126,42 @@ def _plucker_table(n: int, k: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _plucker_arrays(n: int, k: int) -> tuple:
-    """``_plucker_table`` by term position: ``(sign, i, j)``, each (k+1, relations), sign 0 padding."""
-    table = _plucker_table(n, k)
-    sign, i, j = (np.zeros((k + 1, len(table)), dtype=dt) for dt in (float, int, int))
-    for r, terms in enumerate(table):
-        for p, term in enumerate(terms):
-            sign[p, r], i[p, r], j[p, r] = term
-    return sign, i, j
+    """``_plucker_table`` by term position: ``(i, j)``, each (k+1, relations) ints.
 
-
-def _product(x: np.ndarray, y: np.ndarray):
-    """``(Re, Im)`` of ``x * y`` from the real parts.
-
-    Every product and sum rounds as scalar complex arithmetic does; numpy's
-    complex array loops differ in the last bit, which would make a row of a
-    batch differ from the same vector alone.
+    ``i`` indexes the signed vector ``[v, -v, 0]`` of length 2d + 1, so it
+    carries the term's sign, and the padding of shorter relations reads
+    the zero.
     """
-    return x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+    table, d = _plucker_table(n, k), comb(n + 1, k)
+    i, j = np.full((k + 1, len(table)), 2 * d), np.zeros((k + 1, len(table)), dtype=int)
+    for r, terms in enumerate(table):
+        for p, (sign, a, b) in enumerate(terms):
+            i[p, r], j[p, r] = (a if sign > 0 else a + d), b
+    return i, j
 
 
-def _per_row(out: np.ndarray, v: np.ndarray):
-    """A float for a single vector (d,), else the per-row array."""
-    return float(out) if v.ndim == 1 else out
+def _per_row(out, v: np.ndarray):
+    """A scalar (a float, or a ``Fraction`` when exact) for a single vector (d,), else the per-row array."""
+    return np.asarray(out).item() if v.ndim == 1 else out
 
 
 def plucker_residual(n: int, k: int, v):
     """Largest violation of the Grassmannian quadric relations.
 
     The relations run over (k-1)-tuples a and (k+1)-tuples b:
-    ``sum_l (-1)^l Z[a, b_l] Z[b \\ b_l] = 0``.  Exact (the squared
-    violation) for QC input; otherwise its modulus, per row of (..., d).
+    ``sum_l (-1)^l Z[a, b_l] Z[b \\ b_l] = 0``.  The squared violation (a
+    ``Fraction``) for an exact ``v``, otherwise its modulus, per row of
+    (..., d).  Float terms round as Python's complex scalars do
+    (``exact.product``), so a row of a batch equals the vector alone.
     """
-    if np.shape(v)[-1] != comb(n + 1, k):
+    v = to_field(v)
+    if v.shape[-1] != comb(n + 1, k):
         raise DomainError("coordinate vector has the wrong dimension")
-    if _all_qc(v):
-        worst = Fraction(0)
-        for terms in _plucker_table(n, k):
-            total = ZERO
-            for sign, i, j in terms:
-                term = v[i] * v[j]
-                total = total + term if sign > 0 else total - term
-            mag = total.abs2()
-            if mag > worst:
-                worst = mag
-        return worst
-    v = np.asarray(v, dtype=complex)
-    # A sign of +-1 or 0 changes no bit of a nonzero sum.
-    re = im = 0.0
-    for sign, i, j in zip(*_plucker_arrays(n, k)):      # term by term, in the order of the relation
-        xr, xi = _product(v[..., i], v[..., j])
-        re = re + sign * xr
-        im = im + sign * xi
-    return _per_row(np.max(np.hypot(re, im), axis=-1), v)
+    signed = np.concatenate([v, -v, np.zeros_like(v[..., :1])], axis=-1)
+    total = 0
+    for i, j in zip(*_plucker_arrays(n, k)):      # term by term, in the order of the relation
+        total = total + product(signed[..., i], v[..., j])
+    return _per_row(np.max(modulus(total), axis=-1), v)
 
 
 def quadric_residual(N: int, v):
@@ -192,28 +169,18 @@ def quadric_residual(N: int, v):
 
     For N >= 5 this is ``|sum v_k^2|`` in the standard coordinates; N = 3
     goes through the degree-2 polynomial dictionary where the cone is the
-    discriminant locus ``c_1^2/4 - c_0 c_2 = 0``.
+    discriminant locus ``c_1^2/4 - c_0 c_2 = 0``.  Squared and exact for
+    an exact ``v``.
     """
-    if _all_qc(v):
-        if N == 3:
-            c0, c1, c2 = v
-            return (c1 * c1 * QC(Fraction(1, 4)) - c0 * c2).abs2()
-        q = QC(0)
-        for x in v:
-            q = q + x * x
-        return q.abs2()
-    v = np.asarray(v, dtype=complex)
+    v = to_field(v)
     q = v[..., 1] * v[..., 1] / 4 - v[..., 0] * v[..., 2] if N == 3 else np.sum(v * v, axis=-1)
-    return _per_row(np.hypot(q.real, q.imag), v)       # hypot: the modulus as a complex scalar's abs rounds it
+    return _per_row(modulus(q), v)
 
 
 def determinant_residual(v):
-    """|det W| for a vector in the 2x2 Segre product (conifold ambient), per row of (..., 4)."""
-    if _all_qc(v):
-        return (v[0] * v[3] - v[1] * v[2]).abs2()
-    v = np.asarray(v, dtype=complex)
-    (ar, ai), (br, bi) = _product(v[..., 0], v[..., 3]), _product(v[..., 1], v[..., 2])
-    return _per_row(np.hypot(ar - br, ai - bi), v)
+    """|det W| for a vector in the 2x2 Segre product (conifold ambient), per row of (..., 4); squared and exact for an exact ``v``."""
+    v = to_field(v)
+    return _per_row(modulus(product(v[..., 0], v[..., 3]) - product(v[..., 1], v[..., 2])), v)
 
 
 def _casimir_shifted(rep: RepSpace, mu: Optional[Weight], constant: Optional[Fraction]):
@@ -240,7 +207,7 @@ def casimir_quadric_residual(rep: RepSpace, v, mu: Optional[Weight] = None,
     algebras pass the constant directly.
     """
     shifted, weights = _casimir_shifted(rep, mu, constant)
-    v = to_complex_vector(v) if _all_qc(v) else np.asarray(v, dtype=complex)
+    v = np.asarray(v, dtype=complex)
     nv = v / np.sqrt(rep.norm_sq(v))[..., None]
     vv = (nv[..., :, None] * nv[..., None, :]).reshape(v.shape[:-1] + (-1,))     # kron(nv, nv)
     resid = np.matmul(shifted, vv[..., None])[..., 0]

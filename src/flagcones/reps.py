@@ -11,13 +11,16 @@ Every catalog module carries:
   matrix, from which Casimir operators on V and on V (x) V are assembled
   with exact dual bases.
 
-Unipotent group elements are evaluated by truncating the exponential
-series of a nilpotent matrix, which is exact over the rationals.  The
-float path works over leading axes: a word step ``(M, t)`` may carry one
-matrix ``(d, d)`` or one per row ``(..., d, d)``, and a scalar or per-row
-parameter.  Rows whose series still has a nonzero term after ``d + 1``
-steps (a non-nilpotent step, or rounding residue) fall back to a dense
-``scipy.linalg.expm`` of those rows only.
+Exact data are numpy object arrays of ``QC`` (see ``exact``), and every
+operation here is written once: the dtype of its input picks exact or
+complex arithmetic.  Unipotent group elements are evaluated by truncating
+the exponential series of a nilpotent matrix, which is exact over the
+rationals.  ``act`` works over leading axes: a word step ``(M, t)`` may
+carry one matrix ``(d, d)`` or one per row ``(..., d, d)``, and a scalar
+or per-row parameter.  A series that still has a nonzero term after
+``d + 1`` steps raises ``ExactModeError`` on the exact path; on the float
+path (a non-nilpotent step, or rounding residue) those rows fall back to
+a dense ``scipy.linalg.expm``.
 """
 from __future__ import annotations
 
@@ -26,13 +29,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .exact import (QC, Mat, mat_comm, mat_dagger, mat_inv, mat_kron, mat_mul,
-                    mat_scale, mat_trace, mat_vec, qc_mat, to_complex_matrix,
-                    to_complex_vector, zeros)
+from .exact import ONE, QC, QI, ZERO, abs2, solve, to_field
 from .roots import ConfigurationError, RootSystem, Weight, build_root_system
 
 
@@ -40,16 +41,22 @@ class ExactModeError(RuntimeError):
     """Raised when an exact evaluation hits a non-nilpotent exponential."""
 
 
-@dataclass
+@dataclass(eq=False)
 class RepSpace:
+    """A module whose data are exact: object arrays of ``QC``.
+
+    Compared and hashed by identity, so cached builders can take modules
+    as arguments.
+    """
+
     name: str
     dim: int
-    simple: dict                      # 1-based index -> (E, F, H) QC matrices
+    simple: dict                      # 1-based index -> (E, F, H), exact (d, d) arrays
     gram: Tuple[Fraction, ...]        # diagonal Gram of the invariant product
-    hw_raw: tuple                     # highest weight vector, unnormalised (QC entries)
+    hw_raw: np.ndarray                # highest weight vector, unnormalised, exact (d,)
     hw_norm_sq: Fraction
-    algebra_rep: Tuple[Mat, ...]      # full algebra basis acting on the module
-    algebra_gram: Tuple[tuple, ...]   # Killing Gram of that basis (QC entries)
+    algebra_rep: Tuple[np.ndarray, ...]   # full algebra basis acting on the module, exact (d, d) each
+    algebra_gram: np.ndarray          # Killing Gram of that basis, exact (m, m)
     highest_weight: Optional[Weight] = None
     root_system: Optional[RootSystem] = None
     basis_labels: Optional[tuple] = None
@@ -62,50 +69,43 @@ class RepSpace:
                 return k
         raise ValueError("zero highest weight vector")
 
-    def hw_unit(self) -> np.ndarray:
-        """Unit-norm highest weight vector (complex, read-only)."""
-        if "hw_unit" not in self._np_cache:
-            v = to_complex_vector(self.hw_raw) / np.sqrt(float(self.hw_norm_sq))
-            v.flags.writeable = False
-            self._np_cache["hw_unit"] = v
-        return self._np_cache["hw_unit"]
-
-    def gram_np(self) -> np.ndarray:
-        if "gram" not in self._np_cache:
-            self._np_cache["gram"] = np.array([float(g) for g in self.gram])
-        return self._np_cache["gram"]
-
-    def simple_np(self, i: int):
-        key = ("simple", i)
+    def _cached(self, key, build):
         if key not in self._np_cache:
-            self._np_cache[key] = tuple(to_complex_matrix(m) for m in self.simple[i])
+            self._np_cache[key] = build()
         return self._np_cache[key]
 
+    def hw_unit(self) -> np.ndarray:
+        """Unit-norm highest weight vector (complex, read-only)."""
+        def build():
+            v = np.asarray(self.hw_raw, dtype=complex) / np.sqrt(float(self.hw_norm_sq))
+            v.flags.writeable = False
+            return v
+
+        return self._cached("hw_unit", build)
+
+    def _gram(self, dtype) -> np.ndarray:
+        """The diagonal Gram in ``dtype``: floats, or the exact ``Fraction``s in an object array."""
+        return self._cached(("gram", np.dtype(dtype)), lambda: np.array(self.gram, dtype=dtype))
+
+    def gram_np(self) -> np.ndarray:
+        return self._gram(float)
+
+    def simple_np(self, i: int):
+        return self._cached(("simple", i), lambda: tuple(np.asarray(m, dtype=complex) for m in self.simple[i]))
+
     def algebra_rep_np(self) -> np.ndarray:
-        if "alg" not in self._np_cache:
-            self._np_cache["alg"] = np.stack([to_complex_matrix(m) for m in self.algebra_rep])
-        return self._np_cache["alg"]
+        return self._cached("alg", lambda: np.asarray(self.algebra_rep, dtype=complex))
 
     def norm_sq(self, v):
-        """Squared norm in the invariant product; exact for QC vectors, per row over the last axis of arrays."""
-        if _is_exact_vector(v):
-            return sum((g * x.abs2() for g, x in zip(self.gram, v)), Fraction(0))
-        v = np.asarray(v)
-        out = np.sum(self.gram_np() * np.abs(v) ** 2, axis=-1)
-        return float(out) if v.ndim == 1 else out
+        """Squared norm in the invariant product, per row over the last axis; a ``Fraction`` when exact."""
+        a = abs2(v)
+        out = np.sum(self._gram(np.result_type(a.dtype, float)) * a, axis=-1)
+        return np.asarray(out).item() if np.ndim(v) == 1 else out
 
     def inner(self, u, v):
         u = np.asarray(u, dtype=complex)
         v = np.asarray(v, dtype=complex)
         return complex(np.sum(self.gram_np() * u * np.conj(v)))
-
-
-def _is_exact_scalar(x) -> bool:
-    return isinstance(x, (QC, Fraction, int))
-
-
-def _is_exact_vector(v) -> bool:
-    return isinstance(v, (list, tuple)) and all(isinstance(x, QC) for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -123,55 +123,31 @@ def sl2_module(ell: int) -> RepSpace:
     if ell < 0:
         raise ConfigurationError("polynomial degree must be nonnegative")
     d = ell + 1
-    E = zeros(d, d)
-    F = zeros(d, d)
-    H = zeros(d, d)
-    for k in range(d):
-        H[k][k] = QC(ell - 2 * k)
-        if k >= 1:
-            E[k - 1][k] = QC(k)
-        if k < ell:
-            F[k + 1][k] = QC(ell - k)
-    E, F, H = qc_mat(E), qc_mat(F), qc_mat(H)
+    k = np.arange(d)
+    E = to_field(np.diag(k[1:], 1), object)                 # E P_k = k P_(k-1)
+    F = to_field(np.diag(ell - k[:-1], -1), object)         # F P_k = (l - k) P_(k+1)
+    H = to_field(np.diag(ell - 2 * k), object)
 
     rs = build_root_system("A", 1)
-    defining = [qc_mat([[0, 1], [0, 0]]), qc_mat([[0, 0], [1, 0]]), qc_mat([[1, 0], [0, -1]])]
-    gram_alg = _killing_gram([(Fraction(4), defining)])
-    hw = tuple(QC(1 if k == 0 else 0) for k in range(d))
+    defining = to_field([[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]]], object)
     return RepSpace(
         name=f"sl2:V({ell}w)",
         dim=d,
         simple={1: (E, F, H)},
         gram=tuple(Fraction(1, comb(ell, k)) for k in range(d)),
-        hw_raw=hw,
+        hw_raw=to_field((k == 0).astype(int), object),
         hw_norm_sq=Fraction(1),
         algebra_rep=(E, F, H),
-        algebra_gram=gram_alg,
+        algebra_gram=_killing_gram(Fraction(4), defining),
         highest_weight=rs.weight([ell]),
         root_system=rs,
         basis_labels=tuple(ell - 2 * k for k in range(d)),
     )
 
 
-def _killing_gram(factor_data) -> Tuple[tuple, ...]:
-    """Gram matrix kappa(B_a, B_b) = sum_f scale_f tr(def^f_a def^f_b).
-
-    ``factor_data`` is a list of (scale, defining-matrices) per factor; an
-    element of the combined basis lives in exactly one factor and is zero
-    in the others, so cross terms vanish.
-    """
-    offset = 0
-    total = sum(len(mats) for _, mats in factor_data)
-    G = [[QC(0) for _ in range(total)] for _ in range(total)]
-    for scale, mats in factor_data:
-        m = len(mats)
-        for a in range(m):
-            for b in range(a, m):
-                val = mat_trace(mat_mul(mats[a], mats[b])) * scale
-                G[offset + a][offset + b] = val
-                G[offset + b][offset + a] = val
-        offset += m
-    return tuple(tuple(row) for row in G)
+def _killing_gram(scale: Fraction, defining: np.ndarray) -> np.ndarray:
+    """Gram matrix ``kappa(B_a, B_b) = scale tr(def_a def_b)`` of a basis given in the defining module (m, N, N)."""
+    return np.einsum("aij,bji->ab", defining, defining) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -207,34 +183,33 @@ def _derivation_table(n: int, k: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _derivation_arrays(n: int, k: int) -> tuple:
-    """The columns of ``_derivation_table`` as int arrays, for the float path."""
+    """The columns of ``_derivation_table`` as int arrays."""
     return tuple(np.array(c) for c in zip(*_derivation_table(n, k)))
 
 
 def derivation_matrix(n: int, k: int, X):
-    """Action of ``X`` in gl(n+1) on the k-th wedge power, as a derivation.
+    """Action of ``X`` in gl(n+1) on the k-th wedge power, as a derivation, batched over leading axes.
 
-    Exact (a QC matrix) for a QC matrix ``X``; complex for an ndarray,
-    batched over its leading axes.
+    Exact for an exact ``X``, complex otherwise.
     """
+    X = np.asarray(X)
     d = comb(n + 1, k)
-    if isinstance(X, np.ndarray):
-        rows, cols, js, is_, signs = _derivation_arrays(n, k)
-        out = np.zeros(X.shape[:-2] + (d, d), dtype=complex)
-        np.add.at(out, (Ellipsis, rows, cols), signs * X[..., js, is_])
-        return out
-    out = zeros(d, d)
-    for row, col, j, i, sign in _derivation_table(n, k):
-        coef = X[j][i]
-        if coef:
-            out[row][col] = out[row][col] + coef * sign
-    return tuple(tuple(r) for r in out)
+    rows, cols, js, is_, signs = _derivation_arrays(n, k)
+    out = np.full(X.shape[:-2] + (d, d), ZERO, dtype=np.result_type(X.dtype, complex))
+    np.add.at(out, (Ellipsis, rows, cols), signs * X[..., js, is_])
+    return out
 
 
-def _unit_matrix(n: int, i: int, j: int) -> Mat:
-    m = zeros(n, n)
-    m[i - 1][j - 1] = QC(1)
-    return tuple(tuple(r) for r in m)
+def _unit_matrix(N: int, i: int, j: int) -> np.ndarray:
+    """The exact matrix unit E_ij of gl(N), 1-based."""
+    m = np.full((N, N), ZERO, dtype=object)
+    m[i - 1, j - 1] = ONE
+    return m
+
+
+def _cartan_unit(N: int, i: int) -> np.ndarray:
+    """E_ii - E_(i+1)(i+1), 1-based."""
+    return _unit_matrix(N, i, i) - _unit_matrix(N, i + 1, i + 1)
 
 
 @lru_cache(maxsize=None)
@@ -251,71 +226,46 @@ def wedge_module(n: int, k: int) -> RepSpace:
     basis = wedge_basis(n, k)
     d = len(basis)
 
-    simple = {}
-    for i in range(1, n + 1):
-        E = derivation_matrix(n, k, _unit_matrix(N, i, i + 1))
-        F = derivation_matrix(n, k, _unit_matrix(N, i + 1, i))
-        Hdef = mat_sub_units(N, i)
-        H = derivation_matrix(n, k, Hdef)
-        simple[i] = (E, F, H)
-
-    defining = []
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            if i != j:
-                defining.append(_unit_matrix(N, i, j))
-    for i in range(1, n + 1):
-        defining.append(mat_sub_units(N, i))
-    in_rep = tuple(derivation_matrix(n, k, X) for X in defining)
-    gram_alg = _killing_gram([(Fraction(2 * N), defining)])
+    simple = {i: tuple(derivation_matrix(n, k, X) for X in
+                       (_unit_matrix(N, i, i + 1), _unit_matrix(N, i + 1, i), _cartan_unit(N, i)))
+              for i in range(1, n + 1)}
+    defining = np.array([_unit_matrix(N, i, j) for i in range(1, N + 1) for j in range(1, N + 1) if i != j]
+                        + [_cartan_unit(N, i) for i in range(1, n + 1)])
 
     rs = build_root_system("A", n)
-    hw = tuple(QC(1 if b == tuple(range(1, k + 1)) else 0) for b in basis)
     return RepSpace(
         name=f"sl{N}:wedge{k}",
         dim=d,
         simple=simple,
         gram=tuple(Fraction(1) for _ in range(d)),
-        hw_raw=hw,
+        hw_raw=to_field([int(b == tuple(range(1, k + 1))) for b in basis], object),
         hw_norm_sq=Fraction(1),
-        algebra_rep=in_rep,
-        algebra_gram=gram_alg,
+        algebra_rep=tuple(derivation_matrix(n, k, X) for X in defining),
+        algebra_gram=_killing_gram(Fraction(2 * N), defining),
         highest_weight=rs.fundamental_weight(k),
         root_system=rs,
         basis_labels=tuple(basis),
     )
 
 
-def mat_sub_units(N: int, i: int) -> Mat:
-    m = zeros(N, N)
-    m[i - 1][i - 1] = QC(1)
-    m[i][i] = QC(-1)
-    return tuple(tuple(r) for r in m)
-
-
 # ---------------------------------------------------------------------------
 # so(N): the vector module on C^N preserving q(z) = sum z_k^2
 # ---------------------------------------------------------------------------
 
-def _so_pair_op(x: Sequence[QC], y: Sequence[QC]) -> Mat:
+def _so_pair_op(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Antisymmetric operator v -> q(x, v) y - q(y, v) x with q = sum of products."""
-    N = len(x)
-    out = zeros(N, N)
-    for r in range(N):
-        for c in range(N):
-            out[r][c] = y[r] * x[c] - x[r] * y[c]
-    return tuple(tuple(r) for r in out)
+    return np.outer(y, x) - np.outer(x, y)
 
 
-def _so_uvec(N: int, l: int, bar: bool) -> tuple:
-    v = [QC(0)] * N
-    v[2 * l - 2] = QC(1)
+def _so_uvec(N: int, l: int, bar: bool) -> np.ndarray:
+    v = np.full(N, ZERO, dtype=object)
+    v[2 * l - 2] = ONE
     v[2 * l - 1] = QC(0, 1) if bar else QC(0, -1)
-    return tuple(v)
+    return v
 
 
-def _so_evec(N: int, a: int) -> tuple:
-    return tuple(QC(1 if k == a - 1 else 0) for k in range(N))
+def _so_evec(N: int, a: int) -> np.ndarray:
+    return to_field((np.arange(N) == a - 1).astype(int), object)
 
 
 @lru_cache(maxsize=None)
@@ -342,26 +292,15 @@ def so_vector_module(N: int) -> RepSpace:
     ubar = [_so_uvec(N, l, bar=True) for l in range(1, n + 1)]
 
     half = Fraction(1, 2)
+    raising = [_so_pair_op(u[i - 1], ubar[i]) * half for i in range(1, n)]
+    raising.append(_so_pair_op(u[n - 1], _so_evec(N, N)) if odd else _so_pair_op(u[n - 2], u[n - 1]) * half)
     simple = {}
-    for i in range(1, n):
-        E = mat_scale(half, _so_pair_op(u[i - 1], ubar[i]))
-        F = mat_dagger(E)
-        simple[i] = (E, F, mat_comm(E, F))
-    if odd:
-        E = _so_pair_op(u[n - 1], _so_evec(N, N))
-        F = mat_dagger(E)
-        simple[n] = (E, F, mat_comm(E, F))
-    else:
-        E = mat_scale(half, _so_pair_op(u[n - 2], u[n - 1]))
-        F = mat_dagger(E)
-        simple[n] = (E, F, mat_comm(E, F))
+    for i, E in enumerate(raising, 1):
+        F = np.conj(E.T)
+        simple[i] = (E, F, E @ F - F @ E)
 
-    basis = []
-    for a in range(1, N + 1):
-        for b in range(a + 1, N + 1):
-            basis.append(_so_pair_op(_so_evec(N, a), _so_evec(N, b)))
-    gram_alg = _killing_gram([(Fraction(N - 2), basis)])
-
+    basis = np.array([_so_pair_op(_so_evec(N, a), _so_evec(N, b))
+                      for a in range(1, N + 1) for b in range(a + 1, N + 1)])
     return RepSpace(
         name=f"so{N}:vector",
         dim=N,
@@ -370,14 +309,14 @@ def so_vector_module(N: int) -> RepSpace:
         hw_raw=u[0],
         hw_norm_sq=Fraction(2),
         algebra_rep=tuple(basis),
-        algebra_gram=gram_alg,
+        algebra_gram=_killing_gram(Fraction(N - 2), basis),
         highest_weight=rs.fundamental_weight(1),
         root_system=rs,
     )
 
 
 @lru_cache(maxsize=None)
-def so_radical_basis(N: int) -> Tuple[Mat, ...]:
+def so_radical_basis(N: int) -> Tuple[np.ndarray, ...]:
     """Lowering operators Y_j matching the isotropic big-cell parameterisation.
 
     ``exp(sum zeta_j Y_j)`` sends the highest vector e_1 - i e_2 to
@@ -385,65 +324,55 @@ def so_radical_basis(N: int) -> Tuple[Mat, ...]:
     """
     if N < 5:
         raise ConfigurationError("isotropic chart requires N >= 5")
-    ubar = _so_uvec(N, 1, bar=True)
-    x = tuple(QC(Fraction(-1, 2)) * c for c in ubar)
-    out = []
-    for j in range(1, N - 1):
-        out.append(_so_pair_op(_so_evec(N, j + 2), x))
-    return tuple(out)
+    x = _so_uvec(N, 1, bar=True) * QC(Fraction(-1, 2))
+    return tuple(_so_pair_op(_so_evec(N, j + 2), x) for j in range(1, N - 1))
 
 
 # ---------------------------------------------------------------------------
 # outer tensor products (Deligne products across distinct algebras)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def outer_tensor(r1: RepSpace, r2: RepSpace) -> RepSpace:
-    """Module of the product algebra: each factor acts on its own slot."""
+    """Module of the product algebra: each factor acts on its own slot.
+
+    Built once per pair of modules (modules hash by identity), as the
+    catalog modules are.
+    """
     d1, d2 = r1.dim, r2.dim
-    id1 = qc_mat([[1 if i == j else 0 for j in range(d1)] for i in range(d1)])
-    id2 = qc_mat([[1 if i == j else 0 for j in range(d2)] for i in range(d2)])
+    id1, id2 = np.eye(d1, dtype=int), np.eye(d2, dtype=int)
 
-    simple = {}
-    for i, (E, F, H) in r1.simple.items():
-        simple[i] = tuple(mat_kron(M, id2) for M in (E, F, H))
+    simple = {i: tuple(np.kron(M, id2) for M in mats) for i, mats in r1.simple.items()}
     off = max(r1.simple) if r1.simple else 0
-    for i, (E, F, H) in r2.simple.items():
-        simple[off + i] = tuple(mat_kron(id1, M) for M in (E, F, H))
+    simple.update({off + i: tuple(np.kron(id1, M) for M in mats) for i, mats in r2.simple.items()})
 
-    alg = tuple(mat_kron(M, id2) for M in r1.algebra_rep) + tuple(mat_kron(id1, M) for M in r2.algebra_rep)
+    alg = tuple(np.kron(M, id2) for M in r1.algebra_rep) + tuple(np.kron(id1, M) for M in r2.algebra_rep)
     m1, m2 = len(r1.algebra_rep), len(r2.algebra_rep)
-    G = [[QC(0) for _ in range(m1 + m2)] for _ in range(m1 + m2)]
-    for a in range(m1):
-        for b in range(m1):
-            G[a][b] = r1.algebra_gram[a][b]
-    for a in range(m2):
-        for b in range(m2):
-            G[m1 + a][m1 + b] = r2.algebra_gram[a][b]
-
-    gram = tuple(g1 * g2 for g1 in r1.gram for g2 in r2.gram)
-    hw = tuple(x * y for x in r1.hw_raw for y in r2.hw_raw)
+    G = np.full((m1 + m2, m1 + m2), ZERO, dtype=object)
+    G[:m1, :m1], G[m1:, m1:] = r1.algebra_gram, r2.algebra_gram
     return RepSpace(
         name=f"({r1.name})x({r2.name})",
         dim=d1 * d2,
         simple=simple,
-        gram=gram,
-        hw_raw=hw,
+        gram=tuple(g1 * g2 for g1 in r1.gram for g2 in r2.gram),
+        hw_raw=np.kron(r1.hw_raw, r2.hw_raw),
         hw_norm_sq=r1.hw_norm_sq * r2.hw_norm_sq,
         algebra_rep=alg,
-        algebra_gram=tuple(tuple(row) for row in G),
+        algebra_gram=G,
     )
 
 
+@lru_cache(maxsize=None)
 def trivial_module() -> RepSpace:
     return RepSpace(
         name="trivial",
         dim=1,
         simple={},
         gram=(Fraction(1),),
-        hw_raw=(QC(1),),
+        hw_raw=to_field([1], object),
         hw_norm_sq=Fraction(1),
         algebra_rep=(),
-        algebra_gram=(),
+        algebra_gram=np.full((0, 0), ZERO, dtype=object),
     )
 
 
@@ -451,36 +380,24 @@ def trivial_module() -> RepSpace:
 # group words and exponentials
 # ---------------------------------------------------------------------------
 
-def exp_nilpotent_vec(M: Mat, t, v: tuple, max_order: Optional[int] = None):
-    """exp(t M) v for nilpotent M over the Gaussian rationals (exact)."""
-    t = QC.of(t)
-    limit = (max_order or len(v)) + 1
-    acc = list(v)
-    term = list(v)
-    for k in range(1, limit + 1):
-        tk = t / k
-        term = [x * tk for x in mat_vec(M, term)]
-        if all(x.is_zero() for x in term):
-            return tuple(acc)
-        acc = [a + b for a, b in zip(acc, term)]
-    raise ExactModeError("matrix is not nilpotent within the dimension bound")
+def _exp_apply(M: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp(t M) v per row: ``M`` (d, d) or (..., d, d), ``t`` () or (...), ``v`` (..., d), one dtype.
 
-
-def _exp_apply_float(M: np.ndarray, t, v: np.ndarray) -> np.ndarray:
-    """exp(t M) v per row: ``M`` (d, d) or (..., d, d), ``t`` scalar or (...), ``v`` (..., d).
-
-    The series stops once every row's term is exactly zero; the rows whose
-    term is still nonzero after d + 1 steps take a dense exponential.
+    The series stops once every row's term is zero.  Exact rows whose
+    term is still nonzero after d + 1 steps raise ``ExactModeError``;
+    complex rows take a dense exponential.
     """
     d = M.shape[-1]
-    shape = np.broadcast_shapes(M.shape[:-2], np.shape(t), v.shape[:-1])
-    acc = np.array(np.broadcast_to(v, shape + (d,)), dtype=complex)
-    term = acc.copy()
+    shape = np.broadcast_shapes(M.shape[:-2], t.shape, v.shape[:-1])
+    acc = np.array(np.broadcast_to(v, shape + (d,)))
+    term, step = acc, t[..., None]
     for k in range(1, d + 2):
-        term = (t / k)[..., None] * np.matmul(M, term[..., None])[..., 0]
+        term = (step / k) * np.matmul(M, term[..., None])[..., 0]
         if not np.any(term):
             return acc
         acc = acc + term
+    if acc.dtype == object:
+        raise ExactModeError("matrix is not nilpotent within the dimension bound")
     # not nilpotent (or rounding residue) on these rows: dense exponential
     from scipy.linalg import expm
 
@@ -491,82 +408,51 @@ def _exp_apply_float(M: np.ndarray, t, v: np.ndarray) -> np.ndarray:
     return acc
 
 
-def act(rep: RepSpace, word, v, exact: Optional[bool] = None):
+def act(rep: RepSpace, word, v):
     """Apply the group element ``prod exp(t_s M_s)`` to the vector ``v``.
 
     ``word`` is a sequence of ``(M, t)`` pairs applied left to right, i.e.
-    the first pair acts first.  The evaluation is exact when the matrices,
-    parameters and vector are all Gaussian rational and every step is
-    nilpotent; otherwise it proceeds in complex128 over the leading axes of
-    the matrices, parameters and vector (see ``_exp_apply_float``).
+    the first pair acts first.  The dtype of ``v`` picks the arithmetic:
+    exact for an object array (every step must then be nilpotent, see
+    ``_exp_apply``), otherwise complex128, with the matrices and
+    parameters converted to it.  Matrices ``(d, d)`` or ``(..., d, d)``,
+    parameters scalar or ``(...)`` and ``v`` ``(..., d)`` broadcast over
+    their leading axes.
     """
-    if exact is None:
-        exact = _is_exact_vector(tuple(v)) and all(
-            _is_exact_scalar(t) and isinstance(M, tuple) for M, t in word
-        )
-    if exact:
-        out = tuple(v)
-        for M, t in word:
-            out = exp_nilpotent_vec(M, t, out, max_order=rep.dim)
-        return out
-    if isinstance(v, np.ndarray):
-        out = v.astype(complex)
-    else:
-        out = np.asarray([x.to_complex() if isinstance(x, QC) else complex(x) for x in v], dtype=complex)
+    v = to_field(v)
     for M, t in word:
-        Mc = to_complex_matrix(M) if isinstance(M, tuple) else np.asarray(M, dtype=complex)
-        tc = t.to_complex() if isinstance(t, QC) else np.asarray(t, dtype=complex)
-        out = _exp_apply_float(Mc, tc, out)
-    return out
+        v = _exp_apply(np.asarray(M, dtype=v.dtype), to_field(t, v.dtype), v)
+    return v
 
 
 def compact_directions(rep: RepSpace, i: int):
     """E - F, i(E + F), iH for the simple index ``i`` (exact matrices)."""
     E, F, H = rep.simple[i]
-    from .exact import QI, mat_add, mat_sub
-
-    return (mat_sub(E, F), mat_scale(QI, mat_add(E, F)), mat_scale(QI, H))
+    return (E - F, (E + F) * QI, H * QI)
 
 
 # ---------------------------------------------------------------------------
 # Casimir operators
 # ---------------------------------------------------------------------------
 
-def _gram_inverse(rep: RepSpace):
-    if "gram_inv" not in rep._np_cache:
-        rep._np_cache["gram_inv"] = mat_inv(rep.algebra_gram)
-    return rep._np_cache["gram_inv"]
+def _gram_inverse(rep: RepSpace) -> np.ndarray:
+    """Exact inverse of the Killing Gram of ``rep.algebra_rep``."""
+    m = len(rep.algebra_rep)
+    return rep._cached("gram_inv", lambda: np.array(solve(rep.algebra_gram, to_field(np.eye(m, dtype=int), object)),
+                                                    dtype=object).reshape(m, m))
 
 
 def casimir_matrix(rep: RepSpace, exact: bool = False):
     """Casimir operator sum_a B_a B^a with the Killing-dual basis.
 
-    Returns a complex matrix by default; with ``exact=True`` returns the
-    Gaussian-rational matrix (use only for small modules).
+    Complex by default; with ``exact=True`` the Gaussian-rational matrix
+    (an object array).
     """
+    dtype = object if exact else complex
     if not rep.algebra_rep:
-        return np.zeros((rep.dim, rep.dim), dtype=complex) if not exact else qc_mat(
-            [[0] * rep.dim for _ in range(rep.dim)])
-    Ginv = _gram_inverse(rep)
-    if exact:
-        m = len(rep.algebra_rep)
-        acc = [[QC(0) for _ in range(rep.dim)] for _ in range(rep.dim)]
-        for a in range(m):
-            for b in range(m):
-                c = Ginv[a][b]
-                if not c:
-                    continue
-                prod = mat_mul(rep.algebra_rep[a], rep.algebra_rep[b])
-                for r in range(rep.dim):
-                    row = prod[r]
-                    arow = acc[r]
-                    for s in range(rep.dim):
-                        if row[s]:
-                            arow[s] = arow[s] + c * row[s]
-        return tuple(tuple(r) for r in acc)
-    A = rep.algebra_rep_np()
-    G = np.array([[x.to_complex() for x in row] for row in Ginv])
-    return np.einsum("ab,aij,bjk->ik", G, A, A)
+        return np.full((rep.dim, rep.dim), ZERO, dtype=dtype)
+    A = np.asarray(rep.algebra_rep, dtype=dtype)
+    return np.einsum("ab,aij,bjk->ik", np.asarray(_gram_inverse(rep), dtype=dtype), A, A)
 
 
 def casimir_tensor_matrix(rep: RepSpace):
@@ -576,7 +462,6 @@ def casimir_tensor_matrix(rep: RepSpace):
     C = casimir_matrix(rep)
     I = np.eye(d)
     A = rep.algebra_rep_np()
-    Ginv = _gram_inverse(rep)
-    G = np.array([[x.to_complex() for x in row] for row in Ginv])
+    G = np.asarray(_gram_inverse(rep), dtype=complex)
     cross = np.einsum("ab,aij,bkl->ikjl", G, A, A).reshape(d * d, d * d)
     return np.kron(C, I) + np.kron(I, C) + 2 * cross

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Tuple
 
-from .exact import frac_solve
+from .exact import solve
 
 Eps = Tuple[Fraction, ...]
 
@@ -196,7 +196,7 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     cartan = tuple(cartan)
 
     # omega_i = sum_k (cartan^-1)[i][k] alpha_k solves <omega_i, coroot_j> = delta_ij.
-    inv = frac_solve([[Fraction(x) for x in row] for row in cartan],
+    inv = solve([[Fraction(x) for x in row] for row in cartan],
                      [[Fraction(1 if i == j else 0) for j in range(rank)] for i in range(rank)])
     fundamental = []
     for i in range(rank):
@@ -215,7 +215,7 @@ def build_root_system(series: str, rank: int) -> RootSystem:
 
     # Gram system: sum_k c_k (alpha_k, alpha_j) = (root, alpha_j), every positive root at once
     gram = [[_dot(a, b) for b in simple] for a in simple]
-    coeffs = frac_solve(gram, [[_dot(root, a) for root in positive] for a in simple])
+    coeffs = solve(gram, [[_dot(root, a) for root in positive] for a in simple])
 
     return RootSystem(
         series=series,

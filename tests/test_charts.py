@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from flagcones import charts
-from flagcones.charts import (DomainError, canonical_exponents,
+from flagcones.charts import (DomainError, canonical_exponents, catalog_ids,
                               dhomothetic_constant, generic_h,
                               log_potential_eval, make_spec, potential_eval,
                               resolve_case, ricci_flat_exponent)
-from flagcones.exact import QC, to_complex_matrix
+from flagcones.exact import QC, to_field
 from flagcones.hvcone import GammaGroup, kodaira_embedding, remmert, remmert_norm_sq
 from flagcones.reps import derivation_matrix, outer_tensor
 from flagcones.roots import ConfigurationError
@@ -74,7 +74,7 @@ def test_gram_minors_float_matches_exact(shape, identity_top):
                 F[i][i:] = [QC(1)] + [QC(0)] * (r - 1 - i)
         frames.append(tuple(map(tuple, F)))
     exact = np.array([[float(x) for x in charts.gram_minors(F)] for F in frames])
-    F = np.array([to_complex_matrix(Fq) for Fq in frames])
+    F = np.array([np.asarray(Fq, dtype=complex) for Fq in frames])
     # plain reference: determinants of the leading blocks of F* F
     G = np.conj(np.swapaxes(F, -1, -2)) @ F
     ref = np.stack([np.linalg.det(G[:, :k, :k]).real for k in range(1, r + 1)], axis=-1)
@@ -131,6 +131,29 @@ def test_conifold_trace_form():
     chart = resolve_case("conifold")
     hs = chart.h_closed(np.array([z1, z2]))
     assert np.allclose(np.prod(hs), np.sum(np.abs(W) ** 2))
+
+
+# One concrete case per catalog identifier pattern.
+CATALOG_INSTANCES = {"cp:m": ["cp:1", "cp:2"], "grassmann:n:k": ["grassmann:4:2"], "fullflag:A:n": ["fullflag:A:3"],
+                     "flag:A:n:k1,...,kr": ["flag:A:3:1,3"], "quadric:N": ["quadric:5", "quadric:6", "quadric:8"],
+                     "conifold": ["conifold"], "gr24": ["gr24"], "wallach": ["wallach"], "hopf:cpM": ["hopf:cp1"]}
+
+
+def test_catalog_instances_cover_every_identifier():
+    assert sorted(CATALOG_INSTANCES) == sorted(catalog_ids())
+
+
+@pytest.mark.parametrize("case", [c for cases in CATALOG_INSTANCES.values() for c in cases])
+def test_single_point_is_bit_identical_to_its_batch_row(case):
+    """h_closed, h_L, K1 and K at one float point equal its row of a 50-point batch, bit for bit."""
+    spec = make_spec(case, b=ricci_flat_exponent(resolve_case(case)))
+    rng = np.random.default_rng(1)
+    z = rng.normal(size=(50, spec.n_z)) + 1j * rng.normal(size=(50, spec.n_z))
+    w = rng.normal(size=50) + 1j * rng.normal(size=50)
+    h, hL, k1, k = spec.chart.h_closed(z), spec.h_L(z), spec.K1(z, w), spec.K(z, w)
+    for i in range(50):
+        assert np.array_equal(spec.chart.h_closed(z[i]), h[i]), i
+        assert spec.h_L(z[i]) == hL[i] and spec.K1(z[i], w[i]) == k1[i] and spec.K(z[i], w[i]) == k[i], i
 
 
 # -- generic path ----------------------------------------------------------------
@@ -216,13 +239,14 @@ def test_quadric_word_element_converts_basis_once(monkeypatch):
 
     def counting(Y):
         converted.append(Y)
-        return to_complex_matrix(Y)
+        return both_fields(Y)
 
-    monkeypatch.setattr(charts, "to_complex_matrix", counting)
+    both_fields = charts._both_fields
+    monkeypatch.setattr(charts, "_both_fields", counting)
     z = np.arange(1, 7) * (0.1 + 0.2j)
     X1 = chart.word_element(0, z)
     X2 = chart.word_element(0, 2 * z)
-    assert len(converted) == chart.n_z
+    assert len(converted) == 1 and converted[0].shape == (chart.n_z, 8 * 8)     # the stacked basis, once
     assert np.allclose(X2, 2 * X1)
 
 
@@ -243,6 +267,13 @@ def test_embedding_module_built_once(monkeypatch):
     kodaira_embedding(spec, GammaGroup(0.5), z, w)
     assert remmert_norm_sq(spec, zq, wq, exact=True) == spec.K1(zq, wq)
     assert len(built) == 1
+
+
+def test_fresh_conifold_charts_share_one_module():
+    """The Deligne-product module is built once per process, like the catalog modules."""
+    a, b = make_spec("conifold"), make_spec("conifold")
+    assert a.chart is not b.chart
+    assert a.chart.embedding_rep(a.exponents)[0] is b.chart.embedding_rep(b.exponents)[0]
 
 
 @pytest.mark.parametrize("case, ell", [("gr24", 1), ("quadric:6", 1), ("conifold", 1), ("cp:1", 2)])
@@ -491,5 +522,5 @@ def test_derivation_table_matches_reference_loops(case):
         for _ in range(3):
             L = charts.nilpotent_log(charts._big_cell(n, slots, _rand_z(rng, chart.n_z)), n + 1)
             assert np.array_equal(derivation_matrix(n, k, L), _derivation_loop_float(n, k, L))
-            Lq = charts.nilpotent_log(charts._big_cell(n, slots, _rand_qc(rng, chart.n_z), exact=True), n + 1)
-            assert derivation_matrix(n, k, Lq) == _derivation_loop_exact(n, k, Lq)
+            Lq = charts.nilpotent_log(charts._big_cell(n, slots, to_field(_rand_qc(rng, chart.n_z), object)), n + 1)
+            assert derivation_matrix(n, k, Lq).tolist() == [list(row) for row in _derivation_loop_exact(n, k, Lq)]

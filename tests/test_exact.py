@@ -4,9 +4,10 @@ from fractions import Fraction as Q
 from math import gcd
 
 import pytest
+import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from flagcones.exact import QC
+from flagcones.exact import QC, ZERO, abs2, modulus, product, real, solve, to_field
 
 
 class RefQC:
@@ -42,6 +43,9 @@ class RefQC:
         o = RefQC.of(other)
         d = o.abs2()
         return RefQC((self.re * o.re + self.im * o.im) / d, (self.im * o.re - self.re * o.im) / d)
+
+    def __rtruediv__(self, other):
+        return RefQC.of(other) / self
 
     def conj(self):
         return RefQC(self.re, -self.im)
@@ -82,8 +86,9 @@ def _matches(z, ref):
 @settings(deadline=None, derandomize=True, max_examples=300)
 @given(pairs, operands, st.sampled_from(OPS), st.booleans())
 def test_ops_match_fraction_reference(x, y, op, swap):
-    # QC has no reflected division; zero divisors are tested below.
-    assume(op is not operator.truediv or not swap and RefQC.of(_as(RefQC, y)).abs2() != 0)
+    # zero divisors are tested below
+    divisor = RefQC(*x) if swap else RefQC.of(_as(RefQC, y))
+    assume(op is not operator.truediv or divisor.abs2() != 0)
     a, b = (_as(QC, y), QC(*x)) if swap else (QC(*x), _as(QC, y))
     ra, rb = (_as(RefQC, y), RefQC(*x)) if swap else (RefQC(*x), _as(RefQC, y))
     _matches(op(a, b), op(ra, rb))
@@ -138,3 +143,77 @@ def test_arithmetic_dunders_are_class_attributes():
     """The benchmark tracer counts exact operations by wrapping these in ``vars(QC)``."""
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
         assert name in vars(QC)
+
+
+# -- zero short-cuts and the numpy protocol -------------------------------------------
+
+def test_zero_operands_give_canonical_fields():
+    """0 * x, x + 0 and x - x return canonical fields: (0, 0, 1) for zero, x's own fields otherwise."""
+    x = QC(Q(3, 4), Q(-5, 6))
+    for zero in (0 * x, x * 0, x * Q(0), ZERO * x, x * QC(0), x - x, x + (-x), 0 / x, QC(0) / x):
+        assert isinstance(zero, QC) and (zero.a, zero.b, zero.d) == (0, 0, 1)
+    for same in (x + 0, 0 + x, x + ZERO, ZERO + x, x - 0, x - QC(0), x + Q(0)):
+        assert isinstance(same, QC) and (same.a, same.b, same.d) == (x.a, x.b, x.d)
+    for value in (ZERO + 5, 5 + ZERO, ZERO + Q(2, 3), ZERO - x, 0 - x):
+        assert isinstance(value, QC) and _is_canonical(value)
+    assert ZERO + 5 == 5 and ZERO + Q(2, 3) == Q(2, 3) and ZERO - x == -x == 0 - x
+
+
+@settings(deadline=None, derandomize=True)
+@given(pairs, st.sampled_from([0, Q(0), (Q(0), Q(0))]), st.sampled_from(OPS[:3]), st.booleans())
+def test_zero_short_cut_changes_no_value(x, zero, op, swap):
+    """Every operation with a zero operand agrees with the two-Fraction reference."""
+    a, b = (_as(QC, zero), QC(*x)) if swap else (QC(*x), _as(QC, zero))
+    ra, rb = (_as(RefQC, zero), RefQC(*x)) if swap else (RefQC(*x), _as(RefQC, zero))
+    _matches(op(a, b), op(ra, rb))
+
+
+def test_reflected_division_and_numpy_protocol():
+    z = QC(Q(1, 2), Q(-3, 4))
+    assert 1 / z == QC(1) / z and Q(2, 3) / z == QC(Q(2, 3)) / z
+    assert z.conjugate() == z.conj() and complex(z) == z.to_complex() == 0.5 - 0.75j
+    a = np.array([z, QC(0, 1), QC(2)], dtype=object)
+    assert np.conj(a).tolist() == [z.conj(), QC(0, -1), QC(2)]
+    assert np.asarray(a, dtype=complex).tolist() == [0.5 - 0.75j, 1j, 2 + 0j]
+
+
+# -- arrays: the dtype picks the arithmetic ------------------------------------------------
+
+def test_to_field_picks_the_field():
+    exact = to_field([QC(1, 2), 0, Q(1, 3)])
+    assert exact.dtype == object and all(type(x) is QC for x in exact)
+    assert to_field([QC(1, 2), 0, Q(1, 3)]).tolist() == [QC(1, 2), QC(0), QC(Q(1, 3))]
+    assert to_field(np.eye(2, dtype=int), object).tolist() == [[QC(1), QC(0)], [QC(0), QC(1)]]
+    assert type(to_field(1, object)[()]) is QC
+    assert to_field([1.5, 2]).dtype == complex and to_field(exact, complex).tolist() == [1 + 2j, 0j, 1 / 3 + 0j]
+    with pytest.raises(TypeError):
+        to_field([0.5], object)
+
+
+def test_real_abs2_modulus_per_field():
+    v = to_field([QC(Q(1, 2), 2), QC(0, -1), 3])
+    assert real(v).tolist() == [Q(1, 2), Q(0), Q(3)] and abs2(v).tolist() == [Q(17, 4), Q(1), Q(9)]
+    assert modulus(v).tolist() == abs2(v).tolist()                # exact: the squared modulus
+    c = np.asarray(v, dtype=complex)
+    assert np.array_equal(real(c), c.real) and np.array_equal(abs2(c), np.abs(c) ** 2)
+    assert np.array_equal(modulus(c), np.hypot(c.real, c.imag))
+
+
+def test_product_rounds_as_python_complex_scalars():
+    rng = np.random.default_rng(0)
+    x, y = (rng.normal(size=200) + 1j * rng.normal(size=200) for _ in range(2))
+    assert product(x, y).tolist() == [complex(a) * complex(b) for a, b in zip(x, y)]
+    v = to_field([QC(1, 2), QC(Q(1, 3))])
+    assert product(v, v[::-1]).tolist() == [QC(1, 2) * QC(Q(1, 3))] * 2
+
+
+def test_solve_is_field_generic():
+    a = [[Q(2), Q(1)], [Q(1), Q(3)]]
+    x = solve(a, [[Q(1), Q(0)], [Q(0), Q(1)]])
+    assert x == [[Q(3, 5), Q(-1, 5)], [Q(-1, 5), Q(2, 5)]] and all(type(e) is Q for row in x for e in row)
+    g = [[QC(2), QC(0, 1)], [QC(0, -1), QC(3)]]
+    inv = solve(g, [[QC(1), QC(0)], [QC(0), QC(1)]])
+    assert all(type(e) is QC for row in inv for e in row)
+    assert (np.array(g, dtype=object) @ np.array(inv, dtype=object)).tolist() == [[1, 0], [0, 1]]
+    with pytest.raises(ValueError):
+        solve([[Q(1), Q(2)], [Q(2), Q(4)]], [[Q(1)], [Q(0)]])

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagcones.exact import frac_solve
+from flagcones.exact import solve
 from flagcones.roots import (ConfigurationError, build_root_system,
                              casimir_eigenvalue, flag, killing_dual_pairing,
                              mu_of_bundle, simple_root_expansion)
@@ -222,7 +222,7 @@ def test_simple_root_expansion_matches_one_solve_per_root(series, rank):
     gram = [[sum(x * y for x, y in zip(a, b)) for b in rs.simple_roots] for a in rs.simple_roots]
     for root in rs.positive_roots:
         rhs = [[sum(x * y for x, y in zip(root, a))] for a in rs.simple_roots]
-        assert simple_root_expansion(rs, root) == tuple(row[0] for row in frac_solve(gram, rhs))
+        assert simple_root_expansion(rs, root) == tuple(row[0] for row in solve(gram, rhs))
     with pytest.raises(ConfigurationError):
         simple_root_expansion(rs, tuple(-x for x in rs.positive_roots[0]))
 
