@@ -24,7 +24,11 @@ exactly as the same point inside a batch.
 ``Chart.frames`` adds the rank-one Jacobians ``d_a F = u_a v_a^T`` of the
 same frames, and ``log_gram_jets`` turns them into closed-form ``d log h``
 and ``ddbar log h``, the analytic Kahler layer under the verification
-suites.  A ``PotentialSpec`` combines a chart with bundle exponents and an
+suites.  Both layers run one Hermitian elimination
+(``exact.hermitian_elimination``) on the Gram entry arrays: ``gram_minors``
+takes running products of its pivots, ``log_gram_jets`` back-substitutes
+for ``G^-1`` and gathers the jets through index tables built once per
+chart, so no LAPACK call is made per matrix.  A ``PotentialSpec`` combines a chart with bundle exponents and an
 outer cone exponent ``b``:
 
     K_1(z, w) = prod_alpha h_alpha(z)^(e_alpha) * |w|^2,
@@ -41,11 +45,12 @@ import functools
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from itertools import combinations_with_replacement
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .exact import ONE, QC, ZERO, abs2, like, real, to_field
+from .exact import ONE, QC, ZERO, abs2, hermitian_elimination, hermitian_inverse, like, to_field
 from .reps import (RepSpace, act, derivation_matrix, outer_tensor, sl2_module,
                    so_radical_basis, so_vector_module, wedge_module)
 from .roots import ConfigurationError, build_root_system, flag
@@ -89,11 +94,9 @@ def _block_slots(n: int, ks: Tuple[int, ...]) -> tuple:
 class Frame(tuple):
     """A holomorphic frame ``(F, U, V)`` (see ``log_gram_jets``), unpacked as a triple.
 
-    ``units = (rows, cols, on)`` is set when every Jacobian is one matrix
-    unit: ``d_a F = on_a E(rows_a, cols_a)``, where the 0/1 weights ``on``
-    (None when all are 1) switch off the coordinates that do not enter the
-    frame.  The chart builds it from its slots; ``U`` and ``V`` are never
-    inspected for it.
+    ``units`` (a ``UnitTables``) is set when every Jacobian is one matrix
+    unit, ``d_a F = E(rows_a, cols_a)`` or zero; the chart builds it once
+    from its slots, and ``U`` and ``V`` are never inspected for it.
     """
 
     def __new__(cls, F, U, V, units=None):
@@ -102,32 +105,116 @@ class Frame(tuple):
         return frame
 
 
-def log_gram_jets(F, U, V, units=None):
+class UnitTables(NamedTuple):
+    """Gather tables of ``log_gram_jets`` for a frame with unit Jacobians, built once per chart.
+
+    The frame is the first r columns of the identity plus each coordinate
+    at its unit; ``rows`` carry coordinates, the others are identity rows
+    with their 1 in the columns ``ones``.  ``grad[a]``, ``hess[a, b]`` and
+    ``cols[a, b]`` index one stack of ``(G^-1 F*)[col, u]``, a zero,
+    ``P[u, u']`` and ``G^-1[col, col']`` (row-major, u indexing ``rows``) at
+    ``(col_a, u_a)``, ``(u_b, u_a)`` and ``(col_a, col_b)``, or at the zero for
+    a coordinate outside the frame.
+    """
+
+    rows: np.ndarray
+    ones: tuple
+    grad: np.ndarray
+    hess: np.ndarray
+    cols: np.ndarray
+
+
+def _unit_tables(rows, cols, on, r: int) -> UnitTables:
+    """``d_a F = E(rows_a, cols_a)`` where ``on_a``, else zero, for a frame of r columns."""
+    urows = sorted(set(rows[on].tolist()))
+    u, nu = np.array([urows.index(i) if o else 0 for i, o in zip(rows.tolist(), on)]), len(urows)
+    grad = np.where(on, cols * nu + u, r * nu)
+    cc = np.where(~on[:, None] | ~on, r * nu, r * nu + 1 + nu * nu + cols[:, None] * r + cols)
+    return UnitTables(_read_only(np.array(urows)), tuple(sorted(set(range(r)) - set(urows))),
+                      *map(_read_only, (grad, r * nu + 1 + u * nu + u[:, None], cc)))
+
+
+@lru_cache(maxsize=None)
+def _frame_tables(n: int, ks: Tuple[int, ...]) -> tuple:
+    """Per generator of the block chart: ``(U, V, units)`` of its frame, the first ``k_s`` columns of n(z)."""
+    rows, cols = map(np.array, zip(*_block_slots(n, ks)))
+    U, V = _read_only(np.eye(n + 1)[:, rows]), _read_only(np.eye(ks[-1])[:, cols])
+    return tuple((U, V[:k], _unit_tables(rows, cols, cols < k, k)) for k in ks)
+
+
+@lru_cache(maxsize=None)
+def _product_tables(m: int) -> tuple:
+    """Per factor j of a product of m projective lines: ``(U, V, units)`` of ``[1; z_j]``."""
+    V, rows, cols = _read_only(np.ones((1, m))), np.ones(m, dtype=int), np.zeros(m, dtype=int)
+    return tuple((_read_only(np.outer([0.0, 1.0], e)), V, _unit_tables(rows, cols, e > 0, 1)) for e in np.eye(m))
+
+
+def _gram(F, units=None):
+    """``(E, conj(E), G)``: frame rows ``E[i][a] = F[..., i, a]`` as entry arrays and the upper triangle of ``F* F``.
+
+    With ``units`` only the rows that carry coordinates are read, and each
+    identity row's 1 starts its diagonal entry.
+    """
+    E = _roll_axes(np.asarray(F), -2)
+    ones = ()
+    if units is not None:
+        E, ones = E[units.rows], units.ones
+    Ec, r = np.conj(E), E.shape[1]
+    return E, Ec, [[_dot(Ec[:, a], E[:, b], int(a == b and a in ones)) if b >= a else None for b in range(r)]
+                   for a in range(r)]
+
+
+def _roll_axes(a: np.ndarray, k: int) -> np.ndarray:
+    """A view of ``a`` with its axes rolled left by k (cheaper than ``np.moveaxis``)."""
+    axes = tuple(range(a.ndim))
+    return a.transpose(axes[k:] + axes[:k])
+
+
+def _dot(xs, ys, start=0):
+    """``start + sum_j xs[j] ys[j]`` over entry arrays, summed in order."""
+    out = xs[0] * ys[0] if start == 0 else start + xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        out = out + x * y
+    return out
+
+
+def log_gram_jets(F, U, V, units=None, hessian=True):
     """``(d_a log h, d_a dbar_b log h)`` of ``h = det G``, ``G = F* F``, batched over leading axes.
 
     ``F`` is a holomorphic frame (..., N, r) with Jacobian ``E_a = d_a F = u_a v_a^T``
     (columns of U (..., N, n_z) and V (r, n_z)).  With ``P = 1 - F G^-1 F*``:
     ``d_a log h = tr(G^-1 F* E_a) = v_a^T G^-1 F* u_a`` and
     ``d_a dbar_b log h = tr(G^-1 E_b* P E_a) = (u_b* P u_a)(v_a^T G^-1 conj(v_b))``.
-    With unit factors (``Frame.units``) both are index gathers:
+    ``G^-1`` comes from the Hermitian elimination of ``exact`` on the Gram
+    entry arrays (the one ``gram_minors`` runs) and back-substitution, so no
+    call is made per matrix.  With unit factors (``Frame.units``) both jets
+    are gathers from ``G^-1 F*`` at the frame rows that carry coordinates:
     ``(G^-1 F*)[col_a, row_a]`` and ``P[row_b, row_a] G^-1[col_a, col_b]``.
+    With ``hessian`` false only ``(d_a log h,)`` is computed.
     """
-    Fh = np.conj(np.swapaxes(F, -1, -2))
-    Ginv = np.linalg.inv(Fh @ F)
+    if np.ndim(F) == 2:                 # one frame runs as a batch of one: numpy scalars round differently
+        return tuple(jet[0] for jet in log_gram_jets(np.asarray(F)[None], U, V, units, hessian))
+    E, Ec, G = _gram(F, units)
+    Ginv = hermitian_inverse(*hermitian_elimination(G))
     if units is None:
-        AU = Ginv @ (Fh @ U)                                         # G^-1 F* u_a
+        Ginv = _roll_axes(np.array(Ginv), 2)
+        AU = Ginv @ (np.conj(np.swapaxes(F, -1, -2)) @ U)           # G^-1 F* u_a
+        if not hessian:
+            return (np.sum(V * AU, axis=-2),)
         X = np.conj(np.swapaxes(U, -1, -2)) @ (U - F @ AU)           # u_b* P u_a at [b, a]
         return np.sum(V * AU, axis=-2), np.swapaxes(X, -1, -2) * (V.T @ Ginv @ np.conj(V))
-    rows, cols, on = units
-    A = Ginv @ Fh                                                    # G^-1 F*
-    hess = (F @ A)[..., rows, rows[:, None]]                         # (F G^-1 F*)[row_b, row_a] at [a, b]
-    np.subtract(np.equal.outer(rows, rows), hess, out=hess)          # P[row_b, row_a]
-    hess *= Ginv[..., cols[:, None], cols]
-    grad = A[..., cols, rows]
-    if on is not None:
-        grad *= on
-        hess *= np.outer(on, on)
-    return grad, hess
+    A = [[_dot(row, e) for e in Ec] for row in Ginv]                 # (G^-1 F*)[j, rows_u]
+    flat = [x for row in A for x in row] + [np.zeros_like(A[0][0])]
+    if not hessian:
+        return (_roll_axes(np.array(flat)[units.grad], 1),)
+    At, P = list(zip(*A)), [[None] * len(E) for _ in E]               # P[u][v] = P[rows_u, rows_v], Hermitian
+    for u, v in combinations_with_replacement(range(len(E)), 2):
+        P[u][v] = int(u == v) - _dot(E[u], At[v])
+        P[v][u] = np.conj(P[u][v])
+    flat = np.array(flat + [x for row in P + Ginv for x in row])
+    hess = flat[units.hess]
+    hess *= flat[units.cols]
+    return _roll_axes(flat[units.grad], 1), _roll_axes(hess, 2)
 
 
 def gram_minors(F):
@@ -135,23 +222,15 @@ def gram_minors(F):
 
     ``F`` is an (..., N, r) frame.  By Cauchy-Binet the k-th minor is the
     sum of squared k x k minors of the first k columns.  ``G`` is Hermitian
-    positive definite, so unpivoted elimination on its upper triangle gives
-    the minors as running products of the pivots.  Each Gram entry is an
-    array over the leading axes of ``F`` (a scalar for an (N, r) frame);
-    exact frames give ``Fraction`` minors.
+    positive definite, so the minors are running products of the pivots of
+    ``exact.hermitian_elimination``.  Each Gram entry is an array over the
+    leading axes of ``F`` (a scalar for an (N, r) frame); exact frames give
+    ``Fraction`` minors.
     """
-    cols = np.moveaxis(np.asarray(F), (-1, -2), (0, 1))
-    r = len(cols)
-    conj = [np.conj(col) for col in cols]
-    G = [[sum(x * y for x, y in zip(conj[a], cols[b])) if b >= a else None for b in range(r)] for a in range(r)]
     out, det = [], 1
-    for c in range(r):
-        pivot = real(G[c][c])
+    for pivot in hermitian_elimination(_gram(F)[2])[0]:
         det = det * pivot
         out.append(det)
-        for i in range(c + 1, r):
-            f = np.conj(G[c][i]) / pivot
-            G[i][i:] = [x - f * y for x, y in zip(G[i][i:], G[c][i:])]
     return np.stack(out, axis=-1)
 
 
@@ -251,27 +330,18 @@ class Chart:
         Wedge and product frames are ``Frame``s with unit factors.
         """
         z = np.asarray(z, dtype=complex)
-        m, ones = self.n_z, np.ones((1, self.n_z))
         F, ks = self._frame(z)
         if self.kind == "wedge":        # d_a F = the unit matrix at slot a
-            n, _, slots = self._wedge()
-            rows, cols = map(np.array, zip(*slots))
-            U, V = np.eye(n + 1)[:, rows], np.eye(ks[-1])[:, cols]
-            frames = []
-            for k in ks:
-                on = cols < k               # coordinates in the first k columns; the others read column 0, weight 0
-                units = (rows, np.where(on, cols, 0), None if on.all() else on.astype(float))
-                frames.append(Frame(F[..., :k], U, V[:k], units))
-            return frames
+            tables = _frame_tables(self.params["n"], ks)
+            return [Frame(F[..., :V.shape[0]], U, V, units) for U, V, units in tables]
         if self.kind == "quadric":      # d_a s = (0, e_a/sqrt2, zeta_a/2)
+            m = self.n_z
             U = np.zeros(z.shape[:-1] + (m + 2, m), dtype=complex)
             U[..., range(1, m + 1), range(m)] = 1.0 / np.sqrt(2.0)
             U[..., m + 1, :] = z / 2.0
-            return [(F, U, ones)]
+            return [(F, U, np.ones((1, m)))]
         # product of projective lines: [1; z_j], d_a = delta_aj (0; 1)
-        unit_rows, zero_cols = np.ones(m, dtype=int), np.zeros(m, dtype=int)
-        return [Frame(F[..., j:j + 1], np.outer([0.0, 1.0], np.eye(m)[j]), ones, (unit_rows, zero_cols, np.eye(m)[j]))
-                for j in range(self.n_gen)]
+        return [Frame(F[..., j:j + 1], *tables) for j, tables in enumerate(_product_tables(self.n_z))]
 
     def h_closed_exact(self, z) -> Tuple[Fraction, ...]:
         """``h_closed`` at a Gaussian-rational point (a list of ``QC``): a tuple of ``Fraction``s."""
@@ -532,10 +602,11 @@ class PotentialSpec:
 
         return F
 
-    def _log_jets(self, z, weights):
+    def _log_jets(self, z, weights, hessian=True):
         """Weighted sums over generators of ``log_gram_jets`` of the chart frames."""
-        jets = [log_gram_jets(*frame, units=getattr(frame, "units", None)) for frame in self.chart.frames(z)]
-        return tuple(sum(wt * jet[i] for wt, jet in zip(weights, jets)) for i in (0, 1))
+        jets = [log_gram_jets(*frame, units=getattr(frame, "units", None), hessian=hessian)
+                for frame in self.chart.frames(z)]
+        return tuple(sum(wt * jet[i] for wt, jet in zip(weights, jets)) for i in range(len(jets[0])))
 
     def cone_jet(self) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
         """Batched ``(phi_a, ddbar K / K)`` over real points, from the chart frames.
@@ -555,6 +626,17 @@ class PotentialSpec:
 
         return jet
 
+    def lee_form(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Batched Lee form ``theta = -d log K`` over real points, (m, d), from the gradient half of the jets alone."""
+        b, e = float(self.b), [float(x) for x in self.exponents]
+
+        def theta(points: np.ndarray) -> np.ndarray:
+            z, w = decode_points(points, self.chart.n_z)
+            (grad,) = self._log_jets(z, e, hessian=False)
+            return lee_components(np.concatenate([grad, 1.0 / w[..., None]], axis=-1), b)
+
+        return theta
+
     def base_hessian(self) -> Callable[[np.ndarray], np.ndarray]:
         """Batched complex Hessian of ``log h_delta``, ``sum_alpha delta_alpha ddbar log h_alpha``, over base points."""
         pair = [float(p) for p in self.chart.delta_pairings]
@@ -570,6 +652,11 @@ class PotentialSpec:
             return sum(p * np.log(hs[..., i]) for i, p in enumerate(pair))
 
         return F
+
+
+def lee_components(phi: np.ndarray, b: float) -> np.ndarray:
+    """``theta = -d log K_1^b`` as real components ``(-2b Re phi_a, 2b Im phi_a)``, interleaved, from ``phi = d log K_1``."""
+    return -2.0 * b * np.ascontiguousarray(np.conj(phi)).view(float)
 
 
 def decode_points(points: np.ndarray, n_z: int):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Sequence, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -198,6 +198,43 @@ def solve(a: Sequence[Sequence], rhs: Sequence[Sequence]) -> list:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def hermitian_elimination(G) -> Tuple[list, list]:
+    """Unpivoted elimination of Hermitian ``G``: ``(pivots, L)`` with ``G = L diag(pivots) L*``.
+
+    Reads the upper triangle ``G[a][b]``, ``b >= a``, of arrays over a batch
+    or scalars, in either field: column c has pivot ``real(G[c][c])`` and
+    multipliers ``L[i][c] = conj(G[c][i]) / pivot``.  The running products
+    of the pivots are the leading principal minors (nonzero for positive
+    definite ``G``).  No call per matrix: a batch of tiny matrices costs a
+    few array loops.
+    """
+    G, pivots, L = [list(row) for row in G], [], [[] for _ in G]
+    for c in range(len(G)):
+        pivots.append(real(G[c][c]))
+        for i in range(c + 1, len(G)):
+            L[i].append(np.conj(G[c][i]) / pivots[c])
+            G[i][i:] = [x - L[i][c] * y for x, y in zip(G[i][i:], G[c][i:])]
+    return pivots, L
+
+
+def hermitian_inverse(pivots, L) -> list:
+    """All entries of ``G^-1`` from ``hermitian_elimination(G)``, by back-substitution.
+
+    ``L* X = diag(pivots)^-1 L^-1`` is lower triangular with diagonal
+    ``1 / pivot``, so from the last row up
+    ``X[a][b] = delta_ab / pivot_a - sum_(k > a) conj(L[k][a]) X[k][b]`` for ``b >= a``.
+    """
+    r = len(pivots)
+    X = [[None] * r for _ in range(r)]
+    for a in range(r - 1, -1, -1):
+        for b in range(r - 1, a - 1, -1):
+            x = 1 / pivots[a] if a == b else 0
+            for k in range(a + 1, r):
+                x = x - np.conj(L[k][a]) * X[k][b]
+            X[b][a], X[a][b] = np.conj(x), x
+    return X
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import diffgeo
-from .charts import PotentialSpec, decode_points, make_spec, ricci_flat_exponent
+from .charts import PotentialSpec, decode_points, lee_components, make_spec, ricci_flat_exponent
 from .diffgeo import FDConfig
 from .hvcone import GammaGroup, algebraic_residual, gamma_canonicalize, hopf_distance, remmert
 from .roots import ConfigurationError
@@ -197,7 +197,7 @@ def conformal_fields(spec: PotentialSpec, cfg: FDConfig, ref=None):
         phi, H = jet(P)
         out = np.empty((len(P), P.shape[1] + 1, P.shape[1]))
         diffgeo.metric_of_complex_hessian(H, out=out[:, :-1])
-        out[:, -1] = -2.0 * b * np.ascontiguousarray(np.conj(phi)).view(float)   # interleaved (Re, -Im) of conj(phi_a)
+        out[:, -1] = lee_components(phi, b)
         return out
 
     return F, cone
@@ -290,11 +290,12 @@ def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] =
     cfg, rep, tolerance, tol_agree = _open_report("lck", spec, samples, cfg, tolerance, case)
     J = diffgeo.complex_structure(spec.real_dim)
     _, cone = conformal_fields(spec, cfg)
+    lee = spec.lee_form()       # d theta reads the gradient half of the jets alone
 
     def block(P):
         g, th = diffgeo.split_joint(cone(P))
         th = corrupt_theta * th
-        dth = diffgeo.d_oneform_batch(lambda X: cone(X)[:, -1], P, cfg, diffgeo._axis_steps(P, cfg.base_step))
+        dth = diffgeo.d_oneform_batch(lee, P, cfg, diffgeo._axis_steps(P, cfg.base_step))
         r_dth = _relative(dth, th)
         # d Omega = -(d g) J: the metric rows are differenced as views of the joint field
         metric_rows = lambda X: cone(X)[:, :-1]

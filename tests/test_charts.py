@@ -233,6 +233,28 @@ def test_unit_frames_gather_the_dense_jets(case):
                 np.testing.assert_allclose(gathered, dense, rtol=1e-13, atol=1e-15 * np.max(np.abs(dense)))
 
 
+@pytest.mark.parametrize("case", ["gr24", "wallach", "fullflag:A:3", "quadric:6", "conifold"])
+def test_log_gram_jets_of_one_point_equal_its_batch_row(case):
+    """A single frame rounds as the same frame inside a batch."""
+    chart = resolve_case(case)
+    rng = np.random.default_rng(31)
+    z = rng.normal(size=(3, chart.n_z)) + 1j * rng.normal(size=(3, chart.n_z))
+    for one, batch in zip(chart.frames(z[1]), chart.frames(z)):
+        for a, b in zip(charts.log_gram_jets(*one, units=getattr(one, "units", None)),
+                        charts.log_gram_jets(*batch, units=getattr(batch, "units", None))):
+            assert np.array_equal(a, b[1])
+
+
+@pytest.mark.parametrize("case", ["gr24", "wallach", "flag:A:3:1,3", "conifold"])
+def test_frame_tables_are_built_once_per_chart(case):
+    """Two calls on one chart hand out the same read-only U, V and unit tables."""
+    chart = resolve_case(case)
+    z = np.full((2, chart.n_z), 0.3 + 0.1j)
+    for a, b in zip(chart.frames(z), chart.frames(2 * z)):
+        assert a[1] is b[1] and a[2] is b[2] and a.units is b.units
+        assert not any(t.flags.writeable for t in (a[1], a[2], a.units.rows, a.units.grad, a.units.hess))
+
+
 def test_quadric_word_element_converts_basis_once(monkeypatch):
     chart = resolve_case("quadric:8")
     converted = []

@@ -7,7 +7,9 @@ import pytest
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from flagcones.exact import QC, ZERO, abs2, modulus, product, real, solve, to_field
+from flagcones.diffgeo import _log_det
+from flagcones.exact import (QC, ZERO, abs2, hermitian_elimination, hermitian_inverse, modulus, product, real,
+                             solve, to_field)
 
 
 class RefQC:
@@ -217,3 +219,31 @@ def test_solve_is_field_generic():
     assert (np.array(g, dtype=object) @ np.array(inv, dtype=object)).tolist() == [[1, 0], [0, 1]]
     with pytest.raises(ValueError):
         solve([[Q(1), Q(2)], [Q(2), Q(4)]], [[Q(1)], [Q(0)]])
+
+
+def _hermitian_batch(rng, shape, r):
+    """Random Hermitian positive definite matrices (*shape, r, r)."""
+    X = rng.normal(size=shape + (r, r)) + 1j * rng.normal(size=shape + (r, r))
+    return X @ np.conj(np.swapaxes(X, -1, -2)) + r * np.eye(r)
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+@pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+def test_hermitian_elimination_inverts_and_gives_log_det(shape, r):
+    """On entry arrays the inverse matches np.linalg.inv and the pivots' log det np.linalg.slogdet."""
+    G = _hermitian_batch(np.random.default_rng(10 * r + len(shape)), shape, r)
+    entries = np.moveaxis(G, (-2, -1), (0, 1))
+    pivots, L = hermitian_elimination(entries)
+    assert len(pivots) == r and [len(row) for row in L] == list(range(r))
+    inv = np.moveaxis(np.array(hermitian_inverse(pivots, L), dtype=complex), (0, 1), (-2, -1))
+    np.testing.assert_allclose(inv, np.linalg.inv(G), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(_log_det(G), np.linalg.slogdet(G)[1], rtol=0, atol=1e-12)
+
+
+def test_hermitian_elimination_is_field_generic():
+    """Over QC the pivots are the exact ratios of leading minors 2, 4, 9 and the inverse is exact."""
+    g = [[QC(2), QC(1, 1), QC(0, -1)], [QC(1, -1), QC(3), QC(1)], [QC(0, 1), QC(1), QC(4)]]
+    pivots, L = hermitian_elimination(g)
+    assert pivots == [Q(2), Q(4, 2), Q(9, 4)] and all(type(p) is Q for p in pivots)
+    inv = hermitian_inverse(pivots, L)
+    assert (np.array(g, dtype=object) @ np.array(inv, dtype=object)).tolist() == np.eye(3, dtype=int).tolist()

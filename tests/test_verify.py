@@ -222,6 +222,29 @@ def test_analytic_fields_match_finite_differences(case):
         assert _gap(Hb, diffgeo.complex_hessian_batch(base, P[:, :-2], CFG)[0]) <= 1e-8
 
 
+@pytest.mark.parametrize("case", FIELD_CASES + ["flag:A:3:1,2", "flag:A:3:1,3"])
+def test_lee_form_is_the_last_row_of_the_joint_field(case):
+    """The gradient-only Lee form equals the Lee-form row of the joint cone field bit for bit."""
+    spec = make_spec(case, b=Q(4, 5))
+    _, cone = conformal_fields(spec, CFG)
+    P = sample_points(spec, 13, 4).points
+    stencil = (P[:, None, :] + 1e-3 * diffgeo._unit_stencil(P.shape[1])[0]).reshape(-1, P.shape[1])
+    for X in (P, stencil):
+        assert np.array_equal(spec.lee_form()(X), cone(X)[:, -1])
+
+
+@pytest.mark.parametrize("case", ["gr24", "wallach"])
+def test_kahler_layer_makes_no_lapack_inverse_or_log_det(monkeypatch, case):
+    """ricci-flat and kahler-einstein run on the entry-array elimination alone."""
+    calls = []
+    for name in ("inv", "slogdet"):
+        lapack = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, f=lapack, **k: calls.append(f.__name__) or f(*a, **k))
+    for suite in ("ricci-flat", "kahler-einstein"):
+        assert run_suite(suite, case, seed=3, count=2).verdict, suite
+    assert calls == []
+
+
 FD_SUITES = ("lck", "vaisman", "kahler-einstein", "ricci-flat", "einstein-weyl")
 
 
@@ -281,8 +304,9 @@ def test_cone_jet_evaluations_per_sample(monkeypatch):
     # makes one jet stencil and one nested Jacobian per Richardson level
     assert jet_calls("einstein-weyl", "quadric:6", 4) == jet_calls("einstein-weyl", "quadric:6", 5) == 4
     assert jet_calls("einstein-weyl", "quadric:6", 8) == 2 * 4
-    # 20 first-difference rows a sample: 4 and 8 samples both fit one block
-    assert jet_calls("lck", "gr24", 4) == jet_calls("lck", "gr24", 8) == 5
+    # 20 first-difference rows a sample: 4 and 8 samples both fit one block; d theta
+    # reads the gradient-only Lee form, so the jet runs at P and once per level of d Omega
+    assert jet_calls("lck", "gr24", 4) == jet_calls("lck", "gr24", 8) == 3
     assert jet_calls("vaisman", "quadric:6", 4) == jet_calls("vaisman", "quadric:6", 8) == 3
     # 201 full-stencil rows a sample: 5 samples fit one block, 8 take two
     assert jet_calls("ricci-flat", "gr24", 4) == jet_calls("ricci-flat", "gr24", 5) == 3
