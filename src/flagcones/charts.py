@@ -28,8 +28,9 @@ suites.  Both layers run one Hermitian elimination
 (``exact.hermitian_elimination``) on the Gram entry arrays: ``gram_minors``
 takes running products of its pivots, ``log_gram_jets`` back-substitutes
 for ``G^-1`` and gathers the jets through index tables built once per
-chart, so no LAPACK call is made per matrix.  A ``PotentialSpec`` combines a chart with bundle exponents and an
-outer cone exponent ``b``:
+chart, so no LAPACK call is made per matrix; the quadric section's jets
+are closed forms in ``z``.  A ``PotentialSpec`` combines a chart with
+bundle exponents and an outer cone exponent ``b``:
 
     K_1(z, w) = prod_alpha h_alpha(z)^(e_alpha) * |w|^2,
     K_b(z, w) = K_1(z, w)^b.
@@ -94,9 +95,10 @@ def _block_slots(n: int, ks: Tuple[int, ...]) -> tuple:
 class Frame(tuple):
     """A holomorphic frame ``(F, U, V)`` (see ``log_gram_jets``), unpacked as a triple.
 
-    ``units`` (a ``UnitTables``) is set when every Jacobian is one matrix
-    unit, ``d_a F = E(rows_a, cols_a)`` or zero; the chart builds it once
-    from its slots, and ``U`` and ``V`` are never inspected for it.
+    ``units`` picks the ``log_gram_jets`` branch: a ``UnitTables`` when every
+    Jacobian is one matrix unit, ``d_a F = E(rows_a, cols_a)`` or zero (built
+    once per chart from its slots; ``U`` and ``V`` are never inspected for
+    it), or ``QUADRIC`` for the quadric section.
     """
 
     def __new__(cls, F, U, V, units=None):
@@ -149,6 +151,10 @@ def _product_tables(m: int) -> tuple:
     return tuple((_read_only(np.outer([0.0, 1.0], e)), V, _unit_tables(rows, cols, e > 0, 1)) for e in np.eye(m))
 
 
+# ``Frame.units`` of the quadric section ``s = (1, z/sqrt2, q/4)``, ``d_a s = (0, e_a/sqrt2, z_a/2)``
+QUADRIC = "quadric"
+
+
 def _gram(F, units=None):
     """``(E, conj(E), G)``: frame rows ``E[i][a] = F[..., i, a]`` as entry arrays and the upper triangle of ``F* F``.
 
@@ -187,13 +193,19 @@ def log_gram_jets(F, U, V, units=None, hessian=True):
     ``d_a dbar_b log h = tr(G^-1 E_b* P E_a) = (u_b* P u_a)(v_a^T G^-1 conj(v_b))``.
     ``G^-1`` comes from the Hermitian elimination of ``exact`` on the Gram
     entry arrays (the one ``gram_minors`` runs) and back-substitution, so no
-    call is made per matrix.  With unit factors (``Frame.units``) both jets
-    are gathers from ``G^-1 F*`` at the frame rows that carry coordinates:
+    call is made per matrix.  ``units`` (``Frame.units``) picks the branch.
+    Wedge and product frames have unit factors (a ``UnitTables``): both jets
+    are gathers from ``G^-1 F*`` at the frame rows that carry coordinates,
     ``(G^-1 F*)[col_a, row_a]`` and ``P[row_b, row_a] G^-1[col_a, col_b]``.
+    The quadric section (``QUADRIC``) takes the closed forms of
+    ``_quadric_log_jets``, with no Gram inverse.  Only a plain ``(F, U, V)``
+    triple (``units`` None) takes the dense formula, for any rank-one Jacobians.
     With ``hessian`` false only ``(d_a log h,)`` is computed.
     """
     if np.ndim(F) == 2:                 # one frame runs as a batch of one: numpy scalars round differently
-        return tuple(jet[0] for jet in log_gram_jets(np.asarray(F)[None], U, V, units, hessian))
+        return tuple(jet[0] for jet in log_gram_jets(np.asarray(F)[None], np.asarray(U)[None], V, units, hessian))
+    if units is QUADRIC:
+        return _quadric_log_jets(F[..., 0], U[..., -1, :], hessian)
     E, Ec, G = _gram(F, units)
     Ginv = hermitian_inverse(*hermitian_elimination(G))
     if units is None:
@@ -215,6 +227,22 @@ def log_gram_jets(F, U, V, units=None, hessian=True):
     hess = flat[units.hess]
     hess *= flat[units.cols]
     return _roll_axes(flat[units.grad], 1), _roll_axes(hess, 2)
+
+
+def _quadric_log_jets(s, half_z, hessian=True):
+    """``log_gram_jets`` of the quadric section ``s = (1, z/sqrt2, q/4)`` (..., N), from ``half_z = z/2`` (..., m).
+
+    With ``u_a = d_a s = (0, e_a/sqrt2, z_a/2)``, ``h = |s|^2``,
+    ``c_a = s* u_a = zbar_a/2 + qbar z_a/8`` and ``u_b* u_a = delta_ab/2 + zbar_b z_a/4``:
+    ``d_a log h = c_a / h`` and ``d_a dbar_b log h = (delta_ab/2 + z_a zbar_b/4)/h - grad_a conj(grad_b)``.
+    """
+    inv_h = 1.0 / np.sum(abs2(s), axis=-1)[..., None]
+    grad = (np.conj(half_z) + np.conj(s[..., -1:]) * half_z) * inv_h
+    if not hessian:
+        return (grad,)
+    hess = (half_z[..., :, None] * np.conj(half_z[..., None, :]) + np.eye(half_z.shape[-1]) / 2) * inv_h[..., None]
+    hess -= grad[..., :, None] * np.conj(grad[..., None, :])
+    return grad, hess
 
 
 def gram_minors(F):
@@ -317,8 +345,8 @@ class Chart:
         if z.shape[-1] != self.n_z:
             raise DomainError(f"{self.name} needs {self.n_z} coordinates")
         F, ks = self._frame(z)
-        if ks is None:                  # squared column norms, row by row
-            return sum(abs2(F[..., i, :]) for i in range(F.shape[-2]))
+        if ks is None:                  # squared column norms, row by row from the constant leading 1
+            return sum((abs2(F[..., i, :]) for i in range(1, F.shape[-2])), 1)
         return gram_minors(F)[..., [k - 1 for k in ks]]
 
     def frames(self, z) -> list:
@@ -327,7 +355,8 @@ class Chart:
         Each coordinate enters one column of a frame, so its Jacobian has
         rank one: the columns of U (..., N, n_z), constant except on quadrics,
         and of V (r, n_z).  Batched over the leading axes of complex ``z``.
-        Wedge and product frames are ``Frame``s with unit factors.
+        Every frame is a ``Frame``: wedge and product frames with unit factors,
+        the quadric section marked ``QUADRIC``.
         """
         z = np.asarray(z, dtype=complex)
         F, ks = self._frame(z)
@@ -339,7 +368,7 @@ class Chart:
             U = np.zeros(z.shape[:-1] + (m + 2, m), dtype=complex)
             U[..., range(1, m + 1), range(m)] = 1.0 / np.sqrt(2.0)
             U[..., m + 1, :] = z / 2.0
-            return [(F, U, np.ones((1, m)))]
+            return [Frame(F, U, np.ones((1, m)), QUADRIC)]
         # product of projective lines: [1; z_j], d_a = delta_aj (0; 1)
         return [Frame(F[..., j:j + 1], *tables) for j, tables in enumerate(_product_tables(self.n_z))]
 

@@ -24,7 +24,9 @@ of points.  The connection and curvature algebra (``weyl_ricci_of_jets``,
 ``nabla_of_jets``, ``weyl_symbols_of_jets``, ``weyl_metric_derivative``)
 runs on the jets they return, batched over leading axes, so one joint
 field -- metric rows and a Lee-form row, ``(m, d+1, d)``, separated by
-``split_joint`` -- feeds it from a single stencil for a whole batch.
+``split_joint`` -- feeds it from a single stencil for a whole batch.  Its
+Ricci tensors read two traces of the symbol derivatives by batched matmul
+(``_symbol_traces``), and a caller holding ``g^-1`` passes it in.
 
 Conventions (with ``d^c = i (dbar - d)`` and real potentials F):
 
@@ -90,14 +92,16 @@ class FDConfig:
         }
 
 
+@lru_cache(maxsize=None)
 def complex_structure(dim: int) -> np.ndarray:
-    """Standard complex structure: J e_(2a) = e_(2a+1), J e_(2a+1) = -e_(2a)."""
+    """Standard complex structure: J e_(2a) = e_(2a+1), J e_(2a+1) = -e_(2a); read-only, built once per dimension."""
     if dim % 2:
         raise ValueError("real dimension must be even")
     J = np.zeros((dim, dim))
-    for a in range(dim // 2):
-        J[2 * a + 1, 2 * a] = 1.0
-        J[2 * a, 2 * a + 1] = -1.0
+    a = np.arange(0, dim, 2)
+    J[a + 1, a] = 1.0
+    J[a, a + 1] = -1.0
+    J.flags.writeable = False
     return J
 
 
@@ -373,80 +377,91 @@ def wedge_one_two(theta: np.ndarray, Omega: np.ndarray) -> np.ndarray:
 #
 # Jets, each with the same leading batch axes: a metric g, dg[..., a, i, j] =
 # d_a g_ij, ddg[..., a, b, i, j] = d_a d_b g_ij, a Lee form theta and
-# dtheta[..., a, i] = d_a theta_i.
+# dtheta[..., a, i] = d_a theta_i.  Contractions are matmuls on reshaped arrays.
 
 def split_joint(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Metric rows and Lee-form row of joint values or jets (..., d+1, d)."""
     return np.ascontiguousarray(v[..., :-1, :]), np.ascontiguousarray(v[..., -1, :])
 
 
+def _fold(a: np.ndarray, k: int, *shape: int) -> np.ndarray:
+    """``a`` with its last k axes reshaped to ``shape``."""
+    return a.reshape(a.shape[:a.ndim - k] + shape)
+
+
 def _first_kind(dg: np.ndarray) -> np.ndarray:
-    """S[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij from dg[..., a, i, j]."""
-    return dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    """S[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij from dg[..., a, i, j]."""
+    return np.moveaxis(dg, -1, -3) + np.swapaxes(dg, -3, -1) - dg
 
 
 def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Levi-Civita symbols Gamma[..., k, i, j] from the inverse metric and dg."""
-    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, _first_kind(dg))
+    """Levi-Civita symbols Gamma[..., k, i, j] = g^kl S_lij / 2 from the inverse metric and dg."""
+    d = dg.shape[-1]
+    return _fold(ginv @ _fold(_first_kind(dg), 3, d, d * d), 2, d, d, d) / 2.0
 
 
-def _weyl_shift(g: np.ndarray, ginv: np.ndarray, theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(W, A)``: D = nabla + W with W^k_ij = -(theta_i delta^k_j + theta_j delta^k_i - g_ij A^k)/2, A = g^-1 theta."""
-    A = (ginv @ theta[..., None])[..., 0]
-    eye = np.eye(theta.shape[-1])
-    W = -0.5 * (np.einsum("...i,kj->...kij", theta, eye) + np.einsum("...j,ki->...kij", theta, eye)
-                - np.einsum("...ij,...k->...kij", g, A))
-    return W, A
+def _symbol_traces(ginv: np.ndarray, dg: np.ndarray, ddg: np.ndarray):
+    """``(Gamma, div, dtr, u)``: Levi-Civita symbols and the two traces of their derivatives that Ricci reads.
+
+    With ``d_a g^-1 = -g^-1 (d_a g) g^-1`` and ``u_l = sum_i d_i g^il``:
+    ``div[..., j, k] = sum_i d_i Gamma^i_jk = (u_l S_ljk + g^il d_i S_ljk) / 2``, where
+    ``g^il d_i S_ljk = X_jk + X_kj - g^il d_i d_l g_jk`` and ``X_jk = g^il d_i d_j g_kl``;
+    ``dtr[..., j, k] = d_j sum_i Gamma^i_ik = d_j (g^il d_k g_il) / 2``.
+    """
+    d = dg.shape[-1]
+    gi = ginv[..., None, :, :]
+    dginv = -(gi @ dg @ gi)
+    u = np.trace(dginv, axis1=-3, axis2=-2)
+    flat = _fold(ddg, 4, d * d, d * d)
+    X = _fold(np.sum(_fold(ddg, 3, d * d, d) @ ginv[..., None], axis=-3), 2, d, d)
+    div = X + np.swapaxes(X, -1, -2) - _fold(_fold(ginv, 2, 1, d * d) @ flat, 2, d, d)
+    div += _fold(u[..., None, :] @ _fold(_first_kind(dg), 3, d, d * d), 2, d, d)
+    dtr = _fold(flat @ _fold(ginv, 2, d * d, 1), 2, d, d)
+    dtr += _fold(dginv, 3, d, d * d) @ np.swapaxes(_fold(dg, 3, d, d * d), -1, -2)
+    return _christoffel(ginv, dg), div / 2.0, dtr / 2.0, u
 
 
-def _nabla(G: np.ndarray, theta: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
-    """(nabla theta)_ij = d_i theta_j - Gamma^k_ij theta_k."""
-    return dtheta - np.einsum("...kij,...k->...ij", G, theta)
+def _ricci_of_traces(G: np.ndarray, div: np.ndarray, dtr: np.ndarray) -> np.ndarray:
+    """Ric_jk = div_jk - dtr_jk + Gamma^i_im Gamma^m_jk - Gamma^i_jm Gamma^m_ik (see ``_symbol_traces``)."""
+    d = G.shape[-1]
+    vG = _fold(np.trace(G, axis1=-3, axis2=-2)[..., None, :] @ _fold(G, 3, d, d * d), 2, d, d)
+    Gs = np.ascontiguousarray(np.swapaxes(G, -3, -2))                       # Gs[j, i, m] = Gamma^i_jm
+    return div - dtr + vG - _fold(Gs, 3, d, d * d) @ _fold(Gs, 3, d * d, d)
 
 
-def _ricci_from_symbols(G: np.ndarray, dG: np.ndarray) -> np.ndarray:
-    """Ric_jk from connection coefficients and their derivatives dG[..., a, k, i, j]."""
-    t1 = np.einsum("...iijk->...jk", dG)
-    t2 = np.einsum("...jiik->...jk", dG)
-    t3 = np.einsum("...iim,...mjk->...jk", G, G)
-    t4 = np.einsum("...ijm,...mik->...jk", G, G)
-    return t1 - t2 + t3 - t4
-
-
-def _symbol_jets(g, dg, ddg):
-    """``(g^-1, d g^-1, Gamma, d Gamma)`` from metric jets."""
-    ginv = np.linalg.inv(g)
-    dginv = -np.einsum("...km,...amn,...nl->...akl", ginv, dg, ginv)
-    # d_a S from the symmetric second derivatives
-    dS = _first_kind(ddg)
-    dG = 0.5 * (np.einsum("...akl,...ijl->...akij", dginv, _first_kind(dg))
-                + np.einsum("...kl,...aijl->...akij", ginv, dS))
-    return ginv, dginv, _christoffel(ginv, dg), dG
+def _weyl_shift(g: np.ndarray, theta: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """W[..., k, i, j] = -(theta_i delta^k_j + theta_j delta^k_i - g_ij A^k)/2, A = g^-1 theta."""
+    T = theta[..., None, :, None] * np.eye(theta.shape[-1])[:, None, :]
+    return (A[..., :, None, None] * g[..., None, :, :] - T - np.swapaxes(T, -2, -1)) / 2.0
 
 
 def nabla_of_jets(g, dg, theta, dtheta) -> np.ndarray:
-    """Levi-Civita derivative of a one-form, batched over leading axes."""
-    return _nabla(_christoffel(np.linalg.inv(g), dg), theta, dtheta)
+    """(nabla theta)_ij = d_i theta_j - (g^-1 theta)^l S_lij / 2, the Levi-Civita derivative, batched."""
+    d = theta.shape[-1]
+    A = np.linalg.solve(g, theta[..., None])
+    return dtheta - _fold(np.swapaxes(A, -1, -2) @ _fold(_first_kind(dg), 3, d, d * d), 2, d, d) / 2.0
 
 
-def weyl_symbols_of_jets(g, dg, theta) -> np.ndarray:
-    """Symbols of D = nabla - (theta . id + id . theta - g tensor A)/2, batched over leading axes."""
-    ginv = np.linalg.inv(g)
-    return _christoffel(ginv, dg) + _weyl_shift(g, ginv, theta)[0]
+def weyl_symbols_of_jets(g, dg, theta, ginv=None) -> np.ndarray:
+    """Symbols Gamma[..., k, i, j] of D = nabla + W (``_weyl_shift``), batched; ``ginv`` is g^-1 when given."""
+    ginv = np.linalg.inv(g) if ginv is None else ginv
+    return _christoffel(ginv, dg) + _weyl_shift(g, theta, (ginv @ theta[..., None])[..., 0])
 
 
-def weyl_metric_derivative(g, dg, theta) -> np.ndarray:
+def weyl_metric_derivative(g, dg, theta, ginv=None) -> np.ndarray:
     """(D g)[..., a, i, j] for the Weyl connection D of (g, theta), which equals theta_a g_ij."""
-    GD = weyl_symbols_of_jets(g, dg, theta)
-    return dg - np.einsum("...kai,...kj->...aij", GD, g) - np.einsum("...kaj,...ik->...aij", GD, g)
+    d = theta.shape[-1]
+    GD = _fold(weyl_symbols_of_jets(g, dg, theta, ginv), 3, d, d * d)
+    X = _fold(np.swapaxes(GD, -1, -2) @ g, 2, d, d, d)                             # GD^k_ai g_kj
+    return dg - X - np.swapaxes(X, -1, -2)
 
 
-def weyl_ricci_of_jets(g, dg, ddg, theta, dtheta) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def weyl_ricci_of_jets(g, dg, ddg, theta, dtheta, ginv=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ricci of the Weyl connection, from curvature and from the identity, batched over leading axes.
 
-    The curvature path assembles the derivative of the Weyl symbols from
-    metric and Lee-form jets and contracts the curvature directly.  The
-    identity path evaluates the conformal-rescaling formula
+    The curvature path contracts the curvature of the symbols ``Gamma + W``
+    from the traces of their derivatives.  The identity path evaluates the
+    conformal-rescaling formula
 
         Ric^D = Ric + div(t) g + (n-2)(nabla t - |t|^2 g + t (x) t),
 
@@ -454,21 +469,23 @@ def weyl_ricci_of_jets(g, dg, ddg, theta, dtheta) -> Tuple[np.ndarray, np.ndarra
     ``theta`` (our ``D g = theta (x) g`` convention) is the one the
     half-field conformal bookkeeping describes.  Both are returned so
     callers can report the cross-validation residual, followed by the
-    Levi-Civita Ricci tensor ``Ric`` of the same metric jets.
+    Levi-Civita Ricci tensor ``Ric`` of the same metric jets.  ``ginv`` is
+    g^-1 when given.
     """
     n = theta.shape[-1]
-    ginv, dginv, G, dG = _symbol_jets(g, dg, ddg)
-    W, A = _weyl_shift(g, ginv, theta)
-    eye = np.eye(n)
-    dA = np.einsum("...akl,...l->...ak", dginv, theta) + np.einsum("...kl,...al->...ak", ginv, dtheta)
-    dW = -0.5 * (np.einsum("...ai,kj->...akij", dtheta, eye) + np.einsum("...aj,ki->...akij", dtheta, eye)
-                 - np.einsum("...aij,...k->...akij", dg, A) - np.einsum("...ij,...ak->...akij", g, dA))
-    ric_curv = _ricci_from_symbols(G + W, dG + dW)
+    ginv = np.linalg.inv(g) if ginv is None else ginv
+    G, div, dtr, u = _symbol_traces(ginv, dg, ddg)
+    A = (ginv @ theta[..., None])[..., 0]
+    # the traces of d W: d_i A^i = u . theta + g^il d_i theta_l, and sum_i W^i_ik = -(n/2) theta_k as g A = theta
+    divA = np.sum(u * theta, axis=-1) + np.sum(ginv * dtheta, axis=(-2, -1))
+    Adg = _fold(A[..., None, :] @ _fold(dg, 3, n, n * n), 2, n, n)                  # A^i d_i g_jk
+    div_w = (Adg + divA[..., None, None] * g - dtheta - np.swapaxes(dtheta, -1, -2)) / 2.0
+    ric_curv = _ricci_of_traces(G + _weyl_shift(g, theta, A), div + div_w, dtr - n / 2.0 * dtheta)
 
     t = theta / 2.0
-    ric_g = _ricci_from_symbols(G, dG)
-    nab = _nabla(G, t, dtheta / 2.0)
-    div = np.einsum("...ij,...ij->...", ginv, nab)[..., None, None]
+    ric_g = _ricci_of_traces(G, div, dtr)
+    nab = dtheta / 2.0 - _fold(t[..., None, :] @ _fold(G, 3, n, n * n), 2, n, n)
+    div_t = np.sum(ginv * nab, axis=(-2, -1))[..., None, None]
     norm2 = t[..., None, :] @ ginv @ t[..., :, None]
-    ric_formula = ric_g + div * g + (n - 2) * (nab - norm2 * g + t[..., :, None] * t[..., None, :])
+    ric_formula = ric_g + div_t * g + (n - 2) * (nab - norm2 * g + t[..., :, None] * t[..., None, :])
     return ric_curv, ric_formula, ric_g

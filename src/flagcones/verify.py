@@ -425,14 +425,14 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
         # one joint stencil gives g and theta at P and their jets
         jets = diffgeo._metric_jets(cone, P, cfg, step=cfg.jet_step * coordinate_scales(spec, P))
         (g, th), (dg, dth), (ddg, _) = map(diffgeo.split_joint, jets)
-        t = th / 2.0
-        norm2 = t[:, None, :] @ np.linalg.inv(g) @ t[:, :, None]
+        t, ginv = th / 2.0, np.linalg.inv(g)         # the block's one metric inverse
+        norm2 = t[:, None, :] @ ginv @ t[:, :, None]
         target = (n - 2) * (norm2 * g - t[:, :, None] * t[:, None, :])
-        rc, rf, ric = diffgeo.weyl_ricci_of_jets(g, dg, ddg, th, dth)
+        rc, rf, ric = diffgeo.weyl_ricci_of_jets(g, dg, ddg, th, dth, ginv)
         # D g = theta (x) g, with dg at the nested step
         nest = cfg.nested_step * coordinate_scales(spec, P)
         dg, _ = diffgeo.split_joint(diffgeo._jacobian_of_field(cone, P, cfg, nest))
-        cov = diffgeo.weyl_metric_derivative(g, dg, th)
+        cov = diffgeo.weyl_metric_derivative(g, dg, th, ginv)
         tgt = th[:, :, None, None] * g[:, None]
         return (_relative(ric - target, target), _relative(rc, target), _relative(rf, target),
                 _relative(rc - rf, target), _relative(cov - tgt, tgt), g)

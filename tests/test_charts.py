@@ -11,7 +11,7 @@ from flagcones.charts import (DomainError, canonical_exponents, catalog_ids,
                               dhomothetic_constant, generic_h,
                               log_potential_eval, make_spec, potential_eval,
                               resolve_case, ricci_flat_exponent)
-from flagcones.exact import QC, to_field
+from flagcones.exact import QC, abs2, to_field
 from flagcones.hvcone import GammaGroup, kodaira_embedding, remmert, remmert_norm_sq
 from flagcones.reps import derivation_matrix, outer_tensor
 from flagcones.roots import ConfigurationError
@@ -181,6 +181,27 @@ def test_generic_matches_closed_exact(case):
                                                 for g in range(chart.n_gen))
 
 
+def _h_summed_from_zero(chart, z):
+    """Reference: ``h_closed`` with each squared norm summed from zero, its constant leading 1 included."""
+    F, ks = chart._frame(z)
+    if ks is None:
+        return sum(abs2(F[..., i, :]) for i in range(F.shape[-2]))
+    return charts.gram_minors(F)[..., [k - 1 for k in ks]]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_h_closed_from_the_leading_one_is_bit_identical(case):
+    """Quadric and product norms start from their constant 1 and round as the sum over every row, in both fields."""
+    chart = resolve_case(case)
+    rng = np.random.default_rng(37)
+    z = rng.normal(size=(200, chart.n_z)) + 1j * rng.normal(size=(200, chart.n_z))
+    assert np.array_equal(chart.h_closed(z), _h_summed_from_zero(chart, z))
+    for _ in range(3):
+        zq = to_field(_rand_qc(rng, chart.n_z), object)
+        exact = tuple(chart.h_closed(zq))
+        assert exact == tuple(_h_summed_from_zero(chart, zq)) and all(type(h) is Q for h in exact)
+
+
 # -- holomorphic frames ------------------------------------------------------------
 
 @pytest.mark.parametrize("case", CASES)
@@ -231,6 +252,27 @@ def test_unit_frames_gather_the_dense_jets(case):
                                        _dense_log_gram_jets(F, U, V)):
                 # entries left by cancellation get an absolute floor at 1e-15 of the largest one
                 np.testing.assert_allclose(gathered, dense, rtol=1e-13, atol=1e-15 * np.max(np.abs(dense)))
+
+
+@pytest.mark.parametrize("case", ["quadric:5", "quadric:6", "quadric:8"])
+def test_quadric_closed_form_jets_match_the_dense_formula(case):
+    """The quadric closed-form jets equal the dense formula, exact-zero coordinates and the origin included."""
+    chart = resolve_case(case)
+    rng = np.random.default_rng(41)
+    for m in (1, 500):
+        z = rng.normal(size=(m, chart.n_z)) + 1j * rng.normal(size=(m, chart.n_z))
+        z[::2, 0] = 0.0
+        z[1::3, -1] = 0.0
+        if m > 1:
+            z[-1] = 0.0                 # the origin
+        (frame,) = chart.frames(z)
+        assert frame.units is charts.QUADRIC
+        F, U, V = frame
+        closed = charts.log_gram_jets(F, U, V, units=frame.units)
+        for dense in (_dense_log_gram_jets(F, U, V), charts.log_gram_jets(F, U, V)):
+            for a, b in zip(closed, dense):
+                np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15 * np.max(np.abs(b)))
+        assert np.array_equal(charts.log_gram_jets(F, U, V, units=frame.units, hessian=False)[0], closed[0])
 
 
 @pytest.mark.parametrize("case", ["gr24", "wallach", "fullflag:A:3", "quadric:6", "conifold"])

@@ -19,8 +19,9 @@ def _christoffel(gfield, P, step=CFG.hessian_step):
 
 def _ricci(gfield, P, cfg=CFG):
     """Ricci tensors of a batched metric field at the points P, from its jets at ``cfg.jet_step``."""
-    _, _, G, dG = diffgeo._symbol_jets(*diffgeo._metric_jets(gfield, P, cfg))
-    return diffgeo._ricci_from_symbols(G, dG)
+    g, dg, ddg = diffgeo._metric_jets(gfield, P, cfg)
+    G, div, dtr, _ = diffgeo._symbol_traces(np.linalg.inv(g), dg, ddg)
+    return diffgeo._ricci_of_traces(G, div, dtr)
 
 
 def _joint(gfield, theta):
@@ -76,6 +77,13 @@ def test_complex_structure_squares_to_minus_one():
     assert np.allclose(J @ J, -np.eye(8))
     v = np.arange(4.0)
     assert np.allclose(complex_structure(4) @ (complex_structure(4) @ v), -v)
+
+
+def test_complex_structure_is_built_once_and_read_only():
+    J = complex_structure(6)
+    assert complex_structure(6) is J and not J.flags.writeable
+    with pytest.raises(ValueError):
+        complex_structure(5)
 
 
 def test_dc_of_fiber_modulus():
@@ -237,6 +245,52 @@ def test_weyl_higgs_identity():
     th = theta(P)[0]
     cov = dg - np.einsum("kai,kj->aij", GD, g) - np.einsum("kaj,ik->aij", GD, g)
     assert np.max(np.abs(cov - np.einsum("a,ij->aij", th, g))) < 1e-5
+
+
+def _symmetric_jets(rng, lead, n):
+    """Random metric, Lee-form and derivative jets with the symmetries of a metric field's jets."""
+    a = rng.normal(size=lead + (n, n))
+    g = a @ np.swapaxes(a, -1, -2) + n * np.eye(n)
+    dg = rng.normal(size=lead + (n, n, n))
+    dg += np.swapaxes(dg, -1, -2)
+    ddg = rng.normal(size=lead + (n, n, n, n))
+    ddg += np.swapaxes(ddg, -1, -2)
+    ddg += np.swapaxes(ddg, -3, -4)
+    return g, dg, ddg, rng.normal(size=lead + (n,)), rng.normal(size=lead + (n, n))
+
+
+def _full_tensor_ricci(g, dg, ddg, theta, dtheta):
+    """Reference: Weyl and Levi-Civita Ricci from the full derivative tensors d_a Gamma^k_ij, by einsum."""
+    n, eye = theta.shape[-1], np.eye(theta.shape[-1])
+    ginv = np.linalg.inv(g)
+    S = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    dS = ddg + np.swapaxes(ddg, -3, -2) - np.moveaxis(ddg, -3, -1)
+    dginv = -np.einsum("...km,...amn,...nl->...akl", ginv, dg, ginv)
+    G = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, S)
+    dG = 0.5 * (np.einsum("...akl,...ijl->...akij", dginv, S) + np.einsum("...kl,...aijl->...akij", ginv, dS))
+    A = np.einsum("...kl,...l->...k", ginv, theta)
+    dA = np.einsum("...akl,...l->...ak", dginv, theta) + np.einsum("...kl,...al->...ak", ginv, dtheta)
+    W = -0.5 * (np.einsum("...i,kj->...kij", theta, eye) + np.einsum("...j,ki->...kij", theta, eye)
+                - np.einsum("...ij,...k->...kij", g, A))
+    dW = -0.5 * (np.einsum("...ai,kj->...akij", dtheta, eye) + np.einsum("...aj,ki->...akij", dtheta, eye)
+                 - np.einsum("...aij,...k->...akij", dg, A) - np.einsum("...ij,...ak->...akij", g, dA))
+
+    def ricci(G, dG):
+        return (np.einsum("...iijk->...jk", dG) - np.einsum("...jiik->...jk", dG)
+                + np.einsum("...iim,...mjk->...jk", G, G) - np.einsum("...ijm,...mik->...jk", G, G))
+
+    return ricci(G + W, dG + dW), ricci(G, dG)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+def test_trace_only_ricci_matches_full_tensor_reference(n, lead):
+    """The traces of d Gamma that Ricci reads give the Ricci tensors of the full-tensor contraction."""
+    jets = _symmetric_jets(np.random.default_rng(n + len(lead)), lead, n)
+    rc, _, ric = diffgeo.weyl_ricci_of_jets(*jets)
+    for got, ref in zip((rc, ric), _full_tensor_ricci(*jets)):
+        assert got.shape == lead + (n, n)
+        np.testing.assert_allclose(got, ref, rtol=1e-12)
 
 
 def test_weyl_ricci_of_jets_on_a_stack_matches_points():

@@ -313,6 +313,21 @@ def test_cone_jet_evaluations_per_sample(monkeypatch):
     assert jet_calls("ricci-flat", "gr24", 8) == 2 * 3
 
 
+@pytest.mark.parametrize("case, count, blocks", [("quadric:6", 4, 1), ("quadric:6", 8, 2), ("conifold", 15, 2)])
+def test_einstein_weyl_inverts_each_block_metric_once(monkeypatch, case, count, blocks):
+    """``norm2``, both Ricci paths and ``D g`` share one ``np.linalg.inv`` per block of samples."""
+    inverted = []
+    inv = np.linalg.inv
+
+    def counting(a):
+        inverted.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    rep = run_suite("einstein-weyl", case, seed=3, count=count)
+    assert rep.verdict and len(inverted) == blocks, inverted
+
+
 @pytest.mark.parametrize("suite, case", [("lck", "grassmann:4:2"), ("ricci-flat", "gr24"),
                                          ("einstein-weyl", "quadric:6"), ("embedding", "grassmann:4:2"),
                                          ("embedding", "quadric:6"), ("embedding", "conifold")])
