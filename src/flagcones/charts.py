@@ -21,16 +21,16 @@ exactly as the same point inside a batch.
   ``|s|^2 = 2`` (``s = 1 + i`` on the exact path, ``sqrt 2`` in floats);
 * products take ``[1; z_j]`` per factor.
 
-``Chart.frames`` adds the rank-one Jacobians ``d_a F = u_a v_a^T`` of the
-same frames, and ``log_gram_jets`` turns them into closed-form ``d log h``
-and ``ddbar log h``, the analytic Kahler layer under the verification
-suites.  Both layers run one Hermitian elimination
-(``exact.hermitian_elimination``) on the Gram entry arrays: ``gram_minors``
-takes running products of its pivots, ``log_gram_jets`` back-substitutes
-for ``G^-1`` and gathers the jets through index tables built once per
-chart, so no LAPACK call is made per matrix; the quadric section's jets
-are closed forms in ``z``.  A ``PotentialSpec`` combines a chart with
-bundle exponents and an outer cone exponent ``b``:
+``Chart.frames`` pairs the same frames with their Jacobians, and
+``log_gram_jets`` turns them into closed-form ``d log h`` and ``ddbar log h``
+in either field, the analytic Kahler layer under the verification suites.
+Both layers run one Hermitian elimination (``exact.hermitian_elimination``)
+on the Gram entry arrays: ``gram_minors`` takes running products of its
+pivots, ``log_gram_jets`` back-substitutes for ``G^-1``.  Each ``d_a F`` of
+a wedge or product frame is one matrix unit, so their jets are gathers
+through index tables built once per chart, with no LAPACK call per matrix;
+the quadric section's jets are closed forms in ``z``.  A ``PotentialSpec``
+combines a chart with bundle exponents and an outer cone exponent ``b``:
 
     K_1(z, w) = prod_alpha h_alpha(z)^(e_alpha) * |w|^2,
     K_b(z, w) = K_1(z, w)^b.
@@ -92,21 +92,6 @@ def _block_slots(n: int, ks: Tuple[int, ...]) -> tuple:
     return tuple((i, j) for i in range(n + 1) for j in range(max(s for s in starts if s <= i)))
 
 
-class Frame(tuple):
-    """A holomorphic frame ``(F, U, V)`` (see ``log_gram_jets``), unpacked as a triple.
-
-    ``units`` picks the ``log_gram_jets`` branch: a ``UnitTables`` when every
-    Jacobian is one matrix unit, ``d_a F = E(rows_a, cols_a)`` or zero (built
-    once per chart from its slots; ``U`` and ``V`` are never inspected for
-    it), or ``QUADRIC`` for the quadric section.
-    """
-
-    def __new__(cls, F, U, V, units=None):
-        frame = super().__new__(cls, (F, U, V))
-        frame.units = units
-        return frame
-
-
 class UnitTables(NamedTuple):
     """Gather tables of ``log_gram_jets`` for a frame with unit Jacobians, built once per chart.
 
@@ -138,21 +123,16 @@ def _unit_tables(rows, cols, on, r: int) -> UnitTables:
 
 @lru_cache(maxsize=None)
 def _frame_tables(n: int, ks: Tuple[int, ...]) -> tuple:
-    """Per generator of the block chart: ``(U, V, units)`` of its frame, the first ``k_s`` columns of n(z)."""
+    """Per generator of the block chart: the ``UnitTables`` of its frame, the first ``k_s`` columns of n(z)."""
     rows, cols = map(np.array, zip(*_block_slots(n, ks)))
-    U, V = _read_only(np.eye(n + 1)[:, rows]), _read_only(np.eye(ks[-1])[:, cols])
-    return tuple((U, V[:k], _unit_tables(rows, cols, cols < k, k)) for k in ks)
+    return tuple(_unit_tables(rows, cols, cols < k, k) for k in ks)
 
 
 @lru_cache(maxsize=None)
 def _product_tables(m: int) -> tuple:
-    """Per factor j of a product of m projective lines: ``(U, V, units)`` of ``[1; z_j]``."""
-    V, rows, cols = _read_only(np.ones((1, m))), np.ones(m, dtype=int), np.zeros(m, dtype=int)
-    return tuple((_read_only(np.outer([0.0, 1.0], e)), V, _unit_tables(rows, cols, e > 0, 1)) for e in np.eye(m))
-
-
-# ``Frame.units`` of the quadric section ``s = (1, z/sqrt2, q/4)``, ``d_a s = (0, e_a/sqrt2, z_a/2)``
-QUADRIC = "quadric"
+    """Per factor j of a product of m projective lines: the ``UnitTables`` of ``[1; z_j]``."""
+    rows, cols = np.ones(m, dtype=int), np.zeros(m, dtype=int)
+    return tuple(_unit_tables(rows, cols, np.arange(m) == j, 1) for j in range(m))
 
 
 def _gram(F, units=None):
@@ -184,49 +164,41 @@ def _dot(xs, ys, start=0):
     return out
 
 
-def log_gram_jets(F, U, V, units=None, hessian=True):
+def log_gram_jets(F, jac, hessian=True):
     """``(d_a log h, d_a dbar_b log h)`` of ``h = det G``, ``G = F* F``, batched over leading axes.
 
-    ``F`` is a holomorphic frame (..., N, r) with Jacobian ``E_a = d_a F = u_a v_a^T``
-    (columns of U (..., N, n_z) and V (r, n_z)).  With ``P = 1 - F G^-1 F*``:
-    ``d_a log h = tr(G^-1 F* E_a) = v_a^T G^-1 F* u_a`` and
-    ``d_a dbar_b log h = tr(G^-1 E_b* P E_a) = (u_b* P u_a)(v_a^T G^-1 conj(v_b))``.
+    ``(F, jac)`` is a pair of ``Chart.frames``: a holomorphic frame (..., N, r)
+    in either field and its Jacobians.  With ``P = 1 - F G^-1 F*``,
+    ``d_a log h = tr(G^-1 F* d_a F)`` and ``d_a dbar_b log h = tr(G^-1 (d_b F)* P d_a F)``.
+    Wedge and product frames (``jac`` a ``UnitTables``) have unit Jacobians
+    ``d_a F = E(row_a, col_a)`` or zero, so both jets are gathers from
+    ``G^-1 F*`` at the frame rows that carry coordinates,
+    ``(G^-1 F*)[col_a, row_a]`` and ``P[row_b, row_a] G^-1[col_a, col_b]``.
     ``G^-1`` comes from the Hermitian elimination of ``exact`` on the Gram
     entry arrays (the one ``gram_minors`` runs) and back-substitution, so no
-    call is made per matrix.  ``units`` (``Frame.units``) picks the branch.
-    Wedge and product frames have unit factors (a ``UnitTables``): both jets
-    are gathers from ``G^-1 F*`` at the frame rows that carry coordinates,
-    ``(G^-1 F*)[col_a, row_a]`` and ``P[row_b, row_a] G^-1[col_a, col_b]``.
-    The quadric section (``QUADRIC``) takes the closed forms of
-    ``_quadric_log_jets``, with no Gram inverse.  Only a plain ``(F, U, V)``
-    triple (``units`` None) takes the dense formula, for any rank-one Jacobians.
-    With ``hessian`` false only ``(d_a log h,)`` is computed.
+    call is made per matrix.  The quadric section (``jac = z / 2``) takes the
+    closed forms of ``_quadric_log_jets``, with no Gram inverse.  With
+    ``hessian`` false only ``(d_a log h,)`` is computed.
     """
     if np.ndim(F) == 2:                 # one frame runs as a batch of one: numpy scalars round differently
-        return tuple(jet[0] for jet in log_gram_jets(np.asarray(F)[None], np.asarray(U)[None], V, units, hessian))
-    if units is QUADRIC:
-        return _quadric_log_jets(F[..., 0], U[..., -1, :], hessian)
-    E, Ec, G = _gram(F, units)
+        jac = jac if isinstance(jac, UnitTables) else jac[None]
+        return tuple(jet[0] for jet in log_gram_jets(np.asarray(F)[None], jac, hessian))
+    if not isinstance(jac, UnitTables):
+        return _quadric_log_jets(F[..., 0], jac, hessian)
+    E, Ec, G = _gram(F, jac)
     Ginv = hermitian_inverse(*hermitian_elimination(G))
-    if units is None:
-        Ginv = _roll_axes(np.array(Ginv), 2)
-        AU = Ginv @ (np.conj(np.swapaxes(F, -1, -2)) @ U)           # G^-1 F* u_a
-        if not hessian:
-            return (np.sum(V * AU, axis=-2),)
-        X = np.conj(np.swapaxes(U, -1, -2)) @ (U - F @ AU)           # u_b* P u_a at [b, a]
-        return np.sum(V * AU, axis=-2), np.swapaxes(X, -1, -2) * (V.T @ Ginv @ np.conj(V))
     A = [[_dot(row, e) for e in Ec] for row in Ginv]                 # (G^-1 F*)[j, rows_u]
     flat = [x for row in A for x in row] + [np.zeros_like(A[0][0])]
     if not hessian:
-        return (_roll_axes(np.array(flat)[units.grad], 1),)
+        return (_roll_axes(np.array(flat)[jac.grad], 1),)
     At, P = list(zip(*A)), [[None] * len(E) for _ in E]               # P[u][v] = P[rows_u, rows_v], Hermitian
     for u, v in combinations_with_replacement(range(len(E)), 2):
         P[u][v] = int(u == v) - _dot(E[u], At[v])
         P[v][u] = np.conj(P[u][v])
     flat = np.array(flat + [x for row in P + Ginv for x in row])
-    hess = flat[units.hess]
-    hess *= flat[units.cols]
-    return _roll_axes(flat[units.grad], 1), _roll_axes(hess, 2)
+    hess = flat[jac.hess]
+    hess *= flat[jac.cols]
+    return _roll_axes(flat[jac.grad], 1), _roll_axes(hess, 2)
 
 
 def _quadric_log_jets(s, half_z, hessian=True):
@@ -236,11 +208,12 @@ def _quadric_log_jets(s, half_z, hessian=True):
     ``c_a = s* u_a = zbar_a/2 + qbar z_a/8`` and ``u_b* u_a = delta_ab/2 + zbar_b z_a/4``:
     ``d_a log h = c_a / h`` and ``d_a dbar_b log h = (delta_ab/2 + z_a zbar_b/4)/h - grad_a conj(grad_b)``.
     """
-    inv_h = 1.0 / np.sum(abs2(s), axis=-1)[..., None]
+    inv_h = 1 / np.sum(abs2(s), axis=-1)[..., None]
     grad = (np.conj(half_z) + np.conj(s[..., -1:]) * half_z) * inv_h
     if not hessian:
         return (grad,)
-    hess = (half_z[..., :, None] * np.conj(half_z[..., None, :]) + np.eye(half_z.shape[-1]) / 2) * inv_h[..., None]
+    delta = to_field(np.eye(half_z.shape[-1], dtype=int), half_z.dtype) / 2
+    hess = (half_z[..., :, None] * np.conj(half_z[..., None, :]) + delta) * inv_h[..., None]
     hess -= grad[..., :, None] * np.conj(grad[..., None, :])
     return grad, hess
 
@@ -350,27 +323,21 @@ class Chart:
         return gram_minors(F)[..., [k - 1 for k in ks]]
 
     def frames(self, z) -> list:
-        """Holomorphic frames ``(F_alpha, U, V)``: ``h_alpha = det(F_alpha* F_alpha)`` and ``d_a F_alpha = u_a v_a^T``.
+        """Holomorphic frames with their Jacobians, ``(F_alpha, jac)`` with ``h_alpha = det(F_alpha* F_alpha)``.
 
-        Each coordinate enters one column of a frame, so its Jacobian has
-        rank one: the columns of U (..., N, n_z), constant except on quadrics,
-        and of V (r, n_z).  Batched over the leading axes of complex ``z``.
-        Every frame is a ``Frame``: wedge and product frames with unit factors,
-        the quadric section marked ``QUADRIC``.
+        Batched over the leading axes of ``z``, in its dtype (``exact.to_field``).
+        ``jac`` is what ``log_gram_jets`` reads of ``d_a F_alpha``: the read-only
+        ``UnitTables`` of the chart for wedge and product frames, whose every
+        ``d_a F_alpha`` is one matrix unit or zero, and ``z / 2`` for the quadric
+        section, whose ``d_a s = (0, e_a/sqrt2, z_a/2)``.
         """
-        z = np.asarray(z, dtype=complex)
+        z = to_field(z)
         F, ks = self._frame(z)
-        if self.kind == "wedge":        # d_a F = the unit matrix at slot a
-            tables = _frame_tables(self.params["n"], ks)
-            return [Frame(F[..., :V.shape[0]], U, V, units) for U, V, units in tables]
-        if self.kind == "quadric":      # d_a s = (0, e_a/sqrt2, zeta_a/2)
-            m = self.n_z
-            U = np.zeros(z.shape[:-1] + (m + 2, m), dtype=complex)
-            U[..., range(1, m + 1), range(m)] = 1.0 / np.sqrt(2.0)
-            U[..., m + 1, :] = z / 2.0
-            return [Frame(F, U, np.ones((1, m)), QUADRIC)]
-        # product of projective lines: [1; z_j], d_a = delta_aj (0; 1)
-        return [Frame(F[..., j:j + 1], *tables) for j, tables in enumerate(_product_tables(self.n_z))]
+        if self.kind == "wedge":
+            return [(F[..., :k], units) for k, units in zip(ks, _frame_tables(self.params["n"], ks))]
+        if self.kind == "quadric":
+            return [(F, z / 2)]
+        return [(F[..., j:j + 1], units) for j, units in enumerate(_product_tables(self.n_z))]
 
     def h_closed_exact(self, z) -> Tuple[Fraction, ...]:
         """``h_closed`` at a Gaussian-rational point (a list of ``QC``): a tuple of ``Fraction``s."""
@@ -633,8 +600,7 @@ class PotentialSpec:
 
     def _log_jets(self, z, weights, hessian=True):
         """Weighted sums over generators of ``log_gram_jets`` of the chart frames."""
-        jets = [log_gram_jets(*frame, units=getattr(frame, "units", None), hessian=hessian)
-                for frame in self.chart.frames(z)]
+        jets = [log_gram_jets(F, jac, hessian) for F, jac in self.chart.frames(z)]
         return tuple(sum(wt * jet[i] for wt, jet in zip(weights, jets)) for i in range(len(jets[0])))
 
     def cone_jet(self) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:

@@ -119,9 +119,6 @@ class Weight:
             raise ConfigurationError(f"simple-root index {alpha_index} out of range")
         return self.coeffs[alpha_index - 1]
 
-    def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

@@ -211,52 +211,57 @@ def test_frame_gram_determinants_match_closed_forms(case):
     z = rng.normal(size=(6, chart.n_z)) + 1j * rng.normal(size=(6, chart.n_z))
     frames = chart.frames(z)
     assert len(frames) == chart.n_gen
-    dets = np.stack([np.linalg.det(np.conj(np.swapaxes(F, -1, -2)) @ F).real for F, _, _ in frames], axis=-1)
+    dets = np.stack([np.linalg.det(np.conj(np.swapaxes(F, -1, -2)) @ F).real for F, _ in frames], axis=-1)
     assert np.allclose(dets, chart.h_closed(z), rtol=1e-13, atol=0)
+
+
+def _jacobians(F, jac):
+    """``d_a F`` (n_z, ..., N, r) as ``jac`` states it: matrix units read off ``UnitTables.grad``, or the quadric's ``(0, e_a/sqrt2, z_a/2)``."""
+    if not isinstance(jac, charts.UnitTables):
+        dF = np.zeros(jac.shape[-1:] + F.shape, dtype=complex)
+        for a in range(jac.shape[-1]):
+            dF[a, ..., 1 + a, 0] = 1 / np.sqrt(2)
+            dF[a, ..., -1, 0] = jac[..., a]
+        return dF
+    r, nu = F.shape[-1], len(jac.rows)
+    dF = np.zeros(jac.grad.shape + F.shape, dtype=complex)
+    for a, g in enumerate(jac.grad.tolist()):
+        if g < r * nu:                  # r * nu indexes the padding zero: d_a F = 0
+            dF[a, ..., jac.rows[g % nu], g // nu] = 1
+    return dF
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_frame_jacobian_factors_match_differences(case):
-    """d_a F = u_a v_a^T; frames are at most quadratic, so central differences are exact up to rounding."""
+    """The Jacobians that ``jac`` states equal central differences; frames are at most quadratic, so these are exact up to rounding."""
     chart = resolve_case(case)
     rng = np.random.default_rng(23)
     z = rng.normal(size=chart.n_z) + 1j * rng.normal(size=chart.n_z)
     t = 1e-3
-    for alpha, (F, U, V) in enumerate(chart.frames(z)):
+    for alpha, (F, jac) in enumerate(chart.frames(z)):
+        dF = _jacobians(F, jac)
         for a in range(chart.n_z):
             dz = t * np.eye(chart.n_z)[a]
             fd = (chart.frames(z + dz)[alpha][0] - chart.frames(z - dz)[alpha][0]) / (2 * t)
-            assert np.allclose(np.outer(U[:, a], V[:, a]), fd, rtol=0, atol=1e-10), (alpha, a)
+            assert np.allclose(dF[a], fd, rtol=0, atol=1e-10), (alpha, a)
 
 
-def _dense_log_gram_jets(F, U, V):
-    """Reference: the dense formula of ``log_gram_jets`` for any rank-one Jacobians ``u_a v_a^T``."""
+def _dense_log_gram_jets(chart, z, alpha):
+    """Reference: ``tr(G^-1 F* dF_a)`` and ``tr(G^-1 dF_b* P dF_a)`` with ``dF_a = (F(z + e_a) - F(z - e_a)) / 2``.
+
+    Every frame is at most quadratic in ``z``, so the central difference of step 1 is its derivative.
+    """
+    F = chart.frames(z)[alpha][0]
+    dF = np.stack([chart.frames(z + e)[alpha][0] - chart.frames(z - e)[alpha][0] for e in np.eye(chart.n_z)]) / 2
     Fh = np.conj(np.swapaxes(F, -1, -2))
     Ginv = np.linalg.inv(Fh @ F)
-    AU = Ginv @ (Fh @ U)
-    X = np.conj(np.swapaxes(U, -1, -2)) @ (U - F @ AU)
-    return np.sum(V * AU, axis=-2), np.swapaxes(X, -1, -2) * (V.T @ Ginv @ np.conj(V))
+    P = np.eye(F.shape[-2]) - F @ Ginv @ Fh
+    grad = np.einsum("...ij,a...ji->...a", Ginv @ Fh, dF)
+    return grad, np.einsum("...ij,b...kj,a...ki->...ab", Ginv, np.conj(dF), P @ dF)
 
 
-@pytest.mark.parametrize("case", ["cp:2", "gr24", "grassmann:4:2", "wallach", "fullflag:A:3", "conifold"])
-def test_unit_frames_gather_the_dense_jets(case):
-    """Wedge and product frames carry their unit-Jacobian indices; the gathers equal the dense formula."""
-    chart = resolve_case(case)
-    rng = np.random.default_rng(29)
-    for m in (1, 500):
-        z = rng.normal(size=(m, chart.n_z)) + 1j * rng.normal(size=(m, chart.n_z))
-        for frame in chart.frames(z):
-            assert frame.units is not None
-            F, U, V = frame
-            for gathered, dense in zip(charts.log_gram_jets(F, U, V, units=frame.units),
-                                       _dense_log_gram_jets(F, U, V)):
-                # entries left by cancellation get an absolute floor at 1e-15 of the largest one
-                np.testing.assert_allclose(gathered, dense, rtol=1e-13, atol=1e-15 * np.max(np.abs(dense)))
-
-
-@pytest.mark.parametrize("case", ["quadric:5", "quadric:6", "quadric:8"])
-def test_quadric_closed_form_jets_match_the_dense_formula(case):
-    """The quadric closed-form jets equal the dense formula, exact-zero coordinates and the origin included."""
+def _assert_jets_match_the_dense_formula(case, unit_frames):
+    """``log_gram_jets`` equals the dense traces, exact-zero coordinates and the origin included."""
     chart = resolve_case(case)
     rng = np.random.default_rng(41)
     for m in (1, 500):
@@ -265,14 +270,40 @@ def test_quadric_closed_form_jets_match_the_dense_formula(case):
         z[1::3, -1] = 0.0
         if m > 1:
             z[-1] = 0.0                 # the origin
-        (frame,) = chart.frames(z)
-        assert frame.units is charts.QUADRIC
-        F, U, V = frame
-        closed = charts.log_gram_jets(F, U, V, units=frame.units)
-        for dense in (_dense_log_gram_jets(F, U, V), charts.log_gram_jets(F, U, V)):
-            for a, b in zip(closed, dense):
-                np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15 * np.max(np.abs(b)))
-        assert np.array_equal(charts.log_gram_jets(F, U, V, units=frame.units, hessian=False)[0], closed[0])
+        for alpha, (F, jac) in enumerate(chart.frames(z)):
+            assert isinstance(jac, charts.UnitTables) == unit_frames
+            jets = charts.log_gram_jets(F, jac)
+            for a, b in zip(jets, _dense_log_gram_jets(chart, z, alpha)):
+                # entries left by cancellation get an absolute floor at 1e-15 of the largest one
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15 * np.max(np.abs(b)))
+            assert np.array_equal(charts.log_gram_jets(F, jac, hessian=False)[0], jets[0])
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if not c.startswith("quadric")])
+def test_unit_frames_gather_the_dense_jets(case):
+    """Wedge and product frames carry their unit tables; the gathers equal the dense formula."""
+    _assert_jets_match_the_dense_formula(case, unit_frames=True)
+
+
+@pytest.mark.parametrize("case", ["quadric:5", "quadric:6", "quadric:8"])
+def test_quadric_closed_form_jets_match_the_dense_formula(case):
+    """The quadric closed-form jets equal the dense formula."""
+    _assert_jets_match_the_dense_formula(case, unit_frames=False)
+
+
+@pytest.mark.parametrize("case", ["cp:2", "gr24", "wallach", "flag:A:3:1,3", "quadric:6", "conifold"])
+def test_exact_frames_give_exact_jets(case):
+    """At Gaussian-rational points the jets are ``QC`` (and the int zero that pads the gathers), equal to the float jets."""
+    chart = resolve_case(case)
+    rng = np.random.default_rng(43)
+    zq = to_field([_rand_qc(rng, chart.n_z) for _ in range(3)], object)
+    for z in (zq, zq[1]):
+        for (F, jac), (Ff, jacf) in zip(chart.frames(z), chart.frames(np.asarray(z, dtype=complex))):
+            assert F.dtype == object
+            for exact, floats in zip(charts.log_gram_jets(F, jac), charts.log_gram_jets(Ff, jacf)):
+                assert exact.dtype == object and exact.shape == floats.shape
+                assert all(type(x) is QC or (type(x) is int and x == 0) for x in exact.flat)
+                np.testing.assert_allclose(np.asarray(exact, dtype=complex), floats, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("case", ["gr24", "wallach", "fullflag:A:3", "quadric:6", "conifold"])
@@ -282,19 +313,18 @@ def test_log_gram_jets_of_one_point_equal_its_batch_row(case):
     rng = np.random.default_rng(31)
     z = rng.normal(size=(3, chart.n_z)) + 1j * rng.normal(size=(3, chart.n_z))
     for one, batch in zip(chart.frames(z[1]), chart.frames(z)):
-        for a, b in zip(charts.log_gram_jets(*one, units=getattr(one, "units", None)),
-                        charts.log_gram_jets(*batch, units=getattr(batch, "units", None))):
+        for a, b in zip(charts.log_gram_jets(*one), charts.log_gram_jets(*batch)):
             assert np.array_equal(a, b[1])
 
 
 @pytest.mark.parametrize("case", ["gr24", "wallach", "flag:A:3:1,3", "conifold"])
 def test_frame_tables_are_built_once_per_chart(case):
-    """Two calls on one chart hand out the same read-only U, V and unit tables."""
+    """Two calls on one chart hand out the same read-only unit tables."""
     chart = resolve_case(case)
     z = np.full((2, chart.n_z), 0.3 + 0.1j)
-    for a, b in zip(chart.frames(z), chart.frames(2 * z)):
-        assert a[1] is b[1] and a[2] is b[2] and a.units is b.units
-        assert not any(t.flags.writeable for t in (a[1], a[2], a.units.rows, a.units.grad, a.units.hess))
+    for (_, a), (_, b) in zip(chart.frames(z), chart.frames(2 * z)):
+        assert a is b
+        assert not any(t.flags.writeable for t in (a.rows, a.grad, a.hess, a.cols))
 
 
 def test_quadric_word_element_converts_basis_once(monkeypatch):

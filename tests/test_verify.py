@@ -4,8 +4,8 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from flagcones import diffgeo, verify
-from flagcones.charts import Chart, PotentialSpec, make_spec, resolve_case, ricci_flat_exponent
+from flagcones import charts, diffgeo, verify
+from flagcones.charts import PotentialSpec, make_spec, resolve_case, ricci_flat_exponent
 from flagcones.diffgeo import FDConfig
 from flagcones.roots import ConfigurationError
 from flagcones.verify import (check_cone_ricci_flat, check_einstein_weyl,
@@ -269,12 +269,17 @@ def test_metric_agreement_closes_every_fd_suite():
 
 
 def test_metric_agreement_catches_a_wrong_jacobian(monkeypatch):
-    frames = Chart.frames
-    monkeypatch.setattr(Chart, "frames", lambda self, z: [(F, 1.01 * U, V) for F, U, V in frames(self, z)])
+    """Every ``d_a F`` scaled by 1.01 scales ``d log h`` by 1.01 and ``ddbar log h`` by 1.01^2."""
+    log_gram_jets = charts.log_gram_jets
+
+    def wrong(F, jac, hessian=True):
+        return tuple(1.01 ** (i + 1) * jet for i, jet in enumerate(log_gram_jets(F, jac, hessian)))
+
+    monkeypatch.setattr(charts, "log_gram_jets", wrong)
     for suite in FD_SUITES:
         rep = run_suite(suite, "gr24", seed=3, count=2)
         last = rep.residuals[-1]
-        assert last.name == "metric_agreement" and not last.passed, suite
+        assert last.name == "metric_agreement" and last.max >= 100 * last.tolerance, suite
 
 
 def test_cone_jet_evaluations_per_sample(monkeypatch):
