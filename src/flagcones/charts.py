@@ -443,11 +443,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # catalog
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _flag_data(series: str, rank: int, theta: Tuple[int, ...]):
+    """``flag(build_root_system(series, rank), theta)`` for a sorted ``theta``, built once per flag."""
+    return flag(build_root_system(series, rank), theta)
+
+
 def _chart_flag(n: int, ks: Tuple[int, ...], name: str) -> Chart:
     """GL(n+1)/P on the block big cell: ``ks = (k1 < ... < kr)`` are the simple roots outside Theta."""
     if not 1 <= ks[0] or not all(a < b for a, b in zip(ks, ks[1:])) or ks[-1] > n:
         raise ConfigurationError(f"need 1 <= k1 < ... < kr <= {n}, got {ks}")
-    fd = flag(build_root_system("A", n), set(range(1, n + 1)) - set(ks))
+    fd = _flag_data("A", n, tuple(i for i in range(1, n + 1) if i not in ks))
     return Chart(
         name=name,
         kind="wedge",
@@ -466,8 +472,7 @@ def _chart_quadric(N: int) -> Chart:
         raise ConfigurationError("quadric chart requires N >= 5")
     n = N // 2
     series = "B" if N % 2 else "D"
-    rs = build_root_system(series, n)
-    fd = flag(rs, set(range(2, n + 1)))
+    fd = _flag_data(series, n, tuple(range(2, n + 1)))
     return Chart(
         name=f"quadric:{N}",
         kind="quadric",

@@ -370,6 +370,19 @@ def test_fresh_conifold_charts_share_one_module():
     assert a.chart.embedding_rep(a.exponents)[0] is b.chart.embedding_rep(b.exponents)[0]
 
 
+@pytest.mark.parametrize("case", ["gr24", "fullflag:A:3", "quadric:5", "quadric:6"])
+def test_flag_data_built_once_per_flag(monkeypatch, case):
+    """``resolve_case`` rebuilds no root system or flag once a flag is known, and still
+    returns a fresh ``Chart`` with the same data."""
+    first = resolve_case(case)
+    built = []
+    monkeypatch.setattr(charts, "flag", lambda *a: built.append(a))
+    again = resolve_case(case)
+    assert built == [] and again is not first
+    assert (again.m, again.fano, again.delta_pairings, again.flag_info) == \
+        (first.m, first.fano, first.delta_pairings, first.flag_info)
+
+
 @pytest.mark.parametrize("case, ell", [("gr24", 1), ("quadric:6", 1), ("conifold", 1), ("cp:1", 2)])
 def test_embedding_rep_returns_cached_pair(case, ell):
     spec = make_spec(case, ell=ell)

@@ -1,5 +1,8 @@
 """Command-line interface: subcommands, exit codes, deterministic JSON."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -168,3 +171,12 @@ def test_fd_step_at_default_echoes_default_config(capsys):
                            "--samples", "2", "--fd-step", "1e-4", "--deterministic")
     assert code == 0
     assert json.loads(out)["config"]["fd"] == FDConfig().echo()
+
+
+def test_importing_the_library_does_not_load_scipy():
+    """scipy is imported lazily (``reps._exp_apply``, ``hvcone``), so it costs no start-up time."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, flagcones, flagcones.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False", out

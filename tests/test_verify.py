@@ -284,7 +284,9 @@ def test_metric_agreement_catches_a_wrong_jacobian(monkeypatch):
 
 def test_cone_jet_evaluations_per_sample(monkeypatch):
     """One joint field carries g_tilde and theta, and every finite-difference suite evaluates
-    each stencil once per block of samples, at most ``_CHUNK_ROWS`` rows a call."""
+    each stencil once per block of samples, at most ``_CHUNK_ROWS`` rows a call: at the
+    default budget a default-count suite is one block, and at 1024 rows the counts below
+    take the multi-block path."""
     calls = []
     cone_jet = PotentialSpec.cone_jet
 
@@ -305,6 +307,10 @@ def test_cone_jet_evaluations_per_sample(monkeypatch):
         assert max(calls) <= verify._CHUNK_ROWS, (suite, max(calls))
         return len(calls)
 
+    # default budget: 201 rows x 20 samples (ricci-flat) and x 10 (einstein-weyl) are one block
+    assert jet_calls("ricci-flat", "gr24", 20) == 3
+    assert jet_calls("einstein-weyl", "quadric:6", 10) == 4
+    monkeypatch.setattr(verify, "_CHUNK_ROWS", 1024)
     # 201 full-stencil rows a sample: 5 samples fit one block, 8 take two; a block
     # makes one jet stencil and one nested Jacobian per Richardson level
     assert jet_calls("einstein-weyl", "quadric:6", 4) == jet_calls("einstein-weyl", "quadric:6", 5) == 4
@@ -329,6 +335,7 @@ def test_einstein_weyl_inverts_each_block_metric_once(monkeypatch, case, count, 
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", counting)
+    monkeypatch.setattr(verify, "_CHUNK_ROWS", 1024)
     rep = run_suite("einstein-weyl", case, seed=3, count=count)
     assert rep.verdict and len(inverted) == blocks, inverted
 
@@ -337,15 +344,15 @@ def test_einstein_weyl_inverts_each_block_metric_once(monkeypatch, case, count, 
                                          ("einstein-weyl", "quadric:6"), ("embedding", "grassmann:4:2"),
                                          ("embedding", "quadric:6"), ("embedding", "conifold")])
 def test_blocks_of_one_sample_give_the_same_report(monkeypatch, suite, case):
-    """The block size is not visible in a report: one sample per block matches the default blocks."""
+    """The block size is not visible in a report: one sample per block and 1024-row blocks
+    give bit-identical residuals to the default blocks."""
     default = run_suite(suite, case, seed=5)
-    monkeypatch.setattr(verify, "_CHUNK_ROWS", 1)
-    single = run_suite(suite, case, seed=5)
-    assert single.verdict == default.verdict and _worst_margin(single) == _worst_margin(default)
-    for a, b in zip(default.residuals, single.residuals):
-        assert a.name == b.name
-        both_small = max(a.max, b.max) < 1e-3 * a.tolerance
-        assert both_small or abs(a.max - b.max) <= 1e-6 * abs(a.max), (a.name, a.max, b.max)
+    for rows in (1, 1024):
+        monkeypatch.setattr(verify, "_CHUNK_ROWS", rows)
+        other = run_suite(suite, case, seed=5)
+        assert other.verdict == default.verdict and _worst_margin(other) == _worst_margin(default)
+        assert [(r.name, r.max, r.mean) for r in other.residuals] == \
+            [(r.name, r.max, r.mean) for r in default.residuals], rows
     one = run_suite(suite, case, seed=5, count=1)
     pairwise = {"injectivity_separation"}          # needs two samples
     assert one.count == 1 and [r.name for r in one.residuals] == [r.name for r in default.residuals
