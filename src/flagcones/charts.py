@@ -346,12 +346,7 @@ class Chart:
     # -- representation path ------------------------------------------------
 
     def rep(self, gen: int) -> RepSpace:
-        key = ("rep", gen)
-        if key not in self.params:
-            self.params[key] = self._build_rep(gen)
-        return self.params[key]
-
-    def _build_rep(self, gen: int) -> RepSpace:
+        """The module of Picard generator ``gen``; the builders cache each module."""
         if self.kind == "wedge":
             return wedge_module(self.params["n"], self.params["ks"][gen])
         if self.kind == "quadric":

@@ -43,7 +43,7 @@ potential has squared norm 4 for the associated Vaisman metric.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Tuple
 
@@ -73,23 +73,16 @@ class FDConfig:
     nested_step: float = 2e-2
     jet_step: float = 1e-2
     richardson: int = 2
-    w_floor: float = 1e-6
 
     def __post_init__(self):
-        for name in ("base_step", "hessian_step", "nested_step", "jet_step", "w_floor"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"FDConfig.{name} must be positive, got {getattr(self, name)!r}")
-        if self.richardson < 1:
-            raise ConfigurationError(f"FDConfig.richardson must be at least 1, got {self.richardson!r}")
+        for name, value in self.echo().items():
+            if name == "richardson" and not value >= 1:
+                raise ConfigurationError(f"FDConfig.richardson must be at least 1, got {value!r}")
+            if not value > 0:
+                raise ConfigurationError(f"FDConfig.{name} must be positive, got {value!r}")
 
     def echo(self) -> dict:
-        return {
-            "base_step": self.base_step,
-            "hessian_step": self.hessian_step,
-            "nested_step": self.nested_step,
-            "jet_step": self.jet_step,
-            "richardson": self.richardson,
-        }
+        return asdict(self)
 
 
 @lru_cache(maxsize=None)

@@ -99,45 +99,26 @@ def remmert_norm_sq(spec: PotentialSpec, z, w, exact: bool = False):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _plucker_table(n: int, k: int) -> tuple:
-    """The Grassmannian quadric relations as ``(sign, i, j)`` index pairs.
+def _plucker_table(n: int, k: int) -> np.ndarray:
+    """The Grassmannian quadric relations by term position: ints ``(i, j)``, shape (2, k+1, relations).
 
     One relation per (k-1)-tuple a and (k+1)-tuple b, in lexicographic
     order: ``sum_l (-1)^(l+1) Z[a, b_l] Z[b \\ b_l]``, with ``Z[a, b_l]``
-    read at the sorted index ``i`` of ``a + (b_l,)`` times its inversion
-    sign and ``Z[b \\ b_l]`` at ``j``.  Terms with a repeated index vanish
-    and are left out.
+    read at the sorted index of ``a + (b_l,)`` times its inversion sign
+    and ``Z[b \\ b_l]`` at ``j``.  ``i`` indexes the signed vector
+    ``[v, -v, 0]`` of length 2d + 1, so it carries the term's sign.  Terms
+    with a repeated index vanish and are left out; the padding of shorter
+    relations reads the zero.
     """
     index = {b: i for i, b in enumerate(combinations(range(1, n + 2), k))}
-    relations = []
+    d, relations = len(index), []
     for a in combinations(range(1, n + 2), k - 1):
         for b in combinations(range(1, n + 2), k + 1):
-            terms = []
-            for l, bl in enumerate(b):
-                if bl in a:
-                    continue
-                idx = a + (bl,)
-                inversions = sum(1 for x in a if x > bl)
-                sign = (-1) ** (l + 1 + inversions)
-                terms.append((sign, index[tuple(sorted(idx))], index[b[:l] + b[l + 1:]]))
-            relations.append(tuple(terms))
-    return tuple(relations)
-
-
-@lru_cache(maxsize=None)
-def _plucker_arrays(n: int, k: int) -> tuple:
-    """``_plucker_table`` by term position: ``(i, j)``, each (k+1, relations) ints.
-
-    ``i`` indexes the signed vector ``[v, -v, 0]`` of length 2d + 1, so it
-    carries the term's sign, and the padding of shorter relations reads
-    the zero.
-    """
-    table, d = _plucker_table(n, k), comb(n + 1, k)
-    i, j = np.full((k + 1, len(table)), 2 * d), np.zeros((k + 1, len(table)), dtype=int)
-    for r, terms in enumerate(table):
-        for p, (sign, a, b) in enumerate(terms):
-            i[p, r], j[p, r] = (a if sign > 0 else a + d), b
-    return i, j
+            # term l reads v, or -v at offset d, by its sign (-1)^(l + 1 + inversions)
+            terms = [(index[tuple(sorted(a + (bl,)))] + d * ((l + 1 + sum(x > bl for x in a)) % 2),
+                      index[b[:l] + b[l + 1:]]) for l, bl in enumerate(b) if bl not in a]
+            relations.append(terms + [(2 * d, 0)] * (k + 1 - len(terms)))
+    return np.array(relations).T.copy()
 
 
 def _per_row(out, v: np.ndarray):
@@ -159,7 +140,7 @@ def plucker_residual(n: int, k: int, v):
         raise DomainError("coordinate vector has the wrong dimension")
     signed = np.concatenate([v, -v, np.zeros_like(v[..., :1])], axis=-1)
     total = 0
-    for i, j in zip(*_plucker_arrays(n, k)):      # term by term, in the order of the relation
+    for i, j in zip(*_plucker_table(n, k)):      # term by term, in the order of the relation
         total = total + product(signed[..., i], v[..., j])
     return _per_row(np.max(modulus(total), axis=-1), v)
 

@@ -102,11 +102,6 @@ class RepSpace:
         out = np.sum(self._gram(np.result_type(a.dtype, float)) * a, axis=-1)
         return np.asarray(out).item() if np.ndim(v) == 1 else out
 
-    def inner(self, u, v):
-        u = np.asarray(u, dtype=complex)
-        v = np.asarray(v, dtype=complex)
-        return complex(np.sum(self.gram_np() * u * np.conj(v)))
-
 
 # ---------------------------------------------------------------------------
 # sl(2): homogeneous polynomials of degree l in X, Y
@@ -160,7 +155,7 @@ def wedge_basis(n: int, k: int):
 
 @lru_cache(maxsize=None)
 def _derivation_table(n: int, k: int) -> tuple:
-    """``(row, col, j, i, sign)`` per term of a derivation on the k-th wedge power.
+    """``(row, col, j, i, sign)`` int arrays, one entry per term of a derivation on the k-th wedge power.
 
     Column ``col`` is the basis wedge ``e_S``; replacing its factor ``e_i``
     by ``e_j`` (``j`` not elsewhere in ``S``) and sorting gives ``sign``
@@ -178,13 +173,7 @@ def _derivation_table(n: int, k: int) -> tuple:
                 new = subset[:pos] + (j,) + subset[pos + 1:]
                 inversions = sum(1 for a in range(k) for b in range(a + 1, k) if new[a] > new[b])
                 out.append((index[tuple(sorted(new))], col, j - 1, i - 1, -1 if inversions % 2 else 1))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _derivation_arrays(n: int, k: int) -> tuple:
-    """The columns of ``_derivation_table`` as int arrays."""
-    return tuple(np.array(c) for c in zip(*_derivation_table(n, k)))
+    return tuple(np.array(c) for c in zip(*out))
 
 
 def derivation_matrix(n: int, k: int, X):
@@ -194,7 +183,7 @@ def derivation_matrix(n: int, k: int, X):
     """
     X = np.asarray(X)
     d = comb(n + 1, k)
-    rows, cols, js, is_, signs = _derivation_arrays(n, k)
+    rows, cols, js, is_, signs = _derivation_table(n, k)
     out = np.full(X.shape[:-2] + (d, d), ZERO, dtype=np.result_type(X.dtype, complex))
     np.add.at(out, (Ellipsis, rows, cols), signs * X[..., js, is_])
     return out

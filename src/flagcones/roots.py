@@ -227,10 +227,6 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     )
 
 
-def pairing(w: Weight, alpha_index: int) -> Fraction:
-    return w.pairing(alpha_index)
-
-
 def simple_root_expansion(rs: RootSystem, root: Eps) -> Tuple[Fraction, ...]:
     """Coefficients of a positive root in the simple-root basis."""
     try:
@@ -297,14 +293,6 @@ def flag(rs: RootSystem, theta: Iterable[int]) -> FlagDescriptor:
         delta_p=delta,
         fano_index=fano,
     )
-
-
-def delta_p(fd: FlagDescriptor) -> Weight:
-    return fd.delta_p
-
-
-def fano_index(fd: FlagDescriptor) -> int:
-    return fd.fano_index
 
 
 def mu_of_bundle(fd: FlagDescriptor, exponents: dict) -> Weight:

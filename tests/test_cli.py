@@ -165,6 +165,16 @@ def test_verify_fd_flags_and_tol(capsys):
     assert all(r["tolerance"] == 1e-4 for r in doc["report"]["residuals"])
 
 
+def test_verify_embedding_tol_overrides_the_algebraic_residual(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--case", "gr24", "--suite", "embedding", "--seed", "7",
+                           "--tol", "1e-3", "--deterministic")
+    assert code == 0
+    report = json.loads(out)["report"]
+    gates = {r["name"]: r["tolerance"] for r in report["residuals"]}
+    assert report["sample_count"] == 50
+    assert gates["plucker_residual"] == 0.001 and gates["norm_matches_potential"] == 1e-12
+
+
 def test_fd_step_at_default_echoes_default_config(capsys):
     """``--fd-step`` scales the ``FDConfig`` defaults, so the default base step gives the default config."""
     code, out, _ = run_cli(capsys, "verify", "--case", "hopf:cp1", "--suite", "lck",

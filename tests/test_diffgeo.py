@@ -363,7 +363,7 @@ def test_fd_audit_on_catalog_potentials():
 
 
 @pytest.mark.parametrize("kwargs", [{"richardson": 0}, {"richardson": -1}, {"base_step": 0.0},
-                                    {"jet_step": -1e-2}, {"w_floor": 0.0}])
+                                    {"jet_step": -1e-2}, {"hessian_step": 0.0}])
 def test_fd_config_rejects_invalid_values(kwargs):
     with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
         FDConfig(**kwargs)

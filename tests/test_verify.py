@@ -136,6 +136,26 @@ def test_embedding_suite():
     assert "plucker_residual" in names and "gamma_equivariance" in names
 
 
+def test_embedding_report_tolerances():
+    """The embedding gates: ``tolerance`` overrides the algebraic residual alone, and one sample has no separation."""
+    gates = lambda rep: {r.name: r.tolerance for r in rep.residuals}
+    default = run_suite("embedding", "gr24")
+    assert gates(default) == {"norm_matches_potential": 1e-12, "plucker_residual": 1e-10,
+                              "gamma_equivariance": 1e-9, "injectivity_separation": 1.0}
+    assert gates(run_suite("embedding", "gr24", tolerance=1e-3)) == {**gates(default), "plucker_residual": 1e-3}
+    one = run_suite("embedding", "gr24", count=1)
+    assert gates(one) == {k: v for k, v in gates(default).items() if k != "injectivity_separation"}
+
+
+def test_suite_table_default_counts_and_names():
+    names = ("lck", "vaisman", "kahler-einstein", "ricci-flat", "einstein-weyl", "embedding")
+    assert verify.SUITES == names
+    assert [run_suite(s, "gr24").count for s in names] == [20, 20, 20, 20, 10, 50]
+    with pytest.raises(ConfigurationError) as err:
+        run_suite("nope", "gr24")
+    assert all(repr(s) in str(err.value) for s in names)
+
+
 def test_report_deterministic():
     a = run_suite("lck", "hopf:cp1", seed=7, count=6).to_dict()
     b = run_suite("lck", "hopf:cp1", seed=7, count=6).to_dict()
