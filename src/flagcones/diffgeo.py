@@ -8,24 +8,27 @@ Every derivative comes from one stencil primitive: a unit stencil cached
 per dimension (centre, ``+-e_i``, then the four corners of each
 ``(e_i, e_j)`` square), evaluated at ``P + unit * h`` with per-axis steps;
 first and second central differences as index arithmetic on those values;
-and one Richardson tableau over halved steps.  Steps ``h`` of shape
-``(d,)`` are shared by every point of a batch; an ``(m, d)`` array gives
-each of the m points its own steps, which is how a batch of samples keeps
-the steps each sample would get alone.  Nested pipelines (Ricci
-form of a potential) apply it to stencil results; ``ricci_form_of_metric``
-applies it once to an exact complex Hessian field.  Both take ``log det``
-of the complex Hessians as the sum of the logs of the pivots of
-``exact.hermitian_elimination`` on their entry arrays, the elimination the
-Kahler potentials run, with no LAPACK call per matrix.
+and one Richardson tableau over halved steps.  Two drivers run it on any
+array-valued field at a batch of points: ``_jacobian_of_field`` reads only
+the ``+-e_i`` rows, and ``_metric_jets`` returns the values, first and
+second derivatives from the full stencil.  Their steps ``h`` are always
+explicit arrays: ``(d,)`` shared by every point of a batch, or ``(m, d)``,
+one row per point, which is how a batch of samples keeps the steps each
+sample would get alone; ``scaled_steps`` gives ``step * max(1, |x|)``.
+Kahler forms, metrics, complex Hessians and Ricci forms are algebra on
+the second derivatives.  ``ricci_form_of_metric`` differences ``log det``
+of an exact complex Hessian field once; ``ricci_form`` nests one level of
+complex Hessians of a potential inside it.  Both take ``log det`` as the
+sum of the logs of the pivots of ``exact.hermitian_elimination`` on the
+entry arrays, the elimination the Kahler potentials run, with no LAPACK
+call per matrix.
 
-``_metric_jets`` (values, first and second derivatives from one full
-stencil) and ``_jacobian_of_field`` serve any array-valued field on a batch
-of points.  The connection and curvature algebra (``weyl_ricci_of_jets``,
+The connection and curvature algebra (``weyl_ricci_of_jets``,
 ``nabla_of_jets``, ``weyl_symbols_of_jets``, ``weyl_metric_derivative``)
-runs on the jets they return, batched over leading axes, so one joint
-field -- metric rows and a Lee-form row, ``(m, d+1, d)``, separated by
-``split_joint`` -- feeds it from a single stencil for a whole batch.  Its
-Ricci tensors read two traces of the symbol derivatives by batched matmul
+runs on the jets, batched over leading axes, so one joint field -- metric
+rows and a Lee-form row, ``(m, d+1, d)``, separated by ``split_joint`` --
+feeds it from a single stencil for a whole batch.  Its Ricci tensors read
+two traces of the symbol derivatives by batched matmul
 (``_symbol_traces``), and a caller holding ``g^-1`` passes it in.
 
 Conventions (with ``d^c = i (dbar - d)`` and real potentials F):
@@ -43,7 +46,7 @@ potential has squared norm 4 for the associated Vaisman metric.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Optional, Tuple
 
@@ -98,20 +101,8 @@ def complex_structure(dim: int) -> np.ndarray:
     return J
 
 
-def _axis_steps(p: np.ndarray, step) -> np.ndarray:
-    """Per-axis steps; an array is taken verbatim as absolute step sizes.
-
-    A scalar step is scaled by ``max(1, |x|)`` of the single point ``p``,
-    and callers pass the batch's first point, so every point of a batch
-    shares one step.  That is deliberate: in ``ricci_form_batch`` the
-    inner complex Hessians are evaluated at the outer stencil's points and
-    must keep the centre's step, because per-point scaling has a kink at
-    ``|x| = 1`` that the outer difference would pick up.  A batch of
-    independent samples gets per-sample steps as an ``(m, d)`` array, for
-    instance this function applied to the whole batch ``P``.
-    """
-    if isinstance(step, np.ndarray):
-        return step
+def scaled_steps(p: np.ndarray, step: float) -> np.ndarray:
+    """Per-axis steps ``step * max(1, |x|)`` at a point (d,) or at each of m points (m, d)."""
     return step * np.maximum(1.0, np.abs(p))
 
 
@@ -205,15 +196,17 @@ def _richardson(estimates: Iterable[np.ndarray]) -> np.ndarray:
 # derivatives of batched fields
 # ---------------------------------------------------------------------------
 
-def _jacobian_of_field(field, P: np.ndarray, cfg: FDConfig, step) -> np.ndarray:
-    """d/dx_a of a scalar or array-valued batched field: (m, d, *shape)."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    return _richardson(_first_differences(_stencil_values(field, P, h, second=False), h)
-                       for h in _halvings(_axis_steps(P[0], step), cfg.richardson))
+def _jacobian_of_field(field, P: np.ndarray, cfg: FDConfig, h: np.ndarray) -> np.ndarray:
+    """d/dx_a of a scalar or array-valued batched field at the points P (m, d): (m, d, *shape).
+
+    Only the ``+-e_i`` rows of the stencil are evaluated, at steps ``h``.
+    """
+    return _richardson(_first_differences(_stencil_values(field, P, hk, second=False), hk)
+                       for hk in _halvings(h, cfg.richardson))
 
 
-def _metric_jets(field, P: np.ndarray, cfg: FDConfig, step=None):
-    """Values, first and second derivatives of a batched field at the points P (m, d).
+def _metric_jets(field, P: np.ndarray, cfg: FDConfig, h: np.ndarray):
+    """Values, first and second derivatives of a batched field at the points P (m, d), at steps ``h``.
 
     Returns (g, dg, ddg) with g (m, *shape), dg[:, a] = d_a g and
     ddg[:, a, b] = d_a d_b g, all read from one full stencil evaluation per
@@ -221,31 +214,16 @@ def _metric_jets(field, P: np.ndarray, cfg: FDConfig, step=None):
     Lee-form field included.  Each level's stencil values are dropped once
     its differences are taken.
     """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
     d = P.shape[1]
-    h0 = _axis_steps(P[0], cfg.jet_step if step is None else step)
     firsts, seconds = [], []
-    for h in _halvings(h0, cfg.richardson):
-        v = _stencil_values(field, P, h)
+    for hk in _halvings(h, cfg.richardson):
+        v = _stencil_values(field, P, hk)
         if not firsts:
             g = v[:, 0].copy()
-        firsts.append(_first_differences(v[:, 1:2 * d + 1], h))
-        seconds.append(_second_differences(v, h))
+        firsts.append(_first_differences(v[:, 1:2 * d + 1], hk))
+        seconds.append(_second_differences(v, hk))
         del v
     return g, _richardson(firsts), _richardson(seconds)
-
-
-def grad_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    return _jacobian_of_field(F, P, cfg, cfg.base_step if step is None else step)
-
-
-def hessian_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None,
-                  richardson: Optional[int] = None) -> np.ndarray:
-    """Second derivatives of a scalar or array-valued batched field: (m, d, d, *shape)."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    h0 = _axis_steps(P[0], cfg.hessian_step if step is None else step)
-    return _richardson(_second_differences(_stencil_values(F, P, h), h)
-                       for h in _halvings(h0, cfg.richardson if richardson is None else richardson))
 
 
 def kahler_form_of_hessian(H: np.ndarray) -> np.ndarray:
@@ -254,22 +232,15 @@ def kahler_form_of_hessian(H: np.ndarray) -> np.ndarray:
     return -(H @ J + J @ H) / 4.0
 
 
-def kahler_form_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    """(i/2) ddbar F as real 2-form matrices: -(HJ + JH)/4."""
-    return kahler_form_of_hessian(hessian_batch(F, P, cfg, step))
+def kahler_form(F, p, cfg: FDConfig) -> np.ndarray:
+    """(i/2) ddbar F at one point p, at steps ``scaled_steps(p, cfg.hessian_step)``."""
+    p = np.asarray(p, dtype=float)
+    return kahler_form_of_hessian(_metric_jets(F, p[None, :], cfg, scaled_steps(p, cfg.hessian_step))[2])[0]
 
 
-def kahler_form(F, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    return kahler_form_batch(F, np.asarray(p)[None, :], cfg, step)[0]
-
-
-def i_del_delbar(F, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
+def i_del_delbar(F, p, cfg: FDConfig) -> np.ndarray:
     """i ddbar F (twice the quarter-normalised Kahler form)."""
-    return 2.0 * kahler_form(F, p, cfg, step)
-
-
-def metric_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    return kahler_form_batch(F, P, cfg, step) @ complex_structure(np.atleast_2d(P).shape[1])
+    return 2.0 * kahler_form(F, p, cfg)
 
 
 def complex_hessian(H: np.ndarray) -> np.ndarray:
@@ -293,61 +264,38 @@ def metric_of_complex_hessian(Hc: np.ndarray, out: Optional[np.ndarray] = None) 
     return g
 
 
-def complex_hessian_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None,
-                          richardson: Optional[int] = None) -> np.ndarray:
-    """Mixed holomorphic Hessians d^2 F / dz_a dzbar_b, (m, nc, nc) complex."""
-    return complex_hessian(hessian_batch(F, P, cfg, step, richardson))
-
-
 def _log_det(H: np.ndarray) -> np.ndarray:
     """log |det H| of Hermitian matrices (..., n, n): the sum of the logs of their elimination pivots."""
     return sum(np.log(np.abs(p)) for p in hermitian_elimination(np.moveaxis(H, (-2, -1), (0, 1)))[0])
 
 
-def _ricci_level(logdet, P: np.ndarray, cfg: FDConfig, step, richardson: Optional[int] = None) -> np.ndarray:
-    """-i ddbar of a batched log det field, as real 2-forms (m, d, d)."""
-    return -2.0 * kahler_form_of_hessian(hessian_batch(logdet, P, cfg, step=step, richardson=richardson))
+def ricci_form_of_metric(H_field, P: np.ndarray, cfg: FDConfig, h: np.ndarray) -> np.ndarray:
+    """Ricci form -i ddbar log det H, (m, d, d), of a batched complex Hessian field H: one Hessian of log det H at steps ``h``."""
+    return -2.0 * kahler_form_of_hessian(_metric_jets(lambda Q: _log_det(H_field(Q)), P, cfg, h)[2])
 
 
-def ricci_form_batch(F, P: np.ndarray, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    """Ricci form -i ddbar log det(complex Hessian of F), (m, d, d).
+def ricci_form(F, p, cfg: FDConfig) -> np.ndarray:
+    """Ricci form -i ddbar log det(complex Hessian of F) at one point p, (d, d).
 
-    Fourth derivatives of F: inner complex Hessians and the outer ddbar
-    run at a matched step so a single composite Richardson extrapolation
-    controls the truncation error.
+    Fourth derivatives of F.  At each halving ``h`` of
+    ``scaled_steps(p, cfg.nested_step)`` the inner complex Hessians and the
+    outer ddbar run one level at the same steps, so one composite Richardson
+    tableau over the halvings controls the truncation error.  The inner
+    Hessians keep the centre's steps at every outer stencil point: per-point
+    scaling has a kink at ``|x| = 1`` that the outer difference would pick up.
     """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
+    P = np.asarray(p, dtype=float)[None, :]
+    one = replace(cfg, richardson=1)
 
-    def logdet(h):
-        return lambda Q: _log_det(complex_hessian_batch(F, Q, cfg, step=h, richardson=1))
+    def level(h):
+        return ricci_form_of_metric(lambda Q: complex_hessian(_metric_jets(F, Q, one, h)[2]), P, one, h)
 
-    return _richardson(_ricci_level(logdet(h), P, cfg, h, richardson=1)
-                       for h in _halvings(cfg.nested_step if step is None else step, cfg.richardson))
-
-
-def ricci_form_of_metric(H_field, P: np.ndarray, cfg: FDConfig, step=None) -> np.ndarray:
-    """Ricci form -i ddbar log det H, (m, d, d), of an exact batched complex Hessian field H.
-
-    One finite-difference Hessian of log det H, at ``hessian_step`` by default.
-    """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    return _ricci_level(lambda Q: _log_det(H_field(Q)), P, cfg,
-                        cfg.hessian_step if step is None else step)
-
-
-def ricci_form(F, p, cfg: FDConfig, step: Optional[float] = None) -> np.ndarray:
-    return ricci_form_batch(F, np.asarray(p)[None, :], cfg, step)[0]
+    return _richardson(level(h) for h in _halvings(scaled_steps(P[0], cfg.nested_step), cfg.richardson))[0]
 
 
 # ---------------------------------------------------------------------------
 # one-forms, two-forms
 # ---------------------------------------------------------------------------
-
-def d_oneform_batch(omega_field, P: np.ndarray, cfg: FDConfig, step=None) -> np.ndarray:
-    """(d omega)_ij = d_i omega_j - d_j omega_i for a batched covector field: (m, d, d)."""
-    D = _jacobian_of_field(omega_field, P, cfg, cfg.base_step if step is None else step)
-    return D - np.swapaxes(D, -1, -2)
-
 
 def d_twoform_of_jets(dOmega: np.ndarray) -> np.ndarray:
     """(d Omega)_ijk from ``dOmega[..., a, i, j] = d_a Omega_ij``, batched over leading axes."""

@@ -248,10 +248,13 @@ def _relative(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 
 def _metric_agreement(spec: PotentialSpec, cfg: FDConfig, points: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Per sample: the gap between the analytic ``g_tilde`` and the finite-difference ``metric_batch(K) / K``."""
+    """Per sample: the gap between the analytic ``g_tilde`` and the finite-difference metric ``omega(K) J / K``."""
+    J = diffgeo.complex_structure(spec.real_dim)
+
     def block(P, gP):
         F, _ = conformal_fields(spec, cfg, ref=P)
-        fd = diffgeo.metric_batch(F, P, cfg, step=cfg.hessian_step * coordinate_scales(spec, P))
+        H = diffgeo._metric_jets(F, P, cfg, cfg.hessian_step * coordinate_scales(spec, P))[2]
+        fd = diffgeo.kahler_form_of_hessian(H) @ J
         return (_relative(gP - fd, gP),)      # F is 1 at each sample: ref=P
 
     return _chunked(block, _rows(spec.real_dim), points, g)[0]
@@ -296,11 +299,11 @@ def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] =
     def block(P):
         g, th = diffgeo.split_joint(cone(P))
         th = corrupt_theta * th
-        dth = diffgeo.d_oneform_batch(lee, P, cfg, diffgeo._axis_steps(P, cfg.base_step))
-        r_dth = _relative(dth, th)
+        D = diffgeo._jacobian_of_field(lee, P, cfg, diffgeo.scaled_steps(P, cfg.base_step))
+        r_dth = _relative(D - np.swapaxes(D, -1, -2), th)
         # d Omega = -(d g) J: the metric rows are differenced as views of the joint field
         metric_rows = lambda X: cone(X)[:, :-1]
-        dg = diffgeo._jacobian_of_field(metric_rows, P, cfg, diffgeo._axis_steps(P, cfg.nested_step / 2))
+        dg = diffgeo._jacobian_of_field(metric_rows, P, cfg, diffgeo.scaled_steps(P, cfg.nested_step / 2))
         dOm = diffgeo.d_twoform_of_jets(dg @ -J)
         wedge = diffgeo.wedge_one_two(th, -g @ J)
         dOm -= wedge
@@ -337,7 +340,7 @@ def check_vaisman(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfi
         field, gp = cone, g
         if metric != "vaisman":
             field, gp = _with_cone_metric(cone, F), g * F(P)[:, None, None]
-        jac = diffgeo._jacobian_of_field(field, P, cfg, diffgeo._axis_steps(P, cfg.hessian_step))
+        jac = diffgeo._jacobian_of_field(field, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))
         dg, dth = diffgeo.split_joint(jac)
         return _relative(diffgeo.nabla_of_jets(gp, dg, th, dth), th), g
 
@@ -362,9 +365,9 @@ def check_kahler_einstein_base(spec: PotentialSpec, samples: SampleSet, cfg: Opt
     Hb = spec.base_hessian()
 
     def block(P):
-        step = diffgeo._axis_steps(P, cfg.hessian_step)
-        rho = diffgeo.ricci_form_of_metric(Hb, P, cfg, step=step)
-        H = diffgeo.hessian_batch(Fb, P, cfg, step=step)      # i ddbar and ddbar, one FD Hessian
+        step = diffgeo.scaled_steps(P, cfg.hessian_step)
+        rho = diffgeo.ricci_form_of_metric(Hb, P, cfg, step)
+        H = diffgeo._metric_jets(Fb, P, cfg, step)[2]      # i ddbar and ddbar, one FD Hessian
         comp = 2.0 * diffgeo.kahler_form_of_hessian(H)
         exact = Hb(P)
         return _relative(comp - rho, comp), _relative(exact - diffgeo.complex_hessian(H), exact)
@@ -389,8 +392,8 @@ def check_cone_ricci_flat(spec: PotentialSpec, samples: SampleSet, cfg: Optional
     def block(P):
         F, _ = conformal_fields(spec, cfg, ref=P)
         H = lambda X: jet(X)[1] * F(X)[:, None, None]
-        rho = diffgeo.ricci_form_of_metric(H, P, cfg, step=cfg.hessian_step * coordinate_scales(spec, P))
-        fd = diffgeo.hessian_batch(F, P, cfg, step=diffgeo._axis_steps(P, cfg.hessian_step))   # i ddbar and ddbar
+        rho = diffgeo.ricci_form_of_metric(H, P, cfg, cfg.hessian_step * coordinate_scales(spec, P))
+        fd = diffgeo._metric_jets(F, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))[2]   # i ddbar and ddbar
         exact = H(P)
         om = 2.0 * diffgeo.kahler_form_of_hessian(fd)
         return _relative(rho, om), _relative(exact - diffgeo.complex_hessian(fd), exact)
@@ -411,7 +414,7 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
       * ``weyl_ricci_identity``:   Ric^D from the conformal identity
       * ``weyl_ricci_agreement``:  cross-validation of the two paths
       * ``higgs_compatibility``:   D g - theta (x) g
-      * ``metric_agreement``:      analytic g_tilde against metric_batch(F) / F
+      * ``metric_agreement``:      analytic g_tilde against the FD metric omega(F) J / F
     Below six real dimensions the records are advisory only.
     """
     cfg, rep, tolerance, tol_agree = _open_report("einstein-weyl", spec, samples, cfg, tolerance, case)
@@ -424,7 +427,7 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
 
     def block(P):
         # one joint stencil gives g and theta at P and their jets
-        jets = diffgeo._metric_jets(cone, P, cfg, step=cfg.jet_step * coordinate_scales(spec, P))
+        jets = diffgeo._metric_jets(cone, P, cfg, cfg.jet_step * coordinate_scales(spec, P))
         (g, th), (dg, dth), (ddg, _) = map(diffgeo.split_joint, jets)
         t, ginv = th / 2.0, np.linalg.inv(g)         # the block's one metric inverse
         norm2 = t[:, None, :] @ ginv @ t[:, :, None]

@@ -220,10 +220,12 @@ def _fd_fields(spec, p):
     F = lambda P: F0(P) / scale
     P, s = p[None, :], coordinate_scales(spec, p)
     K = F(P)[0]
-    return (diffgeo.complex_hessian_batch(F, P, CFG, step=CFG.hessian_step * s)[0] / K,
-            diffgeo.metric_batch(F, P, CFG, step=CFG.hessian_step * s)[0] / K,
-            -diffgeo.grad_batch(logF, P, CFG, step=CFG.base_step * s)[0],
-            diffgeo.kahler_form_batch(F, P, CFG, step=CFG.hessian_step * s)[0] / K)
+    H = diffgeo._metric_jets(F, P, CFG, CFG.hessian_step * s)[2][0]
+    omega = diffgeo.kahler_form_of_hessian(H)
+    return (diffgeo.complex_hessian(H) / K,
+            omega @ diffgeo.complex_structure(len(p)) / K,
+            -diffgeo._jacobian_of_field(logF, P, CFG, CFG.base_step * s)[0],
+            omega / K)
 
 
 @pytest.mark.parametrize("case", FIELD_CASES)
@@ -239,7 +241,8 @@ def test_analytic_fields_match_finite_differences(case):
         for name, a, fd in zip(("ddbar K / K", "g_tilde", "theta", "Omega"), analytic, _fd_fields(spec, p)):
             assert _gap(a, fd) <= 1e-8, (name, _gap(a, fd))
         Hb = spec.base_hessian()(P[:, :-2])[0]
-        assert _gap(Hb, diffgeo.complex_hessian_batch(base, P[:, :-2], CFG)[0]) <= 1e-8
+        Hfd = diffgeo._metric_jets(base, P[:, :-2], CFG, diffgeo.scaled_steps(P[:, :-2], CFG.hessian_step))[2]
+        assert _gap(Hb, diffgeo.complex_hessian(Hfd)[0]) <= 1e-8
 
 
 @pytest.mark.parametrize("case", FIELD_CASES + ["flag:A:3:1,2", "flag:A:3:1,3"])
