@@ -331,8 +331,13 @@ def _fold(a: np.ndarray, k: int, *shape: int) -> np.ndarray:
 
 
 def _first_kind(dg: np.ndarray) -> np.ndarray:
-    """S[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij from dg[..., a, i, j]."""
-    return np.moveaxis(dg, -1, -3) + np.swapaxes(dg, -3, -1) - dg
+    """S[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij from dg[..., a, i, j], C-contiguous.
+
+    numpy lays out the sum of these transposed views in a strided order once
+    it reaches 32,768 elements; the matmuls on its reshape would then sum in
+    an order that depends on the number of samples in a block.
+    """
+    return np.ascontiguousarray(np.moveaxis(dg, -1, -3) + np.swapaxes(dg, -3, -1) - dg)
 
 
 def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:

@@ -364,7 +364,8 @@ def test_einstein_weyl_inverts_each_block_metric_once(monkeypatch, case, count, 
 
 
 @pytest.mark.parametrize("suite, case", [("lck", "grassmann:4:2"), ("ricci-flat", "gr24"),
-                                         ("einstein-weyl", "quadric:6"), ("embedding", "grassmann:4:2"),
+                                         ("einstein-weyl", "quadric:6"), ("vaisman", "flag:A:3:1,2"),
+                                         ("embedding", "grassmann:4:2"),
                                          ("embedding", "quadric:6"), ("embedding", "conifold")])
 def test_blocks_of_one_sample_give_the_same_report(monkeypatch, suite, case):
     """The block size is not visible in a report: one sample per block and 1024-row blocks
