@@ -43,7 +43,7 @@ Catalog identifiers: ``cp:m``, ``grassmann:n:k``, ``fullflag:A:n``,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -283,6 +283,7 @@ class Chart:
     delta_pairings: Tuple[int, ...]
     flag_info: dict
     params: dict
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)     # built on first use
 
     def _wedge(self):
         """``(n, ks, slots)``: n(z) in GL(n+1) on the block slots; generator s reads the first ``ks[s]`` columns."""
@@ -361,10 +362,10 @@ class Chart:
             return derivation_matrix(n, ks[gen], nilpotent_log(_big_cell(n, slots, z), n + 1))
         if self.kind == "quadric":
             N = self.params["N"]
-            if "Y" not in self.params:
-                self.params["Y"] = _both_fields(np.stack(so_radical_basis(N)).reshape(N - 2, N * N))
+            if "Y" not in self._cache:
+                self._cache["Y"] = _both_fields(np.stack(so_radical_basis(N)).reshape(N - 2, N * N))
             # sum_j z_j Y_j as a product over the last axis of z, one row at a time (a row rounds as a single point)
-            return np.matmul(z[..., None, :], self.params["Y"][z.dtype])[..., 0, :].reshape(z.shape[:-1] + (N, N))
+            return np.matmul(z[..., None, :], self._cache["Y"][z.dtype])[..., 0, :].reshape(z.shape[:-1] + (N, N))
         # product: the z_gen-th factor lowering operator
         return z[..., gen, None, None] * to_field([[0, 0], [1, 0]], z.dtype)
 
@@ -383,13 +384,13 @@ class Chart:
         line.  Returns ``(rep, word(z))`` with ``word(z)`` a list of
         ``(matrix, parameter)`` pairs in the dtype of ``z``; for ``z``
         (..., n_z) the matrices or parameters carry its leading axes.  The
-        pair is built once per chart and exponents and kept in ``params``;
+        pair is built once per chart and exponents and kept in ``_cache``;
         its constant complex matrices are read-only.
         """
         key = ("embedding", tuple(exponents))
-        if key not in self.params:
-            self.params[key] = self._build_embedding(key[1])
-        return self.params[key]
+        if key not in self._cache:
+            self._cache[key] = self._build_embedding(key[1])
+        return self._cache[key]
 
     def _build_embedding(self, ell: Tuple[Fraction, ...]):
         if self.kind == "product":

@@ -409,7 +409,18 @@ def test_unsupported_embedding_raises_on_every_call(case, ell):
     for _ in range(2):
         with pytest.raises(ConfigurationError):
             spec.chart.embedding_rep(spec.exponents)
-    assert not any(isinstance(key, tuple) and key[0] == "embedding" for key in spec.chart.params)
+    assert not any(isinstance(key, tuple) and key[0] == "embedding" for key in spec.chart._cache)
+
+
+@pytest.mark.parametrize("case", ["quadric:6", "gr24"])
+def test_chart_caches_stay_out_of_equality_and_repr(case):
+    """The word element and the embedding pair are cached outside the compared and printed fields."""
+    specs = make_spec(case), make_spec(case)
+    fresh = repr(specs[0])
+    for spec in specs:
+        spec.chart.word_element(0, np.zeros((1, spec.n_z)))
+        spec.chart.embedding_rep(spec.exponents)
+        assert spec.chart._cache and specs[0] == specs[1] and repr(spec) == fresh
 
 
 def _decode_reference(points, n_z):
