@@ -46,6 +46,7 @@ potential has squared norm 4 for the associated Vaisman metric.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Optional, Tuple
@@ -81,8 +82,8 @@ class FDConfig:
         for name, value in self.echo().items():
             if name == "richardson" and not value >= 1:
                 raise ConfigurationError(f"FDConfig.richardson must be at least 1, got {value!r}")
-            if not value > 0:
-                raise ConfigurationError(f"FDConfig.{name} must be positive, got {value!r}")
+            if not 0 < value < math.inf:
+                raise ConfigurationError(f"FDConfig.{name} must be positive and finite, got {value!r}")
 
     def echo(self) -> dict:
         return asdict(self)

@@ -35,6 +35,7 @@ gauge: ``Ric = (n-2)(|t|^2 g - t (x) t)`` and ``Ric^D = 0``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
@@ -213,6 +214,8 @@ def _open_report(suite: str, spec: PotentialSpec, samples: SampleSet, cfg: Optio
     if tolerance is None:
         return (cfg, rep, DEFAULT_TOLERANCES.get(suite, DEFAULT_TOLERANCES["curvature"]),
                 DEFAULT_TOLERANCES["metric_agreement"])
+    if not 0 < tolerance < math.inf:
+        raise ConfigurationError(f"tolerance must be positive and finite, got {tolerance!r}")
     return cfg, rep, tolerance, tolerance
 
 

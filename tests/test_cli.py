@@ -101,12 +101,23 @@ def test_verify_zero_samples_exit_two(capsys):
 
 @pytest.mark.parametrize("flag, value, field", [("--richardson", "-1", "richardson"),
                                                 ("--richardson", "0", "richardson"),
-                                                ("--fd-step", "0", "base_step")])
+                                                ("--fd-step", "0", "base_step"),
+                                                ("--fd-step", "inf", "base_step"),
+                                                ("--fd-step", "nan", "base_step")])
 def test_verify_invalid_fd_config_exit_two(capsys, flag, value, field):
     code, _, err = run_cli(capsys, "verify", "--case", "hopf:cp1", "--suite", "lck",
                            "--samples", "2", f"{flag}={value}")
     assert code == 2
     assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("suite, value", [("lck", "0"), ("lck", "-1e-3"), ("lck", "nan"), ("lck", "inf"),
+                                          ("embedding", "inf")])
+def test_verify_invalid_tolerance_exit_two(capsys, suite, value):
+    code, _, err = run_cli(capsys, "verify", "--case", "hopf:cp1", "--suite", suite,
+                           "--samples", "2", f"--tol={value}")
+    assert code == 2
+    assert err.startswith("error: tolerance")
 
 
 def test_verify_chart_degeneracy_exit_one(capsys, monkeypatch):
