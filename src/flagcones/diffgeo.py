@@ -46,7 +46,6 @@ potential has squared norm 4 for the associated Vaisman metric.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Optional, Tuple
@@ -82,7 +81,7 @@ class FDConfig:
         for name, value in self.echo().items():
             if name == "richardson" and not value >= 1:
                 raise ConfigurationError(f"FDConfig.richardson must be at least 1, got {value!r}")
-            if not 0 < value < math.inf:
+            if not 0 < value < np.inf:
                 raise ConfigurationError(f"FDConfig.{name} must be positive and finite, got {value!r}")
 
     def echo(self) -> dict:
@@ -271,7 +270,7 @@ def _log_det(H: np.ndarray) -> np.ndarray:
 
 
 def ricci_form_of_metric(H_field, P: np.ndarray, cfg: FDConfig, h: np.ndarray) -> np.ndarray:
-    """Ricci form -i ddbar log det H, (m, d, d), of a batched complex Hessian field H: one Hessian of log det H at steps ``h``."""
+    """Ricci form -i ddbar log det H, (m, d, d), of a batched complex Hessian field H, at steps ``h``."""
     return -2.0 * kahler_form_of_hessian(_metric_jets(lambda Q: _log_det(H_field(Q)), P, cfg, h)[2])
 
 

@@ -35,7 +35,6 @@ gauge: ``Ric = (n-2)(|t|^2 g - t (x) t)`` and ``Ric^D = 0``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
@@ -214,7 +213,7 @@ def _open_report(suite: str, spec: PotentialSpec, samples: SampleSet, cfg: Optio
     if tolerance is None:
         return (cfg, rep, DEFAULT_TOLERANCES.get(suite, DEFAULT_TOLERANCES["curvature"]),
                 DEFAULT_TOLERANCES["metric_agreement"])
-    if not 0 < tolerance < math.inf:
+    if not 0 < tolerance < np.inf:
         raise ConfigurationError(f"tolerance must be positive and finite, got {tolerance!r}")
     return cfg, rep, tolerance, tolerance
 
@@ -252,12 +251,10 @@ def _relative(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 def _metric_agreement(spec: PotentialSpec, cfg: FDConfig, points: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Per sample: the gap between the analytic ``g_tilde`` and the finite-difference metric ``omega(K) J / K``."""
-    J = diffgeo.complex_structure(spec.real_dim)
-
     def block(P, gP):
         F, _ = conformal_fields(spec, cfg, ref=P)
         H = diffgeo._metric_jets(F, P, cfg, cfg.hessian_step * coordinate_scales(spec, P))[2]
-        fd = diffgeo.kahler_form_of_hessian(H) @ J
+        fd = diffgeo.kahler_form_of_hessian(H) @ diffgeo.complex_structure(P.shape[1])
         return (_relative(gP - fd, gP),)      # F is 1 at each sample: ref=P
 
     return _chunked(block, _rows(spec.real_dim), points, g)[0]
