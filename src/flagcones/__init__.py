@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 from .roots import (ConfigurationError, FlagDescriptor, RootSystem, Weight,
                     build_root_system, casimir_eigenvalue, flag,
                     killing_dual_pairing, mu_of_bundle)
-from .reps import (RepSpace, act, casimir_matrix, casimir_tensor_matrix,
-                   outer_tensor, sl2_module, so_vector_module, wedge_module)
+from .reps import (RepSpace, act, casimir_matrix, outer_tensor, sl2_module,
+                   so_vector_module, wedge_module)
 from .charts import (Chart, DomainError, PotentialSpec, canonical_exponents,
                      dhomothetic_constant, generic_h, log_potential_eval,
                      make_spec, potential_eval, resolve_case, ricci_flat_exponent)

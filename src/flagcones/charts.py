@@ -379,9 +379,11 @@ class Chart:
     def embedding_rep(self, exponents: Tuple[Fraction, ...]):
         """Module and word builder for the cone embedding of this bundle.
 
-        Supported: all exponents equal to 1 (fundamental weights and their
-        Deligne products), plus arbitrary integer powers on a projective
-        line.  Returns ``(rep, word(z))`` with ``word(z)`` a list of
+        Supported: one generator at exponent 1 (its fundamental module),
+        and projective-line charts as Deligne products of sl(2) modules:
+        cp:1 at any integer exponent, the conifold at (1, 1).  Anything
+        else, a fractional exponent included, raises ``ConfigurationError``.
+        Returns ``(rep, word(z))`` with ``word(z)`` a list of
         ``(matrix, parameter)`` pairs in the dtype of ``z``; for ``z``
         (..., n_z) the matrices or parameters carry its leading axes.  The
         pair is built once per chart and exponents and kept in ``_cache``;
@@ -393,32 +395,20 @@ class Chart:
         return self._cache[key]
 
     def _build_embedding(self, ell: Tuple[Fraction, ...]):
-        if self.kind == "product":
-            if any(e != 1 for e in ell):
-                raise ConfigurationError("product embeddings are implemented for exponent 1 on each factor")
-            y, i2 = to_field([[0, 0], [1, 0]], object), np.eye(2, dtype=int)
-            lowering = [_both_fields(np.kron(y, i2)), _both_fields(np.kron(i2, y))]
-
-            def word(z):
-                z = to_field(z)
-                return [(M[z.dtype], z[..., j]) for j, M in enumerate(lowering)]
-
-            return outer_tensor(self.rep(0), self.rep(1)), word
         if self.n_gen == 1 and ell[0] == 1:
-            def word(z):
-                return [(self.word_element(0, z), 1)]
+            return self.rep(0), lambda z: [(self.word_element(0, z), 1)]
+        if not (self.kind == "wedge" and self.params["n"] == 1 or self.kind == "product" and ell == (1, 1)):
+            raise ConfigurationError(f"no embedding module implemented for {self.name} with exponents {ell}")
+        if any(e.denominator != 1 for e in ell):
+            raise ConfigurationError(f"projective lines embed at integer exponents, got {', '.join(map(str, ell))}")
+        rep = functools.reduce(outer_tensor, [sl2_module(int(e)) for e in ell])
+        lowering = [_both_fields(rep.simple[j + 1][1]) for j in range(len(ell))]
 
-            return self.rep(0), word
-        if self.kind == "wedge" and self.params.get("n") == 1 and self.n_gen == 1:
-            rep = sl2_module(int(ell[0]))
-            F = _both_fields(rep.simple[1][1])
+        def word(z):
+            z = to_field(z)
+            return [(F[z.dtype], z[..., j]) for j, F in enumerate(lowering)]
 
-            def word(z):
-                z = to_field(z)
-                return [(F[z.dtype], z[..., 0])]
-
-            return rep, word
-        raise ConfigurationError(f"no embedding module implemented for {self.name} with exponents {ell}")
+        return rep, word
 
 
 # |s|^2 = 2 for the quadric section; 1 + i keeps the exact path rational

@@ -20,7 +20,7 @@ from . import __version__
 from .charts import (DomainError, canonical_exponents, catalog_ids, dhomothetic_constant,
                      make_spec, potential_eval, resolve_case, ricci_flat_exponent)
 from .diffgeo import ChartDegeneracyError, FDConfig
-from .hvcone import GammaGroup, algebraic_residual, kodaira_embedding, remmert
+from .hvcone import GammaGroup, algebraic_residual, gamma_canonicalize, remmert
 from .roots import ConfigurationError, build_root_system, flag
 from .verify import SUITES, run_suite
 
@@ -119,12 +119,17 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def cmd_potential(args) -> int:
-    spec = make_spec(args.case, exponents=_parse_bundle(args.bundle), b=args.b, ell=args.ell)
+def _chart_point(args, spec):
+    """``(z, w)`` from ``--z`` (the origin by default) and ``--w``."""
     z = _parse_complex_list(args.z) if args.z else [0j] * spec.chart.n_z
     if len(z) != spec.chart.n_z:
         raise ConfigurationError(f"{spec.chart.name} needs {spec.chart.n_z} chart coordinates")
-    w = complex(args.w.replace("i", "j")) if isinstance(args.w, str) else complex(args.w)
+    return z, complex(args.w.replace("i", "j")) if isinstance(args.w, str) else complex(args.w)
+
+
+def cmd_potential(args) -> int:
+    spec = make_spec(args.case, exponents=_parse_bundle(args.bundle), b=args.b, ell=args.ell)
+    z, w = _chart_point(args, spec)
     value = potential_eval(spec, z, w)
     payload = {
         "case": args.case,
@@ -173,15 +178,12 @@ def cmd_verify(args) -> int:
 def cmd_embed(args) -> int:
     spec = make_spec(args.case, exponents=_parse_bundle(args.bundle), ell=args.ell)
     lam = complex(args.lam.replace("i", "j")) if args.lam else 0.5
-    z = _parse_complex_list(args.z) if args.z else [0j] * spec.chart.n_z
-    if len(z) != spec.chart.n_z:
-        raise ConfigurationError(f"{spec.chart.name} needs {spec.chart.n_z} chart coordinates")
-    w = complex(args.w.replace("i", "j")) if isinstance(args.w, str) else complex(args.w)
-    gamma = GammaGroup(lam)
-    point = kodaira_embedding(spec, gamma, z, w)
+    z, w = _chart_point(args, spec)
     module, _ = spec.chart.embedding_rep(spec.exponents)
     v = remmert(spec, z, w)
-    name, resid = algebraic_residual(spec, v / np.sqrt(module.norm_sq(v)))
+    norm = np.sqrt(module.norm_sq(v))
+    point = gamma_canonicalize(GammaGroup(lam), v, norm=norm)
+    name, resid = algebraic_residual(spec, v / norm)
     payload = {
         "case": args.case,
         "lambda": [lam.real, lam.imag],

@@ -14,9 +14,11 @@ arithmetic: an ``object`` array holds exact numbers (``QC``; ints and
 array is complex128.  One function body therefore serves both paths.  The
 few operations whose float rounding or whose exact value type differs
 between the two live here, as array functions that dispatch on the dtype:
-``to_field`` and ``like`` (conversion), ``real``, ``abs2``, ``modulus``
-and ``product``.  ``QC`` converts to ``complex`` through ``__complex__``,
-so ``np.asarray(a, dtype=complex)`` takes an exact array to floats.
+``to_field`` and ``like`` (conversion), ``real``, ``abs2`` and
+``modulus``.  Float products round as numpy's array loops do; ``charts``
+and ``hvcone`` run a single vector as a batch of one to match its row.
+``QC`` converts to ``complex`` through ``__complex__``, so
+``np.asarray(a, dtype=complex)`` takes an exact array to floats.
 """
 from __future__ import annotations
 
@@ -288,17 +290,3 @@ def modulus(a):
     a = np.asarray(a)
     return _abs2(a) if a.dtype == object else np.hypot(a.real, a.imag)
 
-
-def product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x * y`` elementwise; floats round each part as Python's complex scalars do.
-
-    numpy's complex array loop fuses the products of a part into one
-    multiply-add, so it differs in the last bit from the scalar formula
-    ``(xr yr - xi yi) + (xr yi + xi yr) i``.
-    """
-    if x.dtype == object:
-        return x * y
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out

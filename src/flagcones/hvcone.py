@@ -13,30 +13,30 @@ in the half-open annulus (|lambda|, 1], recording the integer branch.
 Everything works over leading axes: ``remmert`` takes ``z`` (..., n_z)
 and ``w`` (...), and the residuals, ``gamma_canonicalize`` and
 ``hopf_distance`` reduce over the last axis of (..., d) vectors and return
-one value per row.  A single vector (d,) keeps scalar results: a float
-residual, and a ``HopfPoint`` with an int branch and a float norm.  The
-quadric residuals are written once for both arithmetics: an exact vector
-(an object array or a list of ``QC``) gives the squared violation as a
-``Fraction``, anything else its float modulus (see ``exact.modulus``).
+one value per row.  A residual runs a single vector (d,) as a batch of
+one, so it rounds as that row of a batch, and returns a scalar; a single
+``HopfPoint`` has an int branch and a float norm.  An exact vector (an
+object array or a list of ``QC``) gives a quadric's squared violation as
+a ``Fraction``, anything else its float modulus (``exact.modulus``).
+The Casimir residual applies ``Delta(C)`` to ``v (x) v`` as rank-one terms.
 The group action under ``remmert`` is a truncated nilpotent series; float
 rows left with rounding residue take a dense exponential
 (``reps._exp_apply``).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, log
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .charts import DomainError, PotentialSpec
-from .exact import modulus, product, to_field
-from .reps import RepSpace, act, casimir_tensor_matrix
-from .roots import Weight, casimir_eigenvalue
+from .exact import modulus, to_field
+from .reps import RepSpace, act, casimir_terms
 
 
 @dataclass(frozen=True)
@@ -126,25 +126,35 @@ def _per_row(out, v: np.ndarray):
     return np.asarray(out).item() if v.ndim == 1 else out
 
 
+def _over_rows(residual):
+    """``residual(*params, v)`` over the rows of ``v`` (..., d) in its field; a vector (d,) runs as a batch of one."""
+    @functools.wraps(residual)
+    def wrapped(*params_and_v):
+        *params, v = params_and_v
+        v = to_field(v)
+        return _per_row(residual(*params, v[None] if v.ndim == 1 else v), v)
+    return wrapped
+
+
+@_over_rows
 def plucker_residual(n: int, k: int, v):
     """Largest violation of the Grassmannian quadric relations.
 
     The relations run over (k-1)-tuples a and (k+1)-tuples b:
     ``sum_l (-1)^l Z[a, b_l] Z[b \\ b_l] = 0``.  The squared violation (a
     ``Fraction``) for an exact ``v``, otherwise its modulus, per row of
-    (..., d).  Float terms round as Python's complex scalars do
-    (``exact.product``), so a row of a batch equals the vector alone.
+    (..., d).
     """
-    v = to_field(v)
     if v.shape[-1] != comb(n + 1, k):
         raise DomainError("coordinate vector has the wrong dimension")
     signed = np.concatenate([v, -v, np.zeros_like(v[..., :1])], axis=-1)
     total = 0
     for i, j in zip(*_plucker_table(n, k)):      # term by term, in the order of the relation
-        total = total + product(signed[..., i], v[..., j])
-    return _per_row(np.max(modulus(total), axis=-1), v)
+        total = total + signed[..., i] * v[..., j]
+    return np.max(modulus(total), axis=-1)
 
 
+@_over_rows
 def quadric_residual(N: int, v):
     """|q(v, v)| with q the symmetric form cutting out the quadric cone, per row of (..., d).
 
@@ -153,47 +163,31 @@ def quadric_residual(N: int, v):
     discriminant locus ``c_1^2/4 - c_0 c_2 = 0``.  Squared and exact for
     an exact ``v``.
     """
-    v = to_field(v)
-    q = v[..., 1] * v[..., 1] / 4 - v[..., 0] * v[..., 2] if N == 3 else np.sum(v * v, axis=-1)
-    return _per_row(modulus(q), v)
+    return modulus(v[..., 1] * v[..., 1] / 4 - v[..., 0] * v[..., 2] if N == 3 else np.sum(v * v, axis=-1))
 
 
+@_over_rows
 def determinant_residual(v):
     """|det W| for a vector in the 2x2 Segre product (conifold ambient), per row of (..., 4); squared and exact for an exact ``v``."""
-    v = to_field(v)
-    return _per_row(modulus(product(v[..., 0], v[..., 3]) - product(v[..., 1], v[..., 2])), v)
+    return modulus(v[..., 0] * v[..., 3] - v[..., 1] * v[..., 2])
 
 
-def _casimir_shifted(rep: RepSpace, mu: Optional[Weight], constant: Optional[Fraction]):
-    """``(Delta(C) - c(2 mu) Id, kron(gram, gram))``, kept in ``rep._np_cache`` per ``(mu, constant)``."""
-    key = ("casimir_shifted", mu, constant)
-    if key not in rep._np_cache:
-        if constant is None:
-            mu = rep.highest_weight if mu is None else mu
-            if mu is None:
-                raise DomainError("need a highest weight or an explicit Casimir constant")
-            constant = casimir_eigenvalue(2 * mu)
-        if "casimir_tensor" not in rep._np_cache:
-            rep._np_cache["casimir_tensor"] = casimir_tensor_matrix(rep)
-        D = rep._np_cache["casimir_tensor"]
-        rep._np_cache[key] = (D - float(constant) * np.eye(D.shape[0]), np.kron(rep.gram_np(), rep.gram_np()))
-    return rep._np_cache[key]
+@_over_rows
+def casimir_quadric_residual(rep: RepSpace, v):
+    """|(Delta(C) - c(2 lambda))(v (x) v)| for the unit-normalised v, per row of (..., d).
 
-
-def casimir_quadric_residual(rep: RepSpace, v, mu: Optional[Weight] = None,
-                             constant: Optional[Fraction] = None):
-    """|(Delta(C) - c(2 mu) Id)(v (x) v)| for the unit-normalised v, per row of (..., d).
-
-    ``c(2 mu)`` comes from the weight formula; for modules over product
-    algebras pass the constant directly.
+    ``lambda`` is the highest weight of ``rep``.  The operator on ``v (x) v``
+    is the d x d matrix ``X^T Y`` with rows ``Cv, v, v, B_a v`` of X and
+    ``v, Cv, -c v, 2 B^a v`` of Y (``reps.casimir_terms``), measured in the
+    invariant norm of V (x) V.
     """
-    shifted, weights = _casimir_shifted(rep, mu, constant)
+    if rep.highest_weight is None:
+        raise DomainError("the Casimir residual needs a module with a highest weight")
     v = np.asarray(v, dtype=complex)
     nv = v / np.sqrt(rep.norm_sq(v))[..., None]
-    vv = (nv[..., :, None] * nv[..., None, :]).reshape(v.shape[:-1] + (-1,))     # kron(nv, nv)
-    resid = np.matmul(shifted, vv[..., None])[..., 0]
-    # measure in the invariant norm of V (x) V
-    return _per_row(np.sqrt(np.sum(weights * np.abs(resid) ** 2, axis=-1)), v)
+    X, Y = ((nv @ T.T).reshape(nv.shape[:-1] + (-1, rep.dim)) for T in casimir_terms(rep))
+    g = rep.gram_np()
+    return np.sqrt(np.sum(g[:, None] * g * np.abs(np.matmul(X.swapaxes(-1, -2), Y)) ** 2, axis=(-2, -1)))
 
 
 def algebraic_residual(spec: PotentialSpec, v) -> Tuple[str, float]:

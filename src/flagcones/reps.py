@@ -8,8 +8,9 @@ Every catalog module carries:
   vector stored unnormalised together with its squared norm, so that all
   squared-norm computations stay rational;
 * a full algebra basis in the module together with its Killing Gram
-  matrix, from which Casimir operators on V and on V (x) V are assembled
-  with exact dual bases.
+  matrix, from which the Casimir operator on V is assembled with the exact
+  dual basis; on V (x) V, Kostant's operator is kept as the rank-one terms
+  of ``casimir_terms``, never as a d^2 x d^2 matrix.
 
 Exact data are numpy object arrays of ``QC`` (see ``exact``), and every
 operation here is written once: the dtype of its input picks exact or
@@ -34,7 +35,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .exact import ONE, QC, QI, ZERO, abs2, solve, to_field
-from .roots import ConfigurationError, RootSystem, Weight, build_root_system
+from .roots import ConfigurationError, RootSystem, Weight, build_root_system, casimir_eigenvalue
 
 
 class ExactModeError(RuntimeError):
@@ -92,9 +93,6 @@ class RepSpace:
 
     def simple_np(self, i: int):
         return self._cached(("simple", i), lambda: tuple(np.asarray(m, dtype=complex) for m in self.simple[i]))
-
-    def algebra_rep_np(self) -> np.ndarray:
-        return self._cached("alg", lambda: np.asarray(self.algebra_rep, dtype=complex))
 
     def norm_sq(self, v):
         """Squared norm in the invariant product, per row over the last axis; a ``Fraction`` when exact."""
@@ -444,13 +442,19 @@ def casimir_matrix(rep: RepSpace, exact: bool = False):
     return np.einsum("ab,aij,bjk->ik", np.asarray(_gram_inverse(rep), dtype=dtype), A, A)
 
 
-def casimir_tensor_matrix(rep: RepSpace):
-    """Casimir of the product action on V (x) V:
-    Delta(C) = C (x) 1 + 1 (x) C + 2 sum_a B_a (x) B^a."""
-    d = rep.dim
-    C = casimir_matrix(rep)
-    I = np.eye(d)
-    A = rep.algebra_rep_np()
-    G = np.asarray(_gram_inverse(rep), dtype=complex)
-    cross = np.einsum("ab,aij,bkl->ikjl", G, A, A).reshape(d * d, d * d)
-    return np.kron(C, I) + np.kron(I, C) + 2 * cross
+def casimir_terms(rep: RepSpace):
+    """``(P, Q)``: Kostant's ``Delta(C) - c(2 lambda)`` on ``v (x) v`` as rank-one terms, built once per module.
+
+    With ``Delta(C) = C (x) 1 + 1 (x) C + 2 sum_a B_a (x) B^a`` (``B^a`` the
+    Killing dual) and ``lambda`` the highest weight, ``P`` and ``Q``
+    ((3 + m) d, d) stack ``C, 1, 1, B_a`` and ``1, C, -c, 2 B^a``: the rows X
+    of ``v @ P.T`` and Y of ``v @ Q.T``, (3 + m, d) each, give it as ``X^T Y``.
+    """
+    def build():
+        one, B = np.eye(rep.dim)[None], np.asarray(rep.algebra_rep, dtype=complex)
+        dual = np.einsum("ab,bij->aij", np.asarray(_gram_inverse(rep), dtype=complex), B)
+        C, c = casimir_matrix(rep)[None], float(casimir_eigenvalue(2 * rep.highest_weight))
+        terms = ([C, one, one, B], [one, C, -c * one, 2 * dual])
+        return tuple(np.concatenate(t).reshape(-1, rep.dim) for t in terms)
+
+    return rep._cached("casimir_terms", build)

@@ -166,6 +166,12 @@ def test_embed_complex_lambda(capsys):
     assert json.loads(out)["residual"] < 1e-12
 
 
+@pytest.mark.parametrize("argv", [("verify", "--suite", "embedding"), ("embed", "--z", "0.3")])
+def test_fractional_exponent_on_a_projective_line_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], "--case", "cp:1", "--bundle", "3/2", *argv[1:])
+    assert code == 2 and out == "" and "integer exponents" in err
+
+
 def test_verify_fd_flags_and_tol(capsys):
     code, out, _ = run_cli(capsys, "verify", "--case", "hopf:cp1", "--suite", "lck",
                            "--samples", "4", "--fd-step", "2e-4", "--richardson", "2",

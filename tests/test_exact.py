@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from flagcones.diffgeo import _log_det
-from flagcones.exact import (QC, ZERO, abs2, hermitian_elimination, hermitian_inverse, modulus, product, real,
+from flagcones.exact import (QC, ZERO, abs2, hermitian_elimination, hermitian_inverse, modulus, real,
                              solve, to_field)
 
 
@@ -199,14 +199,6 @@ def test_real_abs2_modulus_per_field():
     c = np.asarray(v, dtype=complex)
     assert np.array_equal(real(c), c.real) and np.array_equal(abs2(c), np.abs(c) ** 2)
     assert np.array_equal(modulus(c), np.hypot(c.real, c.imag))
-
-
-def test_product_rounds_as_python_complex_scalars():
-    rng = np.random.default_rng(0)
-    x, y = (rng.normal(size=200) + 1j * rng.normal(size=200) for _ in range(2))
-    assert product(x, y).tolist() == [complex(a) * complex(b) for a, b in zip(x, y)]
-    v = to_field([QC(1, 2), QC(Q(1, 3))])
-    assert product(v, v[::-1]).tolist() == [QC(1, 2) * QC(Q(1, 3))] * 2
 
 
 def test_solve_is_field_generic():

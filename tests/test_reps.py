@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from flagcones.exact import QC, to_field
-from flagcones.reps import (ExactModeError, act, casimir_matrix, casimir_tensor_matrix,
+from flagcones.reps import (ExactModeError, act, casimir_matrix,
                             compact_directions, outer_tensor, sl2_module, so_radical_basis,
                             so_vector_module, trivial_module, wedge_module)
 from flagcones.roots import ConfigurationError, build_root_system, casimir_eigenvalue
@@ -248,10 +248,10 @@ def test_casimir_exact_schur_small():
                 assert x == (QC(c) if i == j else QC(0)), rep.name
 
 
-def test_casimir_tensor_on_highest_vector():
+def test_casimir_tensor_on_highest_vector(dense_casimir_tensor):
     """v+ (x) v+ spans the top component: Delta(C) acts there by c(2 mu)."""
     for rep in [sl2_module(1), sl2_module(2), wedge_module(3, 2)]:
-        D = casimir_tensor_matrix(rep)
+        D = dense_casimir_tensor(rep)
         v = rep.hw_unit()
         vv = np.kron(v, v)
         c = float(casimir_eigenvalue(2 * rep.highest_weight))

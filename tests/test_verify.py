@@ -147,6 +147,12 @@ def test_embedding_report_tolerances():
     assert gates(one) == {k: v for k, v in gates(default).items() if k != "injectivity_separation"}
 
 
+def test_embedding_refuses_a_fractional_exponent_on_a_projective_line(monkeypatch):
+    monkeypatch.setattr(verify, "remmert", lambda *args: pytest.fail("evaluated before refusing"))
+    with pytest.raises(ConfigurationError, match="integer exponents"):
+        run_suite("embedding", "cp:1", exponents=[Q(3, 2)])
+
+
 def test_suite_table_default_counts_and_names():
     names = ("lck", "vaisman", "kahler-einstein", "ricci-flat", "einstein-weyl", "embedding")
     assert verify.SUITES == names
