@@ -19,9 +19,8 @@ one, so it rounds as that row of a batch, and returns a scalar; a single
 object array or a list of ``QC``) gives a quadric's squared violation as
 a ``Fraction``, anything else its float modulus (``exact.modulus``).
 The Casimir residual applies ``Delta(C)`` to ``v (x) v`` as rank-one terms.
-The group action under ``remmert`` is a truncated nilpotent series; float
-rows left with rounding residue take a dense exponential
-(``reps._exp_apply``).
+The group action under ``remmert`` is ``reps.act``, whose exponential
+policy ``reps._exp_apply`` states.
 """
 from __future__ import annotations
 

@@ -18,10 +18,9 @@ complex arithmetic.  Unipotent group elements are evaluated by truncating
 the exponential series of a nilpotent matrix, which is exact over the
 rationals.  ``act`` works over leading axes: a word step ``(M, t)`` may
 carry one matrix ``(d, d)`` or one per row ``(..., d, d)``, and a scalar
-or per-row parameter.  A series that still has a nonzero term after
-``d + 1`` steps raises ``ExactModeError`` on the exact path; on the float
-path (a non-nilpotent step, or rounding residue) those rows fall back to
-a dense ``scipy.linalg.expm``.
+or per-row parameter.  The exponential policy lives in ``_exp_apply``:
+one series for both fields, and a step whose series does not terminate
+raises ``ExactModeError``.
 """
 from __future__ import annotations
 
@@ -39,7 +38,7 @@ from .roots import ConfigurationError, RootSystem, Weight, build_root_system, ca
 
 
 class ExactModeError(RuntimeError):
-    """Raised when an exact evaluation hits a non-nilpotent exponential."""
+    """Raised on a group-word step whose series does not terminate (exact or float)."""
 
 
 @dataclass(eq=False)
@@ -63,13 +62,6 @@ class RepSpace:
     basis_labels: Optional[tuple] = None
     _np_cache: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def hw_index(self) -> int:
-        for k, x in enumerate(self.hw_raw):
-            if x:
-                return k
-        raise ValueError("zero highest weight vector")
-
     def _cached(self, key, build):
         if key not in self._np_cache:
             self._np_cache[key] = build()
@@ -90,9 +82,6 @@ class RepSpace:
 
     def gram_np(self) -> np.ndarray:
         return self._gram(float)
-
-    def simple_np(self, i: int):
-        return self._cached(("simple", i), lambda: tuple(np.asarray(m, dtype=complex) for m in self.simple[i]))
 
     def norm_sq(self, v):
         """Squared norm in the invariant product, per row over the last axis; a ``Fraction`` when exact."""
@@ -370,9 +359,12 @@ def trivial_module() -> RepSpace:
 def _exp_apply(M: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
     """exp(t M) v per row: ``M`` (d, d) or (..., d, d), ``t`` () or (...), ``v`` (..., d), one dtype.
 
-    The series stops once every row's term is zero.  Exact rows whose
-    term is still nonzero after d + 1 steps raise ``ExactModeError``;
-    complex rows take a dense exponential.
+    One series for both fields, of at most d + 1 terms, stopping once
+    every row's term is zero.  A nilpotent step terminates: exactly over
+    the rationals, and within rounding in complex128.  So after the last
+    term an exact row that is still nonzero, or a float row whose term
+    exceeds unit roundoff times the row's largest entry, raises
+    ``ExactModeError``.
     """
     d = M.shape[-1]
     shape = np.broadcast_shapes(M.shape[:-2], t.shape, v.shape[:-1])
@@ -383,15 +375,8 @@ def _exp_apply(M: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
         if not np.any(term):
             return acc
         acc = acc + term
-    if acc.dtype == object:
-        raise ExactModeError("matrix is not nilpotent within the dimension bound")
-    # not nilpotent (or rounding residue) on these rows: dense exponential
-    from scipy.linalg import expm
-
-    rows = np.any(term != 0, axis=-1)
-    Ms, ts = np.broadcast_to(M, shape + (d, d))[rows], np.broadcast_to(t, shape)[rows]
-    vs = np.broadcast_to(v, shape + (d,))[rows]
-    acc[rows] = np.matmul(expm(ts[:, None, None] * Ms), vs[..., None])[..., 0]
+    if acc.dtype == object or np.any(np.max(abs(term), -1) > np.finfo(float).eps * np.max(abs(acc), -1)):
+        raise ExactModeError("the exponential series of a step does not terminate within d + 1 terms")
     return acc
 
 
@@ -399,9 +384,9 @@ def act(rep: RepSpace, word, v):
     """Apply the group element ``prod exp(t_s M_s)`` to the vector ``v``.
 
     ``word`` is a sequence of ``(M, t)`` pairs applied left to right, i.e.
-    the first pair acts first.  The dtype of ``v`` picks the arithmetic:
-    exact for an object array (every step must then be nilpotent, see
-    ``_exp_apply``), otherwise complex128, with the matrices and
+    the first pair acts first.  Every step must be nilpotent (see
+    ``_exp_apply``).  The dtype of ``v`` picks the arithmetic: exact for
+    an object array, otherwise complex128, with the matrices and
     parameters converted to it.  Matrices ``(d, d)`` or ``(..., d, d)``,
     parameters scalar or ``(...)`` and ``v`` ``(..., d)`` broadcast over
     their leading axes.

@@ -201,9 +201,17 @@ def test_fd_step_at_default_echoes_default_config(capsys):
 
 
 def test_importing_the_library_does_not_load_scipy():
-    """scipy is imported lazily (``reps._exp_apply``, ``hvcone``), so it costs no start-up time."""
+    """scipy is imported lazily (``hvcone.stenzel_potential`` alone), so it costs no start-up time.
+
+    Group words are nilpotent series, so the embedding suite never loads it either.
+    """
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, flagcones, flagcones.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False", out
+    embedding = ("import sys\n"
+                 "from flagcones.verify import run_suite\n"
+                 "assert all(run_suite('embedding', f'quadric:{n}', seed=s).verdict\n"
+                 "           for n in (5, 6, 7, 8, 10) for s in range(8))\n"
+                 "print('scipy' in sys.modules)")
+    for code in ("import sys, flagcones, flagcones.cli; print('scipy' in sys.modules)", embedding):
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False", out
