@@ -93,15 +93,14 @@ def _block_slots(n: int, ks: Tuple[int, ...]) -> tuple:
 
 
 class UnitTables(NamedTuple):
-    """Gather tables of ``log_gram_jets`` for a frame with unit Jacobians, built once per chart.
+    """Index tables of ``log_gram_jets`` for a frame with unit Jacobians, built once per chart.
 
     The frame is the first r columns of the identity plus each coordinate
     at its unit; ``rows`` carry coordinates, the others are identity rows
-    with their 1 in the columns ``ones``.  ``grad[a]``, ``hess[a, b]`` and
-    ``cols[a, b]`` index one stack of ``(G^-1 F*)[col, u]``, a zero,
-    ``P[u, u']`` and ``G^-1[col, col']`` (row-major, u indexing ``rows``) at
-    ``(col_a, u_a)``, ``(u_b, u_a)`` and ``(col_a, col_b)``, or at the zero for
-    a coordinate outside the frame.
+    with their 1 in the columns ``ones``.  Row-major, u indexing ``rows``:
+    ``grad[a]`` indexes ``(G^-1 F*)[col, u]`` at ``(col_a, u_a)`` (``r * len(rows)``
+    off the frame), ``hess[a, b]`` indexes ``P[u, u']`` at ``(u_b, u_a)`` and
+    ``cols[a, b]`` ``G^-1[col, col']`` at ``(col_a, col_b)`` (-1 off the frame).
     """
 
     rows: np.ndarray
@@ -116,9 +115,9 @@ def _unit_tables(rows, cols, on, r: int) -> UnitTables:
     urows = sorted(set(rows[on].tolist()))
     u, nu = np.array([urows.index(i) if o else 0 for i, o in zip(rows.tolist(), on)]), len(urows)
     grad = np.where(on, cols * nu + u, r * nu)
-    cc = np.where(~on[:, None] | ~on, r * nu, r * nu + 1 + nu * nu + cols[:, None] * r + cols)
+    cc = np.where(~on[:, None] | ~on, -1, cols[:, None] * r + cols)
     return UnitTables(_read_only(np.array(urows)), tuple(sorted(set(range(r)) - set(urows))),
-                      *map(_read_only, (grad, r * nu + 1 + u * nu + u[:, None], cc)))
+                      *map(_read_only, (grad, u * nu + u[:, None], cc)))
 
 
 @lru_cache(maxsize=None)
@@ -171,9 +170,9 @@ def log_gram_jets(F, jac, hessian=True):
     in either field and its Jacobians.  With ``P = 1 - F G^-1 F*``,
     ``d_a log h = tr(G^-1 F* d_a F)`` and ``d_a dbar_b log h = tr(G^-1 (d_b F)* P d_a F)``.
     Wedge and product frames (``jac`` a ``UnitTables``) have unit Jacobians
-    ``d_a F = E(row_a, col_a)`` or zero, so both jets are gathers from
-    ``G^-1 F*`` at the frame rows that carry coordinates,
-    ``(G^-1 F*)[col_a, row_a]`` and ``P[row_b, row_a] G^-1[col_a, col_b]``.
+    ``d_a F = E(row_a, col_a)`` or zero: at the frame rows that carry coordinates,
+    the gradient gathers ``(G^-1 F*)[col_a, row_a]`` and each Hessian entry is
+    one product ``P[row_b, row_a] G^-1[col_a, col_b]`` written into one array.
     ``G^-1`` comes from the Hermitian elimination of ``exact`` on the Gram
     entry arrays (the one ``gram_minors`` runs) and back-substitution, so no
     call is made per matrix.  The quadric section (``jac = z / 2``) takes the
@@ -189,16 +188,19 @@ def log_gram_jets(F, jac, hessian=True):
     Ginv = hermitian_inverse(*hermitian_elimination(G))
     A = [[_dot(row, e) for e in Ec] for row in Ginv]                 # (G^-1 F*)[j, rows_u]
     flat = [x for row in A for x in row] + [np.zeros_like(A[0][0])]
+    grad = np.stack([flat[k] for k in jac.grad.tolist()])
     if not hessian:
-        return (_roll_axes(np.array(flat)[jac.grad], 1),)
+        return (_roll_axes(grad, 1),)
     At, P = list(zip(*A)), [[None] * len(E) for _ in E]               # P[u][v] = P[rows_u, rows_v], Hermitian
     for u, v in combinations_with_replacement(range(len(E)), 2):
         P[u][v] = int(u == v) - _dot(E[u], At[v])
         P[v][u] = np.conj(P[u][v])
-    flat = np.array(flat + [x for row in P + Ginv for x in row])
-    hess = flat[jac.hess]
-    hess *= flat[jac.cols]
-    return _roll_axes(flat[jac.grad], 1), _roll_axes(hess, 2)
+    P, Ginv = [x for row in P for x in row], [x for row in Ginv for x in row]
+    hess = np.zeros(jac.cols.shape + grad.shape[1:], grad.dtype)       # each entry written once
+    for (a, b), c in np.ndenumerate(jac.cols):
+        if c >= 0:
+            np.multiply(P[jac.hess[a, b]], Ginv[c], out=hess[a, b])
+    return _roll_axes(grad, 1), _roll_axes(hess, 2)
 
 
 def _quadric_log_jets(s, half_z, hessian=True):

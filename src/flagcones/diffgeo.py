@@ -25,11 +25,12 @@ call per matrix.
 
 The connection and curvature algebra (``weyl_ricci_of_jets``,
 ``nabla_of_jets``, ``weyl_symbols_of_jets``, ``weyl_metric_derivative``)
-runs on the jets, batched over leading axes, so one joint field -- metric
-rows and a Lee-form row, ``(m, d+1, d)``, separated by ``split_joint`` --
-feeds it from a single stencil for a whole batch.  Its Ricci tensors read
-two traces of the symbol derivatives by batched matmul
-(``_symbol_traces``), and a caller holding ``g^-1`` passes it in.
+runs on the jets, batched over leading axes, so one cone field -- the
+complex entries of an n x n complex Hessian as floats, then a Lee form,
+``(m, 2n^2 + d)``, expanded by ``split_cone`` -- feeds it from a single
+stencil for a whole batch.  Its Ricci tensors read two traces of the symbol
+derivatives by batched matmul (``_symbol_traces``), and a caller holding
+``g^-1`` passes it in.
 
 Conventions (with ``d^c = i (dbar - d)`` and real potentials F):
 
@@ -46,9 +47,10 @@ potential has squared norm 4 for the associated Vaisman metric.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -250,18 +252,21 @@ def complex_hessian(H: np.ndarray) -> np.ndarray:
     return 0.25 * ((xx + yy) + 1j * (xy - yx))
 
 
-def metric_of_complex_hessian(Hc: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The metric ``omega J`` of the quarter-normalised Kahler form of complex Hessians ``Hc``.
+def split_cone(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(g, theta)`` from cone values or jets (..., 2n^2 + d), d = 2n: a complex Hessian ``Hc`` as floats, then theta.
 
-    ``g[2a, 2b] = g[2a+1, 2b+1] = Re Hc_ab`` and ``g[2a, 2b+1] = -g[2a+1, 2b] = Im Hc_ab``;
-    written into ``out`` when it is given.
+    ``g`` is the metric ``omega J`` of the quarter-normalised Kahler form of ``Hc``:
+    ``g[2a, 2b] = g[2a+1, 2b+1] = Re Hc_ab`` and ``g[2a, 2b+1] = -g[2a+1, 2b] = Im Hc_ab``.
+    Copies and negations only, so expanding the differences of a cone field
+    equals differencing the expanded field, bit for bit up to the sign of zero.
     """
-    n = Hc.shape[-1]
-    g = np.empty(Hc.shape[:-2] + (2 * n, 2 * n)) if out is None else out
+    d = math.isqrt(2 * v.shape[-1] + 1) - 1
+    Hc = v[..., :-d].view(complex).reshape(v.shape[:-1] + (d // 2, d // 2))
+    g = np.empty(v.shape[:-1] + (d, d))
     g[..., 0::2, 0::2] = g[..., 1::2, 1::2] = Hc.real
     g[..., 0::2, 1::2] = Hc.imag
     np.negative(Hc.imag, out=g[..., 1::2, 0::2])
-    return g
+    return g, np.ascontiguousarray(v[..., -d:])
 
 
 def _log_det(H: np.ndarray) -> np.ndarray:
@@ -319,11 +324,6 @@ def wedge_one_two(theta: np.ndarray, Omega: np.ndarray) -> np.ndarray:
 # Jets, each with the same leading batch axes: a metric g, dg[..., a, i, j] =
 # d_a g_ij, ddg[..., a, b, i, j] = d_a d_b g_ij, a Lee form theta and
 # dtheta[..., a, i] = d_a theta_i.  Contractions are matmuls on reshaped arrays.
-
-def split_joint(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Metric rows and Lee-form row of joint values or jets (..., d+1, d)."""
-    return np.ascontiguousarray(v[..., :-1, :]), np.ascontiguousarray(v[..., -1, :])
-
 
 def _fold(a: np.ndarray, k: int, *shape: int) -> np.ndarray:
     """``a`` with its last k axes reshaped to ``shape``."""

@@ -10,9 +10,9 @@ configuration).
 The inner fields are analytic: ``g_tilde``, ``theta``, ``Omega`` and the
 complex Hessians under the Ricci forms come in closed form from the chart
 frames (``PotentialSpec.cone_jet``, ``base_hessian``), so one finite-difference
-level is left above them.  ``g_tilde`` and ``theta`` travel as one joint
+level is left above them.  ``g_tilde`` and ``theta`` travel as one cone
 field (``conformal_fields``): each stencil evaluates the cone jet once and
-reads the metric, the Lee form and ``Omega = -g_tilde J`` from it.  Finite
+expands the metric, the Lee form and ``Omega = -g_tilde J`` from it.  Finite
 differences of the potential stay as an independent route: each
 finite-difference suite ends with a ``metric_agreement`` residual, the
 relative gap per sample between the analytic complex Hessian
@@ -167,13 +167,14 @@ _W_FLOOR = 1e-6      # |w| below which a cone field refuses the point (ChartDege
 def conformal_fields(spec: PotentialSpec, cfg: FDConfig, ref=None):
     """The potential and the joint conformal field of the cone geometry of K = K_1^b.
 
-    Returns ``(K, cone)``.  ``cone(P)`` is one batched field (m, d+1, d)
-    read from a single cone-jet ``(phi_a, ddbar K / K)`` evaluation: rows
-    0..d-1 hold the Vaisman gauge ``g_tilde = e^(-2 psi) omega_C(., J.)``
-    with ``psi = log K / 2`` (the real form of ``ddbar K / K``) and row d the
-    Lee form ``theta = -d log K``, with components ``(-2b Re phi_a, 2b Im phi_a)``.
-    ``diffgeo.split_joint`` separates the two; ``Omega_tilde = -g_tilde J``
-    and the cone metric ``g_tilde K`` are read from the metric rows.
+    Returns ``(K, cone)``.  ``cone(P)`` is one batched field (m, 2n^2 + d),
+    d = 2n, read from a single cone-jet ``(phi_a, ddbar K / K)`` evaluation:
+    the complex entries of ``ddbar K / K`` as floats, then the Lee form
+    ``theta = -d log K``, with components ``(-2b Re phi_a, 2b Im phi_a)``.
+    Finite differences run on this layout, and ``diffgeo.split_cone`` expands
+    values or jets into ``theta`` and the Vaisman gauge ``g_tilde = e^(-2 psi)
+    omega_C(., J.)``, ``psi = log K / 2`` (the real form of ``ddbar K / K``);
+    ``Omega_tilde = -g_tilde J`` and the cone metric ``g_tilde K`` follow.
 
     With reference points ``ref`` (m, d), ``K`` is normalised per sample:
     a call of it holds the rows of the m samples in order, as many for each
@@ -196,9 +197,9 @@ def conformal_fields(spec: PotentialSpec, cfg: FDConfig, ref=None):
         if np.any(np.hypot(P[..., 2 * spec.chart.n_z], P[..., 2 * spec.chart.n_z + 1]) < _W_FLOOR):
             raise diffgeo.ChartDegeneracyError("sample too close to the w = 0 fiber")
         phi, H = jet(P)
-        out = np.empty((len(P), P.shape[1] + 1, P.shape[1]))
-        diffgeo.metric_of_complex_hessian(H, out=out[:, :-1])
-        out[:, -1] = lee_components(phi, b)
+        out = np.empty((len(P), H[0].size * 2 + P.shape[1]))
+        out[:, :-P.shape[1]].view(complex).reshape(H.shape)[...] = H
+        out[:, -P.shape[1]:] = lee_components(phi, b)
         return out
 
     return F, cone
@@ -220,7 +221,7 @@ def _open_report(suite: str, spec: PotentialSpec, samples: SampleSet, cfg: Optio
 
 # Field rows in one call.  A call costs tens of numpy dispatches, so a default-count suite
 # (<= 201 rows x 20 samples) is one block, for ~3 MB more peak RSS than 1024 rows; above
-# ~4k rows the temporaries of ``log_gram_jets`` re-fault the heap on every call.
+# ~4k rows the temporaries of each cone-field call re-fault the heap on every call.
 _CHUNK_ROWS = 4096
 
 
@@ -265,7 +266,7 @@ def lck_data(spec: PotentialSpec, p, cfg: Optional[FDConfig] = None):
     cfg = cfg or FDConfig()
     p = np.asarray(p, dtype=float)
     _, cone = conformal_fields(spec, cfg)
-    g, th = diffgeo.split_joint(cone(p[None, :])[0])
+    g, th = diffgeo.split_cone(cone(p[None, :])[0])
     J = diffgeo.complex_structure(len(p))
     return {
         "theta": th,
@@ -297,13 +298,13 @@ def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] =
     lee = spec.lee_form()       # d theta reads the gradient half of the jets alone
 
     def block(P):
-        g, th = diffgeo.split_joint(cone(P))
+        g, th = diffgeo.split_cone(cone(P))
         th = corrupt_theta * th
         D = diffgeo._jacobian_of_field(lee, P, cfg, diffgeo.scaled_steps(P, cfg.base_step))
         r_dth = _relative(D - np.swapaxes(D, -1, -2), th)
-        # d Omega = -(d g) J: the metric rows are differenced as views of the joint field
-        metric_rows = lambda X: cone(X)[:, :-1]
-        dg = diffgeo._jacobian_of_field(metric_rows, P, cfg, diffgeo.scaled_steps(P, cfg.nested_step / 2))
+        # d Omega = -(d g) J, with d g expanded from the differences of the cone field
+        dcone = diffgeo._jacobian_of_field(cone, P, cfg, diffgeo.scaled_steps(P, cfg.nested_step / 2))
+        dg, _ = diffgeo.split_cone(dcone)
         dOm = diffgeo.d_twoform_of_jets(dg @ -J)
         wedge = diffgeo.wedge_one_two(th, -g @ J)
         dOm -= wedge
@@ -319,10 +320,10 @@ def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] =
 
 
 def _with_cone_metric(cone, F):
-    """The joint field with the unrescaled cone metric ``g_tilde K`` in its metric rows."""
+    """The cone field with the unrescaled ``ddbar K`` in its Hessian block."""
     def field(P):
         v = cone(P)
-        v[:, :-1] *= F(P)[:, None, None]
+        v[:, :-P.shape[1]] *= F(P)[:, None]
         return v
 
     return field
@@ -336,12 +337,12 @@ def check_vaisman(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfi
 
     def block(P):
         F, cone = conformal_fields(spec, cfg, ref=P)
-        g, th = diffgeo.split_joint(cone(P))
+        g, th = diffgeo.split_cone(cone(P))
         field, gp = cone, g
         if metric != "vaisman":
             field, gp = _with_cone_metric(cone, F), g * F(P)[:, None, None]
         jac = diffgeo._jacobian_of_field(field, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))
-        dg, dth = diffgeo.split_joint(jac)
+        dg, dth = diffgeo.split_cone(jac)
         return _relative(diffgeo.nabla_of_jets(gp, dg, th, dth), th), g
 
     vals, g = _chunked(block, _rows(spec.real_dim, second=False), samples.points)
@@ -426,16 +427,16 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
     _, cone = conformal_fields(spec, cfg)
 
     def block(P):
-        # one joint stencil gives g and theta at P and their jets
+        # one stencil of the cone field gives g and theta at P and their jets
         jets = diffgeo._metric_jets(cone, P, cfg, cfg.jet_step * coordinate_scales(spec, P))
-        (g, th), (dg, dth), (ddg, _) = map(diffgeo.split_joint, jets)
+        (g, th), (dg, dth), (ddg, _) = map(diffgeo.split_cone, jets)
         t, ginv = th / 2.0, np.linalg.inv(g)         # the block's one metric inverse
         norm2 = t[:, None, :] @ ginv @ t[:, :, None]
         target = (n - 2) * (norm2 * g - t[:, :, None] * t[:, None, :])
         rc, rf, ric = diffgeo.weyl_ricci_of_jets(g, dg, ddg, th, dth, ginv)
         # D g = theta (x) g, with dg at the nested step
         nest = cfg.nested_step * coordinate_scales(spec, P)
-        dg, _ = diffgeo.split_joint(diffgeo._jacobian_of_field(cone, P, cfg, nest))
+        dg, _ = diffgeo.split_cone(diffgeo._jacobian_of_field(cone, P, cfg, nest))
         cov = diffgeo.weyl_metric_derivative(g, dg, th, ginv)
         tgt = th[:, :, None, None] * g[:, None]
         return (_relative(ric - target, target), _relative(rc, target), _relative(rf, target),

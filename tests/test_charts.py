@@ -1,4 +1,5 @@
 """Potential catalog: closed forms, the module path, exponents, constants."""
+import tracemalloc
 from fractions import Fraction as Q
 from itertools import combinations
 from math import comb
@@ -315,6 +316,23 @@ def test_log_gram_jets_of_one_point_equal_its_batch_row(case):
     for one, batch in zip(chart.frames(z[1]), chart.frames(z)):
         for a, b in zip(charts.log_gram_jets(*one), charts.log_gram_jets(*batch)):
             assert np.array_equal(a, b[1])
+
+
+@pytest.mark.parametrize("case", ["gr24", "grassmann:4:2"])
+def test_log_gram_jets_working_set_is_small(case):
+    """A 4096-row call peaks at no more than 2.5x the bytes it returns: no stacked copy of the whole table."""
+    chart = resolve_case(case)
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(4096, chart.n_z)) + 1j * rng.normal(size=(4096, chart.n_z))
+    (F, jac), = chart.frames(z)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        jets = charts.log_gram_jets(F, jac)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * sum(jet.nbytes for jet in jets), peak / sum(jet.nbytes for jet in jets)
 
 
 @pytest.mark.parametrize("case", ["gr24", "wallach", "flag:A:3:1,3", "conifold"])

@@ -130,6 +130,15 @@ def test_verify_chart_degeneracy_exit_one(capsys, monkeypatch):
     assert err.startswith("error: sample too close")
 
 
+def test_embed_nonterminating_word_is_an_error_message(capsys):
+    """A point far out on quadric:5 leaves a float series residue: exit 1 with ``error:``, no traceback."""
+    z = ("161009.57671534465-1401520.2149174279i,-585528.8241233366+502682.8498748657i,"
+         "-1341219.714076669+989713.0332858049i")
+    code, _, err = run_cli(capsys, "embed", "--case", "quadric:5", "--z", z)
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_verify_deterministic_bytes(capsys, tmp_path):
     args = ["verify", "--case", "hopf:cp1", "--suite", "lck", "--seed", "11",
             "--samples", "5", "--deterministic"]

@@ -54,6 +54,11 @@ def _joint(gfield, theta):
     return lambda P: np.concatenate([gfield(P), theta(P)[:, None, :]], axis=1)
 
 
+def _split_joint(v):
+    """Metric rows and one-form row of ``_joint`` values or jets (..., d+1, d)."""
+    return np.ascontiguousarray(v[..., :-1, :]), np.ascontiguousarray(v[..., -1, :])
+
+
 def test_d_scalar_linear_exact():
     F = lambda P: 3.0 * P[..., 0] - 2.0 * P[..., 1] + 0.5 * P[..., 2] + 7.0
     g = _grad(F, np.array([[0.3, -0.2, 1.0, 0.5]]))[0]
@@ -181,7 +186,7 @@ def test_nabla_antisymmetric_part_is_half_dtheta():
     p = np.array([0.4, -0.1, 1.05, 0.3])
     gfield = _metric_field(F, p)
     P = p[None, :]
-    dg, dtheta = diffgeo.split_joint(_grad(_joint(gfield, theta), P, CFG.hessian_step))
+    dg, dtheta = _split_joint(_grad(_joint(gfield, theta), P, CFG.hessian_step))
     nab = diffgeo.nabla_of_jets(gfield(P), dg, theta(P), dtheta)[0]
     dth = _d_oneform(theta, P)[0]
     assert np.max(np.abs((nab - nab.T) - 0.5 * (dth - dth.T))) < 1e-6
@@ -248,7 +253,7 @@ def test_weyl_ricci_paths_agree_off_shell():
     h = scaled_steps(P[0], CFG.base_step)
     theta = lambda Q: -diffgeo._jacobian_of_field(logF, Q, CFG, h)
     jets = diffgeo._metric_jets(_joint(gfield, theta), P, CFG, scaled_steps(P, CFG.jet_step))
-    (g, th), (dg, dth), (ddg, _) = map(diffgeo.split_joint, jets)
+    (g, th), (dg, dth), (ddg, _) = map(_split_joint, jets)
     rc, rf, _ = diffgeo.weyl_ricci_of_jets(g, dg, ddg, th, dth)
     scale = max(np.max(np.abs(rc)), 1.0)
     assert np.max(np.abs(rc)) > 0.1          # genuinely off-shell probe
@@ -371,9 +376,30 @@ def test_chart_degeneracy_guard():
         cone(np.array([[0.1, 0.0, 1e-9, 0.0]]))
     good = np.array([[0.1, 0.0, 1.0, 0.3], [0.2, -0.1, 0.0, 0.8]])
     bad = np.array([good[0], [0.2, -0.1, 1e-9, -1e-9], good[1]])   # only the second point
-    assert cone(good).shape == (2, 5, 4) and np.all(np.isfinite(cone(good)))
+    # per point: the 2 x 2 complex entries of ddbar K / K as 8 floats, then 4 Lee-form components
+    assert cone(good).shape == (2, 12) and np.all(np.isfinite(cone(good)))
     with pytest.raises(diffgeo.ChartDegeneracyError):
         cone(bad)
+
+
+@pytest.mark.parametrize("case", ["gr24", "quadric:6", "wallach", "conifold"])
+def test_expanding_the_cone_field_commutes_with_its_differences(case):
+    """Stencil drivers on the compact cone field, then ``split_cone``, equal them on the expanded field bit for bit."""
+    from flagcones.verify import conformal_fields, coordinate_scales, sample_points
+
+    spec = make_spec(case)
+    _, cone = conformal_fields(spec, CFG)
+
+    def expanded(X):
+        g, th = diffgeo.split_cone(cone(X))
+        return np.concatenate([g, th[:, None, :]], axis=1)
+
+    P = sample_points(spec, 5, 20).points
+    h = CFG.jet_step * coordinate_scales(spec, P)
+    for driver in (diffgeo._metric_jets, lambda *a: (diffgeo._jacobian_of_field(*a),)):
+        for compact, full in zip(driver(cone, P, CFG, h), driver(expanded, P, CFG, h)):   # (g, dg, ddg), (dg,)
+            for a, b in zip(diffgeo.split_cone(compact), _split_joint(full)):
+                assert np.array_equal(a, b)
 
 
 def test_fd_audit_on_catalog_potentials():
