@@ -25,8 +25,9 @@ exactly as the same point inside a batch.
 ``log_gram_jets`` turns them into closed-form ``d log h`` and ``ddbar log h``
 in either field, the analytic Kahler layer under the verification suites.
 Both layers run one Hermitian elimination (``exact.hermitian_elimination``)
-on the Gram entry arrays: ``gram_minors`` takes running products of its
-pivots, ``log_gram_jets`` back-substitutes for ``G^-1``.  Each ``d_a F`` of
+on the Gram entries of the frame rows that carry coordinates: ``gram_minors``
+takes running products of its pivots, ``log_gram_jets`` back-substitutes for
+``G^-1`` and hands back ``h``, the product of the pivots.  Each ``d_a F`` of
 a wedge or product frame is one matrix unit, so their jets are gathers
 through index tables built once per chart, with no LAPACK call per matrix;
 the quadric section's jets are closed forms in ``z``.  A ``PotentialSpec``
@@ -70,14 +71,26 @@ def _big_cell(n: int, slots, z, cols: Optional[int] = None) -> np.ndarray:
 
     ``slots`` gives the (row, col) position of each coordinate below the
     diagonal, every col below ``cols``.  Batched over the leading axes of
-    ``z``, in its dtype.
+    ``z``, in its dtype: a cached identity, copied, with ``z`` scattered in.
     """
     r = n + 1 if cols is None else cols
-    M = np.full(z.shape[:-1] + (n + 1, r), ZERO, dtype=z.dtype)
-    M[..., range(r), range(r)] = ONE
-    rows, cs = zip(*slots)
-    M[..., rows, cs] = z
-    return M
+    eyes, index = _cell_template(n, slots, r)
+    M = np.empty(z.shape[:-1] + ((n + 1) * r,), dtype=z.dtype)
+    M[...] = eyes[z.dtype]
+    M[..., index] = z
+    return M.reshape(z.shape[:-1] + (n + 1, r))
+
+
+@lru_cache(maxsize=None)
+def _cell_template(n: int, slots, r: int) -> tuple:
+    """The first r identity columns of GL(n+1), flat and in both fields, and the flat index of the slots.
+
+    The index is a slice when the slots are one run, as on Grassmannians.
+    """
+    eye = np.array([ONE if i == j else ZERO for i in range(n + 1) for j in range(r)], dtype=object)
+    flat = [i * r + j for i, j in slots]
+    run = flat == list(range(flat[0], flat[-1] + 1))
+    return _both_fields(_read_only(eye)), slice(flat[0], flat[-1] + 1) if run else _read_only(np.array(flat))
 
 
 @lru_cache(maxsize=None)
@@ -149,6 +162,11 @@ def _gram(F, units=None):
                    for a in range(r)]
 
 
+def _squared_norms(F):
+    """The squared column norms of a frame (..., N, r), summed row by row from its constant leading 1: (..., r)."""
+    return sum((abs2(F[..., i, :]) for i in range(1, F.shape[-2])), 1)
+
+
 def _roll_axes(a: np.ndarray, k: int) -> np.ndarray:
     """A view of ``a`` with its axes rolled left by k (cheaper than ``np.moveaxis``)."""
     axes = tuple(range(a.ndim))
@@ -164,7 +182,7 @@ def _dot(xs, ys, start=0):
 
 
 def log_gram_jets(F, jac, hessian=True):
-    """``(d_a log h, d_a dbar_b log h)`` of ``h = det G``, ``G = F* F``, batched over leading axes.
+    """``(d_a log h, d_a dbar_b log h, h)`` of ``h = det G``, ``G = F* F``, batched over leading axes.
 
     ``(F, jac)`` is a pair of ``Chart.frames``: a holomorphic frame (..., N, r)
     in either field and its Jacobians.  With ``P = 1 - F G^-1 F*``,
@@ -175,9 +193,10 @@ def log_gram_jets(F, jac, hessian=True):
     one product ``P[row_b, row_a] G^-1[col_a, col_b]`` written into one array.
     ``G^-1`` comes from the Hermitian elimination of ``exact`` on the Gram
     entry arrays (the one ``gram_minors`` runs) and back-substitution, so no
-    call is made per matrix.  The quadric section (``jac = z / 2``) takes the
-    closed forms of ``_quadric_log_jets``, with no Gram inverse.  With
-    ``hessian`` false only ``(d_a log h,)`` is computed.
+    call is made per matrix, and ``h`` is the product of its pivots, bit for
+    bit the minor of ``gram_minors``.  The quadric section (``jac = z / 2``)
+    takes the closed forms of ``_quadric_log_jets``, with no Gram inverse.
+    With ``hessian`` false only ``(d_a log h,)`` is computed.
     """
     if np.ndim(F) == 2:                 # one frame runs as a batch of one: numpy scalars round differently
         jac = jac if isinstance(jac, UnitTables) else jac[None]
@@ -185,7 +204,9 @@ def log_gram_jets(F, jac, hessian=True):
     if not isinstance(jac, UnitTables):
         return _quadric_log_jets(F[..., 0], jac, hessian)
     E, Ec, G = _gram(F, jac)
-    Ginv = hermitian_inverse(*hermitian_elimination(G))
+    pivots, L = hermitian_elimination(G)
+    Ginv, h = hermitian_inverse(pivots, L), functools.reduce(np.multiply, pivots)
+    del pivots, L                       # free the elimination before the large temporaries below
     A = [[_dot(row, e) for e in Ec] for row in Ginv]                 # (G^-1 F*)[j, rows_u]
     flat = [x for row in A for x in row] + [np.zeros_like(A[0][0])]
     grad = np.stack([flat[k] for k in jac.grad.tolist()])
@@ -200,7 +221,7 @@ def log_gram_jets(F, jac, hessian=True):
     for (a, b), c in np.ndenumerate(jac.cols):
         if c >= 0:
             np.multiply(P[jac.hess[a, b]], Ginv[c], out=hess[a, b])
-    return _roll_axes(grad, 1), _roll_axes(hess, 2)
+    return _roll_axes(grad, 1), _roll_axes(hess, 2), h
 
 
 def _quadric_log_jets(s, half_z, hessian=True):
@@ -210,28 +231,31 @@ def _quadric_log_jets(s, half_z, hessian=True):
     ``c_a = s* u_a = zbar_a/2 + qbar z_a/8`` and ``u_b* u_a = delta_ab/2 + zbar_b z_a/4``:
     ``d_a log h = c_a / h`` and ``d_a dbar_b log h = (delta_ab/2 + z_a zbar_b/4)/h - grad_a conj(grad_b)``.
     """
-    inv_h = 1 / np.sum(abs2(s), axis=-1)[..., None]
+    h = np.sum(abs2(s), axis=-1)
+    inv_h = 1 / h[..., None]
     grad = (np.conj(half_z) + np.conj(s[..., -1:]) * half_z) * inv_h
     if not hessian:
         return (grad,)
     delta = to_field(np.eye(half_z.shape[-1], dtype=int), half_z.dtype) / 2
     hess = (half_z[..., :, None] * np.conj(half_z[..., None, :]) + delta) * inv_h[..., None]
     hess -= grad[..., :, None] * np.conj(grad[..., None, :])
-    return grad, hess
+    return grad, hess, h
 
 
-def gram_minors(F):
+def gram_minors(F, units=None):
     """Leading principal minors ``det G[:k, :k]``, k = 1..r, of ``G = F* F``: shape (..., r).
 
     ``F`` is an (..., N, r) frame.  By Cauchy-Binet the k-th minor is the
     sum of squared k x k minors of the first k columns.  ``G`` is Hermitian
     positive definite, so the minors are running products of the pivots of
-    ``exact.hermitian_elimination``.  Each Gram entry is an array over the
+    ``exact.hermitian_elimination``.  With the frame's ``UnitTables`` only its
+    coordinate rows are read (``_gram``), bit for bit as the whole frame: the
+    identity rows add exact zeros.  Each Gram entry is an array over the
     leading axes of ``F`` (a scalar for an (N, r) frame); exact frames give
     ``Fraction`` minors.
     """
     out, det = [], 1
-    for pivot in hermitian_elimination(_gram(F)[2])[0]:
+    for pivot in hermitian_elimination(_gram(F, units)[2])[0]:
         det = det * pivot
         out.append(det)
     return np.stack(out, axis=-1)
@@ -316,14 +340,15 @@ class Chart:
     def h_closed(self, z):
         """Fundamental potentials, the Gram determinants of the chart frames: shape (..., n_gen).
 
+        Wedge charts read the widest frame's coordinate rows (its ``UnitTables``).
         ``Fraction``s in an object array when ``z`` is exact (see ``exact.to_field``).
         """
         if z.shape[-1] != self.n_z:
             raise DomainError(f"{self.name} needs {self.n_z} coordinates")
         F, ks = self._frame(z)
-        if ks is None:                  # squared column norms, row by row from the constant leading 1
-            return sum((abs2(F[..., i, :]) for i in range(1, F.shape[-2])), 1)
-        return gram_minors(F)[..., [k - 1 for k in ks]]
+        if ks is None:
+            return _squared_norms(F)
+        return gram_minors(F, _frame_tables(self.params["n"], ks)[-1])[..., [k - 1 for k in ks]]
 
     def frames(self, z) -> list:
         """Holomorphic frames with their Jacobians, ``(F_alpha, jac)`` with ``h_alpha = det(F_alpha* F_alpha)``.
@@ -557,11 +582,18 @@ class PotentialSpec:
     @_single_point_as_a_row
     def h_L(self, z):
         """prod_alpha h_alpha^(e_alpha); exact (a ``Fraction``) at an exact ``z`` with integer exponents."""
-        hs = self.chart.h_closed(z)
+        return self.h_L_of(self.chart.h_closed(z))
+
+    def h_L_of(self, hs):
+        """``h_L`` from the fundamental potentials ``hs`` (..., n_gen), batched."""
         out = 1
         for i, e in enumerate(self.exponents):
             out = out * hs[..., i] ** like(e, hs)
         return out
+
+    def K_of(self, h_L, w):
+        """``K_b = (h_L |w|^2)^b`` in floats, batched: ``field`` on ``h_L(z)``, ``ricci-flat`` on its cone jet's."""
+        return (h_L * np.abs(w) ** 2) ** float(self.b)
 
     @_single_point_as_a_row
     def K1(self, z, w):
@@ -574,11 +606,9 @@ class PotentialSpec:
 
     def field(self) -> Callable[[np.ndarray], np.ndarray]:
         """Batched potential over real points (Re z_1, Im z_1, ..., Re w, Im w)."""
-        b = float(self.b)
-
         def F(points: np.ndarray) -> np.ndarray:
             z, w = decode_points(points, self.chart.n_z)
-            return (self.h_L(z) * np.abs(w) ** 2) ** b
+            return self.K_of(self.h_L(z), w)
 
         return F
 
@@ -592,25 +622,40 @@ class PotentialSpec:
         return F
 
     def _log_jets(self, z, weights, hessian=True):
-        """Weighted sums over generators of ``log_gram_jets`` of the chart frames."""
-        jets = [log_gram_jets(F, jac, hessian) for F, jac in self.chart.frames(z)]
-        return tuple(sum(wt * jet[i] for wt, jet in zip(weights, jets)) for i in range(len(jets[0])))
+        """Weighted sums over generators of ``log_gram_jets`` of the chart frames; with ``hessian`` then ``potentials``.
 
-    def cone_jet(self) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-        """Batched ``(phi_a, ddbar K / K)`` over real points, from the chart frames.
+        ``potentials()`` is ``h_closed(z)`` from the same frames, bit for bit:
+        the determinants the wedge jets eliminated, or the squared norms summed
+        as ``h_closed`` sums them (the quadric and product jets' own sums differ
+        in the last bit).  Callers that do not need them compute nothing.
+        """
+        frames = self.chart.frames(z)
+        jets = [log_gram_jets(F, jac, hessian) for F, jac in frames]
+        out = tuple(sum(wt * jet[i] for wt, jet in zip(weights, jets)) for i in range(1 + hessian))
+        if not hessian:
+            return out
+        if self.chart.kind == "wedge":
+            dets = [jet[2] for jet in jets]
+            return out + (lambda: np.stack(dets, axis=-1),)
+        Fs = [F for F, _ in frames]
+        return out + (lambda: np.concatenate([_squared_norms(F) for F in Fs], axis=-1),)
+
+    def cone_jet(self) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, Callable[[], np.ndarray]]]:
+        """Batched ``(phi_a, ddbar K / K, potentials)`` over real points, from one evaluation of the chart frames.
 
         ``phi = log K_1`` with ``phi_w = 1/w`` on the fiber and no mixed
-        terms; ``ddbar K / K = b (phi_ab + b phi_a conj(phi_b))``.
+        terms; ``ddbar K / K = b (phi_ab + b phi_a conj(phi_b))``;
+        ``potentials()`` is ``h_closed(z)`` bit for bit (see ``_log_jets``).
         """
         b, e = float(self.b), [float(x) for x in self.exponents]
 
         def jet(points: np.ndarray):
             z, w = decode_points(points, self.chart.n_z)
-            grad, hess = self._log_jets(z, e)
+            grad, hess, potentials = self._log_jets(z, e)
             phi = np.concatenate([grad, 1.0 / w[..., None]], axis=-1)
             H = b * b * phi[..., :, None] * np.conj(phi[..., None, :])
             H[..., :-1, :-1] += b * hess
-            return phi, H
+            return phi, H, potentials
 
         return jet
 
@@ -625,21 +670,33 @@ class PotentialSpec:
 
         return theta
 
-    def base_hessian(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Batched complex Hessian of ``log h_delta``, ``sum_alpha delta_alpha ddbar log h_alpha``, over base points."""
+    def base_jet(self) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+        """Batched ``(ddbar log h_delta, log h_delta)`` over base points, one frame per point.
+
+        ``ddbar log h_delta = sum_alpha delta_alpha ddbar log h_alpha``, and
+        ``log h_delta`` is ``base_log_anticanonical`` bit for bit.
+        """
         pair = [float(p) for p in self.chart.delta_pairings]
-        return lambda points: self._log_jets(decode_base_points(points, self.chart.n_z), pair)[1]
+
+        def jet(points: np.ndarray):
+            _, hess, potentials = self._log_jets(decode_base_points(points, self.chart.n_z), pair)
+            return hess, _weighted_logs(potentials(), pair)
+
+        return jet
 
     def base_log_anticanonical(self) -> Callable[[np.ndarray], np.ndarray]:
-        """log h_delta over base points (no fiber coordinate)."""
+        """log h_delta over base points (no fiber coordinate), from ``h_closed``."""
         pair = [float(p) for p in self.chart.delta_pairings]
 
         def F(points: np.ndarray) -> np.ndarray:
-            z = decode_base_points(points, self.chart.n_z)
-            hs = np.asarray(self.chart.h_closed(z))
-            return sum(p * np.log(hs[..., i]) for i, p in enumerate(pair))
+            return _weighted_logs(np.asarray(self.chart.h_closed(decode_base_points(points, self.chart.n_z))), pair)
 
         return F
+
+
+def _weighted_logs(hs, weights):
+    """``sum_alpha weights_alpha log hs[..., alpha]``: ``log h_delta`` from the fundamental potentials."""
+    return sum(p * np.log(hs[..., i]) for i, p in enumerate(weights))
 
 
 def lee_components(phi: np.ndarray, b: float) -> np.ndarray:

@@ -189,20 +189,24 @@ def conformal_fields(spec: PotentialSpec, cfg: FDConfig, ref=None):
     scale = np.ones(1) if ref is None else F0(np.atleast_2d(np.asarray(ref, dtype=float)))
 
     def F(P):
-        v = F0(P)
-        return (v.reshape(len(scale), -1) / scale[:, None]).reshape(v.shape)
+        return _per_sample(F0(P), scale)
 
     def cone(P):
         P = np.atleast_2d(P)
         if np.any(np.hypot(P[..., 2 * spec.chart.n_z], P[..., 2 * spec.chart.n_z + 1]) < _W_FLOOR):
             raise diffgeo.ChartDegeneracyError("sample too close to the w = 0 fiber")
-        phi, H = jet(P)
+        phi, H = jet(P)[:2]
         out = np.empty((len(P), H[0].size * 2 + P.shape[1]))
         out[:, :-P.shape[1]].view(complex).reshape(H.shape)[...] = H
         out[:, -P.shape[1]:] = lee_components(phi, b)
         return out
 
     return F, cone
+
+
+def _per_sample(v: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """``v`` with each sample's rows divided by its ``scale``: a call holds as many rows for each sample, in order."""
+    return (v.reshape(len(scale), -1) / scale[:, None]).reshape(v.shape)
 
 
 def _open_report(suite: str, spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig],
@@ -357,21 +361,24 @@ def check_kahler_einstein_base(spec: PotentialSpec, samples: SampleSet, cfg: Opt
                                tolerance: Optional[float] = None, case: str = "") -> VerificationReport:
     """Ricci form of the anticanonical potential equals i ddbar log h_delta.
 
-    The Ricci form is one finite-difference Hessian of log det of the
-    analytic base Hessian; ``i ddbar log h_delta`` is finite differences of
-    ``log h_delta`` itself.
+    One finite-difference Hessian of the two-column base field
+    ``[log det Hb, log h_delta]``, with ``Hb`` the analytic base Hessian, gives
+    the Ricci form ``-i ddbar log det Hb`` and ``i ddbar log h_delta``; both
+    columns come from one evaluation of the chart frames per point.
     """
     cfg, rep, tolerance, tol_agree = _open_report("kahler-einstein", spec, samples, cfg, tolerance, case)
-    Fb = spec.base_log_anticanonical()
-    Hb = spec.base_hessian()
+    jet = spec.base_jet()
+
+    def field(Q):
+        Hb, log_h = jet(Q)
+        return np.stack([diffgeo._log_det(Hb), log_h], axis=-1)
 
     def block(P):
-        step = diffgeo.scaled_steps(P, cfg.hessian_step)
-        rho = diffgeo.ricci_form_of_metric(Hb, P, cfg, step)
-        H = diffgeo._metric_jets(Fb, P, cfg, step)[2]      # i ddbar and ddbar, one FD Hessian
-        comp = 2.0 * diffgeo.kahler_form_of_hessian(H)
-        exact = Hb(P)
-        return _relative(comp - rho, comp), _relative(exact - diffgeo.complex_hessian(H), exact)
+        H = diffgeo._metric_jets(field, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))[2]
+        rho = -2.0 * diffgeo.kahler_form_of_hessian(H[..., 0])     # as ricci_form_of_metric
+        comp = 2.0 * diffgeo.kahler_form_of_hessian(H[..., 1])     # i ddbar log h_delta
+        exact = jet(P)[0]
+        return _relative(comp - rho, comp), _relative(exact - diffgeo.complex_hessian(H[..., 1]), exact)
 
     vals, r_agree = _chunked(block, _rows(samples.points.shape[1]), samples.points)
     rep.add("kahler_einstein", vals, tolerance)
@@ -384,18 +391,28 @@ def check_cone_ricci_flat(spec: PotentialSpec, samples: SampleSet, cfg: Optional
     """Vanishing Ricci form of the rescaled cone potential K_1^b.
 
     The Ricci form is one finite-difference Hessian of log det of the
-    analytic ``ddbar K = K (ddbar K / K)``.
+    analytic ``ddbar K = K (ddbar K / K)``, with ``K`` formed from the
+    potentials of the same cone jet and normalised per sample, as
+    ``conformal_fields`` normalises it.
     """
     cfg, rep, tolerance, tol_agree = _open_report("ricci-flat", spec, samples, cfg, tolerance, case)
     rep.notes.append(f"outer exponent b = {spec.b}")
-    jet = spec.cone_jet()
+    jet, F0 = spec.cone_jet(), spec.field()
+
+    def K(X, potentials):
+        return spec.K_of(spec.h_L_of(potentials()), decode_points(X, spec.chart.n_z)[1])
 
     def block(P):
-        F, _ = conformal_fields(spec, cfg, ref=P)
-        H = lambda X: jet(X)[1] * F(X)[:, None, None]
+        _, exact, potentials = jet(P)   # ddbar K at the samples, where the normalised K is 1
+        scale = K(P, potentials)        # bit for bit F0(P)
+
+        def H(X):
+            _, Hc, potentials = jet(X)
+            return Hc * _per_sample(K(X, potentials), scale)[:, None, None]
+
         rho = diffgeo.ricci_form_of_metric(H, P, cfg, cfg.hessian_step * coordinate_scales(spec, P))
+        F = lambda X: _per_sample(F0(X), scale)
         fd = diffgeo._metric_jets(F, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))[2]   # i ddbar and ddbar
-        exact = H(P)
         om = 2.0 * diffgeo.kahler_form_of_hessian(fd)
         return _relative(rho, om), _relative(exact - diffgeo.complex_hessian(fd), exact)
 

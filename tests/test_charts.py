@@ -62,7 +62,11 @@ def test_grassmann_klein_closed_form():
 @pytest.mark.parametrize("shape, identity_top", [((2, 2), True), ((3, 2), True), ((3, 2), False),
                                                  ((4, 3), False), ((5, 4), False)])
 def test_gram_minors_float_matches_exact(shape, identity_top):
-    """Float minors equal the exact ones for one frame and batched over (m,) and (m, S)."""
+    """Float minors equal the exact ones for one frame and batched over (m,) and (m, S).
+
+    With the frame's unit tables only its coordinate rows are read: the minors
+    equal the full frame's bit for bit in floats, and exactly on ``QC`` frames.
+    """
     rng = np.random.default_rng(11 * shape[0] + shape[1])
     m, r = shape
     frames = []
@@ -74,6 +78,12 @@ def test_gram_minors_float_matches_exact(shape, identity_top):
             for i in range(r):
                 F[i][i:] = [QC(1)] + [QC(0)] * (r - 1 - i)
         frames.append(tuple(map(tuple, F)))
+    # coordinate positions: the block below 1_r, or every entry left of the unipotent's diagonal
+    slots = ([(i, j) for i in range(r, r + m) for j in range(r)] if identity_top
+             else [(i, j) for i in range(m) for j in range(min(i, r))])
+    units = charts._unit_tables(*map(np.array, zip(*slots)), np.ones(len(slots), bool), r)
+    for F in frames:
+        assert tuple(charts.gram_minors(F, units)) == tuple(charts.gram_minors(F))
     exact = np.array([[float(x) for x in charts.gram_minors(F)] for F in frames])
     F = np.array([np.asarray(Fq, dtype=complex) for Fq in frames])
     # plain reference: determinants of the leading blocks of F* F
@@ -86,6 +96,9 @@ def test_gram_minors_float_matches_exact(shape, identity_top):
     for got in (single, batched, stencil):
         assert got.shape == exact.shape
         assert np.allclose(got, exact, rtol=1e-13, atol=0)
+    F[::2, -1] = 0.0            # exact-zero coordinates
+    for Fs in (F, F.reshape((3, 2) + F.shape[1:]), F[0]):
+        assert np.array_equal(charts.gram_minors(Fs, units), charts.gram_minors(Fs))
 
 
 def test_fullflag_h_origin_and_point():
@@ -203,6 +216,27 @@ def test_h_closed_from_the_leading_one_is_bit_identical(case):
         assert exact == tuple(_h_summed_from_zero(chart, zq)) and all(type(h) is Q for h in exact)
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_jet_potentials_are_h_closed_bit_for_bit(case):
+    """The potentials the cone and base jets hand back equal ``h_closed`` and ``base_log_anticanonical``.
+
+    From 0.01 to 30 in scale, with exact-zero coordinates and the origin, so
+    that ``ricci-flat`` and ``kahler-einstein`` read the same numbers with no
+    second frame.
+    """
+    spec = make_spec(case)
+    rng = np.random.default_rng(47)
+    n = spec.n_z
+    z = 10.0 ** rng.uniform(-2, 1.5, size=(3000, 1)) * (rng.normal(size=(3000, n)) + 1j * rng.normal(size=(3000, n)))
+    z[::2, 0] = 0.0
+    z[1::3, -1] = 0.0
+    z[-1] = 0.0
+    P = np.empty((len(z), 2 * n + 2))
+    P[:, 0:2 * n:2], P[:, 1:2 * n:2], P[:, -2:] = z.real, z.imag, (0.7, -0.4)
+    assert np.array_equal(spec.cone_jet()(P)[2](), spec.chart.h_closed(z))
+    assert np.array_equal(spec.base_jet()(P[:, :-2])[1], spec.base_log_anticanonical()(P[:, :-2]))
+
+
 # -- holomorphic frames ------------------------------------------------------------
 
 @pytest.mark.parametrize("case", CASES)
@@ -294,17 +328,21 @@ def test_quadric_closed_form_jets_match_the_dense_formula(case):
 
 @pytest.mark.parametrize("case", ["cp:2", "gr24", "wallach", "flag:A:3:1,3", "quadric:6", "conifold"])
 def test_exact_frames_give_exact_jets(case):
-    """At Gaussian-rational points the jets are ``QC`` (and the int zero that pads the gathers), equal to the float jets."""
+    """At Gaussian-rational points the jets are ``QC`` (and the int zero that pads the gathers), equal to the
+    float jets, and the determinant handed back with them is ``h_closed`` exactly."""
     chart = resolve_case(case)
     rng = np.random.default_rng(43)
     zq = to_field([_rand_qc(rng, chart.n_z) for _ in range(3)], object)
     for z in (zq, zq[1]):
-        for (F, jac), (Ff, jacf) in zip(chart.frames(z), chart.frames(np.asarray(z, dtype=complex))):
+        floats = chart.frames(np.asarray(z, dtype=complex))
+        for alpha, ((F, jac), (Ff, jacf)) in enumerate(zip(chart.frames(z), floats)):
             assert F.dtype == object
-            for exact, floats in zip(charts.log_gram_jets(F, jac), charts.log_gram_jets(Ff, jacf)):
+            *jets, h = charts.log_gram_jets(F, jac)
+            for exact, floats in zip(jets, charts.log_gram_jets(Ff, jacf)[:2]):
                 assert exact.dtype == object and exact.shape == floats.shape
                 assert all(type(x) is QC or (type(x) is int and x == 0) for x in exact.flat)
                 np.testing.assert_allclose(np.asarray(exact, dtype=complex), floats, rtol=1e-12, atol=0)
+            assert np.all(h == chart.h_closed(z)[..., alpha]) and all(type(x) is Q for x in np.ravel(h))
 
 
 @pytest.mark.parametrize("case", ["gr24", "wallach", "fullflag:A:3", "quadric:6", "conifold"])

@@ -185,7 +185,8 @@ def _assert_passes_over_seeds(suite, case, ell=1):
 
 
 # The cells of the benchmark's `minors` workload: every wedge-chart potential
-# goes through charts.gram_minors, so this sweep guards its float rounding.
+# is a product of Gram elimination pivots (charts.gram_minors, or the jets'
+# own in ricci-flat and kahler-einstein), so this sweep guards their rounding.
 MINORS_CELLS = [("lck", "gr24"), ("ricci-flat", "gr24"), ("kahler-einstein", "gr24"),
                 ("lck", "grassmann:4:2"), ("lck", "wallach"), ("vaisman", "wallach"),
                 ("kahler-einstein", "wallach"), ("ricci-flat", "wallach")]
@@ -246,9 +247,10 @@ def test_analytic_fields_match_finite_differences(case):
         analytic = (spec.cone_jet()(P)[1][0], g, th, -g @ J)
         for name, a, fd in zip(("ddbar K / K", "g_tilde", "theta", "Omega"), analytic, _fd_fields(spec, p)):
             assert _gap(a, fd) <= 1e-8, (name, _gap(a, fd))
-        Hb = spec.base_hessian()(P[:, :-2])[0]
+        Hb, log_h = spec.base_jet()(P[:, :-2])
+        assert np.array_equal(log_h, base(P[:, :-2]))
         Hfd = diffgeo._metric_jets(base, P[:, :-2], CFG, diffgeo.scaled_steps(P[:, :-2], CFG.hessian_step))[2]
-        assert _gap(Hb, diffgeo.complex_hessian(Hfd)[0]) <= 1e-8
+        assert _gap(Hb[0], diffgeo.complex_hessian(Hfd)[0]) <= 1e-8
 
 
 @pytest.mark.parametrize("case", FIELD_CASES + ["flag:A:3:1,2", "flag:A:3:1,3"])
@@ -275,6 +277,24 @@ def test_kahler_layer_makes_no_lapack_inverse_or_log_det(monkeypatch, case):
 
 
 FD_SUITES = ("lck", "vaisman", "kahler-einstein", "ricci-flat", "einstein-weyl")
+
+
+@pytest.mark.parametrize("case, b", [("conifold", 1), ("gr24", 1), ("gr24", 3), ("quadric:6", 1), ("wallach", 2)])
+def test_einstein_weyl_ricci_residuals_are_one_detector(case, b):
+    """Under a wrong ``b`` the three Ricci residuals fail together, by the same ratio.
+
+    ``Ric^D = Ric - (n-2)(|t|^2 g - t (x) t)`` once ``nabla t = 0``, so
+    ``einstein_weyl_ricci``, ``weyl_ricci_curvature`` and ``weyl_ricci_identity``
+    read one quantity and count as one detector, not three (at seed 7 each
+    reads 4944.03 times its tolerance on the conifold at b = 1).
+    """
+    rep = run_suite("einstein-weyl", case, seed=7, b=b)
+    got = {r.name: r for r in rep.residuals}
+    ric, curv, ident = (got[name].max for name in ("einstein_weyl_ricci", "weyl_ricci_curvature",
+                                                   "weyl_ricci_identity"))
+    assert ric >= 100 * got["einstein_weyl_ricci"].tolerance
+    assert abs(curv - ric) <= 1e-6 * ric and abs(ident - ric) <= 1e-6 * ric
+    assert got["weyl_ricci_agreement"].passed
 
 
 @pytest.mark.parametrize("case", ["gr24", "fullflag:A:3"])
@@ -351,6 +371,27 @@ def test_cone_jet_evaluations_per_sample(monkeypatch):
     # 201 full-stencil rows a sample: 5 samples fit one block, 8 take two
     assert jet_calls("ricci-flat", "gr24", 4) == jet_calls("ricci-flat", "gr24", 5) == 3
     assert jet_calls("ricci-flat", "gr24", 8) == 2 * 3
+
+
+@pytest.mark.parametrize("case", ["gr24", "wallach", "quadric:6", "conifold"])
+def test_kahler_layer_builds_one_frame_per_point(monkeypatch, case):
+    """``ricci-flat`` and ``kahler-einstein`` build one frame per point they evaluate.
+
+    ``ricci-flat`` reads K from the potentials of the cone jet: its frames are
+    the samples, the stencil of ``log det ddbar K`` and the independent stencil
+    of K, one per Richardson level each.  ``kahler-einstein`` differences
+    ``[log det Hb, log h_delta]`` as one field: the samples, then one stencil
+    per level.
+    """
+    frame = charts.Chart._frame
+    rows = []
+    monkeypatch.setattr(charts.Chart, "_frame", lambda self, z: rows.append(len(z)) or frame(self, z))
+    m, levels = 20, CFG.richardson
+    for suite, stencils, d in (("ricci-flat", 2, 2), ("kahler-einstein", 1, 0)):
+        rows.clear()
+        run_suite(suite, case, seed=3, count=m)
+        S = verify._rows(2 * resolve_case(case).n_z + d)
+        assert sorted(rows) == [m] + [m * S] * (stencils * levels), suite
 
 
 @pytest.mark.parametrize("case, count, blocks", [("quadric:6", 4, 1), ("quadric:6", 8, 2), ("conifold", 15, 2)])
