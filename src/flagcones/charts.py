@@ -83,14 +83,9 @@ def _big_cell(n: int, slots, z, cols: Optional[int] = None) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _cell_template(n: int, slots, r: int) -> tuple:
-    """The first r identity columns of GL(n+1), flat and in both fields, and the flat index of the slots.
-
-    The index is a slice when the slots are one run, as on Grassmannians.
-    """
+    """The first r identity columns of GL(n+1), flat and in both fields, and the flat index of the slots."""
     eye = np.array([ONE if i == j else ZERO for i in range(n + 1) for j in range(r)], dtype=object)
-    flat = [i * r + j for i, j in slots]
-    run = flat == list(range(flat[0], flat[-1] + 1))
-    return _both_fields(_read_only(eye)), slice(flat[0], flat[-1] + 1) if run else _read_only(np.array(flat))
+    return _both_fields(_read_only(eye)), _read_only(np.array([i * r + j for i, j in slots]))
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +177,7 @@ def _dot(xs, ys, start=0):
 
 
 def log_gram_jets(F, jac, hessian=True):
-    """``(d_a log h, d_a dbar_b log h, h)`` of ``h = det G``, ``G = F* F``, batched over leading axes.
+    """``(d_a log h, d_a dbar_b log h)`` of ``h = det G``, ``G = F* F``, batched over leading axes.
 
     ``(F, jac)`` is a pair of ``Chart.frames``: a holomorphic frame (..., N, r)
     in either field and its Jacobians.  With ``P = 1 - F G^-1 F*``,
@@ -193,10 +188,10 @@ def log_gram_jets(F, jac, hessian=True):
     one product ``P[row_b, row_a] G^-1[col_a, col_b]`` written into one array.
     ``G^-1`` comes from the Hermitian elimination of ``exact`` on the Gram
     entry arrays (the one ``gram_minors`` runs) and back-substitution, so no
-    call is made per matrix, and ``h`` is the product of its pivots, bit for
-    bit the minor of ``gram_minors``.  The quadric section (``jac = z / 2``)
-    takes the closed forms of ``_quadric_log_jets``, with no Gram inverse.
-    With ``hessian`` false only ``(d_a log h,)`` is computed.
+    call is made per matrix; these frames also hand back ``h``, the product of
+    its pivots, bit for bit the minor of ``gram_minors``.  The quadric section
+    (``jac = z / 2``) takes the closed forms of ``_quadric_log_jets``, with no
+    Gram inverse.  With ``hessian`` false only ``(d_a log h,)`` is computed.
     """
     if np.ndim(F) == 2:                 # one frame runs as a batch of one: numpy scalars round differently
         jac = jac if isinstance(jac, UnitTables) else jac[None]
@@ -231,15 +226,14 @@ def _quadric_log_jets(s, half_z, hessian=True):
     ``c_a = s* u_a = zbar_a/2 + qbar z_a/8`` and ``u_b* u_a = delta_ab/2 + zbar_b z_a/4``:
     ``d_a log h = c_a / h`` and ``d_a dbar_b log h = (delta_ab/2 + z_a zbar_b/4)/h - grad_a conj(grad_b)``.
     """
-    h = np.sum(abs2(s), axis=-1)
-    inv_h = 1 / h[..., None]
+    inv_h = 1 / np.sum(abs2(s), axis=-1)[..., None]
     grad = (np.conj(half_z) + np.conj(s[..., -1:]) * half_z) * inv_h
     if not hessian:
         return (grad,)
     delta = to_field(np.eye(half_z.shape[-1], dtype=int), half_z.dtype) / 2
     hess = (half_z[..., :, None] * np.conj(half_z[..., None, :]) + delta) * inv_h[..., None]
     hess -= grad[..., :, None] * np.conj(grad[..., None, :])
-    return grad, hess, h
+    return grad, hess
 
 
 def gram_minors(F, units=None):
@@ -582,17 +576,17 @@ class PotentialSpec:
     @_single_point_as_a_row
     def h_L(self, z):
         """prod_alpha h_alpha^(e_alpha); exact (a ``Fraction``) at an exact ``z`` with integer exponents."""
-        return self.h_L_of(self.chart.h_closed(z))
+        return self._h_L_of(self.chart.h_closed(z))
 
-    def h_L_of(self, hs):
+    def _h_L_of(self, hs):
         """``h_L`` from the fundamental potentials ``hs`` (..., n_gen), batched."""
         out = 1
         for i, e in enumerate(self.exponents):
             out = out * hs[..., i] ** like(e, hs)
         return out
 
-    def K_of(self, h_L, w):
-        """``K_b = (h_L |w|^2)^b`` in floats, batched: ``field`` on ``h_L(z)``, ``ricci-flat`` on its cone jet's."""
+    def _K_of(self, h_L, w):
+        """``K_b = (h_L |w|^2)^b`` in floats, batched: ``field`` on ``h_L(z)``, ``cone_jet`` on its own potentials."""
         return (h_L * np.abs(w) ** 2) ** float(self.b)
 
     @_single_point_as_a_row
@@ -608,7 +602,7 @@ class PotentialSpec:
         """Batched potential over real points (Re z_1, Im z_1, ..., Re w, Im w)."""
         def F(points: np.ndarray) -> np.ndarray:
             z, w = decode_points(points, self.chart.n_z)
-            return self.K_of(self.h_L(z), w)
+            return self._K_of(self.h_L(z), w)
 
         return F
 
@@ -621,41 +615,40 @@ class PotentialSpec:
 
         return F
 
-    def _log_jets(self, z, weights, hessian=True):
-        """Weighted sums over generators of ``log_gram_jets`` of the chart frames; with ``hessian`` then ``potentials``.
+    def _log_jets(self, z, weights, hessian=True, potentials=False):
+        """Weighted sums over generators of ``log_gram_jets`` of the chart frames; with ``potentials`` then ``h_closed(z)``.
 
-        ``potentials()`` is ``h_closed(z)`` from the same frames, bit for bit:
-        the determinants the wedge jets eliminated, or the squared norms summed
-        as ``h_closed`` sums them (the quadric and product jets' own sums differ
-        in the last bit).  Callers that do not need them compute nothing.
+        The potentials come from the same frames, bit for bit: the determinants
+        the wedge jets eliminated, or the squared norms summed as ``h_closed``
+        sums them (the quadric and product jets' own sums differ in the last bit).
         """
         frames = self.chart.frames(z)
         jets = [log_gram_jets(F, jac, hessian) for F, jac in frames]
-        out = tuple(sum(wt * jet[i] for wt, jet in zip(weights, jets)) for i in range(1 + hessian))
-        if not hessian:
-            return out
-        if self.chart.kind == "wedge":
-            dets = [jet[2] for jet in jets]
-            return out + (lambda: np.stack(dets, axis=-1),)
-        Fs = [F for F, _ in frames]
-        return out + (lambda: np.concatenate([_squared_norms(F) for F in Fs], axis=-1),)
+        if not potentials:
+            hs = ()
+        elif self.chart.kind == "wedge":
+            hs = (np.stack([jet[2] for jet in jets], axis=-1),)
+        else:
+            hs = (np.concatenate([_squared_norms(F) for F, _ in frames], axis=-1),)
+        del frames                      # dead before the weighted sums, where a jet call peaks
+        return tuple(sum(wt * jet[i] for wt, jet in zip(weights, jets)) for i in range(1 + hessian)) + hs
 
-    def cone_jet(self) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, Callable[[], np.ndarray]]]:
-        """Batched ``(phi_a, ddbar K / K, potentials)`` over real points, from one evaluation of the chart frames.
+    def cone_jet(self, with_K: bool = False) -> Callable[[np.ndarray], tuple]:
+        """Batched ``(phi_a, ddbar K / K)`` over real points, from the chart frames; ``with_K`` appends ``K``.
 
         ``phi = log K_1`` with ``phi_w = 1/w`` on the fiber and no mixed
-        terms; ``ddbar K / K = b (phi_ab + b phi_a conj(phi_b))``;
-        ``potentials()`` is ``h_closed(z)`` bit for bit (see ``_log_jets``).
+        terms; ``ddbar K / K = b (phi_ab + b phi_a conj(phi_b))``.  ``K`` is
+        ``field`` bit for bit, from the potentials of the same frames.
         """
         b, e = float(self.b), [float(x) for x in self.exponents]
 
         def jet(points: np.ndarray):
             z, w = decode_points(points, self.chart.n_z)
-            grad, hess, potentials = self._log_jets(z, e)
+            grad, hess, *hs = self._log_jets(z, e, potentials=with_K)
             phi = np.concatenate([grad, 1.0 / w[..., None]], axis=-1)
             H = b * b * phi[..., :, None] * np.conj(phi[..., None, :])
             H[..., :-1, :-1] += b * hess
-            return phi, H, potentials
+            return (phi, H) + tuple(self._K_of(self._h_L_of(h), w) for h in hs)
 
         return jet
 
@@ -679,8 +672,8 @@ class PotentialSpec:
         pair = [float(p) for p in self.chart.delta_pairings]
 
         def jet(points: np.ndarray):
-            _, hess, potentials = self._log_jets(decode_base_points(points, self.chart.n_z), pair)
-            return hess, _weighted_logs(potentials(), pair)
+            _, hess, hs = self._log_jets(decode_base_points(points, self.chart.n_z), pair, potentials=True)
+            return hess, _weighted_logs(hs, pair)
 
         return jet
 

@@ -274,9 +274,14 @@ def _log_det(H: np.ndarray) -> np.ndarray:
     return sum(np.log(np.abs(p)) for p in hermitian_elimination(np.moveaxis(H, (-2, -1), (0, 1)))[0])
 
 
+def ricci_form_of_log_det(H: np.ndarray) -> np.ndarray:
+    """Ricci form -i ddbar log det g, (..., d, d), from real Hessians (..., d, d) of ``log det g``."""
+    return -2.0 * kahler_form_of_hessian(H)
+
+
 def ricci_form_of_metric(H_field, P: np.ndarray, cfg: FDConfig, h: np.ndarray) -> np.ndarray:
     """Ricci form -i ddbar log det H, (m, d, d), of a batched complex Hessian field H, at steps ``h``."""
-    return -2.0 * kahler_form_of_hessian(_metric_jets(lambda Q: _log_det(H_field(Q)), P, cfg, h)[2])
+    return ricci_form_of_log_det(_metric_jets(lambda Q: _log_det(H_field(Q)), P, cfg, h)[2])
 
 
 def ricci_form(F, p, cfg: FDConfig) -> np.ndarray:

@@ -9,15 +9,20 @@ configuration).
 
 The inner fields are analytic: ``g_tilde``, ``theta``, ``Omega`` and the
 complex Hessians under the Ricci forms come in closed form from the chart
-frames (``PotentialSpec.cone_jet``, ``base_hessian``), so one finite-difference
+frames (``PotentialSpec.cone_jet``, ``base_jet``), so one finite-difference
 level is left above them.  ``g_tilde`` and ``theta`` travel as one cone
 field (``conformal_fields``): each stencil evaluates the cone jet once and
-expands the metric, the Lee form and ``Omega = -g_tilde J`` from it.  Finite
-differences of the potential stay as an independent route: each
+expands the metric, the Lee form and ``Omega = -g_tilde J`` from it.  Each
 finite-difference suite ends with a ``metric_agreement`` residual, the
 relative gap per sample between the analytic complex Hessian
-(``kahler-einstein``, ``ricci-flat``) or ``g_tilde`` (the others) and its
-finite-difference counterpart.
+(``kahler-einstein``, ``ricci-flat``) or ``g_tilde`` (the others) and finite
+differences of the potential.  Those differences run through
+``PotentialSpec.field`` and ``h_closed``, a route apart from the jets,
+except on ``kahler-einstein``: its ``log h_delta`` column shares the frames
+and, on wedge charts, the elimination of the jets it checks, so there the
+check covers the Jacobian gathers and back-substitution only.  The tests
+compare those potentials with ``h_closed``, and ``h_closed`` with the
+minors of the full frame.
 
 Every suite runs on blocks of samples, in calls of at most ``_CHUNK_ROWS``
 field rows, and every residual is a reduction per sample.  A
@@ -195,7 +200,7 @@ def conformal_fields(spec: PotentialSpec, cfg: FDConfig, ref=None):
         P = np.atleast_2d(P)
         if np.any(np.hypot(P[..., 2 * spec.chart.n_z], P[..., 2 * spec.chart.n_z + 1]) < _W_FLOOR):
             raise diffgeo.ChartDegeneracyError("sample too close to the w = 0 fiber")
-        phi, H = jet(P)[:2]
+        phi, H = jet(P)
         out = np.empty((len(P), H[0].size * 2 + P.shape[1]))
         out[:, :-P.shape[1]].view(complex).reshape(H.shape)[...] = H
         out[:, -P.shape[1]:] = lee_components(phi, b)
@@ -375,7 +380,7 @@ def check_kahler_einstein_base(spec: PotentialSpec, samples: SampleSet, cfg: Opt
 
     def block(P):
         H = diffgeo._metric_jets(field, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))[2]
-        rho = -2.0 * diffgeo.kahler_form_of_hessian(H[..., 0])     # as ricci_form_of_metric
+        rho = diffgeo.ricci_form_of_log_det(H[..., 0])
         comp = 2.0 * diffgeo.kahler_form_of_hessian(H[..., 1])     # i ddbar log h_delta
         exact = jet(P)[0]
         return _relative(comp - rho, comp), _relative(exact - diffgeo.complex_hessian(H[..., 1]), exact)
@@ -391,24 +396,19 @@ def check_cone_ricci_flat(spec: PotentialSpec, samples: SampleSet, cfg: Optional
     """Vanishing Ricci form of the rescaled cone potential K_1^b.
 
     The Ricci form is one finite-difference Hessian of log det of the
-    analytic ``ddbar K = K (ddbar K / K)``, with ``K`` formed from the
-    potentials of the same cone jet and normalised per sample, as
-    ``conformal_fields`` normalises it.
+    analytic ``ddbar K = K (ddbar K / K)``, with ``K`` from the same cone jet
+    and normalised per sample, as ``conformal_fields`` normalises it.
     """
     cfg, rep, tolerance, tol_agree = _open_report("ricci-flat", spec, samples, cfg, tolerance, case)
     rep.notes.append(f"outer exponent b = {spec.b}")
-    jet, F0 = spec.cone_jet(), spec.field()
-
-    def K(X, potentials):
-        return spec.K_of(spec.h_L_of(potentials()), decode_points(X, spec.chart.n_z)[1])
+    jet, F0 = spec.cone_jet(with_K=True), spec.field()
 
     def block(P):
-        _, exact, potentials = jet(P)   # ddbar K at the samples, where the normalised K is 1
-        scale = K(P, potentials)        # bit for bit F0(P)
+        _, exact, scale = jet(P)        # ddbar K at the samples, where the normalised K is 1; scale is F0(P)
 
         def H(X):
-            _, Hc, potentials = jet(X)
-            return Hc * _per_sample(K(X, potentials), scale)[:, None, None]
+            _, Hc, K = jet(X)
+            return Hc * _per_sample(K, scale)[:, None, None]
 
         rho = diffgeo.ricci_form_of_metric(H, P, cfg, cfg.hessian_step * coordinate_scales(spec, P))
         F = lambda X: _per_sample(F0(X), scale)

@@ -218,7 +218,8 @@ def test_h_closed_from_the_leading_one_is_bit_identical(case):
 
 @pytest.mark.parametrize("case", CASES)
 def test_jet_potentials_are_h_closed_bit_for_bit(case):
-    """The potentials the cone and base jets hand back equal ``h_closed`` and ``base_log_anticanonical``.
+    """The jets' potentials equal ``h_closed``, so the cone jet's ``K`` is ``field`` and the base jet's
+    ``log h_delta`` is ``base_log_anticanonical``.
 
     From 0.01 to 30 in scale, with exact-zero coordinates and the origin, so
     that ``ricci-flat`` and ``kahler-einstein`` read the same numbers with no
@@ -233,7 +234,8 @@ def test_jet_potentials_are_h_closed_bit_for_bit(case):
     z[-1] = 0.0
     P = np.empty((len(z), 2 * n + 2))
     P[:, 0:2 * n:2], P[:, 1:2 * n:2], P[:, -2:] = z.real, z.imag, (0.7, -0.4)
-    assert np.array_equal(spec.cone_jet()(P)[2](), spec.chart.h_closed(z))
+    assert np.array_equal(spec._log_jets(z, [1.0] * spec.chart.n_gen, potentials=True)[2], spec.chart.h_closed(z))
+    assert np.array_equal(spec.cone_jet(with_K=True)(P)[2], spec.field()(P))
     assert np.array_equal(spec.base_jet()(P[:, :-2])[1], spec.base_log_anticanonical()(P[:, :-2]))
 
 
@@ -337,12 +339,14 @@ def test_exact_frames_give_exact_jets(case):
         floats = chart.frames(np.asarray(z, dtype=complex))
         for alpha, ((F, jac), (Ff, jacf)) in enumerate(zip(chart.frames(z), floats)):
             assert F.dtype == object
-            *jets, h = charts.log_gram_jets(F, jac)
+            jets = charts.log_gram_jets(F, jac)
             for exact, floats in zip(jets, charts.log_gram_jets(Ff, jacf)[:2]):
                 assert exact.dtype == object and exact.shape == floats.shape
                 assert all(type(x) is QC or (type(x) is int and x == 0) for x in exact.flat)
                 np.testing.assert_allclose(np.asarray(exact, dtype=complex), floats, rtol=1e-12, atol=0)
-            assert np.all(h == chart.h_closed(z)[..., alpha]) and all(type(x) is Q for x in np.ravel(h))
+            if chart.kind != "quadric":         # unit-Jacobian frames hand back the determinant they eliminated
+                h = jets[2]
+                assert np.all(h == chart.h_closed(z)[..., alpha]) and all(type(x) is Q for x in np.ravel(h))
 
 
 @pytest.mark.parametrize("case", ["gr24", "wallach", "fullflag:A:3", "quadric:6", "conifold"])
