@@ -8,8 +8,9 @@ Gram determinant of a holomorphic frame.  Both paths run the same code
 over arrays batched over the leading axes of ``z``, and the dtype of ``z``
 picks the arithmetic (see ``exact``): an object array of ``QC`` gives exact
 potentials (``Fraction``s), anything else complex frames and float
-potentials.  A single float point runs as a batch of one, so it rounds
-exactly as the same point inside a batch.
+potentials.  ``exact.rows`` is the single-point rule of ``h_closed`` and
+the ``PotentialSpec`` potentials: a single float point runs as a batch of
+one, so it rounds exactly as the same point inside a batch.
 
 * type-A flag manifolds ``GL(n+1)/P`` (projective spaces, Grassmannians,
   partial and full flags) share one block big cell: the blocks
@@ -52,7 +53,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .exact import ONE, QC, ZERO, abs2, hermitian_elimination, hermitian_inverse, like, to_field
+from .exact import ONE, QC, ZERO, abs2, hermitian_elimination, hermitian_inverse, like, rows, to_field
 from .reps import (RepSpace, act, derivation_matrix, outer_tensor, sl2_module,
                    so_radical_basis, so_vector_module, wedge_module)
 from .roots import ConfigurationError, build_root_system, flag
@@ -267,25 +268,6 @@ def nilpotent_log(M, dim: int):
     raise DomainError("matrix is not unipotent")
 
 
-def _single_point_as_a_row(method):
-    """Evaluate ``method(self, z, *w)`` at a single float point as a batch of one.
-
-    numpy scalars round some operations (the complex products of the Gram
-    entries, complex ``abs``, ``**``) differently from array loops, so a
-    lone point would differ in the last bit from the same point inside a
-    batch.  ``z`` arrives through ``exact.to_field``; exact points hold
-    Python numbers either way and pass through.
-    """
-    @functools.wraps(method)
-    def wrapped(self, z, *w):
-        z = to_field(z)
-        if z.ndim != 1 or z.dtype == object:
-            return method(self, z, *w)
-        return method(self, z[None], *(np.asarray(x)[None] for x in w))[0]
-
-    return wrapped
-
-
 # ---------------------------------------------------------------------------
 # the chart catalog
 # ---------------------------------------------------------------------------
@@ -301,7 +283,6 @@ class Chart:
     m: int                          # complex dimension of the base
     fano: int
     delta_pairings: Tuple[int, ...]
-    flag_info: dict
     params: dict
     _cache: dict = field(default_factory=dict, repr=False, compare=False)     # built on first use
 
@@ -330,7 +311,7 @@ class Chart:
         F[..., 0, :], F[..., 1, :] = ONE, z
         return F, None
 
-    @_single_point_as_a_row
+    @rows(1)
     def h_closed(self, z):
         """Fundamental potentials, the Gram determinants of the chart frames: shape (..., n_gen).
 
@@ -469,7 +450,6 @@ def _chart_flag(n: int, ks: Tuple[int, ...], name: str) -> Chart:
         m=fd.dim_complex,
         fano=fd.fano_index,
         delta_pairings=tuple(int(p) for p in fd.delta_pairings),
-        flag_info={"series": "A", "rank": n, "theta": sorted(fd.theta)},
         params={"n": n, "ks": ks},
     )
 
@@ -478,8 +458,7 @@ def _chart_quadric(N: int) -> Chart:
     if N < 5:
         raise ConfigurationError("quadric chart requires N >= 5")
     n = N // 2
-    series = "B" if N % 2 else "D"
-    fd = _flag_data(series, n, tuple(range(2, n + 1)))
+    fd = _flag_data("B" if N % 2 else "D", n, tuple(range(2, n + 1)))
     return Chart(
         name=f"quadric:{N}",
         kind="quadric",
@@ -488,7 +467,6 @@ def _chart_quadric(N: int) -> Chart:
         m=fd.dim_complex,
         fano=fd.fano_index,
         delta_pairings=tuple(int(p) for p in fd.delta_pairings),
-        flag_info={"series": series, "rank": n, "theta": sorted(fd.theta)},
         params={"N": N},
     )
 
@@ -502,7 +480,6 @@ def _chart_conifold() -> Chart:
         m=2,
         fano=2,
         delta_pairings=(2, 2),
-        flag_info={"factors": ["A1/P", "A1/P"]},
         params={},
     )
 
@@ -573,7 +550,7 @@ class PotentialSpec:
     def real_dim(self) -> int:
         return 2 * self.chart.n_z + 2
 
-    @_single_point_as_a_row
+    @rows(1)
     def h_L(self, z):
         """prod_alpha h_alpha^(e_alpha); exact (a ``Fraction``) at an exact ``z`` with integer exponents."""
         return self._h_L_of(self.chart.h_closed(z))
@@ -589,11 +566,11 @@ class PotentialSpec:
         """``K_b = (h_L |w|^2)^b`` in floats, batched: ``field`` on ``h_L(z)``, ``cone_jet`` on its own potentials."""
         return (h_L * np.abs(w) ** 2) ** float(self.b)
 
-    @_single_point_as_a_row
+    @rows(1)
     def K1(self, z, w):
         return self.h_L(z) * abs2(w)
 
-    @_single_point_as_a_row
+    @rows(1)
     def K(self, z, w):
         k1 = self.K1(z, w)
         return k1 ** like(self.b, k1)

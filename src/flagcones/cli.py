@@ -41,11 +41,12 @@ def _parse_theta(text: str):
         raise ConfigurationError(f"malformed theta list {text!r}") from exc
 
 
-def _parse_complex_list(text: str):
+def _parse_complex(text: str) -> complex:
+    """One complex number, ``i`` or ``j`` as the imaginary unit."""
     try:
-        return [complex(t.strip().replace("i", "j")) for t in text.split(",") if t.strip()]
+        return complex(text.strip().replace("i", "j"))
     except ValueError as exc:
-        raise ConfigurationError(f"malformed complex list {text!r}") from exc
+        raise ConfigurationError(f"malformed complex number {text!r}") from exc
 
 
 def _parse_bundle(text):
@@ -122,10 +123,10 @@ def cmd_catalog(args) -> int:
 
 def _chart_point(args, spec):
     """``(z, w)`` from ``--z`` (the origin by default) and ``--w``."""
-    z = _parse_complex_list(args.z) if args.z else [0j] * spec.chart.n_z
+    z = [_parse_complex(t) for t in args.z.split(",") if t.strip()] if args.z else [0j] * spec.chart.n_z
     if len(z) != spec.chart.n_z:
         raise ConfigurationError(f"{spec.chart.name} needs {spec.chart.n_z} chart coordinates")
-    return z, complex(args.w.replace("i", "j")) if isinstance(args.w, str) else complex(args.w)
+    return z, _parse_complex(args.w)
 
 
 def cmd_potential(args) -> int:
@@ -147,7 +148,7 @@ def cmd_potential(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _fd_config(args)
-    lam = complex(args.lam.replace("i", "j")) if args.lam else 0.5
+    lam = _parse_complex(args.lam)
     report = run_suite(
         args.suite, args.case, seed=args.seed, count=args.samples, cfg=cfg,
         exponents=_parse_bundle(args.bundle), ell=args.ell,
@@ -178,7 +179,7 @@ def cmd_verify(args) -> int:
 
 def cmd_embed(args) -> int:
     spec = make_spec(args.case, exponents=_parse_bundle(args.bundle), ell=args.ell)
-    lam = complex(args.lam.replace("i", "j")) if args.lam else 0.5
+    lam = _parse_complex(args.lam)
     z, w = _chart_point(args, spec)
     module, _ = spec.chart.embedding_rep(spec.exponents)
     v = remmert(spec, z, w)
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--fd-step", dest="fd_step", type=float, default=None)
     ver.add_argument("--richardson", type=int, default=None)
     ver.add_argument("--tol", type=float, default=None)
-    ver.add_argument("--lambda", dest="lam", default=None)
+    ver.add_argument("--lambda", dest="lam", default="0.5")
     ver.add_argument("--json", default=None)
     ver.add_argument("--deterministic", action="store_true")
     ver.set_defaults(func=cmd_verify)

@@ -15,13 +15,16 @@ array is complex128.  One function body therefore serves both paths.  The
 few operations whose float rounding or whose exact value type differs
 between the two live here, as array functions that dispatch on the dtype:
 ``to_field`` and ``like`` (conversion), ``real``, ``abs2`` and
-``modulus``.  Float products round as numpy's array loops do; ``charts``
-and ``hvcone`` run a single vector as a batch of one to match its row.
-``QC`` converts to ``complex`` through ``__complex__``, so
-``np.asarray(a, dtype=complex)`` takes an exact array to floats.
+``modulus``.  Float products round as numpy's array loops do, and numpy
+scalars round some of them differently, so ``rows`` is the single-point
+rule: a function of points it decorates runs a lone float point as a batch
+of one, which rounds as that point's row of any batch.  ``QC`` converts to
+``complex`` through ``__complex__``, so ``np.asarray(a, dtype=complex)``
+takes an exact array to floats.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd
 from typing import Sequence, Tuple, Union
@@ -262,6 +265,29 @@ def to_field(a, dtype=None) -> np.ndarray:
     if np.dtype(dtype) != object:
         return a.astype(dtype, copy=False)
     return np.asarray(_to_qc(a), dtype=object)
+
+
+def rows(first: int):
+    """Decorator: the arguments of a function from index ``first`` on are points, batched over leading axes.
+
+    The first point passes through ``to_field``.  A float one with no batch
+    axes, ``(d,)``, runs with every point lifted to a batch of one, and row 0
+    comes back, a Python scalar when 0-d: numpy scalars round some operations
+    (complex products, ``abs``, ``**``) differently from array loops.  Exact
+    points hold Python numbers either way and, like batches, pass through.
+    """
+    def decorate(fn):
+        @functools.wraps(fn)
+        def wrapped(*args):
+            x = to_field(args[first])
+            if x.ndim != 1 or x.dtype == object:
+                return fn(*args[:first], x, *args[first + 1:])
+            out = fn(*args[:first], x[None], *(np.asarray(y)[None] for y in args[first + 1:]))[0]
+            return out.item() if out.ndim == 0 else out
+
+        return wrapped
+
+    return decorate
 
 
 def like(c: Fraction, x):

@@ -13,18 +13,18 @@ in the half-open annulus (|lambda|, 1], recording the integer branch.
 Everything works over leading axes: ``remmert`` takes ``z`` (..., n_z)
 and ``w`` (...), and the residuals, ``gamma_canonicalize`` and
 ``hopf_distance`` reduce over the last axis of (..., d) vectors and return
-one value per row.  A residual runs a single vector (d,) as a batch of
-one, so it rounds as that row of a batch, and returns a scalar; a single
-``HopfPoint`` has an int branch and a float norm.  An exact vector (an
-object array or a list of ``QC``) gives a quadric's squared violation as
-a ``Fraction``, anything else its float modulus (``exact.modulus``).
+one value per row.  The residuals and ``hopf_distance`` follow the
+single-point rule ``exact.rows``: a single float vector (d,) runs as a
+batch of one, so it rounds as that row of a batch, and returns a scalar; a
+single ``HopfPoint`` has an int branch and a float norm.  An exact vector
+(an object array or a list of ``QC``) gives a quadric's squared violation
+as a ``Fraction``, anything else its float modulus (``exact.modulus``).
 The Casimir residual applies ``Delta(C)`` to ``v (x) v`` as rank-one terms.
 The group action under ``remmert`` is ``reps.act``, whose exponential
 policy ``reps._exp_apply`` states.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -34,7 +34,7 @@ from typing import Tuple
 import numpy as np
 
 from .charts import DomainError, PotentialSpec
-from .exact import modulus, to_field
+from .exact import modulus, rows, to_field
 from .reps import RepSpace, act, casimir_terms
 
 
@@ -120,22 +120,7 @@ def _plucker_table(n: int, k: int) -> np.ndarray:
     return np.array(relations).T.copy()
 
 
-def _per_row(out, v: np.ndarray):
-    """A scalar (a float, or a ``Fraction`` when exact) for a single vector (d,), else the per-row array."""
-    return np.asarray(out).item() if v.ndim == 1 else out
-
-
-def _over_rows(residual):
-    """``residual(*params, v)`` over the rows of ``v`` (..., d) in its field; a vector (d,) runs as a batch of one."""
-    @functools.wraps(residual)
-    def wrapped(*params_and_v):
-        *params, v = params_and_v
-        v = to_field(v)
-        return _per_row(residual(*params, v[None] if v.ndim == 1 else v), v)
-    return wrapped
-
-
-@_over_rows
+@rows(2)
 def plucker_residual(n: int, k: int, v):
     """Largest violation of the Grassmannian quadric relations.
 
@@ -153,7 +138,7 @@ def plucker_residual(n: int, k: int, v):
     return np.max(modulus(total), axis=-1)
 
 
-@_over_rows
+@rows(1)
 def quadric_residual(N: int, v):
     """|q(v, v)| with q the symmetric form cutting out the quadric cone, per row of (..., d).
 
@@ -165,13 +150,13 @@ def quadric_residual(N: int, v):
     return modulus(v[..., 1] * v[..., 1] / 4 - v[..., 0] * v[..., 2] if N == 3 else np.sum(v * v, axis=-1))
 
 
-@_over_rows
+@rows(0)
 def determinant_residual(v):
     """|det W| for a vector in the 2x2 Segre product (conifold ambient), per row of (..., 4); squared and exact for an exact ``v``."""
     return modulus(v[..., 0] * v[..., 3] - v[..., 1] * v[..., 2])
 
 
-@_over_rows
+@rows(1)
 def casimir_quadric_residual(rep: RepSpace, v):
     """|(Delta(C) - c(2 lambda))(v (x) v)| for the unit-normalised v, per row of (..., d).
 
@@ -249,8 +234,13 @@ def kodaira_embedding(spec: PotentialSpec, gamma: GammaGroup, z, w) -> HopfPoint
 
 def hopf_distance(a: HopfPoint, b: HopfPoint):
     """max |a - b| over the coordinates of the representatives, per row."""
-    diff = np.abs(a.representative - b.representative)
-    return _per_row(np.max(diff, axis=-1), diff)
+    return _largest_gap(a.representative, b.representative)
+
+
+@rows(0)
+def _largest_gap(u, v):
+    """``max |u - v|`` over the last axis, per row of (..., d)."""
+    return np.max(np.abs(u - v), axis=-1)
 
 
 # ---------------------------------------------------------------------------

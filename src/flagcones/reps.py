@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .exact import ONE, QC, QI, ZERO, abs2, solve, to_field
+from .exact import ONE, QC, QI, ZERO, abs2, rows, solve, to_field
 from .roots import ConfigurationError, RootSystem, Weight, build_root_system, casimir_eigenvalue
 
 
@@ -83,11 +83,11 @@ class RepSpace:
     def gram_np(self) -> np.ndarray:
         return self._gram(float)
 
+    @rows(1)
     def norm_sq(self, v):
         """Squared norm in the invariant product, per row over the last axis; a ``Fraction`` when exact."""
         a = abs2(v)
-        out = np.sum(self._gram(np.result_type(a.dtype, float)) * a, axis=-1)
-        return np.asarray(out).item() if np.ndim(v) == 1 else out
+        return np.sum(self._gram(np.result_type(a.dtype, float)) * a, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,7 @@ def coordinate_scales(spec: PotentialSpec, ref: np.ndarray) -> np.ndarray:
 _W_FLOOR = 1e-6      # |w| below which a cone field refuses the point (ChartDegeneracyError)
 
 
-def conformal_fields(spec: PotentialSpec, cfg: FDConfig, ref=None):
+def conformal_fields(spec: PotentialSpec, ref=None):
     """The potential and the joint conformal field of the cone geometry of K = K_1^b.
 
     Returns ``(K, cone)``.  ``cone(P)`` is one batched field (m, 2n^2 + d),
@@ -262,7 +262,7 @@ def _relative(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
 def _metric_agreement(spec: PotentialSpec, cfg: FDConfig, points: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Per sample: the gap between the analytic ``g_tilde`` and the finite-difference metric ``omega(K) J / K``."""
     def block(P, gP):
-        F, _ = conformal_fields(spec, cfg, ref=P)
+        F, _ = conformal_fields(spec, ref=P)
         H = diffgeo._metric_jets(F, P, cfg, cfg.hessian_step * coordinate_scales(spec, P))[2]
         fd = diffgeo.kahler_form_of_hessian(H) @ diffgeo.complex_structure(P.shape[1])
         return (_relative(gP - fd, gP),)      # F is 1 at each sample: ref=P
@@ -270,11 +270,10 @@ def _metric_agreement(spec: PotentialSpec, cfg: FDConfig, points: np.ndarray, g:
     return _chunked(block, _rows(spec.real_dim), points, g)[0]
 
 
-def lck_data(spec: PotentialSpec, p, cfg: Optional[FDConfig] = None):
+def lck_data(spec: PotentialSpec, p):
     """Pointwise Lee form, anti-Lee form, conformal 2-form and metric."""
-    cfg = cfg or FDConfig()
     p = np.asarray(p, dtype=float)
-    _, cone = conformal_fields(spec, cfg)
+    _, cone = conformal_fields(spec)
     g, th = diffgeo.split_cone(cone(p[None, :])[0])
     J = diffgeo.complex_structure(len(p))
     return {
@@ -303,7 +302,7 @@ def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] =
     """
     cfg, rep, tolerance, tol_agree = _open_report("lck", spec, samples, cfg, tolerance, case)
     J = diffgeo.complex_structure(spec.real_dim)
-    _, cone = conformal_fields(spec, cfg)
+    _, cone = conformal_fields(spec)
     lee = spec.lee_form()       # d theta reads the gradient half of the jets alone
 
     def block(P):
@@ -345,7 +344,7 @@ def check_vaisman(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfi
     cfg, rep, tolerance, tol_agree = _open_report("vaisman", spec, samples, cfg, tolerance, case)
 
     def block(P):
-        F, cone = conformal_fields(spec, cfg, ref=P)
+        F, cone = conformal_fields(spec, ref=P)
         g, th = diffgeo.split_cone(cone(P))
         field, gp = cone, g
         if metric != "vaisman":
@@ -441,7 +440,7 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
     advisory = n < 6
     if advisory:
         rep.notes.append("real dimension below 6: residuals reported informationally")
-    _, cone = conformal_fields(spec, cfg)
+    _, cone = conformal_fields(spec)
 
     def block(P):
         # one stencil of the cone field gives g and theta at P and their jets

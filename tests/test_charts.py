@@ -170,6 +170,26 @@ def test_single_point_is_bit_identical_to_its_batch_row(case):
         assert spec.h_L(z[i]) == hL[i] and spec.K1(z[i], w[i]) == k1[i] and spec.K(z[i], w[i]) == k[i], i
 
 
+@pytest.mark.parametrize("case", [c for cases in CATALOG_INSTANCES.values() for c in cases])
+def test_single_point_rule_covers_norm_sq_and_exact_points(case):
+    """``RepSpace.norm_sq`` at one float vector is a float equal to its batch row bit for bit, and
+    exact single points give ``Fraction``s equal to their rows of an exact batch."""
+    chart = resolve_case(case)
+    spec, rep = make_spec(case, exponents=[1] * chart.n_gen, b=2), chart.rep(0)
+    rng = np.random.default_rng(2)
+    v = rng.normal(size=(20, rep.dim)) + 1j * rng.normal(size=(20, rep.dim))
+    ns = rep.norm_sq(v)
+    for i in range(20):
+        assert type(rep.norm_sq(v[i])) is float and rep.norm_sq(v[i]) == ns[i], i
+    zq = to_field([_rand_qc(rng, chart.n_z) for _ in range(3)], object)
+    wq, vq = to_field(_rand_qc(rng, 3), object), to_field([_rand_qc(rng, rep.dim) for _ in range(3)], object)
+    h, hL, k1, k, nq = chart.h_closed(zq), spec.h_L(zq), spec.K1(zq, wq), spec.K(zq, wq), rep.norm_sq(vq)
+    for i in range(3):
+        assert tuple(chart.h_closed(zq[i])) == tuple(h[i]), i
+        single = spec.h_L(zq[i]), spec.K1(zq[i], wq[i]), spec.K(zq[i], wq[i]), rep.norm_sq(vq[i])
+        assert single == (hL[i], k1[i], k[i], nq[i]) and all(type(x) is Q for x in single), i
+
+
 # -- generic path ----------------------------------------------------------------
 
 @pytest.mark.parametrize("case", CASES)
@@ -439,8 +459,7 @@ def test_flag_data_built_once_per_flag(monkeypatch, case):
     monkeypatch.setattr(charts, "flag", lambda *a: built.append(a))
     again = resolve_case(case)
     assert built == [] and again is not first
-    assert (again.m, again.fano, again.delta_pairings, again.flag_info) == \
-        (first.m, first.fano, first.delta_pairings, first.flag_info)
+    assert (again.m, again.fano, again.delta_pairings) == (first.m, first.fano, first.delta_pairings)
 
 
 @pytest.mark.parametrize("case, ell", [("gr24", 1), ("quadric:6", 1), ("conifold", 1), ("cp:1", 2)])
@@ -702,3 +721,15 @@ def test_derivation_table_matches_reference_loops(case):
             assert np.array_equal(derivation_matrix(n, k, L), _derivation_loop_float(n, k, L))
             Lq = charts.nilpotent_log(charts._big_cell(n, slots, to_field(_rand_qc(rng, chart.n_z), object)), n + 1)
             assert derivation_matrix(n, k, Lq).tolist() == [list(row) for row in _derivation_loop_exact(n, k, Lq)]
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: charts.nilpotent_log(np.array([[1, 1], [1, 1]]), 2), DomainError, "not unipotent"),
+    (lambda: make_spec("gr24", exponents=[1, 2]), ConfigurationError, "needs 1 exponents"),
+    (lambda: make_spec("gr24", b=0), DomainError, "outer exponent"),
+    (lambda: canonical_exponents(resolve_case("cp:2"), 0), DomainError, "bundle level"),
+    (lambda: log_potential_eval(make_spec("cp:2"), [0.1, 0.2], 0), DomainError, "fiber coordinate"),
+], ids=["nilpotent_log", "exponent_count", "outer_exponent", "bundle_level", "log_potential_fiber"])
+def test_input_checks_raise_their_documented_errors(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

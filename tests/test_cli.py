@@ -224,3 +224,17 @@ def test_importing_the_library_does_not_load_scipy():
     for code in ("import sys, flagcones, flagcones.cli; print('scipy' in sys.modules)", embedding):
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False", out
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["lie", "--series", "A", "--rank", "2", "--theta", "1,x"], "malformed theta list '1,x'"),
+    (["potential", "--case", "cp:2", "--z", "0.1,abc"], "malformed complex number 'abc'"),
+    (["potential", "--case", "cp:2", "--bundle", "1/x"], "malformed bundle exponents '1/x'"),
+    (["potential", "--case", "cp:2", "--w", "abc"], "malformed complex number 'abc'"),
+    (["embed", "--case", "cp:2", "--w", "abc"], "malformed complex number 'abc'"),
+    (["embed", "--case", "cp:2", "--lambda", "xyz"], "malformed complex number 'xyz'"),
+    (["verify", "--case", "cp:2", "--suite", "embedding", "--lambda", "xyz"], "malformed complex number 'xyz'"),
+], ids=["theta", "z", "bundle", "potential_w", "embed_w", "embed_lambda", "verify_lambda"])
+def test_malformed_input_exits_two_naming_the_text(capsys, argv, fragment):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and fragment in err

@@ -371,7 +371,7 @@ def test_chart_degeneracy_guard():
     from flagcones.verify import conformal_fields
 
     spec = make_spec("hopf:cp1")
-    _, cone = conformal_fields(spec, CFG)
+    _, cone = conformal_fields(spec)
     with pytest.raises(diffgeo.ChartDegeneracyError):
         cone(np.array([[0.1, 0.0, 1e-9, 0.0]]))
     good = np.array([[0.1, 0.0, 1.0, 0.3], [0.2, -0.1, 0.0, 0.8]])
@@ -388,7 +388,7 @@ def test_expanding_the_cone_field_commutes_with_its_differences(case):
     from flagcones.verify import conformal_fields, coordinate_scales, sample_points
 
     spec = make_spec(case)
-    _, cone = conformal_fields(spec, CFG)
+    _, cone = conformal_fields(spec)
 
     def expanded(X):
         g, th = diffgeo.split_cone(cone(X))

@@ -18,8 +18,8 @@ from flagcones.hvcone import (GammaGroup, algebraic_residual,
                               kodaira_embedding, plucker_residual,
                               quadric_residual, remmert, remmert_norm_sq,
                               singular_cone_potential, stenzel_fprime,
-                              stenzel_ode_residual)
-from flagcones.reps import act, sl2_module, so_vector_module, wedge_module
+                              stenzel_ode_residual, stenzel_potential)
+from flagcones.reps import act, outer_tensor, sl2_module, so_vector_module, wedge_module
 
 
 def _rand_qc(rng, n):
@@ -469,3 +469,18 @@ def test_stenzel_potential_quadrature():
     fd = (stenzel_potential(eps, t + h) - stenzel_potential(eps, t - h)) / (2 * h)
     assert abs(fd - stenzel_fprime(eps, t) * eps * eps * np.sinh(t)) < 1e-8
     assert stenzel_potential(eps, 2.0) > stenzel_potential(eps, 1.0) > 0
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: plucker_residual(3, 2, np.ones(5)), "wrong dimension"),
+    (lambda: casimir_quadric_residual(outer_tensor(sl2_module(1), sl2_module(1)), np.ones(4)), "highest weight"),
+    (lambda: algebraic_residual(make_spec("wallach"), np.ones(8)), "several generators"),
+    (lambda: stenzel_fprime(0.0, 1.0), "deformation parameter"),
+    (lambda: stenzel_fprime(1.0, -1.0), "radial parameter"),
+    (lambda: stenzel_ode_residual(1.0, 1e-4), "away from t = 0"),
+    (lambda: stenzel_potential(1.0, -1.0), "radial parameter"),
+], ids=["plucker_dim", "casimir_no_weight", "several_generators", "stenzel_eps", "stenzel_t",
+        "stenzel_grid", "stenzel_potential_t"])
+def test_input_checks_raise_domain_errors(call, fragment):
+    with pytest.raises(DomainError, match=fragment):
+        call()

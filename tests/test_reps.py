@@ -247,3 +247,14 @@ def test_so_radical_basis_weights():
         ubar = [QC(1), QC(0, 1)] + [QC(0)] * (N - 2)
         for Y in so_radical_basis(N):
             assert _is_zero_vec(Y @ to_field(ubar, object))
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: sl2_module(-1), "nonnegative"),
+    (lambda: wedge_module(3, 0), "wedge index"),
+    (lambda: so_vector_module(2), "N = 3 or N >= 5"),
+    (lambda: so_radical_basis(4), "N >= 5"),
+], ids=["sl2_degree", "wedge_index", "so_vector_N", "so_radical_N"])
+def test_input_checks_raise_configuration_errors(call, fragment):
+    with pytest.raises(ConfigurationError, match=fragment):
+        call()

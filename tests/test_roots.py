@@ -254,3 +254,16 @@ def test_killing_bilinear(c1, c2):
     s = rs.weight([a + b for a, b in zip(c1, c2)])
     probe = rs.weight([1, 1])
     assert killing_dual_pairing(s, probe) == killing_dual_pairing(w1, probe) + killing_dual_pairing(w2, probe)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: build_root_system("A", 2).weight_from_eps((1, 0)), "weight lattice span"),
+    (lambda: build_root_system("A", 2).fundamental_weight(1).pairing(3), "out of range"),
+    (lambda: build_root_system("A", 1).rho + build_root_system("A", 2).rho, "different root systems"),
+    (lambda: flag(build_root_system("A", 2), {1, 2}), "proper subset"),
+    (lambda: killing_dual_pairing(build_root_system("A", 1).rho, build_root_system("B", 2).rho),
+     "different root systems"),
+], ids=["weight_span", "pairing_index", "weight_sum", "theta_proper", "killing_systems"])
+def test_input_checks_raise_configuration_errors(call, fragment):
+    with pytest.raises(ConfigurationError, match=fragment):
+        call()

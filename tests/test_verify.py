@@ -240,7 +240,7 @@ def test_analytic_fields_match_finite_differences(case):
     spec = make_spec(case, b=Q(4, 5))
     base = spec.base_log_anticanonical()
     for p in sample_points(spec, 11, 3).points:
-        _, cone = conformal_fields(spec, CFG, ref=p)
+        _, cone = conformal_fields(spec, ref=p)
         P = p[None, :]
         g, th = diffgeo.split_cone(cone(P)[0])
         J = diffgeo.complex_structure(len(p))
@@ -257,7 +257,7 @@ def test_analytic_fields_match_finite_differences(case):
 def test_lee_form_is_the_last_row_of_the_joint_field(case):
     """The gradient-only Lee form equals the Lee-form part of the cone field bit for bit."""
     spec = make_spec(case, b=Q(4, 5))
-    _, cone = conformal_fields(spec, CFG)
+    _, cone = conformal_fields(spec)
     P = sample_points(spec, 13, 4).points
     stencil = (P[:, None, :] + 1e-3 * diffgeo._unit_stencil(P.shape[1])[0]).reshape(-1, P.shape[1])
     for X in (P, stencil):
