@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .exact import ONE, QC, ZERO, abs2, hermitian_elimination, hermitian_inverse, like, rows, to_field
+from .exact import ONE, QC, ZERO, abs2, hermitian_elimination, hermitian_inverse, like, linear_map, rows, to_field
 from .reps import (RepSpace, act, derivation_matrix, outer_tensor, sl2_module,
                    so_radical_basis, so_vector_module, wedge_module)
 from .roots import ConfigurationError, build_root_system, flag
@@ -259,12 +259,12 @@ def gram_minors(F, units=None):
 def nilpotent_log(M, dim: int):
     """log(1 + X) for strictly triangular X = M - 1, as a terminating series, batched over leading axes."""
     X = M - np.eye(M.shape[-1], dtype=int)
-    out = power = X
+    out, term, times_X = X, X, linear_map(X)
     for k in range(2, dim + 2):
-        power = power @ X
-        if not np.any(power):
+        term = times_X(term, to_field(Fraction(1 - k, k), np.result_type(X.dtype, complex)))     # (-1)^(k+1) X^k / k
+        if not np.count_nonzero(term):
             return out
-        out = out + to_field(Fraction((-1) ** (k + 1), k), power.dtype) * power
+        out = out + term
     raise DomainError("matrix is not unipotent")
 
 
@@ -356,25 +356,29 @@ class Chart:
             return so_vector_module(self.params["N"])
         return wedge_module(1, 1)     # product factors are projective lines
 
-    def word_element(self, gen: int, z):
+    def word_element(self, gen: int, z, *, _log=None):
         """Algebra element X(z) whose exponential is the big-cell section, batched over the leading axes of ``z``."""
         z = to_field(z)
-        if self.kind == "wedge":
+        if self.kind == "wedge":        # X(z) derives log n(z), which the module generic_h shares as _log
             n, ks, slots = self._wedge()
-            return derivation_matrix(n, ks[gen], nilpotent_log(_big_cell(n, slots, z), n + 1))
+            log = nilpotent_log(_big_cell(n, slots, z), n + 1) if _log is None else _log
+            return derivation_matrix(n, ks[gen], log)
         if self.kind == "quadric":
             N = self.params["N"]
-            if "Y" not in self._cache:
-                self._cache["Y"] = _both_fields(np.stack(so_radical_basis(N)).reshape(N - 2, N * N))
-            # sum_j z_j Y_j as a product over the last axis of z, one row at a time (a row rounds as a single point)
-            return np.matmul(z[..., None, :], self._cache["Y"][z.dtype])[..., 0, :].reshape(z.shape[:-1] + (N, N))
+            if "Y" not in self._cache:      # sum_j z_j Y_j: the Y_j are nonzero at disjoint positions, one z_j each
+                Y = np.stack(so_radical_basis(N)).reshape(N - 2, N * N)
+                self._cache["Y"] = np.nonzero(Y) + (_both_fields(_read_only(Y[np.nonzero(Y)])),)
+            owner, at, entries = self._cache["Y"]
+            X = np.full(z.shape[:-1] + (N * N,), ZERO, dtype=z.dtype)
+            X[..., at] = z[..., owner] * entries[z.dtype]
+            return X.reshape(z.shape[:-1] + (N, N))
         # product: the z_gen-th factor lowering operator
         return z[..., gen, None, None] * to_field([[0, 0], [1, 0]], z.dtype)
 
-    def generic_h(self, gen: int, z, exact: bool = False):
+    def generic_h(self, gen: int, z, exact: bool = False, *, _log=None):
         """|exp(X(z)) v+|^2 / |v+|^2 through the module machinery; ``exact`` reads ``z`` as Gaussian rationals."""
         rep = self.rep(gen)
-        X = self.word_element(gen, to_field(z, object if exact else complex))
+        X = self.word_element(gen, to_field(z, object if exact else complex), _log=_log)
         ns = rep.norm_sq(act(rep, [(X, 1)], to_field(rep.hw_raw, X.dtype)))
         return ns / like(rep.hw_norm_sq, ns)
 
@@ -717,10 +721,12 @@ def log_potential_eval(spec: PotentialSpec, z, w):
 
 
 def generic_h(chart: Chart, z, exact: bool = False):
-    """Fundamental potentials through the representation path."""
-    out = []
-    for g in range(chart.n_gen):
-        out.append(chart.generic_h(g, z, exact=exact))
+    """Fundamental potentials through the representation path; a wedge chart's generators share one big-cell log."""
+    z, log = to_field(z, object if exact else complex), None
+    if chart.kind == "wedge":
+        n, _, slots = chart._wedge()
+        log = nilpotent_log(_big_cell(n, slots, z), n + 1)
+    out = [chart.generic_h(g, z, exact=exact, _log=log) for g in range(chart.n_gen)]
     return tuple(out) if exact else np.array(out)
 
 

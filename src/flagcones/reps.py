@@ -19,7 +19,8 @@ the exponential series of a nilpotent matrix, which is exact over the
 rationals.  ``act`` works over leading axes: a word step ``(M, t)`` may
 carry one matrix ``(d, d)`` or one per row ``(..., d, d)``, and a scalar
 or per-row parameter.  The exponential policy lives in ``_exp_apply``:
-one series for both fields, and a step whose series does not terminate
+one series for both fields, its terms from ``exact.linear_map`` (only
+nonzero products when exact); a step whose series does not terminate
 raises ``ExactModeError``.
 """
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .exact import ONE, QC, QI, ZERO, abs2, rows, solve, to_field
+from .exact import ONE, QC, QI, ZERO, abs2, linear_map, rows, solve, to_field
 from .roots import ConfigurationError, RootSystem, Weight, build_root_system, casimir_eigenvalue
 
 
@@ -142,10 +143,10 @@ def wedge_basis(n: int, k: int):
 
 @lru_cache(maxsize=None)
 def _derivation_table(n: int, k: int) -> tuple:
-    """``(row, col, j, i, sign)`` int arrays, one entry per term of a derivation on the k-th wedge power.
+    """The terms of a derivation on the k-th wedge power: ``(row, col, j, i)`` int arrays of sign +1, then of sign -1.
 
     Column ``col`` is the basis wedge ``e_S``; replacing its factor ``e_i``
-    by ``e_j`` (``j`` not elsewhere in ``S``) and sorting gives ``sign``
+    by ``e_j`` (``j`` not elsewhere in ``S``) and sorting gives the sign
     times basis wedge ``row``, weighted by the matrix entry ``X[j][i]``
     (0-based indices).  Terms are listed in column, position, ``j`` order.
     """
@@ -159,20 +160,20 @@ def _derivation_table(n: int, k: int) -> tuple:
                     continue
                 new = subset[:pos] + (j,) + subset[pos + 1:]
                 inversions = sum(1 for a in range(k) for b in range(a + 1, k) if new[a] > new[b])
-                out.append((index[tuple(sorted(new))], col, j - 1, i - 1, -1 if inversions % 2 else 1))
-    return tuple(np.array(c) for c in zip(*out))
+                out.append((inversions % 2, (index[tuple(sorted(new))], col, j - 1, i - 1)))
+    return tuple(tuple(np.array([t for odd, t in out if odd == sign], dtype=int).reshape(-1, 4).T) for sign in (0, 1))
 
 
 def derivation_matrix(n: int, k: int, X):
     """Action of ``X`` in gl(n+1) on the k-th wedge power, as a derivation, batched over leading axes.
 
-    Exact for an exact ``X``, complex otherwise.
+    Exact for an exact ``X``, complex otherwise; +1 terms are added and -1 terms subtracted, with no product.
     """
     X = np.asarray(X)
     d = comb(n + 1, k)
-    rows, cols, js, is_, signs = _derivation_table(n, k)
     out = np.full(X.shape[:-2] + (d, d), ZERO, dtype=np.result_type(X.dtype, complex))
-    np.add.at(out, (Ellipsis, rows, cols), signs * X[..., js, is_])
+    for (rows, cols, js, is_), scatter in zip(_derivation_table(n, k), (np.add.at, np.subtract.at)):
+        scatter(out, (Ellipsis, rows, cols), X[..., js, is_])
     return out
 
 
@@ -360,19 +361,20 @@ def _exp_apply(M: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
     """exp(t M) v per row: ``M`` (d, d) or (..., d, d), ``t`` () or (...), ``v`` (..., d), one dtype.
 
     One series for both fields, of at most d + 1 terms, stopping once
-    every row's term is zero.  A nilpotent step terminates: exactly over
+    every row's term is zero; each term ``(t / k) M term`` comes from one
+    ``exact.linear_map(M)``.  A nilpotent step terminates: exactly over
     the rationals, and within rounding in complex128.  So after the last
     term an exact row that is still nonzero, or a float row whose term
     exceeds unit roundoff times the row's largest entry, raises
     ``ExactModeError``.
     """
     d = M.shape[-1]
-    shape = np.broadcast_shapes(M.shape[:-2], t.shape, v.shape[:-1])
-    acc = np.array(np.broadcast_to(v, shape + (d,)))
-    term, step = acc, t[..., None]
+    acc = np.empty(np.broadcast_shapes(M.shape[:-2], t.shape, v.shape[:-1]) + (d,), dtype=v.dtype)
+    acc[...] = v
+    term, times_M = acc, linear_map(M)
     for k in range(1, d + 2):
-        term = (step / k) * np.matmul(M, term[..., None])[..., 0]
-        if not np.any(term):
+        term = times_M(term[..., None], t / k)[..., 0]
+        if not np.count_nonzero(term):
             return acc
         acc = acc + term
     if acc.dtype == object or np.any(np.max(abs(term), -1) > np.finfo(float).eps * np.max(abs(acc), -1)):

@@ -215,6 +215,20 @@ def test_generic_matches_closed_exact(case):
                                                 for g in range(chart.n_gen))
 
 
+@pytest.mark.parametrize("case", [c for c in CASES if resolve_case(c).kind == "wedge"])
+def test_generic_h_shares_one_log_among_generators(case, monkeypatch):
+    """One ``nilpotent_log`` per point (wallach has 2 generators, fullflag:A:3 3), exact values still ``h_closed``."""
+    chart, rng, logs = resolve_case(case), np.random.default_rng(17), []
+    nilpotent_log = charts.nilpotent_log
+    monkeypatch.setattr(charts, "nilpotent_log", lambda M, dim: logs.append(M) or nilpotent_log(M, dim))
+    for _ in range(8):
+        z = _rand_qc(rng, chart.n_z)
+        assert generic_h(chart, z, exact=True) == chart.h_closed_exact(z)
+    assert len(logs) == 8
+    generic_h(chart, rng.normal(size=(5, chart.n_z)) + 0j)
+    assert len(logs) == 9
+
+
 def _h_summed_from_zero(chart, z):
     """Reference: ``h_closed`` with each squared norm summed from zero, its constant leading 1 included."""
     F, ks = chart._frame(z)
@@ -420,7 +434,7 @@ def test_quadric_word_element_converts_basis_once(monkeypatch):
     z = np.arange(1, 7) * (0.1 + 0.2j)
     X1 = chart.word_element(0, z)
     X2 = chart.word_element(0, 2 * z)
-    assert len(converted) == 1 and converted[0].shape == (chart.n_z, 8 * 8)     # the stacked basis, once
+    assert len(converted) == 1 and converted[0].shape == (4 * chart.n_z,)     # the nonzero entries of the Y_j, once
     assert np.allclose(X2, 2 * X1)
 
 

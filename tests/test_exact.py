@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from flagcones.diffgeo import _log_det
-from flagcones.exact import (QC, ZERO, abs2, hermitian_elimination, hermitian_inverse, modulus, real,
+from flagcones.exact import (QC, ZERO, abs2, hermitian_elimination, hermitian_inverse, linear_map, modulus, real,
                              solve, to_field)
 
 
@@ -190,6 +190,34 @@ def test_to_field_picks_the_field():
     assert to_field([1.5, 2]).dtype == complex and to_field(exact, complex).tolist() == [1 + 2j, 0j, 1 / 3 + 0j]
     with pytest.raises(TypeError):
         to_field([0.5], object)
+
+
+def _sparse(rng, shape):
+    """An exact array of ``QC``, int and ``Fraction`` entries, about half of them zero, with zero last rows and columns."""
+    kinds = [lambda: 0, lambda: QC(0), lambda: int(rng.integers(-3, 4)), lambda: Q(int(rng.integers(-4, 5)), 3),
+             lambda: QC(Q(int(rng.integers(-4, 5)), 5), Q(int(rng.integers(-4, 5)), 7))]
+    a = np.array([kinds[i]() for i in rng.integers(0, len(kinds), size=int(np.prod(shape)))], dtype=object)
+    a = a.reshape(shape)
+    a[..., -1, :] = 0
+    a[..., :, -1] = QC(0)
+    return a
+
+
+@pytest.mark.parametrize("m_lead, v_lead, s_shape", [((), (), None), ((), (), ()), ((2,), (), (2,)), ((), (3, 1), ()),
+                                                    ((2,), (3, 1), (3, 2)), ((3, 1), (2,), None), ((0,), (), None)])
+def test_linear_map_is_the_matrix_product_in_either_field(m_lead, v_lead, s_shape):
+    """Exact: ``s (M @ v)`` entry by entry, over leading axes; complex: ``np.matmul`` bit for bit."""
+    rng = np.random.default_rng(len(m_lead) + 3 * len(v_lead) + 7 * (s_shape is None))
+    M, v = _sparse(rng, m_lead + (4, 5)), _sparse(rng, v_lead + (5, 2))
+    s = None if s_shape is None else to_field(_sparse(rng, s_shape + (2, 2))[..., 0, 0], object)
+    want = M @ v if s is None else s[..., None, None] * (M @ v)
+    got = linear_map(M)(v, s)
+    assert got.dtype == object and got.shape == want.shape and np.all(got == want)
+    Mc, vc = np.asarray(M, dtype=complex), np.asarray(v, dtype=complex)
+    assert np.array_equal(linear_map(Mc)(vc), np.matmul(Mc, vc))
+    if s is not None:
+        sc = np.asarray(s, dtype=complex)
+        assert np.array_equal(linear_map(Mc)(vc, sc), sc[..., None, None] * np.matmul(Mc, vc))
 
 
 def test_real_abs2_modulus_per_field():
