@@ -356,29 +356,35 @@ class Chart:
             return so_vector_module(self.params["N"])
         return wedge_module(1, 1)     # product factors are projective lines
 
-    def word_element(self, gen: int, z, *, _log=None):
+    def word_element(self, gen: int, z):
         """Algebra element X(z) whose exponential is the big-cell section, batched over the leading axes of ``z``."""
         z = to_field(z)
-        if self.kind == "wedge":        # X(z) derives log n(z), which the module generic_h shares as _log
-            n, ks, slots = self._wedge()
-            log = nilpotent_log(_big_cell(n, slots, z), n + 1) if _log is None else _log
-            return derivation_matrix(n, ks[gen], log)
+        if self.kind == "wedge":
+            return derivation_matrix(self.params["n"], self.params["ks"][gen], self._big_cell_log(z))
         if self.kind == "quadric":
             N = self.params["N"]
             if "Y" not in self._cache:      # sum_j z_j Y_j: the Y_j are nonzero at disjoint positions, one z_j each
-                Y = np.stack(so_radical_basis(N)).reshape(N - 2, N * N)
+                Y = np.stack(so_radical_basis(N))
                 self._cache["Y"] = np.nonzero(Y) + (_both_fields(_read_only(Y[np.nonzero(Y)])),)
-            owner, at, entries = self._cache["Y"]
-            X = np.full(z.shape[:-1] + (N * N,), ZERO, dtype=z.dtype)
-            X[..., at] = z[..., owner] * entries[z.dtype]
-            return X.reshape(z.shape[:-1] + (N, N))
+            owner, i, j, entries = self._cache["Y"]
+            X = np.full(z.shape[:-1] + (N, N), ZERO, dtype=z.dtype)
+            X[..., i, j] = z[..., owner] * entries[z.dtype]
+            return X
         # product: the z_gen-th factor lowering operator
         return z[..., gen, None, None] * to_field([[0, 0], [1, 0]], z.dtype)
 
-    def generic_h(self, gen: int, z, exact: bool = False, *, _log=None):
+    def _big_cell_log(self, z):
+        """log n(z) of a wedge chart's big-cell section: every generator's word element is its derivation."""
+        n, _, slots = self._wedge()
+        return nilpotent_log(_big_cell(n, slots, z), n + 1)
+
+    def generic_h(self, gen: int, z, exact: bool = False):
         """|exp(X(z)) v+|^2 / |v+|^2 through the module machinery; ``exact`` reads ``z`` as Gaussian rationals."""
+        return self._h_of(gen, self.word_element(gen, to_field(z, object if exact else complex)))
+
+    def _h_of(self, gen: int, X):
+        """|exp(X) v+|^2 / |v+|^2 in the module of generator ``gen``, in the field of the word element ``X``."""
         rep = self.rep(gen)
-        X = self.word_element(gen, to_field(z, object if exact else complex), _log=_log)
         ns = rep.norm_sq(act(rep, [(X, 1)], to_field(rep.hw_raw, X.dtype)))
         return ns / like(rep.hw_norm_sq, ns)
 
@@ -722,11 +728,11 @@ def log_potential_eval(spec: PotentialSpec, z, w):
 
 def generic_h(chart: Chart, z, exact: bool = False):
     """Fundamental potentials through the representation path; a wedge chart's generators share one big-cell log."""
-    z, log = to_field(z, object if exact else complex), None
     if chart.kind == "wedge":
-        n, _, slots = chart._wedge()
-        log = nilpotent_log(_big_cell(n, slots, z), n + 1)
-    out = [chart.generic_h(g, z, exact=exact, _log=log) for g in range(chart.n_gen)]
+        log = chart._big_cell_log(to_field(z, object if exact else complex))
+        out = [chart._h_of(g, derivation_matrix(chart.params["n"], k, log)) for g, k in enumerate(chart.params["ks"])]
+    else:
+        out = [chart.generic_h(g, z, exact=exact) for g in range(chart.n_gen)]
     return tuple(out) if exact else np.array(out)
 
 

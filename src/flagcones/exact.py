@@ -15,14 +15,12 @@ array is complex128.  One function body therefore serves both paths.  The
 few operations whose float rounding, exact value type or cost differs
 between the two live here, as array functions that dispatch on the dtype:
 ``to_field`` and ``like`` (conversion), ``real``, ``abs2``, ``modulus`` and
-the exact-product rule ``linear_map`` (a fixed matrix on many vectors:
-``np.matmul`` in floats, only products of two nonzero entries over ``QC``).
-Float products round as numpy's array loops do, and numpy scalars round
-some of them differently, so ``rows`` is the single-point rule: a function
-of points it decorates runs a lone float point as a batch of one, which
-rounds as that point's row of any batch.  ``QC`` converts to ``complex``
-through ``__complex__``, so ``np.asarray(a, dtype=complex)`` takes an exact
-array to floats.
+``linear_map`` (``np.matmul``, or over ``QC`` only nonzero products).  Float
+products round as numpy's array loops do, and numpy scalars round some of
+them differently, so ``rows`` is the single-point rule: a function of points
+it decorates runs a lone float point as a batch of one, which rounds as that
+point's row of any batch.  ``QC`` converts to ``complex`` via ``__complex__``,
+so ``np.asarray(a, dtype=complex)`` takes an exact array to floats.
 """
 from __future__ import annotations
 
@@ -293,20 +291,18 @@ def rows(first: int):
 
 
 def linear_map(M):
-    """``(v, s) -> s (M @ v)``, batched as ``@``: a fixed ``M`` (..., d, e), ``v`` (..., e, k), a scale ``s`` or None.
+    """``(v, s) -> s (M @ v)``, batched as ``@``: a fixed ``M`` (..., d, e), ``v`` (..., e, k), a scale ``s`` (...).
 
-    Complex: ``np.matmul``.  Exact: the nonzero entries of ``M`` are listed once, column by column, and each
-    application skips zero entries of ``v``; an entry with no product is ``ZERO``, and only nonzero ones are scaled.
+    Complex: ``np.matmul``.  Exact: ``M``'s nonzero entries are listed once and only nonzero entries are multiplied.
     """
-    M = np.asarray(M)
     if M.dtype != object:
-        return lambda v, s=None: np.matmul(M, v) if s is None else np.asarray(s)[..., None, None] * np.matmul(M, v)
+        return lambda v, s: np.asarray(s)[..., None, None] * np.matmul(M, v)
     d, e = M.shape[-2:]
     columns = [[[(i, x) for i, x in enumerate(col) if x is not ZERO and x] for col in m]
                for m in M.reshape(-1, d, e).transpose(0, 2, 1).tolist()]
     which = np.arange(len(columns)).reshape(M.shape[:-2])
 
-    def apply(v, s=None):
+    def apply(v, s):
         k, out, xs = v.shape[-1], [], v.reshape(-1, e * v.shape[-1]).tolist()
         cells = np.broadcast(which, np.arange(len(xs)).reshape(v.shape[:-2]), s)
         for m, r, c in cells:
@@ -316,7 +312,7 @@ def linear_map(M):
                     for i, mij in columns[m][jc // k]:
                         p, ic = mij * xj, i * k + jc % k
                         y[ic] = p if y[ic] is ZERO else y[ic] + p
-            out += y if c is None else [u if u is ZERO else c * u for u in y]
+            out += [u if u is ZERO else c * u for u in y]
         return np.fromiter(out, dtype=object, count=len(out)).reshape(cells.shape + (d, k))
 
     return apply

@@ -19,9 +19,8 @@ the exponential series of a nilpotent matrix, which is exact over the
 rationals.  ``act`` works over leading axes: a word step ``(M, t)`` may
 carry one matrix ``(d, d)`` or one per row ``(..., d, d)``, and a scalar
 or per-row parameter.  The exponential policy lives in ``_exp_apply``:
-one series for both fields, its terms from ``exact.linear_map`` (only
-nonzero products when exact); a step whose series does not terminate
-raises ``ExactModeError``.
+one series for both fields, each term from ``exact.linear_map``, and a
+step whose series does not terminate raises ``ExactModeError``.
 """
 from __future__ import annotations
 
@@ -360,22 +359,19 @@ def trivial_module() -> RepSpace:
 def _exp_apply(M: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
     """exp(t M) v per row: ``M`` (d, d) or (..., d, d), ``t`` () or (...), ``v`` (..., d), one dtype.
 
-    One series for both fields, of at most d + 1 terms, stopping once
-    every row's term is zero; each term ``(t / k) M term`` comes from one
-    ``exact.linear_map(M)``.  A nilpotent step terminates: exactly over
-    the rationals, and within rounding in complex128.  So after the last
-    term an exact row that is still nonzero, or a float row whose term
-    exceeds unit roundoff times the row's largest entry, raises
-    ``ExactModeError``.
+    One series for both fields, of at most d + 1 terms, each from one
+    ``exact.linear_map(M)``, stopping once every row's term is zero.  A
+    nilpotent step terminates: exactly over the rationals, and within
+    rounding in complex128.  So after the last term an exact row that is
+    still nonzero, or a float row whose term exceeds unit roundoff times
+    the row's largest entry, raises ``ExactModeError``.
     """
     d = M.shape[-1]
-    acc = np.empty(np.broadcast_shapes(M.shape[:-2], t.shape, v.shape[:-1]) + (d,), dtype=v.dtype)
-    acc[...] = v
-    term, times_M = acc, linear_map(M)
+    acc, term, times_M = v, v, linear_map(M)
     for k in range(1, d + 2):
         term = times_M(term[..., None], t / k)[..., 0]
         if not np.count_nonzero(term):
-            return acc
+            return acc + term       # a zero term, shaped as M, t and v broadcast
         acc = acc + term
     if acc.dtype == object or np.any(np.max(abs(term), -1) > np.finfo(float).eps * np.max(abs(acc), -1)):
         raise ExactModeError("the exponential series of a step does not terminate within d + 1 terms")

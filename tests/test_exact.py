@@ -203,21 +203,18 @@ def _sparse(rng, shape):
     return a
 
 
-@pytest.mark.parametrize("m_lead, v_lead, s_shape", [((), (), None), ((), (), ()), ((2,), (), (2,)), ((), (3, 1), ()),
-                                                    ((2,), (3, 1), (3, 2)), ((3, 1), (2,), None), ((0,), (), None)])
+@pytest.mark.parametrize("m_lead, v_lead, s_shape", [((), (), ()), ((2,), (), (2,)), ((), (3, 1), ()),
+                                                    ((2,), (3, 1), (3, 2)), ((3, 1), (2,), ()), ((0,), (), ())])
 def test_linear_map_is_the_matrix_product_in_either_field(m_lead, v_lead, s_shape):
-    """Exact: ``s (M @ v)`` entry by entry, over leading axes; complex: ``np.matmul`` bit for bit."""
-    rng = np.random.default_rng(len(m_lead) + 3 * len(v_lead) + 7 * (s_shape is None))
+    """Exact: ``s (M @ v)`` entry by entry, over leading axes; complex: ``s`` times ``np.matmul``, bit for bit."""
+    rng = np.random.default_rng(len(m_lead) + 3 * len(v_lead))
     M, v = _sparse(rng, m_lead + (4, 5)), _sparse(rng, v_lead + (5, 2))
-    s = None if s_shape is None else to_field(_sparse(rng, s_shape + (2, 2))[..., 0, 0], object)
-    want = M @ v if s is None else s[..., None, None] * (M @ v)
+    s = to_field(_sparse(rng, s_shape + (2, 2))[..., 0, 0], object)
+    want = s[..., None, None] * (M @ v)
     got = linear_map(M)(v, s)
     assert got.dtype == object and got.shape == want.shape and np.all(got == want)
-    Mc, vc = np.asarray(M, dtype=complex), np.asarray(v, dtype=complex)
-    assert np.array_equal(linear_map(Mc)(vc), np.matmul(Mc, vc))
-    if s is not None:
-        sc = np.asarray(s, dtype=complex)
-        assert np.array_equal(linear_map(Mc)(vc, sc), sc[..., None, None] * np.matmul(Mc, vc))
+    Mc, vc, sc = (np.asarray(a, dtype=complex) for a in (M, v, s))
+    assert np.array_equal(linear_map(Mc)(vc, sc), sc[..., None, None] * np.matmul(Mc, vc))
 
 
 def test_real_abs2_modulus_per_field():
