@@ -25,10 +25,12 @@ one, so it rounds exactly as the same point inside a batch.
 ``Chart.frames`` pairs the same frames with their Jacobians, and
 ``log_gram_jets`` turns them into closed-form ``d log h`` and ``ddbar log h``
 in either field, the analytic Kahler layer under the verification suites.
-Both layers run one Hermitian elimination (``exact.hermitian_elimination``)
-on the Gram entries of the frame rows that carry coordinates: ``gram_minors``
-takes running products of its pivots, ``log_gram_jets`` back-substitutes for
-``G^-1`` and hands back ``h``, the product of the pivots.  Each ``d_a F`` of
+Both layers read the Gram entries of the frame rows that carry coordinates.
+In floats both run one Hermitian elimination (``exact.hermitian_elimination``):
+``gram_minors`` takes running products of its pivots, ``log_gram_jets``
+back-substitutes for ``G^-1`` and hands back ``h``, the product of the
+pivots.  Exact ``gram_minors`` eliminates in Gaussian integers instead
+(``exact.leading_gram_minors``).  Each ``d_a F`` of
 a wedge or product frame is one matrix unit, so their jets are gathers
 through index tables built once per chart, with no LAPACK call per matrix;
 the quadric section's jets are closed forms in ``z``.  A ``PotentialSpec``
@@ -53,7 +55,8 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .exact import ONE, QC, ZERO, abs2, hermitian_elimination, hermitian_inverse, like, linear_map, rows, to_field
+from .exact import (ONE, QC, ZERO, abs2, entry_dot, gram_entries, hermitian_elimination, hermitian_inverse,
+                    leading_gram_minors, like, linear_map, rows, to_field)
 from .reps import (RepSpace, act, derivation_matrix, outer_tensor, sl2_module,
                    so_radical_basis, so_vector_module, wedge_module)
 from .roots import ConfigurationError, build_root_system, flag
@@ -143,19 +146,14 @@ def _product_tables(m: int) -> tuple:
     return tuple(_unit_tables(rows, cols, np.arange(m) == j, 1) for j in range(m))
 
 
-def _gram(F, units=None):
-    """``(E, conj(E), G)``: frame rows ``E[i][a] = F[..., i, a]`` as entry arrays and the upper triangle of ``F* F``.
+def _frame_rows(F, units=None):
+    """``(E, ones)``: frame rows ``E[i][a] = F[..., i, a]`` as entry arrays, and the columns of the identity rows.
 
-    With ``units`` only the rows that carry coordinates are read, and each
-    identity row's 1 starts its diagonal entry.
+    With ``units`` only the rows that carry coordinates are read; each
+    identity row's 1 goes on the Gram diagonal at its column in ``ones``.
     """
     E = _roll_axes(np.asarray(F), -2)
-    ones = ()
-    if units is not None:
-        E, ones = E[units.rows], units.ones
-    Ec, r = np.conj(E), E.shape[1]
-    return E, Ec, [[_dot(Ec[:, a], E[:, b], int(a == b and a in ones)) if b >= a else None for b in range(r)]
-                   for a in range(r)]
+    return (E, ()) if units is None else (E[units.rows], units.ones)
 
 
 def _squared_norms(F):
@@ -169,14 +167,6 @@ def _roll_axes(a: np.ndarray, k: int) -> np.ndarray:
     return a.transpose(axes[k:] + axes[:k])
 
 
-def _dot(xs, ys, start=0):
-    """``start + sum_j xs[j] ys[j]`` over entry arrays, summed in order."""
-    out = xs[0] * ys[0] if start == 0 else start + xs[0] * ys[0]
-    for x, y in zip(xs[1:], ys[1:]):
-        out = out + x * y
-    return out
-
-
 def log_gram_jets(F, jac, hessian=True):
     """``(d_a log h, d_a dbar_b log h)`` of ``h = det G``, ``G = F* F``, batched over leading axes.
 
@@ -188,9 +178,10 @@ def log_gram_jets(F, jac, hessian=True):
     the gradient gathers ``(G^-1 F*)[col_a, row_a]`` and each Hessian entry is
     one product ``P[row_b, row_a] G^-1[col_a, col_b]`` written into one array.
     ``G^-1`` comes from the Hermitian elimination of ``exact`` on the Gram
-    entry arrays (the one ``gram_minors`` runs) and back-substitution, so no
-    call is made per matrix; these frames also hand back ``h``, the product of
-    its pivots, bit for bit the minor of ``gram_minors``.  The quadric section
+    entry arrays (the one float ``gram_minors`` runs) and back-substitution, so
+    no call is made per matrix; these frames also hand back ``h``, the product
+    of its pivots, bit for bit the float minor of ``gram_minors`` (and equal to
+    the exact one).  The quadric section
     (``jac = z / 2``) takes the closed forms of ``_quadric_log_jets``, with no
     Gram inverse.  With ``hessian`` false only ``(d_a log h,)`` is computed.
     """
@@ -199,18 +190,19 @@ def log_gram_jets(F, jac, hessian=True):
         return tuple(jet[0] for jet in log_gram_jets(np.asarray(F)[None], jac, hessian))
     if not isinstance(jac, UnitTables):
         return _quadric_log_jets(F[..., 0], jac, hessian)
-    E, Ec, G = _gram(F, jac)
+    E, ones = _frame_rows(F, jac)
+    Ec, G = gram_entries(E, ones)
     pivots, L = hermitian_elimination(G)
     Ginv, h = hermitian_inverse(pivots, L), functools.reduce(np.multiply, pivots)
     del pivots, L                       # free the elimination before the large temporaries below
-    A = [[_dot(row, e) for e in Ec] for row in Ginv]                 # (G^-1 F*)[j, rows_u]
+    A = [[entry_dot(row, e) for e in Ec] for row in Ginv]             # (G^-1 F*)[j, rows_u]
     flat = [x for row in A for x in row] + [np.zeros_like(A[0][0])]
     grad = np.stack([flat[k] for k in jac.grad.tolist()])
     if not hessian:
         return (_roll_axes(grad, 1),)
     At, P = list(zip(*A)), [[None] * len(E) for _ in E]               # P[u][v] = P[rows_u, rows_v], Hermitian
     for u, v in combinations_with_replacement(range(len(E)), 2):
-        P[u][v] = int(u == v) - _dot(E[u], At[v])
+        P[u][v] = int(u == v) - entry_dot(E[u], At[v])
         P[v][u] = np.conj(P[u][v])
     P, Ginv = [x for row in P for x in row], [x for row in Ginv for x in row]
     hess = np.zeros(jac.cols.shape + grad.shape[1:], grad.dtype)       # each entry written once
@@ -241,19 +233,15 @@ def gram_minors(F, units=None):
     """Leading principal minors ``det G[:k, :k]``, k = 1..r, of ``G = F* F``: shape (..., r).
 
     ``F`` is an (..., N, r) frame.  By Cauchy-Binet the k-th minor is the
-    sum of squared k x k minors of the first k columns.  ``G`` is Hermitian
-    positive definite, so the minors are running products of the pivots of
-    ``exact.hermitian_elimination``.  With the frame's ``UnitTables`` only its
-    coordinate rows are read (``_gram``), bit for bit as the whole frame: the
-    identity rows add exact zeros.  Each Gram entry is an array over the
-    leading axes of ``F`` (a scalar for an (N, r) frame); exact frames give
-    ``Fraction`` minors.
+    sum of squared k x k minors of the first k columns.  With the frame's
+    ``UnitTables`` only its coordinate rows are read (``_frame_rows``), bit
+    for bit as the whole frame: the identity rows add exact zeros.  The
+    field rule is ``exact.leading_gram_minors``: running products of the
+    pivots of ``exact.hermitian_elimination`` on Gram entry arrays over the
+    leading axes of ``F`` in floats, and for exact frames Bareiss elimination
+    of ``D^2 G`` in Gaussian integers, one ``Fraction`` per minor.
     """
-    out, det = [], 1
-    for pivot in hermitian_elimination(_gram(F, units)[2])[0]:
-        det = det * pivot
-        out.append(det)
-    return np.stack(out, axis=-1)
+    return leading_gram_minors(*_frame_rows(F, units))
 
 
 def nilpotent_log(M, dim: int):

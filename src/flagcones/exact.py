@@ -14,19 +14,28 @@ arithmetic: an ``object`` array holds exact numbers (``QC``; ints and
 array is complex128.  One function body therefore serves both paths.  The
 few operations whose float rounding, exact value type or cost differs
 between the two live here, as array functions that dispatch on the dtype:
-``to_field`` and ``like`` (conversion), ``real``, ``abs2``, ``modulus`` and
-``linear_map`` (``np.matmul``, or over ``QC`` only nonzero products).  Float
-products round as numpy's array loops do, and numpy scalars round some of
-them differently, so ``rows`` is the single-point rule: a function of points
-it decorates runs a lone float point as a batch of one, which rounds as that
-point's row of any batch.  ``QC`` converts to ``complex`` via ``__complex__``,
-so ``np.asarray(a, dtype=complex)`` takes an exact array to floats.
+``to_field`` and ``like`` (conversion), ``real``, ``abs2``, ``modulus``,
+``linear_map`` (``np.matmul``, or over ``QC`` only nonzero products) and two
+Hermitian forms, ``diagonal_form`` (weighted squared norms) and
+``leading_gram_minors`` (leading minors of a frame's Gram matrix).  In floats
+these sum and eliminate with array loops; over ``QC`` they clear each input's
+denominators once and work in Gaussian integers, Bareiss elimination for the
+minors, with one ``Fraction`` per result.  Float products round as numpy's
+array loops do, and numpy scalars round some of them differently, so ``rows``
+is the single-point rule: a function of points it decorates runs a lone float
+point as a batch of one, which rounds as that point's row of any batch.
+``to_field`` converts an exact value once: an array that already holds only
+``QC`` passes through it as it is.  ``QC`` converts to ``complex`` via
+``__complex__``, so ``np.asarray(a, dtype=complex)`` takes an exact array to
+floats.
 """
 from __future__ import annotations
 
 import functools
+import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence, Tuple, Union
 
 import numpy as np
@@ -154,7 +163,15 @@ class QC:
         return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        """Equal values hash equal: a real value hashes as its int or ``Fraction``, any other from its fields."""
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        if self.d == 1:
+            return hash(self.a)
+        P = sys.hash_info.modulus           # Python's hash of the rational a / d, no Fraction built
+        h = sys.hash_info.inf if self.d % P == 0 else abs(self.a) % P * pow(self.d, -1, P) % P
+        h = h if self.a >= 0 else -h
+        return -2 if h == -1 else h
 
     def to_complex(self) -> complex:
         return complex(self.a / self.d, self.b / self.d)
@@ -242,6 +259,25 @@ def hermitian_inverse(pivots, L) -> list:
     return X
 
 
+def entry_dot(xs, ys, start=0):
+    """``start + sum_j xs[j] ys[j]`` over entry arrays, summed in order."""
+    out = xs[0] * ys[0] if start == 0 else start + xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        out = out + x * y
+    return out
+
+
+def gram_entries(E, ones=()):
+    """``(conj(E), G)``: the upper triangle of ``G = E* E`` plus 1 on the diagonal at the columns ``ones``.
+
+    ``E[i][a]`` are the rows of a frame as entry arrays over its leading axes
+    (``G[a][b]`` for ``b >= a``, None below), in either field.
+    """
+    Ec, r = np.conj(E), E.shape[1]
+    return Ec, [[entry_dot(Ec[:, a], E[:, b], int(a == b and a in ones)) if b >= a else None for b in range(r)]
+                for a in range(r)]
+
+
 # ---------------------------------------------------------------------------
 # arrays: the dtype picks the arithmetic
 # ---------------------------------------------------------------------------
@@ -255,15 +291,19 @@ def to_field(a, dtype=None) -> np.ndarray:
     """``a`` as an array over the exact or the complex field.
 
     With ``dtype`` object every entry becomes a ``QC`` (a float raises
-    ``TypeError``); any other ``dtype`` converts as numpy does, ``QC``
-    entries through ``__complex__``.  Without ``dtype`` an object array is
-    exact and anything else complex.
+    ``TypeError``), and an object array that holds only ``QC`` comes back
+    itself, uncopied, as ``astype(copy=False)`` hands back a complex array;
+    any other ``dtype`` converts as numpy does, ``QC`` entries through
+    ``__complex__``.  Without ``dtype`` an object array is exact and
+    anything else complex.
     """
     a = np.asarray(a)
     if dtype is None:
         dtype = object if a.dtype == object else complex
     if np.dtype(dtype) != object:
         return a.astype(dtype, copy=False)
+    if a.dtype == object and all(type(x) is QC for x in a.flat):
+        return a
     return np.asarray(_to_qc(a), dtype=object)
 
 
@@ -290,6 +330,10 @@ def rows(first: int):
     return decorate
 
 
+def _object_array(xs: list, shape) -> np.ndarray:
+    return np.fromiter(xs, dtype=object, count=len(xs)).reshape(shape)
+
+
 def linear_map(M):
     """``(v, s) -> s (M @ v)``, batched as ``@``: a fixed ``M`` (..., d, e), ``v`` (..., e, k), a scale ``s`` (...).
 
@@ -313,9 +357,90 @@ def linear_map(M):
                         p, ic = mij * xj, i * k + jc % k
                         y[ic] = p if y[ic] is ZERO else y[ic] + p
             out += [u if u is ZERO else c * u for u in y]
-        return np.fromiter(out, dtype=object, count=len(out)).reshape(cells.shape + (d, k))
+        return _object_array(out, cells.shape + (d, k))
 
     return apply
+
+
+def _cleared(xs) -> Tuple[list, list, int]:
+    """``(re, im, D)``: exact entries (``QC``, ints, ``Fraction``s) as Gaussian integers ``re + i im`` over one ``D``.
+
+    ``D`` is the lcm of the entries' denominators.
+    """
+    zs = [x if type(x) is QC else QC.of(x) for x in xs]
+    D = lcm(*(z.d for z in zs))
+    if D == 1:
+        return [z.a for z in zs], [z.b for z in zs], 1
+    scales = [D // z.d for z in zs]
+    return [z.a * s for z, s in zip(zs, scales)], [z.b * s for z, s in zip(zs, scales)], D
+
+
+def diagonal_form(weights):
+    """``v -> sum_i weights_i |v_i|^2`` over the last axis of ``v`` (..., d), for fixed rational weights.
+
+    Complex: ``np.sum(weights * np.abs(v) ** 2, axis=-1)``.  Exact: the
+    weights are integers ``p_i`` over one denominator ``q``, built once;
+    each row is cleared to Gaussian-integer numerators over one ``D`` and
+    gives one ``Fraction``, ``sum_i p_i |D v_i|^2 / (q D^2)``, so a lone
+    vector (d,) gives a ``Fraction``.
+    """
+    w = np.array(weights, dtype=float)
+    q = lcm(*(Fraction(x).denominator for x in weights))
+    p = [int(Fraction(x) * q) for x in weights]
+
+    def form(v):
+        if v.dtype != object:
+            return np.sum(w * np.abs(v) ** 2, axis=-1)
+        out = []
+        for row in v.reshape(-1, v.shape[-1]).tolist():
+            re, im, D = _cleared(row)
+            out.append(Fraction(sum(pi * (a * a + b * b) for pi, a, b in zip(p, re, im)), q * D * D))
+        return out[0] if v.ndim == 1 else _object_array(out, v.shape[:-1])
+
+    return form
+
+
+def leading_gram_minors(E, ones=()):
+    """Leading principal minors ``det G[:k, :k]``, k = 1..r, of ``G = E* E`` plus 1 at the columns ``ones``: (..., r).
+
+    ``E[i][a]`` are the rows of frames (..., N, r) as entry arrays, as
+    ``gram_entries`` reads them.  Complex: running products of the pivots of
+    ``hermitian_elimination`` on ``gram_entries``.  Exact: per frame, the
+    entries are cleared to Gaussian integers over one ``D``, ``D^2 G`` is
+    formed in ints (``D^2`` at ``ones``), and Bareiss elimination takes its
+    minors: each step divides exactly by the previous pivot, a leading minor
+    of a Hermitian positive definite matrix and so a positive int.  The only
+    gcd is the one of each minor's ``Fraction``, ``det_k / D^(2k)``.
+    """
+    if E.dtype != object:
+        out, det = [], 1
+        for pivot in hermitian_elimination(gram_entries(E, ones)[1])[0]:
+            det = det * pivot
+            out.append(det)
+        return np.stack(out, axis=-1)
+    N, r = E.shape[:2]
+    out = []
+    for frame in E.reshape(N * r, -1).T.tolist():
+        re, im, D = _cleared(frame)                 # entry (i, a) at i * r + a
+        D2, cols = D * D, [(re[a::r], im[a::r]) for a in range(r)]
+        Gr, Gi = [[0] * r for _ in range(r)], [[0] * r for _ in range(r)]
+        for a, (xa, ya) in enumerate(cols):         # conj(x_a + i y_a)(x_b + i y_b), upper triangle
+            for b in range(a, r):
+                xb, yb = cols[b]
+                Gr[a][b] = sum(map(mul, xa, xb)) + sum(map(mul, ya, yb)) + (D2 if a == b and a in ones else 0)
+                Gi[a][b] = sum(map(mul, xa, yb)) - sum(map(mul, ya, xb))
+        prev, scale = 1, 1
+        for k in range(r):                          # G[k][k] is now the (k + 1)-th leading minor of D^2 G
+            p, scale = Gr[k][k], scale * D2
+            out.append(Fraction(p, scale))
+            for i in range(k + 1, r):               # G[i][j] = (p G[i][j] - conj(G[k][i]) G[k][j]) / prev, j >= i
+                ur, ui = Gr[k][i], Gi[k][i]
+                for j in range(i, r):
+                    wr, wi = Gr[k][j], Gi[k][j]
+                    Gr[i][j] = (p * Gr[i][j] - ur * wr - ui * wi) // prev
+                    Gi[i][j] = (p * Gi[i][j] - ur * wi + ui * wr) // prev
+            prev = p
+    return _object_array(out, E.shape[2:] + (r,))
 
 
 def like(c: Fraction, x):

@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .exact import ONE, QC, QI, ZERO, abs2, linear_map, rows, solve, to_field
+from .exact import ONE, QC, QI, ZERO, diagonal_form, linear_map, rows, solve, to_field
 from .roots import ConfigurationError, RootSystem, Weight, build_root_system, casimir_eigenvalue
 
 
@@ -76,18 +76,16 @@ class RepSpace:
 
         return self._cached("hw_unit", build)
 
-    def _gram(self, dtype) -> np.ndarray:
-        """The diagonal Gram in ``dtype``: floats, or the exact ``Fraction``s in an object array."""
-        return self._cached(("gram", np.dtype(dtype)), lambda: np.array(self.gram, dtype=dtype))
-
     def gram_np(self) -> np.ndarray:
-        return self._gram(float)
+        return self._cached("gram", lambda: np.array(self.gram, dtype=float))
 
     @rows(1)
     def norm_sq(self, v):
-        """Squared norm in the invariant product, per row over the last axis; a ``Fraction`` when exact."""
-        a = abs2(v)
-        return np.sum(self._gram(np.result_type(a.dtype, float)) * a, axis=-1)
+        """Squared norm in the invariant product, per row over the last axis (``exact.diagonal_form``).
+
+        Exact rows are summed as Gaussian-integer numerators, one ``Fraction`` per row.
+        """
+        return self._cached("norm_sq", lambda: diagonal_form(self.gram))(v)
 
 
 # ---------------------------------------------------------------------------

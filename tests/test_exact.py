@@ -1,5 +1,6 @@
 """Gaussian-rational scalar: every operation against a two-Fraction reference."""
 import operator
+import sys
 from fractions import Fraction as Q
 from math import gcd
 
@@ -113,14 +114,33 @@ def test_equal_values_compare_and_hash_equal(x):
     scaled = QC(Q(re.numerator * 6, re.denominator * 6), Q(im.numerator * 6, im.denominator * 6))
     z = QC(re, im)
     assert z == scaled and (z.a, z.b, z.d) == (scaled.a, scaled.b, scaled.d)
-    assert hash(z) == hash(scaled) == hash((re, im))
+    assert hash(z) == hash(scaled)
+    if im == 0:                             # a real value hashes as the Fraction it equals
+        assert z == re and hash(z) == hash(re) and {re: z}[z] is z
     assert z == z + QC(0) == z * 1 == (z * 3) / 3
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.builds(Q, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40)))
+def test_real_values_hash_as_the_number_they_equal(x):
+    """A real ``QC`` is interchangeable with its ``Fraction`` (or int) as a dict key."""
+    assert hash(QC(x)) == hash(x) and {x: 1}.get(QC(x)) == 1 and {QC(x): 1}.get(x) == 1
+    if x.denominator == 1:
+        assert hash(QC(x.numerator)) == hash(x.numerator)
+
+
+def test_hash_at_the_hash_modulus():
+    """Denominators divisible by the hash modulus hash as Python's rationals do."""
+    P = sys.hash_info.modulus
+    for x in (Q(1, P), Q(-3, 2 * P), Q(P + 1, P), Q(P, 3), Q(-1), Q(-2)):
+        assert hash(QC(x)) == hash(x)
 
 
 def test_equality_across_constructors():
     assert QC(Q(2, 4)) == QC(Q(1, 2), 0) == Q(1, 2)
-    assert hash(QC(Q(2, 4))) == hash(QC(Q(1, 2), 0)) == hash((Q(1, 2), Q(0)))
-    assert QC(3) == 3 and hash(QC(3)) == hash((3, 0))
+    assert hash(QC(Q(2, 4))) == hash(QC(Q(1, 2), 0)) == hash(Q(1, 2))
+    assert QC(3) == 3 and hash(QC(3)) == hash(3) == hash(Q(3)) and {3: "x"}.get(QC(3)) == "x"
+    assert QC(-1) == -1 and hash(QC(-1)) == hash(-1) and {Q(-7, 3): "y"}.get(QC(Q(-7, 3))) == "y"
     assert QC(Q(4, 2), Q(-6, 3)) == QC(2, -2)
     s = QC(Q(1, 2)) + QC(Q(1, 2))          # equal denominators still reduce
     assert s == QC(1) and (s.a, s.b, s.d) == (1, 0, 1)
@@ -187,6 +207,9 @@ def test_to_field_picks_the_field():
     assert to_field([QC(1, 2), 0, Q(1, 3)]).tolist() == [QC(1, 2), QC(0), QC(Q(1, 3))]
     assert to_field(np.eye(2, dtype=int), object).tolist() == [[QC(1), QC(0)], [QC(0), QC(1)]]
     assert type(to_field(1, object)[()]) is QC
+    assert to_field(exact) is exact and to_field(exact, object) is exact      # converted once, then passed as it is
+    mixed = np.array([QC(1, 2), 3], dtype=object)
+    assert to_field(mixed) is not mixed and to_field(mixed).tolist() == [QC(1, 2), QC(3)] and type(mixed[1]) is int
     assert to_field([1.5, 2]).dtype == complex and to_field(exact, complex).tolist() == [1 + 2j, 0j, 1 / 3 + 0j]
     with pytest.raises(TypeError):
         to_field([0.5], object)
