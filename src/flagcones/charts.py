@@ -437,7 +437,7 @@ def _flag_data(series: str, rank: int, theta: Tuple[int, ...]):
 
 def _chart_flag(n: int, ks: Tuple[int, ...], name: str) -> Chart:
     """GL(n+1)/P on the block big cell: ``ks = (k1 < ... < kr)`` are the simple roots outside Theta."""
-    if not 1 <= ks[0] or not all(a < b for a, b in zip(ks, ks[1:])) or ks[-1] > n:
+    if not ks or not 1 <= ks[0] or not all(a < b for a, b in zip(ks, ks[1:])) or ks[-1] > n:
         raise ConfigurationError(f"need 1 <= k1 < ... < kr <= {n}, got {ks}")
     fd = _flag_data("A", n, tuple(i for i in range(1, n + 1) if i not in ks))
     return Chart(
@@ -512,7 +512,7 @@ def resolve_case(case: str) -> Chart:
             return _chart_flag(n, ks, f"flag:A:{n}:{','.join(map(str, ks))}")
         if parts[0] == "quadric" and len(parts) == 2:
             return _chart_quadric(int(parts[1]))
-        if parts[0] == "conifold":
+        if parts == ["conifold"]:
             return _chart_conifold()
     except ValueError as exc:
         raise ConfigurationError(f"malformed case id {case!r}: {exc}") from exc

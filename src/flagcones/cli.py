@@ -42,11 +42,14 @@ def _parse_theta(text: str):
 
 
 def _parse_complex(text: str) -> complex:
-    """One complex number, ``i`` or ``j`` as the imaginary unit."""
+    """One finite complex number, ``i`` or ``j`` as the imaginary unit."""
     try:
-        return complex(text.strip().replace("i", "j"))
+        value = complex(text.strip().replace("i", "j"))
     except ValueError as exc:
         raise ConfigurationError(f"malformed complex number {text!r}") from exc
+    if not np.isfinite(value):
+        raise ConfigurationError(f"non-finite complex number {text!r}")
+    return value
 
 
 def _parse_bundle(text):

@@ -66,11 +66,19 @@ class ChartDegeneracyError(ValueError):
 class FDConfig:
     """Finite-difference steps and extrapolation depth.
 
-    ``base_step`` drives first derivatives; second derivatives use
-    ``hessian_step`` and the nested curvature pipelines (Ricci of a metric
-    field, Ricci form of a potential, Weyl-Ricci) use ``nested_step``,
-    matched across nesting levels so that composite Richardson
-    extrapolation cancels the leading error.
+    Each step and its users:
+
+      * ``base_step``: ``d theta`` of ``lck`` (first differences of the Lee form).
+      * ``hessian_step``: ``kahler_form`` and ``i_del_delbar``; the Jacobian
+        of ``vaisman``; the Hessians of ``kahler-einstein`` and ``ricci-flat``,
+        whose Ricci form differences ``log det`` at this step too; and the
+        finite-difference metric of every finite-difference suite's
+        ``metric_agreement``.
+      * ``nested_step``: ``d Omega`` of ``lck``, at half the step, and the
+        single-point ``ricci_form``, whose inner and outer levels share it so
+        that composite Richardson extrapolation cancels the leading error.
+      * ``jet_step``: the one cone stencil of ``einstein-weyl``, which gives
+        every jet that suite reads.
     """
 
     base_step: float = 1e-4

@@ -266,6 +266,8 @@ def stenzel_fprime(eps: float, t: float) -> float:
 
 def stenzel_ode_residual(eps: float, t: float, fd_step: float = 1e-4) -> float:
     """Residual of eps^2 cosh(t) (F')^3 + (eps^2 sinh(t)/3) d/dt (F')^3 = 1."""
+    if not 0 < fd_step < np.inf:
+        raise DomainError(f"fd_step must be positive and finite, got {fd_step!r}")
     if t <= 4 * fd_step:
         raise DomainError("residual grid must stay away from t = 0")
 

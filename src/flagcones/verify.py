@@ -430,8 +430,9 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
       * ``weyl_ricci_curvature``:  Ric^D from the connection coefficients
       * ``weyl_ricci_identity``:   Ric^D from the conformal identity
       * ``weyl_ricci_agreement``:  cross-validation of the two paths
-      * ``higgs_compatibility``:   D g - theta (x) g
+      * ``higgs_compatibility``:   D g - theta (x) g, an identity of the construction (D comes from the same jets)
       * ``metric_agreement``:      analytic g_tilde against the FD metric omega(F) J / F
+    All but the last read the jets of the block's one cone stencil (one cone-jet call per Richardson level).
     Below six real dimensions the records are advisory only.
     """
     cfg, rep, tolerance, tol_agree = _open_report("einstein-weyl", spec, samples, cfg, tolerance, case)
@@ -450,9 +451,6 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
         norm2 = t[:, None, :] @ ginv @ t[:, :, None]
         target = (n - 2) * (norm2 * g - t[:, :, None] * t[:, None, :])
         rc, rf, ric = diffgeo.weyl_ricci_of_jets(g, dg, ddg, th, dth, ginv)
-        # D g = theta (x) g, with dg at the nested step
-        nest = cfg.nested_step * coordinate_scales(spec, P)
-        dg, _ = diffgeo.split_cone(diffgeo._jacobian_of_field(cone, P, cfg, nest))
         cov = diffgeo.weyl_metric_derivative(g, dg, th, ginv)
         tgt = th[:, :, None, None] * g[:, None]
         return (_relative(ric - target, target), _relative(rc, target), _relative(rf, target),

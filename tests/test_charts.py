@@ -588,6 +588,9 @@ def test_unknown_case():
         resolve_case("projective:oops")
     with pytest.raises(ConfigurationError):
         resolve_case("quadric:4")
+    for case in ("fullflag:A:0", "fullflag:A:-2", "conifold:3", "conifold:"):
+        with pytest.raises(ConfigurationError):
+            resolve_case(case)
 
 
 # -- rescaling constants -----------------------------------------------------------

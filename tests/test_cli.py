@@ -234,7 +234,18 @@ def test_importing_the_library_does_not_load_scipy():
     (["embed", "--case", "cp:2", "--w", "abc"], "malformed complex number 'abc'"),
     (["embed", "--case", "cp:2", "--lambda", "xyz"], "malformed complex number 'xyz'"),
     (["verify", "--case", "cp:2", "--suite", "embedding", "--lambda", "xyz"], "malformed complex number 'xyz'"),
-], ids=["theta", "z", "bundle", "potential_w", "embed_w", "embed_lambda", "verify_lambda"])
+    (["potential", "--case", "cp:2", "--z", "0.1,nan"], "non-finite complex number 'nan'"),
+    (["potential", "--case", "cp:2", "--z", "1+nanj,0"], "non-finite complex number '1+nanj'"),
+    (["potential", "--case", "cp:2", "--z", "INF,0"], "non-finite complex number 'INF'"),
+    (["potential", "--case", "cp:2", "--w", "nan"], "non-finite complex number 'nan'"),
+    (["embed", "--case", "cp:2", "--w", "1+nanj"], "non-finite complex number '1+nanj'"),
+    (["potential", "--case", "cp:2", "--w", "INF"], "non-finite complex number 'INF'"),
+    (["embed", "--case", "cp:2", "--lambda", "nan"], "non-finite complex number 'nan'"),
+    (["verify", "--case", "cp:2", "--suite", "embedding", "--lambda", "1+nanj"], "non-finite complex number '1+nanj'"),
+    (["verify", "--case", "cp:2", "--suite", "embedding", "--lambda", "INF"], "non-finite complex number 'INF'"),
+], ids=["theta", "z", "bundle", "potential_w", "embed_w", "embed_lambda", "verify_lambda",
+        "z_nan", "z_nanj", "z_inf", "potential_w_nan", "embed_w_nanj", "potential_w_inf",
+        "embed_lambda_nan", "verify_lambda_nanj", "verify_lambda_inf"])
 def test_malformed_input_exits_two_naming_the_text(capsys, argv, fragment):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "") and fragment in err

@@ -478,9 +478,10 @@ def test_stenzel_potential_quadrature():
     (lambda: stenzel_fprime(0.0, 1.0), "deformation parameter"),
     (lambda: stenzel_fprime(1.0, -1.0), "radial parameter"),
     (lambda: stenzel_ode_residual(1.0, 1e-4), "away from t = 0"),
+    (lambda: stenzel_ode_residual(1.0, 1.0, fd_step=float("nan")), "fd_step must be positive and finite"),
     (lambda: stenzel_potential(1.0, -1.0), "radial parameter"),
 ], ids=["plucker_dim", "casimir_no_weight", "several_generators", "stenzel_eps", "stenzel_t",
-        "stenzel_grid", "stenzel_potential_t"])
+        "stenzel_grid", "stenzel_fd_step", "stenzel_potential_t"])
 def test_input_checks_raise_domain_errors(call, fragment):
     with pytest.raises(DomainError, match=fragment):
         call()

@@ -359,12 +359,12 @@ def test_cone_jet_evaluations_per_sample(monkeypatch):
 
     # default budget: 201 rows x 20 samples (ricci-flat) and x 10 (einstein-weyl) are one block
     assert jet_calls("ricci-flat", "gr24", 20) == 3
-    assert jet_calls("einstein-weyl", "quadric:6", 10) == 4
+    assert jet_calls("einstein-weyl", "quadric:6", 10) == 2
     monkeypatch.setattr(verify, "_CHUNK_ROWS", 1024)
     # 201 full-stencil rows a sample: 5 samples fit one block, 8 take two; a block
-    # makes one jet stencil and one nested Jacobian per Richardson level
-    assert jet_calls("einstein-weyl", "quadric:6", 4) == jet_calls("einstein-weyl", "quadric:6", 5) == 4
-    assert jet_calls("einstein-weyl", "quadric:6", 8) == 2 * 4
+    # makes one jet stencil per Richardson level, and every residual reads its jets
+    assert jet_calls("einstein-weyl", "quadric:6", 4) == jet_calls("einstein-weyl", "quadric:6", 5) == 2
+    assert jet_calls("einstein-weyl", "quadric:6", 8) == 2 * 2
     # 20 first-difference rows a sample: 4 and 8 samples both fit one block; d theta
     # reads the gradient-only Lee form, so the jet runs at P and once per level of d Omega
     assert jet_calls("lck", "gr24", 4) == jet_calls("lck", "gr24", 8) == 3
