@@ -56,7 +56,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .exact import (ONE, QC, ZERO, abs2, entry_dot, gram_entries, hermitian_elimination, hermitian_inverse,
-                    leading_gram_minors, like, linear_map, rows, to_field)
+                    leading_gram_minors, like, nilpotent_series, rows, squared_norms, to_field)
 from .reps import (RepSpace, act, derivation_matrix, outer_tensor, sl2_module,
                    so_radical_basis, so_vector_module, wedge_module)
 from .roots import ConfigurationError, build_root_system, flag
@@ -156,11 +156,6 @@ def _frame_rows(F, units=None):
     return (E, ()) if units is None else (E[units.rows], units.ones)
 
 
-def _squared_norms(F):
-    """The squared column norms of a frame (..., N, r), summed row by row from its constant leading 1: (..., r)."""
-    return sum((abs2(F[..., i, :]) for i in range(1, F.shape[-2])), 1)
-
-
 def _roll_axes(a: np.ndarray, k: int) -> np.ndarray:
     """A view of ``a`` with its axes rolled left by k (cheaper than ``np.moveaxis``)."""
     axes = tuple(range(a.ndim))
@@ -245,15 +240,12 @@ def gram_minors(F, units=None):
 
 
 def nilpotent_log(M, dim: int):
-    """log(1 + X) for strictly triangular X = M - 1, as a terminating series, batched over leading axes."""
+    """log(1 + X) for strictly triangular X = M - 1, batched: ``exact.nilpotent_series`` of the terms ``(-1)^(k+1) X^k / k``."""
     X = M - np.eye(M.shape[-1], dtype=int)
-    out, term, times_X = X, X, linear_map(X)
-    for k in range(2, dim + 2):
-        term = times_X(term, to_field(Fraction(1 - k, k), np.result_type(X.dtype, complex)))     # (-1)^(k+1) X^k / k
-        if not np.count_nonzero(term):
-            return out
-        out = out + term
-    raise DomainError("matrix is not unipotent")
+    out, rest = nilpotent_series(X, X, (like(Fraction(1 - k, k), X) for k in range(2, dim + 2)))
+    if rest is not None:
+        raise DomainError("matrix is not unipotent")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +302,7 @@ class Chart:
             raise DomainError(f"{self.name} needs {self.n_z} coordinates")
         F, ks = self._frame(z)
         if ks is None:
-            return _squared_norms(F)
+            return squared_norms(F)
         return gram_minors(F, _frame_tables(self.params["n"], ks)[-1])[..., [k - 1 for k in ks]]
 
     def frames(self, z) -> list:
@@ -351,10 +343,7 @@ class Chart:
             return derivation_matrix(self.params["n"], self.params["ks"][gen], self._big_cell_log(z))
         if self.kind == "quadric":
             N = self.params["N"]
-            if "Y" not in self._cache:      # sum_j z_j Y_j: the Y_j are nonzero at disjoint positions, one z_j each
-                Y = np.stack(so_radical_basis(N))
-                self._cache["Y"] = np.nonzero(Y) + (_both_fields(_read_only(Y[np.nonzero(Y)])),)
-            owner, i, j, entries = self._cache["Y"]
+            owner, i, j, entries = _radical_entries(N)
             X = np.full(z.shape[:-1] + (N, N), ZERO, dtype=z.dtype)
             X[..., i, j] = z[..., owner] * entries[z.dtype]
             return X
@@ -413,6 +402,13 @@ class Chart:
 
 # |s|^2 = 2 for the quadric section; 1 + i keeps the exact path rational
 _ROOT_TWO = {np.dtype(object): QC(1, 1), np.dtype(complex): np.sqrt(2.0)}
+
+
+@lru_cache(maxsize=None)
+def _radical_entries(N: int) -> tuple:
+    """``(owner, i, j, entries)`` of ``sum_j z_j Y_j``: the ``so_radical_basis(N)`` are nonzero at disjoint positions."""
+    where = np.nonzero(Y := np.stack(so_radical_basis(N)))
+    return tuple(map(_read_only, where)) + (_both_fields(_read_only(Y[where])),)
 
 
 def _both_fields(M: np.ndarray) -> dict:
@@ -604,7 +600,7 @@ class PotentialSpec:
         elif self.chart.kind == "wedge":
             hs = (np.stack([jet[2] for jet in jets], axis=-1),)
         else:
-            hs = (np.concatenate([_squared_norms(F) for F, _ in frames], axis=-1),)
+            hs = (np.concatenate([squared_norms(F) for F, _ in frames], axis=-1),)
         del frames                      # dead before the weighted sums, where a jet call peaks
         return tuple(sum(wt * jet[i] for wt, jet in zip(weights, jets)) for i in range(1 + hessian)) + hs
 

@@ -14,13 +14,12 @@ arithmetic: an ``object`` array holds exact numbers (``QC``; ints and
 array is complex128.  One function body therefore serves both paths.  The
 few operations whose float rounding, exact value type or cost differs
 between the two live here, as array functions that dispatch on the dtype:
-``to_field`` and ``like`` (conversion), ``real``, ``abs2``, ``modulus``,
-``linear_map`` (``np.matmul``, or over ``QC`` only nonzero products) and two
-Hermitian forms, ``diagonal_form`` (weighted squared norms) and
-``leading_gram_minors`` (leading minors of a frame's Gram matrix).  In floats
-these sum and eliminate with array loops; over ``QC`` they clear each input's
-denominators once and work in Gaussian integers, Bareiss elimination for the
-minors, with one ``Fraction`` per result.  Float products round as numpy's
+``to_field`` and ``like`` (conversion), ``real``, ``abs2``, ``modulus``, the
+series ``nilpotent_series``, the quadratic ``relation_residual`` and the Hermitian
+forms ``diagonal_form``, ``squared_norms`` and ``leading_gram_minors``.  In floats
+these multiply, sum and eliminate with array loops; over ``QC`` they clear each
+input's denominators once and work in Gaussian integers (Bareiss elimination for
+the minors), building one ``QC`` or ``Fraction`` per result.  Float products round as numpy's
 array loops do, and numpy scalars round some of them differently, so ``rows``
 is the single-point rule: a function of points it decorates runs a lone float
 point as a batch of one, which rounds as that point's row of any batch.
@@ -34,8 +33,9 @@ from __future__ import annotations
 import functools
 import sys
 from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
+from itertools import repeat
+from math import gcd, lcm, prod
+from operator import add, mul
 from typing import Sequence, Tuple, Union
 
 import numpy as np
@@ -65,9 +65,9 @@ class QC:
 
     @staticmethod
     def of(x) -> "QC":
-        if type(x) is int:              # the ints exact arrays hold: no Fraction, no gcd
+        if type(x) is int or type(x) is Fraction:      # reduced, so canonical: no gcd
             z = _new(QC)
-            z.a, z.b, z.d = x, 0, 1
+            z.a, z.b, z.d = x.numerator, 0, x.denominator
             return z
         if isinstance(x, QC):
             return x
@@ -334,34 +334,6 @@ def _object_array(xs: list, shape) -> np.ndarray:
     return np.fromiter(xs, dtype=object, count=len(xs)).reshape(shape)
 
 
-def linear_map(M):
-    """``(v, s) -> s (M @ v)``, batched as ``@``: a fixed ``M`` (..., d, e), ``v`` (..., e, k), a scale ``s`` (...).
-
-    Complex: ``np.matmul``.  Exact: ``M``'s nonzero entries are listed once and only nonzero entries are multiplied.
-    """
-    if M.dtype != object:
-        return lambda v, s: np.asarray(s)[..., None, None] * np.matmul(M, v)
-    d, e = M.shape[-2:]
-    columns = [[[(i, x) for i, x in enumerate(col) if x is not ZERO and x] for col in m]
-               for m in M.reshape(-1, d, e).transpose(0, 2, 1).tolist()]
-    which = np.arange(len(columns)).reshape(M.shape[:-2])
-
-    def apply(v, s):
-        k, out, xs = v.shape[-1], [], v.reshape(-1, e * v.shape[-1]).tolist()
-        cells = np.broadcast(which, np.arange(len(xs)).reshape(v.shape[:-2]), s)
-        for m, r, c in cells:
-            y = [ZERO] * (d * k)
-            for jc, xj in enumerate(xs[r]):
-                if xj is not ZERO and xj:
-                    for i, mij in columns[m][jc // k]:
-                        p, ic = mij * xj, i * k + jc % k
-                        y[ic] = p if y[ic] is ZERO else y[ic] + p
-            out += [u if u is ZERO else c * u for u in y]
-        return _object_array(out, cells.shape + (d, k))
-
-    return apply
-
-
 def _cleared(xs) -> Tuple[list, list, int]:
     """``(re, im, D)``: exact entries (``QC``, ints, ``Fraction``s) as Gaussian integers ``re + i im`` over one ``D``.
 
@@ -375,29 +347,119 @@ def _cleared(xs) -> Tuple[list, list, int]:
     return [z.a * s for z, s in zip(zs, scales)], [z.b * s for z, s in zip(zs, scales)], D
 
 
+def _flat_index(shape, lead) -> list:
+    """For each cell of the leading shape ``lead``, the flat index of the entry of ``shape`` broadcast to it."""
+    if shape == lead:
+        return list(range(prod(lead)))
+    return np.broadcast_to(np.arange(prod(shape)).reshape(shape), lead).ravel().tolist()
+
+
+def nilpotent_series(M, v, scales):
+    """``(acc, rest)``: ``acc = v + sum_k term_k``, ``term_k = s_k M term_(k-1)``, ``term_0 = v``, batched as ``@``.
+
+    ``M`` (..., d, d), ``v`` (..., d, c) and the scales () or (...) broadcast.  At the first term that is
+    zero in every row, ``acc`` has it added and ``rest`` is None; else ``rest`` is the last term.  Complex:
+    ``s_k * np.matmul(M, term)``.  Exact: each matrix's nonzero entries and each block of ``v`` as Gaussian
+    integers over one ``D``, terms and sum in ints over a growing denominator, one ``QC`` per output entry.
+    """
+    if M.dtype != object:
+        acc = term = v
+        for s in scales:
+            term = np.asarray(s)[..., None, None] * np.matmul(M, term)
+            if not np.count_nonzero(term):
+                return acc + term, None
+            acc = acc + term
+        return acc, term
+    d, c = v.shape[-2:]
+    n, mats = d * c, []
+    for m in M.reshape(-1, d * d).tolist():         # column j lists (i c, re, im) of its nonzero entries
+        nonzero = [(k, QC.of(x)) for k, x in enumerate(m) if x is not ZERO and x]
+        D, columns = lcm(*(x.d for _, x in nonzero)), [[] for _ in range(d)]
+        for k, x in nonzero:
+            columns[k % d].append((k // d * c, x.a * (D // x.d), x.b * (D // x.d)))
+        mats.append((columns, D))
+    blocks, cells = [_cleared(x) for x in v.reshape(-1, n).tolist()], None
+    for s in scales:
+        if cells is None:                           # per cell: [matrix, term, sum, denominator]
+            shapes = {M.shape[:-2], v.shape[:-2], getattr(s, "shape", ())}
+            lead = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+            cells, live = [[mats[m], blocks[b][:2], blocks[b][:2], blocks[b][2]] for m, b in
+                           zip(_flat_index(M.shape[:-2], lead), _flat_index(v.shape[:-2], lead))], range(prod(lead))
+        ss = np.broadcast_to(to_field(s, object), lead).ravel().tolist() if type(s) is np.ndarray else [QC.of(s)] * len(cells)
+        live, last = [], live
+        for m in last:
+            (columns, DM), (tr, ti), (ar, ai), D = cell = cells[m]
+            z, yr, yi = ss[m], [0] * n, [0] * n
+            for k, x, y in zip(range(n), tr, ti):  # M (s term): the scale times each nonzero entry, then its column
+                if x or y:
+                    x, y, o = z.a * x - z.b * y, z.a * y + z.b * x, k % c
+                    for i, mr, mi in columns[k // c]:
+                        yr[i + o] += mr * x - mi * y
+                        yi[i + o] += mr * y + mi * x
+            cell[1], f = (yr, yi), DM * z.d
+            if any(yr) or any(yi):
+                cell[2:] = ([a * f + x for a, x in zip(ar, yr)], [a * f + y for a, y in zip(ai, yi)]), D * f
+                live.append(m)
+        if not live:
+            break
+
+    def gather(part):
+        return _object_array([_reduced(a, b, cell[3]) if a or b else ZERO for cell in cells for a, b in zip(*cell[part])],
+                             lead + (d, c))
+
+    return gather(2), gather(1) if live else None
+
+
+def _norms(v, p, q: int = 1):
+    """Exact ``sum_i p_i |v_i|^2 / q`` per row of ``v`` (..., d), from its Gaussian integers over one ``D``: ``Fraction``s."""
+    out = [Fraction(sum(map(mul, p, map(add, map(mul, re, re), map(mul, im, im)))), q * D * D)
+           for re, im, D in map(_cleared, v.reshape(-1, v.shape[-1]).tolist())]
+    return out[0] if v.ndim == 1 else _object_array(out, v.shape[:-1])
+
+
 def diagonal_form(weights):
     """``v -> sum_i weights_i |v_i|^2`` over the last axis of ``v`` (..., d), for fixed rational weights.
 
-    Complex: ``np.sum(weights * np.abs(v) ** 2, axis=-1)``.  Exact: the
-    weights are integers ``p_i`` over one denominator ``q``, built once;
-    each row is cleared to Gaussian-integer numerators over one ``D`` and
-    gives one ``Fraction``, ``sum_i p_i |D v_i|^2 / (q D^2)``, so a lone
-    vector (d,) gives a ``Fraction``.
+    Complex: ``np.sum(weights * np.abs(v) ** 2, axis=-1)``.  Exact: ``_norms`` of integer weights over one ``q``.
     """
     w = np.array(weights, dtype=float)
     q = lcm(*(Fraction(x).denominator for x in weights))
     p = [int(Fraction(x) * q) for x in weights]
+    return lambda v: np.sum(w * np.abs(v) ** 2, axis=-1) if v.dtype != object else _norms(v, p, q)
 
-    def form(v):
+
+def squared_norms(F):
+    """Squared column norms of frames (..., N, r) whose row 0 is the constant 1: (..., r); exact by ``_norms``."""
+    if F.dtype != object:
+        return sum((abs2(F[..., i, :]) for i in range(1, F.shape[-2])), 1)       # row by row from that 1
+    return _norms(np.swapaxes(F, -1, -2), repeat(1))
+
+
+def relation_residual(i, j):
+    """``v -> max_r modulus(sum_l w[..., i[l, r]] v[..., j[l, r]])``, ``w = [v, -v, 0]``, per row of ``v`` (..., d).
+
+    ``i`` and ``j`` (terms, relations) place the terms; ``i`` reads ``w``, so it carries each term's sign and
+    padding reads its 0.  Complex: one array product per term position.  Exact: each row as Gaussian integers
+    over one ``D``, each relation ``R_r`` summed in ints, one ``Fraction`` per row, ``max_r |D^2 R_r|^2 / D^4``.
+    """
+    relations = [list(zip(a, b)) for a, b in zip(i.T.tolist(), j.T.tolist())]
+
+    def residual(v):
         if v.dtype != object:
-            return np.sum(w * np.abs(v) ** 2, axis=-1)
+            w = np.concatenate([v, -v, np.zeros_like(v[..., :1])], axis=-1)     # summed term by term, from 0
+            return np.max(modulus(sum(w[..., a] * v[..., b] for a, b in zip(i, j))), axis=-1)
         out = []
-        for row in v.reshape(-1, v.shape[-1]).tolist():
-            re, im, D = _cleared(row)
-            out.append(Fraction(sum(pi * (a * a + b * b) for pi, a, b in zip(p, re, im)), q * D * D))
+        for re, im, D in map(_cleared, v.reshape(-1, v.shape[-1]).tolist()):
+            wr, wi, worst = re + [-x for x in re] + [0], im + [-x for x in im] + [0], 0
+            for relation in relations:
+                x = y = 0
+                for a, b in relation:
+                    x, y = x + wr[a] * re[b] - wi[a] * im[b], y + wr[a] * im[b] + wi[a] * re[b]
+                worst = max(worst, x * x + y * y)
+            out.append(Fraction(worst, D ** 4))
         return out[0] if v.ndim == 1 else _object_array(out, v.shape[:-1])
 
-    return form
+    return residual
 
 
 def leading_gram_minors(E, ones=()):

@@ -34,7 +34,7 @@ from typing import Tuple
 import numpy as np
 
 from .charts import DomainError, PotentialSpec
-from .exact import modulus, rows, to_field
+from .exact import modulus, relation_residual, rows, to_field
 from .reps import RepSpace, act, casimir_terms
 
 
@@ -98,16 +98,13 @@ def remmert_norm_sq(spec: PotentialSpec, z, w, exact: bool = False):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _plucker_table(n: int, k: int) -> np.ndarray:
-    """The Grassmannian quadric relations by term position: ints ``(i, j)``, shape (2, k+1, relations).
+def _plucker_relations(n: int, k: int):
+    """The Grassmannian quadric relations as the field rule ``exact.relation_residual`` of their term positions.
 
-    One relation per (k-1)-tuple a and (k+1)-tuple b, in lexicographic
-    order: ``sum_l (-1)^(l+1) Z[a, b_l] Z[b \\ b_l]``, with ``Z[a, b_l]``
-    read at the sorted index of ``a + (b_l,)`` times its inversion sign
-    and ``Z[b \\ b_l]`` at ``j``.  ``i`` indexes the signed vector
-    ``[v, -v, 0]`` of length 2d + 1, so it carries the term's sign.  Terms
-    with a repeated index vanish and are left out; the padding of shorter
-    relations reads the zero.
+    One relation per (k-1)-tuple a and (k+1)-tuple b, in lexicographic order:
+    ``sum_l (-1)^(l+1) Z[a, b_l] Z[b \\ b_l]``, with ``Z[a, b_l]`` read at ``i``, the
+    sorted index of ``a + (b_l,)`` on ``[v, -v, 0]`` by its sign, and ``Z[b \\ b_l]``
+    at ``j``.  Terms with a repeated index vanish; shorter relations pad with the 0.
     """
     index = {b: i for i, b in enumerate(combinations(range(1, n + 2), k))}
     d, relations = len(index), []
@@ -117,25 +114,19 @@ def _plucker_table(n: int, k: int) -> np.ndarray:
             terms = [(index[tuple(sorted(a + (bl,)))] + d * ((l + 1 + sum(x > bl for x in a)) % 2),
                       index[b[:l] + b[l + 1:]]) for l, bl in enumerate(b) if bl not in a]
             relations.append(terms + [(2 * d, 0)] * (k + 1 - len(terms)))
-    return np.array(relations).T.copy()
+    return relation_residual(*np.array(relations).T)
 
 
 @rows(2)
 def plucker_residual(n: int, k: int, v):
-    """Largest violation of the Grassmannian quadric relations.
+    """Largest violation of the Grassmannian quadric relations, per row of (..., d).
 
-    The relations run over (k-1)-tuples a and (k+1)-tuples b:
-    ``sum_l (-1)^l Z[a, b_l] Z[b \\ b_l] = 0``.  The squared violation (a
-    ``Fraction``) for an exact ``v``, otherwise its modulus, per row of
-    (..., d).
+    The relations ``sum_l (-1)^l Z[a, b_l] Z[b \\ b_l] = 0`` run over (k-1)-tuples a and (k+1)-tuples b.
+    The squared violation (a ``Fraction``) for an exact ``v``, otherwise its modulus.
     """
     if v.shape[-1] != comb(n + 1, k):
         raise DomainError("coordinate vector has the wrong dimension")
-    signed = np.concatenate([v, -v, np.zeros_like(v[..., :1])], axis=-1)
-    total = 0
-    for i, j in zip(*_plucker_table(n, k)):      # term by term, in the order of the relation
-        total = total + signed[..., i] * v[..., j]
-    return np.max(modulus(total), axis=-1)
+    return _plucker_relations(n, k)(v)
 
 
 @rows(1)

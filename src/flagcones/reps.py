@@ -19,8 +19,8 @@ the exponential series of a nilpotent matrix, which is exact over the
 rationals.  ``act`` works over leading axes: a word step ``(M, t)`` may
 carry one matrix ``(d, d)`` or one per row ``(..., d, d)``, and a scalar
 or per-row parameter.  The exponential policy lives in ``_exp_apply``:
-one series for both fields, each term from ``exact.linear_map``, and a
-step whose series does not terminate raises ``ExactModeError``.
+the series rule ``exact.nilpotent_series`` for both fields, and a step
+whose series does not terminate raises ``ExactModeError``.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .exact import ONE, QC, QI, ZERO, diagonal_form, linear_map, rows, solve, to_field
+from .exact import ONE, QC, QI, ZERO, diagonal_form, nilpotent_series, rows, solve, to_field
 from .roots import ConfigurationError, RootSystem, Weight, build_root_system, casimir_eigenvalue
 
 
@@ -357,23 +357,14 @@ def trivial_module() -> RepSpace:
 def _exp_apply(M: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
     """exp(t M) v per row: ``M`` (d, d) or (..., d, d), ``t`` () or (...), ``v`` (..., d), one dtype.
 
-    One series for both fields, of at most d + 1 terms, each from one
-    ``exact.linear_map(M)``, stopping once every row's term is zero.  A
-    nilpotent step terminates: exactly over the rationals, and within
-    rounding in complex128.  So after the last term an exact row that is
-    still nonzero, or a float row whose term exceeds unit roundoff times
-    the row's largest entry, raises ``ExactModeError``.
+    ``exact.nilpotent_series`` with the scales ``t / k``, k = 1..d + 1.  A nilpotent step terminates: exactly
+    over the rationals, within rounding in complex128.  So after the last term an exact row that is still
+    nonzero, or a float row whose term exceeds unit roundoff times the row's largest entry, raises ``ExactModeError``.
     """
-    d = M.shape[-1]
-    acc, term, times_M = v, v, linear_map(M)
-    for k in range(1, d + 2):
-        term = times_M(term[..., None], t / k)[..., 0]
-        if not np.count_nonzero(term):
-            return acc + term       # a zero term, shaped as M, t and v broadcast
-        acc = acc + term
-    if acc.dtype == object or np.any(np.max(abs(term), -1) > np.finfo(float).eps * np.max(abs(acc), -1)):
+    acc, rest = nilpotent_series(M, v[..., None], (t / k for k in range(1, M.shape[-1] + 2)))
+    if rest is not None and (acc.dtype == object or np.any(np.max(abs(rest), -2) > np.finfo(float).eps * np.max(abs(acc), -2))):
         raise ExactModeError("the exponential series of a step does not terminate within d + 1 terms")
-    return acc
+    return acc[..., 0]
 
 
 def act(rep: RepSpace, word, v):

@@ -422,7 +422,7 @@ def test_frame_tables_are_built_once_per_chart(case):
 
 
 def test_quadric_word_element_converts_basis_once(monkeypatch):
-    chart = resolve_case("quadric:8")
+    """The nonzero entries of the Y_j are converted once per N, however many charts resolve it."""
     converted = []
 
     def counting(Y):
@@ -431,10 +431,13 @@ def test_quadric_word_element_converts_basis_once(monkeypatch):
 
     both_fields = charts._both_fields
     monkeypatch.setattr(charts, "_both_fields", counting)
+    charts._radical_entries.cache_clear()
+    first, second = resolve_case("quadric:8"), resolve_case("quadric:8")
+    assert first is not second
     z = np.arange(1, 7) * (0.1 + 0.2j)
-    X1 = chart.word_element(0, z)
-    X2 = chart.word_element(0, 2 * z)
-    assert len(converted) == 1 and converted[0].shape == (4 * chart.n_z,)     # the nonzero entries of the Y_j, once
+    X1 = first.word_element(0, z)
+    X2 = second.word_element(0, 2 * z)
+    assert len(converted) == 1 and converted[0].shape == (4 * first.n_z,)
     assert np.allclose(X2, 2 * X1)
 
 

@@ -9,8 +9,11 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from flagcones.diffgeo import _log_det
-from flagcones.exact import (QC, ZERO, abs2, hermitian_elimination, hermitian_inverse, linear_map, modulus, real,
-                             solve, to_field)
+from flagcones.charts import DomainError, make_spec, nilpotent_log
+from flagcones.exact import (QC, ZERO, abs2, hermitian_elimination, hermitian_inverse, modulus, nilpotent_series, real,
+                             relation_residual, solve, squared_norms, to_field)
+from flagcones.hvcone import _plucker_relations, plucker_residual, remmert
+from flagcones.reps import ExactModeError, _exp_apply
 
 
 class RefQC:
@@ -226,18 +229,129 @@ def _sparse(rng, shape):
     return a
 
 
-@pytest.mark.parametrize("m_lead, v_lead, s_shape", [((), (), ()), ((2,), (), (2,)), ((), (3, 1), ()),
-                                                    ((2,), (3, 1), (3, 2)), ((3, 1), (2,), ()), ((0,), (), ())])
-def test_linear_map_is_the_matrix_product_in_either_field(m_lead, v_lead, s_shape):
-    """Exact: ``s (M @ v)`` entry by entry, over leading axes; complex: ``s`` times ``np.matmul``, bit for bit."""
-    rng = np.random.default_rng(len(m_lead) + 3 * len(v_lead))
-    M, v = _sparse(rng, m_lead + (4, 5)), _sparse(rng, v_lead + (5, 2))
-    s = to_field(_sparse(rng, s_shape + (2, 2))[..., 0, 0], object)
-    want = s[..., None, None] * (M @ v)
-    got = linear_map(M)(v, s)
-    assert got.dtype == object and got.shape == want.shape and np.all(got == want)
-    Mc, vc, sc = (np.asarray(a, dtype=complex) for a in (M, v, s))
-    assert np.array_equal(linear_map(Mc)(vc, sc), sc[..., None, None] * np.matmul(Mc, vc))
+def _series_reference(M, v, scales):
+    """``v + sum_k term_k``, ``term_k = s_k (M @ term_(k-1))``, term by term until a term is zero in every row."""
+    acc = term = v
+    for s in scales:
+        term = np.asarray(s)[..., None, None] * np.matmul(M, term)
+        if not np.count_nonzero(term):
+            return acc + term, None
+        acc = acc + term
+    return acc, term
+
+
+# Leading axes of (M, t, v) that broadcast: none, on one of them, on all three.
+SERIES_LEADS = [((), (), ()), ((2,), (), ()), ((), (3,), ()), ((), (), (2, 1)), ((2, 1), (3,), ()),
+                ((3,), (2, 3), (3,)), ((0,), (), ())]
+
+
+def _series_case(seed, lead, d, c):
+    """Strictly lower triangular exact ``M``, exact ``t`` and ``v`` with the leading axes ``lead``."""
+    rng = np.random.default_rng(seed)
+    M = _sparse(rng, lead[0] + (d + 1, d + 1))[..., 1:, :-1]        # zero last column: room for a zero diagonal
+    M = np.where(np.tri(d, k=-1, dtype=bool), M, 0)
+    t = to_field(_sparse(rng, lead[1] + (2, 2))[..., 0, 0], object)
+    v = _sparse(rng, lead[2] + (d + 1, c))[..., :-1, :]
+    return M, t, v
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(st.integers(0, 10 ** 6), st.sampled_from(SERIES_LEADS), st.integers(1, 5), st.integers(1, 3))
+def test_nilpotent_series_is_the_term_by_term_sum_in_either_field(seed, lead, d, c):
+    """Exact: the ``QC`` term-by-term sum, entry by entry, shaped as its leading axes broadcast; complex: bit for bit."""
+    M, t, v = _series_case(seed, lead, d, c)
+    scales = [t / k for k in range(1, d + 2)]
+    want, want_rest = _series_reference(M, v, scales)
+    got, rest = nilpotent_series(M, v, iter(scales))
+    assert rest is None is want_rest                        # strictly triangular: a zero term within d + 1
+    assert got.dtype == object and got.shape == want.shape and all(type(x) is QC for x in got.flat)
+    assert np.all(got == want)
+    Mc, tc, vc = (np.asarray(a, dtype=complex) for a in (M, t, v))
+    cscales = [tc / k for k in range(1, d + 2)]
+    want, _ = _series_reference(Mc, vc, cscales)
+    got, rest = nilpotent_series(Mc, vc, iter(cscales))
+    assert rest is None and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_nilpotent_series_hands_back_the_last_term_when_the_scales_run_out():
+    M = to_field([[0, 1], [1, 0]], object)                    # M^2 = 1: no term vanishes
+    acc, rest = nilpotent_series(M, to_field([[1], [QC(0, 1)]], object), [1, Q(1, 2), Q(1, 3)])
+    assert acc[:, 0].tolist() == [QC(Q(3, 2), Q(7, 6)), QC(Q(7, 6), Q(3, 2))]      # (1, i) + (i, 1) + (1, i)/2 + (i, 1)/6
+    assert rest[:, 0].tolist() == [QC(0, Q(1, 6)), Q(1, 6)]
+    acc, rest = nilpotent_series(np.asarray(M, dtype=complex), np.array([[1], [1j]]), [1.0, 0.5, 1 / 3])
+    assert np.allclose(rest[:, 0], [1j / 6, 1 / 6]) and np.allclose(acc[:, 0], [1.5 + 7j / 6, 7 / 6 + 1.5j])
+
+
+def test_nonterminating_series_raise_their_callers_errors():
+    """A non-nilpotent exact step raises ``ExactModeError``, a non-unipotent exact log ``DomainError``."""
+    with pytest.raises(ExactModeError):
+        _exp_apply(to_field([[0, 1], [1, 0]], object), to_field(1, object), to_field([1, 0], object))
+    with pytest.raises(DomainError, match="not unipotent"):
+        nilpotent_log(to_field([[1, 1], [1, 1]], object), 2)
+    M = to_field([[1, 0, 0], [QC(1, 1), 1, 0], [Q(1, 2), 3, 1]], object)
+    X = M - np.eye(3, dtype=int)
+    assert nilpotent_log(M, 3).tolist() == (X - X @ X / 2).tolist()
+
+
+def _relation_reference(i, j, v):
+    """``max_r |sum_l w[i[l, r]] v[j[l, r]]|^2``, ``w = [v, -v, 0]``, in ``QC`` arithmetic, per row."""
+    out = []
+    for row in v.reshape(-1, v.shape[-1]):
+        w = np.concatenate([row, -row, [QC(0)]])
+        totals = [sum((w[a] * row[b] for a, b in zip(i[:, r], j[:, r])), QC(0)) for r in range(i.shape[1])]
+        out.append(max(z.abs2() for z in totals))
+    return out
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["zero", "int", "gaussian"]), st.sampled_from([(), (3,), (2, 2)]))
+def test_relation_residual_is_the_qc_sum_of_each_relation(seed, kind, lead):
+    """Exact: one ``Fraction`` per row equal to the ``QC`` reference; a lone vector gives a ``Fraction``."""
+    rng = np.random.default_rng(seed)
+    d, terms, relations = int(rng.integers(2, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 6))
+    i, j = rng.integers(0, 2 * d + 1, (terms, relations)), rng.integers(0, d, (terms, relations))
+    if kind == "zero":
+        v = np.full(lead + (d,), QC(0), dtype=object)
+    elif kind == "int":
+        v = rng.integers(-4, 5, lead + (d,)).astype(object)
+    else:
+        v = _sparse(rng, lead + (d + 1, d + 1))[..., 0, :-1]
+    got = relation_residual(i, j)(to_field(v, object))
+    want = _relation_reference(i, j, to_field(v, object))
+    if not lead:
+        assert type(got) is Q and got == want[0]
+    else:
+        assert got.shape == lead and got.ravel().tolist() == want and all(type(x) is Q for x in got.flat)
+
+
+def test_plucker_rule_in_either_field():
+    """gr(2, 5): zero on a decomposable vector, a ``Fraction`` per row, each row's value alone, the float modulus squared.
+
+    ``test_hvcone`` checks the exact values against the coordinate formula in ``QC``.
+    """
+    rule = _plucker_relations(4, 2)
+    rng = np.random.default_rng(4)
+    spec = make_spec("grassmann:4:2")
+    u, _ = remmert(spec, _sparse(rng, (spec.n_z + 1, 2))[:-1, 0], QC(2, 1), exact=True)
+    assert rule(u) == 0 and type(rule(u)) is Q
+    v = to_field(_sparse(rng, (3, 11, 11))[:, 0, :-1], object)
+    got = rule(v)
+    assert got.shape == (3,) and got.tolist() == [rule(row) for row in v] == [plucker_residual(4, 2, row) for row in v]
+    assert max(got) > 0
+    assert np.allclose(rule(np.asarray(v, dtype=complex)) ** 2, np.asarray(got, dtype=float), rtol=1e-12)
+
+
+@pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+def test_squared_norms_per_field(lead):
+    """Exact: ``Fraction`` column norms of every row; complex: bit for bit the other rows' ``abs2`` summed onto the leading 1."""
+    rng = np.random.default_rng(len(lead))
+    F = to_field(_sparse(rng, lead + (5, 3)), object)
+    F[..., 0, :] = QC(1)
+    got = squared_norms(F)
+    assert got.shape == lead + (3,) and all(type(x) is Q for x in got.flat)
+    assert got.tolist() == sum((abs2(F[..., i, :]) for i in range(5)), Q(0)).tolist()
+    Fc = np.asarray(F, dtype=complex)
+    assert squared_norms(Fc).tobytes() == sum((abs2(Fc[..., i, :]) for i in range(1, 5)), 1).tobytes()
 
 
 def test_real_abs2_modulus_per_field():
