@@ -229,6 +229,26 @@ def _sparse(rng, shape):
     return a
 
 
+@pytest.mark.parametrize("m_lead, v_lead, s_shape", [((), (), ()), ((2,), (), (2,)), ((), (3, 1), ()),
+                                                    ((2,), (3, 1), (3, 2)), ((3, 1), (2,), ()), ((0,), (), ())])
+def test_linear_map_is_the_matrix_product_in_either_field(m_lead, v_lead, s_shape):
+    """One series step is the linear map ``s (M @ v)``: exact entry by entry over leading axes, complex bit for bit.
+
+    ``nilpotent_series(M, v, [s])`` returns ``v + s (M @ v)`` and, unless that product is zero in every row, the product.
+    """
+    rng = np.random.default_rng(len(m_lead) + 3 * len(v_lead))
+    M, v = _sparse(rng, m_lead + (5, 5)), _sparse(rng, v_lead + (5, 2))
+    s = to_field(_sparse(rng, s_shape + (2, 2))[..., 0, 0], object)
+    step = s[..., None, None] * (M @ v)
+    acc, rest = nilpotent_series(M, v, [s])
+    assert acc.dtype == object and acc.shape == step.shape and np.all(acc == v + step)
+    assert rest is None if not np.count_nonzero(step) else rest.shape == step.shape and np.all(rest == step)
+    Mc, vc, sc = (np.asarray(a, dtype=complex) for a in (M, v, s))
+    step = sc[..., None, None] * np.matmul(Mc, vc)
+    acc, rest = nilpotent_series(Mc, vc, [sc])
+    assert np.array_equal(acc, vc + step) and (rest is None if not np.count_nonzero(step) else np.array_equal(rest, step))
+
+
 def _series_reference(M, v, scales):
     """``v + sum_k term_k``, ``term_k = s_k (M @ term_(k-1))``, term by term until a term is zero in every row."""
     acc = term = v
