@@ -70,19 +70,8 @@ def _emit(payload: dict, path: str | None) -> None:
 
 
 def _fd_config(args) -> FDConfig:
-    kwargs = {}
-    if getattr(args, "fd_step", None) is not None:
-        default = FDConfig()
-        scale = args.fd_step / default.base_step
-        kwargs = {
-            "base_step": args.fd_step,
-            "hessian_step": default.hessian_step * scale,
-            "nested_step": default.nested_step * scale,
-            "jet_step": default.jet_step * scale,
-        }
-    if getattr(args, "richardson", None) is not None:
-        kwargs["richardson"] = args.richardson
-    return FDConfig(**kwargs)
+    kwargs = {"base_step": args.fd_step, "richardson": args.richardson}
+    return FDConfig(**{k: v for k, v in kwargs.items() if v is not None})
 
 
 def cmd_lie(args) -> int:

@@ -48,7 +48,7 @@ potential has squared norm 4 for the associated Vaisman metric.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Tuple
 
@@ -64,38 +64,42 @@ class ChartDegeneracyError(ValueError):
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Finite-difference steps and extrapolation depth.
+    """Finite-difference base step and Richardson depth (the number of halved steps).
 
-    Each step and its users:
+    Every other step is a fixed multiple ``default * (base_step / 1e-4)``, so
+    ``FDConfig(base_step=x)`` scales them all, as ``--fd-step x`` does.
+    Each step, its multiple and its users:
 
       * ``base_step``: ``d theta`` of ``lck`` (first differences of the Lee form).
-      * ``hessian_step``: ``kahler_form`` and ``i_del_delbar``; the Jacobian
+      * ``hessian_step``, 40x: ``kahler_form`` and ``i_del_delbar``; the Jacobian
         of ``vaisman``; the Hessians of ``kahler-einstein`` and ``ricci-flat``,
         whose Ricci form differences ``log det`` at this step too; and the
         finite-difference metric of every finite-difference suite's
         ``metric_agreement``.
-      * ``nested_step``: ``d Omega`` of ``lck``, at half the step, and the
-        single-point ``ricci_form``, whose inner and outer levels share it so
-        that composite Richardson extrapolation cancels the leading error.
-      * ``jet_step``: the one cone stencil of ``einstein-weyl``, which gives
-        every jet that suite reads.
+      * ``nested_step``, 200x: the single-point ``ricci_form``, whose inner and
+        outer levels share it so that composite Richardson extrapolation
+        cancels the leading error.
+      * ``jet_step``, 100x: ``d Omega`` of ``lck``, and the one cone stencil of
+        ``einstein-weyl``, which gives every jet that suite reads.
     """
 
     base_step: float = 1e-4
-    hessian_step: float = 4e-3
-    nested_step: float = 2e-2
-    jet_step: float = 1e-2
     richardson: int = 2
+    hessian_step = property(lambda self: 4e-3 * (self.base_step / 1e-4))
+    nested_step = property(lambda self: 2e-2 * (self.base_step / 1e-4))
+    jet_step = property(lambda self: 1e-2 * (self.base_step / 1e-4))
 
     def __post_init__(self):
+        if not (isinstance(self.richardson, int) and self.richardson >= 1):
+            raise ConfigurationError(f"FDConfig.richardson must be an integer of at least 1, got {self.richardson!r}")
         for name, value in self.echo().items():
-            if name == "richardson" and not value >= 1:
-                raise ConfigurationError(f"FDConfig.richardson must be at least 1, got {value!r}")
             if not 0 < value < np.inf:
-                raise ConfigurationError(f"FDConfig.{name} must be positive and finite, got {value!r}")
+                raise ConfigurationError(f"FDConfig.{name} must be positive and finite, got {value!r} "
+                                         f"(every step is a multiple of base_step = {self.base_step!r})")
 
     def echo(self) -> dict:
-        return asdict(self)
+        return {"base_step": self.base_step, "hessian_step": self.hessian_step,
+                "nested_step": self.nested_step, "jet_step": self.jet_step, "richardson": self.richardson}
 
 
 @lru_cache(maxsize=None)

@@ -31,7 +31,6 @@ floats.
 from __future__ import annotations
 
 import functools
-import sys
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm, prod
@@ -164,14 +163,7 @@ class QC:
 
     def __hash__(self):
         """Equal values hash equal: a real value hashes as its int or ``Fraction``, any other from its fields."""
-        if self.b:
-            return hash((self.a, self.b, self.d))
-        if self.d == 1:
-            return hash(self.a)
-        P = sys.hash_info.modulus           # Python's hash of the rational a / d, no Fraction built
-        h = sys.hash_info.inf if self.d % P == 0 else abs(self.a) % P * pow(self.d, -1, P) % P
-        h = h if self.a >= 0 else -h
-        return -2 if h == -1 else h
+        return hash((self.a, self.b, self.d)) if self.b else hash(Fraction(self.a, self.d))
 
     def to_complex(self) -> complex:
         return complex(self.a / self.d, self.b / self.d)

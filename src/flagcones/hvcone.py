@@ -34,6 +34,7 @@ from typing import Tuple
 import numpy as np
 
 from .charts import DomainError, PotentialSpec
+from .diffgeo import FDConfig, _jacobian_of_field
 from .exact import modulus, relation_residual, rows, to_field
 from .reps import RepSpace, act, casimir_terms
 
@@ -238,16 +239,20 @@ def _largest_gap(u, v):
 # special cone potentials
 # ---------------------------------------------------------------------------
 
+def _check_stenzel(eps: float, t: float) -> None:
+    if not 0 < eps < np.inf:
+        raise DomainError(f"deformation parameter must be positive and finite, got {eps!r}")
+    if not 0 <= t < np.inf:
+        raise DomainError(f"the radial parameter is nonnegative and finite, got {t!r}")
+
+
 def stenzel_fprime(eps: float, t: float) -> float:
     """Radial derivative of the smoothed cone potential on the deformation.
 
     Closed form ``(3/(4 eps^2))^(1/3) (sinh 2t - 2t)^(1/3) / sinh t`` with
     the limit ``eps^(-2/3)`` at t = 0.
     """
-    if eps <= 0:
-        raise DomainError("deformation parameter must be positive")
-    if t < 0:
-        raise DomainError("the radial parameter is nonnegative")
+    _check_stenzel(eps, t)
     if t < 2e-3:
         # sinh(2t) - 2t cancels catastrophically here; use its series instead
         return eps ** (-2.0 / 3.0) * (1.0 - t * t / 10.0 + 13.0 * t ** 4 / 2100.0)
@@ -256,19 +261,19 @@ def stenzel_fprime(eps: float, t: float) -> float:
 
 
 def stenzel_ode_residual(eps: float, t: float, fd_step: float = 1e-4) -> float:
-    """Residual of eps^2 cosh(t) (F')^3 + (eps^2 sinh(t)/3) d/dt (F')^3 = 1."""
+    """Residual of eps^2 cosh(t) (F')^3 + (eps^2 sinh(t)/3) d/dt (F')^3 = 1, at two Richardson levels of ``fd_step``."""
+    _check_stenzel(eps, t)
     if not 0 < fd_step < np.inf:
         raise DomainError(f"fd_step must be positive and finite, got {fd_step!r}")
     if t <= 4 * fd_step:
         raise DomainError("residual grid must stay away from t = 0")
 
-    def cube(s: float) -> float:
-        return stenzel_fprime(eps, s) ** 3
+    def cube(Q: np.ndarray) -> np.ndarray:
+        return np.array([stenzel_fprime(eps, s) ** 3 for s in Q[:, 0]])
 
-    d1 = (cube(t + fd_step) - cube(t - fd_step)) / (2 * fd_step)
-    d2 = (cube(t + fd_step / 2) - cube(t - fd_step / 2)) / fd_step
-    dG = (4 * d2 - d1) / 3
-    return eps * eps * np.cosh(t) * cube(t) + eps * eps * np.sinh(t) / 3.0 * dG - 1.0
+    P = np.array([[t]])
+    dG = _jacobian_of_field(cube, P, FDConfig(richardson=2), np.array([fd_step]))[0, 0]
+    return eps * eps * np.cosh(t) * cube(P)[0] + eps * eps * np.sinh(t) / 3.0 * dG - 1.0
 
 
 def stenzel_potential(eps: float, t: float) -> float:
@@ -278,8 +283,7 @@ def stenzel_potential(eps: float, t: float) -> float:
     normalised to vanish at the apex.  Only residual-level claims about
     the solution are certified; this is a convenience evaluator.
     """
-    if t < 0:
-        raise DomainError("the radial parameter is nonnegative")
+    _check_stenzel(eps, t)
     if t == 0:
         return 0.0
     from scipy.integrate import quad

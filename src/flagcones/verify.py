@@ -311,7 +311,7 @@ def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] =
         D = diffgeo._jacobian_of_field(lee, P, cfg, diffgeo.scaled_steps(P, cfg.base_step))
         r_dth = _relative(D - np.swapaxes(D, -1, -2), th)
         # d Omega = -(d g) J, with d g expanded from the differences of the cone field
-        dcone = diffgeo._jacobian_of_field(cone, P, cfg, diffgeo.scaled_steps(P, cfg.nested_step / 2))
+        dcone = diffgeo._jacobian_of_field(cone, P, cfg, diffgeo.scaled_steps(P, cfg.jet_step))
         dg, _ = diffgeo.split_cone(dcone)
         dOm = diffgeo.d_twoform_of_jets(dg @ -J)
         wedge = diffgeo.wedge_one_two(th, -g @ J)

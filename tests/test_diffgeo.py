@@ -1,4 +1,6 @@
 """Finite-difference tensor calculus: exactness, convergence, curvature probes."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,9 +44,9 @@ def _christoffel(gfield, P, step=CFG.hessian_step):
     return diffgeo._christoffel(np.linalg.inv(gfield(P)), _grad(gfield, P, step))
 
 
-def _ricci(gfield, P, cfg=CFG):
-    """Ricci tensors of a batched metric field at the points P, from its jets at ``cfg.jet_step``."""
-    g, dg, ddg = diffgeo._metric_jets(gfield, P, cfg, scaled_steps(P, cfg.jet_step))
+def _ricci(gfield, P, step=CFG.jet_step):
+    """Ricci tensors of a batched metric field at the points P, from its jets at ``scaled_steps(P, step)``."""
+    g, dg, ddg = diffgeo._metric_jets(gfield, P, CFG, scaled_steps(P, step))
     G, div, dtr, _ = diffgeo._symbol_traces(np.linalg.inv(g), dg, ddg)
     return diffgeo._ricci_of_traces(G, div, dtr)
 
@@ -208,7 +210,7 @@ def test_ricci_fubini_study():
     F = lambda P: 2.0 * np.log(1.0 + P[..., 0] ** 2 + P[..., 1] ** 2)
     for p in [np.array([0.3, -0.4]), np.array([0.9, 0.6])]:
         gfield = _metric_field(F, p)
-        R = _ricci(gfield, p[None, :], FDConfig(jet_step=4e-2))[0]
+        R = _ricci(gfield, p[None, :], 4e-2)[0]
         g = gfield(p[None, :])[0]
         assert np.max(np.abs(R - 2 * g)) < 1e-5
         assert np.max(np.abs(R - R.T)) < 1e-7
@@ -417,11 +419,23 @@ def test_fd_audit_on_catalog_potentials():
 
 
 @pytest.mark.parametrize("kwargs", [{"richardson": 0}, {"richardson": -1}, {"base_step": 0.0},
-                                    {"jet_step": -1e-2}, {"hessian_step": 0.0},
-                                    {"nested_step": float("inf")}, {"base_step": float("nan")}])
+                                    {"base_step": 1e305}, {"richardson": 2.5},
+                                    {"base_step": -1e-4}, {"base_step": float("nan")}])
 def test_fd_config_rejects_invalid_values(kwargs):
     with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
         FDConfig(**kwargs)
+
+
+@pytest.mark.parametrize("base_step", [1e-4, 2e-4, 3e-5, 1e-3])
+def test_fd_config_steps_are_fixed_multiples_of_the_base_step(base_step):
+    """Every derived step is ``default * (base_step / 1e-4)`` bit for bit, and ``jet_step`` halves ``nested_step``."""
+    cfg = FDConfig(base_step=base_step)
+    defaults = {"hessian_step": 4e-3, "nested_step": 2e-2, "jet_step": 1e-2}
+    for name, default in defaults.items():
+        assert getattr(cfg, name).hex() == (default * (base_step / 1e-4)).hex(), name
+    assert cfg.jet_step.hex() == (cfg.nested_step / 2).hex()
+    assert list(cfg.echo()) == ["base_step", "hessian_step", "nested_step", "jet_step", "richardson"]
+    assert [f.name for f in dataclasses.fields(FDConfig)] == ["base_step", "richardson"]
 
 
 def _poly(P):

@@ -419,6 +419,26 @@ def test_stenzel_ode_residual_grid(eps):
         assert abs(stenzel_ode_residual(eps, float(t))) < 1e-8
 
 
+def _two_level_residual(eps, t, fd_step):
+    """The residual with its hand-written two-level Richardson first difference."""
+    def cube(s):
+        return stenzel_fprime(eps, s) ** 3
+
+    d1 = (cube(t + fd_step) - cube(t - fd_step)) / (2 * fd_step)
+    d2 = (cube(t + fd_step / 2) - cube(t - fd_step / 2)) / fd_step
+    dG = (4 * d2 - d1) / 3
+    return eps * eps * np.cosh(t) * cube(t) + eps * eps * np.sinh(t) / 3.0 * dG - 1.0
+
+
+@pytest.mark.parametrize("fd_step", [1e-4, 3e-5, 1e-3, 2.5e-3])
+def test_stenzel_ode_residual_is_the_two_level_richardson_difference(fd_step):
+    """The shared Richardson tableau at ``richardson=2`` reproduces the two-level formula bit for bit."""
+    for eps in (0.3, 0.5, 1.0, 1.7, 2.0):
+        for t in map(float, np.linspace(0.01, 4.0, 25)):
+            if t > 4 * fd_step:
+                assert stenzel_ode_residual(eps, t, fd_step).hex() == _two_level_residual(eps, t, fd_step).hex()
+
+
 def test_singular_cone_potential_value():
     W = np.array([[1.0, 0.0], [0.0, 0.0]])
     assert np.isclose(singular_cone_potential(W), 1.5 ** (4.0 / 3.0))
@@ -480,8 +500,18 @@ def test_stenzel_potential_quadrature():
     (lambda: stenzel_ode_residual(1.0, 1e-4), "away from t = 0"),
     (lambda: stenzel_ode_residual(1.0, 1.0, fd_step=float("nan")), "fd_step must be positive and finite"),
     (lambda: stenzel_potential(1.0, -1.0), "radial parameter"),
+    (lambda: stenzel_fprime(float("nan"), 1.0), "deformation parameter"),
+    (lambda: stenzel_fprime(float("inf"), 1.0), "deformation parameter"),
+    (lambda: stenzel_fprime(1.0, float("inf")), "radial parameter"),
+    (lambda: stenzel_fprime(1.0, float("nan")), "radial parameter"),
+    (lambda: stenzel_ode_residual(1.0, float("nan")), "radial parameter"),
+    (lambda: stenzel_ode_residual(float("nan"), 1.0), "deformation parameter"),
+    (lambda: stenzel_potential(1.0, float("nan")), "radial parameter"),
+    (lambda: stenzel_potential(0.0, 1.0), "deformation parameter"),
 ], ids=["plucker_dim", "casimir_no_weight", "several_generators", "stenzel_eps", "stenzel_t",
-        "stenzel_grid", "stenzel_fd_step", "stenzel_potential_t"])
+        "stenzel_grid", "stenzel_fd_step", "stenzel_potential_t", "stenzel_eps_nan", "stenzel_eps_inf",
+        "stenzel_t_inf", "stenzel_t_nan", "stenzel_residual_t_nan", "stenzel_residual_eps_nan",
+        "stenzel_potential_t_nan", "stenzel_potential_eps"])
 def test_input_checks_raise_domain_errors(call, fragment):
     with pytest.raises(DomainError, match=fragment):
         call()
