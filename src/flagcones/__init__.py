@@ -1,6 +1,6 @@
 """Kahler potentials on elliptic bundles over flag manifolds.
 
-A numpy/scipy library that constructs the representation-theoretic cone
+A numpy library that constructs the representation-theoretic cone
 potentials of negative line bundles over classical flag manifolds,
 numerically certifies the locally conformally Kahler, Vaisman,
 Kahler-Einstein, Ricci-flat and Einstein-Weyl structures they induce, and

@@ -602,7 +602,7 @@ class PotentialSpec:
         else:
             hs = (np.concatenate([squared_norms(F) for F, _ in frames], axis=-1),)
         del frames                      # dead before the weighted sums, where a jet call peaks
-        return tuple(sum(wt * jet[i] for wt, jet in zip(weights, jets)) for i in range(1 + hessian)) + hs
+        return tuple(_weighted_sum([jet[i] for jet in jets], weights) for i in range(1 + hessian)) + hs
 
     def cone_jet(self, with_K: bool = False) -> Callable[[np.ndarray], tuple]:
         """Batched ``(phi_a, ddbar K / K)`` over real points, from the chart frames; ``with_K`` appends ``K``.
@@ -618,7 +618,7 @@ class PotentialSpec:
             grad, hess, *hs = self._log_jets(z, e, potentials=with_K)
             phi = np.concatenate([grad, 1.0 / w[..., None]], axis=-1)
             H = b * b * phi[..., :, None] * np.conj(phi[..., None, :])
-            H[..., :-1, :-1] += b * hess
+            H[..., :-1, :-1] += np.multiply(b, hess, out=hess)
             return (phi, H) + tuple(self._K_of(self._h_L_of(h), w) for h in hs)
 
         return jet
@@ -656,6 +656,19 @@ class PotentialSpec:
             return _weighted_logs(np.asarray(self.chart.h_closed(decode_base_points(points, self.chart.n_z))), pair)
 
         return F
+
+
+def _weighted_sum(jets, weights):
+    """``sum(wt * jet for wt, jet in zip(weights, jets))`` bit for bit, scaling each jet in place into the first.
+
+    The jets must be the caller's own arrays.  ``sum`` starts from ``0``, and
+    ``0 +`` turns a -0.0 into 0.0, so it is kept as one in-place add.
+    """
+    acc = np.multiply(weights[0], jets[0], out=jets[0])
+    np.add(0, acc, out=acc)
+    for wt, jet in zip(weights[1:], jets[1:]):
+        acc += np.multiply(wt, jet, out=jet)
+    return acc
 
 
 def _weighted_logs(hs, weights):

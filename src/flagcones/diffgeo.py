@@ -55,7 +55,7 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .exact import hermitian_elimination
-from .roots import ConfigurationError
+from .roots import ConfigurationError, integer_setting
 
 
 class ChartDegeneracyError(ValueError):
@@ -90,8 +90,9 @@ class FDConfig:
     jet_step = property(lambda self: 1e-2 * (self.base_step / 1e-4))
 
     def __post_init__(self):
-        if not (isinstance(self.richardson, int) and self.richardson >= 1):
-            raise ConfigurationError(f"FDConfig.richardson must be an integer of at least 1, got {self.richardson!r}")
+        object.__setattr__(self, "richardson", integer_setting("FDConfig.richardson", self.richardson, 1))
+        if isinstance(self.base_step, bool):
+            raise ConfigurationError(f"FDConfig.base_step must be a real number, got {self.base_step!r}")
         for name, value in self.echo().items():
             if not 0 < value < np.inf:
                 raise ConfigurationError(f"FDConfig.{name} must be positive and finite, got {value!r} "

@@ -279,17 +279,25 @@ def stenzel_ode_residual(eps: float, t: float, fd_step: float = 1e-4) -> float:
 def stenzel_potential(eps: float, t: float) -> float:
     """Smoothed cone potential as a function of the radial parameter.
 
-    Adaptive quadrature of ``F'(s) d(r^2)/ds`` with ``r^2 = eps^2 cosh s``,
-    normalised to vanish at the apex.  Only residual-level claims about
-    the solution are certified; this is a convenience evaluator.
+    The 40-node Gauss-Legendre rule on ``[0, t]`` of ``F'(s) d(r^2)/ds``
+    with ``r^2 = eps^2 cosh s``, normalised to vanish at the apex.  Only
+    residual-level claims about the solution are certified; this is a
+    convenience evaluator.
     """
     _check_stenzel(eps, t)
-    if t == 0:
-        return 0.0
-    from scipy.integrate import quad
+    x, wt = _legendre_rule()
+    s = t / 2 * (x + 1)
+    fprime = np.array([stenzel_fprime(eps, si) for si in s])
+    return float(t / 2 * np.sum(wt * fprime * eps * eps * np.sinh(s)))
 
-    val, _ = quad(lambda s: stenzel_fprime(eps, s) * eps * eps * np.sinh(s), 0.0, t, limit=200)
-    return float(val)
+
+@lru_cache(maxsize=None)
+def _legendre_rule():
+    """Nodes and weights of the 40-point Gauss-Legendre rule on [-1, 1], built on first use.
+
+    Importing the library then does not load ``numpy.polynomial``.
+    """
+    return np.polynomial.legendre.leggauss(40)
 
 
 def singular_cone_potential(W) -> float:

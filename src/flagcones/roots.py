@@ -20,6 +20,7 @@ Simple-root indices are 1-based throughout the public interface.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -33,6 +34,13 @@ Eps = Tuple[Fraction, ...]
 
 class ConfigurationError(ValueError):
     """Unsupported or inconsistent Lie-theoretic configuration."""
+
+
+def integer_setting(name: str, value, minimum: int) -> int:
+    """``value`` as a plain ``int`` of at least ``minimum``; numpy integers pass, a bool or a non-integer is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    return int(value)
 
 
 def _fvec(entries) -> Eps:

@@ -49,7 +49,7 @@ from . import diffgeo
 from .charts import PotentialSpec, decode_points, lee_components, make_spec, ricci_flat_exponent
 from .diffgeo import FDConfig
 from .hvcone import GammaGroup, algebraic_residual, gamma_canonicalize, hopf_distance, remmert
-from .roots import ConfigurationError
+from .roots import ConfigurationError, integer_setting
 
 DEFAULT_TOLERANCES = {
     "lck": 1e-5,
@@ -407,7 +407,7 @@ def check_cone_ricci_flat(spec: PotentialSpec, samples: SampleSet, cfg: Optional
 
         def H(X):
             _, Hc, K = jet(X)
-            return Hc * _per_sample(K, scale)[:, None, None]
+            return np.multiply(Hc, _per_sample(K, scale)[:, None, None], out=Hc)
 
         rho = diffgeo.ricci_form_of_metric(H, P, cfg, cfg.hessian_step * coordinate_scales(spec, P))
         F = lambda X: _per_sample(F0(X), scale)
@@ -527,9 +527,8 @@ def run_suite(suite: str, case: str, seed: int = 7, count: Optional[int] = None,
     if suite not in SUITES:
         raise ConfigurationError(f"unknown suite {suite!r}; expected one of {SUITES}")
     check, default_count = _SUITES[suite]
-    count = default_count if count is None else count
-    if count < 1:
-        raise ConfigurationError(f"sample count must be at least 1, got {count}")
+    count = integer_setting("sample count", default_count if count is None else count, 1)
+    seed = integer_setting("seed", seed, 0)
     spec = make_spec(case, exponents=exponents, b=b, ell=ell)
     if b is None and suite in ("ricci-flat", "einstein-weyl"):
         spec = replace(spec, b=ricci_flat_exponent(spec.chart, ell))

@@ -1,5 +1,6 @@
 """Potential catalog: closed forms, the module path, exponents, constants."""
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction as Q
 from itertools import combinations
 from math import comb
@@ -271,6 +272,59 @@ def test_jet_potentials_are_h_closed_bit_for_bit(case):
     assert np.array_equal(spec._log_jets(z, [1.0] * spec.chart.n_gen, potentials=True)[2], spec.chart.h_closed(z))
     assert np.array_equal(spec.cone_jet(with_K=True)(P)[2], spec.field()(P))
     assert np.array_equal(spec.base_jet()(P[:, :-2])[1], spec.base_log_anticanonical()(P[:, :-2]))
+
+
+def _same_bits(a, b) -> bool:
+    """Equal values with equal signs of zero (``np.array_equal`` alone takes -0.0 for 0.0)."""
+    return (a.dtype == b.dtype and np.array_equal(a, b)
+            and all(np.array_equal(np.signbit(part(a)), np.signbit(part(b))) for part in (np.real, np.imag)))
+
+
+def _summed_jets(spec, z, weights):
+    """Out of place, generator by generator: ``sum(w * jet)`` of each ``log_gram_jets`` output over the frames."""
+    jets = [charts.log_gram_jets(F, jac) for F, jac in spec.chart.frames(z)]
+    return [sum(wt * jet[i] for wt, jet in zip(weights, jets)) for i in (0, 1)]
+
+
+@pytest.mark.parametrize("case", ["gr24", "wallach", "quadric:6", "conifold"])
+def test_in_place_jets_equal_the_out_of_place_formulas(case):
+    """``cone_jet`` and ``base_jet`` sum and scale the frame jets in place, bit for bit as the formulas out of place.
+
+    ``phi = (sum e_alpha grad_alpha, 1/w)`` and ``H = b^2 phi (x) conj(phi) + b sum e_alpha hess_alpha``
+    on the chart block; the base Hessian weighs by the delta pairings.  Real
+    and imaginary points carry signed zeros, which ``sum``'s leading ``0 +``
+    makes positive.  Filling one call's outputs with NaN leaves another
+    call's outputs, and the next call's, as they were: no output shares
+    memory with the frames or a cached table.
+    """
+    spec = make_spec(case)
+    spec = replace(spec, b=ricci_flat_exponent(spec.chart))
+    b, e = float(spec.b), [float(x) for x in spec.exponents]
+    pair = [float(p) for p in spec.chart.delta_pairings]
+    rng = np.random.default_rng(53)
+    n = spec.n_z
+    z = rng.normal(size=(400, n)) + 1j * rng.normal(size=(400, n))
+    z[::2, 0] = 0.0
+    z[2::5] = z[2::5].real                     # real and imaginary rows: their jets hold -0.0
+    z[3::7] = 1j * z[3::7].imag
+    z[-1] = 0.0
+    P = np.empty((len(z), 2 * n + 2))
+    P[:, 0:2 * n:2], P[:, 1:2 * n:2], P[:, -2:] = z.real, z.imag, (0.7, -0.4)
+    w = charts.decode_points(P, n)[1]
+    grad, hess = _summed_jets(spec, z, e)
+    phi = np.concatenate([grad, 1.0 / w[..., None]], axis=-1)
+    H = b * b * phi[..., :, None] * np.conj(phi[..., None, :])
+    H[..., :-1, :-1] += b * hess
+    expected = {"cone": (phi, H), "cone_K": (phi, H, spec.field()(P)),
+                "base": (_summed_jets(spec, z, pair)[1], spec.base_log_anticanonical()(P[:, :-2]))}
+    calls = {"cone": lambda: spec.cone_jet()(P), "cone_K": lambda: spec.cone_jet(with_K=True)(P),
+             "base": lambda: spec.base_jet()(P[:, :-2])}
+    for name, call in calls.items():
+        first, second = call(), call()
+        for out in first:
+            out[...] = np.nan
+        assert all(_same_bits(a, x) for a, x in zip(second, expected[name], strict=True)), name
+        assert all(_same_bits(a, x) for a, x in zip(call(), expected[name], strict=True)), name
 
 
 # -- holomorphic frames ------------------------------------------------------------

@@ -210,20 +210,26 @@ def test_fd_step_at_default_echoes_default_config(capsys):
 
 
 def test_importing_the_library_does_not_load_scipy():
-    """scipy is imported lazily (``hvcone.stenzel_potential`` alone), so it costs no start-up time.
+    """The library never loads scipy, and importing it or integrating the Stenzel potential loads no ``numpy.random``.
 
-    Group words are nilpotent series, so the embedding suite never loads it either.
+    ``stenzel_potential`` integrates by a Gauss-Legendre rule, and group words
+    are nilpotent series, so the embedding suite never loads scipy either.
+    ``numpy.random`` loads OpenSSL through ``secrets``, so only sampling should load it.
     """
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = "print([m for m in ('scipy', 'numpy.random') if m in sys.modules])"
+    stenzel = ("import sys, flagcones, flagcones.cli\n"
+               "from flagcones.hvcone import stenzel_potential\n"
+               "assert stenzel_potential(1.0, 2.0) > stenzel_potential(1.0, 1.0) > 0\n" + loaded)
     embedding = ("import sys\n"
                  "from flagcones.verify import run_suite\n"
                  "assert all(run_suite('embedding', f'quadric:{n}', seed=s).verdict\n"
                  "           for n in (5, 6, 7, 8, 10) for s in range(8))\n"
                  "print('scipy' in sys.modules)")
-    for code in ("import sys, flagcones, flagcones.cli; print('scipy' in sys.modules)", embedding):
+    for code, expected in ((stenzel, "[]"), (embedding, "False")):
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False", out
+        assert out.stdout.strip() == expected, out
 
 
 @pytest.mark.parametrize("argv, fragment", [

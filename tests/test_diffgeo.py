@@ -1,5 +1,6 @@
 """Finite-difference tensor calculus: exactness, convergence, curvature probes."""
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -420,10 +421,20 @@ def test_fd_audit_on_catalog_potentials():
 
 @pytest.mark.parametrize("kwargs", [{"richardson": 0}, {"richardson": -1}, {"base_step": 0.0},
                                     {"base_step": 1e305}, {"richardson": 2.5},
-                                    {"base_step": -1e-4}, {"base_step": float("nan")}])
+                                    {"base_step": -1e-4}, {"base_step": float("nan")}, {"richardson": True},
+                                    {"richardson": np.float64(2.0)}, {"base_step": True}])
 def test_fd_config_rejects_invalid_values(kwargs):
     with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
         FDConfig(**kwargs)
+
+
+@pytest.mark.parametrize("richardson", [np.int64(3), np.int32(1), np.uint8(2)])
+def test_fd_config_stores_numpy_integer_depth_as_int(richardson):
+    """A numpy integer depth is stored as a plain ``int``, so ``echo()`` and the report JSON carry a number."""
+    cfg = FDConfig(richardson=richardson)
+    assert type(cfg.richardson) is int and cfg.richardson == richardson
+    assert cfg == FDConfig(richardson=int(richardson))
+    assert json.loads(json.dumps(cfg.echo()))["richardson"] == richardson
 
 
 @pytest.mark.parametrize("base_step", [1e-4, 2e-4, 3e-5, 1e-3])

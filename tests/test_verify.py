@@ -117,10 +117,20 @@ def test_run_suite_dispatch_and_unknown():
         run_suite("vaisman", "mystery:7")
 
 
-@pytest.mark.parametrize("count", [0, -3])
-def test_run_suite_rejects_nonpositive_count(count):
-    with pytest.raises(ConfigurationError):
-        run_suite("vaisman", "hopf:cp1", count=count)
+@pytest.mark.parametrize("kwargs", [pytest.param({"count": 0}, id="0"), pytest.param({"count": -3}, id="-3"),
+                                    {"count": True}, {"count": 2.5}, {"count": np.float64(4.0)},
+                                    {"seed": True}, {"seed": 1.5}, {"seed": -1}, {"seed": "7"}])
+def test_run_suite_rejects_nonpositive_count(kwargs, monkeypatch):
+    """A bool, non-integer or out-of-range ``count`` or ``seed`` is refused before any point is sampled."""
+    monkeypatch.setattr(verify, "sample_points", lambda *a, **k: pytest.fail("sampled before the check"))
+    with pytest.raises(ConfigurationError, match="sample count" if "count" in kwargs else "seed"):
+        run_suite("vaisman", "hopf:cp1", **kwargs)
+
+
+def test_run_suite_accepts_numpy_integer_count_and_seed():
+    rep = run_suite("vaisman", "hopf:cp1", seed=np.int64(3), count=np.int32(4))
+    assert rep.verdict and type(rep.seed) is int and type(rep.count) is int
+    assert rep.to_dict() == run_suite("vaisman", "hopf:cp1", seed=3, count=4).to_dict()
 
 
 def test_run_suite_defaults_ricci_flat_exponent():
