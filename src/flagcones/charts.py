@@ -162,7 +162,7 @@ def _roll_axes(a: np.ndarray, k: int) -> np.ndarray:
     return a.transpose(axes[k:] + axes[:k])
 
 
-def log_gram_jets(F, jac, hessian=True):
+def log_gram_jets(F, jac):
     """``(d_a log h, d_a dbar_b log h)`` of ``h = det G``, ``G = F* F``, batched over leading axes.
 
     ``(F, jac)`` is a pair of ``Chart.frames``: a holomorphic frame (..., N, r)
@@ -178,13 +178,13 @@ def log_gram_jets(F, jac, hessian=True):
     of its pivots, bit for bit the float minor of ``gram_minors`` (and equal to
     the exact one).  The quadric section
     (``jac = z / 2``) takes the closed forms of ``_quadric_log_jets``, with no
-    Gram inverse.  With ``hessian`` false only ``(d_a log h,)`` is computed.
+    Gram inverse.
     """
     if np.ndim(F) == 2:                 # one frame runs as a batch of one: numpy scalars round differently
         jac = jac if isinstance(jac, UnitTables) else jac[None]
-        return tuple(jet[0] for jet in log_gram_jets(np.asarray(F)[None], jac, hessian))
+        return tuple(jet[0] for jet in log_gram_jets(np.asarray(F)[None], jac))
     if not isinstance(jac, UnitTables):
-        return _quadric_log_jets(F[..., 0], jac, hessian)
+        return _quadric_log_jets(F[..., 0], jac)
     E, ones = _frame_rows(F, jac)
     Ec, G = gram_entries(E, ones)
     pivots, L = hermitian_elimination(G)
@@ -193,8 +193,6 @@ def log_gram_jets(F, jac, hessian=True):
     A = [[entry_dot(row, e) for e in Ec] for row in Ginv]             # (G^-1 F*)[j, rows_u]
     flat = [x for row in A for x in row] + [np.zeros_like(A[0][0])]
     grad = np.stack([flat[k] for k in jac.grad.tolist()])
-    if not hessian:
-        return (_roll_axes(grad, 1),)
     At, P = list(zip(*A)), [[None] * len(E) for _ in E]               # P[u][v] = P[rows_u, rows_v], Hermitian
     for u, v in combinations_with_replacement(range(len(E)), 2):
         P[u][v] = int(u == v) - entry_dot(E[u], At[v])
@@ -207,7 +205,7 @@ def log_gram_jets(F, jac, hessian=True):
     return _roll_axes(grad, 1), _roll_axes(hess, 2), h
 
 
-def _quadric_log_jets(s, half_z, hessian=True):
+def _quadric_log_jets(s, half_z):
     """``log_gram_jets`` of the quadric section ``s = (1, z/sqrt2, q/4)`` (..., N), from ``half_z = z/2`` (..., m).
 
     With ``u_a = d_a s = (0, e_a/sqrt2, z_a/2)``, ``h = |s|^2``,
@@ -216,8 +214,6 @@ def _quadric_log_jets(s, half_z, hessian=True):
     """
     inv_h = 1 / np.sum(abs2(s), axis=-1)[..., None]
     grad = (np.conj(half_z) + np.conj(s[..., -1:]) * half_z) * inv_h
-    if not hessian:
-        return (grad,)
     delta = to_field(np.eye(half_z.shape[-1], dtype=int), half_z.dtype) / 2
     hess = (half_z[..., :, None] * np.conj(half_z[..., None, :]) + delta) * inv_h[..., None]
     hess -= grad[..., :, None] * np.conj(grad[..., None, :])
@@ -586,7 +582,7 @@ class PotentialSpec:
 
         return F
 
-    def _log_jets(self, z, weights, hessian=True, potentials=False):
+    def _log_jets(self, z, weights, potentials=False):
         """Weighted sums over generators of ``log_gram_jets`` of the chart frames; with ``potentials`` then ``h_closed(z)``.
 
         The potentials come from the same frames, bit for bit: the determinants
@@ -594,7 +590,7 @@ class PotentialSpec:
         sums them (the quadric and product jets' own sums differ in the last bit).
         """
         frames = self.chart.frames(z)
-        jets = [log_gram_jets(F, jac, hessian) for F, jac in frames]
+        jets = [log_gram_jets(F, jac) for F, jac in frames]
         if not potentials:
             hs = ()
         elif self.chart.kind == "wedge":
@@ -602,7 +598,7 @@ class PotentialSpec:
         else:
             hs = (np.concatenate([squared_norms(F) for F, _ in frames], axis=-1),)
         del frames                      # dead before the weighted sums, where a jet call peaks
-        return tuple(_weighted_sum([jet[i] for jet in jets], weights) for i in range(1 + hessian)) + hs
+        return tuple(_weighted_sum([jet[i] for jet in jets], weights) for i in range(2)) + hs
 
     def cone_jet(self, with_K: bool = False) -> Callable[[np.ndarray], tuple]:
         """Batched ``(phi_a, ddbar K / K)`` over real points, from the chart frames; ``with_K`` appends ``K``.
@@ -622,17 +618,6 @@ class PotentialSpec:
             return (phi, H) + tuple(self._K_of(self._h_L_of(h), w) for h in hs)
 
         return jet
-
-    def lee_form(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Batched Lee form ``theta = -d log K`` over real points, (m, d), from the gradient half of the jets alone."""
-        b, e = float(self.b), [float(x) for x in self.exponents]
-
-        def theta(points: np.ndarray) -> np.ndarray:
-            z, w = decode_points(points, self.chart.n_z)
-            (grad,) = self._log_jets(z, e, hessian=False)
-            return lee_components(np.concatenate([grad, 1.0 / w[..., None]], axis=-1), b)
-
-        return theta
 
     def base_jet(self) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
         """Batched ``(ddbar log h_delta, log h_delta)`` over base points, one frame per point.
@@ -735,6 +720,8 @@ def generic_h(chart: Chart, z, exact: bool = False):
 
 def dhomothetic_constant(chart: Chart, ell: int = 1) -> Fraction:
     """Transverse rescaling constant ell * I / (m + 1) for the Sasaki-Einstein gauge."""
+    if ell <= 0:
+        raise DomainError("bundle level must be positive")
     return Fraction(ell * chart.fano, chart.m + 1)
 
 
@@ -745,4 +732,6 @@ def ricci_flat_exponent(chart: Chart, ell: int = 1) -> Fraction:
     conifold and the 1/2 power on the level-2 projective line; certified
     numerically by the Ricci-flatness suite rather than assumed.
     """
+    if ell <= 0:
+        raise DomainError("bundle level must be positive")
     return Fraction(chart.fano, ell * (chart.m + 1))

@@ -66,11 +66,10 @@ class ChartDegeneracyError(ValueError):
 class FDConfig:
     """Finite-difference base step and Richardson depth (the number of halved steps).
 
-    Every other step is a fixed multiple ``default * (base_step / 1e-4)``, so
-    ``FDConfig(base_step=x)`` scales them all, as ``--fd-step x`` does.
-    Each step, its multiple and its users:
+    Every step is a fixed multiple ``default * (base_step / 1e-4)``, so
+    ``FDConfig(base_step=x)`` scales them all, as ``--fd-step x`` does; no
+    difference runs at ``base_step`` itself.  Each step, its multiple and its users:
 
-      * ``base_step``: ``d theta`` of ``lck`` (first differences of the Lee form).
       * ``hessian_step``, 40x: ``kahler_form`` and ``i_del_delbar``; the Jacobian
         of ``vaisman``; the Hessians of ``kahler-einstein`` and ``ricci-flat``,
         whose Ricci form differences ``log det`` at this step too; and the
@@ -79,8 +78,9 @@ class FDConfig:
       * ``nested_step``, 200x: the single-point ``ricci_form``, whose inner and
         outer levels share it so that composite Richardson extrapolation
         cancels the leading error.
-      * ``jet_step``, 100x: ``d Omega`` of ``lck``, and the one cone stencil of
-        ``einstein-weyl``, which gives every jet that suite reads.
+      * ``jet_step``, 100x: the one cone stencil of ``lck``, which gives its
+        ``d Omega`` and ``d theta``, and that of ``einstein-weyl``, which gives
+        every jet that suite reads.
     """
 
     base_step: float = 1e-4

@@ -99,6 +99,15 @@ def test_verify_zero_samples_exit_two(capsys):
     assert "sample count" in err
 
 
+@pytest.mark.parametrize("ell", ["0", "-2"])
+def test_verify_nonpositive_ell_exits_two(capsys, ell):
+    """A bundle level below 1 is a configuration error even with explicit exponents, named before any work."""
+    code, _, err = run_cli(capsys, "verify", "--case", "gr24", "--suite", "ricci-flat",
+                           "--bundle", "1", "--ell", ell)
+    assert code == 2
+    assert err.startswith("error: ell ")
+
+
 @pytest.mark.parametrize("flag, value, field", [("--richardson", "-1", "richardson"),
                                                 ("--richardson", "0", "richardson"),
                                                 ("--fd-step", "0", "base_step"),

@@ -119,11 +119,13 @@ def test_run_suite_dispatch_and_unknown():
 
 @pytest.mark.parametrize("kwargs", [pytest.param({"count": 0}, id="0"), pytest.param({"count": -3}, id="-3"),
                                     {"count": True}, {"count": 2.5}, {"count": np.float64(4.0)},
-                                    {"seed": True}, {"seed": 1.5}, {"seed": -1}, {"seed": "7"}])
+                                    {"seed": True}, {"seed": 1.5}, {"seed": -1}, {"seed": "7"},
+                                    {"ell": 0}, {"ell": -2}, {"ell": 1.5}, {"ell": True}])
 def test_run_suite_rejects_nonpositive_count(kwargs, monkeypatch):
-    """A bool, non-integer or out-of-range ``count`` or ``seed`` is refused before any point is sampled."""
+    """A bool, non-integer or out-of-range ``count``, ``seed`` or ``ell`` is refused before any point is sampled."""
     monkeypatch.setattr(verify, "sample_points", lambda *a, **k: pytest.fail("sampled before the check"))
-    with pytest.raises(ConfigurationError, match="sample count" if "count" in kwargs else "seed"):
+    (name,) = kwargs
+    with pytest.raises(ConfigurationError, match="sample count" if name == "count" else name):
         run_suite("vaisman", "hopf:cp1", **kwargs)
 
 
@@ -263,17 +265,6 @@ def test_analytic_fields_match_finite_differences(case):
         assert _gap(Hb[0], diffgeo.complex_hessian(Hfd)[0]) <= 1e-8
 
 
-@pytest.mark.parametrize("case", FIELD_CASES + ["flag:A:3:1,2", "flag:A:3:1,3"])
-def test_lee_form_is_the_last_row_of_the_joint_field(case):
-    """The gradient-only Lee form equals the Lee-form part of the cone field bit for bit."""
-    spec = make_spec(case, b=Q(4, 5))
-    _, cone = conformal_fields(spec)
-    P = sample_points(spec, 13, 4).points
-    stencil = (P[:, None, :] + 1e-3 * diffgeo._unit_stencil(P.shape[1])[0]).reshape(-1, P.shape[1])
-    for X in (P, stencil):
-        assert np.array_equal(spec.lee_form()(X), diffgeo.split_cone(cone(X))[1])
-
-
 @pytest.mark.parametrize("case", ["gr24", "wallach"])
 def test_kahler_layer_makes_no_lapack_inverse_or_log_det(monkeypatch, case):
     """ricci-flat and kahler-einstein run on the entry-array elimination alone."""
@@ -331,8 +322,8 @@ def test_metric_agreement_catches_a_wrong_jacobian(monkeypatch):
     """Every ``d_a F`` scaled by 1.01 scales ``d log h`` by 1.01 and ``ddbar log h`` by 1.01^2; ``h`` stays as it is."""
     log_gram_jets = charts.log_gram_jets
 
-    def wrong(F, jac, hessian=True):
-        jets = log_gram_jets(F, jac, hessian)
+    def wrong(F, jac):
+        jets = log_gram_jets(F, jac)
         return tuple(1.01 ** (i + 1) * jet for i, jet in enumerate(jets[:2])) + jets[2:]
 
     monkeypatch.setattr(charts, "log_gram_jets", wrong)
@@ -340,6 +331,18 @@ def test_metric_agreement_catches_a_wrong_jacobian(monkeypatch):
         rep = run_suite(suite, "gr24", seed=3, count=2)
         last = rep.residuals[-1]
         assert last.name == "metric_agreement" and last.max >= 100 * last.tolerance, suite
+
+
+@pytest.mark.parametrize("richardson", [1, 2, 3])
+def test_lck_block_makes_one_log_jet_call_per_stencil(monkeypatch, richardson):
+    """An lck block evaluates the chart jets at its samples and once per Richardson level, nowhere else."""
+    calls = []
+    log_jets = PotentialSpec._log_jets
+    monkeypatch.setattr(PotentialSpec, "_log_jets", lambda self, *a, **k: calls.append(1) or log_jets(self, *a, **k))
+    for count in (4, 8):
+        calls.clear()
+        run_suite("lck", "gr24", seed=3, count=count, cfg=FDConfig(richardson=richardson))
+        assert len(calls) == 1 + richardson, count
 
 
 def test_cone_jet_evaluations_per_sample(monkeypatch):
@@ -375,8 +378,8 @@ def test_cone_jet_evaluations_per_sample(monkeypatch):
     # makes one jet stencil per Richardson level, and every residual reads its jets
     assert jet_calls("einstein-weyl", "quadric:6", 4) == jet_calls("einstein-weyl", "quadric:6", 5) == 2
     assert jet_calls("einstein-weyl", "quadric:6", 8) == 2 * 2
-    # 20 first-difference rows a sample: 4 and 8 samples both fit one block; d theta
-    # reads the gradient-only Lee form, so the jet runs at P and once per level of d Omega
+    # 20 first-difference rows a sample: 4 and 8 samples both fit one block; d Omega and
+    # d theta read one cone stencil, so the jet runs at P and once per Richardson level
     assert jet_calls("lck", "gr24", 4) == jet_calls("lck", "gr24", 8) == 3
     assert jet_calls("vaisman", "quadric:6", 4) == jet_calls("vaisman", "quadric:6", 8) == 3
     # 201 full-stencil rows a sample: 5 samples fit one block, 8 take two
