@@ -694,11 +694,14 @@ def make_spec(case: str, exponents=None, b=None, ell: int = 1) -> PotentialSpec:
 
 
 def potential_eval(spec: PotentialSpec, z, w):
-    """K_b(z, w) for a single point."""
+    """K_b(z, w) for a single point; a value that is not positive and finite in floats is a domain error."""
     wv = complex(w)
     if abs(wv) == 0:
         raise DomainError("the fiber coordinate must be nonzero")
-    return float(spec.K(np.asarray(z, dtype=complex), wv))
+    value = float(spec.K(np.asarray(z, dtype=complex), wv))
+    if not 0 < value < np.inf:
+        raise DomainError(f"the potential is {value!r} at this point, outside (0, inf) in floats")
+    return value
 
 
 def log_potential_eval(spec: PotentialSpec, z, w):

@@ -52,13 +52,18 @@ def _parse_complex(text: str) -> complex:
     return value
 
 
-def _parse_bundle(text):
+def _fraction(text, what: str):
+    """``text`` as a rational (None stays None); a malformed one or a zero denominator is a configuration error."""
     if text is None:
         return None
     try:
-        return [Fraction(t.strip()) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise ConfigurationError(f"malformed bundle exponents {text!r}") from exc
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigurationError(f"malformed {what} {text!r}") from exc
+
+
+def _parse_bundle(text):
+    return None if text is None else [_fraction(t, "bundle exponents") for t in text.split(",") if t.strip()]
 
 
 def _emit(payload: dict, path: str | None) -> None:
@@ -122,7 +127,8 @@ def _chart_point(args, spec):
 
 
 def cmd_potential(args) -> int:
-    spec = make_spec(args.case, exponents=_parse_bundle(args.bundle), b=args.b, ell=args.ell)
+    spec = make_spec(args.case, exponents=_parse_bundle(args.bundle), ell=args.ell,
+                     b=_fraction(args.b, "outer exponent b"))
     z, w = _chart_point(args, spec)
     value = potential_eval(spec, z, w)
     payload = {
@@ -144,7 +150,7 @@ def cmd_verify(args) -> int:
     report = run_suite(
         args.suite, args.case, seed=args.seed, count=args.samples, cfg=cfg,
         exponents=_parse_bundle(args.bundle), ell=args.ell,
-        b=Fraction(args.b) if args.b else None, lam=lam, tolerance=args.tol,
+        b=_fraction(args.b, "outer exponent b"), lam=lam, tolerance=args.tol,
     )
     payload = {
         "artifact_version": __version__,

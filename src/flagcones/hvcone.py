@@ -200,6 +200,8 @@ def gamma_canonicalize(gamma: GammaGroup, v: np.ndarray, norm=None) -> HopfPoint
     nv = np.asarray(np.linalg.norm(v, axis=-1) if norm is None else norm, dtype=float)
     if np.any(nv == 0):
         raise DomainError("cannot canonicalise the apex")
+    if not np.all(np.isfinite(nv)):
+        raise DomainError("cannot canonicalise a point whose norm is not finite")
     L = -log(abs(gamma.lam))
     n = np.ceil(np.log(nv) / L - 1e-12).astype(int)
     # lambda^n by Python's power over the few distinct branches, so each row

@@ -11,18 +11,18 @@ The inner fields are analytic: ``g_tilde``, ``theta``, ``Omega`` and the
 complex Hessians under the Ricci forms come in closed form from the chart
 frames (``PotentialSpec.cone_jet``, ``base_jet``), so one finite-difference
 level is left above them.  ``g_tilde`` and ``theta`` travel as one cone
-field (``conformal_fields``): each stencil evaluates the cone jet once and
-expands the metric, the Lee form and ``Omega = -g_tilde J`` from it.  Each
-finite-difference suite ends with a ``metric_agreement`` residual, the
-relative gap per sample between the analytic complex Hessian
-(``kahler-einstein``, ``ricci-flat``) or ``g_tilde`` (the others) and finite
-differences of the potential.  Those differences run through
-``PotentialSpec.field`` and ``h_closed``, a route apart from the jets,
-except on ``kahler-einstein``: its ``log h_delta`` column shares the frames
-and, on wedge charts, the elimination of the jets it checks, so there the
-check covers the Jacobian gathers and back-substitution only.  The tests
-compare those potentials with ``h_closed``, and ``h_closed`` with the
-minors of the full frame.
+field of points (``conformal_fields``): each stencil evaluates the cone jet
+once and expands the metric, the Lee form and ``Omega = -g_tilde J`` from
+it.  Each finite-difference suite ends with a ``metric_agreement`` residual,
+the relative gap per sample between the analytic complex Hessian
+(``kahler-einstein``) or ``g_tilde`` (the four cone suites, one check) and
+finite differences of the potential at ``scaled_steps(P, hessian_step)``.
+Those differences run through ``PotentialSpec.field`` and ``h_closed``, a
+route apart from the jets, except on ``kahler-einstein``: its
+``log h_delta`` column shares the frames and, on wedge charts, the
+elimination of the jets it checks, so there the check covers the Jacobian
+gathers and back-substitution only.  The tests compare those potentials
+with ``h_closed``, and ``h_closed`` with the minors of the full frame.
 
 Every suite runs on blocks of samples, in calls of at most ``_CHUNK_ROWS``
 field rows, and every residual is a reduction per sample.  A
@@ -147,9 +147,9 @@ class VerificationReport:
 def coordinate_scales(spec: PotentialSpec, ref: np.ndarray) -> np.ndarray:
     """Per-axis step scales: unity floor on base pairs, |w| on the fiber pair; at a point (d,) or per sample (m, d).
 
-    The fiber modulus is the distance to the degenerate w = 0 locus and
-    sets the local feature size of every cone quantity, so fiber steps
-    shrink with it.
+    The fiber modulus is the distance to the degenerate w = 0 locus, so the
+    fiber steps of the ``log det`` stencil of ``ricci-flat`` and the cone
+    stencil of ``einstein-weyl`` shrink with it.
     """
     ref = np.asarray(ref, dtype=float)
     n_z = spec.chart.n_z
@@ -162,32 +162,20 @@ def coordinate_scales(spec: PotentialSpec, ref: np.ndarray) -> np.ndarray:
 _W_FLOOR = 1e-6      # |w| below which a cone field refuses the point (ChartDegeneracyError)
 
 
-def conformal_fields(spec: PotentialSpec, ref=None):
-    """The potential and the joint conformal field of the cone geometry of K = K_1^b.
+def conformal_fields(spec: PotentialSpec):
+    """The joint conformal field of the cone geometry of K = K_1^b.
 
-    Returns ``(K, cone)``.  ``cone(P)`` is one batched field (m, 2n^2 + d),
-    d = 2n, read from a single cone-jet ``(phi_a, ddbar K / K)`` evaluation:
-    the complex entries of ``ddbar K / K`` as floats, then the Lee form
-    ``theta = -d log K``, with components ``(-2b Re phi_a, 2b Im phi_a)``.
-    Finite differences run on this layout, and ``diffgeo.split_cone`` expands
-    values or jets into ``theta`` and the Vaisman gauge ``g_tilde = e^(-2 psi)
-    omega_C(., J.)``, ``psi = log K / 2`` (the real form of ``ddbar K / K``);
+    ``cone(P)`` is one batched field (m, 2n^2 + d), d = 2n, read from a
+    single cone-jet ``(phi_a, ddbar K / K)`` evaluation: the complex entries
+    of ``ddbar K / K`` as floats, then the Lee form ``theta = -d log K``, with
+    components ``(-2b Re phi_a, 2b Im phi_a)``.  Finite differences run on
+    this layout, and ``diffgeo.split_cone`` expands values or jets into
+    ``theta`` and the Vaisman gauge ``g_tilde = e^(-2 psi) omega_C(., J.)``,
+    ``psi = log K / 2`` (the real form of ``ddbar K / K``);
     ``Omega_tilde = -g_tilde J`` and the cone metric ``g_tilde K`` follow.
-
-    With reference points ``ref`` (m, d), ``K`` is normalised per sample:
-    a call of it holds the rows of the m samples in order, as many for each
-    (a stencil of each sample, or the samples themselves), and each sample's
-    rows are divided by ``K`` at that sample.  That keeps finite differences
-    of ``K`` well conditioned when it is large; the conformal quantities do
-    not depend on the constant, so ``cone`` ignores it.
     """
-    F0 = spec.field()
     jet = spec.cone_jet()
     b = float(spec.b)
-    scale = np.ones(1) if ref is None else F0(np.atleast_2d(np.asarray(ref, dtype=float)))
-
-    def F(P):
-        return _per_sample(F0(P), scale)
 
     def cone(P):
         P = np.atleast_2d(P)
@@ -199,18 +187,15 @@ def conformal_fields(spec: PotentialSpec, ref=None):
         out[:, -P.shape[1]:] = lee_components(phi, b)
         return out
 
-    return F, cone
-
-
-def _per_sample(v: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """``v`` with each sample's rows divided by its ``scale``: a call holds as many rows for each sample, in order."""
-    return (v.reshape(len(scale), -1) / scale[:, None]).reshape(v.shape)
+    return cone
 
 
 def _open_report(suite: str, spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig],
                  tolerance: Optional[float], case: str):
     """``(cfg, report, suite gate, metric_agreement gate)``: the defaults, or ``tolerance`` for every residual."""
     cfg = cfg or FDConfig()
+    if suite != "embedding" and cfg.richardson < 2:      # depth 1 misses the tolerances, which never loosen
+        raise ConfigurationError(f"the {suite} suite needs richardson >= 2, got {cfg.richardson}")
     rep = VerificationReport(case=case or spec.chart.name, suite=suite, seed=samples.seed,
                              count=samples.count, fd=cfg.echo())
     if tolerance is None:
@@ -254,11 +239,12 @@ def _relative(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 def _metric_agreement(spec: PotentialSpec, cfg: FDConfig, points: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Per sample: the gap between the analytic ``g_tilde`` and the finite-difference metric ``omega(K) J / K``."""
+    F = spec.field()
+
     def block(P, gP):
-        F, _ = conformal_fields(spec, ref=P)
-        H = diffgeo._metric_jets(F, P, cfg, cfg.hessian_step * coordinate_scales(spec, P))[2]
-        fd = diffgeo.kahler_form_of_hessian(H) @ diffgeo.complex_structure(P.shape[1])
-        return (_relative(gP - fd, gP),)      # F is 1 at each sample: ref=P
+        K, _, H = diffgeo._metric_jets(F, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))
+        fd = diffgeo.kahler_form_of_hessian(H) @ diffgeo.complex_structure(P.shape[1]) / K[:, None, None]
+        return (_relative(gP - fd, gP),)
 
     return _chunked(block, _rows(spec.real_dim), points, g)[0]
 
@@ -266,7 +252,7 @@ def _metric_agreement(spec: PotentialSpec, cfg: FDConfig, points: np.ndarray, g:
 def lck_data(spec: PotentialSpec, p):
     """Pointwise Lee form, anti-Lee form, conformal 2-form and metric."""
     p = np.asarray(p, dtype=float)
-    _, cone = conformal_fields(spec)
+    cone = conformal_fields(spec)
     g, th = diffgeo.split_cone(cone(p[None, :])[0])
     J = diffgeo.complex_structure(len(p))
     return {
@@ -295,7 +281,7 @@ def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] =
     """
     cfg, rep, tolerance, tol_agree = _open_report("lck", spec, samples, cfg, tolerance, case)
     J = diffgeo.complex_structure(spec.real_dim)
-    _, cone = conformal_fields(spec)
+    cone = conformal_fields(spec)
 
     def block(P):
         g, th = diffgeo.split_cone(cone(P))
@@ -317,28 +303,22 @@ def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] =
     return rep
 
 
-def _with_cone_metric(cone, F):
-    """The cone field with the unrescaled ``ddbar K`` in its Hessian block."""
-    def field(P):
-        v = cone(P)
-        v[:, :-P.shape[1]] *= F(P)[:, None]
-        return v
-
-    return field
-
-
 def check_vaisman(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] = None,
                   tolerance: Optional[float] = None, case: str = "",
                   metric: str = "vaisman") -> VerificationReport:
     """Parallelism of the Lee form; ``metric='cone'`` is a negative control."""
     cfg, rep, tolerance, tol_agree = _open_report("vaisman", spec, samples, cfg, tolerance, case)
+    cone, F = conformal_fields(spec), spec.field()
+
+    def field(P):
+        v = cone(P)
+        if metric != "vaisman":         # the control: the unrescaled ddbar K in the Hessian block
+            v[:, :-P.shape[1]] *= F(P)[:, None]
+        return v
 
     def block(P):
-        F, cone = conformal_fields(spec, ref=P)
         g, th = diffgeo.split_cone(cone(P))
-        field, gp = cone, g
-        if metric != "vaisman":
-            field, gp = _with_cone_metric(cone, F), g * F(P)[:, None, None]
+        gp = g if metric == "vaisman" else g * F(P)[:, None, None]
         jac = diffgeo._jacobian_of_field(field, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))
         dg, dth = diffgeo.split_cone(jac)
         return _relative(diffgeo.nabla_of_jets(gp, dg, th, dth), th), g
@@ -385,29 +365,26 @@ def check_cone_ricci_flat(spec: PotentialSpec, samples: SampleSet, cfg: Optional
     """Vanishing Ricci form of the rescaled cone potential K_1^b.
 
     The Ricci form is one finite-difference Hessian of log det of the
-    analytic ``ddbar K = K (ddbar K / K)``, with ``K`` from the same cone jet
-    and normalised per sample, as ``conformal_fields`` normalises it.
+    analytic ``ddbar K = K (ddbar K / K)``, with ``K`` from the same cone jet.
+    It is measured against ``i ddbar K / K = -2 g_tilde J`` at the samples,
+    with ``g_tilde`` from the cone field, as ``metric_agreement`` checks it.
     """
     cfg, rep, tolerance, tol_agree = _open_report("ricci-flat", spec, samples, cfg, tolerance, case)
     rep.notes.append(f"outer exponent b = {spec.b}")
-    jet, F0 = spec.cone_jet(with_K=True), spec.field()
+    cone, jet = conformal_fields(spec), spec.cone_jet(with_K=True)
+
+    def H(X):
+        _, Hc, K = jet(X)
+        return np.multiply(Hc, K[:, None, None], out=Hc)
 
     def block(P):
-        _, exact, scale = jet(P)        # ddbar K at the samples, where the normalised K is 1; scale is F0(P)
-
-        def H(X):
-            _, Hc, K = jet(X)
-            return np.multiply(Hc, _per_sample(K, scale)[:, None, None], out=Hc)
-
+        g = diffgeo.split_cone(cone(P))[0]
         rho = diffgeo.ricci_form_of_metric(H, P, cfg, cfg.hessian_step * coordinate_scales(spec, P))
-        F = lambda X: _per_sample(F0(X), scale)
-        fd = diffgeo._metric_jets(F, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))[2]   # i ddbar and ddbar
-        om = 2.0 * diffgeo.kahler_form_of_hessian(fd)
-        return _relative(rho, om), _relative(exact - diffgeo.complex_hessian(fd), exact)
+        return _relative(rho, 2.0 * g), g       # -2 g J holds the entries of 2 g, up to sign
 
-    vals, r_agree = _chunked(block, _rows(spec.real_dim), samples.points)
+    vals, g = _chunked(block, _rows(spec.real_dim), samples.points)
     rep.add("ricci_flat", vals, tolerance)
-    rep.add("metric_agreement", r_agree, tol_agree)
+    rep.add("metric_agreement", _metric_agreement(spec, cfg, samples.points, g), tol_agree)
     return rep
 
 
@@ -421,7 +398,7 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
       * ``weyl_ricci_identity``:   Ric^D from the conformal identity
       * ``weyl_ricci_agreement``:  cross-validation of the two paths
       * ``higgs_compatibility``:   D g - theta (x) g, an identity of the construction (D comes from the same jets)
-      * ``metric_agreement``:      analytic g_tilde against the FD metric omega(F) J / F
+      * ``metric_agreement``:      analytic g_tilde against the FD metric omega(K) J / K
     All but the last read the jets of the block's one cone stencil (one cone-jet call per Richardson level).
     Below six real dimensions the records are advisory only.
     """
@@ -431,7 +408,7 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
     advisory = n < 6
     if advisory:
         rep.notes.append("real dimension below 6: residuals reported informationally")
-    _, cone = conformal_fields(spec)
+    cone = conformal_fields(spec)
 
     def block(P):
         # one stencil of the cone field gives g and theta at P and their jets

@@ -632,6 +632,14 @@ def test_log_potential_eval():
     assert np.isclose(log_potential_eval(spec, z, w), np.log(potential_eval(spec, z, w)))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")      # the overflow the second point is chosen for
+@pytest.mark.parametrize("case, z, w, value", [("cp:1", [0.0], 1e-200, "0.0"), ("gr24", [1e200, 0, 0, 0], 1.0, "inf")])
+def test_potential_eval_refuses_a_value_that_is_not_positive_and_finite(case, z, w, value):
+    """K underflows to 0 or overflows to inf in floats: a domain error, so no caller takes a log of it."""
+    with pytest.raises(DomainError, match=f"the potential is {value} "):
+        potential_eval(make_spec(case), z, w)
+
+
 def test_positive_exponent_required():
     with pytest.raises(DomainError):
         make_spec("conifold", exponents=[1, 0])

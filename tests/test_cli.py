@@ -110,6 +110,7 @@ def test_verify_nonpositive_ell_exits_two(capsys, ell):
 
 @pytest.mark.parametrize("flag, value, field", [("--richardson", "-1", "richardson"),
                                                 ("--richardson", "0", "richardson"),
+                                                ("--richardson", "1", "richardson"),
                                                 ("--fd-step", "0", "base_step"),
                                                 ("--fd-step", "inf", "base_step"),
                                                 ("--fd-step", "nan", "base_step")])
@@ -127,6 +128,19 @@ def test_verify_invalid_tolerance_exit_two(capsys, suite, value):
                            "--samples", "2", f"--tol={value}")
     assert code == 2
     assert err.startswith("error: tolerance")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")      # the overflow these points are chosen for
+@pytest.mark.parametrize("argv, fragment", [
+    (["potential", "--case", "cp:1", "--w", "1e-200"], "the potential is 0.0"),
+    (["potential", "--case", "gr24", "--z", "1e200,0,0,0"], "the potential is inf"),
+    (["embed", "--case", "gr24", "--z", "1e200,0,0,0"], "norm is not finite"),
+    (["embed", "--case", "cp:1", "--z", "1e160"], "norm is not finite"),
+], ids=["potential_underflow", "potential_overflow", "embed_gr24", "embed_cp1"])
+def test_a_potential_or_norm_outside_the_floats_exits_two(capsys, argv, fragment):
+    """No ``Infinity`` in the JSON output and no ``OverflowError``: a domain error, exit 2."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ") and fragment in err
 
 
 def test_verify_chart_degeneracy_exit_one(capsys, monkeypatch):
@@ -258,9 +272,16 @@ def test_importing_the_library_does_not_load_scipy():
     (["embed", "--case", "cp:2", "--lambda", "nan"], "non-finite complex number 'nan'"),
     (["verify", "--case", "cp:2", "--suite", "embedding", "--lambda", "1+nanj"], "non-finite complex number '1+nanj'"),
     (["verify", "--case", "cp:2", "--suite", "embedding", "--lambda", "INF"], "non-finite complex number 'INF'"),
+    (["potential", "--case", "cp:2", "--b", "1/0"], "malformed outer exponent b '1/0'"),
+    (["verify", "--case", "gr24", "--suite", "lck", "--b", "1/0"], "malformed outer exponent b '1/0'"),
+    (["potential", "--case", "gr24", "--bundle", "1/0"], "malformed bundle exponents '1/0'"),
+    (["verify", "--case", "gr24", "--suite", "lck", "--bundle", "1/0"], "malformed bundle exponents '1/0'"),
+    (["embed", "--case", "gr24", "--bundle", "1/0"], "malformed bundle exponents '1/0'"),
 ], ids=["theta", "z", "bundle", "potential_w", "embed_w", "embed_lambda", "verify_lambda",
         "z_nan", "z_nanj", "z_inf", "potential_w_nan", "embed_w_nanj", "potential_w_inf",
-        "embed_lambda_nan", "verify_lambda_nanj", "verify_lambda_inf"])
+        "embed_lambda_nan", "verify_lambda_nanj", "verify_lambda_inf",
+        "potential_b_zero_denominator", "verify_b_zero_denominator", "potential_bundle_zero_denominator",
+        "verify_bundle_zero_denominator", "embed_bundle_zero_denominator"])
 def test_malformed_input_exits_two_naming_the_text(capsys, argv, fragment):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "") and fragment in err

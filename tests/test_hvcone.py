@@ -258,6 +258,14 @@ def test_canonicalize_rejects_zero():
         gamma_canonicalize(GammaGroup(0.5), np.zeros(3, dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_gamma_canonicalize_refuses_a_norm_that_is_not_finite(bad):
+    """As it refuses the apex: no power of lambda brings such a point into the annulus."""
+    v = np.array([[1.0 + 0j, 0.0], [0.6, 0.8j]])
+    with pytest.raises(DomainError, match="not finite"):
+        gamma_canonicalize(GammaGroup(0.5), v, norm=np.array([1.0, bad]))
+
+
 @settings(deadline=None, derandomize=True)
 @given(st.floats(min_value=-8, max_value=8), st.integers(min_value=-3, max_value=3))
 def test_canonicalize_gamma_invariance(logn, k):

@@ -252,7 +252,7 @@ def test_analytic_fields_match_finite_differences(case):
     spec = make_spec(case, b=Q(4, 5))
     base = spec.base_log_anticanonical()
     for p in sample_points(spec, 11, 3).points:
-        _, cone = conformal_fields(spec, ref=p)
+        cone = conformal_fields(spec)
         P = p[None, :]
         g, th = diffgeo.split_cone(cone(P)[0])
         J = diffgeo.complex_structure(len(p))
@@ -333,7 +333,7 @@ def test_metric_agreement_catches_a_wrong_jacobian(monkeypatch):
         assert last.name == "metric_agreement" and last.max >= 100 * last.tolerance, suite
 
 
-@pytest.mark.parametrize("richardson", [1, 2, 3])
+@pytest.mark.parametrize("richardson", [2, 3])
 def test_lck_block_makes_one_log_jet_call_per_stencil(monkeypatch, richardson):
     """An lck block evaluates the chart jets at its samples and once per Richardson level, nowhere else."""
     calls = []
@@ -343,6 +343,24 @@ def test_lck_block_makes_one_log_jet_call_per_stencil(monkeypatch, richardson):
         calls.clear()
         run_suite("lck", "gr24", seed=3, count=count, cfg=FDConfig(richardson=richardson))
         assert len(calls) == 1 + richardson, count
+
+
+@pytest.mark.parametrize("suite", FD_SUITES)
+def test_finite_difference_suites_refuse_depth_one_before_any_work(monkeypatch, suite):
+    """At depth 1 the residuals miss their tolerances, which never loosen: a configuration error, no field call."""
+    monkeypatch.setattr(PotentialSpec, "_log_jets", lambda *a, **k: pytest.fail("a field was evaluated"))
+    with pytest.raises(ConfigurationError, match=f"the {suite} suite needs richardson >= 2, got 1"):
+        run_suite(suite, "gr24", seed=3, count=2, cfg=FDConfig(richardson=1))
+
+
+@pytest.mark.parametrize("suite", ["lck", "vaisman", "ricci-flat", "einstein-weyl"])
+def test_cone_suites_share_one_metric_agreement(monkeypatch, suite):
+    """The four cone suites close with the one ``_metric_agreement``, called once a run."""
+    calls = []
+    agreement = verify._metric_agreement
+    monkeypatch.setattr(verify, "_metric_agreement", lambda *a: calls.append(1) or agreement(*a))
+    assert run_suite(suite, "quadric:6", seed=3, count=2).residuals[-1].name == "metric_agreement"
+    assert len(calls) == 1
 
 
 def test_cone_jet_evaluations_per_sample(monkeypatch):
