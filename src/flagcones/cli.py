@@ -126,6 +126,12 @@ def _chart_point(args, spec):
     return z, _parse_complex(args.w)
 
 
+# A point far out overflows numpy on its way to the potential or norm; the
+# finiteness checks behind them report it as one domain error (exit 2).
+_FAR_POINTS = np.errstate(over="ignore", invalid="ignore")
+
+
+@_FAR_POINTS
 def cmd_potential(args) -> int:
     spec = make_spec(args.case, exponents=_parse_bundle(args.bundle), ell=args.ell,
                      b=_fraction(args.b, "outer exponent b"))
@@ -175,6 +181,7 @@ def cmd_verify(args) -> int:
     return 0 if report.verdict else 1
 
 
+@_FAR_POINTS
 def cmd_embed(args) -> int:
     spec = make_spec(args.case, exponents=_parse_bundle(args.bundle), ell=args.ell)
     lam = _parse_complex(args.lam)

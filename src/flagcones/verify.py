@@ -40,6 +40,9 @@ gauge: ``Ric = (n-2)(|t|^2 g - t (x) t)`` and ``Ric^D = 0``.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import List, Optional, Sequence
 
@@ -190,12 +193,41 @@ def conformal_fields(spec: PotentialSpec):
     return cone
 
 
+M_TOP_PAD = -2               # mallopt(3) parameter number in glibc's malloc.h
+_HEAP_TOP_PAD = 16 << 20     # bytes glibc keeps at the heap top when it trims
+
+
+@functools.cache
+def _keep_heap_top() -> bool:
+    """Once per process on glibc: keep ``_HEAP_TOP_PAD`` bytes at the heap top; True if set here.
+
+    A finite-difference suite call takes a few MB of temporaries on top of
+    the heap; with the default dynamic trim threshold glibc hands them back
+    at the end of the call and the next call faults the same pages in again.
+    A user's own ``MALLOC_TOP_PAD_``, ``MALLOC_TRIM_THRESHOLD_`` or
+    ``glibc.malloc`` tunables win, and other C libraries are left alone.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+    except (AttributeError, ValueError, OSError):
+        return False
+    if ("MALLOC_TOP_PAD_" in os.environ or "MALLOC_TRIM_THRESHOLD_" in os.environ
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt(M_TOP_PAD, _HEAP_TOP_PAD) == 1
+
+
 def _open_report(suite: str, spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig],
                  tolerance: Optional[float], case: str):
     """``(cfg, report, suite gate, metric_agreement gate)``: the defaults, or ``tolerance`` for every residual."""
     cfg = cfg or FDConfig()
-    if suite != "embedding" and cfg.richardson < 2:      # depth 1 misses the tolerances, which never loosen
-        raise ConfigurationError(f"the {suite} suite needs richardson >= 2, got {cfg.richardson}")
+    if suite != "embedding":
+        if cfg.richardson < 2:      # depth 1 misses the tolerances, which never loosen
+            raise ConfigurationError(f"the {suite} suite needs richardson >= 2, got {cfg.richardson}")
+        _keep_heap_top()
     rep = VerificationReport(case=case or spec.chart.name, suite=suite, seed=samples.seed,
                              count=samples.count, fd=cfg.echo())
     if tolerance is None:
@@ -207,8 +239,9 @@ def _open_report(suite: str, spec: PotentialSpec, samples: SampleSet, cfg: Optio
 
 
 # Field rows in one call.  A call costs tens of numpy dispatches, so a default-count suite
-# (<= 201 rows x 20 samples) is one block, for ~3 MB more peak RSS than 1024 rows; above
-# ~4k rows the temporaries of each cone-field call re-fault the heap on every call.
+# (<= 201 rows x 20 samples) is one block, for ~3 MB more peak RSS than 1024 rows.  With
+# the heap top kept, blocks of 2048 and 1024 rows make the wedge-chart suites of the
+# benchmark's `minors` workload 16% and 40% slower per pass (seed 7, medians of 8 passes).
 _CHUNK_ROWS = 4096
 
 

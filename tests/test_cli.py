@@ -130,7 +130,6 @@ def test_verify_invalid_tolerance_exit_two(capsys, suite, value):
     assert err.startswith("error: tolerance")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")      # the overflow these points are chosen for
 @pytest.mark.parametrize("argv, fragment", [
     (["potential", "--case", "cp:1", "--w", "1e-200"], "the potential is 0.0"),
     (["potential", "--case", "gr24", "--z", "1e200,0,0,0"], "the potential is inf"),
@@ -141,6 +140,27 @@ def test_a_potential_or_norm_outside_the_floats_exits_two(capsys, argv, fragment
     """No ``Infinity`` in the JSON output and no ``OverflowError``: a domain error, exit 2."""
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "") and err.startswith("error: ") and fragment in err
+
+
+def _subprocess_env() -> dict:
+    """The environment with this checkout's flagcones first on ``PYTHONPATH``."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("cmd", [
+    "potential --case gr24 --z 1e200,0,0,0", "potential --case quadric:6 --z 1e200,0,0,0",
+    "potential --case conifold --z 1e200,0", "embed --case gr24 --z 1e200,0,0,0",
+    "embed --case quadric:6 --z 1e200,0,0,0", "embed --case conifold --z 1e200,0",
+    "embed --case cp:1 --z 1e160",
+])
+def test_a_domain_error_is_one_stderr_line(cmd):
+    """The console prints the ``error:`` line alone: no numpy overflow warning goes before it."""
+    out = subprocess.run([sys.executable, "-m", "flagcones.cli", *cmd.split()], env=_subprocess_env(),
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (2, ""), out
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
 
 def test_verify_chart_degeneracy_exit_one(capsys, monkeypatch):
@@ -239,8 +259,7 @@ def test_importing_the_library_does_not_load_scipy():
     are nilpotent series, so the embedding suite never loads scipy either.
     ``numpy.random`` loads OpenSSL through ``secrets``, so only sampling should load it.
     """
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _subprocess_env()
     loaded = "print([m for m in ('scipy', 'numpy.random') if m in sys.modules])"
     stenzel = ("import sys, flagcones, flagcones.cli\n"
                "from flagcones.hvcone import stenzel_potential\n"

@@ -1,4 +1,8 @@
 """Verification suites: positive cases, negative controls, reproducibility."""
+import os
+import platform
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import numpy as np
@@ -467,6 +471,68 @@ def test_full_flag_curvature_suites_pass(suite):
     """fullflag:A:3 failed these at seed 7 by 2.05x and 7.82x under nested finite differences."""
     rep = run_suite(suite, "fullflag:A:3", seed=7)
     assert rep.verdict
+
+
+def _fresh(*argv, **env) -> str:
+    """Standard output of ``python argv`` in a fresh interpreter with this checkout's flagcones.
+
+    The caller's ``MALLOC_*`` and ``GLIBC_TUNABLES`` settings are left out; ``env`` is added.
+    """
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    base = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env={**base, **env}, capture_output=True, text=True,
+                          check=True).stdout
+
+
+glibc_only = pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap setting is glibc's mallopt")
+
+
+@glibc_only
+def test_finite_difference_suites_keep_the_heap_top_resident():
+    """From the second call on, a suite call finds its temporaries' pages already mapped.
+
+    Without the heap setting glibc trims them at the end of each call, and
+    ``ricci-flat`` gr24 faults about 1,900 pages back in on every call.
+    """
+    code = ("import resource\n"
+            "from flagcones.verify import run_suite\n"
+            "def faults():\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    run_suite('ricci-flat', 'gr24')\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+            "print(*[faults() for _ in range(5)])")
+    counts = [int(c) for c in _fresh("-c", code).split()]
+    assert max(counts[1:]) < 50, counts
+
+
+def test_the_heap_setting_waits_for_a_finite_difference_suite():
+    """Importing the package and the console, or running the embedding suite, leaves the allocator alone."""
+    code = ("import flagcones, flagcones.cli\n"
+            "from flagcones.verify import _keep_heap_top, run_suite\n"
+            "run_suite('embedding', 'gr24')\n"
+            "print(_keep_heap_top.cache_info().currsize)\n"
+            "run_suite('lck', 'hopf:cp1', count=2)\n"
+            "print(_keep_heap_top.cache_info().currsize)")
+    assert _fresh("-c", code).split() == ["0", "1"]
+
+
+@glibc_only
+@pytest.mark.parametrize("env, expected", [
+    ({}, "True"), ({"MALLOC_TOP_PAD_": "0"}, "False"), ({"MALLOC_TRIM_THRESHOLD_": "131072"}, "False"),
+    ({"GLIBC_TUNABLES": "glibc.malloc.top_pad=0"}, "False"),
+], ids=["default", "top_pad", "trim_threshold", "tunables"])
+def test_a_users_malloc_settings_take_precedence(env, expected):
+    """The helper calls mallopt (and returns True) only when the process sets no malloc parameter of its own."""
+    assert _fresh("-c", "from flagcones.verify import _keep_heap_top; print(_keep_heap_top())",
+                  **env).strip() == expected
+
+
+@pytest.mark.parametrize("suite, case", [("ricci-flat", "gr24"), ("einstein-weyl", "quadric:6")])
+def test_the_heap_setting_changes_no_value(suite, case):
+    """The deterministic console report is byte-identical with the heap setting and without it."""
+    argv = ("-m", "flagcones.cli", "verify", "--case", case, "--suite", suite, "--deterministic")
+    assert _fresh(*argv) == _fresh(*argv, MALLOC_TOP_PAD_="0")
 
 
 def _worst_margin(rep):
