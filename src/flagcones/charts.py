@@ -180,9 +180,6 @@ def log_gram_jets(F, jac):
     (``jac = z / 2``) takes the closed forms of ``_quadric_log_jets``, with no
     Gram inverse.
     """
-    if np.ndim(F) == 2:                 # one frame runs as a batch of one: numpy scalars round differently
-        jac = jac if isinstance(jac, UnitTables) else jac[None]
-        return tuple(jet[0] for jet in log_gram_jets(np.asarray(F)[None], jac))
     if not isinstance(jac, UnitTables):
         return _quadric_log_jets(F[..., 0], jac)
     E, ones = _frame_rows(F, jac)

@@ -70,24 +70,20 @@ class FDConfig:
     ``FDConfig(base_step=x)`` scales them all, as ``--fd-step x`` does; no
     difference runs at ``base_step`` itself.  Each step, its multiple and its users:
 
-      * ``hessian_step``, 40x: ``kahler_form`` and ``i_del_delbar``; the Jacobian
-        of ``vaisman``; the Hessians of ``kahler-einstein`` and ``ricci-flat``,
-        whose Ricci form differences ``log det`` at this step too; and the
-        finite-difference metric of every finite-difference suite's
-        ``metric_agreement``.
+      * ``hessian_step``, 40x: every stencil of the five finite-difference
+        suites, at ``scaled_steps(P, hessian_step)`` -- the cone stencils of
+        ``lck``, ``vaisman`` and ``einstein-weyl``, the ``log det`` Hessians of
+        ``kahler-einstein`` and ``ricci-flat`` and every ``metric_agreement``;
+        also ``kahler_form`` and ``i_del_delbar``.
       * ``nested_step``, 200x: the single-point ``ricci_form``, whose inner and
         outer levels share it so that composite Richardson extrapolation
         cancels the leading error.
-      * ``jet_step``, 100x: the one cone stencil of ``lck``, which gives its
-        ``d Omega`` and ``d theta``, and that of ``einstein-weyl``, which gives
-        every jet that suite reads.
     """
 
     base_step: float = 1e-4
     richardson: int = 2
     hessian_step = property(lambda self: 4e-3 * (self.base_step / 1e-4))
     nested_step = property(lambda self: 2e-2 * (self.base_step / 1e-4))
-    jet_step = property(lambda self: 1e-2 * (self.base_step / 1e-4))
 
     def __post_init__(self):
         object.__setattr__(self, "richardson", integer_setting("FDConfig.richardson", self.richardson, 1))
@@ -100,7 +96,7 @@ class FDConfig:
 
     def echo(self) -> dict:
         return {"base_step": self.base_step, "hessian_step": self.hessian_step,
-                "nested_step": self.nested_step, "jet_step": self.jet_step, "richardson": self.richardson}
+                "nested_step": self.nested_step, "richardson": self.richardson}
 
 
 @lru_cache(maxsize=None)

@@ -26,8 +26,9 @@ with ``h_closed``, and ``h_closed`` with the minors of the full frame.
 
 Every suite runs on blocks of samples, in calls of at most ``_CHUNK_ROWS``
 field rows, and every residual is a reduction per sample.  A
-finite-difference suite evaluates each stencil once per block, at
-per-sample steps.  The embedding suite takes one row per sample: each block
+finite-difference suite evaluates each stencil once per block, and every
+stencil of the five runs at the per-sample steps
+``scaled_steps(P, hessian_step)``: one step and one scaling rule.  The embedding suite takes one row per sample: each block
 makes one reduction image, one ``K_1``, one algebraic residual and two
 Hopf canonicalisations.
 
@@ -75,21 +76,18 @@ class SampleSet:
     points: np.ndarray
 
 
-def sample_points(spec: PotentialSpec, seed: int, count: int, base_only: bool = False) -> SampleSet:
+def sample_points(spec: PotentialSpec, seed: int, count: int) -> SampleSet:
+    """``count`` seeded points ``(z, w)``; ``z`` is drawn first, so the base columns do not depend on ``w``."""
     rng = np.random.default_rng(seed)
     n_z = spec.chart.n_z
     radius = 1.5 * np.sqrt(rng.uniform(0.0, 1.0, size=(count, n_z)))
     phase = rng.uniform(0.0, 2.0 * np.pi, size=(count, n_z))
     z = radius * np.exp(1j * phase)
-    cols = [np.empty((count, 2 * n_z))]
-    cols[0][:, 0::2] = z.real
-    cols[0][:, 1::2] = z.imag
-    if not base_only:
-        wmod = rng.uniform(0.5, 2.0, size=count)
-        wph = rng.uniform(0.0, 2.0 * np.pi, size=count)
-        w = wmod * np.exp(1j * wph)
-        cols.append(np.stack([w.real, w.imag], axis=1))
-    return SampleSet(seed=seed, count=count, points=np.concatenate(cols, axis=1))
+    w = rng.uniform(0.5, 2.0, size=count) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=count))
+    points = np.empty((count, 2 * n_z + 2))
+    points[:, 0:-2:2], points[:, 1:-2:2] = z.real, z.imag
+    points[:, -2], points[:, -1] = w.real, w.imag
+    return SampleSet(seed=seed, count=count, points=points)
 
 
 @dataclass
@@ -146,21 +144,6 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # field builders
 # ---------------------------------------------------------------------------
-
-def coordinate_scales(spec: PotentialSpec, ref: np.ndarray) -> np.ndarray:
-    """Per-axis step scales: unity floor on base pairs, |w| on the fiber pair; at a point (d,) or per sample (m, d).
-
-    The fiber modulus is the distance to the degenerate w = 0 locus, so the
-    fiber steps of the ``log det`` stencil of ``ricci-flat`` and the cone
-    stencil of ``einstein-weyl`` shrink with it.
-    """
-    ref = np.asarray(ref, dtype=float)
-    n_z = spec.chart.n_z
-    s = np.empty(ref.shape[:-1] + (2 * n_z + 2,))
-    s[..., 0:2 * n_z:2] = s[..., 1:2 * n_z:2] = np.maximum(1.0, np.hypot(ref[..., 0:2 * n_z:2], ref[..., 1:2 * n_z:2]))
-    s[..., 2 * n_z:] = np.maximum(np.hypot(ref[..., 2 * n_z], ref[..., 2 * n_z + 1]), 1e-3)[..., None]
-    return s
-
 
 _W_FLOOR = 1e-6      # |w| below which a cone field refuses the point (ChartDegeneracyError)
 
@@ -310,7 +293,8 @@ def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] =
               corrupt_theta: float = 1.0) -> VerificationReport:
     """d Omega = theta ^ Omega, d theta = 0 and constancy of |theta|.
 
-    ``corrupt_theta`` rescales the Lee form to provide a negative control.
+    ``d Omega`` and ``d theta`` come from one Jacobian of the cone field at
+    ``scaled_steps(P, hessian_step)``.  ``corrupt_theta`` rescales the Lee form to provide a negative control.
     """
     cfg, rep, tolerance, tol_agree = _open_report("lck", spec, samples, cfg, tolerance, case)
     J = diffgeo.complex_structure(spec.real_dim)
@@ -320,7 +304,7 @@ def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] =
         g, th = diffgeo.split_cone(cone(P))
         th = corrupt_theta * th
         # one cone stencil: d Omega = -(d g) J, and d theta is the antisymmetric part of D_ij = d_i theta_j
-        dg, D = diffgeo.split_cone(diffgeo._jacobian_of_field(cone, P, cfg, diffgeo.scaled_steps(P, cfg.jet_step)))
+        dg, D = diffgeo.split_cone(diffgeo._jacobian_of_field(cone, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step)))
         r_dth = _relative(D - np.swapaxes(D, -1, -2), th)
         dOm = diffgeo.d_twoform_of_jets(dg @ -J)
         wedge = diffgeo.wedge_one_two(th, -g @ J)
@@ -339,19 +323,21 @@ def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] =
 def check_vaisman(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] = None,
                   tolerance: Optional[float] = None, case: str = "",
                   metric: str = "vaisman") -> VerificationReport:
-    """Parallelism of the Lee form; ``metric='cone'`` is a negative control."""
+    """Parallelism of the Lee form; ``metric='cone'`` is a negative control, any other value an error."""
+    if metric not in ("vaisman", "cone"):
+        raise ConfigurationError(f"metric must be 'vaisman' or 'cone', got {metric!r}")
     cfg, rep, tolerance, tol_agree = _open_report("vaisman", spec, samples, cfg, tolerance, case)
     cone, F = conformal_fields(spec), spec.field()
 
     def field(P):
         v = cone(P)
-        if metric != "vaisman":         # the control: the unrescaled ddbar K in the Hessian block
+        if metric == "cone":            # the control: the unrescaled ddbar K in the Hessian block
             v[:, :-P.shape[1]] *= F(P)[:, None]
         return v
 
     def block(P):
         g, th = diffgeo.split_cone(cone(P))
-        gp = g if metric == "vaisman" else g * F(P)[:, None, None]
+        gp = g * F(P)[:, None, None] if metric == "cone" else g
         jac = diffgeo._jacobian_of_field(field, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))
         dg, dth = diffgeo.split_cone(jac)
         return _relative(diffgeo.nabla_of_jets(gp, dg, th, dth), th), g
@@ -359,7 +345,7 @@ def check_vaisman(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfi
     vals, g = _chunked(block, _rows(spec.real_dim, second=False), samples.points)
     rep.add("lee_parallel", vals, tolerance)
     rep.add("metric_agreement", _metric_agreement(spec, cfg, samples.points, g), tol_agree)
-    if metric != "vaisman":
+    if metric == "cone":
         rep.notes.append("negative control: Lee form differentiated with the unrescaled cone metric")
     return rep
 
@@ -371,7 +357,8 @@ def check_kahler_einstein_base(spec: PotentialSpec, samples: SampleSet, cfg: Opt
     One finite-difference Hessian of the two-column base field
     ``[log det Hb, log h_delta]``, with ``Hb`` the analytic base Hessian, gives
     the Ricci form ``-i ddbar log det Hb`` and ``i ddbar log h_delta``; both
-    columns come from one evaluation of the chart frames per point.
+    columns come from one evaluation of the chart frames per point.  It
+    reads the base columns ``z`` of the samples alone.
     """
     cfg, rep, tolerance, tol_agree = _open_report("kahler-einstein", spec, samples, cfg, tolerance, case)
     jet = spec.base_jet()
@@ -387,7 +374,8 @@ def check_kahler_einstein_base(spec: PotentialSpec, samples: SampleSet, cfg: Opt
         exact = jet(P)[0]
         return _relative(comp - rho, comp), _relative(exact - diffgeo.complex_hessian(H[..., 1]), exact)
 
-    vals, r_agree = _chunked(block, _rows(samples.points.shape[1]), samples.points)
+    base = samples.points[:, :2 * spec.chart.n_z]
+    vals, r_agree = _chunked(block, _rows(base.shape[1]), base)
     rep.add("kahler_einstein", vals, tolerance)
     rep.add("metric_agreement", r_agree, tol_agree)
     return rep
@@ -412,7 +400,7 @@ def check_cone_ricci_flat(spec: PotentialSpec, samples: SampleSet, cfg: Optional
 
     def block(P):
         g = diffgeo.split_cone(cone(P))[0]
-        rho = diffgeo.ricci_form_of_metric(H, P, cfg, cfg.hessian_step * coordinate_scales(spec, P))
+        rho = diffgeo.ricci_form_of_metric(H, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))
         return _relative(rho, 2.0 * g), g       # -2 g J holds the entries of 2 g, up to sign
 
     vals, g = _chunked(block, _rows(spec.real_dim), samples.points)
@@ -432,7 +420,8 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
       * ``weyl_ricci_agreement``:  cross-validation of the two paths
       * ``higgs_compatibility``:   D g - theta (x) g, an identity of the construction (D comes from the same jets)
       * ``metric_agreement``:      analytic g_tilde against the FD metric omega(K) J / K
-    All but the last read the jets of the block's one cone stencil (one cone-jet call per Richardson level).
+    All but the last read the jets of the block's one cone stencil at ``scaled_steps(P, hessian_step)``
+    (one cone-jet call per Richardson level).
     Below six real dimensions the records are advisory only.
     """
     cfg, rep, tolerance, tol_agree = _open_report("einstein-weyl", spec, samples, cfg, tolerance, case)
@@ -445,7 +434,7 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
 
     def block(P):
         # one stencil of the cone field gives g and theta at P and their jets
-        jets = diffgeo._metric_jets(cone, P, cfg, cfg.jet_step * coordinate_scales(spec, P))
+        jets = diffgeo._metric_jets(cone, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))
         (g, th), (dg, dth), (ddg, _) = map(diffgeo.split_cone, jets)
         t, ginv = th / 2.0, np.linalg.inv(g)         # the block's one metric inverse
         norm2 = t[:, None, :] @ ginv @ t[:, :, None]
@@ -533,6 +522,6 @@ def run_suite(suite: str, case: str, seed: int = 7, count: Optional[int] = None,
     spec = make_spec(case, exponents=exponents, b=b, ell=ell)
     if b is None and suite in ("ricci-flat", "einstein-weyl"):
         spec = replace(spec, b=ricci_flat_exponent(spec.chart, ell))
-    samples = sample_points(spec, seed, count, base_only=suite == "kahler-einstein")
+    samples = sample_points(spec, seed, count)
     extra = {"lam": lam} if suite == "embedding" else {}
     return globals()[check](spec, samples, cfg, tolerance, case, **extra)

@@ -45,7 +45,7 @@ def _christoffel(gfield, P, step=CFG.hessian_step):
     return diffgeo._christoffel(np.linalg.inv(gfield(P)), _grad(gfield, P, step))
 
 
-def _ricci(gfield, P, step=CFG.jet_step):
+def _ricci(gfield, P, step=CFG.hessian_step):
     """Ricci tensors of a batched metric field at the points P, from its jets at ``scaled_steps(P, step)``."""
     g, dg, ddg = diffgeo._metric_jets(gfield, P, CFG, scaled_steps(P, step))
     G, div, dtr, _ = diffgeo._symbol_traces(np.linalg.inv(g), dg, ddg)
@@ -255,7 +255,7 @@ def test_weyl_ricci_paths_agree_off_shell():
     gfield = _metric_field(F, P[0])        # unrescaled cone metric
     h = scaled_steps(P[0], CFG.base_step)
     theta = lambda Q: -diffgeo._jacobian_of_field(logF, Q, CFG, h)
-    jets = diffgeo._metric_jets(_joint(gfield, theta), P, CFG, scaled_steps(P, CFG.jet_step))
+    jets = diffgeo._metric_jets(_joint(gfield, theta), P, CFG, scaled_steps(P, CFG.hessian_step))
     (g, th), (dg, dth), (ddg, _) = map(_split_joint, jets)
     rc, rf, _ = diffgeo.weyl_ricci_of_jets(g, dg, ddg, th, dth)
     scale = max(np.max(np.abs(rc)), 1.0)
@@ -276,7 +276,7 @@ def test_weyl_higgs_identity():
     theta = lambda P: -diffgeo._jacobian_of_field(logF, P, CFG, h)
     P = p[None, :]
     GD = diffgeo.weyl_symbols_of_jets(gfield(P), _grad(gfield, P, CFG.hessian_step), theta(P))[0]
-    dg = _grad(gfield, P, CFG.jet_step)[0]
+    dg = _grad(gfield, P, 1e-2)[0]          # a second step, so that the check is not an identity of one stencil
     g = gfield(P)[0]
     th = theta(P)[0]
     cov = dg - np.einsum("kai,kj->aij", GD, g) - np.einsum("kaj,ik->aij", GD, g)
@@ -388,7 +388,7 @@ def test_chart_degeneracy_guard():
 @pytest.mark.parametrize("case", ["gr24", "quadric:6", "wallach", "conifold"])
 def test_expanding_the_cone_field_commutes_with_its_differences(case):
     """Stencil drivers on the compact cone field, then ``split_cone``, equal them on the expanded field bit for bit."""
-    from flagcones.verify import conformal_fields, coordinate_scales, sample_points
+    from flagcones.verify import conformal_fields, sample_points
 
     spec = make_spec(case)
     cone = conformal_fields(spec)
@@ -398,7 +398,7 @@ def test_expanding_the_cone_field_commutes_with_its_differences(case):
         return np.concatenate([g, th[:, None, :]], axis=1)
 
     P = sample_points(spec, 5, 20).points
-    h = CFG.jet_step * coordinate_scales(spec, P)
+    h = scaled_steps(P, CFG.hessian_step)
     for driver in (diffgeo._metric_jets, lambda *a: (diffgeo._jacobian_of_field(*a),)):
         for compact, full in zip(driver(cone, P, CFG, h), driver(expanded, P, CFG, h)):   # (g, dg, ddg), (dg,)
             for a, b in zip(diffgeo.split_cone(compact), _split_joint(full)):
@@ -439,13 +439,12 @@ def test_fd_config_stores_numpy_integer_depth_as_int(richardson):
 
 @pytest.mark.parametrize("base_step", [1e-4, 2e-4, 3e-5, 1e-3])
 def test_fd_config_steps_are_fixed_multiples_of_the_base_step(base_step):
-    """Every derived step is ``default * (base_step / 1e-4)`` bit for bit, and ``jet_step`` halves ``nested_step``."""
+    """Every derived step is ``default * (base_step / 1e-4)`` bit for bit; the two steps are all ``echo()`` adds."""
     cfg = FDConfig(base_step=base_step)
-    defaults = {"hessian_step": 4e-3, "nested_step": 2e-2, "jet_step": 1e-2}
+    defaults = {"hessian_step": 4e-3, "nested_step": 2e-2}
     for name, default in defaults.items():
         assert getattr(cfg, name).hex() == (default * (base_step / 1e-4)).hex(), name
-    assert cfg.jet_step.hex() == (cfg.nested_step / 2).hex()
-    assert list(cfg.echo()) == ["base_step", "hessian_step", "nested_step", "jet_step", "richardson"]
+    assert list(cfg.echo()) == ["base_step", "hessian_step", "nested_step", "richardson"]
     assert [f.name for f in dataclasses.fields(FDConfig)] == ["base_step", "richardson"]
 
 
@@ -492,7 +491,7 @@ def test_hessian_of_matrix_valued_field():
     H = _hessian(field, P)
     assert H.shape == (2, d, d) + shape
     assert np.allclose(H, expected, atol=1e-8)
-    g, dg, ddg = diffgeo._metric_jets(field, P, CFG, scaled_steps(P, CFG.jet_step))
+    g, dg, ddg = diffgeo._metric_jets(field, P, CFG, scaled_steps(P, CFG.hessian_step))
     assert np.array_equal(g, field(P))
     assert ddg.shape == (2, d, d) + shape
     assert np.allclose(ddg, expected, atol=1e-8)
