@@ -17,11 +17,10 @@ one row per point, which is how a batch of samples keeps the steps each
 sample would get alone; ``scaled_steps`` gives ``step * max(1, |x|)``.
 Kahler forms, metrics, complex Hessians and Ricci forms are algebra on
 the second derivatives.  ``ricci_form_of_metric`` differences ``log det``
-of an exact complex Hessian field once; ``ricci_form`` nests one level of
-complex Hessians of a potential inside it.  Both take ``log det`` as the
-sum of the logs of the pivots of ``exact.hermitian_elimination`` on the
-entry arrays, the elimination the Kahler potentials run, with no LAPACK
-call per matrix.
+of an exact complex Hessian field once, taking ``log det`` as the sum of
+the logs of the pivots of ``exact.hermitian_elimination`` on the entry
+arrays, the elimination the Kahler potentials run, with no LAPACK call per
+matrix.
 
 The connection and curvature algebra (``weyl_ricci_of_jets``,
 ``nabla_of_jets``, ``weyl_symbols_of_jets``, ``weyl_metric_derivative``)
@@ -48,7 +47,7 @@ potential has squared norm 4 for the associated Vaisman metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Tuple
 
@@ -73,17 +72,12 @@ class FDConfig:
       * ``hessian_step``, 40x: every stencil of the five finite-difference
         suites, at ``scaled_steps(P, hessian_step)`` -- the cone stencils of
         ``lck``, ``vaisman`` and ``einstein-weyl``, the ``log det`` Hessians of
-        ``kahler-einstein`` and ``ricci-flat`` and every ``metric_agreement``;
-        also ``kahler_form`` and ``i_del_delbar``.
-      * ``nested_step``, 200x: the single-point ``ricci_form``, whose inner and
-        outer levels share it so that composite Richardson extrapolation
-        cancels the leading error.
+        ``kahler-einstein`` and ``ricci-flat`` and every ``metric_agreement``.
     """
 
     base_step: float = 1e-4
     richardson: int = 2
     hessian_step = property(lambda self: 4e-3 * (self.base_step / 1e-4))
-    nested_step = property(lambda self: 2e-2 * (self.base_step / 1e-4))
 
     def __post_init__(self):
         object.__setattr__(self, "richardson", integer_setting("FDConfig.richardson", self.richardson, 1))
@@ -95,8 +89,7 @@ class FDConfig:
                                          f"(every step is a multiple of base_step = {self.base_step!r})")
 
     def echo(self) -> dict:
-        return {"base_step": self.base_step, "hessian_step": self.hessian_step,
-                "nested_step": self.nested_step, "richardson": self.richardson}
+        return {"base_step": self.base_step, "hessian_step": self.hessian_step, "richardson": self.richardson}
 
 
 @lru_cache(maxsize=None)
@@ -243,17 +236,6 @@ def kahler_form_of_hessian(H: np.ndarray) -> np.ndarray:
     return -(H @ J + J @ H) / 4.0
 
 
-def kahler_form(F, p, cfg: FDConfig) -> np.ndarray:
-    """(i/2) ddbar F at one point p, at steps ``scaled_steps(p, cfg.hessian_step)``."""
-    p = np.asarray(p, dtype=float)
-    return kahler_form_of_hessian(_metric_jets(F, p[None, :], cfg, scaled_steps(p, cfg.hessian_step))[2])[0]
-
-
-def i_del_delbar(F, p, cfg: FDConfig) -> np.ndarray:
-    """i ddbar F (twice the quarter-normalised Kahler form)."""
-    return 2.0 * kahler_form(F, p, cfg)
-
-
 def complex_hessian(H: np.ndarray) -> np.ndarray:
     """d^2 F / dz_a dzbar_b from real Hessians (..., d, d): (..., d/2, d/2) complex."""
     xx, yy = H[..., 0::2, 0::2], H[..., 1::2, 1::2]
@@ -291,25 +273,6 @@ def ricci_form_of_log_det(H: np.ndarray) -> np.ndarray:
 def ricci_form_of_metric(H_field, P: np.ndarray, cfg: FDConfig, h: np.ndarray) -> np.ndarray:
     """Ricci form -i ddbar log det H, (m, d, d), of a batched complex Hessian field H, at steps ``h``."""
     return ricci_form_of_log_det(_metric_jets(lambda Q: _log_det(H_field(Q)), P, cfg, h)[2])
-
-
-def ricci_form(F, p, cfg: FDConfig) -> np.ndarray:
-    """Ricci form -i ddbar log det(complex Hessian of F) at one point p, (d, d).
-
-    Fourth derivatives of F.  At each halving ``h`` of
-    ``scaled_steps(p, cfg.nested_step)`` the inner complex Hessians and the
-    outer ddbar run one level at the same steps, so one composite Richardson
-    tableau over the halvings controls the truncation error.  The inner
-    Hessians keep the centre's steps at every outer stencil point: per-point
-    scaling has a kink at ``|x| = 1`` that the outer difference would pick up.
-    """
-    P = np.asarray(p, dtype=float)[None, :]
-    one = replace(cfg, richardson=1)
-
-    def level(h):
-        return ricci_form_of_metric(lambda Q: complex_hessian(_metric_jets(F, Q, one, h)[2]), P, one, h)
-
-    return _richardson(level(h) for h in _halvings(scaled_steps(P[0], cfg.nested_step), cfg.richardson))[0]
 
 
 # ---------------------------------------------------------------------------

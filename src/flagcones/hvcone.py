@@ -330,3 +330,24 @@ def eguchi_hanson_potential_field(spec: PotentialSpec):
         return 0.5 * np.log(k) + eguchi_hanson_Upsilon(k)
 
     return F
+
+
+def eguchi_hanson_hessian_field(spec: PotentialSpec):
+    """Closed-form complex Hessian ddbar F of ``eguchi_hanson_potential_field``, batched: (m, n, n).
+
+    For ``F = f(K)``: ``ddbar F = f'(K) K (ddbar K / K) + f''(K) K^2 b^2 phi phibar^T``,
+    with ``(phi, ddbar K / K, K)`` from ``spec.cone_jet(with_K=True)``, ``f = (1/2) log K + Upsilon(K)``
+    and ``Upsilon'' = -4 / (s (1 + s)^2)``, ``s = sqrt(1 + 4K)``.
+    """
+    jet, b = spec.cone_jet(with_K=True), float(spec.b)
+
+    def H(points: np.ndarray) -> np.ndarray:
+        phi, Hc, K = jet(points)
+        s = np.sqrt(1.0 + 4.0 * K)
+        d1 = 0.5 + K * eguchi_hanson_Upsilon_prime(K)                          # f'(K) K
+        d2 = b * b * (-0.5 - 4.0 * K * K / (s * (1.0 + s) ** 2))                # f''(K) K^2 b^2
+        Hc *= d1[:, None, None]
+        Hc += d2[:, None, None] * phi[:, :, None] * np.conj(phi[:, None, :])
+        return Hc
+
+    return H

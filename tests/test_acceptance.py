@@ -16,7 +16,7 @@ from flagcones.diffgeo import FDConfig
 from flagcones.exact import QC
 from flagcones.hvcone import (GammaGroup, casimir_quadric_residual,
                               eguchi_hanson_Upsilon,
-                              eguchi_hanson_potential_field, hopf_distance,
+                              eguchi_hanson_hessian_field, hopf_distance,
                               kodaira_embedding, plucker_residual,
                               quadric_residual, determinant_residual, remmert,
                               remmert_norm_sq, stenzel_fprime,
@@ -24,6 +24,7 @@ from flagcones.hvcone import (GammaGroup, casimir_quadric_residual,
 from flagcones.reps import casimir_matrix, sl2_module
 from flagcones.roots import build_root_system, casimir_eigenvalue, flag
 from flagcones.verify import run_suite, sample_points
+from test_hvcone import eguchi_hanson_points, relative_ricci
 from test_roots import oracle_fano
 
 CFG = FDConfig()
@@ -222,17 +223,8 @@ def test_criterion_09_stenzel_eguchi_hanson():
                 assert abs(stenzel_ode_residual(eps, float(t))) < 1e-8
             assert abs(stenzel_fprime(eps, 1e-7) - eps ** (-2.0 / 3.0)) < 1e-6
         assert eguchi_hanson_Upsilon(0.0) == 1.0
-        from flagcones.diffgeo import i_del_delbar, ricci_form
-
-        spec = make_spec("cp:1", ell=2)
-        F = eguchi_hanson_potential_field(spec)
-        rng = np.random.default_rng(909)
-        for _ in range(8):
-            p = np.concatenate([rng.uniform(-0.9, 0.9, size=2),
-                                [rng.uniform(0.6, 1.5), rng.uniform(-0.5, 0.5)]])
-            rho = ricci_form(F, p, CFG)
-            om = i_del_delbar(F, p, CFG)
-            assert np.max(np.abs(rho)) / np.max(np.abs(om)) < 1e-4
+        H = eguchi_hanson_hessian_field(make_spec("cp:1", ell=2))
+        assert np.max(relative_ricci(H, eguchi_hanson_points(909, 8, 1.5), CFG)) < 1e-4
 
 
 def test_criterion_10_determinism_and_exit_codes(tmp_path, capsys):

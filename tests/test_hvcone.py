@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flagcones import diffgeo
 from flagcones.charts import DomainError, make_spec, resolve_case
+from flagcones.diffgeo import FDConfig, scaled_steps
 from flagcones.exact import QC
 from flagcones.hvcone import (GammaGroup, algebraic_residual,
                               casimir_quadric_residual, determinant_residual,
                               eguchi_hanson_Upsilon,
                               eguchi_hanson_Upsilon_prime,
+                              eguchi_hanson_hessian_field,
                               eguchi_hanson_potential_field,
                               gamma_canonicalize, hopf_distance,
                               kodaira_embedding, plucker_residual,
@@ -461,19 +464,53 @@ def test_upsilon_values_and_derivative():
     assert np.max(np.abs(fd - eguchi_hanson_Upsilon_prime(xs))) < 1e-8
 
 
-def test_eguchi_hanson_ricci_flat():
-    from flagcones.diffgeo import FDConfig, i_del_delbar, ricci_form
+def eguchi_hanson_points(seed, n, w_max):
+    """n points of the level-2 cp:1 chart, each drawn as ``(z, Re w in [0.6, w_max], Im w)``."""
+    rng = np.random.default_rng(seed)
+    return np.array([np.concatenate([rng.uniform(-0.9, 0.9, size=2),
+                                     [rng.uniform(0.6, w_max), rng.uniform(-0.5, 0.5)]]) for _ in range(n)])
 
-    cfg = FDConfig()
+
+def relative_ricci(H_field, P, cfg=FDConfig()):
+    """Per point: max |rho| / max |i ddbar F| for a batched complex Hessian field ``ddbar F``.
+
+    ``rho`` is one ``ricci_form_of_metric`` stencil at ``scaled_steps(P, cfg.hessian_step)``; the
+    entries of ``i ddbar F`` are twice the real and imaginary parts of ``ddbar F``, up to sign.
+    """
+    rho = diffgeo.ricci_form_of_metric(H_field, P, cfg, scaled_steps(P, cfg.hessian_step))
+    return np.max(np.abs(rho), axis=(1, 2)) / (2.0 * np.max(np.abs(H_field(P).view(float)), axis=(1, 2)))
+
+
+def test_eguchi_hanson_ricci_flat():
+    H = eguchi_hanson_hessian_field(make_spec("cp:1", ell=2))
+    assert np.max(relative_ricci(H, eguchi_hanson_points(13, 5, 1.4))) < 1e-4
+
+
+@pytest.mark.parametrize("seed, n, w_max", [(909, 8, 1.5), (13, 5, 1.4)])
+def test_eguchi_hanson_hessian_matches_finite_differences(seed, n, w_max):
+    """The closed-form ddbar F equals the complex Hessian of one stencil of the potential."""
+    spec, cfg = make_spec("cp:1", ell=2), FDConfig()
+    P = eguchi_hanson_points(seed, n, w_max)
+    exact = eguchi_hanson_hessian_field(spec)(P)
+    fd = diffgeo.complex_hessian(diffgeo._metric_jets(eguchi_hanson_potential_field(spec), P, cfg,
+                                                      scaled_steps(P, cfg.hessian_step))[2])
+    assert np.max(np.max(np.abs(fd - exact), axis=(1, 2)) / np.max(np.abs(exact), axis=(1, 2))) <= 1e-8
+
+
+def test_eguchi_hanson_ricci_check_fails_without_the_log_term():
+    """Negative control: ddbar Upsilon(K) alone, without (1/2) log K, is far from Ricci-flat."""
     spec = make_spec("cp:1", ell=2)
-    F = eguchi_hanson_potential_field(spec)
-    rng = np.random.default_rng(13)
-    for _ in range(5):
-        p = np.concatenate([rng.uniform(-0.9, 0.9, size=2),
-                            [rng.uniform(0.6, 1.4), rng.uniform(-0.5, 0.5)]])
-        rho = ricci_form(F, p, cfg)
-        om = i_del_delbar(F, p, cfg)
-        assert np.max(np.abs(rho)) / np.max(np.abs(om)) < 1e-4
+    jet, b = spec.cone_jet(with_K=True), float(spec.b)
+
+    def H(P):
+        phi, Hc, K = jet(P)
+        s = np.sqrt(1.0 + 4.0 * K)
+        Hc *= (K * eguchi_hanson_Upsilon_prime(K))[:, None, None]                    # f'(K) K
+        d2 = b * b * (-4.0 * K * K / (s * (1.0 + s) ** 2))                            # f''(K) K^2 b^2
+        Hc += d2[:, None, None] * phi[:, :, None] * np.conj(phi[:, None, :])
+        return Hc
+
+    assert np.max(relative_ricci(H, eguchi_hanson_points(909, 8, 1.5))) >= 100 * 1e-4
 
 
 def test_algebraic_residual_dispatch():
