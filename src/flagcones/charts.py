@@ -55,8 +55,8 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .exact import (ONE, QC, ZERO, abs2, entry_dot, gram_entries, hermitian_elimination, hermitian_inverse,
-                    leading_gram_minors, like, nilpotent_series, rows, squared_norms, to_field)
+from .exact import (ONE, QC, ZERO, _Ints, _cleared, _ints, abs2, entry_dot, gram_entries, hermitian_elimination,
+                    hermitian_inverse, leading_gram_minors, like, nilpotent_series, rows, squared_norms, to_field)
 from .reps import (RepSpace, act, derivation_matrix, outer_tensor, sl2_module,
                    so_radical_basis, so_vector_module, wedge_module)
 from .roots import ConfigurationError, build_root_system, flag
@@ -75,10 +75,12 @@ def _big_cell(n: int, slots, z, cols: Optional[int] = None) -> np.ndarray:
 
     ``slots`` gives the (row, col) position of each coordinate below the
     diagonal, every col below ``cols``.  Batched over the leading axes of
-    ``z``, in its dtype: a cached identity, copied, with ``z`` scattered in.
+    ``z``, in its dtype: a cached identity, copied, with ``z`` scattered in; for ``exact._Ints`` the same in ints.
     """
     r = n + 1 if cols is None else cols
     eyes, index = _cell_template(n, slots, r)
+    if type(z) is _Ints:
+        return z.placed((n + 1, r), [(p, k, 1, 0) for k, p in enumerate(index.tolist())], range(0, r * (r + 1), r + 1))
     M = np.empty(z.shape[:-1] + ((n + 1) * r,), dtype=z.dtype)
     M[...] = eyes[z.dtype]
     M[..., index] = z
@@ -337,10 +339,15 @@ class Chart:
         if self.kind == "quadric":
             N = self.params["N"]
             owner, i, j, entries = _radical_entries(N)
+            if type(z) is _Ints:
+                er, ei, De = _cleared(entries[np.dtype(object)].tolist())
+                return z.placed((N, N), list(zip((i * N + j).tolist(), owner.tolist(), er, ei)), scale=De)
             X = np.full(z.shape[:-1] + (N, N), ZERO, dtype=z.dtype)
             X[..., i, j] = z[..., owner] * entries[z.dtype]
             return X
         # product: the z_gen-th factor lowering operator
+        if type(z) is _Ints:
+            return z.placed((2, 2), [(2, gen, 1, 0)])
         return z[..., gen, None, None] * to_field([[0, 0], [1, 0]], z.dtype)
 
     def _big_cell_log(self, z):
@@ -350,12 +357,13 @@ class Chart:
 
     def generic_h(self, gen: int, z, exact: bool = False):
         """|exp(X(z)) v+|^2 / |v+|^2 through the module machinery; ``exact`` reads ``z`` as Gaussian rationals."""
-        return self._h_of(gen, self.word_element(gen, to_field(z, object if exact else complex)))
+        return self._h_of(gen, self.word_element(gen, _ints(z, 1) if exact else to_field(z, complex)))
 
     def _h_of(self, gen: int, X):
         """|exp(X) v+|^2 / |v+|^2 in the module of generator ``gen``, in the field of the word element ``X``."""
         rep = self.rep(gen)
-        ns = rep.norm_sq(act(rep, [(X, 1)], to_field(rep.hw_raw, X.dtype)))
+        v = rep._cached("hw_ints", lambda: _ints(rep.hw_raw, 1)) if X.dtype == object else to_field(rep.hw_raw, X.dtype)
+        ns = rep.norm_sq(act(rep, [(X, 1)], v))
         return ns / like(rep.hw_norm_sq, ns)
 
     def embedding_rep(self, exponents: Tuple[Fraction, ...]):
@@ -711,7 +719,7 @@ def log_potential_eval(spec: PotentialSpec, z, w):
 def generic_h(chart: Chart, z, exact: bool = False):
     """Fundamental potentials through the representation path; a wedge chart's generators share one big-cell log."""
     if chart.kind == "wedge":
-        log = chart._big_cell_log(to_field(z, object if exact else complex))
+        log = chart._big_cell_log(_ints(z, 1) if exact else to_field(z, complex))     # exact: cleared once per point
         out = [chart._h_of(g, derivation_matrix(chart.params["n"], k, log)) for g, k in enumerate(chart.params["ks"])]
     else:
         out = [chart.generic_h(g, z, exact=exact) for g in range(chart.n_gen)]

@@ -17,22 +17,22 @@ between the two live here, as array functions that dispatch on the dtype:
 ``to_field`` and ``like`` (conversion), ``real``, ``abs2``, ``modulus``, the
 series ``nilpotent_series``, the quadratic ``relation_residual`` and the Hermitian
 forms ``diagonal_form``, ``squared_norms`` and ``leading_gram_minors``.  In floats
-these multiply, sum and eliminate with array loops; over ``QC`` they clear each
-input's denominators once and work in Gaussian integers (Bareiss elimination for
-the minors), building one ``QC`` or ``Fraction`` per result.  Float products round as numpy's
-array loops do, and numpy scalars round some of them differently, so ``rows``
-is the single-point rule: a function of points it decorates runs a lone float
-point as a batch of one, which rounds as that point's row of any batch.
-``to_field`` converts an exact value once: an array that already holds only
-``QC`` passes through it as it is.  ``QC`` converts to ``complex`` via
-``__complex__``, so ``np.asarray(a, dtype=complex)`` takes an exact array to
-floats.
+these multiply, sum and eliminate with array loops.  Exact, they work in Gaussian
+integers (Bareiss elimination for the minors): each point of a ``QC`` input is
+cleared to integer numerators over one denominator once, as ``_Ints``, and a ``QC``
+or ``Fraction`` is built per result.  The module route (``reps.act`` and
+``derivation_matrix``, ``charts.generic_h``, ``hvcone.remmert``) hands ``_Ints``
+from rule to rule, so a point is cleared once and only what a public function
+returns is built.  Float products round as numpy's array loops do, and numpy
+scalars round some of them differently, so ``rows`` is the single-point rule: a
+function of points it decorates runs a lone float point as a batch of one.
+``to_field`` passes ``_Ints`` and an all-``QC`` array through as they are;
+``np.asarray(a, dtype=complex)`` takes an exact array to floats (``__complex__``).
 """
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, lcm, prod
 from operator import add, mul
 from typing import Sequence, Tuple, Union
@@ -289,6 +289,8 @@ def to_field(a, dtype=None) -> np.ndarray:
     ``__complex__``.  Without ``dtype`` an object array is exact and
     anything else complex.
     """
+    if type(a) is _Ints and np.dtype(dtype or object) == object:
+        return a
     a = np.asarray(a)
     if dtype is None:
         dtype = object if a.dtype == object else complex
@@ -339,6 +341,61 @@ def _cleared(xs) -> Tuple[list, list, int]:
     return [z.a * s for z, s in zip(zs, scales)], [z.b * s for z, s in zip(zs, scales)], D
 
 
+class _Ints:
+    """An exact array (..., *inner) as Gaussian integers: per cell of ``lead``, ``cells[p] = (re, im, D)``, the
+    row-major numerators of its ``inner`` entries over one ``D > 0``, never written in place.  ``dtype`` object."""
+
+    __slots__ = ("lead", "inner", "cells")
+    dtype = np.dtype(object)
+    shape = property(lambda self: self.lead + self.inner)
+    ndim = property(lambda self: len(self.shape))
+
+    def __init__(self, lead: tuple, inner: tuple, cells: list):
+        self.lead, self.inner, self.cells = lead, inner, cells
+
+    def reshape(self, shape) -> "_Ints":
+        return _Ints(self.lead, tuple(shape[len(self.lead):]), self.cells)
+
+    def __getitem__(self, key) -> "_Ints":          # x[..., j] of a vector form
+        return _Ints(self.lead, (), [([re[key[1]]], [im[key[1]]], D) for re, im, D in self.cells])
+
+    def __truediv__(self, k: int) -> "_Ints":
+        return _Ints(self.lead, self.inner, [(re, im, D * k) for re, im, D in self.cells])
+
+    def __sub__(self, ints: np.ndarray) -> "_Ints":  # minus an int array of the inner shape
+        o = ints.ravel().tolist()
+        return _Ints(self.lead, self.inner, [([a - D * x for a, x in zip(re, o)], im, D) for re, im, D in self.cells])
+
+    def placed(self, inner: tuple, terms, ones=(), scale: int = 1) -> "_Ints":
+        """Per cell, shape ``inner`` over ``D scale``: entry p sums ``(a + b i) x_k`` over ``terms``, plus 1 at ``ones``."""
+        def cell(re, im, D):
+            xr, xi = [0] * prod(inner), [0] * prod(inner)
+            for p in ones:
+                xr[p] = D * scale
+            for p, k, a, b in terms:
+                xr[p] += a * re[k] - b * im[k]
+                xi[p] += a * im[k] + b * re[k]
+            return xr, xi, D * scale
+
+        return _Ints(self.lead, inner, [cell(*c) for c in self.cells])
+
+    def qc(self) -> np.ndarray:
+        return _object_array([_reduced(a, b, D) if a or b else ZERO for re, im, D in self.cells
+                              for a, b in zip(re, im)], self.shape)
+
+
+def _ints(a, k: int) -> _Ints:
+    """An exact value or array with ``k`` inner axes as ``_Ints``, one ``_cleared`` per cell; an ``_Ints`` as it is."""
+    if type(a) is _Ints:
+        return a
+    if type(a) is QC or type(a) is int or type(a) is Fraction:   # one scalar: no array
+        a = QC.of(a)
+        return _Ints((), (), [([a.a], [a.b], a.d)])
+    a = np.asarray(a)
+    lead, inner = a.shape[:a.ndim - k], a.shape[a.ndim - k:]
+    return _Ints(lead, inner, [_cleared(x) for x in a.reshape(prod(lead), prod(inner)).tolist()])
+
+
 def _flat_index(shape, lead) -> list:
     """For each cell of the leading shape ``lead``, the flat index of the entry of ``shape`` broadcast to it."""
     if shape == lead:
@@ -351,8 +408,8 @@ def nilpotent_series(M, v, scales):
 
     ``M`` (..., d, d), ``v`` (..., d, c) and the scales () or (...) broadcast.  At the first term that is
     zero in every row, ``acc`` has it added and ``rest`` is None; else ``rest`` is the last term.  Complex:
-    ``s_k * np.matmul(M, term)``.  Exact: each matrix's nonzero entries and each block of ``v`` as Gaussian
-    integers over one ``D``, terms and sum in ints over a growing denominator, one ``QC`` per output entry.
+    ``s_k * np.matmul(M, term)``.  Exact: per cell, ``M`` and ``v`` as ``_Ints``, terms and sum in ints over a
+    growing denominator, the sum reduced once; ``_Ints`` out if ``M`` or ``v`` is one, else one ``QC`` per entry.
     """
     if M.dtype != object:
         acc = term = v
@@ -362,69 +419,71 @@ def nilpotent_series(M, v, scales):
                 return acc + term, None
             acc = acc + term
         return acc, term
-    d, c = v.shape[-2:]
-    n, mats = d * c, []
-    for m in M.reshape(-1, d * d).tolist():         # column j lists (i c, re, im) of its nonzero entries
-        nonzero = [(k, QC.of(x)) for k, x in enumerate(m) if x is not ZERO and x]
-        D, columns = lcm(*(x.d for _, x in nonzero)), [[] for _ in range(d)]
-        for k, x in nonzero:
-            columns[k % d].append((k // d * c, x.a * (D // x.d), x.b * (D // x.d)))
-        mats.append((columns, D))
-    blocks, cells = [_cleared(x) for x in v.reshape(-1, n).tolist()], None
+    ints, (M, v) = type(M) is _Ints or type(v) is _Ints, (_ints(M, 2), _ints(v, 2))
+    d, c = v.inner
+    n, mats, offsets, cells = d * c, [], list(range(c)) * d, None
+    for re, im, D in M.cells:                       # per entry of a term, the (i c, re, im) of its column of M
+        columns = [[] for _ in range(d)]
+        for k, x, y in zip(range(d * d), re, im):
+            if x or y:
+                columns[k % d].append((k // d * c, x, y))
+        mats.append(([col for col in columns for _ in range(c)], D))
     for s in scales:
         if cells is None:                           # per cell: [matrix, term, sum, denominator]
-            shapes = {M.shape[:-2], v.shape[:-2], getattr(s, "shape", ())}
-            lead = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
-            cells, live = [[mats[m], blocks[b][:2], blocks[b][:2], blocks[b][2]] for m, b in
-                           zip(_flat_index(M.shape[:-2], lead), _flat_index(v.shape[:-2], lead))], range(prod(lead))
-        ss = np.broadcast_to(to_field(s, object), lead).ravel().tolist() if type(s) is np.ndarray else [QC.of(s)] * len(cells)
+            leads = (M.lead, v.lead, getattr(s, "shape", ()))
+            lead = np.broadcast_shapes(*leads) if any(leads) else ()
+            cells, live = [[mats[m], v.cells[b][:2], v.cells[b][:2], v.cells[b][2]] for m, b in
+                           zip(_flat_index(M.lead, lead), _flat_index(v.lead, lead))], range(prod(lead))
+        s = _ints(s.item() if type(s) is np.ndarray and not s.ndim else s, 0)
+        ss = s.cells * prod(lead) if not s.lead else [s.cells[i] for i in _flat_index(s.lead, lead)]
         live, last = [], live
         for m in last:
             (columns, DM), (tr, ti), (ar, ai), D = cell = cells[m]
-            z, yr, yi = ss[m], [0] * n, [0] * n
-            for k, x, y in zip(range(n), tr, ti):  # M (s term): the scale times each nonzero entry, then its column
+            ((sa,), (sb,), sd), yr, yi = ss[m], [0] * n, [0] * n
+            for o, column, x, y in zip(offsets, columns, tr, ti):  # M (s term): each nonzero entry, scaled, times its column
                 if x or y:
-                    x, y, o = z.a * x - z.b * y, z.a * y + z.b * x, k % c
-                    for i, mr, mi in columns[k // c]:
+                    if sb or sa != 1:
+                        x, y = sa * x - sb * y, sa * y + sb * x
+                    for i, mr, mi in column:
                         yr[i + o] += mr * x - mi * y
                         yi[i + o] += mr * y + mi * x
-            cell[1], f = (yr, yi), DM * z.d
+            cell[1], f = (yr, yi), DM * sd
             if any(yr) or any(yi):
                 cell[2:] = ([a * f + x for a, x in zip(ar, yr)], [a * f + y for a, y in zip(ai, yi)]), D * f
                 live.append(m)
         if not live:
             break
-
-    def gather(part):
-        return _object_array([_reduced(a, b, cell[3]) if a or b else ZERO for cell in cells for a, b in zip(*cell[part])],
-                             lead + (d, c))
-
-    return gather(2), gather(1) if live else None
-
-
-def _norms(v, p, q: int = 1):
-    """Exact ``sum_i p_i |v_i|^2 / q`` per row of ``v`` (..., d), from its Gaussian integers over one ``D``: ``Fraction``s."""
-    out = [Fraction(sum(map(mul, p, map(add, map(mul, re, re), map(mul, im, im)))), q * D * D)
-           for re, im, D in map(_cleared, v.reshape(-1, v.shape[-1]).tolist())]
-    return out[0] if v.ndim == 1 else _object_array(out, v.shape[:-1])
+    acc = _Ints(lead, (d, c), [([a // g for a in re], [b // g for b in im], D // g)      # the sum in lowest terms
+                               for (re, im), D in (cell[2:] for cell in cells) for g in (gcd(D, *re, *im),)])
+    rest = _Ints(lead, (d, c), [(*cell[1], cell[3]) for cell in cells]) if live else None
+    return (acc, rest) if ints else (acc.qc(), rest if rest is None else rest.qc())
 
 
 def diagonal_form(weights):
     """``v -> sum_i weights_i |v_i|^2`` over the last axis of ``v`` (..., d), for fixed rational weights.
 
-    Complex: ``np.sum(weights * np.abs(v) ** 2, axis=-1)``.  Exact: ``_norms`` of integer weights over one ``q``.
+    Complex: ``np.sum(weights * np.abs(v) ** 2, axis=-1)``.  Exact (``QC`` or ``_Ints``): each row as Gaussian
+    integers over one ``D``, integer weights over one ``q``, one ``Fraction`` per row.
     """
     w = np.array(weights, dtype=float)
     q = lcm(*(Fraction(x).denominator for x in weights))
     p = [int(Fraction(x) * q) for x in weights]
-    return lambda v: np.sum(w * np.abs(v) ** 2, axis=-1) if v.dtype != object else _norms(v, p, q)
+
+    def exact(v):
+        v = _ints(v, 1)
+        out = [Fraction(sum(map(mul, p, map(add, map(mul, re, re), map(mul, im, im)))), q * D * D) for re, im, D in v.cells]
+        return _object_array(out, v.lead) if v.lead else out[0]
+
+    return lambda v: np.sum(w * np.abs(v) ** 2, axis=-1) if v.dtype != object else exact(v)
 
 
 def squared_norms(F):
-    """Squared column norms of frames (..., N, r) whose row 0 is the constant 1: (..., r); exact by ``_norms``."""
+    """Squared column norms of frames (..., N, r) whose row 0 is the constant 1: (..., r); exact, each frame cleared once."""
     if F.dtype != object:
         return sum((abs2(F[..., i, :]) for i in range(1, F.shape[-2])), 1)       # row by row from that 1
-    return _norms(np.swapaxes(F, -1, -2), repeat(1))
+    F, r = _ints(F, 2), F.shape[-1]
+    return _object_array([Fraction(sum(map(mul, re[a::r], re[a::r])) + sum(map(mul, im[a::r], im[a::r])), D * D)
+                          for re, im, D in F.cells for a in range(r)], F.lead + (r,))
 
 
 def relation_residual(i, j):
@@ -441,7 +500,7 @@ def relation_residual(i, j):
             w = np.concatenate([v, -v, np.zeros_like(v[..., :1])], axis=-1)     # summed term by term, from 0
             return np.max(modulus(sum(w[..., a] * v[..., b] for a, b in zip(i, j))), axis=-1)
         out = []
-        for re, im, D in map(_cleared, v.reshape(-1, v.shape[-1]).tolist()):
+        for re, im, D in _ints(v, 1).cells:
             wr, wi, worst = re + [-x for x in re] + [0], im + [-x for x in im] + [0], 0
             for relation in relations:
                 x = y = 0
@@ -499,7 +558,7 @@ def leading_gram_minors(E, ones=()):
 
 def like(c: Fraction, x):
     """The exact constant ``c`` in the arithmetic of ``x``: unchanged beside exact values, else a float."""
-    return c if np.asarray(x).dtype == object else float(c)
+    return c if (x.dtype if hasattr(x, "dtype") else np.asarray(x).dtype) == object else float(c)
 
 
 def real(a):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .charts import DomainError, PotentialSpec
 from .diffgeo import FDConfig, _jacobian_of_field
-from .exact import modulus, relation_residual, rows, to_field
+from .exact import _ints, modulus, relation_residual, rows, to_field
 from .reps import RepSpace, act, casimir_terms
 
 
@@ -76,22 +76,25 @@ def remmert(spec: PotentialSpec, z, w, exact: bool = False):
     exact array and ``s2`` rational, so every quadratic quantity of the
     image is exact.
     """
+    rep, u = _image(spec, z, w, exact)
+    return (u.qc(), 1 / rep.hw_norm_sq) if exact else u
+
+
+def remmert_norm_sq(spec: PotentialSpec, z, w, exact: bool = False):
+    rep, u = _image(spec, z, w, exact)
+    return rep.norm_sq(u) * (1 / rep.hw_norm_sq) if exact else rep.norm_sq(u)
+
+
+def _image(spec: PotentialSpec, z, w, exact: bool):
+    """``(rep, u = w . n(z) . v+)``, complex from the unit ``v+`` or exact (``_Ints``, ``w`` scaling ``hw_raw``)."""
     rep, word = spec.chart.embedding_rep(spec.exponents)
     dtype = object if exact else complex
     z, w = to_field(z, dtype), to_field(w, dtype)
     if not np.all(w):
         raise DomainError("the fiber coordinate must be nonzero")
     if exact:
-        return w[..., None] * act(rep, word(z), rep.hw_raw), 1 / rep.hw_norm_sq
-    return w[..., None] * act(rep, word(z), rep.hw_unit())
-
-
-def remmert_norm_sq(spec: PotentialSpec, z, w, exact: bool = False):
-    rep, _ = spec.chart.embedding_rep(spec.exponents)
-    if exact:
-        u, s2 = remmert(spec, z, w, exact=True)
-        return rep.norm_sq(u) * s2
-    return rep.norm_sq(remmert(spec, z, w))
+        return rep, act(rep, word(_ints(z, 1)), _ints(w[..., None] * rep.hw_raw, 1))
+    return rep, w[..., None] * act(rep, word(z), rep.hw_unit())
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,10 @@ rationals.  ``act`` works over leading axes: a word step ``(M, t)`` may
 carry one matrix ``(d, d)`` or one per row ``(..., d, d)``, and a scalar
 or per-row parameter.  The exponential policy lives in ``_exp_apply``:
 the series rule ``exact.nilpotent_series`` for both fields, and a step
-whose series does not terminate raises ``ExactModeError``.
+whose series does not terminate raises ``ExactModeError``.  On the exact
+module route, ``derivation_matrix`` and ``act`` take and give each point's
+Gaussian integers (``exact._Ints``), cleared once from the chart point;
+a ``QC`` array in gives a ``QC`` array out.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .exact import ONE, QC, QI, ZERO, diagonal_form, nilpotent_series, rows, solve, to_field
+from .exact import ONE, QC, QI, ZERO, _Ints, _ints, diagonal_form, nilpotent_series, rows, solve, to_field
 from .roots import ConfigurationError, RootSystem, Weight, build_root_system, casimir_eigenvalue
 
 
@@ -140,7 +143,7 @@ def wedge_basis(n: int, k: int):
 
 @lru_cache(maxsize=None)
 def _derivation_table(n: int, k: int) -> tuple:
-    """The terms of a derivation on the k-th wedge power: ``(row, col, j, i)`` int arrays of sign +1, then of sign -1.
+    """The terms of a derivation on the k-th wedge power: flat ``(row d + col, j (n + 1) + i)`` int arrays, +1 then -1.
 
     Column ``col`` is the basis wedge ``e_S``; replacing its factor ``e_i``
     by ``e_j`` (``j`` not elsewhere in ``S``) and sorting gives the sign
@@ -157,21 +160,37 @@ def _derivation_table(n: int, k: int) -> tuple:
                     continue
                 new = subset[:pos] + (j,) + subset[pos + 1:]
                 inversions = sum(1 for a in range(k) for b in range(a + 1, k) if new[a] > new[b])
-                out.append((inversions % 2, (index[tuple(sorted(new))], col, j - 1, i - 1)))
-    return tuple(tuple(np.array([t for odd, t in out if odd == sign], dtype=int).reshape(-1, 4).T) for sign in (0, 1))
+                out.append((inversions % 2, (index[tuple(sorted(new))] * len(basis) + col, (j - 1) * (n + 1) + i - 1)))
+    return tuple(tuple(np.array([t for odd, t in out if odd == sign], dtype=int).reshape(-1, 2).T) for sign in (0, 1))
 
 
 def derivation_matrix(n: int, k: int, X):
     """Action of ``X`` in gl(n+1) on the k-th wedge power, as a derivation, batched over leading axes.
 
-    Exact for an exact ``X``, complex otherwise; +1 terms are added and -1 terms subtracted, with no product.
+    +1 terms added, -1 subtracted: numpy scatters in floats, each point's Gaussian integers when exact (``_Ints``).
     """
-    X = np.asarray(X)
-    d = comb(n + 1, k)
-    out = np.full(X.shape[:-2] + (d, d), ZERO, dtype=np.result_type(X.dtype, complex))
-    for (rows, cols, js, is_), scatter in zip(_derivation_table(n, k), (np.add.at, np.subtract.at)):
-        scatter(out, (Ellipsis, rows, cols), X[..., js, is_])
-    return out
+    d, table = comb(n + 1, k), _derivation_table(n, k)
+    if type(X) is not _Ints and np.asarray(X).dtype != object:
+        X = np.asarray(X)
+        out = np.zeros(X.shape[:-2] + (d * d,), dtype=np.result_type(X.dtype, complex))
+        for (rows, cols), scatter in zip(table, (np.add.at, np.subtract.at)):
+            scatter(out, (Ellipsis, rows), X.reshape(X.shape[:-2] + (-1,))[..., cols])
+        return out.reshape(X.shape[:-2] + (d, d))
+    plus, minus = (list(zip(rows.tolist(), cols.tolist())) for rows, cols in table)
+
+    def cell(re, im, D):
+        xr, xi = [0] * (d * d), [0] * (d * d)
+        for p, q in plus:
+            xr[p] += re[q]
+            xi[p] += im[q]
+        for p, q in minus:
+            xr[p] -= re[q]
+            xi[p] -= im[q]
+        return xr, xi, D
+
+    out = _ints(X, 2)
+    out = _Ints(out.lead, (d, d), [cell(*c) for c in out.cells])
+    return out if type(X) is _Ints else out.qc()
 
 
 def _unit_matrix(N: int, i: int, j: int) -> np.ndarray:
@@ -355,16 +374,18 @@ def trivial_module() -> RepSpace:
 # ---------------------------------------------------------------------------
 
 def _exp_apply(M: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """exp(t M) v per row: ``M`` (d, d) or (..., d, d), ``t`` () or (...), ``v`` (..., d), one dtype.
+    """exp(t M) v per row: ``M`` (d, d) or (..., d, d), ``t`` () or (...), ``v`` (..., d), one field.
 
     ``exact.nilpotent_series`` with the scales ``t / k``, k = 1..d + 1.  A nilpotent step terminates: exactly
     over the rationals, within rounding in complex128.  So after the last term an exact row that is still
     nonzero, or a float row whose term exceeds unit roundoff times the row's largest entry, raises ``ExactModeError``.
+    Exact steps stay Gaussian integers (``_Ints``) if ``M`` or ``v`` is: ``QC`` comes back only for ``QC`` in.
     """
-    acc, rest = nilpotent_series(M, v[..., None], (t / k for k in range(1, M.shape[-1] + 2)))
+    t = _ints(t, 0) if v.dtype == object else t             # exact scales t / k: Gaussian integers over k D
+    acc, rest = nilpotent_series(M, v.reshape(v.shape + (1,)), (t / k for k in range(1, M.shape[-1] + 2)))
     if rest is not None and (acc.dtype == object or np.any(np.max(abs(rest), -2) > np.finfo(float).eps * np.max(abs(acc), -2))):
         raise ExactModeError("the exponential series of a step does not terminate within d + 1 terms")
-    return acc[..., 0]
+    return acc.reshape(acc.shape[:-1])
 
 
 def act(rep: RepSpace, word, v):
@@ -380,7 +401,7 @@ def act(rep: RepSpace, word, v):
     """
     v = to_field(v)
     for M, t in word:
-        v = _exp_apply(np.asarray(M, dtype=v.dtype), to_field(t, v.dtype), v)
+        v = _exp_apply(M if type(M) is _Ints else np.asarray(M, dtype=v.dtype), t if v.dtype == object else to_field(t, v.dtype), v)
     return v
 
 
