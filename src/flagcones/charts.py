@@ -51,12 +51,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import mul
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .exact import (ONE, QC, ZERO, _Ints, _cleared, _ints, abs2, entry_dot, gram_entries, hermitian_elimination,
-                    hermitian_inverse, leading_gram_minors, like, nilpotent_series, rows, squared_norms, to_field)
+from .exact import (ONE, ZERO, _Ints, _cleared, _ints, abs2, entry_dot, gram_entries, hermitian_elimination,
+                    hermitian_inverse, leading_gram_minors, like, nilpotent_series, power_product, rows,
+                    squared_norms, to_field)
 from .reps import (RepSpace, act, derivation_matrix, outer_tensor, sl2_module,
                    so_radical_basis, so_vector_module, wedge_module)
 from .roots import ConfigurationError, build_root_system, flag
@@ -279,7 +281,9 @@ class Chart:
             n, ks, slots = self._wedge()
             return _big_cell(n, slots, z, cols=ks[-1]), ks
         if self.kind == "quadric":
-            s = np.concatenate([np.full(z.shape[:-1] + (1,), ONE, dtype=z.dtype), z / _ROOT_TWO[z.dtype],
+            if z.dtype == object:
+                return _exact_quadric_section(z), None
+            s = np.concatenate([np.ones(z.shape[:-1] + (1,), dtype=z.dtype), z / np.sqrt(2.0),
                                 np.sum(z * z, axis=-1, keepdims=True) / 4], axis=-1)
             return s[..., None], None
         F = np.empty(z.shape[:-1] + (2, self.n_z), dtype=z.dtype)
@@ -401,8 +405,21 @@ class Chart:
         return rep, word
 
 
-# |s|^2 = 2 for the quadric section; 1 + i keeps the exact path rational
-_ROOT_TWO = {np.dtype(object): QC(1, 1), np.dtype(complex): np.sqrt(2.0)}
+def _exact_quadric_section(z) -> np.ndarray:
+    """The quadric section ``(1, z / (1 + i), q / 4)`` at exact points z (..., m) as ``QC``s (..., m + 2, 1).
+
+    ``1 + i`` stands for the float section's ``sqrt 2`` (``|s|^2 = 2``) and keeps it rational.  Per point,
+    ``z = (a + b i) / D`` is cleared once and the section built as Gaussian-integer numerators over ``4 D^2``:
+    ``2D (a + b + (b - a) i)`` for ``z / (1 + i)`` and ``sum (a^2 - b^2) + 2 i sum a b`` for ``q = sum_j z_j^2``.
+    """
+    z = _ints(z, 1)
+    cells = []
+    for re, im, D in z.cells:
+        s = 2 * D
+        q = sum(map(mul, re, re)) - sum(map(mul, im, im)), 2 * sum(map(mul, re, im))
+        cells.append(([s * s] + [s * (a + b) for a, b in zip(re, im)] + [q[0]],
+                      [0] + [s * (b - a) for a, b in zip(re, im)] + [q[1]], s * s))
+    return _Ints(z.lead, (z.inner[0] + 2, 1), cells).qc()
 
 
 @lru_cache(maxsize=None)
@@ -548,14 +565,7 @@ class PotentialSpec:
     @rows(1)
     def h_L(self, z):
         """prod_alpha h_alpha^(e_alpha); exact (a ``Fraction``) at an exact ``z`` with integer exponents."""
-        return self._h_L_of(self.chart.h_closed(z))
-
-    def _h_L_of(self, hs):
-        """``h_L`` from the fundamental potentials ``hs`` (..., n_gen), batched."""
-        out = 1
-        for i, e in enumerate(self.exponents):
-            out = out * hs[..., i] ** like(e, hs)
-        return out
+        return power_product(self.chart.h_closed(z), self.exponents)
 
     def _K_of(self, h_L, w):
         """``K_b = (h_L |w|^2)^b`` in floats, batched: ``field`` on ``h_L(z)``, ``cone_jet`` on its own potentials."""
@@ -620,7 +630,7 @@ class PotentialSpec:
             phi = np.concatenate([grad, 1.0 / w[..., None]], axis=-1)
             H = b * b * phi[..., :, None] * np.conj(phi[..., None, :])
             H[..., :-1, :-1] += np.multiply(b, hess, out=hess)
-            return (phi, H) + tuple(self._K_of(self._h_L_of(h), w) for h in hs)
+            return (phi, H) + tuple(self._K_of(power_product(h, self.exponents), w) for h in hs)
 
         return jet
 

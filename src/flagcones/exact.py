@@ -16,7 +16,8 @@ few operations whose float rounding, exact value type or cost differs
 between the two live here, as array functions that dispatch on the dtype:
 ``to_field`` and ``like`` (conversion), ``real``, ``abs2``, ``modulus``, the
 series ``nilpotent_series``, the quadratic ``relation_residual`` and the Hermitian
-forms ``diagonal_form``, ``squared_norms`` and ``leading_gram_minors``.  In floats
+forms ``diagonal_form``, ``squared_norms`` and ``leading_gram_minors``, and the
+monomial ``power_product`` of the bundle potentials.  In floats
 these multiply, sum and eliminate with array loops.  Exact, they work in Gaussian
 integers (Bareiss elimination for the minors): each point of a ``QC`` input is
 cleared to integer numerators over one denominator once, as ``_Ints``, and a ``QC``
@@ -554,6 +555,28 @@ def leading_gram_minors(E, ones=()):
                     Gi[i][j] = (p * Gi[i][j] - ur * wi + ui * wr) // prev
             prev = p
     return _object_array(out, E.shape[2:] + (r,))
+
+
+def power_product(hs, exponents):
+    """``prod_i hs[..., i] ** exponents[i]`` over the last axis of ``hs``, for fixed positive rational exponents.
+
+    Floats, or any exponent not an integer: term by term from ``1``, each ``**`` in the arithmetic of ``hs``
+    (``like``).  Exact with integer exponents: per row, int powers of each numerator and denominator and one
+    ``Fraction``; a single row (``hs`` 1-d) gives the ``Fraction`` itself.
+    """
+    if hs.dtype != object or any(e.denominator != 1 for e in exponents):
+        out = 1
+        for i, e in enumerate(exponents):
+            out = out * hs[..., i] ** like(e, hs)
+        return out
+    out = []
+    for row in hs.reshape(-1, len(exponents)).tolist():
+        num = den = 1
+        for h, e in zip(row, exponents):
+            num *= h.numerator ** e.numerator
+            den *= h.denominator ** e.numerator
+        out.append(Fraction(num, den))
+    return out[0] if hs.ndim == 1 else _object_array(out, hs.shape[:-1])
 
 
 def like(c: Fraction, x):

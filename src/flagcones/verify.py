@@ -15,14 +15,19 @@ field of points (``conformal_fields``): each stencil evaluates the cone jet
 once and expands the metric, the Lee form and ``Omega = -g_tilde J`` from
 it.  Each finite-difference suite ends with a ``metric_agreement`` residual,
 the relative gap per sample between the analytic complex Hessian
-(``kahler-einstein``) or ``g_tilde`` (the four cone suites, one check) and
-finite differences of the potential at ``scaled_steps(P, hessian_step)``.
-Those differences run through ``PotentialSpec.field`` and ``h_closed``, a
-route apart from the jets, except on ``kahler-einstein``: its
-``log h_delta`` column shares the frames and, on wedge charts, the
-elimination of the jets it checks, so there the check covers the Jacobian
-gathers and back-substitution only.  The tests compare those potentials
-with ``h_closed``, and ``h_closed`` with the minors of the full frame.
+(``kahler-einstein``) or ``g_tilde`` (the four cone suites, one rule,
+``_agreement``) and finite differences of the potential at
+``scaled_steps(P, hessian_step)``.  ``lck`` and ``vaisman`` difference
+``PotentialSpec.field`` (``h_closed``), a route apart from the jets, in a
+stencil of its own.  The second-order suites difference a potential column
+of the stencil they already run: ``ricci-flat`` and ``einstein-weyl`` the
+``K`` of the cone jet, ``kahler-einstein`` its ``log h_delta``.  Those
+potentials share the frames and, on wedge charts, the elimination of the
+jets they check, so there the check covers the Jacobian gathers and
+back-substitution; the tests pin them to ``field`` and
+``base_log_anticanonical`` bit for bit, the jet ``metric_agreement`` of
+``ricci-flat`` and ``einstein-weyl`` to the ``field`` route, and
+``h_closed`` to the minors of the full frame.
 
 Every suite runs on blocks of samples, in calls of at most ``_CHUNK_ROWS``
 field rows, and every residual is a reduction per sample.  A
@@ -148,29 +153,33 @@ class VerificationReport:
 _W_FLOOR = 1e-6      # |w| below which a cone field refuses the point (ChartDegeneracyError)
 
 
-def conformal_fields(spec: PotentialSpec):
+def conformal_fields(spec: PotentialSpec, with_K: bool = False):
     """The joint conformal field of the cone geometry of K = K_1^b.
 
     ``cone(P)`` is one batched field (m, 2n^2 + d), d = 2n, read from a
     single cone-jet ``(phi_a, ddbar K / K)`` evaluation: the complex entries
     of ``ddbar K / K`` as floats, then the Lee form ``theta = -d log K``, with
-    components ``(-2b Re phi_a, 2b Im phi_a)``.  Finite differences run on
-    this layout, and ``diffgeo.split_cone`` expands values or jets into
+    components ``(-2b Re phi_a, 2b Im phi_a)``; ``with_K`` appends ``K`` of the
+    same jet as one last column.  Finite differences run on this layout, and
+    ``diffgeo.split_cone`` expands values or jets (without that column) into
     ``theta`` and the Vaisman gauge ``g_tilde = e^(-2 psi) omega_C(., J.)``,
     ``psi = log K / 2`` (the real form of ``ddbar K / K``);
     ``Omega_tilde = -g_tilde J`` and the cone metric ``g_tilde K`` follow.
     """
-    jet = spec.cone_jet()
+    jet = spec.cone_jet(with_K=with_K)
     b = float(spec.b)
 
     def cone(P):
         P = np.atleast_2d(P)
         if np.any(np.hypot(P[..., 2 * spec.chart.n_z], P[..., 2 * spec.chart.n_z + 1]) < _W_FLOOR):
             raise diffgeo.ChartDegeneracyError("sample too close to the w = 0 fiber")
-        phi, H = jet(P)
-        out = np.empty((len(P), H[0].size * 2 + P.shape[1]))
-        out[:, :-P.shape[1]].view(complex).reshape(H.shape)[...] = H
-        out[:, -P.shape[1]:] = lee_components(phi, b)
+        phi, H, *K = jet(P)
+        n2 = H[0].size * 2
+        out = np.empty((len(P), n2 + P.shape[1] + len(K)))
+        out[:, :n2].view(complex).reshape(H.shape)[...] = H
+        out[:, n2:n2 + P.shape[1]] = lee_components(phi, b)
+        if K:
+            out[:, -1] = K[0]
         return out
 
     return cone
@@ -253,14 +262,19 @@ def _relative(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return amax(x) / np.maximum(amax(ref), 1e-30)
 
 
+def _agreement(g: np.ndarray, K: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Per sample: the gap between the analytic ``g_tilde`` and ``omega(K) J / K``, from ``K`` and its real Hessian ``H``."""
+    fd = diffgeo.kahler_form_of_hessian(H) @ diffgeo.complex_structure(H.shape[-1]) / K[:, None, None]
+    return _relative(g - fd, g)
+
+
 def _metric_agreement(spec: PotentialSpec, cfg: FDConfig, points: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Per sample: the gap between the analytic ``g_tilde`` and the finite-difference metric ``omega(K) J / K``."""
+    """``_agreement`` of ``g`` with finite differences of ``spec.field()`` at ``scaled_steps(P, hessian_step)``."""
     F = spec.field()
 
     def block(P, gP):
         K, _, H = diffgeo._metric_jets(F, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))
-        fd = diffgeo.kahler_form_of_hessian(H) @ diffgeo.complex_structure(P.shape[1]) / K[:, None, None]
-        return (_relative(gP - fd, gP),)
+        return (_agreement(gP, K, H),)
 
     return _chunked(block, _rows(spec.real_dim), points, g)[0]
 
@@ -327,17 +341,20 @@ def check_vaisman(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfi
     if metric not in ("vaisman", "cone"):
         raise ConfigurationError(f"metric must be 'vaisman' or 'cone', got {metric!r}")
     cfg, rep, tolerance, tol_agree = _open_report("vaisman", spec, samples, cfg, tolerance, case)
-    cone, F = conformal_fields(spec), spec.field()
+    control = metric == "cone"
+    cone = conformal_fields(spec, with_K=control)
+    cut = -1 if control else None       # the control's cone field carries K as its last column
 
     def field(P):
         v = cone(P)
-        if metric == "cone":            # the control: the unrescaled ddbar K in the Hessian block
-            v[:, :-P.shape[1]] *= F(P)[:, None]
-        return v
+        if control:                     # the control: the unrescaled ddbar K in the Hessian block
+            v[:, :-P.shape[1] - 1] *= v[:, -1:]
+        return v[:, :cut]
 
     def block(P):
-        g, th = diffgeo.split_cone(cone(P))
-        gp = g * F(P)[:, None, None] if metric == "cone" else g
+        v = cone(P)
+        g, th = diffgeo.split_cone(v[:, :cut])
+        gp = g * v[:, -1, None, None] if control else g
         jac = diffgeo._jacobian_of_field(field, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))
         dg, dth = diffgeo.split_cone(jac)
         return _relative(diffgeo.nabla_of_jets(gp, dg, th, dth), th), g
@@ -345,7 +362,7 @@ def check_vaisman(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfi
     vals, g = _chunked(block, _rows(spec.real_dim, second=False), samples.points)
     rep.add("lee_parallel", vals, tolerance)
     rep.add("metric_agreement", _metric_agreement(spec, cfg, samples.points, g), tol_agree)
-    if metric == "cone":
+    if control:
         rep.notes.append("negative control: Lee form differentiated with the unrescaled cone metric")
     return rep
 
@@ -385,27 +402,33 @@ def check_cone_ricci_flat(spec: PotentialSpec, samples: SampleSet, cfg: Optional
                           tolerance: Optional[float] = None, case: str = "") -> VerificationReport:
     """Vanishing Ricci form of the rescaled cone potential K_1^b.
 
-    The Ricci form is one finite-difference Hessian of log det of the
-    analytic ``ddbar K = K (ddbar K / K)``, with ``K`` from the same cone jet.
-    It is measured against ``i ddbar K / K = -2 g_tilde J`` at the samples,
-    with ``g_tilde`` from the cone field, as ``metric_agreement`` checks it.
+    One finite-difference Hessian of the two-column field
+    ``[log det ddbar K, K]``, with ``ddbar K = K (ddbar K / K)`` and ``K``
+    from one cone-jet evaluation per point, gives the Ricci form and the
+    Hessian of ``K``.  The Ricci form is measured against
+    ``i ddbar K / K = -2 g_tilde J`` at the samples, with ``g_tilde`` from the
+    cone field, and ``metric_agreement`` compares that ``g_tilde`` with
+    ``omega(K) J / K`` from the ``K`` column (``_agreement``).  That ``K`` equals
+    ``spec.field()``, which ``lck`` and ``vaisman`` difference in a stencil of
+    their own, bit for bit; the tests pin it, and this record, to that route.
     """
     cfg, rep, tolerance, tol_agree = _open_report("ricci-flat", spec, samples, cfg, tolerance, case)
     rep.notes.append(f"outer exponent b = {spec.b}")
     cone, jet = conformal_fields(spec), spec.cone_jet(with_K=True)
 
-    def H(X):
+    def field(X):
         _, Hc, K = jet(X)
-        return np.multiply(Hc, K[:, None, None], out=Hc)
+        return np.stack([diffgeo._log_det(np.multiply(Hc, K[:, None, None], out=Hc)), K], axis=-1)
 
     def block(P):
         g = diffgeo.split_cone(cone(P))[0]
-        rho = diffgeo.ricci_form_of_metric(H, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))
-        return _relative(rho, 2.0 * g), g       # -2 g J holds the entries of 2 g, up to sign
+        v, _, H = diffgeo._metric_jets(field, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))
+        rho = diffgeo.ricci_form_of_log_det(H[..., 0])     # -2 g J holds the entries of 2 g, up to sign
+        return _relative(rho, 2.0 * g), _agreement(g, v[:, 1], H[..., 1])
 
-    vals, g = _chunked(block, _rows(spec.real_dim), samples.points)
+    vals, r_agree = _chunked(block, _rows(spec.real_dim), samples.points)
     rep.add("ricci_flat", vals, tolerance)
-    rep.add("metric_agreement", _metric_agreement(spec, cfg, samples.points, g), tol_agree)
+    rep.add("metric_agreement", r_agree, tol_agree)
     return rep
 
 
@@ -420,8 +443,10 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
       * ``weyl_ricci_agreement``:  cross-validation of the two paths
       * ``higgs_compatibility``:   D g - theta (x) g, an identity of the construction (D comes from the same jets)
       * ``metric_agreement``:      analytic g_tilde against the FD metric omega(K) J / K
-    All but the last read the jets of the block's one cone stencil at ``scaled_steps(P, hessian_step)``
-    (one cone-jet call per Richardson level).
+    All read the jets of the block's one stencil at ``scaled_steps(P, hessian_step)`` (one
+    cone-jet call per Richardson level) of the cone field with ``K`` as its last column.  That
+    ``K`` equals ``spec.field()``, which ``lck`` and ``vaisman`` difference in a stencil of their
+    own, bit for bit; the tests pin it, and ``metric_agreement``, to that route.
     Below six real dimensions the records are advisory only.
     """
     cfg, rep, tolerance, tol_agree = _open_report("einstein-weyl", spec, samples, cfg, tolerance, case)
@@ -430,12 +455,12 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
     advisory = n < 6
     if advisory:
         rep.notes.append("real dimension below 6: residuals reported informationally")
-    cone = conformal_fields(spec)
+    cone = conformal_fields(spec, with_K=True)
 
     def block(P):
-        # one stencil of the cone field gives g and theta at P and their jets
-        jets = diffgeo._metric_jets(cone, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))
-        (g, th), (dg, dth), (ddg, _) = map(diffgeo.split_cone, jets)
+        # one stencil of the cone field gives g, theta and K at P and their jets
+        v, dv, ddv = diffgeo._metric_jets(cone, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))
+        (g, th), (dg, dth), (ddg, _) = (diffgeo.split_cone(x[..., :-1]) for x in (v, dv, ddv))
         t, ginv = th / 2.0, np.linalg.inv(g)         # the block's one metric inverse
         norm2 = t[:, None, :] @ ginv @ t[:, :, None]
         target = (n - 2) * (norm2 * g - t[:, :, None] * t[:, None, :])
@@ -443,13 +468,13 @@ def check_einstein_weyl(spec: PotentialSpec, samples: SampleSet, cfg: Optional[F
         cov = diffgeo.weyl_metric_derivative(g, dg, th, ginv)
         tgt = th[:, :, None, None] * g[:, None]
         return (_relative(ric - target, target), _relative(rc, target), _relative(rf, target),
-                _relative(rc - rf, target), _relative(cov - tgt, tgt), g)
+                _relative(rc - rf, target), _relative(cov - tgt, tgt), _agreement(g, v[:, -1], ddv[..., -1]))
 
-    *residuals, g = _chunked(block, _rows(n), samples.points)
+    residuals = _chunked(block, _rows(n), samples.points)
     for name, vals in zip(("einstein_weyl_ricci", "weyl_ricci_curvature", "weyl_ricci_identity",
                            "weyl_ricci_agreement", "higgs_compatibility"), residuals):
         rep.add(name, vals, tolerance, advisory)
-    rep.add("metric_agreement", _metric_agreement(spec, cfg, samples.points, g), tol_agree, advisory)
+    rep.add("metric_agreement", residuals[-1], tol_agree, advisory)
     return rep
 
 

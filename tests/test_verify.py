@@ -356,11 +356,66 @@ def test_metric_agreement_catches_a_wrong_jacobian(monkeypatch):
         assert last.name == "metric_agreement" and last.max >= 100 * last.tolerance, suite
 
 
+def _hex(values) -> list:
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+@pytest.mark.parametrize("suite, case, rows", [
+    ("ricci-flat", "gr24", None), ("ricci-flat", "wallach", None), ("ricci-flat", "quadric:6", None),
+    ("ricci-flat", "conifold", None), ("einstein-weyl", "gr24", None), ("einstein-weyl", "wallach", None),
+    ("einstein-weyl", "quadric:6", None), ("einstein-weyl", "conifold", None),
+    ("ricci-flat", "gr24", 1024), ("ricci-flat", "conifold", 1024), ("einstein-weyl", "wallach", 1024),
+    ("einstein-weyl", "quadric:6", 1024), ("einstein-weyl", "fullflag:A:4", None)])
+def test_jet_metric_agreement_equals_the_field_oracle(monkeypatch, suite, case, rows):
+    """``ricci-flat`` and ``einstein-weyl`` read ``K`` for ``metric_agreement`` from their own stencil; per
+    sample, bit for bit, it equals ``_metric_agreement``, which differences ``spec.field()`` at the same
+    points and steps.  fullflag:A:4 ``einstein-weyl`` at its default count and 1024-row blocks of the
+    smaller cases take the path of several blocks."""
+    if rows is not None:
+        monkeypatch.setattr(verify, "_CHUNK_ROWS", rows)
+    calls = []
+    agreement = verify._agreement
+    monkeypatch.setattr(verify, "_agreement", lambda *a: calls.append(agreement(*a)) or calls[-1])
+    rep = run_suite(suite, case, seed=3)
+    got = np.concatenate(calls)
+    assert len(calls) > 1 or rows is None and case != "fullflag:A:4"
+    spec = replace(make_spec(case), b=ricci_flat_exponent(resolve_case(case)))
+    points = sample_points(spec, 3, rep.count).points
+    g = diffgeo.split_cone(conformal_fields(spec)(points))[0]
+    want = verify._metric_agreement(spec, CFG, points, g)
+    assert _hex(got) == _hex(want)
+    last = rep.residuals[-1]
+    assert last.name == "metric_agreement" and _hex([last.max, last.mean]) == _hex([np.max(want), np.mean(want)])
+
+
+@pytest.mark.parametrize("case", ["gr24", "wallach", "grassmann:4:2"])
+def test_metric_agreement_catches_a_wrong_jet_potential(monkeypatch, case):
+    """The ``h`` that ``log_gram_jets`` hands back scaled by ``1 + 0.01 sum |F|^2``, its ``grad`` and ``hess``
+    as they are: ``ricci-flat`` and ``einstein-weyl`` read ``K`` from those potentials, so their
+    ``metric_agreement`` fails by two orders of magnitude.  ``lck`` and ``vaisman`` take ``K`` from
+    ``h_closed`` and still pass."""
+    log_gram_jets = charts.log_gram_jets
+
+    def wrong(F, jac):
+        grad, hess, h = log_gram_jets(F, jac)
+        return grad, hess, h * (1 + 0.01 * np.sum(np.abs(F) ** 2, axis=(-2, -1)))
+
+    monkeypatch.setattr(charts, "log_gram_jets", wrong)
+    for suite in ("ricci-flat", "einstein-weyl"):
+        last = run_suite(suite, case, seed=3, count=4).residuals[-1]
+        assert last.name == "metric_agreement" and last.max >= 100 * last.tolerance, suite
+    for suite in ("lck", "vaisman"):
+        rep = run_suite(suite, case, seed=3, count=4)
+        assert rep.verdict and rep.residuals[-1].name == "metric_agreement", suite
+
+
 @pytest.mark.parametrize("richardson", [2, 3])
 @pytest.mark.parametrize("suite", FD_SUITES)
 def test_every_suite_stencil_runs_at_the_hessian_step(monkeypatch, suite, richardson):
     """Each stencil of a suite, ``metric_agreement``'s included, runs at ``scaled_steps(P, hessian_step) / 2**k``
-    at Richardson level k, on the samples (the base columns for ``kahler-einstein``)."""
+    at Richardson level k, on the samples (the base columns for ``kahler-einstein``).  ``lck`` and ``vaisman``
+    make a cone stencil and a stencil of ``spec.field()`` per level; the three second-order suites make one,
+    from which ``ricci-flat`` and ``einstein-weyl`` also read ``K`` for ``metric_agreement``."""
     calls = []
     stencil = diffgeo._stencil_values
     monkeypatch.setattr(diffgeo, "_stencil_values", lambda f, P, h, **k: calls.append((P, h)) or stencil(f, P, h, **k))
@@ -368,7 +423,7 @@ def test_every_suite_stencil_runs_at_the_hessian_step(monkeypatch, suite, richar
     spec = make_spec("gr24")
     points = sample_points(spec, 3, 4).points
     run_suite(suite, "gr24", seed=3, count=4, cfg=cfg)
-    stencils = 1 if suite == "kahler-einstein" else 2
+    stencils = 2 if suite in ("lck", "vaisman") else 1
     assert len(calls) == stencils * richardson
     for i, (P, h) in enumerate(calls):
         assert np.array_equal(P, points[:, :8] if suite == "kahler-einstein" else points)
@@ -397,12 +452,15 @@ def test_finite_difference_suites_refuse_depth_one_before_any_work(monkeypatch, 
 
 @pytest.mark.parametrize("suite", ["lck", "vaisman", "ricci-flat", "einstein-weyl"])
 def test_cone_suites_share_one_metric_agreement(monkeypatch, suite):
-    """The four cone suites close with the one ``_metric_agreement``, called once a run."""
+    """The four cone suites close with the one agreement rule ``_agreement``, called once a block, whose
+    values are the record."""
     calls = []
-    agreement = verify._metric_agreement
-    monkeypatch.setattr(verify, "_metric_agreement", lambda *a: calls.append(1) or agreement(*a))
-    assert run_suite(suite, "quadric:6", seed=3, count=2).residuals[-1].name == "metric_agreement"
-    assert len(calls) == 1
+    agreement = verify._agreement
+    monkeypatch.setattr(verify, "_agreement", lambda *a: calls.append(agreement(*a)) or calls[-1])
+    last = run_suite(suite, "quadric:6", seed=3, count=2).residuals[-1]
+    assert last.name == "metric_agreement"
+    assert len(calls) == 1 and calls[0].shape == (2,)
+    assert last.max == np.max(calls[0]) and last.mean == np.mean(calls[0])
 
 
 def test_cone_jet_evaluations_per_sample(monkeypatch):
@@ -451,9 +509,9 @@ def test_cone_jet_evaluations_per_sample(monkeypatch):
 def test_kahler_layer_builds_one_frame_per_point(monkeypatch, case):
     """``ricci-flat`` and ``kahler-einstein`` build one frame per point they evaluate.
 
-    ``ricci-flat`` reads K from the potentials of the cone jet: its frames are
-    the samples, the stencil of ``log det ddbar K`` and the independent stencil
-    of K, one per Richardson level each.  ``kahler-einstein`` differences
+    ``ricci-flat`` reads K from the potentials of the cone jet and differences
+    ``[log det ddbar K, K]`` as one field: its frames are the samples, then one
+    stencil per Richardson level.  ``kahler-einstein`` differences
     ``[log det Hb, log h_delta]`` as one field: the samples, then one stencil
     per level.
     """
@@ -461,7 +519,7 @@ def test_kahler_layer_builds_one_frame_per_point(monkeypatch, case):
     rows = []
     monkeypatch.setattr(charts.Chart, "_frame", lambda self, z: rows.append(len(z)) or frame(self, z))
     m, levels = 20, CFG.richardson
-    for suite, stencils, d in (("ricci-flat", 2, 2), ("kahler-einstein", 1, 0)):
+    for suite, stencils, d in (("ricci-flat", 1, 2), ("kahler-einstein", 1, 0)):
         rows.clear()
         run_suite(suite, case, seed=3, count=m)
         S = verify._rows(2 * resolve_case(case).n_z + d)
