@@ -33,7 +33,9 @@ pivots.  Exact ``gram_minors`` eliminates in Gaussian integers instead
 (``exact.leading_gram_minors``).  Each ``d_a F`` of
 a wedge or product frame is one matrix unit, so their jets are gathers
 through index tables built once per chart, with no LAPACK call per matrix;
-the quadric section's jets are closed forms in ``z``.  A ``PotentialSpec``
+the quadric section's jets are closed forms in ``z``.  Every jet has one
+layout: entry arrays with the batch axes last, so each elementwise loop
+runs over the batch, handed out as batch-first views.  A ``PotentialSpec``
 combines a chart with bundle exponents and an outer cone exponent ``b``:
 
     K_1(z, w) = prod_alpha h_alpha(z)^(e_alpha) * |w|^2,
@@ -182,7 +184,8 @@ def log_gram_jets(F, jac):
     of its pivots, bit for bit the float minor of ``gram_minors`` (and equal to
     the exact one).  The quadric section
     (``jac = z / 2``) takes the closed forms of ``_quadric_log_jets``, with no
-    Gram inverse.
+    Gram inverse.  Both form ``grad`` (n_z, ...) and ``hess`` (n_z, n_z, ...) as
+    entry arrays, the batch axes last, and return them as batch-first views.
     """
     if not isinstance(jac, UnitTables):
         return _quadric_log_jets(F[..., 0], jac)
@@ -212,13 +215,16 @@ def _quadric_log_jets(s, half_z):
     With ``u_a = d_a s = (0, e_a/sqrt2, z_a/2)``, ``h = |s|^2``,
     ``c_a = s* u_a = zbar_a/2 + qbar z_a/8`` and ``u_b* u_a = delta_ab/2 + zbar_b z_a/4``:
     ``d_a log h = c_a / h`` and ``d_a dbar_b log h = (delta_ab/2 + z_a zbar_b/4)/h - grad_a conj(grad_b)``.
+    ``z/2`` is transposed once into entry arrays, as ``log_gram_jets`` lays out every jet; ``h`` sums
+    the contiguous entry axis of ``s``, where numpy sums 8 or more terms pairwise, not in order.
     """
-    inv_h = 1 / np.sum(abs2(s), axis=-1)[..., None]
-    grad = (np.conj(half_z) + np.conj(s[..., -1:]) * half_z) * inv_h
-    delta = to_field(np.eye(half_z.shape[-1], dtype=int), half_z.dtype) / 2
-    hess = (half_z[..., :, None] * np.conj(half_z[..., None, :]) + delta) * inv_h[..., None]
-    hess -= grad[..., :, None] * np.conj(grad[..., None, :])
-    return grad, hess
+    inv_h = 1 / np.sum(abs2(s), axis=-1)
+    hz = np.ascontiguousarray(_roll_axes(half_z, -1))
+    grad = (np.conj(hz) + np.conj(s[..., -1]) * hz) * inv_h
+    delta = to_field(np.eye(len(hz), dtype=int), hz.dtype).reshape((len(hz),) * 2 + (1,) * (hz.ndim - 1)) / 2
+    hess = (hz[:, None] * np.conj(hz) + delta) * inv_h
+    hess -= grad[:, None] * np.conj(grad)
+    return _roll_axes(grad, 1), _roll_axes(hess, 2)
 
 
 def gram_minors(F, units=None):
@@ -282,7 +288,7 @@ class Chart:
             return _big_cell(n, slots, z, cols=ks[-1]), ks
         if self.kind == "quadric":
             if z.dtype == object:
-                return _exact_quadric_section(z), None
+                return _exact_quadric_section(z).qc(), None
             s = np.concatenate([np.ones(z.shape[:-1] + (1,), dtype=z.dtype), z / np.sqrt(2.0),
                                 np.sum(z * z, axis=-1, keepdims=True) / 4], axis=-1)
             return s[..., None], None
@@ -295,10 +301,13 @@ class Chart:
         """Fundamental potentials, the Gram determinants of the chart frames: shape (..., n_gen).
 
         Wedge charts read the widest frame's coordinate rows (its ``UnitTables``).
-        ``Fraction``s in an object array when ``z`` is exact (see ``exact.to_field``).
+        ``Fraction``s in an object array when ``z`` is exact (see ``exact.to_field``);
+        the exact quadric section goes to ``squared_norms`` as the Gaussian integers it is built in.
         """
         if z.shape[-1] != self.n_z:
             raise DomainError(f"{self.name} needs {self.n_z} coordinates")
+        if self.kind == "quadric" and z.dtype == object:
+            return squared_norms(_exact_quadric_section(z))
         F, ks = self._frame(z)
         if ks is None:
             return squared_norms(F)
@@ -405,8 +414,8 @@ class Chart:
         return rep, word
 
 
-def _exact_quadric_section(z) -> np.ndarray:
-    """The quadric section ``(1, z / (1 + i), q / 4)`` at exact points z (..., m) as ``QC``s (..., m + 2, 1).
+def _exact_quadric_section(z) -> _Ints:
+    """The quadric section ``(1, z / (1 + i), q / 4)`` at exact points z (..., m) as ``_Ints`` (..., m + 2, 1).
 
     ``1 + i`` stands for the float section's ``sqrt 2`` (``|s|^2 = 2``) and keeps it rational.  Per point,
     ``z = (a + b i) / D`` is cleared once and the section built as Gaussian-integer numerators over ``4 D^2``:
@@ -419,7 +428,7 @@ def _exact_quadric_section(z) -> np.ndarray:
         q = sum(map(mul, re, re)) - sum(map(mul, im, im)), 2 * sum(map(mul, re, im))
         cells.append(([s * s] + [s * (a + b) for a, b in zip(re, im)] + [q[0]],
                       [0] + [s * (b - a) for a, b in zip(re, im)] + [q[1]], s * s))
-    return _Ints(z.lead, (z.inner[0] + 2, 1), cells).qc()
+    return _Ints(z.lead, (z.inner[0] + 2, 1), cells)
 
 
 @lru_cache(maxsize=None)
@@ -454,16 +463,7 @@ def _chart_flag(n: int, ks: Tuple[int, ...], name: str) -> Chart:
     if not ks or not 1 <= ks[0] or not all(a < b for a, b in zip(ks, ks[1:])) or ks[-1] > n:
         raise ConfigurationError(f"need 1 <= k1 < ... < kr <= {n}, got {ks}")
     fd = _flag_data("A", n, tuple(i for i in range(1, n + 1) if i not in ks))
-    return Chart(
-        name=name,
-        kind="wedge",
-        n_z=len(_block_slots(n, ks)),
-        n_gen=len(ks),
-        m=fd.dim_complex,
-        fano=fd.fano_index,
-        delta_pairings=tuple(int(p) for p in fd.delta_pairings),
-        params={"n": n, "ks": ks},
-    )
+    return _on_flag(fd, name=name, kind="wedge", n_z=len(_block_slots(n, ks)), n_gen=len(ks), params={"n": n, "ks": ks})
 
 
 def _chart_quadric(N: int) -> Chart:
@@ -471,16 +471,12 @@ def _chart_quadric(N: int) -> Chart:
         raise ConfigurationError("quadric chart requires N >= 5")
     n = N // 2
     fd = _flag_data("B" if N % 2 else "D", n, tuple(range(2, n + 1)))
-    return Chart(
-        name=f"quadric:{N}",
-        kind="quadric",
-        n_z=N - 2,
-        n_gen=1,
-        m=fd.dim_complex,
-        fano=fd.fano_index,
-        delta_pairings=tuple(int(p) for p in fd.delta_pairings),
-        params={"N": N},
-    )
+    return _on_flag(fd, name=f"quadric:{N}", kind="quadric", n_z=N - 2, n_gen=1, params={"N": N})
+
+
+def _on_flag(fd, **fields) -> Chart:
+    """A chart over the flag manifold ``fd``, whose dimension, Fano index and delta pairings it carries."""
+    return Chart(m=fd.dim_complex, fano=fd.fano_index, delta_pairings=tuple(int(p) for p in fd.delta_pairings), **fields)
 
 
 def _chart_conifold() -> Chart:
@@ -615,21 +611,29 @@ class PotentialSpec:
         del frames                      # dead before the weighted sums, where a jet call peaks
         return tuple(_weighted_sum([jet[i] for jet in jets], weights) for i in range(2)) + hs
 
-    def cone_jet(self, with_K: bool = False) -> Callable[[np.ndarray], tuple]:
+    def cone_jet(self, with_K: bool = False, entries: bool = False) -> Callable[[np.ndarray], tuple]:
         """Batched ``(phi_a, ddbar K / K)`` over real points, from the chart frames; ``with_K`` appends ``K``.
 
         ``phi = log K_1`` with ``phi_w = 1/w`` on the fiber and no mixed
         terms; ``ddbar K / K = b (phi_ab + b phi_a conj(phi_b))``.  ``K`` is
-        ``field`` bit for bit, from the potentials of the same frames.
+        ``field`` bit for bit, from the potentials of the same frames.  The
+        algebra runs in the layout of the chart jets, on entry arrays with the
+        batch axes last: ``entries`` hands them out as they are, ``phi``
+        (n+1, ...) and ``H`` (n+1, n+1, ...), for readers that loop over the
+        batch; otherwise they come back as C-contiguous rows (..., n+1) and
+        (..., n+1, n+1).
         """
         b, e = float(self.b), [float(x) for x in self.exponents]
 
         def jet(points: np.ndarray):
             z, w = decode_points(points, self.chart.n_z)
             grad, hess, *hs = self._log_jets(z, e, potentials=with_K)
-            phi = np.concatenate([grad, 1.0 / w[..., None]], axis=-1)
-            H = b * b * phi[..., :, None] * np.conj(phi[..., None, :])
-            H[..., :-1, :-1] += np.multiply(b, hess, out=hess)
+            phi = np.empty((self.chart.n_z + 1,) + w.shape, dtype=complex)
+            phi[:-1], phi[-1], hess = _roll_axes(grad, -1), 1.0 / w, _roll_axes(hess, -2)
+            H = b * b * phi[:, None] * np.conj(phi)
+            H[:-1, :-1] += np.multiply(b, hess, out=hess)
+            if not entries:
+                phi, H = np.ascontiguousarray(_roll_axes(phi, 1)), np.ascontiguousarray(_roll_axes(H, 2))
             return (phi, H) + tuple(self._K_of(power_product(h, self.exponents), w) for h in hs)
 
         return jet
@@ -674,11 +678,6 @@ def _weighted_sum(jets, weights):
 def _weighted_logs(hs, weights):
     """``sum_alpha weights_alpha log hs[..., alpha]``: ``log h_delta`` from the fundamental potentials."""
     return sum(p * np.log(hs[..., i]) for i, p in enumerate(weights))
-
-
-def lee_components(phi: np.ndarray, b: float) -> np.ndarray:
-    """``theta = -d log K_1^b`` as real components ``(-2b Re phi_a, 2b Im phi_a)``, interleaved, from ``phi = d log K_1``."""
-    return -2.0 * b * np.ascontiguousarray(np.conj(phi)).view(float)
 
 
 def decode_points(points: np.ndarray, n_z: int):

@@ -55,7 +55,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import diffgeo
-from .charts import PotentialSpec, decode_points, lee_components, make_spec, ricci_flat_exponent
+from .charts import PotentialSpec, decode_points, make_spec, ricci_flat_exponent
 from .diffgeo import FDConfig
 from .hvcone import GammaGroup, algebraic_residual, gamma_canonicalize, hopf_distance, remmert
 from .roots import ConfigurationError, integer_setting
@@ -160,13 +160,15 @@ def conformal_fields(spec: PotentialSpec, with_K: bool = False):
     single cone-jet ``(phi_a, ddbar K / K)`` evaluation: the complex entries
     of ``ddbar K / K`` as floats, then the Lee form ``theta = -d log K``, with
     components ``(-2b Re phi_a, 2b Im phi_a)``; ``with_K`` appends ``K`` of the
-    same jet as one last column.  Finite differences run on this layout, and
+    same jet as one last column.  The jet hands out its entry arrays, batch
+    axis last, and the copy into these rows transposes them.
+    Finite differences run on this layout, and
     ``diffgeo.split_cone`` expands values or jets (without that column) into
     ``theta`` and the Vaisman gauge ``g_tilde = e^(-2 psi) omega_C(., J.)``,
     ``psi = log K / 2`` (the real form of ``ddbar K / K``);
     ``Omega_tilde = -g_tilde J`` and the cone metric ``g_tilde K`` follow.
     """
-    jet = spec.cone_jet(with_K=with_K)
+    jet = spec.cone_jet(with_K=with_K, entries=True)
     b = float(spec.b)
 
     def cone(P):
@@ -174,10 +176,10 @@ def conformal_fields(spec: PotentialSpec, with_K: bool = False):
         if np.any(np.hypot(P[..., 2 * spec.chart.n_z], P[..., 2 * spec.chart.n_z + 1]) < _W_FLOOR):
             raise diffgeo.ChartDegeneracyError("sample too close to the w = 0 fiber")
         phi, H, *K = jet(P)
-        n2 = H[0].size * 2
+        n2 = 2 * len(H) ** 2
         out = np.empty((len(P), n2 + P.shape[1] + len(K)))
-        out[:, :n2].view(complex).reshape(H.shape)[...] = H
-        out[:, n2:n2 + P.shape[1]] = lee_components(phi, b)
+        out[:, :n2].view(complex)[...] = H.reshape(n2 // 2, -1).T
+        out[:, n2:n2 + P.shape[1]] = -2.0 * b * np.ascontiguousarray(np.conj(phi).T).view(float)
         if K:
             out[:, -1] = K[0]
         return out
@@ -414,11 +416,11 @@ def check_cone_ricci_flat(spec: PotentialSpec, samples: SampleSet, cfg: Optional
     """
     cfg, rep, tolerance, tol_agree = _open_report("ricci-flat", spec, samples, cfg, tolerance, case)
     rep.notes.append(f"outer exponent b = {spec.b}")
-    cone, jet = conformal_fields(spec), spec.cone_jet(with_K=True)
+    cone, jet = conformal_fields(spec), spec.cone_jet(with_K=True, entries=True)
 
     def field(X):
         _, Hc, K = jet(X)
-        return np.stack([diffgeo._log_det(np.multiply(Hc, K[:, None, None], out=Hc)), K], axis=-1)
+        return np.stack([diffgeo._log_det(np.moveaxis(np.multiply(Hc, K, out=Hc), (0, 1), (-2, -1))), K], axis=-1)
 
     def block(P):
         g = diffgeo.split_cone(cone(P))[0]

@@ -13,7 +13,7 @@ from flagcones.charts import (DomainError, canonical_exponents, catalog_ids,
                               dhomothetic_constant, generic_h,
                               log_potential_eval, make_spec, potential_eval,
                               resolve_case, ricci_flat_exponent)
-from flagcones.exact import QC, abs2, to_field
+from flagcones.exact import QC, abs2, squared_norms, to_field
 from flagcones.hvcone import GammaGroup, kodaira_embedding, remmert, remmert_norm_sq
 from flagcones.reps import derivation_matrix, outer_tensor
 from flagcones.roots import ConfigurationError
@@ -286,7 +286,7 @@ def _summed_jets(spec, z, weights):
     return [sum(wt * jet[i] for wt, jet in zip(weights, jets)) for i in (0, 1)]
 
 
-@pytest.mark.parametrize("case", ["gr24", "wallach", "quadric:6", "conifold"])
+@pytest.mark.parametrize("case", ["gr24", "wallach", "quadric:6", "quadric:8", "quadric:10", "conifold"])
 def test_in_place_jets_equal_the_out_of_place_formulas(case):
     """``cone_jet`` and ``base_jet`` sum and scale the frame jets in place, bit for bit as the formulas out of place.
 
@@ -325,6 +325,78 @@ def test_in_place_jets_equal_the_out_of_place_formulas(case):
             out[...] = np.nan
         assert all(_same_bits(a, x) for a, x in zip(second, expected[name], strict=True)), name
         assert all(_same_bits(a, x) for a, x in zip(call(), expected[name], strict=True)), name
+
+
+def _batch_first_quadric_log_jets(s, half_z):
+    """Reference: the quadric closed forms broadcast over trailing entry axes, batch first."""
+    inv_h = 1 / np.sum(abs2(s), axis=-1)[..., None]
+    grad = (np.conj(half_z) + np.conj(s[..., -1:]) * half_z) * inv_h
+    delta = to_field(np.eye(half_z.shape[-1], dtype=int), half_z.dtype) / 2
+    hess = (half_z[..., :, None] * np.conj(half_z[..., None, :]) + delta) * inv_h[..., None]
+    hess -= grad[..., :, None] * np.conj(grad[..., None, :])
+    return grad, hess
+
+
+@pytest.mark.parametrize("lead", [(400,), (3, 5)])
+@pytest.mark.parametrize("case", ["quadric:5", "quadric:6", "quadric:8", "quadric:10"])
+def test_quadric_entry_jets_equal_the_batch_first_formulas(case, lead):
+    """The quadric jets, formed on entry arrays with the batch axes last, equal the batch-first closed forms
+    bit for bit, signs of zero included.
+
+    Sections of 5, 6, 8 and 10 entries sit on both sides of numpy's pairwise
+    summation, which starts at 8 contiguous terms: ``h`` is still summed
+    over the contiguous entry axis of the section.
+    """
+    chart = resolve_case(case)
+    rng = np.random.default_rng(59)
+    shape = lead + (chart.n_z,)
+    z = 10.0 ** rng.uniform(-2, 1.5, size=lead + (1,)) * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    flat = z.reshape(-1, chart.n_z)
+    flat[::2, 0] = 0.0
+    flat[2::5] = flat[2::5].real                 # real and imaginary rows: their jets hold -0.0
+    flat[3::7] = 1j * flat[3::7].imag
+    flat[-1] = 0.0
+    (F, jac), = chart.frames(z)
+    got, want = charts.log_gram_jets(F, jac), _batch_first_quadric_log_jets(F[..., 0], jac)
+    assert [a.shape for a in got] == [lead + (chart.n_z,), lead + (chart.n_z,) * 2]
+    assert all(_same_bits(a, x) for a, x in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("case", ["gr24", "wallach", "quadric:6", "quadric:10", "conifold"])
+def test_cone_jet_rows_are_contiguous_copies_of_its_entry_arrays(case):
+    """``cone_jet(entries=True)`` hands out its entry arrays, batch axis last; the default returns the same
+    numbers as C-contiguous rows, bit for bit, so a reader may ``.view(float)`` them."""
+    spec = make_spec(case)
+    rng = np.random.default_rng(67)
+    P = rng.normal(size=(30, spec.real_dim))
+    P[:, -2:] += 1.5
+    rows, entries = spec.cone_jet(with_K=True)(P), spec.cone_jet(with_K=True, entries=True)(P)
+    n = spec.n_z + 1
+    assert [x.shape for x in rows] == [(30, n), (30, n, n), (30,)]
+    assert [x.shape for x in entries] == [(n, 30), (n, n, 30), (30,)]
+    for row, entry in zip(rows[:2], entries[:2]):
+        assert row.flags.c_contiguous and row.view(float).shape[-1] == 2 * n
+        assert _same_bits(row, np.moveaxis(entry, tuple(range(entry.ndim - 1)), tuple(range(1, entry.ndim))))
+    assert _same_bits(rows[2], entries[2])
+
+
+@pytest.mark.parametrize("case", ["quadric:5", "quadric:6", "quadric:8", "quadric:10"])
+def test_exact_quadric_potentials_read_the_gaussian_integer_section(case):
+    """``h_closed`` sums the exact quadric section as the Gaussian integers it is built in: equal
+    ``Fraction``s to the squared norms of the ``QC`` section that ``_frame`` and ``frames`` hand out,
+    for single points and batches."""
+    chart = resolve_case(case)
+    rng = np.random.default_rng(61)
+    for lead in ((), (3,), (2, 2)):
+        points = [_rand_qc(rng, chart.n_z) for _ in range(int(np.prod(lead)))]
+        z = to_field(np.array(points, dtype=object).reshape(lead + (chart.n_z,)), object)
+        F, (Ff, _) = chart._frame(z)[0], chart.frames(z)[0]
+        assert all(type(x) is QC for x in F.flat) and all(type(x) is QC for x in Ff.flat)
+        want = squared_norms(F)
+        got = chart.h_closed(z)
+        assert got.shape == lead + (1,) and all(type(x) is Q for x in got.flat) and np.all(got == want)
+        if lead == ():
+            assert chart.h_closed_exact(points[0]) == tuple(want)
 
 
 # -- holomorphic frames ------------------------------------------------------------

@@ -481,6 +481,13 @@ def relative_ricci(H_field, P, cfg=FDConfig()):
     return np.max(np.abs(rho), axis=(1, 2)) / (2.0 * np.max(np.abs(H_field(P).view(float)), axis=(1, 2)))
 
 
+def test_eguchi_hanson_hessian_field_returns_contiguous_rows():
+    """The closed-form ddbar F is one C-contiguous (m, n, n) array, whatever layout ``cone_jet`` computes in,
+    so its floats read as ``.view(float)``."""
+    H = eguchi_hanson_hessian_field(make_spec("cp:1", ell=2))(eguchi_hanson_points(13, 5, 1.4))
+    assert H.shape == (5, 2, 2) and H.flags.c_contiguous and H.view(float).shape == (5, 2, 4)
+
+
 def test_eguchi_hanson_ricci_flat():
     H = eguchi_hanson_hessian_field(make_spec("cp:1", ell=2))
     assert np.max(relative_ricci(H, eguchi_hanson_points(13, 5, 1.4))) < 1e-4
