@@ -33,10 +33,10 @@ pivots.  Exact ``gram_minors`` eliminates in Gaussian integers instead
 (``exact.leading_gram_minors``).  Each ``d_a F`` of
 a wedge or product frame is one matrix unit, so their jets are gathers
 through index tables built once per chart, with no LAPACK call per matrix;
-the quadric section's jets are closed forms in ``z``.  Every jet has one
-layout: entry arrays with the batch axes last, so each elementwise loop
-runs over the batch, handed out as batch-first views.  A ``PotentialSpec``
-combines a chart with bundle exponents and an outer cone exponent ``b``:
+the quadric section's jets are closed forms in ``z``.  Wedge frames and
+every jet have one layout: entry arrays with the batch axes last, so each
+elementwise loop runs over the batch, handed out as batch-first views.
+A ``PotentialSpec`` combines a chart with bundle exponents and an outer cone exponent ``b``:
 
     K_1(z, w) = prod_alpha h_alpha(z)^(e_alpha) * |w|^2,
     K_b(z, w) = K_1(z, w)^b.
@@ -54,7 +54,7 @@ from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import mul
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -74,21 +74,26 @@ class DomainError(ValueError):
 # potential building blocks: big-cell frames and their Gram minors
 # ---------------------------------------------------------------------------
 
-def _big_cell(n: int, slots, z, cols: Optional[int] = None) -> np.ndarray:
-    """The first ``cols`` (default all) columns of n(z) = 1 + sum_a z_a E_(slot_a) in GL(n+1).
-
-    ``slots`` gives the (row, col) position of each coordinate below the
-    diagonal, every col below ``cols``.  Batched over the leading axes of
-    ``z``, in its dtype: a cached identity, copied, with ``z`` scattered in; for ``exact._Ints`` the same in ints.
-    """
-    r = n + 1 if cols is None else cols
-    eyes, index = _cell_template(n, slots, r)
+def _big_cell(n: int, slots, z) -> np.ndarray:
+    """n(z) = 1 + sum_a z_a E_(slot_a) in GL(n+1), C-contiguous, for ``nilpotent_log``; for ``exact._Ints`` the same in ints."""
     if type(z) is _Ints:
-        return z.placed((n + 1, r), [(p, k, 1, 0) for k, p in enumerate(index.tolist())], range(0, r * (r + 1), r + 1))
-    M = np.empty(z.shape[:-1] + ((n + 1) * r,), dtype=z.dtype)
-    M[...] = eyes[z.dtype]
-    M[..., index] = z
-    return M.reshape(z.shape[:-1] + (n + 1, r))
+        index = _cell_template(n, slots, n + 1)[1].tolist()
+        return z.placed((n + 1, n + 1), [(p, k, 1, 0) for k, p in enumerate(index)], range(0, (n + 1) ** 2, n + 2))
+    return np.ascontiguousarray(_cell_frame(n, slots, z, n + 1))
+
+
+def _cell_frame(n: int, slots, z, r: int) -> np.ndarray:
+    """The first r columns of n(z), ``slots`` the (row, col) of each coordinate below the diagonal: (..., n+1, r).
+
+    Batched over the leading axes of ``z``, in its dtype: entry arrays (n+1, r, ...)
+    with the batch axes last, a cached identity copied in and ``z`` scattered
+    into them, handed out as a batch-first view, so frame rows are slices.
+    """
+    eyes, index = _cell_template(n, slots, r)
+    E = np.empty(((n + 1) * r,) + z.shape[:-1], dtype=z.dtype)
+    E[...] = eyes[z.dtype].reshape((-1,) + (1,) * (z.ndim - 1))
+    E[index] = _roll_axes(z, -1)
+    return _roll_axes(E.reshape((n + 1, r) + z.shape[:-1]), 2)
 
 
 @lru_cache(maxsize=None)
@@ -114,8 +119,9 @@ class UnitTables(NamedTuple):
     """Index tables of ``log_gram_jets`` for a frame with unit Jacobians, built once per chart.
 
     The frame is the first r columns of the identity plus each coordinate
-    at its unit; ``rows`` carry coordinates, the others are identity rows
-    with their 1 in the columns ``ones``.  Row-major, u indexing ``rows``:
+    at its unit; ``rows`` carry coordinates, consecutive rows (``k1..n`` of a
+    block chart's frames), the others are identity rows with their 1 in the
+    columns ``ones``.  Row-major, u indexing ``rows``:
     ``grad[a]`` indexes ``(G^-1 F*)[col, u]`` at ``(col_a, u_a)`` (``r * len(rows)``
     off the frame), ``hess[a, b]`` indexes ``P[u, u']`` at ``(u_b, u_a)`` and
     ``cols[a, b]`` ``G^-1[col, col']`` at ``(col_a, col_b)`` (-1 off the frame).
@@ -131,6 +137,7 @@ class UnitTables(NamedTuple):
 def _unit_tables(rows, cols, on, r: int) -> UnitTables:
     """``d_a F = E(rows_a, cols_a)`` where ``on_a``, else zero, for a frame of r columns."""
     urows = sorted(set(rows[on].tolist()))
+    assert urows == list(range(urows[0], urows[0] + len(urows))), "coordinate rows must be consecutive"
     u, nu = np.array([urows.index(i) if o else 0 for i, o in zip(rows.tolist(), on)]), len(urows)
     grad = np.where(on, cols * nu + u, r * nu)
     cc = np.where(~on[:, None] | ~on, -1, cols[:, None] * r + cols)
@@ -155,11 +162,12 @@ def _product_tables(m: int) -> tuple:
 def _frame_rows(F, units=None):
     """``(E, ones)``: frame rows ``E[i][a] = F[..., i, a]`` as entry arrays, and the columns of the identity rows.
 
-    With ``units`` only the rows that carry coordinates are read; each
-    identity row's 1 goes on the Gram diagonal at its column in ``ones``.
+    With ``units`` only the rows that carry coordinates are read, as one slice
+    (a view: rows ``k1..n`` of a wedge frame); each identity row's 1 goes on
+    the Gram diagonal at its column in ``ones``.
     """
     E = _roll_axes(np.asarray(F), -2)
-    return (E, ()) if units is None else (E[units.rows], units.ones)
+    return (E, ()) if units is None else (E[units.rows[0]:units.rows[-1] + 1], units.ones)
 
 
 def _roll_axes(a: np.ndarray, k: int) -> np.ndarray:
@@ -175,9 +183,9 @@ def log_gram_jets(F, jac):
     in either field and its Jacobians.  With ``P = 1 - F G^-1 F*``,
     ``d_a log h = tr(G^-1 F* d_a F)`` and ``d_a dbar_b log h = tr(G^-1 (d_b F)* P d_a F)``.
     Wedge and product frames (``jac`` a ``UnitTables``) have unit Jacobians
-    ``d_a F = E(row_a, col_a)`` or zero: at the frame rows that carry coordinates,
-    the gradient gathers ``(G^-1 F*)[col_a, row_a]`` and each Hessian entry is
-    one product ``P[row_b, row_a] G^-1[col_a, col_b]`` written into one array.
+    ``d_a F = E(row_a, col_a)`` or zero: at the frame rows that carry
+    coordinates (one slice, ``_frame_rows``), the gradient gathers
+    ``(G^-1 F*)[col_a, row_a]`` and each Hessian entry is one product ``P[row_b, row_a] G^-1[col_a, col_b]`` written into one array.
     ``G^-1`` comes from the Hermitian elimination of ``exact`` on the Gram
     entry arrays (the one float ``gram_minors`` runs) and back-substitution, so
     no call is made per matrix; these frames also hand back ``h``, the product
@@ -205,7 +213,7 @@ def log_gram_jets(F, jac):
     hess = np.zeros(jac.cols.shape + grad.shape[1:], grad.dtype)       # each entry written once
     for (a, b), c in np.ndenumerate(jac.cols):
         if c >= 0:
-            np.multiply(P[jac.hess[a, b]], Ginv[c], out=hess[a, b])
+            np.multiply(P[jac.hess[a, b]], Ginv[c], out=hess[a, b, ...])     # a 0-d view, not a scalar, at one point
     return _roll_axes(grad, 1), _roll_axes(hess, 2), h
 
 
@@ -232,9 +240,9 @@ def gram_minors(F, units=None):
 
     ``F`` is an (..., N, r) frame.  By Cauchy-Binet the k-th minor is the
     sum of squared k x k minors of the first k columns.  With the frame's
-    ``UnitTables`` only its coordinate rows are read (``_frame_rows``), bit
-    for bit as the whole frame: the identity rows add exact zeros.  The
-    field rule is ``exact.leading_gram_minors``: running products of the
+    ``UnitTables`` only its coordinate rows are read (``_frame_rows``, a view of
+    rows ``k1..n`` on a wedge frame), bit for bit as the whole frame: the
+    identity rows add exact zeros.  The field rule is ``exact.leading_gram_minors``: running products of the
     pivots of ``exact.hermitian_elimination`` on Gram entry arrays over the
     leading axes of ``F`` in floats, and for exact frames Bareiss elimination
     of ``D^2 G`` in Gaussian integers, one ``Fraction`` per minor.
@@ -285,7 +293,7 @@ class Chart:
         """
         if self.kind == "wedge":
             n, ks, slots = self._wedge()
-            return _big_cell(n, slots, z, cols=ks[-1]), ks
+            return _cell_frame(n, slots, z, ks[-1]), ks
         if self.kind == "quadric":
             if z.dtype == object:
                 return _exact_quadric_section(z).qc(), None
@@ -320,7 +328,9 @@ class Chart:
         ``jac`` is what ``log_gram_jets`` reads of ``d_a F_alpha``: the read-only
         ``UnitTables`` of the chart for wedge and product frames, whose every
         ``d_a F_alpha`` is one matrix unit or zero, and ``z / 2`` for the quadric
-        section, whose ``d_a s = (0, e_a/sqrt2, z_a/2)``.
+        section, whose ``d_a s = (0, e_a/sqrt2, z_a/2)``.  Wedge frames are views
+        of one set of entry arrays, batch axes last (``_cell_frame``), so their
+        coordinate rows ``k1..n`` are read as a slice, with no copy.
         """
         z = to_field(z)
         F, ks = self._frame(z)

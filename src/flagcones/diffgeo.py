@@ -11,7 +11,13 @@ first and second central differences as index arithmetic on those values;
 and one Richardson tableau over halved steps.  Two drivers run it on any
 array-valued field at a batch of points: ``_jacobian_of_field`` reads only
 the ``+-e_i`` rows, and ``_metric_jets`` returns the values, first and
-second derivatives from the full stencil.  Their steps ``h`` are always
+second derivatives from the full stencil, or from the ``ddbar`` stencil,
+2d rows fewer, without the ``(Re z_a, Im z_a)`` corners: readers of the
+J-invariant part of a Hessian alone (``kahler_form_of_hessian``,
+``complex_hessian``) never read those entries, and ``kahler-einstein``,
+``ricci-flat``, ``ricci_form_of_metric`` and the ``lck`` and ``vaisman``
+``metric_agreement`` take it.  ``einstein-weyl``'s Weyl-Ricci algebra reads
+every ``d_a d_b g`` and keeps the full stencil.  Their steps ``h`` are always
 explicit arrays: ``(d,)`` shared by every point of a batch, or ``(m, d)``,
 one row per point, which is how a batch of samples keeps the steps each
 sample would get alone; ``scaled_steps`` gives ``step * max(1, |x|)``.
@@ -115,14 +121,18 @@ def scaled_steps(p: np.ndarray, step: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _unit_stencil(d: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _unit_stencil(d: int, ddbar: bool = False) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unit offsets of the central second-order stencil in R^d.
 
     Rows: the centre, then ``+e_i, -e_i`` for each i, then the corners
     ``(++, +-, -+, --)`` of the (e_i, e_j) square for each i < j.  Also
-    returns the pair indices (I, J) in corner order.
+    returns the pair indices (I, J) in corner order.  The ``ddbar`` stencil
+    leaves out the squares of the pairs ``(Re z_a, Im z_a) = (e_2a, e_2a+1)``:
+    ``1 + 2d^2 - 2d`` rows instead of ``1 + 2d^2``.
     """
     I, J = np.triu_indices(d, 1)
+    keep = (not ddbar) | (I % 2 == 1) | (J > I + 1)
+    I, J = I[keep], J[keep]
     unit = np.zeros((1 + 2 * d + 4 * len(I), d))
     axes = np.arange(d)
     unit[1 + 2 * axes, axes] = 1.0
@@ -135,13 +145,13 @@ def _unit_stencil(d: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return unit, I, J
 
 
-def _stencil_values(field, P: np.ndarray, h: np.ndarray, second: bool = True) -> np.ndarray:
+def _stencil_values(field, P: np.ndarray, h: np.ndarray, second: bool = True, ddbar: bool = False) -> np.ndarray:
     """A batched field at ``P + unit * h``: (m, S, *shape); ``h`` is (d,) or per point (m, d).
 
-    With ``second`` false only the ``+-e_i`` rows are evaluated.
+    With ``second`` false only the ``+-e_i`` rows are evaluated, with ``ddbar`` the ``ddbar`` stencil.
     """
     m, d = P.shape
-    unit = _unit_stencil(d)[0] if second else _unit_stencil(d)[0][1:2 * d + 1]
+    unit = _unit_stencil(d, ddbar)[0] if second else _unit_stencil(d)[0][1:2 * d + 1]
     vals = np.asarray(field((P[:, None, :] + unit * h[..., None, :]).reshape(-1, d)))
     return vals.reshape(m, len(unit), *vals.shape[1:])
 
@@ -158,13 +168,13 @@ def _first_differences(v: np.ndarray, h: np.ndarray) -> np.ndarray:
     return D
 
 
-def _second_differences(v: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """d_a d_b f from the full stencil (m, S, *shape): (m, d, d, *shape)."""
+def _second_differences(v: np.ndarray, h: np.ndarray, ddbar: bool = False) -> np.ndarray:
+    """d_a d_b f from the full or the ``ddbar`` stencil (m, S, *shape): (m, d, d, *shape), 0 at (2a, 2a+1) from ``ddbar``."""
     d, axis = h.shape[-1], h.ndim - 1
-    _, I, J = _unit_stencil(d)
+    _, I, J = _unit_stencil(d, ddbar)
     h = _step_axes(h, v)
     c = v[:, :1]
-    H = np.empty((v.shape[0], d, d) + v.shape[2:])
+    H = (np.zeros if ddbar else np.empty)((v.shape[0], d, d) + v.shape[2:])
     axes = np.arange(d)
     H[:, axes, axes] = (v[:, 1:2 * d + 1:2] - 2 * c + v[:, 2:2 * d + 1:2]) / h ** 2
     k = 2 * d + 1
@@ -209,23 +219,27 @@ def _jacobian_of_field(field, P: np.ndarray, cfg: FDConfig, h: np.ndarray) -> np
                        for hk in _halvings(h, cfg.richardson))
 
 
-def _metric_jets(field, P: np.ndarray, cfg: FDConfig, h: np.ndarray):
+def _metric_jets(field, P: np.ndarray, cfg: FDConfig, h: np.ndarray, ddbar: bool = False):
     """Values, first and second derivatives of a batched field at the points P (m, d), at steps ``h``.
 
     Returns (g, dg, ddg) with g (m, *shape), dg[:, a] = d_a g and
-    ddg[:, a, b] = d_a d_b g, all read from one full stencil evaluation per
+    ddg[:, a, b] = d_a d_b g, all read from one stencil evaluation per
     Richardson level; any array-valued field works, a joint metric and
     Lee-form field included.  Each level's stencil values are dropped once
-    its differences are taken.
+    its differences are taken.  With ``ddbar`` the stencil leaves out the
+    ``(Re z_a, Im z_a)`` corners and ``ddg[:, 2a, 2a+1] = ddg[:, 2a+1, 2a] = 0``:
+    ``kahler_form_of_hessian`` and ``complex_hessian`` read those entries only
+    where they cancel to +0.0, so for a field that computes each row alone they
+    equal the full stencil's bit for bit.
     """
     d = P.shape[1]
     firsts, seconds = [], []
     for hk in _halvings(h, cfg.richardson):
-        v = _stencil_values(field, P, hk)
+        v = _stencil_values(field, P, hk, ddbar=ddbar)
         if not firsts:
             g = v[:, 0].copy()
         firsts.append(_first_differences(v[:, 1:2 * d + 1], hk))
-        seconds.append(_second_differences(v, hk))
+        seconds.append(_second_differences(v, hk, ddbar))
         del v
     return g, _richardson(firsts), _richardson(seconds)
 
@@ -272,7 +286,7 @@ def ricci_form_of_log_det(H: np.ndarray) -> np.ndarray:
 
 def ricci_form_of_metric(H_field, P: np.ndarray, cfg: FDConfig, h: np.ndarray) -> np.ndarray:
     """Ricci form -i ddbar log det H, (m, d, d), of a batched complex Hessian field H, at steps ``h``."""
-    return ricci_form_of_log_det(_metric_jets(lambda Q: _log_det(H_field(Q)), P, cfg, h)[2])
+    return ricci_form_of_log_det(_metric_jets(lambda Q: _log_det(H_field(Q)), P, cfg, h, ddbar=True)[2])
 
 
 # ---------------------------------------------------------------------------

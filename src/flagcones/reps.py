@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .exact import ONE, QC, QI, ZERO, _Ints, _ints, diagonal_form, nilpotent_series, rows, solve, to_field
+from .exact import ONE, QC, ZERO, _Ints, _ints, diagonal_form, nilpotent_series, rows, solve, to_field
 from .roots import ConfigurationError, RootSystem, Weight, build_root_system, casimir_eigenvalue
 
 
@@ -355,20 +355,6 @@ def outer_tensor(r1: RepSpace, r2: RepSpace) -> RepSpace:
     )
 
 
-@lru_cache(maxsize=None)
-def trivial_module() -> RepSpace:
-    return RepSpace(
-        name="trivial",
-        dim=1,
-        simple={},
-        gram=(Fraction(1),),
-        hw_raw=to_field([1], object),
-        hw_norm_sq=Fraction(1),
-        algebra_rep=(),
-        algebra_gram=np.full((0, 0), ZERO, dtype=object),
-    )
-
-
 # ---------------------------------------------------------------------------
 # group words and exponentials
 # ---------------------------------------------------------------------------
@@ -403,12 +389,6 @@ def act(rep: RepSpace, word, v):
     for M, t in word:
         v = _exp_apply(M if type(M) is _Ints else np.asarray(M, dtype=v.dtype), t if v.dtype == object else to_field(t, v.dtype), v)
     return v
-
-
-def compact_directions(rep: RepSpace, i: int):
-    """E - F, i(E + F), iH for the simple index ``i`` (exact matrices)."""
-    E, F, H = rep.simple[i]
-    return (E - F, (E + F) * QI, H * QI)
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,12 @@ Every suite runs on blocks of samples, in calls of at most ``_CHUNK_ROWS``
 field rows, and every residual is a reduction per sample.  A
 finite-difference suite evaluates each stencil once per block, and every
 stencil of the five runs at the per-sample steps
-``scaled_steps(P, hessian_step)``: one step and one scaling rule.  The embedding suite takes one row per sample: each block
-makes one reduction image, one ``K_1``, one algebraic residual and two
-Hopf canonicalisations.
+``scaled_steps(P, hessian_step)``: one step and one scaling rule.  The
+second differences that only ``kahler_form_of_hessian`` or ``complex_hessian``
+read (``kahler-einstein``, ``ricci-flat``, the ``metric_agreement`` of ``lck``
+and ``vaisman``) take the ``ddbar`` stencil.  The embedding suite takes one
+row per sample: each block makes one reduction image, one ``K_1``, one
+algebraic residual and two Hopf canonicalisations.
 
 Einstein-Weyl conventions: the suite metric is the conformal gauge
 ``g = e^(-2 psi) . (cone metric of K_1^b)`` with Lee form
@@ -233,9 +236,10 @@ def _open_report(suite: str, spec: PotentialSpec, samples: SampleSet, cfg: Optio
 
 
 # Field rows in one call.  A call costs tens of numpy dispatches, so a default-count suite
-# (<= 201 rows x 20 samples) is one block, for ~3 MB more peak RSS than 1024 rows.  With
-# the heap top kept, blocks of 2048 and 1024 rows make the wedge-chart suites of the
-# benchmark's `minors` workload 16% and 40% slower per pass (seed 7, medians of 8 passes).
+# (<= 181 `ddbar` rows x 20 samples, 201 x 10 for einstein-weyl) is one block, for ~3 MB
+# more peak RSS than 1024 rows.  With the heap top kept, blocks of 2048 and 1024 rows make
+# the wedge-chart suites of the benchmark's `minors` workload 16% and 40% slower per pass
+# (seed 7, medians of 8 passes).
 _CHUNK_ROWS = 4096
 
 
@@ -251,9 +255,9 @@ def _chunked(fn, rows: int, *arrays) -> list:
     return [np.concatenate(out) for out in zip(*blocks)]
 
 
-def _rows(d: int, second: bool = True) -> int:
-    """Field rows per sample of the full stencil in R^d, or of its ``+-e_i`` rows."""
-    return len(diffgeo._unit_stencil(d)[0]) if second else 2 * d
+def _rows(d: int, second: bool = True, ddbar: bool = False) -> int:
+    """Field rows per sample of the full or the ``ddbar`` stencil in R^d, or of its ``+-e_i`` rows."""
+    return len(diffgeo._unit_stencil(d, ddbar)[0]) if second else 2 * d
 
 
 def _relative(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -275,10 +279,10 @@ def _metric_agreement(spec: PotentialSpec, cfg: FDConfig, points: np.ndarray, g:
     F = spec.field()
 
     def block(P, gP):
-        K, _, H = diffgeo._metric_jets(F, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))
+        K, _, H = diffgeo._metric_jets(F, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step), ddbar=True)
         return (_agreement(gP, K, H),)
 
-    return _chunked(block, _rows(spec.real_dim), points, g)[0]
+    return _chunked(block, _rows(spec.real_dim, ddbar=True), points, g)[0]
 
 
 def lck_data(spec: PotentialSpec, p):
@@ -387,14 +391,14 @@ def check_kahler_einstein_base(spec: PotentialSpec, samples: SampleSet, cfg: Opt
         return np.stack([diffgeo._log_det(Hb), log_h], axis=-1)
 
     def block(P):
-        H = diffgeo._metric_jets(field, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))[2]
+        H = diffgeo._metric_jets(field, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step), ddbar=True)[2]
         rho = diffgeo.ricci_form_of_log_det(H[..., 0])
         comp = 2.0 * diffgeo.kahler_form_of_hessian(H[..., 1])     # i ddbar log h_delta
         exact = jet(P)[0]
         return _relative(comp - rho, comp), _relative(exact - diffgeo.complex_hessian(H[..., 1]), exact)
 
     base = samples.points[:, :2 * spec.chart.n_z]
-    vals, r_agree = _chunked(block, _rows(base.shape[1]), base)
+    vals, r_agree = _chunked(block, _rows(base.shape[1], ddbar=True), base)
     rep.add("kahler_einstein", vals, tolerance)
     rep.add("metric_agreement", r_agree, tol_agree)
     return rep
@@ -424,11 +428,11 @@ def check_cone_ricci_flat(spec: PotentialSpec, samples: SampleSet, cfg: Optional
 
     def block(P):
         g = diffgeo.split_cone(cone(P))[0]
-        v, _, H = diffgeo._metric_jets(field, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))
+        v, _, H = diffgeo._metric_jets(field, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step), ddbar=True)
         rho = diffgeo.ricci_form_of_log_det(H[..., 0])     # -2 g J holds the entries of 2 g, up to sign
         return _relative(rho, 2.0 * g), _agreement(g, v[:, 1], H[..., 1])
 
-    vals, r_agree = _chunked(block, _rows(spec.real_dim), samples.points)
+    vals, r_agree = _chunked(block, _rows(spec.real_dim, ddbar=True), samples.points)
     rep.add("ricci_flat", vals, tolerance)
     rep.add("metric_agreement", r_agree, tol_agree)
     return rep

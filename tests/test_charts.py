@@ -534,6 +534,63 @@ def test_frame_tables_are_built_once_per_chart(case):
         assert not any(t.flags.writeable for t in (a.rows, a.grad, a.hess, a.cols))
 
 
+WEDGE_CASES = ["gr24", "grassmann:4:2", "grassmann:6:3", "wallach", "fullflag:A:3", "fullflag:A:4",
+               "flag:A:3:1,2", "flag:A:3:1,3", "cp:2"]
+
+
+def _gathered_rows(F, units=None):
+    """Reference ``_frame_rows``: the coordinate rows gathered by index from the transposed frame."""
+    E = np.moveaxis(np.asarray(F), (-2, -1), (0, 1))
+    return (E, ()) if units is None else (E[units.rows], units.ones)
+
+
+def _batch_first_frames(chart, z):
+    """Reference frames: the first ``kr`` columns of n(z) built batch first, a copied identity with ``z`` scattered in."""
+    n, ks, slots = chart._wedge()
+    eyes, index = charts._cell_template(n, slots, ks[-1])
+    M = np.empty(z.shape[:-1] + ((n + 1) * ks[-1],), dtype=z.dtype)
+    M[...] = eyes[z.dtype]
+    M[..., index] = z
+    F = M.reshape(z.shape[:-1] + (n + 1, ks[-1]))
+    return [(F[..., :k], units) for k, units in zip(ks, charts._frame_tables(n, ks))]
+
+
+def _same_entries(a, b) -> bool:
+    """``_same_bits`` for float arrays; equal values of equal types for exact ones."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != object or b.dtype != object:
+        return _same_bits(a, b)
+    return a.shape == b.shape and all(x == y and type(x) is type(y) for x, y in zip(a.flat, b.flat))
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("case", WEDGE_CASES)
+def test_wedge_frame_rows_are_the_gathered_rows_bit_for_bit(monkeypatch, case, lead):
+    """Wedge frames are built as entry arrays and read their coordinate rows ``k1..n`` as a slice: the rows,
+    ``log_gram_jets`` and ``gram_minors`` equal those of the batch-first big cell with its rows gathered,
+    bit for bit in floats and exactly on ``QC`` points, for one point and for batches."""
+    chart = resolve_case(case)
+    rng = np.random.default_rng(71)
+    shape, ks = lead + (chart.n_z,), chart.params["ks"]
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    z.reshape(-1, chart.n_z)[::2, 0] = 0.0              # exact-zero coordinates
+    zq = np.array([_rand_qc(rng, chart.n_z) for _ in range(int(np.prod(lead)))], dtype=object)
+    for point in (z, to_field(zq.reshape(shape), object)):
+        frames, reference = chart.frames(point), _batch_first_frames(chart, point)
+        batch = _batch_first_frames(chart, point.reshape(-1, chart.n_z))[-1]      # h_closed lifts a float point to a batch
+        with monkeypatch.context() as m:
+            m.setattr(charts, "_frame_rows", _gathered_rows)
+            want = [charts.log_gram_jets(F, units) for F, units in reference]
+            want_minors, want_h = charts.gram_minors(*reference[-1]), charts.gram_minors(*batch)
+        for (F, units), (Fr, units_r), jets in zip(frames, reference, want):
+            E, ones = charts._frame_rows(F, units)
+            assert units is units_r and ones == units.ones and _same_entries(E, _gathered_rows(Fr, units)[0])
+            assert _same_entries(F, Fr)
+            assert all(_same_entries(a, b) for a, b in zip(charts.log_gram_jets(F, units), jets, strict=True))
+        assert _same_entries(charts.gram_minors(*frames[-1]), want_minors)
+        assert _same_entries(chart.h_closed(point), want_h[..., [k - 1 for k in ks]].reshape(lead + (len(ks),)))
+
+
 def test_quadric_word_element_converts_basis_once(monkeypatch):
     """The nonzero entries of the Y_j are converted once per N, however many charts resolve it."""
     converted = []

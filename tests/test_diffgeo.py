@@ -599,3 +599,36 @@ def test_per_sample_steps_match_single_sample_calls():
     single = np.stack([diffgeo.ricci_form_of_metric(H, p[None, :], CFG, h)[0] for p, h in zip(P, steps)])
     assert np.array_equal(diffgeo.ricci_form_of_metric(H, P, CFG, steps), single)
     assert len({float(np.max(np.abs(r))) for r in single}) == len(single)      # distinct samples, distinct forms
+
+
+@pytest.mark.parametrize("richardson", [2, 3])
+@pytest.mark.parametrize("d", [4, 6, 8, 10])
+def test_ddbar_stencil_gives_the_kahler_forms_of_the_full_stencil_bit_for_bit(d, richardson):
+    """The ``ddbar`` stencil evaluates ``1 + 2d^2 - 2d`` rows, without the ``(Re z_a, Im z_a)`` corners.
+
+    Its values and first jets are the full stencil's, and ``kahler_form_of_hessian`` and
+    ``complex_hessian`` of its second jets equal the full stencil's bit for bit, signs of zero
+    included (``.tobytes()``), at one step for all points and at per-point steps.  The fields
+    compute each row on its own: a field that mixes rows through BLAS can round a point
+    differently at another position in the batch.
+    """
+    unit = diffgeo._unit_stencil(d, True)[0]
+    assert len(unit) == 1 + 2 * d * d - 2 * d == diffgeo._stencil_values(_poly, np.zeros((1, d)), np.ones(d),
+                                                                        ddbar=True).shape[1]
+    squares = {tuple(np.flatnonzero(row)) for row in unit if np.count_nonzero(row) == 2}
+    assert len(squares) == d * (d - 1) // 2 - d // 2 and all(j > i + 1 or i % 2 for i, j in squares)
+    rng = np.random.default_rng(d + richardson)
+    P = rng.uniform(-1.5, 1.5, size=(6, d))
+    P[1] = 0.0
+    P[2, ::2] = 0.0                          # exact-zero coordinates: their forms hold signed zeros
+    cfg = FDConfig(richardson=richardson)
+    every_axis = lambda Q: np.sin(np.cumsum(Q, axis=1)) * np.cos(Q[:, ::-1])      # no zero mixed difference
+    for field in (_poly, _poly_vector, every_axis):
+        for step in (scaled_steps(P, cfg.hessian_step), rng.uniform(2e-3, 4e-2, size=d)):
+            full = diffgeo._metric_jets(field, P, cfg, step)
+            ddbar = diffgeo._metric_jets(field, P, cfg, step, ddbar=True)
+            for a, b in zip(full[:2], ddbar[:2]):
+                assert a.tobytes() == b.tobytes()
+            H, Hd = (np.ascontiguousarray(np.moveaxis(x[2], (1, 2), (-2, -1))) for x in (full, ddbar))
+            for form in (diffgeo.kahler_form_of_hessian, diffgeo.complex_hessian):
+                assert form(H).tobytes() == form(Hd).tobytes(), form.__name__

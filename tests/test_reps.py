@@ -4,10 +4,10 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from flagcones.exact import QC, to_field
-from flagcones.reps import (ExactModeError, act, casimir_matrix,
-                            compact_directions, outer_tensor, sl2_module, so_radical_basis,
-                            so_vector_module, trivial_module, wedge_module)
+from flagcones.exact import QC, QI, ZERO, to_field
+from flagcones.reps import (ExactModeError, RepSpace, act, casimir_matrix,
+                            outer_tensor, sl2_module, so_radical_basis,
+                            so_vector_module, wedge_module)
 from flagcones.roots import ConfigurationError, build_root_system, casimir_eigenvalue
 
 CATALOG = [
@@ -15,6 +15,18 @@ CATALOG = [
     wedge_module(3, 2), wedge_module(4, 2), wedge_module(2, 1),
     so_vector_module(5), so_vector_module(6), so_vector_module(8),
 ]
+
+
+def trivial_module() -> RepSpace:
+    """The one-dimensional trivial module."""
+    return RepSpace(name="trivial", dim=1, simple={}, gram=(Q(1),), hw_raw=to_field([1], object),
+                    hw_norm_sq=Q(1), algebra_rep=(), algebra_gram=np.full((0, 0), ZERO, dtype=object))
+
+
+def compact_directions(rep, i: int):
+    """E - F, i(E + F), iH for the simple index ``i`` (exact matrices)."""
+    E, F, H = rep.simple[i]
+    return (E - F, (E + F) * QI, H * QI)
 
 
 def _mat_equal(a, b):

@@ -488,7 +488,7 @@ def test_cone_jet_evaluations_per_sample(monkeypatch):
         assert max(calls) <= verify._CHUNK_ROWS, (suite, max(calls))
         return len(calls)
 
-    # default budget: 201 rows x 20 samples (ricci-flat) and x 10 (einstein-weyl) are one block
+    # default budget: 181 ddbar rows x 20 samples (ricci-flat) and 201 rows x 10 (einstein-weyl) are one block
     assert jet_calls("ricci-flat", "gr24", 20) == 3
     assert jet_calls("einstein-weyl", "quadric:6", 10) == 2
     monkeypatch.setattr(verify, "_CHUNK_ROWS", 1024)
@@ -500,9 +500,25 @@ def test_cone_jet_evaluations_per_sample(monkeypatch):
     # d theta read one cone stencil, so the jet runs at P and once per Richardson level
     assert jet_calls("lck", "gr24", 4) == jet_calls("lck", "gr24", 8) == 3
     assert jet_calls("vaisman", "quadric:6", 4) == jet_calls("vaisman", "quadric:6", 8) == 3
-    # 201 full-stencil rows a sample: 5 samples fit one block, 8 take two
+    # 181 ddbar-stencil rows a sample: 5 samples fit one block, 8 take two
     assert jet_calls("ricci-flat", "gr24", 4) == jet_calls("ricci-flat", "gr24", 5) == 3
     assert jet_calls("ricci-flat", "gr24", 8) == 2 * 3
+
+
+@pytest.mark.parametrize("suite", FD_SUITES)
+def test_only_einstein_weyl_differences_the_full_stencil(monkeypatch, suite):
+    """Second differences that only the Kahler form or the complex Hessian read take the ``ddbar`` stencil;
+    the Weyl-Ricci algebra of ``einstein-weyl`` reads every ``d_a d_b g`` and takes the full one."""
+    stencils, stencil = [], diffgeo._stencil_values
+
+    def recording(f, P, h, second=True, ddbar=False):
+        if second:
+            stencils.append(ddbar)
+        return stencil(f, P, h, second=second, ddbar=ddbar)
+
+    monkeypatch.setattr(diffgeo, "_stencil_values", recording)
+    run_suite(suite, "gr24", seed=3, count=2)
+    assert set(stencils) == ({False} if suite == "einstein-weyl" else {True}) and len(stencils) == CFG.richardson
 
 
 @pytest.mark.parametrize("case", ["gr24", "wallach", "quadric:6", "conifold"])
@@ -522,7 +538,7 @@ def test_kahler_layer_builds_one_frame_per_point(monkeypatch, case):
     for suite, stencils, d in (("ricci-flat", 1, 2), ("kahler-einstein", 1, 0)):
         rows.clear()
         run_suite(suite, case, seed=3, count=m)
-        S = verify._rows(2 * resolve_case(case).n_z + d)
+        S = verify._rows(2 * resolve_case(case).n_z + d, ddbar=True)
         assert sorted(rows) == [m] + [m * S] * (stencils * levels), suite
 
 
