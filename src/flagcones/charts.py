@@ -33,7 +33,9 @@ pivots.  Exact ``gram_minors`` eliminates in Gaussian integers instead
 (``exact.leading_gram_minors``).  Each ``d_a F`` of
 a wedge or product frame is one matrix unit, so their jets are gathers
 through index tables built once per chart, with no LAPACK call per matrix;
-the quadric section's jets are closed forms in ``z``.  Wedge frames and
+the quadric section's jets are closed forms in ``z``, and so are a product
+chart's in ``PotentialSpec._log_jets``, with no frame (there ``frames`` and
+``log_gram_jets`` are the cross-check).  Wedge frames and
 every jet have one layout: entry arrays with the batch axes last, so each
 elementwise loop runs over the batch, handed out as batch-first views.
 A ``PotentialSpec`` combines a chart with bundle exponents and an outer cone exponent ``b``:
@@ -194,9 +196,10 @@ def log_gram_jets(F, jac):
     (``jac = z / 2``) takes the closed forms of ``_quadric_log_jets``, with no
     Gram inverse.  Both form ``grad`` (n_z, ...) and ``hess`` (n_z, n_z, ...) as
     entry arrays, the batch axes last, and return them as batch-first views.
+    The cone and base jets take product jets from ``_product_log_jets`` instead, bit for bit.
     """
     if not isinstance(jac, UnitTables):
-        return _quadric_log_jets(F[..., 0], jac)
+        return _quadric_log_jets(F[..., 0], jac, abs2(F[..., 0]))
     E, ones = _frame_rows(F, jac)
     Ec, G = gram_entries(E, ones)
     pivots, L = hermitian_elimination(G)
@@ -217,22 +220,39 @@ def log_gram_jets(F, jac):
     return _roll_axes(grad, 1), _roll_axes(hess, 2), h
 
 
-def _quadric_log_jets(s, half_z):
+def _quadric_log_jets(s, half_z, abs2_s):
     """``log_gram_jets`` of the quadric section ``s = (1, z/sqrt2, q/4)`` (..., N), from ``half_z = z/2`` (..., m).
 
     With ``u_a = d_a s = (0, e_a/sqrt2, z_a/2)``, ``h = |s|^2``,
     ``c_a = s* u_a = zbar_a/2 + qbar z_a/8`` and ``u_b* u_a = delta_ab/2 + zbar_b z_a/4``:
     ``d_a log h = c_a / h`` and ``d_a dbar_b log h = (delta_ab/2 + z_a zbar_b/4)/h - grad_a conj(grad_b)``.
     ``z/2`` is transposed once into entry arrays, as ``log_gram_jets`` lays out every jet; ``h`` sums
-    the contiguous entry axis of ``s``, where numpy sums 8 or more terms pairwise, not in order.
+    the contiguous entry axis of ``abs2_s = abs2(s)``, where numpy sums 8 or more terms pairwise, not in order.
     """
-    inv_h = 1 / np.sum(abs2(s), axis=-1)
+    inv_h = 1 / np.sum(abs2_s, axis=-1)
     hz = np.ascontiguousarray(_roll_axes(half_z, -1))
     grad = (np.conj(hz) + np.conj(s[..., -1]) * hz) * inv_h
     delta = to_field(np.eye(len(hz), dtype=int), hz.dtype).reshape((len(hz),) * 2 + (1,) * (hz.ndim - 1)) / 2
     hess = (hz[:, None] * np.conj(hz) + delta) * inv_h
     hess -= grad[:, None] * np.conj(grad)
     return _roll_axes(grad, 1), _roll_axes(hess, 2)
+
+
+def _product_log_jets(z, weights):
+    """``sum_j w_j log_gram_jets([1; z_j])`` over the factors of a product chart at float points ``z`` (..., m).
+
+    The 1 x 1 Gram route in closed form, bit for bit: ``p = real(1 + zbar z)``, ``A = zbar / p`` is ``d_j log h_j``,
+    ``conj(1 - z A) / p`` is ``d_j dbar_j log h_j``, weighted as ``_weighted_sum`` (+0.0 off the diagonal; its
+    ``0 +`` only on ``A``: ``1 - z A`` has a positive real part, so its products with reals hold no -0.0).
+    Factor by factor, so a single point runs in numpy scalars, which round as that route does.
+    """
+    m, lead = z.shape[-1], z.shape[:-1]
+    grad, hess = np.empty((m,) + lead, dtype=complex), np.zeros((m * m,) + lead, dtype=complex)
+    for j, (x, wt) in enumerate(zip(_roll_axes(z, -1), weights)):
+        inv = 1 / (1 + np.conj(x) * x).real
+        a = inv * np.conj(x)
+        grad[j], hess[j * (m + 1)] = np.add(0, wt * a), wt * (np.conj(1 - x * a) * inv)
+    return _roll_axes(grad, 1), _roll_axes(hess.reshape((m, m) + lead), 2)
 
 
 def gram_minors(F, units=None):
@@ -604,21 +624,21 @@ class PotentialSpec:
         return F
 
     def _log_jets(self, z, weights, potentials=False):
-        """Weighted sums over generators of ``log_gram_jets`` of the chart frames; with ``potentials`` then ``h_closed(z)``.
+        """Weighted sums over generators of ``log_gram_jets`` at float points ``z``; ``potentials`` adds ``h_closed(z)``.
 
-        The potentials come from the same frames, bit for bit: the determinants
-        the wedge jets eliminated, or the squared norms summed as ``h_closed``
-        sums them (the quadric and product jets' own sums differ in the last bit).
+        The potentials come with the jets, bit for bit: the minors the wedge jets eliminated, or the squared norms
+        summed in order from 1 as ``h_closed`` sums them.  Product charts build no frame (``_product_log_jets``).
         """
-        frames = self.chart.frames(z)
-        jets = [log_gram_jets(F, jac) for F, jac in frames]
-        if not potentials:
-            hs = ()
-        elif self.chart.kind == "wedge":
-            hs = (np.stack([jet[2] for jet in jets], axis=-1),)
+        if self.chart.kind == "product":
+            return _product_log_jets(z, weights) + ((1 + abs2(z),) if potentials else ())
+        if self.chart.kind == "quadric":
+            (F, half_z), = self.chart.frames(z)
+            a = abs2(F[..., 0])                 # one pass: h sums it pairwise, K in order
+            jets = [_quadric_log_jets(F[..., 0], half_z, a)]
+            hs = (sum((a[..., i, None] for i in range(1, a.shape[-1])), 1),) if potentials else ()
         else:
-            hs = (np.concatenate([squared_norms(F) for F, _ in frames], axis=-1),)
-        del frames                      # dead before the weighted sums, where a jet call peaks
+            jets = [log_gram_jets(F, jac) for F, jac in self.chart.frames(z)]
+            hs = (np.stack([jet[2] for jet in jets], axis=-1),) if potentials else ()
         return tuple(_weighted_sum([jet[i] for jet in jets], weights) for i in range(2)) + hs
 
     def cone_jet(self, with_K: bool = False, entries: bool = False) -> Callable[[np.ndarray], tuple]:

@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .exact import ONE, QC, ZERO, _Ints, _ints, diagonal_form, nilpotent_series, rows, solve, to_field
+from .exact import ONE, QC, ZERO, _Ints, _cleared, _ints, _reduced, diagonal_form, nilpotent_series, rows, solve, to_field
 from .roots import ConfigurationError, RootSystem, Weight, build_root_system, casimir_eigenvalue
 
 
@@ -129,8 +129,17 @@ def sl2_module(ell: int) -> RepSpace:
 
 
 def _killing_gram(scale: Fraction, defining: np.ndarray) -> np.ndarray:
-    """Gram matrix ``kappa(B_a, B_b) = scale tr(def_a def_b)`` of a basis given in the defining module (m, N, N)."""
-    return np.einsum("aij,bji->ab", defining, defining) * scale
+    """Gram matrix ``kappa(B_a, B_b) = scale tr(def_a def_b)`` of a basis given in the defining module (m, N, N).
+
+    Exact: ``defining`` cleared once to ``(R + i I) / D``, four int64 trace einsums, one ``QC`` per entry.
+    """
+    re, im, D = _cleared(defining.ravel().tolist())
+    assert max(map(abs, re + im)) ** 2 * defining.shape[-1] ** 2 < 2 ** 63, "numerators too large for int64"
+    R, I = (np.array(x, dtype=np.int64).reshape(defining.shape) for x in (re, im))
+    RR, II, RI, IR = (np.einsum("aij,bji->ab", X, Y).ravel().tolist() for X, Y in ((R, R), (I, I), (R, I), (I, R)))
+    p, q = scale.numerator, scale.denominator * D * D
+    return np.array([_reduced((rr - ii) * p, (ri + ir) * p, q) for rr, ii, ri, ir in zip(RR, II, RI, IR)],
+                    dtype=object).reshape(len(defining), -1)
 
 
 # ---------------------------------------------------------------------------

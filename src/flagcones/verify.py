@@ -241,6 +241,7 @@ def _open_report(suite: str, spec: PotentialSpec, samples: SampleSet, cfg: Optio
 # the wedge-chart suites of the benchmark's `minors` workload 16% and 40% slower per pass
 # (seed 7, medians of 8 passes).
 _CHUNK_ROWS = 4096
+_pairs = functools.cache(np.triu_indices)      # (n, 1): the sample pairs i < j of the embedding separation
 
 
 def _chunked(fn, rows: int, *arrays) -> list:
@@ -519,8 +520,8 @@ def check_embedding_consistency(spec: PotentialSpec, samples: SampleSet, cfg: Op
     inside = (abs(gamma.lam) - 1e-12 < norms) & (norms <= 1.0 + 1e-12)
     rep.notes += ["canonical representative escaped the annulus"] * int(np.count_nonzero(~inside))
     if len(canon) > 1:
-        dists = np.max(np.abs(canon[:, None] - canon[None]), axis=-1)
-        sep = float(np.min(dists[np.triu_indices(len(canon), 1)]))
+        i, j = _pairs(len(canon), 1)
+        sep = float(np.min(np.max(np.abs(canon[i] - canon[j]), axis=-1)))
         rep.add("injectivity_separation", [DEFAULT_TOLERANCES["separation"] / max(sep, 1e-300)], 1.0)
         rep.notes.append(f"minimum pairwise separation {sep:.3e}")
     return rep

@@ -362,6 +362,79 @@ def test_quadric_entry_jets_equal_the_batch_first_formulas(case, lead):
     assert all(_same_bits(a, x) for a, x in zip(got, want, strict=True))
 
 
+def _frames_log_jets(spec, z, weights, potentials=False):
+    """Reference ``_log_jets`` of a quadric or product chart: its ``frames`` through ``log_gram_jets``, weighted
+    in place, and the potentials as ``squared_norms`` of the frames."""
+    frames = spec.chart.frames(z)
+    jets = [charts.log_gram_jets(F, jac) for F, jac in frames]
+    hs = (np.concatenate([squared_norms(F) for F, _ in frames], axis=-1),) if potentials else ()
+    return tuple(charts._weighted_sum([jet[i] for jet in jets], weights) for i in range(2)) + hs
+
+
+def _jet_calls(spec, P):
+    """Every jet reader of the spec at points P (..., real_dim), ``_log_jets`` at their ``z`` included."""
+    z = charts.decode_points(P, spec.n_z)[0]
+    e = [float(x) for x in spec.exponents]
+    return {"cone": lambda: spec.cone_jet()(P), "cone_K": lambda: spec.cone_jet(with_K=True)(P),
+            "entries": lambda: spec.cone_jet(entries=True)(P),
+            "entries_K": lambda: spec.cone_jet(with_K=True, entries=True)(P),
+            "base": lambda: spec.base_jet()(P[..., :-2]), "log_jets": lambda: spec._log_jets(z, e, potentials=True)}
+
+
+def _assert_frames_route(monkeypatch, spec, P, got):
+    """``got`` (name: outputs of ``_jet_calls``) equals the calls with the frames route patched in, sign bits included."""
+    with monkeypatch.context() as m:
+        m.setattr(charts.PotentialSpec, "_log_jets", _frames_log_jets)
+        want = {name: call() for name, call in _jet_calls(spec, P).items()}
+    for name, outs in want.items():
+        assert all(_same_bits(np.asarray(a), np.asarray(x)) for a, x in zip(got[name], outs, strict=True)), name
+
+
+def _edge_points(rng, n, count):
+    """``count`` points of scale 1e-3 to 1e2 with exact-zero, real, imaginary and negative parts, and the origin."""
+    z = 10.0 ** rng.uniform(-3, 2, size=(count, 1)) * (rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n)))
+    z[::2, 0] = 0.0
+    z[2::5] = z[2::5].real
+    z[3::7] = 1j * z[3::7].imag
+    z[4::6] = -z[4::6].real - 0.0j
+    z[-1] = 0.0
+    P = np.empty((count, 2 * n + 2))
+    P[:, 0:2 * n:2], P[:, 1:2 * n:2], P[:, -2:] = z.real, z.imag, (0.7, -0.4)
+    return P
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3), (8, 15)])
+@pytest.mark.parametrize("exponents", [(1, 1), (2, Q(3, 2))])
+@pytest.mark.parametrize("b", [Q(2, 3), Q(1)])
+def test_product_jets_equal_the_frames_route_bit_for_bit(monkeypatch, lead, exponents, b):
+    """The conifold's closed-form product jets equal its ``frames`` through ``log_gram_jets``, bit for bit,
+    signs of zero included: ``cone_jet`` with and without ``K`` and ``entries``, ``base_jet`` and
+    ``_log_jets``, on batches and on a single point (numpy scalars).  Filling one call's outputs with NaN
+    leaves the next call's as they were."""
+    spec = make_spec("conifold", exponents=exponents, b=b)
+    base, n = _edge_points(np.random.default_rng(71), spec.n_z, 120), int(np.prod(lead))
+    batches = [base[k] for k in (0, 1, 2, 3, 4, 9, 10, 21, -1)] if lead == () else [base[:n], base[-n:]]
+    for P in batches:
+        P = P.reshape(lead + (-1,))
+        for outs in [call() for call in _jet_calls(spec, P).values()]:
+            for x in outs:
+                np.asarray(x)[...] = np.nan
+        got = {name: call() for name, call in _jet_calls(spec, P).items()}
+        _assert_frames_route(monkeypatch, spec, P, got)
+        assert np.shape(got["cone_K"][2]) == lead and np.shape(got["entries"][1]) == (3, 3) + lead
+
+
+@pytest.mark.parametrize("case", ["quadric:5", "quadric:6", "quadric:8", "quadric:10"])
+def test_quadric_jets_share_one_abs2_pass_bit_for_bit(monkeypatch, case):
+    """``_log_jets`` takes ``|s|^2`` once for ``h`` (pairwise over the entry axis) and for ``K`` (in order
+    from 1): jets and potentials equal the frames route and ``spec.field()`` bit for bit."""
+    spec = make_spec(case, b=ricci_flat_exponent(resolve_case(case)))
+    P = _edge_points(np.random.default_rng(73), spec.n_z, 60).reshape(3, 20, -1)
+    got = {name: call() for name, call in _jet_calls(spec, P).items()}
+    _assert_frames_route(monkeypatch, spec, P, got)
+    assert _same_bits(got["cone_K"][2], spec.field()(P)) and _same_bits(got["entries_K"][2], spec.field()(P))
+
+
 @pytest.mark.parametrize("case", ["gr24", "wallach", "quadric:6", "quadric:10", "conifold"])
 def test_cone_jet_rows_are_contiguous_copies_of_its_entry_arrays(case):
     """``cone_jet(entries=True)`` hands out its entry arrays, batch axis last; the default returns the same

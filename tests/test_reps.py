@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+from flagcones import reps
 from flagcones.exact import QC, QI, ZERO, to_field
 from flagcones.reps import (ExactModeError, RepSpace, act, casimir_matrix,
                             outer_tensor, sl2_module, so_radical_basis,
@@ -134,6 +135,43 @@ def test_outer_tensor_product():
     u = rng.normal(size=2) + 1j * rng.normal(size=2)
     w = rng.normal(size=2) + 1j * rng.normal(size=2)
     assert abs(prod.norm_sq(np.kron(u, w)) - a.norm_sq(u) * a.norm_sq(w)) < 1e-13
+
+
+def _object_killing_gram(scale, defining):
+    """Reference: the traces as an object-dtype einsum of ``QC`` products and sums."""
+    return np.einsum("aij,bji->ab", defining, defining) * scale
+
+
+def test_killing_gram_in_gaussian_integers_equals_the_object_einsum(monkeypatch):
+    """Every module builder's Killing Gram, from int64 traces of the cleared basis, equals the object
+    einsum ``QC`` for ``QC``: sl(2) modules, wedge powers of sl(2..6), so(5..10), outer tensors, and
+    random Gaussian-rational bases."""
+    killing_gram, grams = reps._killing_gram, {}
+
+    def checked(scale, defining):
+        got, want = killing_gram(scale, defining), _object_killing_gram(scale, defining)
+        assert got.shape == want.shape and all(type(x) is QC for x in got.flat) and np.all(got == want)
+        return got
+
+    monkeypatch.setattr(reps, "_killing_gram", checked)
+    modules = ([reps.sl2_module.__wrapped__(ell) for ell in range(4)]
+               + [reps.wedge_module.__wrapped__(n, k) for n in range(1, 6) for k in range(1, n + 1)]
+               + [reps.so_vector_module.__wrapped__(N) for N in range(5, 11)])
+    for rep in modules:
+        grams[rep.name] = rep.algebra_gram
+    a, b = reps.sl2_module.__wrapped__(1), reps.sl2_module.__wrapped__(2)
+    for r1, r2 in ((a, a), (a, b), (b, reps.wedge_module.__wrapped__(2, 1))):
+        m1, m2 = len(r1.algebra_rep), len(r2.algebra_rep)
+        want = np.full((m1 + m2,) * 2, ZERO, dtype=object)
+        want[:m1, :m1], want[m1:, m1:] = r1.algebra_gram, r2.algebra_gram
+        assert np.all(outer_tensor.__wrapped__(r1, r2).algebra_gram == want)
+    assert grams["sl2:V(0w)"].shape == (3, 3) and grams["so10:vector"].shape == (45, 45)
+    rng = np.random.default_rng(83)                 # the catalog bases are real integers: clear other ones too
+    for m, N, scale in ((1, 1, Q(1)), (3, 2, Q(4)), (5, 4, Q(-3, 7)), (8, 6, Q(12, 5))):
+        basis = np.array([QC(Q(int(a), int(d)), Q(int(b), int(e))) for a, b, d, e in
+                          zip(*rng.integers(-9, 10, size=(2, m * N * N)), *rng.integers(1, 13, size=(2, m * N * N)))],
+                         dtype=object).reshape(m, N, N)
+        checked(scale, basis)
 
 
 # -- group words ---------------------------------------------------------------

@@ -182,6 +182,26 @@ def test_embedding_report_tolerances():
     assert gates(one) == {k: v for k, v in gates(default).items() if k != "injectivity_separation"}
 
 
+@pytest.mark.parametrize("case, count, duplicate", [("gr24", 2, False), ("gr24", 2, True), ("gr24", 50, False),
+                                                    ("gr24", 50, True), ("conifold", 17, True), ("quadric:6", 9, False)])
+def test_embedding_separation_reads_the_pairs_of_the_full_matrix(monkeypatch, case, count, duplicate):
+    """``injectivity_separation`` over the pairs ``i < j`` equals the minimum of the full ``n x n`` distance
+    matrix above its diagonal, bit for bit; a duplicated sample gives separation 0."""
+    chunked, blocks = verify._chunked, []
+    monkeypatch.setattr(verify, "_chunked", lambda *a: blocks.append(chunked(*a)) or blocks[-1])
+    spec = make_spec(case)
+    samples = sample_points(spec, 5, count)
+    if duplicate:
+        samples.points[-1] = samples.points[0]
+    rep = verify.check_embedding_consistency(spec, samples, CFG)
+    canon = blocks[-1][-1]
+    sep = float(np.min(np.max(np.abs(canon[:, None] - canon[None]), axis=-1)[np.triu_indices(count, 1)]))
+    assert (sep == 0) == duplicate
+    record = next(r for r in rep.residuals if r.name == "injectivity_separation")
+    assert float(record.max).hex() == (verify.DEFAULT_TOLERANCES["separation"] / max(sep, 1e-300)).hex()
+    assert f"minimum pairwise separation {sep:.3e}" in rep.notes
+
+
 def test_embedding_refuses_a_fractional_exponent_on_a_projective_line(monkeypatch):
     monkeypatch.setattr(verify, "remmert", lambda *args: pytest.fail("evaluated before refusing"))
     with pytest.raises(ConfigurationError, match="integer exponents"):
@@ -353,6 +373,21 @@ def test_metric_agreement_catches_a_wrong_jacobian(monkeypatch):
     for suite in FD_SUITES:
         rep = run_suite(suite, "gr24", seed=3, count=2)
         last = rep.residuals[-1]
+        assert last.name == "metric_agreement" and last.max >= 100 * last.tolerance, suite
+
+
+def test_metric_agreement_catches_a_wrong_product_jet(monkeypatch):
+    """The conifold's closed-form jets with ``d log h`` scaled by 1.01 and ``ddbar log h`` by 1.01^2: the
+    ``metric_agreement`` of ``ricci-flat`` and ``einstein-weyl`` fails by two orders of magnitude."""
+    product_log_jets = charts._product_log_jets
+
+    def wrong(z, weights):
+        grad, hess = product_log_jets(z, weights)
+        return 1.01 * grad, 1.01 ** 2 * hess
+
+    monkeypatch.setattr(charts, "_product_log_jets", wrong)
+    for suite in ("ricci-flat", "einstein-weyl"):
+        last = run_suite(suite, "conifold", seed=3, count=4).residuals[-1]
         assert last.name == "metric_agreement" and last.max >= 100 * last.tolerance, suite
 
 
@@ -529,7 +564,8 @@ def test_kahler_layer_builds_one_frame_per_point(monkeypatch, case):
     ``[log det ddbar K, K]`` as one field: its frames are the samples, then one
     stencil per Richardson level.  ``kahler-einstein`` differences
     ``[log det Hb, log h_delta]`` as one field: the samples, then one stencil
-    per level.
+    per level.  Product charts take their jets in closed form from ``z`` and
+    build no frame at all.
     """
     frame = charts.Chart._frame
     rows = []
@@ -539,7 +575,7 @@ def test_kahler_layer_builds_one_frame_per_point(monkeypatch, case):
         rows.clear()
         run_suite(suite, case, seed=3, count=m)
         S = verify._rows(2 * resolve_case(case).n_z + d, ddbar=True)
-        assert sorted(rows) == [m] + [m * S] * (stencils * levels), suite
+        assert sorted(rows) == ([] if case == "conifold" else [m] + [m * S] * (stencils * levels)), suite
 
 
 @pytest.mark.parametrize("case, count, blocks", [("quadric:6", 4, 1), ("quadric:6", 8, 2), ("conifold", 15, 2)])
