@@ -328,12 +328,14 @@ class Chart:
     def h_closed(self, z):
         """Fundamental potentials, the Gram determinants of the chart frames: shape (..., n_gen).
 
-        Wedge charts read the widest frame's coordinate rows (its ``UnitTables``).
+        Wedge charts read the widest frame's coordinate rows (its ``UnitTables``); products take ``1 + |z_j|^2``.
         ``Fraction``s in an object array when ``z`` is exact (see ``exact.to_field``);
         the exact quadric section goes to ``squared_norms`` as the Gaussian integers it is built in.
         """
         if z.shape[-1] != self.n_z:
             raise DomainError(f"{self.name} needs {self.n_z} coordinates")
+        if self.kind == "product":
+            return 1 + abs2(z)
         if self.kind == "quadric" and z.dtype == object:
             return squared_norms(_exact_quadric_section(z))
         F, ks = self._frame(z)

@@ -9,18 +9,19 @@ per dimension (centre, ``+-e_i``, then the four corners of each
 ``(e_i, e_j)`` square), evaluated at ``P + unit * h`` with per-axis steps;
 first and second central differences as index arithmetic on those values;
 and one Richardson tableau over halved steps.  Two drivers run it on any
-array-valued field at a batch of points: ``_jacobian_of_field`` reads only
-the ``+-e_i`` rows, and ``_metric_jets`` returns the values, first and
-second derivatives from the full stencil, or from the ``ddbar`` stencil,
-2d rows fewer, without the ``(Re z_a, Im z_a)`` corners: readers of the
-J-invariant part of a Hessian alone (``kahler_form_of_hessian``,
-``complex_hessian``) never read those entries, and ``kahler-einstein``,
-``ricci-flat``, ``ricci_form_of_metric`` and the ``lck`` and ``vaisman``
-``metric_agreement`` take it.  ``einstein-weyl``'s Weyl-Ricci algebra reads
-every ``d_a d_b g`` and keeps the full stencil.  Their steps ``h`` are always
-explicit arrays: ``(d,)`` shared by every point of a batch, or ``(m, d)``,
-one row per point, which is how a batch of samples keeps the steps each
-sample would get alone; ``scaled_steps`` gives ``step * max(1, |x|)``.
+array-valued field at a batch of points: ``_first_jets`` returns values and
+first derivatives from one call on the centre and every level's ``+-e_i`` rows,
+and ``_metric_jets``, one call per level, values, first and second derivatives
+from the full stencil, or from the ``ddbar`` stencil, 2d rows fewer, without
+the ``(Re z_a, Im z_a)`` corners: readers of the J-invariant part of a Hessian
+alone (``kahler_form_of_hessian``, ``complex_hessian``) never read those
+entries, and ``kahler-einstein``, ``ricci-flat``, ``ricci_form_of_metric`` and
+the ``lck`` and ``vaisman`` ``metric_agreement`` take it.  ``einstein-weyl``'s
+Weyl-Ricci algebra reads every ``d_a d_b g`` and keeps the full stencil.
+Their steps ``h`` are always explicit arrays: ``(d,)`` shared by every
+point of a batch, or ``(m, d)``, one row per point, which is how a batch of
+samples keeps the steps each sample would get alone; ``scaled_steps`` gives
+``step * max(1, |x|)``.
 Kahler forms, metrics, complex Hessians and Ricci forms are algebra on
 the second derivatives.  ``ricci_form_of_metric`` differences ``log det``
 of an exact complex Hessian field once, taking ``log det`` as the sum of
@@ -145,13 +146,10 @@ def _unit_stencil(d: int, ddbar: bool = False) -> Tuple[np.ndarray, np.ndarray, 
     return unit, I, J
 
 
-def _stencil_values(field, P: np.ndarray, h: np.ndarray, second: bool = True, ddbar: bool = False) -> np.ndarray:
-    """A batched field at ``P + unit * h``: (m, S, *shape); ``h`` is (d,) or per point (m, d).
-
-    With ``second`` false only the ``+-e_i`` rows are evaluated, with ``ddbar`` the ``ddbar`` stencil.
-    """
+def _stencil_values(field, P: np.ndarray, h: np.ndarray, ddbar: bool = False) -> np.ndarray:
+    """A batched field at ``P + unit * h`` of the full or the ``ddbar`` stencil: (m, S, *shape); ``h`` is (d,) or (m, d)."""
     m, d = P.shape
-    unit = _unit_stencil(d, ddbar)[0] if second else _unit_stencil(d)[0][1:2 * d + 1]
+    unit = _unit_stencil(d, ddbar)[0]
     vals = np.asarray(field((P[:, None, :] + unit * h[..., None, :]).reshape(-1, d)))
     return vals.reshape(m, len(unit), *vals.shape[1:])
 
@@ -210,13 +208,21 @@ def _richardson(estimates: Iterable[np.ndarray]) -> np.ndarray:
 # derivatives of batched fields
 # ---------------------------------------------------------------------------
 
-def _jacobian_of_field(field, P: np.ndarray, cfg: FDConfig, h: np.ndarray) -> np.ndarray:
-    """d/dx_a of a scalar or array-valued batched field at the points P (m, d): (m, d, *shape).
+def _first_jets(field, P: np.ndarray, cfg: FDConfig, h: np.ndarray):
+    """Values (m, *shape) and first derivatives (m, d, *shape) of a batched field at the points P (m, d), steps ``h``,
+    from one field call on the rows ``[P, P + unit * h, P + unit * h/2, ...]``: every level's ``+-e_i`` rows."""
+    m, d = P.shape
+    hs, unit = _halvings(h, cfg.richardson), _unit_stencil(d)[0][1:2 * d + 1]
+    X = np.concatenate([P[:, None, :]] + [P[:, None, :] + unit * hk[..., None, :] for hk in hs], axis=1)
+    v = np.asarray(field(X.reshape(-1, d)))
+    v = v.reshape(m, X.shape[1], *v.shape[1:])
+    return v[:, 0].copy(), _richardson(_first_differences(v[:, 1 + 2 * d * k:1 + 2 * d * (k + 1)], hk)
+                                       for k, hk in enumerate(hs))
 
-    Only the ``+-e_i`` rows of the stencil are evaluated, at steps ``h``.
-    """
-    return _richardson(_first_differences(_stencil_values(field, P, hk, second=False), hk)
-                       for hk in _halvings(h, cfg.richardson))
+
+def _jacobian_of_field(field, P: np.ndarray, cfg: FDConfig, h: np.ndarray) -> np.ndarray:
+    """d/dx_a of a scalar or array-valued batched field at the points P (m, d), at steps ``h``: (m, d, *shape)."""
+    return _first_jets(field, P, cfg, h)[1]
 
 
 def _metric_jets(field, P: np.ndarray, cfg: FDConfig, h: np.ndarray, ddbar: bool = False):

@@ -34,7 +34,7 @@ from typing import Tuple
 import numpy as np
 
 from .charts import DomainError, PotentialSpec
-from .diffgeo import FDConfig, _jacobian_of_field
+from .diffgeo import FDConfig, _first_jets
 from .exact import _ints, modulus, relation_residual, rows, to_field
 from .reps import RepSpace, act, casimir_terms
 
@@ -277,8 +277,8 @@ def stenzel_ode_residual(eps: float, t: float, fd_step: float = 1e-4) -> float:
         return np.array([stenzel_fprime(eps, s) ** 3 for s in Q[:, 0]])
 
     P = np.array([[t]])
-    dG = _jacobian_of_field(cube, P, FDConfig(richardson=2), np.array([fd_step]))[0, 0]
-    return eps * eps * np.cosh(t) * cube(P)[0] + eps * eps * np.sinh(t) / 3.0 * dG - 1.0
+    G, dG = _first_jets(cube, P, FDConfig(richardson=2), np.array([fd_step]))
+    return eps * eps * np.cosh(t) * G[0] + eps * eps * np.sinh(t) / 3.0 * dG[0, 0] - 1.0
 
 
 def stenzel_potential(eps: float, t: float) -> float:

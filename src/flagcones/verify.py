@@ -236,10 +236,10 @@ def _open_report(suite: str, spec: PotentialSpec, samples: SampleSet, cfg: Optio
 
 
 # Field rows in one call.  A call costs tens of numpy dispatches, so a default-count suite
-# (<= 181 `ddbar` rows x 20 samples, 201 x 10 for einstein-weyl) is one block, for ~3 MB
-# more peak RSS than 1024 rows.  With the heap top kept, blocks of 2048 and 1024 rows make
-# the wedge-chart suites of the benchmark's `minors` workload 16% and 40% slower per pass
-# (seed 7, medians of 8 passes).
+# (<= 181 `ddbar` rows x 20 samples, 201 x 10 for einstein-weyl, 41 x 20 in lck's and
+# vaisman's one first-order call) is one block, for ~3 MB more peak RSS than 1024 rows.
+# With the heap top kept, blocks of 2048 and 1024 rows make the wedge-chart suites of the
+# benchmark's `minors` workload 16% and 40% slower per pass (seed 7, medians of 8 passes).
 _CHUNK_ROWS = 4096
 _pairs = functools.cache(np.triu_indices)      # (n, 1): the sample pairs i < j of the embedding separation
 
@@ -256,9 +256,9 @@ def _chunked(fn, rows: int, *arrays) -> list:
     return [np.concatenate(out) for out in zip(*blocks)]
 
 
-def _rows(d: int, second: bool = True, ddbar: bool = False) -> int:
-    """Field rows per sample of the full or the ``ddbar`` stencil in R^d, or of its ``+-e_i`` rows."""
-    return len(diffgeo._unit_stencil(d, ddbar)[0]) if second else 2 * d
+def _rows(d: int, ddbar: bool = False, levels: int = 0) -> int:
+    """Field rows per sample: one level of the full or ``ddbar`` stencil in R^d, or ``_first_jets`` at ``levels``."""
+    return 1 + 2 * d * levels if levels else len(diffgeo._unit_stencil(d, ddbar)[0])
 
 
 def _relative(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -305,27 +305,27 @@ def lck_data(spec: PotentialSpec, p):
 # suites
 # ---------------------------------------------------------------------------
 #
-# Each finite-difference suite runs on blocks of samples (``_chunked``):
-# every Richardson level makes one field call per block, with per-sample
-# steps as (m, d) arrays, and per-sample residuals are reductions over axes.
+# Each finite-difference suite runs on blocks of samples (``_chunked``): a second-order
+# stencil makes one field call per Richardson level and block, a first-order one a call
+# per block, with per-sample steps as (m, d) arrays; residuals are reductions per sample.
 
 def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] = None,
               tolerance: Optional[float] = None, case: str = "",
               corrupt_theta: float = 1.0) -> VerificationReport:
     """d Omega = theta ^ Omega, d theta = 0 and constancy of |theta|.
 
-    ``d Omega`` and ``d theta`` come from one Jacobian of the cone field at
-    ``scaled_steps(P, hessian_step)``.  ``corrupt_theta`` rescales the Lee form to provide a negative control.
+    ``g``, ``theta``, ``d Omega`` and ``d theta`` come from one cone-field call per block (``_first_jets``
+    at ``scaled_steps(P, hessian_step)``).  ``corrupt_theta`` rescales the Lee form to provide a negative control.
     """
     cfg, rep, tolerance, tol_agree = _open_report("lck", spec, samples, cfg, tolerance, case)
     J = diffgeo.complex_structure(spec.real_dim)
     cone = conformal_fields(spec)
 
     def block(P):
-        g, th = diffgeo.split_cone(cone(P))
-        th = corrupt_theta * th
         # one cone stencil: d Omega = -(d g) J, and d theta is the antisymmetric part of D_ij = d_i theta_j
-        dg, D = diffgeo.split_cone(diffgeo._jacobian_of_field(cone, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step)))
+        v, jac = diffgeo._first_jets(cone, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))
+        (g, th), (dg, D) = diffgeo.split_cone(v), diffgeo.split_cone(jac)
+        th = corrupt_theta * th
         r_dth = _relative(D - np.swapaxes(D, -1, -2), th)
         dOm = diffgeo.d_twoform_of_jets(dg @ -J)
         wedge = diffgeo.wedge_one_two(th, -g @ J)
@@ -333,7 +333,7 @@ def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] =
         norms = (th[:, None, :] @ np.linalg.solve(g, th[:, :, None]))[:, 0, 0]
         return _relative(dOm, wedge), r_dth, norms, g
 
-    r_lck, r_dth, norms, g = _chunked(block, _rows(spec.real_dim, second=False), samples.points)
+    r_lck, r_dth, norms, g = _chunked(block, _rows(spec.real_dim, levels=cfg.richardson), samples.points)
     rep.add("lck_two_form", r_lck, tolerance)
     rep.add("lee_closed", r_dth, tolerance)
     rep.add("lee_norm_constant", np.abs(norms - norms.mean()) / norms.mean(), tolerance)
@@ -344,29 +344,29 @@ def check_lck(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] =
 def check_vaisman(spec: PotentialSpec, samples: SampleSet, cfg: Optional[FDConfig] = None,
                   tolerance: Optional[float] = None, case: str = "",
                   metric: str = "vaisman") -> VerificationReport:
-    """Parallelism of the Lee form; ``metric='cone'`` is a negative control, any other value an error."""
+    """Parallelism of the Lee form, from one cone-field call per block (``_first_jets``, as in ``lck``);
+    ``metric='cone'`` is a negative control, any other value an error."""
     if metric not in ("vaisman", "cone"):
         raise ConfigurationError(f"metric must be 'vaisman' or 'cone', got {metric!r}")
     cfg, rep, tolerance, tol_agree = _open_report("vaisman", spec, samples, cfg, tolerance, case)
     control = metric == "cone"
     cone = conformal_fields(spec, with_K=control)
-    cut = -1 if control else None       # the control's cone field carries K as its last column
+    w = spec.real_dim * (spec.real_dim // 2 + 1)        # the cone columns: 2n^2 Hessian floats, then theta
 
     def field(P):
         v = cone(P)
-        if control:                     # the control: the unrescaled ddbar K in the Hessian block
-            v[:, :-P.shape[1] - 1] *= v[:, -1:]
-        return v[:, :cut]
+        if control:     # the control differences the unrescaled ddbar K, then carries the cone field's own row
+            v = np.concatenate([v[:, :w - P.shape[1]] * v[:, -1:], v[:, w - P.shape[1]:w], v], axis=1)
+        return v
 
     def block(P):
-        v = cone(P)
-        g, th = diffgeo.split_cone(v[:, :cut])
+        v, jac = diffgeo._first_jets(field, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))
+        g, th = diffgeo.split_cone(v[:, w:-1] if control else v)
         gp = g * v[:, -1, None, None] if control else g
-        jac = diffgeo._jacobian_of_field(field, P, cfg, diffgeo.scaled_steps(P, cfg.hessian_step))
-        dg, dth = diffgeo.split_cone(jac)
+        dg, dth = diffgeo.split_cone(jac[..., :w])
         return _relative(diffgeo.nabla_of_jets(gp, dg, th, dth), th), g
 
-    vals, g = _chunked(block, _rows(spec.real_dim, second=False), samples.points)
+    vals, g = _chunked(block, _rows(spec.real_dim, levels=cfg.richardson), samples.points)
     rep.add("lee_parallel", vals, tolerance)
     rep.add("metric_agreement", _metric_agreement(spec, cfg, samples.points, g), tol_agree)
     if control:

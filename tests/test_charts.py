@@ -424,6 +424,27 @@ def test_product_jets_equal_the_frames_route_bit_for_bit(monkeypatch, lead, expo
         assert np.shape(got["cone_K"][2]) == lead and np.shape(got["entries"][1]) == (3, 3) + lead
 
 
+def test_product_potentials_equal_the_frames_route():
+    """Product charts sum ``1 + |z_j|^2`` from ``z`` with no ``[1; z_j]`` frame: float and exact ``h_closed``
+    equal ``squared_norms`` of the frames ``Chart._frame`` builds, bit for bit and ``Fraction`` for
+    ``Fraction``, on single points (as a batch of one) and on batches."""
+    chart = resolve_case("conifold")
+    rng = np.random.default_rng(83)
+    P = _edge_points(rng, chart.n_z, 60)
+    z = P[:, 0:-2:2] + 1j * P[:, 1:-2:2]
+    zq = to_field([_rand_qc(rng, chart.n_z) for _ in range(58)] + [(QC(0), QC(0)), (QC(Q(-3, 2)), QC(0, 4))],
+                  object)
+    route = lambda x: squared_norms(chart._frame(x)[0])
+    for k in range(len(z)):
+        assert _same_bits(chart.h_closed(z[k]), route(z[k][None])[0]), k
+        assert _same_entries(chart.h_closed(zq[k]), route(zq[k])), k
+        assert chart.h_closed_exact(list(zq[k])) == tuple(route(zq[k]))
+    for lead in ((5,), (2, 3), (60,)):
+        n = int(np.prod(lead))
+        zl, zql = z[-n:].reshape(lead + (-1,)), zq[-n:].reshape(lead + (-1,))
+        assert _same_bits(chart.h_closed(zl), route(zl)) and _same_entries(chart.h_closed(zql), route(zql)), lead
+
+
 @pytest.mark.parametrize("case", ["quadric:5", "quadric:6", "quadric:8", "quadric:10"])
 def test_quadric_jets_share_one_abs2_pass_bit_for_bit(monkeypatch, case):
     """``_log_jets`` takes ``|s|^2`` once for ``h`` (pairwise over the entry axis) and for ``K`` (in order

@@ -601,6 +601,39 @@ def test_per_sample_steps_match_single_sample_calls():
     assert len({float(np.max(np.abs(r))) for r in single}) == len(single)      # distinct samples, distinct forms
 
 
+def _per_level_jets(field, P, cfg, h):
+    """Reference: a call at the centre, then one call on the ``+-e_i`` rows per Richardson level."""
+    d = P.shape[1]
+    unit = diffgeo._unit_stencil(d)[0][1:2 * d + 1]
+
+    def level(hk):
+        v = np.asarray(field((P[:, None, :] + unit * hk[..., None, :]).reshape(-1, d)))
+        return diffgeo._first_differences(v.reshape(len(P), 2 * d, *v.shape[1:]), hk)
+
+    return np.asarray(field(P)), diffgeo._richardson(level(hk) for hk in diffgeo._halvings(h, cfg.richardson))
+
+
+@pytest.mark.parametrize("richardson", [2, 3])
+@pytest.mark.parametrize("m", [1, 5])
+def test_first_jets_equal_the_per_level_route_bit_for_bit(m, richardson):
+    """``_first_jets`` evaluates the centre and every level's ``+-e_i`` rows in one field call; its values and
+    Jacobian equal the per-level route bit for bit (``.tobytes()``), for scalar and matrix-valued fields, at
+    one step for all points and at per-point steps."""
+    rng = np.random.default_rng(10 * m + richardson)
+    cfg = FDConfig(richardson=richardson)
+    matrix = lambda Q: np.einsum("mi,mj->mij", Q, np.sin(Q))
+    for field, d in ((_poly, 3), (_sin_exp, 2), (_poly_vector, 3), (matrix, 4)):
+        P = rng.uniform(-1.5, 1.5, size=(m, d))
+        for h in (rng.uniform(2e-3, 4e-2, size=d), scaled_steps(P, cfg.hessian_step)):
+            sizes = []
+            v, jac = diffgeo._first_jets(lambda Q: sizes.append(len(Q)) or field(Q), P, cfg, h)
+            ref_v, ref_jac = _per_level_jets(field, P, cfg, h)
+            assert sizes == [m * (1 + 2 * d * richardson)]
+            assert v.shape == ref_v.shape and jac.shape == ref_jac.shape == (m, d) + ref_v.shape[1:]
+            assert v.tobytes() == ref_v.tobytes() and jac.tobytes() == ref_jac.tobytes()
+            assert diffgeo._jacobian_of_field(field, P, cfg, h).tobytes() == jac.tobytes()
+
+
 @pytest.mark.parametrize("richardson", [2, 3])
 @pytest.mark.parametrize("d", [4, 6, 8, 10])
 def test_ddbar_stencil_gives_the_kahler_forms_of_the_full_stencil_bit_for_bit(d, richardson):

@@ -57,6 +57,36 @@ def test_vaisman_negative_control_fails_by_margin():
     assert rep.residuals[0].max > 100 * rep.residuals[0].tolerance
 
 
+@pytest.mark.parametrize("case", ["gr24", "quadric:6", "conifold"])
+def test_vaisman_control_reads_the_unscaled_cone_row(monkeypatch, case):
+    """The ``metric='cone'`` control makes one cone-jet call per block, which differences ``ddbar K`` and
+    ``theta`` and carries the cone field's own row: its ``g`` gives the Vaisman run's ``metric_agreement``
+    and its ``lee_parallel`` is ``nabla theta`` of ``g K``, from a centre call and the ``+-e_i`` stencils
+    of the rescaled field, bit for bit."""
+    spec = make_spec(case)
+    samples = sample_points(spec, 7, 20)
+    cone, d = conformal_fields(spec, with_K=True), spec.real_dim
+
+    def rescaled(X):
+        v = cone(X)
+        v[:, :-d - 1] *= v[:, -1:]
+        return v[:, :-1]
+
+    P = samples.points
+    v = cone(P)
+    g, th = diffgeo.split_cone(v[:, :-1])
+    dg, dth = diffgeo.split_cone(
+        diffgeo._jacobian_of_field(rescaled, P, CFG, diffgeo.scaled_steps(P, CFG.hessian_step)))
+    want = verify._relative(diffgeo.nabla_of_jets(g * v[:, -1, None, None], dg, th, dth), th)
+    calls = []
+    log_jets = PotentialSpec._log_jets
+    monkeypatch.setattr(PotentialSpec, "_log_jets", lambda self, *a, **k: calls.append(1) or log_jets(self, *a, **k))
+    control = check_vaisman(spec, samples, CFG, metric="cone")
+    assert len(calls) == 1
+    assert [control.residuals[0].max, control.residuals[0].mean] == [float(np.max(want)), float(np.mean(want))]
+    assert control.residuals[1] == check_vaisman(spec, samples, CFG).residuals[1]
+
+
 @pytest.mark.parametrize("metric", ["Vaisman", "", "kahler", None])
 def test_vaisman_refuses_an_unknown_metric_before_any_field_call(monkeypatch, metric):
     """Only ``'vaisman'`` and the ``'cone'`` control are metrics; anything else is an error, not a failed verdict."""
@@ -449,32 +479,47 @@ def test_metric_agreement_catches_a_wrong_jet_potential(monkeypatch, case):
 def test_every_suite_stencil_runs_at_the_hessian_step(monkeypatch, suite, richardson):
     """Each stencil of a suite, ``metric_agreement``'s included, runs at ``scaled_steps(P, hessian_step) / 2**k``
     at Richardson level k, on the samples (the base columns for ``kahler-einstein``).  ``lck`` and ``vaisman``
-    make a cone stencil and a stencil of ``spec.field()`` per level; the three second-order suites make one,
-    from which ``ricci-flat`` and ``einstein-weyl`` also read ``K`` for ``metric_agreement``."""
-    calls = []
-    stencil = diffgeo._stencil_values
+    make one fused cone call, whose rows are the samples and then every level's ``+-e_i`` rows, and a stencil
+    of ``spec.field()`` per level; the three second-order suites make one stencil per level, from which
+    ``ricci-flat`` and ``einstein-weyl`` also read ``K`` for ``metric_agreement``."""
+    calls, fused = [], []
+    stencil, first_jets = diffgeo._stencil_values, diffgeo._first_jets
+
+    def recording_jets(f, P, cfg, h):
+        fused.append((P, h, []))
+        return first_jets(lambda X: fused[-1][2].append(X) or f(X), P, cfg, h)
+
     monkeypatch.setattr(diffgeo, "_stencil_values", lambda f, P, h, **k: calls.append((P, h)) or stencil(f, P, h, **k))
+    monkeypatch.setattr(diffgeo, "_first_jets", recording_jets)
     cfg = FDConfig(richardson=richardson)
     spec = make_spec("gr24")
     points = sample_points(spec, 3, 4).points
     run_suite(suite, "gr24", seed=3, count=4, cfg=cfg)
-    stencils = 2 if suite in ("lck", "vaisman") else 1
-    assert len(calls) == stencils * richardson
+    assert len(calls) == richardson and len(fused) == (suite in ("lck", "vaisman"))
     for i, (P, h) in enumerate(calls):
         assert np.array_equal(P, points[:, :8] if suite == "kahler-einstein" else points)
-        assert np.array_equal(h, diffgeo.scaled_steps(P, cfg.hessian_step) / 2 ** (i % richardson)), i
+        assert np.array_equal(h, diffgeo.scaled_steps(P, cfg.hessian_step) / 2 ** i), i
+    for P, h, (X,) in fused:
+        d = P.shape[1]
+        unit = diffgeo._unit_stencil(d)[0][1:2 * d + 1]
+        X = X.reshape(len(P), 1 + 2 * d * richardson, d)
+        assert np.array_equal(P, points) and np.array_equal(h, diffgeo.scaled_steps(P, cfg.hessian_step))
+        assert np.array_equal(X[:, 0], P)
+        for k in range(richardson):
+            hk = diffgeo.scaled_steps(P, cfg.hessian_step) / 2 ** k
+            assert np.array_equal(X[:, 1 + 2 * d * k:1 + 2 * d * (k + 1)], P[:, None, :] + unit * hk[:, None, :]), k
 
 
 @pytest.mark.parametrize("richardson", [2, 3])
 def test_lck_block_makes_one_log_jet_call_per_stencil(monkeypatch, richardson):
-    """An lck block evaluates the chart jets at its samples and once per Richardson level, nowhere else."""
+    """An lck block evaluates the chart jets once, on its samples and every Richardson level's rows, nowhere else."""
     calls = []
     log_jets = PotentialSpec._log_jets
     monkeypatch.setattr(PotentialSpec, "_log_jets", lambda self, *a, **k: calls.append(1) or log_jets(self, *a, **k))
     for count in (4, 8):
         calls.clear()
         run_suite("lck", "gr24", seed=3, count=count, cfg=FDConfig(richardson=richardson))
-        assert len(calls) == 1 + richardson, count
+        assert len(calls) == 1, count
 
 
 @pytest.mark.parametrize("suite", FD_SUITES)
@@ -523,18 +568,23 @@ def test_cone_jet_evaluations_per_sample(monkeypatch):
         assert max(calls) <= verify._CHUNK_ROWS, (suite, max(calls))
         return len(calls)
 
-    # default budget: 181 ddbar rows x 20 samples (ricci-flat) and 201 rows x 10 (einstein-weyl) are one block
+    # default budget: 181 ddbar rows x 20 samples (ricci-flat), 201 x 10 (einstein-weyl) and 41 x 20 (lck,
+    # vaisman) are one block
     assert jet_calls("ricci-flat", "gr24", 20) == 3
     assert jet_calls("einstein-weyl", "quadric:6", 10) == 2
+    assert jet_calls("lck", "gr24", 20) == jet_calls("vaisman", "quadric:6", 20) == 1
     monkeypatch.setattr(verify, "_CHUNK_ROWS", 1024)
     # 201 full-stencil rows a sample: 5 samples fit one block, 8 take two; a block
     # makes one jet stencil per Richardson level, and every residual reads its jets
     assert jet_calls("einstein-weyl", "quadric:6", 4) == jet_calls("einstein-weyl", "quadric:6", 5) == 2
     assert jet_calls("einstein-weyl", "quadric:6", 8) == 2 * 2
-    # 20 first-difference rows a sample: 4 and 8 samples both fit one block; d Omega and
-    # d theta read one cone stencil, so the jet runs at P and once per Richardson level
-    assert jet_calls("lck", "gr24", 4) == jet_calls("lck", "gr24", 8) == 3
-    assert jet_calls("vaisman", "quadric:6", 4) == jet_calls("vaisman", "quadric:6", 8) == 3
+    # lck and vaisman: the centre and 20 first-difference rows per Richardson level, 41 rows a
+    # sample: 24 samples fit one block, 25 take two; g, theta and their Jacobian read the one
+    # cone-jet call of a block
+    assert jet_calls("lck", "gr24", 4) == jet_calls("lck", "gr24", 24) == 1
+    assert jet_calls("lck", "gr24", 25) == 2
+    assert jet_calls("vaisman", "quadric:6", 4) == jet_calls("vaisman", "quadric:6", 24) == 1
+    assert jet_calls("vaisman", "quadric:6", 25) == 2
     # 181 ddbar-stencil rows a sample: 5 samples fit one block, 8 take two
     assert jet_calls("ricci-flat", "gr24", 4) == jet_calls("ricci-flat", "gr24", 5) == 3
     assert jet_calls("ricci-flat", "gr24", 8) == 2 * 3
@@ -546,10 +596,9 @@ def test_only_einstein_weyl_differences_the_full_stencil(monkeypatch, suite):
     the Weyl-Ricci algebra of ``einstein-weyl`` reads every ``d_a d_b g`` and takes the full one."""
     stencils, stencil = [], diffgeo._stencil_values
 
-    def recording(f, P, h, second=True, ddbar=False):
-        if second:
-            stencils.append(ddbar)
-        return stencil(f, P, h, second=second, ddbar=ddbar)
+    def recording(f, P, h, ddbar=False):
+        stencils.append(ddbar)
+        return stencil(f, P, h, ddbar=ddbar)
 
     monkeypatch.setattr(diffgeo, "_stencil_values", recording)
     run_suite(suite, "gr24", seed=3, count=2)
